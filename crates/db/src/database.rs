@@ -35,17 +35,19 @@ use crate::cache::CacheStats;
 use crate::cancel::{CancelCause, CancelToken};
 use crate::catalogue::{CatOp, SharedCatalogue};
 use crate::delta::TableStats;
-use crate::engine::{Engine, ExecutionReport, QueryOutput};
+use crate::engine::{Engine, QueryOutput};
 use crate::filter::Predicate;
 use crate::ingest::{CompactionPolicy, IngestError, IngestReceipt, RowBatch};
-use crate::join::{join_local_traced, plan_join, JoinPlan, LocalJoinObs, PreparedJoin};
+use crate::join::{
+    join_local_traced, plan_derived, plan_join, plan_join_at, JoinPlan, PreparedJoin,
+};
 use crate::metrics::{MetricsSnapshot, SlowQuery};
-use crate::plan::{PlanError, PlanStep, QueryPlan};
+use crate::plan::{PlanError, QueryPlan};
 use crate::prepared::PreparedStatement;
 use crate::query::AggregateQuery;
+use crate::read::{self, check_cancel, ReadRequest, Schedule};
 use crate::recovery;
-use crate::session::{assemble_rows, PartialRun, Session};
-use crate::shard::{host_having, host_order_by};
+use crate::session::Session;
 use crate::snapshot::{Snapshot, SnapshotStats};
 use crate::sql::{parse_statement, AsOf, ParseSqlError, SqlQuery, Statement};
 use crate::table::Table;
@@ -740,58 +742,34 @@ impl Database {
         }
     }
 
-    /// Plans one SELECT/EXPLAIN query — **the** read path. `AS OF`
-    /// names an explicit state and wins outright; otherwise the read
-    /// happens at the open read-only transaction's snapshot if one is
-    /// pinned, else at a snapshot-of-now (a write transaction's own
-    /// buffered statements are not visible to it before `COMMIT`).
-    fn plan_read(&self, q: &SqlQuery) -> Result<QueryPlan, SqlError> {
+    /// Plans one single-table read. `AS OF` names an explicit frozen
+    /// state and wins outright; otherwise the read happens at `at` when
+    /// the caller holds a snapshot, else at the open read-only
+    /// transaction's snapshot if one is pinned, else at a
+    /// snapshot-of-now (a write transaction's own buffered statements
+    /// are not visible to it before `COMMIT`).
+    fn plan_read(&self, q: &SqlQuery, at: Option<&Snapshot>) -> Result<QueryPlan, SqlError> {
         if let Some(as_of) = &q.as_of {
             return self.plan_as_of(&q.table, as_of, &q.query);
         }
-        match &self.txn {
-            TxnState::Read(snap) => self.catalogue.plan_query_at(snap, &q.table, &q.query),
+        match at.or(self.txn_snapshot()) {
+            Some(snap) => self.catalogue.plan_query_at(snap, &q.table, &q.query),
             // `plan_query` captures (and releases) a snapshot-of-now
             // internally — the same path, same pins, same cache.
-            _ => self.catalogue.plan_query(&q.table, &q.query),
+            None => self.catalogue.plan_query(&q.table, &q.query),
         }
     }
 
-    /// Plans a two-table join at one snapshot cut: both sides'
-    /// content, statistics and data versions come from the same
-    /// consistent view, so the join never mixes a pre-ingest left with
-    /// a post-ingest right.
-    fn plan_join_at_snapshot(
-        &self,
-        snap: &Snapshot,
-        q: &SqlQuery,
-    ) -> Result<(JoinPlan, Table, Table), SqlError> {
-        let join = q.join.as_ref().expect("caller verified a join clause");
-        let fetch = |name: &str| -> Result<(Table, TableStats, u64), SqlError> {
-            match (
-                snap.table(name),
-                snap.table_stats(name),
-                snap.data_version(name),
-            ) {
-                (Some(t), Some(s), Some(v)) => Ok((t, s, v)),
-                _ => Err(SqlError::UnknownTable(name.to_string())),
-            }
-        };
-        let (lt, ls, lv) = fetch(&q.table)?;
-        let (rt, rs, rv) = fetch(&join.table)?;
-        let plan = plan_join(
-            &q.query, join, &q.table, &lt, &ls, lv, &rt, &rs, rv, 1, None,
-        )?;
-        Ok((plan, lt, rt))
-    }
-
     /// Plans a two-table join — the join twin of
-    /// [`Database::plan_read`]. `AS OF` names an explicit frozen state
-    /// for **both** tables and wins outright; otherwise the join reads
-    /// at the open read-only transaction's snapshot if one is pinned,
-    /// else at a snapshot-of-now covering the whole catalogue (one
-    /// atomic cut for both tables).
-    fn plan_join_read(&self, q: &SqlQuery) -> Result<(JoinPlan, Table, Table), SqlError> {
+    /// [`Database::plan_read`], with the same precedence. Whichever
+    /// state is read, both tables' content, statistics and data
+    /// versions come from **one** cut, so the join never mixes a
+    /// pre-ingest left with a post-ingest right.
+    fn plan_join_read(
+        &self,
+        q: &SqlQuery,
+        at: Option<&Snapshot>,
+    ) -> Result<(JoinPlan, Table, Table), SqlError> {
         let join = q.join.as_ref().expect("caller verified a join clause");
         if let Some(as_of) = &q.as_of {
             let (lt, lv, rt, rv, label) = match as_of {
@@ -822,171 +800,142 @@ impl Database {
             )?;
             return Ok((plan, lt, rt));
         }
+        if at.is_some_and(|snap| !snap.catalogue().is_same(&self.catalogue)) {
+            return Err(SqlError::ForeignSnapshot);
+        }
         let owned;
-        let snap = match self.txn_snapshot() {
+        let snap = match at.or(self.txn_snapshot()) {
             Some(snap) => snap,
             None => {
                 owned = self.catalogue.snapshot();
                 &owned
             }
         };
-        self.plan_join_at_snapshot(snap, q)
+        plan_join_at(snap, &q.table, join, &q.query)
     }
 
-    /// The snapshot join planner: `AS OF` wins over the snapshot,
-    /// matching [`Database::plan_read_at`].
-    fn plan_join_read_at(
-        &self,
-        snap: &Snapshot,
-        q: &SqlQuery,
-    ) -> Result<(JoinPlan, Table, Table), SqlError> {
-        if q.as_of.is_some() {
-            return self.plan_join_read(q);
-        }
-        if !snap.catalogue().is_same(&self.catalogue) {
-            return Err(SqlError::ForeignSnapshot);
-        }
-        self.plan_join_at_snapshot(snap, q)
+    /// Plans a read without executing it.
+    fn explain(&self, q: &SqlQuery, at: Option<&Snapshot>) -> Result<ExplainOutput, SqlError> {
+        Ok(match q.join {
+            Some(_) => ExplainOutput::Join(Box::new(self.plan_join_read(q, at)?.0)),
+            None => ExplainOutput::Plan(Box::new(self.plan_read(q, at)?)),
+        })
     }
 
-    /// Plans and executes a two-table join: hash build over the
-    /// smaller side, probe, then the ordinary aggregation tail over
-    /// the derived rows (see [`crate::join`]).
-    fn run_join(&mut self, q: &SqlQuery) -> Result<QueryOutput, SqlError> {
-        self.run_join_with(q, None, None)
-    }
-
-    /// [`Database::run_join`] with an optional pinned snapshot (the
-    /// `run_sql_at` path) and optional tracing (`EXPLAIN ANALYZE`).
-    fn run_join_with(
-        &mut self,
-        q: &SqlQuery,
-        snap: Option<&Snapshot>,
-        mut trace: Option<&mut QueryTrace>,
-    ) -> Result<QueryOutput, SqlError> {
-        let (plan, lt, rt) = match snap {
-            Some(snap) => self.plan_join_read_at(snap, q)?,
-            None => self.plan_join_read(q)?,
-        };
-        let (derived, obs) = join_local_traced(&plan, &lt, &rt);
-        if let Some(t) = trace.as_deref_mut() {
-            record_join_obs(t, &plan, &obs);
-        }
-        self.run_join_tail_with(plan.steps(), plan.query(), &derived, trace)
-    }
-
-    /// Runs the aggregation tail of a join over its derived table and
-    /// splices the join steps in front of the report's plan steps. An
-    /// empty derived table (no key matched) short-circuits to zero
-    /// rows — the single-table engine would reject planning it.
-    pub(crate) fn run_join_tail(
-        &mut self,
-        steps: &[PlanStep],
-        agg: &AggregateQuery,
-        derived: &Table,
-    ) -> Result<QueryOutput, SqlError> {
-        self.run_join_tail_with(steps, agg, derived, None)
-    }
-
-    /// [`Database::run_join_tail`] with optional tracing: the derived
-    /// table's aggregate plan folds its estimates and per-step actuals
-    /// into the trace after the join's host steps.
-    fn run_join_tail_with(
-        &mut self,
-        steps: &[PlanStep],
-        agg: &AggregateQuery,
-        derived: &Table,
-        trace: Option<&mut QueryTrace>,
-    ) -> Result<QueryOutput, SqlError> {
-        if derived.rows() == 0 {
-            return Ok(QueryOutput {
-                rows: Vec::new(),
-                report: crate::engine::ExecutionReport {
-                    algorithm: None,
-                    rows_aggregated: 0,
-                    cycles: 0,
-                    cpt: 0.0,
-                    steps: steps.to_vec(),
-                },
-            });
-        }
-        let plan = self.catalogue.engine().plan(derived, agg)?;
-        let mut out = match trace {
-            Some(t) => {
-                t.estimate_plan(&plan);
-                let (out, step_traces) = self.session.run_traced(&plan);
-                t.record_steps(&step_traces);
-                out
-            }
-            None => self.session.run(&plan),
-        };
-        let mut all = steps.to_vec();
-        all.append(&mut out.report.steps);
-        out.report.steps = all;
-        Ok(out)
-    }
-
-    /// The `EXPLAIN ANALYZE` body: executes the statement exactly as
-    /// the plain `SELECT` arm would — same planner, same session, same
-    /// snapshot rules — while folding a [`QueryTrace`] of per-step
-    /// estimated-vs-actual rows and simulated cycles. Tracing only
-    /// reads the cycle counter and host-side lengths, so the returned
-    /// rows are bit-identical to the untraced statement.
-    fn analyze(
+    /// **The** read path of this session: plans `q` (a join runs its
+    /// host-side build and probe first and plans the aggregation over
+    /// the derived table) and hands the plan to
+    /// [`Database::execute_read`]. `run_sql`, `run_sql_at`,
+    /// `run_sql_cancellable` and `execute_sql` differ only in the
+    /// [`ReadOpts`] they pass.
+    fn select(
         &mut self,
         q: &SqlQuery,
         sql: &str,
-        snap: Option<&Snapshot>,
-    ) -> Result<AnalyzedQuery, SqlError> {
-        let mut trace = QueryTrace::new(sql.trim().to_string());
-        let output = if q.join.is_some() {
-            self.run_join_with(q, snap, Some(&mut trace))?
-        } else {
-            let plan = match snap {
-                Some(snap) => self.plan_read_at(snap, q)?,
-                None => self.plan_read(q)?,
-            };
-            trace.estimate_plan(&plan);
-            let (out, step_traces) = self.session.run_traced(&plan);
-            trace.record_steps(&step_traces);
-            out
+        opts: ReadOpts<'_>,
+    ) -> Result<(QueryOutput, Option<QueryTrace>), SqlError> {
+        let mut trace = opts.trace.then(|| QueryTrace::new(sql.trim().to_string()));
+        let (plan, prefix) = match q.join {
+            None => (Some(self.plan_read(q, opts.at)?), Vec::new()),
+            Some(_) => {
+                let (join, lt, rt) = self.plan_join_read(q, opts.at)?;
+                let (derived, obs) = join_local_traced(&join, &lt, &rt);
+                if let Some(t) = &mut trace {
+                    obs.record(t, &join);
+                }
+                let plan = plan_derived(self.catalogue.engine(), &derived, join.query())?;
+                (plan, join.steps)
+            }
         };
-        trace.cycles = output.report.cycles;
-        trace.rows = output.rows.len() as u64;
-        self.note_query(sql, &output);
-        self.catalogue.metrics().record_traced_query();
-        Ok(AnalyzedQuery { output, trace })
+        let request = ReadRequest {
+            plans: vec![plan],
+            prefix: &prefix,
+            cancel: opts.cancel,
+            trace: trace.as_mut(),
+        };
+        let output = self.execute_read(sql, request)?;
+        Ok((output, trace))
     }
 
-    /// Folds one finished query into the catalogue's metrics registry
-    /// (counters, cycle histogram, slow-query ring).
-    fn note_query(&self, sql: &str, out: &QueryOutput) {
-        self.catalogue.metrics().record_query(
+    /// Executes what a read planned on this session — the one finish
+    /// step behind every `SELECT`, prepared statement and prepared
+    /// join: the read driver runs the request's ranges inline
+    /// ([`Schedule::Inline`]), and the finished query is folded into
+    /// the catalogue's metrics registry (counters, cycle histogram,
+    /// slow-query ring, pruned ranges).
+    pub(crate) fn execute_read(
+        &mut self,
+        sql: &str,
+        request: ReadRequest<'_>,
+    ) -> Result<QueryOutput, SqlError> {
+        let traced = request.trace.is_some();
+        let out = read::drive(request, Schedule::Inline(&mut self.session))?;
+        let metrics = self.catalogue.metrics();
+        if out.pruned.0 > 0 {
+            metrics.record_pruned(out.pruned.0, out.pruned.1);
+        }
+        metrics.record_query(
             sql.trim(),
             out.report.cycles,
             out.rows.len() as u64,
             out.report.steps.len(),
         );
+        if traced {
+            metrics.record_traced_query();
+        }
+        Ok(out.into())
     }
 
-    /// Parses and runs one SQL statement: `SELECT` executes on the
+    /// Runs one parsed read statement: `EXPLAIN` plans, `SELECT`
+    /// executes, `EXPLAIN ANALYZE` executes with tracing on.
+    fn read(
+        &mut self,
+        stmt: Statement,
+        sql: &str,
+        at: Option<&Snapshot>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<SqlOutcome, SqlError> {
+        let explain = matches!(stmt, Statement::Explain(_));
+        let trace = matches!(stmt, Statement::ExplainAnalyze(_));
+        let q = select_of(stmt)?;
+        if explain {
+            return Ok(match self.explain(&q, at)? {
+                ExplainOutput::Plan(plan) => SqlOutcome::Plan(plan),
+                ExplainOutput::Join(plan) => SqlOutcome::JoinPlan(plan),
+            });
+        }
+        let (output, trace) = self.select(&q, sql, ReadOpts { at, cancel, trace })?;
+        Ok(match trace {
+            Some(trace) => SqlOutcome::Analyzed(Box::new(AnalyzedQuery { output, trace })),
+            None => SqlOutcome::Rows(output),
+        })
+    }
+
+    /// Parses and runs one SQL statement — the general entry point, and
+    /// the home of the statement semantics the narrower entry points
+    /// ([`Database::run_sql_at`], [`Database::run_sql_cancellable`],
+    /// [`Database::execute_sql`]) share. `SELECT` executes on the
     /// session and returns rows, `EXPLAIN SELECT` returns the typed
     /// plan without executing, `EXPLAIN ANALYZE SELECT` executes with
-    /// tracing on and returns [`SqlOutcome::Analyzed`] (the rows plus
-    /// the per-step span tree), `INSERT` appends rows through the
-    /// write path, `DELETE` / `UPDATE` tombstone / overwrite matching
-    /// rows, `CREATE SNAPSHOT` freezes the current state under a
-    /// durable name (readable later with `AS OF <name>`), and
-    /// `BEGIN [READ ONLY]` / `COMMIT` / `ROLLBACK` bracket
-    /// transactions. Planning is served from the shared
-    /// [`crate::PlanCache`] when the query's shape was seen before.
+    /// tracing on and returns [`SqlOutcome::Analyzed`] (the rows —
+    /// bit-identical, cycles included — plus the per-step span tree),
+    /// `INSERT` appends rows through the write path, `DELETE` /
+    /// `UPDATE` tombstone / overwrite matching rows, `CREATE SNAPSHOT`
+    /// freezes the current state under a durable name (readable later
+    /// with `AS OF <name>`), and `BEGIN [READ ONLY]` / `COMMIT` /
+    /// `ROLLBACK` bracket transactions. Planning is served from the
+    /// shared [`crate::PlanCache`] when the query's shape was seen
+    /// before.
     ///
-    /// Every read happens at a [`Snapshot`]: a bare statement captures
-    /// a snapshot-of-now; between `BEGIN READ ONLY` and `COMMIT` all
-    /// statements read at the transaction's pinned snapshot, so a
-    /// multi-statement report sees one consistent database however
-    /// much concurrent ingest lands in between (writes inside the
-    /// transaction are rejected with [`SqlError::ReadOnly`]).
+    /// Every read executes through the one read driver (ARCHITECTURE.md,
+    /// "Read path"): `report.cycles` is the simulated work on the staged
+    /// columns; HAVING / ORDER BY / LIMIT over the output table are host
+    /// steps. Every read happens at a [`Snapshot`]: a bare statement
+    /// captures a snapshot-of-now; between `BEGIN READ ONLY` and
+    /// `COMMIT` all statements read at the transaction's pinned
+    /// snapshot, so a multi-statement report sees one consistent
+    /// database however much concurrent ingest lands in between (writes
+    /// inside the transaction are rejected with [`SqlError::ReadOnly`]).
     ///
     /// Between a bare `BEGIN` and `COMMIT`, write statements buffer
     /// ([`SqlOutcome::Queued`]) and install atomically at `COMMIT`:
@@ -1030,26 +979,42 @@ impl Database {
     /// [`SqlError::Plan`] (carrying a typed [`PlanError`]) for planning
     /// problems.
     pub fn run_sql(&mut self, sql: &str) -> Result<SqlOutcome, SqlError> {
-        match parse_statement(sql)? {
-            Statement::Select(q) => {
-                if q.join.is_some() {
-                    let out = self.run_join(&q)?;
-                    self.note_query(sql, &out);
-                    return Ok(SqlOutcome::Rows(out));
-                }
-                let plan = self.plan_read(&q)?;
-                let out = self.session.run(&plan);
-                self.note_query(sql, &out);
-                Ok(SqlOutcome::Rows(out))
-            }
-            Statement::ExplainAnalyze(q) => {
-                Ok(SqlOutcome::Analyzed(Box::new(self.analyze(&q, sql, None)?)))
-            }
-            Statement::Explain(q) => {
-                if q.join.is_some() {
-                    return Ok(SqlOutcome::JoinPlan(Box::new(self.plan_join_read(&q)?.0)));
-                }
-                Ok(SqlOutcome::Plan(Box::new(self.plan_read(&q)?)))
+        self.run_statement(sql, None)
+    }
+
+    /// [`Database::run_sql`] under a [`CancelToken`] (see
+    /// [`crate::cancel`]): a `SELECT` runs in
+    /// [`crate::DEFAULT_MORSEL_ROWS`]-row ranges with the token checked
+    /// before each one (a join before its host-side build, then per
+    /// range of the aggregation), so a tripped token surfaces
+    /// [`SqlError::Cancelled`] within one range's work; rows are
+    /// bit-identical to the plain path. Every other statement checks
+    /// the token before and after. Cancelled queries are counted in
+    /// [`Database::metrics`].
+    pub fn run_sql_cancellable(
+        &mut self,
+        sql: &str,
+        token: &CancelToken,
+    ) -> Result<SqlOutcome, SqlError> {
+        let out = check_cancel(Some(token)).and_then(|()| self.run_statement(sql, Some(token)));
+        if matches!(out, Err(SqlError::Cancelled(_))) {
+            self.catalogue.metrics().record_cancelled();
+        }
+        out
+    }
+
+    /// The body of [`Database::run_sql`] and
+    /// [`Database::run_sql_cancellable`].
+    fn run_statement(
+        &mut self,
+        sql: &str,
+        cancel: Option<&CancelToken>,
+    ) -> Result<SqlOutcome, SqlError> {
+        let out = match parse_statement(sql)? {
+            stmt
+            @ (Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_)) => {
+                // The driver checks the token range by range.
+                return self.read(stmt, sql, None, cancel);
             }
             Statement::Insert(ins) => {
                 let batch =
@@ -1130,146 +1095,11 @@ impl Database {
                 TxnState::None => Err(SqlError::NoOpenTransaction),
                 _ => Ok(SqlOutcome::TransactionRolledBack),
             },
-        }
-    }
-
-    /// [`Database::run_sql`] under a [`CancelToken`] — the
-    /// single-session cancellation surface (see [`crate::cancel`]).
-    /// A plain `SELECT` is morselized: its plan runs in morsel-sized
-    /// row ranges with the token checked before each one, the range
-    /// partials merge exactly like the sharded executor's (bit-identical
-    /// rows), and a tripped token surfaces
-    /// [`SqlError::Cancelled`] within one morsel's work instead of
-    /// running the query to completion. Joins and write statements
-    /// check the token at statement boundaries only (their kernels are
-    /// host-side and short); cancelled queries are counted in
-    /// [`Database::metrics`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Database::run_sql`], plus [`SqlError::Cancelled`] carrying
-    /// the [`CancelCause`].
-    pub fn run_sql_cancellable(
-        &mut self,
-        sql: &str,
-        token: &CancelToken,
-    ) -> Result<SqlOutcome, SqlError> {
-        let out = self.run_sql_governed(sql, token);
-        if matches!(out, Err(SqlError::Cancelled(_))) {
-            self.catalogue.metrics().record_cancelled();
-        }
-        out
-    }
-
-    fn run_sql_governed(&mut self, sql: &str, token: &CancelToken) -> Result<SqlOutcome, SqlError> {
-        if let Some(cause) = token.cause() {
-            return Err(SqlError::Cancelled(cause));
-        }
-        match parse_statement(sql)? {
-            Statement::Select(q) if q.join.is_none() => {
-                let plan = self.plan_read(&q)?;
-                let out = self.run_plan_cancellable(&plan, token)?;
-                self.note_query(sql, &out);
-                Ok(SqlOutcome::Rows(out))
-            }
-            // Joins and every other statement run whole (their kernels
-            // are host-side; no morsel boundary to check at), with a
-            // trailing check so a trip during the run is still typed.
-            _ => {
-                let out = self.run_sql(sql)?;
-                match token.cause() {
-                    Some(cause) => Err(SqlError::Cancelled(cause)),
-                    None => Ok(out),
-                }
-            }
-        }
-    }
-
-    /// Runs one `SELECT` plan in morsel-sized row ranges with `token`
-    /// checked before each range — the single-session counterpart of
-    /// the executor's morsel-pop check. The range partials merge to the
-    /// whole answer at any split (see [`Session::run_partial_range`]),
-    /// and the coordinator tail (`HAVING`, `ORDER BY`/`LIMIT`, row
-    /// assembly) is shared with the sharded path — so the rows are
-    /// bit-identical to [`Session::run`].
-    ///
-    /// Composite grouping forces the plan's own exact key domains into
-    /// every range's fusion (the single-plan case of the sharded
-    /// coordinator's fast path): all partials share one fused key
-    /// space, merge directly, and skip the per-range max scans. Ranges
-    /// whose zone maps prove the WHERE predicate matches nothing are
-    /// pruned before running, counted in [`Database::metrics`].
-    fn run_plan_cancellable(
-        &mut self,
-        plan: &QueryPlan,
-        token: &CancelToken,
-    ) -> Result<QueryOutput, SqlError> {
-        let n = plan.rows();
-        let morsel_rows = crate::executor::ExecutorConfig::default()
-            .morsel_rows
-            .max(1);
-        let forced: Option<&[u64]> =
-            (!plan.query().group_by_rest.is_empty()).then(|| plan.key_domains());
-        let mut runs: Vec<PartialRun> = Vec::new();
-        let (mut pruned_morsels, mut pruned_rows) = (0u64, 0u64);
-        let mut lo = 0;
-        while lo < n {
-            if let Err(cause) = token.admit_morsel() {
-                return Err(SqlError::Cancelled(cause));
-            }
-            let hi = (lo + morsel_rows).min(n);
-            if plan.prunes_range(lo, hi) {
-                pruned_morsels += 1;
-                pruned_rows += (hi - lo) as u64;
-            } else {
-                runs.push(match forced {
-                    Some(d) => self.session.run_partial_range_forced(plan, lo, hi, d),
-                    None => self.session.run_partial_range(plan, lo, hi),
-                });
-            }
-            lo = hi;
-        }
-        if pruned_morsels > 0 {
-            self.catalogue
-                .metrics()
-                .record_pruned(pruned_morsels, pruned_rows);
-        }
-        let query = plan.query();
-        let merged = vagg_core::PartialAggregate::merge_all(runs.iter().map(|r| r.partial.clone()))
-            .unwrap_or_else(|| vagg_core::PartialAggregate::empty(query.needs_minmax()));
-        let rest_domains: Vec<u32> = match forced {
-            Some(d) => d[1..].iter().map(|&d| d as u32).collect(),
-            None => Vec::new(),
-        };
-        let (mut base, mut mm) = (merged.base, merged.minmax);
-        if let Some(h) = &query.having {
-            host_having(h, &mut base, &mut mm);
-        }
-        if let Some(ob) = &query.order_by {
-            host_order_by(ob, &mut base, &mut mm);
-        }
-        let rows = assemble_rows(
-            query,
-            &base,
-            mm.as_ref().map(|(a, b)| (&a[..], &b[..])),
-            &rest_domains,
-        );
-        let cycles: u64 = runs.iter().map(|r| r.report.cycles).sum();
-        let rows_aggregated: usize = runs.iter().map(|r| r.report.rows_aggregated).sum();
-        Ok(QueryOutput {
-            rows,
-            report: ExecutionReport {
-                algorithm: runs.iter().find_map(|r| r.report.algorithm),
-                rows_aggregated,
-                cycles,
-                cpt: if n == 0 {
-                    0.0
-                } else {
-                    cycles as f64 / n as f64
-                },
-                steps: plan.steps().to_vec(),
-            },
-        })
+        }?;
+        // Writes and transaction brackets have no range boundary to
+        // check at; a trip during the statement is still typed.
+        check_cancel(cancel)?;
+        Ok(out)
     }
 
     /// `table` must be registered — queue-time validation for write
@@ -1517,11 +1347,11 @@ impl Database {
         self.after_write(table)
     }
 
-    /// Parses and runs one `SELECT` / `EXPLAIN SELECT` **at an explicit
-    /// snapshot**: the statement reads the rows, statistics and plan of
-    /// the snapshot's pinned cut, regardless of ingest since. The same
-    /// snapshot can serve any number of statements (repeatable reads)
-    /// and any session of the same catalogue.
+    /// [`Database::run_sql`] for reads **at an explicit snapshot**: the
+    /// statement reads the rows, statistics and plan of the snapshot's
+    /// pinned cut, regardless of ingest since. The same snapshot can
+    /// serve any number of statements (repeatable reads) and any
+    /// session of the same catalogue.
     ///
     /// ```
     /// use vagg_db::{Database, SqlOutcome, Table};
@@ -1548,58 +1378,17 @@ impl Database {
     ///
     /// # Errors
     ///
-    /// As [`Database::run_sql`], plus [`SqlError::ReadOnly`] for
-    /// `INSERT` (snapshots are immutable),
-    /// [`SqlError::TransactionStatement`] for `BEGIN`/`COMMIT`
-    /// (transaction state belongs to [`Database::run_sql`]), and
-    /// [`SqlError::ForeignSnapshot`] if the snapshot was cut from a
-    /// different catalogue.
+    /// As [`Database::run_sql`], plus [`SqlError::ReadOnly`] for writes
+    /// (snapshots are immutable), [`SqlError::TransactionStatement`]
+    /// for `BEGIN`/`COMMIT` (transaction state belongs to
+    /// [`Database::run_sql`]), and [`SqlError::ForeignSnapshot`] if the
+    /// snapshot was cut from a different catalogue.
     pub fn run_sql_at(&mut self, snap: &Snapshot, sql: &str) -> Result<SqlOutcome, SqlError> {
-        match parse_statement(sql)? {
-            Statement::Select(q) => {
-                if q.join.is_some() {
-                    let (plan, lt, rt) = self.plan_join_read_at(snap, &q)?;
-                    let (derived, _obs) = join_local_traced(&plan, &lt, &rt);
-                    let out = self.run_join_tail(plan.steps(), plan.query(), &derived)?;
-                    self.note_query(sql, &out);
-                    return Ok(SqlOutcome::Rows(out));
-                }
-                let plan = self.plan_read_at(snap, &q)?;
-                let out = self.session.run(&plan);
-                self.note_query(sql, &out);
-                Ok(SqlOutcome::Rows(out))
-            }
-            Statement::ExplainAnalyze(q) => Ok(SqlOutcome::Analyzed(Box::new(self.analyze(
-                &q,
-                sql,
-                Some(snap),
-            )?))),
-            Statement::Explain(q) => {
-                if q.join.is_some() {
-                    return Ok(SqlOutcome::JoinPlan(Box::new(
-                        self.plan_join_read_at(snap, &q)?.0,
-                    )));
-                }
-                Ok(SqlOutcome::Plan(Box::new(self.plan_read_at(snap, &q)?)))
-            }
-            Statement::Insert(_)
-            | Statement::Delete(_)
-            | Statement::Update(_)
-            | Statement::CreateSnapshot(_) => Err(SqlError::ReadOnly),
-            Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
-                Err(SqlError::TransactionStatement)
-            }
-        }
-    }
-
-    /// The snapshot read path's planner: `AS OF` names an explicit
-    /// frozen state and wins over the snapshot, as in
-    /// [`Database::run_sql`].
-    fn plan_read_at(&self, snap: &Snapshot, q: &SqlQuery) -> Result<QueryPlan, SqlError> {
-        match &q.as_of {
-            Some(as_of) => self.plan_as_of(&q.table, as_of, &q.query),
-            None => self.catalogue.plan_query_at(snap, &q.table, &q.query),
-        }
+        let stmt = parse_statement(sql)?;
+        self.read(stmt, sql, Some(snap), None).map_err(|e| match e {
+            SqlError::InsertStatement | SqlError::MutationStatement => SqlError::ReadOnly,
+            e => e,
+        })
     }
 
     /// Parses a `SELECT` with `?` placeholders into a reusable
@@ -1637,7 +1426,8 @@ impl Database {
         PreparedStatement::prepare(&self.catalogue, sql)
     }
 
-    /// Parses and executes one `SELECT` statement on the session.
+    /// [`Database::run_sql`] for one `SELECT`, returning the rows
+    /// without the [`SqlOutcome`] wrapper.
     ///
     /// # Errors
     ///
@@ -1646,25 +1436,8 @@ impl Database {
     /// if it is an `INSERT` (rejected *before* any row is appended).
     pub fn execute_sql(&mut self, sql: &str) -> Result<QueryOutput, SqlError> {
         match parse_statement(sql)? {
-            Statement::Select(q) => {
-                if q.join.is_some() {
-                    let out = self.run_join(&q)?;
-                    self.note_query(sql, &out);
-                    return Ok(out);
-                }
-                let plan = self.plan_read(&q)?;
-                let out = self.session.run(&plan);
-                self.note_query(sql, &out);
-                Ok(out)
-            }
             Statement::Explain(_) | Statement::ExplainAnalyze(_) => Err(SqlError::ExplainStatement),
-            Statement::Insert(_) => Err(SqlError::InsertStatement),
-            Statement::Delete(_) | Statement::Update(_) | Statement::CreateSnapshot(_) => {
-                Err(SqlError::MutationStatement)
-            }
-            Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
-                Err(SqlError::TransactionStatement)
-            }
+            stmt => Ok(self.select(&select_of(stmt)?, sql, ReadOpts::default())?.0),
         }
     }
 
@@ -1679,20 +1452,7 @@ impl Database {
     /// As [`Database::run_sql`], plus [`SqlError::InsertStatement`] for
     /// `INSERT` (ingest has no plan).
     pub fn explain_sql(&self, sql: &str) -> Result<ExplainOutput, SqlError> {
-        let q = match parse_statement(sql)? {
-            Statement::Select(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q) => q,
-            Statement::Insert(_) => return Err(SqlError::InsertStatement),
-            Statement::Delete(_) | Statement::Update(_) | Statement::CreateSnapshot(_) => {
-                return Err(SqlError::MutationStatement)
-            }
-            Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
-                return Err(SqlError::TransactionStatement)
-            }
-        };
-        if q.join.is_some() {
-            return Ok(ExplainOutput::Join(Box::new(self.plan_join_read(&q)?.0)));
-        }
-        Ok(ExplainOutput::Plan(Box::new(self.plan_read(&q)?)))
+        self.explain(&select_of(parse_statement(sql)?)?, None)
     }
 
     /// Plans a two-table `JOIN` statement without executing it,
@@ -1729,20 +1489,11 @@ impl Database {
     /// As [`Database::explain_sql`], plus [`SqlError::JoinStatement`]
     /// when the statement has no `JOIN` clause.
     pub fn explain_join_sql(&self, sql: &str) -> Result<JoinPlan, SqlError> {
-        let q = match parse_statement(sql)? {
-            Statement::Select(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q) => q,
-            Statement::Insert(_) => return Err(SqlError::InsertStatement),
-            Statement::Delete(_) | Statement::Update(_) | Statement::CreateSnapshot(_) => {
-                return Err(SqlError::MutationStatement)
-            }
-            Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
-                return Err(SqlError::TransactionStatement)
-            }
-        };
+        let q = select_of(parse_statement(sql)?)?;
         if q.join.is_none() {
             return Err(SqlError::JoinStatement);
         }
-        Ok(self.plan_join_read(&q)?.0)
+        Ok(self.plan_join_read(&q, None)?.0)
     }
 
     /// Parses a two-table `JOIN` statement with `?` placeholders into
@@ -1757,29 +1508,6 @@ impl Database {
     /// the statement has no `JOIN` clause.
     pub fn prepare_join(&self, sql: &str) -> Result<PreparedJoin, SqlError> {
         PreparedJoin::prepare(&self.catalogue, sql)
-    }
-
-    /// Executes an already-built plan on this session (the prepared
-    /// statement path).
-    pub(crate) fn run_plan(&mut self, plan: &QueryPlan) -> QueryOutput {
-        let out = self.session.run(plan);
-        self.note_query(&plan.sql(), &out);
-        out
-    }
-
-    /// [`Database::run_plan`] with tracing on — the prepared
-    /// statement's `EXPLAIN ANALYZE` path
-    /// ([`PreparedStatement::analyze`]).
-    pub(crate) fn run_plan_traced(&mut self, plan: &QueryPlan) -> AnalyzedQuery {
-        let mut trace = QueryTrace::new(plan.sql());
-        trace.estimate_plan(plan);
-        let (output, step_traces) = self.session.run_traced(plan);
-        trace.record_steps(&step_traces);
-        trace.cycles = output.report.cycles;
-        trace.rows = output.rows.len() as u64;
-        self.note_query(&plan.sql(), &output);
-        self.catalogue.metrics().record_traced_query();
-        AnalyzedQuery { output, trace }
     }
 
     /// One metrics snapshot across every subsystem this database
@@ -1829,31 +1557,32 @@ impl Database {
     }
 }
 
-/// Folds a local join's host-side observations into a trace: the
-/// build/probe steps' observed rows recorded under the plan's rendered
-/// step names, plus the key-dictionary counters and the freeze-barrier
-/// wall time. Host-side work carries no simulated cycles.
-fn record_join_obs(t: &mut QueryTrace, plan: &JoinPlan, obs: &LocalJoinObs) {
-    for step in plan.steps() {
-        match step {
-            PlanStep::JoinBuild { .. } => t.record_host_step(
-                step.to_string(),
-                step.estimated_rows(),
-                obs.build_rows as u64,
-                obs.entries as u64,
-            ),
-            PlanStep::JoinProbe { .. } => t.record_host_step(
-                step.to_string(),
-                step.estimated_rows(),
-                obs.probe_rows as u64,
-                obs.pairs as u64,
-            ),
-            _ => {}
+/// How one read was asked for: the `_at` / `_cancellable` / traced
+/// variants of the public entry points, as data.
+#[derive(Clone, Copy, Default)]
+struct ReadOpts<'a> {
+    /// Read at this snapshot instead of the session's own view.
+    at: Option<&'a Snapshot>,
+    /// Run in morsel-sized ranges, checking this token before each.
+    cancel: Option<&'a CancelToken>,
+    /// Gather an `EXPLAIN ANALYZE` trace while executing.
+    trace: bool,
+}
+
+/// The query of a read statement (`SELECT` / `EXPLAIN [ANALYZE]
+/// SELECT`), or the typed reason a row- or plan-returning API cannot
+/// take the statement.
+fn select_of(stmt: Statement) -> Result<SqlQuery, SqlError> {
+    match stmt {
+        Statement::Select(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q) => Ok(q),
+        Statement::Insert(_) => Err(SqlError::InsertStatement),
+        Statement::Delete(_) | Statement::Update(_) | Statement::CreateSnapshot(_) => {
+            Err(SqlError::MutationStatement)
+        }
+        Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
+            Err(SqlError::TransactionStatement)
         }
     }
-    t.dict_entries += obs.entries as u64;
-    t.dict_hits += obs.dict_hits;
-    t.freeze_ns = Some(t.freeze_ns.unwrap_or(0) + obs.freeze_ns);
 }
 
 /// The WAL record describing one catalogue operation, tagged with the
@@ -2600,12 +2329,18 @@ mod tests {
                 other => unreachable!("SELECT returns rows: {other:?}"),
             };
             let token = CancelToken::new();
+            let before = db.session().queries_run();
             let governed = match db.run_sql_cancellable(sql, &token).unwrap() {
                 SqlOutcome::Rows(out) => out,
                 other => unreachable!("SELECT returns rows: {other:?}"),
             };
             assert_eq!(governed.rows, plain.rows, "{sql}");
-            assert!(token.morsels() > 0, "the token saw morsel boundaries");
+            assert!(token.morsels() > 1, "the token saw morsel boundaries");
+            assert_eq!(
+                db.session().queries_run(),
+                before + 1,
+                "one query, however many ranges it ran as"
+            );
         }
     }
 
@@ -2654,4 +2389,3 @@ mod tests {
         assert!(matches!(err, SqlError::Cancelled(_)));
     }
 }
-

@@ -1,11 +1,9 @@
 //! The planner: turns queries into typed [`QueryPlan`]s with the paper's
 //! §V-D adaptive policy, using DBMS metadata (sortedness, cardinality
-//! estimate) — plus the thin compatibility wrapper that plans and
-//! executes in one call.
+//! estimate). Execution is [`crate::Session`]'s.
 
 use crate::plan::{PlanError, PlanStep, QueryPlan, ScanMode};
 use crate::query::{AggFn, AggregateQuery, OrderKey};
-use crate::session::Session;
 use crate::table::Table;
 use std::sync::Arc;
 use vagg_core::sampling::SampledEstimate;
@@ -124,7 +122,7 @@ impl Engine {
     ///
     /// Planning never runs the machine. The estimate here is taken over
     /// the *unfiltered* column, as a real optimizer plans from table
-    /// statistics rather than post-selection data; [`Session::run`]
+    /// statistics rather than post-selection data; [`crate::Session::run`]
     /// still charges the §III-A metadata scan at execution time (over
     /// the post-WHERE input), so the billed cost matches the paper even
     /// though the decision was made from plan-time statistics.
@@ -256,14 +254,14 @@ impl Engine {
         }
 
         if let Some(h) = &query.having {
-            steps.push(PlanStep::VectorHaving {
+            steps.push(PlanStep::Having {
                 agg: h.agg,
                 value: query.value.clone(),
                 pred: h.pred,
             });
         }
         if let Some(ob) = &query.order_by {
-            steps.push(PlanStep::VectorOrderBy {
+            steps.push(PlanStep::OrderBy {
                 key: ob.key,
                 group: query.group_by.clone(),
                 value: query.value.clone(),
@@ -298,18 +296,6 @@ impl Engine {
             zone_maps: 0,
         })
     }
-
-    /// Plans and executes a query on a fresh one-query [`Session`] — the
-    /// pre-plan-split API, kept as a thin compatibility wrapper. Serving
-    /// query traffic should plan once and reuse a session instead.
-    ///
-    /// # Errors
-    ///
-    /// The typed [`PlanError`] of the first planning problem found.
-    pub fn execute(&self, table: &Table, query: &AggregateQuery) -> Result<QueryOutput, PlanError> {
-        let plan = self.plan(table, query)?;
-        Ok(Session::with_config(self.cfg.clone()).run(&plan))
-    }
 }
 
 /// Host-side mirror of [`vagg_core::sampling::sampled_max_scan`]: reads
@@ -340,6 +326,17 @@ fn host_sampled_estimate(
 mod tests {
     use super::*;
     use crate::filter::Predicate;
+    use crate::session::Session;
+
+    // Plan, then run on a fresh one-query session.
+    fn execute(
+        engine: &Engine,
+        table: &Table,
+        query: &AggregateQuery,
+    ) -> Result<QueryOutput, PlanError> {
+        let plan = engine.plan(table, query)?;
+        Ok(Session::with_config(engine.config().clone()).run(&plan))
+    }
 
     #[test]
     fn composite_group_by_matches_host_oracle() {
@@ -352,7 +349,7 @@ mod tests {
             .with_column("b", b.clone())
             .with_column("v", v.clone());
         let q = AggregateQuery::paper("a", "v").with_group_by_also("b");
-        let out = Engine::new().execute(&t, &q).unwrap();
+        let out = execute(&Engine::new(), &t, &q).unwrap();
 
         let mut expect: std::collections::BTreeMap<(u32, u32), (u32, u32)> =
             std::collections::BTreeMap::new();
@@ -382,7 +379,7 @@ mod tests {
         let q = AggregateQuery::paper("a", "v")
             .with_group_by_also("b")
             .with_group_by_also("c");
-        let out = Engine::new().execute(&t, &q).unwrap();
+        let out = execute(&Engine::new(), &t, &q).unwrap();
         // All four rows are distinct (a, b, c) triples.
         assert_eq!(out.rows.len(), 4);
         let parts: Vec<Vec<u32>> = out.rows.iter().map(|r| r.group_parts.clone()).collect();
@@ -402,7 +399,7 @@ mod tests {
         let q = AggregateQuery::paper("a", "v")
             .with_group_by_also("b")
             .with_filter("v", Predicate::NotEqual(7));
-        let out = Engine::new().execute(&t, &q).unwrap();
+        let out = execute(&Engine::new(), &t, &q).unwrap();
         // (2, 0) is filtered out entirely.
         assert!(!out.rows.iter().any(|r| r.group_parts == vec![2, 0]));
         let r10 = out
@@ -421,7 +418,7 @@ mod tests {
             .with_column("b", vec![0, 100_000])
             .with_column("v", vec![1, 2]);
         let q = AggregateQuery::paper("a", "v").with_group_by_also("b");
-        let err = Engine::new().execute(&t, &q).unwrap_err();
+        let err = execute(&Engine::new(), &t, &q).unwrap_err();
         assert!(
             matches!(err, PlanError::CompositeKeyOverflow { domain } if domain > u32::MAX as u64),
             "{err:?}"
@@ -432,9 +429,7 @@ mod tests {
     #[test]
     fn single_column_rows_have_one_part() {
         let t = people();
-        let out = Engine::new()
-            .execute(&t, &AggregateQuery::paper("g", "v"))
-            .unwrap();
+        let out = execute(&Engine::new(), &t, &AggregateQuery::paper("g", "v")).unwrap();
         for r in &out.rows {
             assert_eq!(r.group_parts, vec![r.group]);
         }
@@ -448,9 +443,7 @@ mod tests {
 
     #[test]
     fn paper_query_end_to_end() {
-        let out = Engine::new()
-            .execute(&people(), &AggregateQuery::paper("g", "v"))
-            .unwrap();
+        let out = execute(&Engine::new(), &people(), &AggregateQuery::paper("g", "v")).unwrap();
         assert_eq!(out.rows.len(), 6);
         // Group 3: COUNT 2, SUM 7.
         let r3 = out.rows.iter().find(|r| r.group == 3).unwrap();
@@ -463,7 +456,7 @@ mod tests {
     #[test]
     fn filter_then_aggregate() {
         let q = AggregateQuery::paper("g", "v").with_filter("g", Predicate::NotEqual(0));
-        let out = Engine::new().execute(&people(), &q).unwrap();
+        let out = execute(&Engine::new(), &people(), &q).unwrap();
         assert_eq!(out.report.rows_aggregated, 6);
         assert!(out.rows.iter().all(|r| r.group != 0));
         assert!(out.report.describe().contains("VectorFilter"));
@@ -475,7 +468,7 @@ mod tests {
             .with_aggregate(AggFn::Min)
             .with_aggregate(AggFn::Max)
             .with_aggregate(AggFn::Avg);
-        let out = Engine::new().execute(&people(), &q).unwrap();
+        let out = execute(&Engine::new(), &people(), &q).unwrap();
         let r0 = out.rows.iter().find(|r| r.group == 0).unwrap();
         // count, sum, min, max, avg of values {4, 1}.
         assert_eq!(r0.values, vec![2.0, 5.0, 1.0, 4.0, 2.5]);
@@ -487,10 +480,10 @@ mod tests {
         // people(): group 0 {4,1}, 3 {5,2} have COUNT 2; others COUNT 1.
         let q =
             AggregateQuery::paper("g", "v").with_having(AggFn::Count, Predicate::GreaterThan(1));
-        let out = Engine::new().execute(&people(), &q).unwrap();
+        let out = execute(&Engine::new(), &people(), &q).unwrap();
         let groups: Vec<u32> = out.rows.iter().map(|r| r.group).collect();
         assert_eq!(groups, vec![0, 3]);
-        assert!(out.report.describe().contains("VectorHaving(COUNT(*) > 1)"));
+        assert!(out.report.describe().contains("Having(COUNT(*) > 1)"));
     }
 
     #[test]
@@ -500,7 +493,7 @@ mod tests {
             .with_aggregate(AggFn::Min)
             .with_aggregate(AggFn::Max)
             .with_having(AggFn::Sum, Predicate::GreaterThan(3));
-        let out = Engine::new().execute(&people(), &q).unwrap();
+        let out = execute(&Engine::new(), &people(), &q).unwrap();
         // Sums per group: 0→5, 1→0, 2→3, 3→7, 4→0, 5→3 → keep {0, 3}.
         let groups: Vec<u32> = out.rows.iter().map(|r| r.group).collect();
         assert_eq!(groups, vec![0, 3]);
@@ -512,14 +505,14 @@ mod tests {
     fn having_removing_everything_yields_empty_output() {
         let q =
             AggregateQuery::paper("g", "v").with_having(AggFn::Count, Predicate::GreaterThan(100));
-        let out = Engine::new().execute(&people(), &q).unwrap();
+        let out = execute(&Engine::new(), &people(), &q).unwrap();
         assert!(out.rows.is_empty());
     }
 
     #[test]
     fn having_on_avg_is_a_typed_plan_error() {
         let q = AggregateQuery::paper("g", "v").with_having(AggFn::Avg, Predicate::GreaterThan(1));
-        let e = Engine::new().execute(&people(), &q).unwrap_err();
+        let e = execute(&Engine::new(), &people(), &q).unwrap_err();
         assert_eq!(e, PlanError::UnsupportedAvgPredicate { clause: "HAVING" });
         assert!(e.to_string().contains("AVG"), "{e}");
     }
@@ -539,20 +532,20 @@ mod tests {
         let q = AggregateQuery::paper("g", "v")
             .with_order_by(crate::query::OrderKey::Agg(AggFn::Sum), true)
             .with_limit(2);
-        let out = Engine::new().execute(&people(), &q).unwrap();
+        let out = execute(&Engine::new(), &people(), &q).unwrap();
         let groups: Vec<u32> = out.rows.iter().map(|r| r.group).collect();
         assert_eq!(groups, vec![3, 0]);
-        assert!(out.report.describe().contains("VectorOrderBy"));
+        assert!(out.report.describe().contains("OrderBy"));
         assert!(out.report.describe().contains("Limit(2)"));
     }
 
     #[test]
     fn order_by_is_stable_on_ties() {
-        // Groups 2 and 5 both sum to 3; radix sort is stable, so the
+        // Groups 2 and 5 both sum to 3; the tail's sort is stable, so the
         // lower group key (already in group order) comes first.
         let q = AggregateQuery::paper("g", "v")
             .with_order_by(crate::query::OrderKey::Agg(AggFn::Sum), false);
-        let out = Engine::new().execute(&people(), &q).unwrap();
+        let out = execute(&Engine::new(), &people(), &q).unwrap();
         let sums: Vec<f64> = out.rows.iter().map(|r| r.values[1]).collect();
         let mut sorted = sums.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -565,7 +558,7 @@ mod tests {
     #[test]
     fn bare_limit_truncates_group_order() {
         let q = AggregateQuery::paper("g", "v").with_limit(3);
-        let out = Engine::new().execute(&people(), &q).unwrap();
+        let out = execute(&Engine::new(), &people(), &q).unwrap();
         let groups: Vec<u32> = out.rows.iter().map(|r| r.group).collect();
         assert_eq!(groups, vec![0, 1, 2]);
     }
@@ -600,9 +593,7 @@ mod tests {
             .unwrap();
         assert_eq!(plan.algorithm(), Algorithm::Polytable);
         assert!(plan.presorted());
-        let out = Engine::new()
-            .execute(&t, &AggregateQuery::paper("g", "v"))
-            .unwrap();
+        let out = execute(&Engine::new(), &t, &AggregateQuery::paper("g", "v")).unwrap();
         assert_eq!(out.report.algorithm, Some(Algorithm::Polytable));
     }
 
@@ -614,17 +605,18 @@ mod tests {
         let t = Table::new("r")
             .with_column("g", (0..n).map(|i| (i / 2) as u32).collect())
             .with_column("v", (0..n).map(|i| (i % 10) as u32).collect());
-        let out = Engine::new()
-            .execute(&t, &AggregateQuery::paper("g", "v"))
-            .unwrap();
+        let out = execute(&Engine::new(), &t, &AggregateQuery::paper("g", "v")).unwrap();
         assert_eq!(out.report.algorithm, Some(Algorithm::Monotable));
     }
 
     #[test]
     fn unknown_column_is_a_typed_error() {
-        let e = Engine::new()
-            .execute(&people(), &AggregateQuery::paper("nope", "v"))
-            .unwrap_err();
+        let e = execute(
+            &Engine::new(),
+            &people(),
+            &AggregateQuery::paper("nope", "v"),
+        )
+        .unwrap_err();
         assert_eq!(e, PlanError::UnknownColumn("nope".into()));
         assert!(e.to_string().contains("unknown column"));
     }
@@ -651,7 +643,7 @@ mod tests {
             .with_column("g", vec![1, 1])
             .with_column("v", vec![2, 2]);
         let q = AggregateQuery::paper("g", "v").with_filter("v", Predicate::NotEqual(2));
-        let out = Engine::new().execute(&t, &q).unwrap();
+        let out = execute(&Engine::new(), &t, &q).unwrap();
         assert!(out.rows.is_empty());
         assert_eq!(out.report.rows_aggregated, 0);
         // No aggregation ran, and the report says so instead of claiming
@@ -674,11 +666,13 @@ mod tests {
         let t = Table::new("r").with_column("g", g).with_column("v", v);
         let q = AggregateQuery::paper("g", "v");
 
-        let exact = Engine::new().execute(&t, &q).unwrap();
-        let sampled = Engine::new()
-            .with_estimation(CardinalityEstimation::Sampled { stride: 8 })
-            .execute(&t, &q)
-            .unwrap();
+        let exact = execute(&Engine::new(), &t, &q).unwrap();
+        let sampled = execute(
+            &Engine::new().with_estimation(CardinalityEstimation::Sampled { stride: 8 }),
+            &t,
+            &q,
+        )
+        .unwrap();
         assert_eq!(exact.rows, sampled.rows);
         assert_eq!(exact.report.algorithm, sampled.report.algorithm);
         assert!(
@@ -723,9 +717,7 @@ mod tests {
         let t = Table::new("r")
             .with_column("g", g.clone())
             .with_column("v", v.clone());
-        let out = Engine::new()
-            .execute(&t, &AggregateQuery::paper("g", "v"))
-            .unwrap();
+        let out = execute(&Engine::new(), &t, &AggregateQuery::paper("g", "v")).unwrap();
         let expect = vagg_core::reference(&g, &v);
         assert_eq!(out.rows.len(), expect.len());
         for (row, i) in out.rows.iter().zip(0..) {
@@ -752,8 +744,8 @@ mod tests {
              \x20 1. VectorFilter(v > 0)\n\
              \x20 2. CardinalityScan[exact](cardinality≈6)\n\
              \x20 3. Aggregate[mono]\n\
-             \x20 4. VectorHaving(SUM(v) > 2)\n\
-             \x20 5. VectorOrderBy[radix](SUM(v) DESC)\n\
+             \x20 4. Having(SUM(v) > 2)\n\
+             \x20 5. OrderBy(SUM(v) DESC)\n\
              \x20 6. Limit(2)"
         );
     }

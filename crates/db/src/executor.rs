@@ -15,7 +15,7 @@
 //!   of a thread stack.
 //! * **Morsels.** A shard's plan is split into fixed-size row ranges
 //!   (morsels) over its base++delta prefix view; each morsel runs the
-//!   distributive slice via [`Session::run_partial_range`] and yields a
+//!   distributive slice via [`Session::run_range`] and yields a
 //!   mergeable [`vagg_core::PartialAggregate`]. The shard's §V-D
 //!   algorithm choice rides on the plan, so every morsel of a shard
 //!   still runs the algorithm *that shard's* statistics picked.
@@ -33,8 +33,7 @@
 use crate::cancel::CancelToken;
 use crate::join::{JoinMorsel, JoinOutcome};
 use crate::plan::QueryPlan;
-use crate::session::{PartialRun, Session};
-use crate::trace::MorselTrace;
+use crate::session::{PartialRun, RangeOpts, Session};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -42,10 +41,15 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use vagg_sim::SimConfig;
 
+/// Rows per range wherever a read is cut into morsels: the pool's
+/// default [`ExecutorConfig::morsel_rows`], and the range size of a
+/// single session running under a [`CancelToken`].
+pub const DEFAULT_MORSEL_ROWS: usize = 2048;
+
 /// How an [`Executor`] is shaped. The default — as many workers as
-/// shards, 2048-row morsels, stealing on, zone-map pruning on,
-/// adaptive sizing off — is what [`crate::ShardedDatabase::new`]
-/// builds.
+/// shards, [`DEFAULT_MORSEL_ROWS`]-row morsels, stealing on, zone-map
+/// pruning on, adaptive sizing off — is what
+/// [`crate::ShardedDatabase::new`] builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorConfig {
     /// Worker threads in the pool. `0` means "match the shard count" —
@@ -83,7 +87,7 @@ impl Default for ExecutorConfig {
     fn default() -> Self {
         Self {
             workers: 0,
-            morsel_rows: 2048,
+            morsel_rows: DEFAULT_MORSEL_ROWS,
             steal: true,
             adaptive: false,
             prune: true,
@@ -110,7 +114,10 @@ impl fmt::Display for ExecutorError {
                 write!(f, "executor config rejected: workers must be at least 1")
             }
             ExecutorError::ZeroMorselRows => {
-                write!(f, "executor config rejected: morsel_rows must be at least 1")
+                write!(
+                    f,
+                    "executor config rejected: morsel_rows must be at least 1"
+                )
             }
         }
     }
@@ -133,8 +140,8 @@ pub struct ExecutorStats {
     /// [`CancelToken`] had tripped (cumulative).
     pub cancelled_morsels: u64,
     /// Morsels never dispatched: their zone maps proved the WHERE
-    /// predicate matches no row in the range (see
-    /// [`Executor::note_pruned`]).
+    /// predicate matches no row in the range (counted by the read
+    /// driver, which drops them before submission).
     pub morsels_pruned: u64,
     /// Rows those pruned morsels covered.
     pub rows_pruned: u64,
@@ -164,42 +171,67 @@ impl ExecutorStats {
     }
 }
 
-/// One stealable unit of work: a row range of one shard's plan.
+/// One unit of a read: a row range of one shard's plan. On the pool it
+/// is the stealable unit; a single session runs the same ranges inline.
 pub(crate) struct Morsel {
     pub(crate) shard: usize,
     pub(crate) plan: Arc<QueryPlan>,
     pub(crate) lo: usize,
     pub(crate) hi: usize,
-    /// Composite key domains forced onto the fusion (the coordinator's
-    /// global per-column domains). `Some` puts every morsel of every
-    /// shard in one shared fused key space — partials merge directly,
-    /// no dictionary remap — and skips the per-column max scans (see
-    /// [`Session::run_partial_range_forced`]). `None` measures domains
-    /// locally, as a standalone session would.
-    pub(crate) domains: Option<Arc<[u64]>>,
-    /// Record a [`MorselTrace`] while running (`EXPLAIN ANALYZE`).
-    /// Traced morsels produce bit-identical partials — tracing only
-    /// reads the session's cycle counter (see
-    /// [`Session::run_partial_range_traced`]).
+    /// The query's composite key domains (the elementwise maximum
+    /// across its shard plans; empty for single-column grouping), so
+    /// every morsel of every shard fuses into one key space — see
+    /// [`RangeOpts::forced`].
+    pub(crate) domains: Arc<[u64]>,
+    /// Record per-step actuals while running (`EXPLAIN ANALYZE`).
     pub(crate) traced: bool,
+}
+
+impl Morsel {
+    /// Runs the range on `session` and tags the outcome with where it
+    /// ran — the one call both schedules make.
+    pub(crate) fn run(
+        &self,
+        session: &mut Session,
+        worker: usize,
+        home: usize,
+        stolen: bool,
+        queue_wait_ns: u64,
+    ) -> MorselOutcome {
+        let opts = RangeOpts {
+            forced: Some(&self.domains),
+            trace: self.traced,
+        };
+        MorselOutcome {
+            shard: self.shard,
+            lo: self.lo,
+            hi: self.hi,
+            worker,
+            home,
+            stolen,
+            queue_wait_ns,
+            run: session.run_range(&self.plan, self.lo, self.hi, opts),
+        }
+    }
 }
 
 /// What one morsel produced, tagged with where it ran.
 pub(crate) struct MorselOutcome {
     pub(crate) shard: usize,
     pub(crate) lo: usize,
-    /// Host thread that executed the morsel — placement telemetry
-    /// (asserted by the pool's tests); simulated-time load accounting
-    /// goes through [`virtual_schedule`] instead.
-    #[allow(dead_code)]
+    pub(crate) hi: usize,
+    /// Host thread that executed the morsel — placement telemetry;
+    /// simulated-time load accounting goes through
+    /// [`virtual_schedule`] instead.
     pub(crate) worker: usize,
     /// The worker the affinity placement seeded this morsel on —
     /// [`virtual_schedule`] replays from here.
     pub(crate) home: usize,
     pub(crate) stolen: bool,
+    /// Host nanoseconds between job submission and the claim, measured
+    /// for traced morsels only (wall-clock; diagnostic).
+    pub(crate) queue_wait_ns: u64,
     pub(crate) run: PartialRun,
-    /// The span recorded when the morsel was traced.
-    pub(crate) trace: Option<MorselTrace>,
 }
 
 /// Any unit of work the pool schedules: an aggregation morsel (a row
@@ -232,8 +264,8 @@ impl Task {
 
 /// What one [`Task`] produced.
 pub(crate) enum TaskOutcome {
-    /// An aggregation morsel's partial (boxed: the partial's measured
-    /// domains and optional trace dwarf a join outcome).
+    /// An aggregation morsel's partial (boxed: the partial and its
+    /// optional step trace dwarf a join outcome).
     Agg(Box<MorselOutcome>),
     /// A join morsel's matched pairs.
     Join(JoinOutcome),
@@ -285,8 +317,8 @@ pub(crate) fn virtual_schedule(
     let mut backlog: Vec<u64> = vec![0; workers];
     for o in &order {
         let home = o.home.min(workers - 1);
-        deques[home].push_back(o.run.report.cycles);
-        backlog[home] += o.run.report.cycles;
+        deques[home].push_back(o.run.cycles);
+        backlog[home] += o.run.cycles;
     }
     let mut sched = VirtualSchedule {
         loads: vec![0u64; workers],
@@ -492,7 +524,9 @@ impl Executor {
     /// submission (they never reach the deques, so the pool can't
     /// count them itself).
     pub(crate) fn note_pruned(&self, morsels: u64, rows: u64) {
-        self.shared.morsels_pruned.fetch_add(morsels, Ordering::Relaxed);
+        self.shared
+            .morsels_pruned
+            .fetch_add(morsels, Ordering::Relaxed);
         self.shared.rows_pruned.fetch_add(rows, Ordering::Relaxed);
     }
 
@@ -518,11 +552,13 @@ impl Executor {
         if !self.config.adaptive || outcomes.len() < 2 {
             return;
         }
-        let costs: Vec<u64> = outcomes.iter().map(|o| o.run.report.cycles).collect();
+        let costs: Vec<u64> = outcomes.iter().map(|o| o.run.cycles).collect();
         let max = *costs.iter().max().expect("at least two outcomes");
         let mean = costs.iter().sum::<u64>() / costs.len() as u64;
         let hint = self.morsel_hint.load(Ordering::Relaxed);
-        let floor = (self.config.morsel_rows / 8).max(256).min(self.config.morsel_rows);
+        let floor = (self.config.morsel_rows / 8)
+            .max(256)
+            .min(self.config.morsel_rows);
         let ceil = self.config.morsel_rows.saturating_mul(8);
         let next = if max > mean.saturating_mul(2) {
             (hint / 2).max(floor)
@@ -569,7 +605,9 @@ impl Executor {
             load[w] += weight[s];
         }
         if moves > 0 {
-            self.shared.affinity_moves.fetch_add(moves, Ordering::Relaxed);
+            self.shared
+                .affinity_moves
+                .fetch_add(moves, Ordering::Relaxed);
         }
         homes
     }
@@ -759,58 +797,14 @@ fn worker_loop(id: usize, shared: &Shared, sim: SimConfig) {
             // queries.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &task {
                 Task::Agg(morsel) => {
-                    let queue_wait_ns = morsel
-                        .traced
-                        .then(|| job.submitted.elapsed().as_nanos() as u64);
-                    // Composite grouping rides the forced-domain fast
-                    // path: the coordinator's global domains put every
-                    // morsel in one shared fused key space, so partials
-                    // merge directly — no per-morsel max scans, no
-                    // dictionary remap.
-                    let (run, steps) = match (&morsel.domains, morsel.traced) {
-                        (Some(d), true) => {
-                            let (run, steps) = session.run_partial_range_forced_traced(
-                                &morsel.plan,
-                                morsel.lo,
-                                morsel.hi,
-                                d,
-                            );
-                            (run, Some(steps))
-                        }
-                        (Some(d), false) => (
-                            session.run_partial_range_forced(&morsel.plan, morsel.lo, morsel.hi, d),
-                            None,
-                        ),
-                        (None, true) => {
-                            let (run, steps) =
-                                session.run_partial_range_traced(&morsel.plan, morsel.lo, morsel.hi);
-                            (run, Some(steps))
-                        }
-                        (None, false) => (
-                            session.run_partial_range(&morsel.plan, morsel.lo, morsel.hi),
-                            None,
-                        ),
+                    let queue_wait_ns = if morsel.traced {
+                        job.submitted.elapsed().as_nanos() as u64
+                    } else {
+                        0
                     };
-                    let trace = steps.map(|steps| MorselTrace {
-                        shard: morsel.shard,
-                        lo: morsel.lo,
-                        hi: morsel.hi,
-                        home_worker: job.homes[morsel.shard],
-                        worker: id,
-                        stolen,
-                        queue_wait_ns: queue_wait_ns.unwrap_or(0),
-                        cycles: run.report.cycles,
-                        steps,
-                    });
-                    TaskOutcome::Agg(Box::new(MorselOutcome {
-                        shard: morsel.shard,
-                        lo: morsel.lo,
-                        worker: id,
-                        home: job.homes[morsel.shard],
-                        stolen,
-                        run,
-                        trace,
-                    }))
+                    let home = job.homes[morsel.shard];
+                    let outcome = morsel.run(&mut session, id, home, stolen, queue_wait_ns);
+                    TaskOutcome::Agg(Box::new(outcome))
                 }
                 Task::Join(morsel) => TaskOutcome::Join(morsel.run(stolen)),
             }));
@@ -863,7 +857,7 @@ mod tests {
                 plan: Arc::clone(plan),
                 lo,
                 hi,
-                domains: None,
+                domains: plan.key_domains().into(),
                 traced: false,
             });
             lo = hi;
@@ -873,6 +867,12 @@ mod tests {
 
     fn merged_rows(outcomes: &[MorselOutcome]) -> PartialAggregate {
         PartialAggregate::merge_all(outcomes.iter().map(|o| o.run.partial.clone())).unwrap()
+    }
+
+    fn whole(plan: &QueryPlan) -> PartialAggregate {
+        Session::new()
+            .run_range(plan, 0, plan.rows(), RangeOpts::default())
+            .partial
     }
 
     #[test]
@@ -904,7 +904,7 @@ mod tests {
     #[test]
     fn pooled_morsels_reproduce_the_whole_answer() {
         let p = plan(500);
-        let whole = Session::new().run_partial(&p);
+        let expect = whole(&p);
         let exec = Executor::new(
             ExecutorConfig {
                 workers: 3,
@@ -916,7 +916,7 @@ mod tests {
         for round in 0..3 {
             let outcomes = exec.execute(morselize(0, &p, 64), None);
             assert_eq!(outcomes.len(), 8, "round {round}");
-            assert_eq!(merged_rows(&outcomes), whole.partial);
+            assert_eq!(merged_rows(&outcomes), expect);
         }
         let stats = exec.stats();
         assert_eq!(stats.queries, 3);
@@ -954,15 +954,21 @@ mod tests {
             },
             SimConfig::paper(),
         );
-        // One hot shard, three idle workers: stealing must engage.
+        // One hot shard, three idle workers. Which host thread claims
+        // which morsel is a race between four threads — on a loaded
+        // 2-core box worker 0 can drain its own deque before a thief
+        // wakes — so stealing is asserted on the deterministic virtual
+        // schedule, which replays the measured costs on four parallel
+        // machines.
         let outcomes = exec.execute(morselize(0, &p, 100), None);
         assert_eq!(outcomes.len(), 40);
-        let stolen = outcomes.iter().filter(|o| o.stolen).count();
-        assert!(stolen > 0, "idle workers stole from the hot shard");
-        assert_eq!(
-            merged_rows(&outcomes),
-            Session::new().run_partial(&p).partial
+        assert!(
+            virtual_schedule(&outcomes, 4, true).steals > 0,
+            "idle workers steal from the hot shard"
         );
+        // These hold under any interleaving.
+        assert_eq!(merged_rows(&outcomes), whole(&p));
+        let stolen = outcomes.iter().filter(|o| o.stolen).count();
         assert_eq!(exec.stats().steals, stolen as u64);
     }
 
@@ -1017,10 +1023,7 @@ mod tests {
         // The next (uncancelled) query on the same pool is whole.
         let outcomes = exec.execute(morselize(0, &p, 64), None);
         assert_eq!(outcomes.len(), 8);
-        assert_eq!(
-            merged_rows(&outcomes),
-            Session::new().run_partial(&p).partial
-        );
+        assert_eq!(merged_rows(&outcomes), whole(&p));
     }
 
     #[test]

@@ -43,13 +43,15 @@
 use crate::catalogue::{CatalogueId, SharedCatalogue};
 use crate::database::{Database, SqlError};
 use crate::delta::TableStats;
-use crate::engine::QueryOutput;
+use crate::engine::{Engine, QueryOutput};
 use crate::keydict::KeyDictionary;
-use crate::plan::{PlanError, PlanStep};
+use crate::plan::{PlanError, PlanStep, QueryPlan};
 use crate::query::AggregateQuery;
+use crate::read::ReadRequest;
 use crate::snapshot::Snapshot;
 use crate::sql::{parse_template, JoinClause, SqlTemplate};
 use crate::table::Table;
+use crate::trace::QueryTrace;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -447,6 +449,43 @@ pub(crate) fn plan_join(
     })
 }
 
+/// Plans a single-session join at one snapshot cut: both sides'
+/// content, statistics and data versions come from the same consistent
+/// view, returned alongside the plan for the build and probe to read.
+pub(crate) fn plan_join_at(
+    snap: &Snapshot,
+    left: &str,
+    join: &JoinClause,
+    agg: &AggregateQuery,
+) -> Result<(JoinPlan, Table, Table), SqlError> {
+    let fetch = |name: &str| match (
+        snap.table(name),
+        snap.table_stats(name),
+        snap.data_version(name),
+    ) {
+        (Some(t), Some(s), Some(v)) => Ok((t, s, v)),
+        _ => Err(SqlError::UnknownTable(name.to_string())),
+    };
+    let (lt, ls, lv) = fetch(left)?;
+    let (rt, rs, rv) = fetch(&join.table)?;
+    let plan = plan_join(agg, join, left, &lt, &ls, lv, &rt, &rs, rv, 1, None)?;
+    Ok((plan, lt, rt))
+}
+
+/// Plans the aggregation over a join's derived table — `None` for an
+/// empty one (no key matched), which the single-table planner would
+/// reject and the read driver answers with zero rows.
+pub(crate) fn plan_derived(
+    engine: &Engine,
+    derived: &Table,
+    agg: &AggregateQuery,
+) -> Result<Option<QueryPlan>, PlanError> {
+    if derived.rows() == 0 {
+        return Ok(None);
+    }
+    engine.plan(derived, agg).map(Some)
+}
+
 /// Routes a key tuple to one of `parts` hash partitions (FNV-1a).
 pub(crate) fn route(tuple: &[u32], parts: usize) -> usize {
     if parts <= 1 {
@@ -675,13 +714,14 @@ pub(crate) fn join_local(plan: &JoinPlan, left: &Table, right: &Table) -> Table 
     join_local_traced(plan, left, right).0
 }
 
-/// Host-side observations of one local join execution, recorded for
-/// `EXPLAIN ANALYZE`. The join runs entirely on the host (no simulated
+/// Host-side observations of one join execution, recorded for
+/// `EXPLAIN ANALYZE`. The join phases run entirely on the host
+/// (interning into the sinks, probing the frozen indexes — no simulated
 /// machine work), so recording them cannot perturb any result.
-pub(crate) struct LocalJoinObs {
+pub(crate) struct JoinObs {
     /// Build-side input rows interned.
     pub(crate) build_rows: usize,
-    /// Distinct key tuples the build dictionary holds.
+    /// Distinct key tuples the build dictionaries hold.
     pub(crate) entries: usize,
     /// Intern calls answered by an existing entry.
     pub(crate) dict_hits: u64,
@@ -694,14 +734,35 @@ pub(crate) struct LocalJoinObs {
     pub(crate) freeze_ns: u64,
 }
 
-/// [`join_local`] plus the [`LocalJoinObs`] the run produced. The
+impl JoinObs {
+    /// Folds the observations into a trace: the build/probe steps'
+    /// observed rows under the plan's rendered step names (no simulated
+    /// cycles), plus the key-dictionary counters and the freeze-barrier
+    /// wall time.
+    pub(crate) fn record(&self, t: &mut QueryTrace, plan: &JoinPlan) {
+        for step in plan.steps() {
+            let (rows_in, rows_out) = match step {
+                PlanStep::JoinBuild { .. } => (self.build_rows, self.entries),
+                PlanStep::JoinProbe { .. } => (self.probe_rows, self.pairs),
+                _ => continue,
+            };
+            t.record_host_step(
+                step.to_string(),
+                step.estimated_rows(),
+                rows_in as u64,
+                rows_out as u64,
+            );
+        }
+        t.dict_entries += self.entries as u64;
+        t.dict_hits += self.dict_hits;
+        t.freeze_ns = Some(t.freeze_ns.unwrap_or(0) + self.freeze_ns);
+    }
+}
+
+/// [`join_local`] plus the [`JoinObs`] the run produced. The
 /// untraced path calls this too and drops the observations — they are
 /// a handful of host-side reads, not measurable work.
-pub(crate) fn join_local_traced(
-    plan: &JoinPlan,
-    left: &Table,
-    right: &Table,
-) -> (Table, LocalJoinObs) {
+pub(crate) fn join_local_traced(plan: &JoinPlan, left: &Table, right: &Table) -> (Table, JoinObs) {
     let (build_t, probe_t) = if plan.build_right {
         (right, left)
     } else {
@@ -715,7 +776,7 @@ pub(crate) fn join_local_traced(
     let indexes = [sinks[0].freeze()];
     let freeze_ns = freeze_start.elapsed().as_nanos() as u64;
     let pairs = probe_range(&indexes, &probe.keys(&plan.probe_keys()), 0, probe_t.rows());
-    let obs = LocalJoinObs {
+    let obs = JoinObs {
         build_rows: build_t.rows(),
         entries: indexes[0].entries(),
         dict_hits: indexes[0].dict_hits(),
@@ -826,9 +887,7 @@ impl PreparedJoin {
         };
         // Plan the sentinel query now: prepare-time errors (unknown
         // tables, unresolvable columns) beat first-execution surprises.
-        let snap = catalogue.snapshot();
-        let query = stmt.template.query.clone();
-        stmt.plan_at(&snap, &query)?;
+        stmt.plan_at(&catalogue.snapshot(), &stmt.template.query)?;
         Ok(stmt)
     }
 
@@ -897,14 +956,19 @@ impl PreparedJoin {
         self.run_tail(db, &agg)
     }
 
-    /// Runs the (cheap) aggregation tail over the cached derived table.
+    /// Runs the (cheap) aggregation over the cached derived table.
     fn run_tail(
         &mut self,
         db: &mut Database,
         agg: &AggregateQuery,
     ) -> Result<QueryOutput, SqlError> {
         let cached = self.cached.as_ref().expect("refresh filled the cache");
-        let out = db.run_join_tail(&cached.plan.steps, agg, &cached.derived)?;
+        let plan = plan_derived(db.catalogue().engine(), &cached.derived, agg)?;
+        let request = ReadRequest {
+            prefix: &cached.plan.steps,
+            ..ReadRequest::new(vec![plan])
+        };
+        let out = db.execute_read(&cached.plan.sql(), request)?;
         self.executions += 1;
         Ok(out)
     }
@@ -934,9 +998,7 @@ impl PreparedJoin {
             .as_ref()
             .is_some_and(|c| c.catalogue.matches(catalogue) && c.left == left && c.right == right);
         if !hit {
-            let plan = self.plan_at(snap, agg)?;
-            let ltab = snap.table(&plan.left).expect("version implies table");
-            let rtab = snap.table(&plan.right).expect("version implies table");
+            let (plan, ltab, rtab) = self.plan_at(snap, agg)?;
             let derived = join_local(&plan, &ltab, &rtab);
             self.cached = Some(CachedJoin {
                 catalogue: catalogue.id(),
@@ -951,36 +1013,13 @@ impl PreparedJoin {
     }
 
     /// Plans the join at a snapshot cut (no execution).
-    fn plan_at(&self, snap: &Snapshot, agg: &AggregateQuery) -> Result<JoinPlan, SqlError> {
+    fn plan_at(
+        &self,
+        snap: &Snapshot,
+        agg: &AggregateQuery,
+    ) -> Result<(JoinPlan, Table, Table), SqlError> {
         let join = self.template.join.as_ref().expect("join template");
-        let fetch = |table: &str| -> Result<(Table, TableStats, u64), SqlError> {
-            let t = snap
-                .table(table)
-                .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-            let stats = snap
-                .table_stats(table)
-                .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-            let version = snap
-                .data_version(table)
-                .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-            Ok((t, stats, version))
-        };
-        let (ltab, lstats, lver) = fetch(&self.template.table)?;
-        let (rtab, rstats, rver) = fetch(&join.table)?;
-        plan_join(
-            agg,
-            join,
-            &self.template.table,
-            &ltab,
-            &lstats,
-            lver,
-            &rtab,
-            &rstats,
-            rver,
-            1,
-            None,
-        )
-        .map_err(SqlError::Plan)
+        plan_join_at(snap, &self.template.table, join, agg)
     }
 }
 

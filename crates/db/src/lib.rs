@@ -187,6 +187,7 @@ pub mod metrics;
 pub mod plan;
 pub mod prepared;
 pub mod query;
+mod read;
 mod recovery;
 pub mod session;
 pub mod shard;
@@ -203,7 +204,7 @@ pub use catalogue::SharedCatalogue;
 pub use database::{Database, ExplainOutput, MutationReceipt, SqlError, SqlOutcome};
 pub use delta::{ColumnStats, DeltaStore, TableStats};
 pub use engine::{CardinalityEstimation, Engine, ExecutionReport, QueryOutput, Row};
-pub use executor::{Executor, ExecutorConfig, ExecutorError, ExecutorStats};
+pub use executor::{Executor, ExecutorConfig, ExecutorError, ExecutorStats, DEFAULT_MORSEL_ROWS};
 pub use filter::{reference_filter, vector_filter, Predicate};
 pub use ingest::{CompactionPolicy, IngestError, IngestReceipt, RowBatch};
 pub use join::{JoinPlan, JoinStrategy, PreparedJoin};
@@ -212,7 +213,7 @@ pub use metrics::{MetricsRegistry, MetricsSnapshot, SlowQuery};
 pub use plan::{PlanError, PlanStep, QueryPlan, ScanMode};
 pub use prepared::PreparedStatement;
 pub use query::{AggFn, AggregateQuery, Having, OrderBy, OrderKey};
-pub use session::{PartialRun, Session};
+pub use session::{PartialRun, RangeOpts, Session};
 pub use shard::{
     ShardedDatabase, ShardedIngestReceipt, ShardedOutput, ShardedSnapshot, ShardedStatement,
 };

@@ -174,8 +174,9 @@ pub enum PlanStep {
     /// Recorded at execution time when the WHERE clause removed every
     /// row, so no aggregation algorithm ran at all.
     AggregateSkipped,
-    /// Vectorised HAVING selection over the output table.
-    VectorHaving {
+    /// HAVING selection over the merged output table — a host step
+    /// (see the "Read path" section of ARCHITECTURE.md).
+    Having {
         /// The aggregate the predicate inspects.
         agg: AggFn,
         /// The query's value column (for rendering `SUM(v)` etc.).
@@ -183,8 +184,9 @@ pub enum PlanStep {
         /// The comparison.
         pred: Predicate,
     },
-    /// Stable vectorised radix sort of the output rows.
-    VectorOrderBy {
+    /// Stable sort of the merged output rows — a host step, like
+    /// [`PlanStep::Having`].
+    OrderBy {
         /// The sort key.
         key: OrderKey,
         /// The primary grouping column name (for rendering).
@@ -243,10 +245,10 @@ impl fmt::Display for PlanStep {
             PlanStep::AggregateSkipped => {
                 write!(f, "AggregateSkipped(WHERE removed every row)")
             }
-            PlanStep::VectorHaving { agg, value, pred } => {
-                write!(f, "VectorHaving({} {})", agg.sql(value), pred.sql())
+            PlanStep::Having { agg, value, pred } => {
+                write!(f, "Having({} {})", agg.sql(value), pred.sql())
             }
-            PlanStep::VectorOrderBy {
+            PlanStep::OrderBy {
                 key,
                 group,
                 value,
@@ -254,7 +256,7 @@ impl fmt::Display for PlanStep {
             } => {
                 write!(
                     f,
-                    "VectorOrderBy[radix]({}{})",
+                    "OrderBy({}{})",
                     match key {
                         OrderKey::Group => group.clone(),
                         OrderKey::Agg(a) => a.sql(value),
@@ -483,7 +485,7 @@ impl QueryPlan {
                         *pred = *p;
                     }
                 }
-                PlanStep::VectorHaving { pred, .. } => {
+                PlanStep::Having { pred, .. } => {
                     if let Some(h) = &query.having {
                         *pred = h.pred;
                     }
@@ -668,23 +670,23 @@ mod tests {
             "Aggregate[mono]"
         );
         assert_eq!(
-            PlanStep::VectorHaving {
+            PlanStep::Having {
                 agg: AggFn::Count,
                 value: "v".into(),
                 pred: Predicate::GreaterThan(1)
             }
             .to_string(),
-            "VectorHaving(COUNT(*) > 1)"
+            "Having(COUNT(*) > 1)"
         );
         assert_eq!(
-            PlanStep::VectorOrderBy {
+            PlanStep::OrderBy {
                 key: OrderKey::Agg(AggFn::Sum),
                 group: "g".into(),
                 value: "v".into(),
                 desc: true
             }
             .to_string(),
-            "VectorOrderBy[radix](SUM(v) DESC)"
+            "OrderBy(SUM(v) DESC)"
         );
         assert_eq!(PlanStep::Limit(5).to_string(), "Limit(5)");
     }

@@ -27,8 +27,10 @@ use crate::database::{Database, SqlError};
 use crate::engine::QueryOutput;
 use crate::plan::{PlanError, QueryPlan};
 use crate::query::AggregateQuery;
+use crate::read::ReadRequest;
 use crate::snapshot::Snapshot;
 use crate::sql::{parse_template, ParamSlot, SqlTemplate};
+use crate::trace::QueryTrace;
 use std::sync::Arc;
 
 /// A statement planned once and executed many times with bound
@@ -171,6 +173,8 @@ impl PreparedStatement {
     /// cached at prepare time (constants are patched in; planning
     /// statistics are not recomputed). Re-plans only when the table
     /// was re-registered or the adaptive algorithm choice would flip.
+    /// A session inside `BEGIN READ ONLY` pins every read — prepared or
+    /// ad hoc — to the transaction's snapshot.
     ///
     /// # Errors
     ///
@@ -178,18 +182,14 @@ impl PreparedStatement {
     /// wrapped in [`SqlError::Plan`]), plus the usual planning errors
     /// when a re-plan is needed.
     pub fn execute(&mut self, db: &mut Database, params: &[u64]) -> Result<QueryOutput, SqlError> {
-        // A session inside BEGIN READ ONLY pins every read — prepared
-        // or ad hoc — to the transaction's snapshot.
-        let plan = self.bound_plan_at(db.catalogue(), db.txn_snapshot(), params)?;
-        self.executions += 1;
-        Ok(db.run_plan(&plan))
+        Ok(self.run(db, None, params, false)?.0)
     }
 
-    /// Binds `params` and executes on `db`'s session **at a pinned
-    /// snapshot**: the plan's column snapshots, cardinality statistics
-    /// and §V-D algorithm choice come from the snapshot's cut — later
-    /// ingest may have flipped the live choice and compacted the table,
-    /// the execution still reproduces the pinned rows exactly. The
+    /// [`PreparedStatement::execute`] **at a pinned snapshot**: the
+    /// plan's column snapshots, cardinality statistics and §V-D
+    /// algorithm choice come from the snapshot's cut — later ingest may
+    /// have flipped the live choice and compacted the table, the
+    /// execution still reproduces the pinned rows exactly. The
     /// statement's cached plan follows whatever version it last
     /// executed at, so alternating live/snapshot executions refresh it
     /// each time (counted by [`PreparedStatement::rebases`] /
@@ -206,17 +206,13 @@ impl PreparedStatement {
         snap: &Snapshot,
         params: &[u64],
     ) -> Result<QueryOutput, SqlError> {
-        let plan = self.bound_plan_at(db.catalogue(), Some(snap), params)?;
-        self.executions += 1;
-        Ok(db.run_plan(&plan))
+        Ok(self.run(db, Some(snap), params, false)?.0)
     }
 
-    /// Binds `params` and executes with tracing on — the prepared
-    /// twin of `EXPLAIN ANALYZE`: the returned
-    /// [`crate::AnalyzedQuery`] carries rows bit-identical to
-    /// [`PreparedStatement::execute`] plus the per-step
-    /// estimated-vs-actual trace. Counts as an execution for
-    /// [`PreparedStatement::executions`].
+    /// [`PreparedStatement::execute`] with tracing on — the prepared
+    /// twin of `EXPLAIN ANALYZE`: the rows and cycles are bit-identical,
+    /// plus the per-step estimated-vs-actual trace. Counts as an
+    /// execution for [`PreparedStatement::executions`].
     ///
     /// # Errors
     ///
@@ -226,25 +222,36 @@ impl PreparedStatement {
         db: &mut Database,
         params: &[u64],
     ) -> Result<crate::AnalyzedQuery, SqlError> {
-        let plan = self.bound_plan_at(db.catalogue(), db.txn_snapshot(), params)?;
+        let (output, trace) = self.run(db, None, params, true)?;
+        let trace = trace.expect("a traced run returns its trace");
+        Ok(crate::AnalyzedQuery { output, trace })
+    }
+
+    /// The body of `execute`, `execute_at` and `analyze`: bind, then
+    /// hand the plan to the session's one finish step
+    /// ([`Database::execute_read`]).
+    fn run(
+        &mut self,
+        db: &mut Database,
+        at: Option<&Snapshot>,
+        params: &[u64],
+        traced: bool,
+    ) -> Result<(QueryOutput, Option<QueryTrace>), SqlError> {
+        let plan = self.bound_plan_at(db.catalogue(), at.or(db.txn_snapshot()), params)?;
         self.executions += 1;
-        Ok(db.run_plan_traced(&plan))
+        let sql = plan.sql();
+        let mut trace = traced.then(|| QueryTrace::new(sql.clone()));
+        let request = ReadRequest {
+            trace: trace.as_mut(),
+            ..ReadRequest::new(vec![Some(plan)])
+        };
+        Ok((db.execute_read(&sql, request)?, trace))
     }
 
     /// Binds `params` and returns the executable plan without running
-    /// it — the shared half of [`PreparedStatement::execute`] and the
-    /// sharded execution path.
-    pub(crate) fn bound_plan(
-        &mut self,
-        catalogue: &SharedCatalogue,
-        params: &[u64],
-    ) -> Result<QueryPlan, SqlError> {
-        self.bound_plan_at(catalogue, None, params)
-    }
-
-    /// As [`PreparedStatement::bound_plan`], at an explicit snapshot
-    /// when one is given (else live — itself a snapshot-of-now inside
-    /// the catalogue).
+    /// it, planned at an explicit snapshot when one is given (else live
+    /// — itself a snapshot-of-now inside the catalogue). The shared
+    /// half of execution here and on the sharded path.
     pub(crate) fn bound_plan_at(
         &mut self,
         catalogue: &SharedCatalogue,

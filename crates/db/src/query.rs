@@ -39,9 +39,9 @@ impl AggFn {
 
 /// A `HAVING` clause: a predicate over one computed aggregate.
 ///
-/// `AVG` is excluded (it is an `f64` computed on readback; the vector
-/// machine filters integral columns) — the engine rejects it at plan
-/// time.
+/// `AVG` is excluded (it is an `f64` computed on readback; the tail
+/// filters the integral aggregate columns) — the engine rejects it at
+/// plan time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Having {
     /// The aggregate the predicate inspects.
@@ -60,7 +60,7 @@ pub enum OrderKey {
 }
 
 /// An `ORDER BY <key> [ASC|DESC] [LIMIT k]` clause, executed as a
-/// vectorised radix sort of the (small) output table.
+/// stable host-side sort of the (small) merged output table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OrderBy {
     /// What to sort on.

@@ -7,52 +7,64 @@
 //! real column-store keeps one execution context per connection; each
 //! [`Session::run`] reports the *cycle delta* it cost, so per-query
 //! accounting stays exact across reuse.
+//!
+//! A session only ever runs *row ranges* of a plan
+//! ([`Session::run_range`]): the simulated, mergeable slice of a query.
+//! Cutting ranges, merging their partials and the host-side tail belong
+//! to the one read driver every entry point shares (see the "Read path"
+//! section of ARCHITECTURE.md); [`Session::run`] is that driver with one
+//! range.
 
-use crate::engine::{ExecutionReport, QueryOutput, Row};
+use crate::engine::{QueryOutput, Row};
 use crate::filter::vector_filter;
 use crate::plan::{PlanStep, QueryPlan, ScanMode};
-use crate::query::{AggFn, AggregateQuery, OrderKey};
+use crate::query::{AggFn, AggregateQuery};
+use crate::read::{self, ReadRequest, Schedule};
 use crate::trace::StepTrace;
 use vagg_core::input::vector_max_scan;
 use vagg_core::{minmax_aggregate, PartialAggregate, StagedInput};
 use vagg_sim::{Machine, SimConfig};
 
-/// What [`Session::run_partial`] / [`Session::run_partial_range`]
-/// produced: the mergeable partial aggregate of the plan's
-/// *distributive* slice (WHERE + aggregation, no HAVING/ORDER BY/
-/// LIMIT), plus the usual per-query report.
-///
-/// A sharded front end runs the same plan on every shard — whole
-/// ([`Session::run_partial`]) or morsel by morsel
-/// ([`Session::run_partial_range`] on the [`crate::Executor`]'s
-/// workers) — folds the partials with [`PartialAggregate::merge`], and
-/// finalises the non-distributive tail once on the merged result (see
-/// [`crate::ShardedDatabase`]).
+/// Per-range options of [`Session::run_range`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RangeOpts<'a> {
+    /// Composite `GROUP BY` key domains to fuse with (primary first)
+    /// instead of the plan's own. `None` uses the plan's exact
+    /// plan-time domains; the sharded coordinator passes the
+    /// elementwise maximum across its shard plans, so every range of
+    /// every shard keys its partial in one fused space and the partials
+    /// merge directly (fusion is positional:
+    /// `key = ((g₀·d₁ + g₁)·d₂ + g₂)…` for any consistent dᵢ that bound
+    /// every value). Ignored for single-column grouping.
+    pub forced: Option<&'a [u64]>,
+    /// Record a [`StepTrace`] per executed step. Recording only reads
+    /// the cycle counter and host-side lengths — it issues no machine
+    /// work — so a traced range is bit-identical to an untraced one.
+    pub trace: bool,
+}
+
+/// What [`Session::run_range`] produced: the mergeable partial
+/// aggregate of one row range's *distributive* slice (WHERE +
+/// aggregation, no HAVING/ORDER BY/LIMIT) and what it cost. Partials of
+/// disjoint ranges fold into the whole answer with
+/// [`PartialAggregate::merge`].
 #[derive(Debug, Clone)]
 pub struct PartialRun {
     /// The mergeable COUNT/SUM (+ optional MIN/MAX) columns.
     pub partial: PartialAggregate,
-    /// Measured key domains of every grouping column (primary first)
-    /// for composite GROUP BY; empty for single-column grouping. The
-    /// trailing entries (`key_domains[1..]`) decompose this partial's
-    /// fused keys on readback. Note the domains are measured from
-    /// *this* run's input rows, so fused keys are only comparable
-    /// across partials that measured identical domains — the sharded
-    /// path re-keys them through a shared [`crate::KeyDictionary`]
-    /// instead of comparing them raw.
-    pub key_domains: Vec<u32>,
-    /// The executed distributive steps and their cycle cost.
-    pub report: ExecutionReport,
-}
-
-/// What the distributive slice of one plan produced on the machine.
-struct Distributive {
-    base: vagg_core::AggResult,
-    mm: Option<(Vec<u32>, Vec<u32>)>,
-    rows_aggregated: usize,
-    key_domains: Vec<u32>,
-    /// The WHERE clause removed every row; no algorithm ran.
-    skipped: bool,
+    /// Rows of the range surviving the WHERE clause.
+    pub rows_aggregated: usize,
+    /// Simulated cycles the range cost (cycle-counter delta), so range
+    /// costs add up to the whole-plan cost.
+    pub cycles: u64,
+    /// Whether an aggregation kernel ran; `false` when the range was
+    /// empty or the WHERE clause removed every row.
+    pub aggregated: bool,
+    /// Per-step actuals in execution order, when
+    /// [`RangeOpts::trace`] was set (their cycles sum to `cycles`;
+    /// staging is billed to the filter when one runs, to the
+    /// cardinality scan otherwise).
+    pub steps: Vec<StepTrace>,
 }
 
 /// A long-lived query-execution context: one simulated machine serving
@@ -93,6 +105,47 @@ impl Default for Session {
     }
 }
 
+// The trace of one range in the making: `None` when tracing is off.
+struct Tracer<'p> {
+    plan: &'p QueryPlan,
+    steps: Option<Vec<StepTrace>>,
+}
+
+impl Tracer<'_> {
+    // Records the planned step matching `pred` (planned steps are
+    // unique per kind, so the first match is the step).
+    fn step(&mut self, pred: fn(&PlanStep) -> bool, rows_in: usize, rows_out: usize, cycles: u64) {
+        let Some(steps) = &mut self.steps else { return };
+        if let Some(step) = self.plan.steps.iter().find(|s| pred(s)) {
+            steps.push(StepTrace {
+                step: step.clone(),
+                rows_in: rows_in as u64,
+                rows_out: rows_out as u64,
+                cycles,
+            });
+        }
+    }
+
+    // The run of a range no row of which reached an aggregation kernel.
+    fn skipped(mut self, cycles: u64) -> PartialRun {
+        if let Some(steps) = &mut self.steps {
+            steps.push(StepTrace {
+                step: PlanStep::AggregateSkipped,
+                rows_in: 0,
+                rows_out: 0,
+                cycles: 0,
+            });
+        }
+        PartialRun {
+            partial: PartialAggregate::empty(self.plan.query.needs_minmax()),
+            rows_aggregated: 0,
+            cycles,
+            aggregated: false,
+            steps: self.steps.unwrap_or_default(),
+        }
+    }
+}
+
 impl Session {
     /// A session on the paper's machine configuration.
     pub fn new() -> Self {
@@ -112,9 +165,16 @@ impl Session {
         &self.machine
     }
 
-    /// Plans executed on this session so far.
+    /// Queries executed on this session so far — one per
+    /// [`Session::run`] (or per statement of the [`crate::Database`]
+    /// that owns the session), however many ranges the query ran as.
     pub fn queries_run(&self) -> usize {
         self.queries
+    }
+
+    /// Counts one query; the read driver calls this once per query.
+    pub(crate) fn note_query(&mut self) {
+        self.queries += 1;
     }
 
     /// Total simulated cycles across every plan this session ran.
@@ -122,263 +182,49 @@ impl Session {
         self.machine.cycles()
     }
 
-    /// Executes a plan, returning the rows and a report whose `cycles`
-    /// are this query's delta (reuse does not double-charge).
+    /// Executes a plan as one range through the read driver, returning
+    /// the rows and a report whose `cycles` are this query's delta
+    /// (reuse does not double-charge). `cycles` cover the simulated
+    /// work on the staged columns; the merge and the HAVING / ORDER BY /
+    /// LIMIT tail over the output table are host steps (see the "Read
+    /// path" section of ARCHITECTURE.md).
     ///
     /// Execution is infallible: every error condition is typed and
     /// rejected at plan time by [`crate::Engine::plan`].
     pub fn run(&mut self, plan: &QueryPlan) -> QueryOutput {
-        self.run_with(plan, None)
+        let request = ReadRequest::new(vec![Some(plan.clone())]);
+        read::drive(request, Schedule::Inline(self))
+            .expect("no token to trip; the plan vetted its own key domains")
+            .into()
     }
 
-    /// Executes a plan exactly like [`Session::run`] while recording a
-    /// [`StepTrace`] per executed step (rows in/out and the simulated
-    /// cycle delta of each phase).
-    ///
-    /// Tracing only *reads* the cycle counter and host-side lengths, so
-    /// the returned output is bit-identical to the untraced run — the
-    /// property `EXPLAIN ANALYZE` relies on.
-    pub fn run_traced(&mut self, plan: &QueryPlan) -> (QueryOutput, Vec<StepTrace>) {
-        let mut steps = Vec::new();
-        let out = self.run_with(plan, Some(&mut steps));
-        (out, steps)
-    }
-
-    fn run_with(
-        &mut self,
-        plan: &QueryPlan,
-        mut trace: Option<&mut Vec<StepTrace>>,
-    ) -> QueryOutput {
-        let start_cycles = self.machine.cycles();
-        let d = self.run_distributive(plan, 0, plan.rows, trace.as_deref_mut(), None);
-        let n = plan.rows;
-        if d.skipped {
-            let cycles = self.machine.cycles() - start_cycles;
-            return QueryOutput {
-                rows: Vec::new(),
-                report: ExecutionReport {
-                    algorithm: None,
-                    rows_aggregated: 0,
-                    cycles,
-                    cpt: cycles as f64 / n as f64,
-                    steps: skipped_steps(plan),
-                },
-            };
-        }
-        let (mut base, mut mm) = (d.base, d.mm);
-        let m = &mut self.machine;
-
-        // HAVING: vectorised selection over the output table, compacting
-        // every output column behind the aggregate's mask.
-        if let Some(h) = &plan.query.having {
-            let (before, c0) = (base.len(), m.cycles());
-            (base, mm) = apply_having(m, h, base, mm);
-            if let Some(t) = trace.as_deref_mut() {
-                if let Some(step) = find_step(plan, |s| matches!(s, PlanStep::VectorHaving { .. }))
-                {
-                    t.push(StepTrace {
-                        step,
-                        rows_in: before as u64,
-                        rows_out: base.len() as u64,
-                        cycles: m.cycles() - c0,
-                    });
-                }
-            }
-        }
-
-        // ORDER BY: stable vectorised radix sort of the output rows by
-        // the requested key (complement key for DESC), then LIMIT.
-        if let Some(ob) = &plan.query.order_by {
-            let (before, c0) = (base.len(), m.cycles());
-            (base, mm) = apply_order_by(m, ob, base, mm);
-            if let Some(t) = trace {
-                let cycles = m.cycles() - c0;
-                if let Some(step) = find_step(plan, |s| matches!(s, PlanStep::VectorOrderBy { .. }))
-                {
-                    // The sort permutes without dropping rows; LIMIT
-                    // truncates afterwards (and costs no cycles).
-                    t.push(StepTrace {
-                        step,
-                        rows_in: before as u64,
-                        rows_out: before as u64,
-                        cycles,
-                    });
-                }
-                if let Some(step) = find_step(plan, |s| matches!(s, PlanStep::Limit(_))) {
-                    t.push(StepTrace {
-                        step,
-                        rows_in: before as u64,
-                        rows_out: base.len() as u64,
-                        cycles: 0,
-                    });
-                }
-            }
-        }
-
-        let rows = assemble_rows(
-            &plan.query,
-            &base,
-            mm.as_ref().map(|(a, b)| (&a[..], &b[..])),
-            rest_of(&d.key_domains),
-        );
-
-        let cycles = m.cycles() - start_cycles;
-        QueryOutput {
-            rows,
-            report: ExecutionReport {
-                algorithm: Some(plan.algorithm),
-                rows_aggregated: d.rows_aggregated,
-                cycles,
-                cpt: cycles as f64 / n as f64,
-                // Every planned step ran, in plan order.
-                steps: plan.steps.clone(),
-            },
-        }
-    }
-
-    /// Executes only the *distributive* slice of a plan — WHERE
-    /// selection plus aggregation, skipping any HAVING/ORDER BY/LIMIT
-    /// tail — and returns the mergeable [`PartialAggregate`] instead
-    /// of assembled rows.
-    ///
-    /// This is the per-shard entry point: COUNT/SUM/MIN/MAX partials
-    /// computed over disjoint row partitions fold into the whole-table
-    /// answer with [`PartialAggregate::merge`], and the coordinator
-    /// finalises the tail once on the merged result (see
-    /// [`crate::ShardedDatabase`]).
-    pub fn run_partial(&mut self, plan: &QueryPlan) -> PartialRun {
-        self.run_partial_range(plan, 0, plan.rows)
-    }
-
-    /// Executes the distributive slice of a plan over the row range
-    /// `lo..hi` of its staged columns — one *morsel* of the plan. A
-    /// range partial merges with the other ranges' partials exactly
-    /// like per-shard partials do, so a shard's work can be split into
-    /// stealable units (see [`crate::Executor`]) without changing any
-    /// result: `merge(run_partial_range(0..k), run_partial_range(k..n))
-    /// == run_partial(plan).partial` for every split point.
-    ///
-    /// The report's `cycles` cover this range only and `cpt` divides by
-    /// the range's rows, so morsel costs add up to the whole-plan cost.
+    /// Executes the *distributive* slice of a plan — fuse, WHERE,
+    /// cardinality scan, aggregate — over the row range `lo..hi` of its
+    /// staged columns, and returns the mergeable partial instead of
+    /// assembled rows: `merge(run_range(0..k), run_range(k..n))` is the
+    /// whole plan's partial for every split point `k`. This is the one
+    /// way work reaches the machine; the read driver decides the ranges
+    /// (one per plan, morsels under a [`crate::CancelToken`], stealable
+    /// morsels on the [`crate::Executor`]).
     ///
     /// # Panics
     ///
-    /// If `lo..hi` is not a sub-range of `0..plan.rows()`.
-    pub fn run_partial_range(&mut self, plan: &QueryPlan, lo: usize, hi: usize) -> PartialRun {
-        self.run_partial_range_with(plan, lo, hi, None, None)
-    }
-
-    /// [`Session::run_partial_range`] with the composite key domains
-    /// *forced* instead of measured — the sharded coordinator's fast
-    /// path. The caller supplies the global per-column domains (the
-    /// elementwise maximum of every shard plan's statistics, primary
-    /// first); fusion multiplies by these fixed radices and skips the
-    /// per-column max scans, so every morsel of every shard keys its
-    /// partial in one shared fused space and partials merge directly —
-    /// no dictionary remap. Forcing the exact whole-input domains
-    /// reproduces the keys a single session would measure over the same
-    /// rows, so results stay bit-identical (fusion is positional:
-    /// `key = ((g₀·d₁ + g₁)·d₂ + g₂)…` for any consistent dᵢ that
-    /// bound every value).
-    ///
-    /// # Panics
-    ///
-    /// If `lo..hi` escapes the plan, or `domains` does not match the
-    /// plan's grouping column count.
-    pub fn run_partial_range_forced(
+    /// If `lo..hi` is not a sub-range of `0..plan.rows()`, or
+    /// [`RangeOpts::forced`] does not match the plan's grouping column
+    /// count.
+    pub fn run_range(
         &mut self,
         plan: &QueryPlan,
         lo: usize,
         hi: usize,
-        domains: &[u64],
-    ) -> PartialRun {
-        self.run_partial_range_with(plan, lo, hi, None, Some(domains))
-    }
-
-    /// [`Session::run_partial_range_forced`] with per-step tracing.
-    pub fn run_partial_range_forced_traced(
-        &mut self,
-        plan: &QueryPlan,
-        lo: usize,
-        hi: usize,
-        domains: &[u64],
-    ) -> (PartialRun, Vec<StepTrace>) {
-        let mut steps = Vec::new();
-        let run = self.run_partial_range_with(plan, lo, hi, Some(&mut steps), Some(domains));
-        (run, steps)
-    }
-
-    /// [`Session::run_partial_range`] with per-step tracing — the morsel
-    /// entry point of `EXPLAIN ANALYZE`. Same bit-identity guarantee as
-    /// [`Session::run_traced`].
-    ///
-    /// # Panics
-    ///
-    /// If `lo..hi` is not a sub-range of `0..plan.rows()`.
-    pub fn run_partial_range_traced(
-        &mut self,
-        plan: &QueryPlan,
-        lo: usize,
-        hi: usize,
-    ) -> (PartialRun, Vec<StepTrace>) {
-        let mut steps = Vec::new();
-        let run = self.run_partial_range_with(plan, lo, hi, Some(&mut steps), None);
-        (run, steps)
-    }
-
-    fn run_partial_range_with(
-        &mut self,
-        plan: &QueryPlan,
-        lo: usize,
-        hi: usize,
-        trace: Option<&mut Vec<StepTrace>>,
-        forced: Option<&[u64]>,
+        opts: RangeOpts<'_>,
     ) -> PartialRun {
         assert!(
             lo <= hi && hi <= plan.rows,
             "morsel {lo}..{hi} escapes the plan's {} rows",
             plan.rows
         );
-        let start_cycles = self.machine.cycles();
-        let d = self.run_distributive(plan, lo, hi, trace, forced);
-        let cycles = self.machine.cycles() - start_cycles;
-        let steps = if d.skipped {
-            skipped_steps(plan)
-        } else {
-            distributive_steps(plan)
-        };
-        PartialRun {
-            partial: PartialAggregate::new(d.base, d.mm),
-            key_domains: d.key_domains,
-            report: ExecutionReport {
-                algorithm: (!d.skipped).then_some(plan.algorithm),
-                rows_aggregated: d.rows_aggregated,
-                cycles,
-                cpt: cycles as f64 / (hi - lo).max(1) as f64,
-                steps,
-            },
-        }
-    }
-
-    // stage → fuse → filter → metadata scan → aggregate: the slice of
-    // execution whose outputs merge across disjoint row partitions
-    // (and, within a partition, across disjoint `lo..hi` morsels).
-    //
-    // With `trace` set, each phase's observed rows and cycle delta are
-    // recorded. Recording only reads the cycle counter and host lengths
-    // — it issues no machine work — so traced and untraced runs are
-    // bit-identical; the per-step cycles sum to the phase-exact total
-    // (staging is billed to the filter when one runs, to the
-    // cardinality scan otherwise).
-    fn run_distributive(
-        &mut self,
-        plan: &QueryPlan,
-        lo: usize,
-        hi: usize,
-        mut trace: Option<&mut Vec<StepTrace>>,
-        forced: Option<&[u64]>,
-    ) -> Distributive {
-        self.queries += 1;
+        let start = self.machine.cycles();
         // Queries own no machine-resident state between runs (results are
         // read back to the host), so reclaim the simulated address space
         // up front: the bump allocator never frees, and without this a
@@ -386,54 +232,30 @@ impl Session {
         // size on every query. Cycle and cache-model state persist.
         self.machine.space_mut().reset();
         let m = &mut self.machine;
+        let mut trace = Tracer {
+            plan,
+            steps: opts.trace.then(Vec::new),
+        };
         let n = hi - lo;
         if n == 0 {
-            if let Some(t) = trace.as_deref_mut() {
-                t.push(StepTrace {
-                    step: PlanStep::AggregateSkipped,
-                    rows_in: 0,
-                    rows_out: 0,
-                    cycles: 0,
-                });
-            }
-            return Distributive {
-                base: vagg_core::AggResult {
-                    groups: Vec::new(),
-                    counts: Vec::new(),
-                    sums: Vec::new(),
-                },
-                mm: plan.query.needs_minmax().then(|| (Vec::new(), Vec::new())),
-                rows_aggregated: 0,
-                key_domains: Vec::new(),
-                skipped: true,
-            };
+            return trace.skipped(0);
         }
 
         // Composite GROUP BY: fuse the grouping columns into one key per
         // row on the machine; the fused column then flows through the
-        // unchanged single-key pipeline. `key_domains[1..]` drives
-        // readback decomposition.
-        let (g_fused, key_domains): (Option<Vec<u32>>, Vec<u32>) = if plan.rest.is_empty() {
-            (None, Vec::new())
-        } else {
-            let c0 = m.cycles();
+        // unchanged single-key pipeline.
+        let g_fused: Option<Vec<u32>> = (!plan.rest.is_empty()).then(|| {
             let mut cols: Vec<&[u32]> = vec![&plan.group[lo..hi]];
-            for col in &plan.rest {
-                cols.push(&col[lo..hi]);
-            }
-            let (fused, domains) = fuse_group_columns(m, &cols, forced);
-            if let Some(t) = trace.as_deref_mut() {
-                if let Some(step) = find_step(plan, |s| matches!(s, PlanStep::FuseKeys { .. })) {
-                    t.push(StepTrace {
-                        step,
-                        rows_in: n as u64,
-                        rows_out: n as u64,
-                        cycles: m.cycles() - c0,
-                    });
-                }
-            }
-            (Some(fused), domains)
-        };
+            cols.extend(plan.rest.iter().map(|col| &col[lo..hi]));
+            let fused = fuse_group_columns(m, &cols, opts.forced.unwrap_or(plan.key_domains()));
+            trace.step(
+                |s| matches!(s, PlanStep::FuseKeys { .. }),
+                n,
+                n,
+                m.cycles() - start,
+            );
+            fused
+        });
         let g: &[u32] = g_fused.as_deref().unwrap_or(&plan.group[lo..hi]);
         let v: &[u32] = &plan.value[lo..hi];
 
@@ -450,38 +272,16 @@ impl Session {
             let gd = m.space_mut().alloc(4 * n as u64, 64);
             let vd = m.space_mut().alloc(4 * n as u64, 64);
             let kept = vector_filter(m, ws, n, *pred, &[(gs, gd), (vs, vd)]);
+            trace.step(
+                |s| matches!(s, PlanStep::VectorFilter { .. }),
+                n,
+                kept,
+                m.cycles() - stage0,
+            );
             if kept == 0 {
-                if let Some(t) = trace.as_deref_mut() {
-                    if let Some(step) =
-                        find_step(plan, |s| matches!(s, PlanStep::VectorFilter { .. }))
-                    {
-                        t.push(StepTrace {
-                            step,
-                            rows_in: n as u64,
-                            rows_out: 0,
-                            cycles: m.cycles() - stage0,
-                        });
-                    }
-                    t.push(StepTrace {
-                        step: PlanStep::AggregateSkipped,
-                        rows_in: 0,
-                        rows_out: 0,
-                        cycles: 0,
-                    });
-                }
                 // Nothing survived: no aggregation algorithm runs at
                 // all, and the partial is empty (of the right family).
-                return Distributive {
-                    base: vagg_core::AggResult {
-                        groups: Vec::new(),
-                        counts: Vec::new(),
-                        sums: Vec::new(),
-                    },
-                    mm: plan.query.needs_minmax().then(|| (Vec::new(), Vec::new())),
-                    rows_aggregated: 0,
-                    key_domains,
-                    skipped: true,
-                };
+                return trace.skipped(m.cycles() - start);
             }
             // Compaction preserves relative order, so a sorted column
             // stays sorted through the filter.
@@ -493,17 +293,6 @@ impl Session {
                 n: kept,
                 presorted: plan.presorted,
             };
-            if let Some(t) = trace.as_deref_mut() {
-                if let Some(step) = find_step(plan, |s| matches!(s, PlanStep::VectorFilter { .. }))
-                {
-                    t.push(StepTrace {
-                        step,
-                        rows_in: n as u64,
-                        rows_out: kept as u64,
-                        cycles: m.cycles() - stage0,
-                    });
-                }
-            }
             (staged, kept)
         } else {
             (StagedInput::stage_raw(m, g, v, plan.presorted), n)
@@ -531,18 +320,13 @@ impl Session {
             }
         }
         let agg0 = m.cycles();
-        if let Some(t) = trace.as_deref_mut() {
-            if let Some(step) = find_step(plan, |s| matches!(s, PlanStep::CardinalityScan { .. })) {
-                t.push(StepTrace {
-                    step,
-                    rows_in: rows_aggregated as u64,
-                    rows_out: rows_aggregated as u64,
-                    cycles: agg0 - scan0,
-                });
-            }
-        }
+        trace.step(
+            |s| matches!(s, PlanStep::CardinalityScan { .. }),
+            rows_aggregated,
+            rows_aggregated,
+            agg0 - scan0,
+        );
 
-        // Aggregate.
         let (base, mm) = if plan.query.needs_minmax() {
             let r = minmax_aggregate(m, &input);
             (r.base, Some((r.mins, r.maxs)))
@@ -550,231 +334,49 @@ impl Session {
             let (result, _) = plan.algorithm.execute(m, &input);
             (result, None)
         };
-        if let Some(t) = trace {
-            if let Some(step) = find_step(plan, |s| {
-                matches!(s, PlanStep::Aggregate(_) | PlanStep::MinMaxKernel)
-            }) {
-                t.push(StepTrace {
-                    step,
-                    rows_in: rows_aggregated as u64,
-                    rows_out: base.len() as u64,
-                    cycles: m.cycles() - agg0,
-                });
-            }
-        }
-
-        Distributive {
-            base,
-            mm,
+        trace.step(
+            |s| matches!(s, PlanStep::Aggregate(_) | PlanStep::MinMaxKernel),
             rows_aggregated,
-            key_domains,
-            skipped: false,
+            base.len(),
+            m.cycles() - agg0,
+        );
+
+        PartialRun {
+            partial: PartialAggregate::new(base, mm),
+            rows_aggregated,
+            cycles: m.cycles() - start,
+            aggregated: true,
+            steps: trace.steps.unwrap_or_default(),
         }
     }
-}
-
-/// The decomposition domains (`key_domains[1..]`) of a measured domain
-/// list; empty for single-column grouping.
-pub(crate) fn rest_of(key_domains: &[u32]) -> &[u32] {
-    if key_domains.is_empty() {
-        &[]
-    } else {
-        &key_domains[1..]
-    }
-}
-
-// The planned steps reported when the WHERE clause removed every row:
-// the pre-filter steps, then the skip marker.
-fn skipped_steps(plan: &QueryPlan) -> Vec<PlanStep> {
-    let mut steps: Vec<PlanStep> = plan
-        .steps
-        .iter()
-        .take_while(|s| !matches!(s, PlanStep::CardinalityScan { .. }))
-        .cloned()
-        .collect();
-    steps.push(PlanStep::AggregateSkipped);
-    steps
-}
-
-// The cloned plan step matching `pred`, for trace records. Planned
-// steps are unique per kind, so the first match is the step.
-fn find_step(plan: &QueryPlan, pred: impl Fn(&PlanStep) -> bool) -> Option<PlanStep> {
-    plan.steps.iter().find(|s| pred(s)).cloned()
-}
-
-// The distributive prefix of the planned steps: everything up to and
-// including the aggregation kernel.
-fn distributive_steps(plan: &QueryPlan) -> Vec<PlanStep> {
-    let end = plan
-        .steps
-        .iter()
-        .position(|s| matches!(s, PlanStep::Aggregate(_) | PlanStep::MinMaxKernel))
-        .map_or(plan.steps.len(), |i| i + 1);
-    plan.steps[..end].to_vec()
-}
-
-type Columns = (vagg_core::AggResult, Option<(Vec<u32>, Vec<u32>)>);
-
-// The integral column a HAVING / ORDER BY key refers to. AVG is rejected
-// at plan time (`PlanError::UnsupportedAvgPredicate`), so it cannot
-// reach execution.
-pub(crate) fn agg_column<'a>(
-    agg: AggFn,
-    base: &'a vagg_core::AggResult,
-    mm: &'a Option<(Vec<u32>, Vec<u32>)>,
-) -> &'a [u32] {
-    match agg {
-        AggFn::Count => &base.counts,
-        AggFn::Sum => &base.sums,
-        AggFn::Min => &mm.as_ref().expect("minmax kernel ran").0,
-        AggFn::Max => &mm.as_ref().expect("minmax kernel ran").1,
-        AggFn::Avg => unreachable!("AVG predicates are rejected at plan time"),
-    }
-}
-
-// HAVING: stage the output columns back onto the machine and run the
-// same vectorised select/compress kernel the WHERE clause uses, with the
-// aggregate column as the predicate source.
-fn apply_having(
-    m: &mut Machine,
-    h: &crate::query::Having,
-    base: vagg_core::AggResult,
-    mm: Option<(Vec<u32>, Vec<u32>)>,
-) -> Columns {
-    let n = base.len();
-    if n == 0 {
-        return (base, mm);
-    }
-    let pred_col = agg_column(h.agg, &base, &mm).to_vec();
-
-    let stage = |m: &mut Machine, col: &[u32]| {
-        let src = m.space_mut().alloc_slice_u32(col);
-        let dst = m.space_mut().alloc(4 * col.len() as u64, 64);
-        (src, dst)
-    };
-    let ps = stage(m, &pred_col);
-    let gs = stage(m, &base.groups);
-    let cs = stage(m, &base.counts);
-    let ss = stage(m, &base.sums);
-    let mms = mm
-        .as_ref()
-        .map(|(mins, maxs)| (stage(m, mins), stage(m, maxs)));
-
-    let mut cols = vec![gs, cs, ss];
-    if let Some((mins, maxs)) = mms {
-        cols.push(mins);
-        cols.push(maxs);
-    }
-    let kept = vector_filter(m, ps.0, n, h.pred, &cols);
-
-    let read = |m: &Machine, (_, dst): (u64, u64)| m.space().read_slice_u32(dst, kept);
-    let base = vagg_core::AggResult {
-        groups: read(m, cols[0]),
-        counts: read(m, cols[1]),
-        sums: read(m, cols[2]),
-    };
-    let mm = (cols.len() == 5).then(|| (read(m, cols[3]), read(m, cols[4])));
-    (base, mm)
-}
-
-// ORDER BY: a stable vectorised LSD radix sort over (key, row-index)
-// pairs; the returned permutation is applied to every output column and
-// LIMIT truncates. DESC sorts the complement key so the same ascending
-// kernel serves both directions.
-fn apply_order_by(
-    m: &mut Machine,
-    ob: &crate::query::OrderBy,
-    base: vagg_core::AggResult,
-    mm: Option<(Vec<u32>, Vec<u32>)>,
-) -> Columns {
-    let n = base.len();
-    let keep = ob.limit.unwrap_or(n).min(n);
-    let (mut base, mut mm) = (base, mm);
-    if n > 1 {
-        let mut keys: Vec<u32> = match ob.key {
-            OrderKey::Group => base.groups.clone(),
-            OrderKey::Agg(a) => agg_column(a, &base, &mm).to_vec(),
-        };
-        if ob.desc {
-            for k in &mut keys {
-                *k = u32::MAX - *k;
-            }
-        }
-        let idx: Vec<u32> = (0..n as u32).collect();
-        let arrays = vagg_sort::SortArrays::stage(m, &keys, &idx);
-        let max_key = keys.iter().copied().max().unwrap_or(0);
-        let passes = vagg_sort::radix_sort(m, &arrays, max_key);
-        let (_, perm) = arrays.read_result(m, passes);
-
-        let permute = |col: &[u32]| perm.iter().map(|&i| col[i as usize]).collect::<Vec<u32>>();
-        base = vagg_core::AggResult {
-            groups: permute(&base.groups),
-            counts: permute(&base.counts),
-            sums: permute(&base.sums),
-        };
-        mm = mm.map(|(mins, maxs)| (permute(&mins), permute(&maxs)));
-    }
-    base.groups.truncate(keep);
-    base.counts.truncate(keep);
-    base.sums.truncate(keep);
-    if let Some((mins, maxs)) = &mut mm {
-        mins.truncate(keep);
-        maxs.truncate(keep);
-    }
-    (base, mm)
 }
 
 // Fuses the grouping columns into one key per row on the machine:
 // key = ((g₀·d₁ + g₁)·d₂ + g₂)… where dᵢ is column i's key domain
-// (maxᵢ + 1, measured by the vectorised max scan — a planning step
-// charged to the query like the §III-A metadata scan). When `forced`
-// is supplied the max scans are skipped entirely and the given
-// domains are used verbatim — the sharded coordinator's fast path,
-// which reuses the exact whole-table domains the planner already
-// computed so every shard fuses into the same global key space.
-// Returns the fused host column and every column's domain (primary
-// first). Domain overflow was already rejected at plan time from the
-// same statistics.
-fn fuse_group_columns(
-    m: &mut Machine,
-    cols: &[&[u32]],
-    forced: Option<&[u64]>,
-) -> (Vec<u32>, Vec<u32>) {
+// (maxᵢ + 1). The domains are the planner's exact plan-time ones (or
+// the cross-shard maxima a coordinator forces), so no range re-measures
+// them and every range of a query fuses into one key space. Domain
+// overflow was already rejected at plan time from the same statistics.
+fn fuse_group_columns(m: &mut Machine, cols: &[&[u32]], domains: &[u64]) -> Vec<u32> {
     use vagg_isa::{BinOp, Vreg};
     const VK: Vreg = Vreg(12); // running fused keys
     const VN: Vreg = Vreg(13); // next column's keys
 
     let n = cols[0].len();
     debug_assert!(cols.iter().all(|c| c.len() == n), "table columns agree");
-
-    // Stage the columns; measure each domain with the machine's
-    // vectorised max scan unless plan-time statistics already supply
-    // them.
-    let mut staged = Vec::with_capacity(cols.len());
-    let mut domains: Vec<u64> = Vec::with_capacity(cols.len());
-    for (i, col) in cols.iter().enumerate() {
-        let addr = m.space_mut().alloc_slice_u32(col);
-        staged.push(addr);
-        match forced {
-            Some(d) => domains.push(d[i]),
-            None => {
-                let input = StagedInput {
-                    g: addr,
-                    v: addr,
-                    aux_g: addr,
-                    aux_v: addr,
-                    n,
-                    presorted: false,
-                };
-                let (maxk, _tok) = vector_max_scan(m, &input);
-                domains.push(maxk as u64 + 1);
-            }
-        }
-    }
+    assert_eq!(
+        domains.len(),
+        cols.len(),
+        "one key domain per grouping column"
+    );
     debug_assert!(
         domains.iter().map(|&d| d as u128).product::<u128>() <= u32::MAX as u128 + 1,
         "overflow rejected at plan time"
     );
+    let staged: Vec<u64> = cols
+        .iter()
+        .map(|col| m.space_mut().alloc_slice_u32(col))
+        .collect();
 
     // Fuse chunk by chunk: k = ((c₀·d₁) + c₁)·d₂ + c₂ …
     let fused = m.space_mut().alloc(4 * n as u64, 64);
@@ -791,9 +393,7 @@ fn fuse_group_columns(
         }
         m.vstore_unit(VK, fused + 4 * start as u64, 4, t);
     }
-    let fused_host = m.space().read_slice_u32(fused, n);
-    let all = domains.iter().map(|&d| d as u32).collect();
-    (fused_host, all)
+    m.space().read_slice_u32(fused, n)
 }
 
 // Splits a fused composite key back into its per-column parts
@@ -893,19 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_one_shot_execute() {
-        let t = people();
-        let q = AggregateQuery::paper("g", "v");
-        let engine = Engine::new();
-        let via_execute = engine.execute(&t, &q).unwrap();
-        let plan = engine.plan(&t, &q).unwrap();
-        let via_session = Session::new().run(&plan);
-        assert_eq!(via_execute.rows, via_session.rows);
-        assert_eq!(via_execute.report.cycles, via_session.report.cycles);
-        assert_eq!(via_execute.report.algorithm, via_session.report.algorithm);
-    }
-
-    #[test]
     fn one_session_serves_different_plans() {
         let t = people();
         let engine = Engine::new();
@@ -925,6 +512,11 @@ mod tests {
         assert_eq!(groups, vec![0, 3]);
     }
 
+    // The whole plan as one range.
+    fn one_range(session: &mut Session, plan: &QueryPlan) -> PartialRun {
+        session.run_range(plan, 0, plan.rows(), RangeOpts::default())
+    }
+
     #[test]
     fn run_partial_stops_before_the_non_distributive_tail() {
         let t = people();
@@ -933,20 +525,31 @@ mod tests {
             .with_limit(2);
         let plan = Engine::new().plan(&t, &q).unwrap();
         let mut session = Session::new();
-        let pr = session.run_partial(&plan);
+        let pr = session.run_range(
+            &plan,
+            0,
+            plan.rows(),
+            RangeOpts {
+                trace: true,
+                ..RangeOpts::default()
+            },
+        );
         // Pre-HAVING: all six groups are present in the partial.
         assert_eq!(pr.partial.len(), 6);
-        assert!(pr.key_domains.is_empty());
+        assert!(pr.aggregated);
         assert!(matches!(
-            pr.report.steps.last(),
+            pr.steps.last().map(|s| &s.step),
             Some(PlanStep::Aggregate(_))
         ));
         assert!(!pr
-            .report
             .steps
             .iter()
-            .any(|s| matches!(s, PlanStep::VectorHaving { .. } | PlanStep::Limit(_))));
-        assert!(pr.report.cycles > 0);
+            .any(|s| matches!(s.step, PlanStep::Having { .. } | PlanStep::Limit(_))));
+        assert!(pr.cycles > 0);
+        assert_eq!(pr.steps.iter().map(|s| s.cycles).sum::<u64>(), pr.cycles);
+        // A bare range is not a query; the read driver counts those.
+        assert_eq!(session.queries_run(), 0);
+        assert_eq!(session.run(&plan).rows.len(), 2);
         assert_eq!(session.queries_run(), 1);
     }
 
@@ -972,9 +575,7 @@ mod tests {
             let t = Table::new("r")
                 .with_column("g", g[lo..hi].to_vec())
                 .with_column("v", v[lo..hi].to_vec());
-            Session::new()
-                .run_partial(&engine.plan(&t, &q).unwrap())
-                .partial
+            one_range(&mut Session::new(), &engine.plan(&t, &q).unwrap()).partial
         };
         let merged = half(0, 4).merge(half(4, 8));
         assert_eq!(merged.len(), whole.rows.len());
@@ -993,49 +594,21 @@ mod tests {
             .with_filter("v", crate::filter::Predicate::GreaterThan(0));
         let plan = Engine::new().plan(&t, &q).unwrap();
         let mut session = Session::new();
-        let whole = session.run_partial(&plan);
+        let expect = one_range(&mut session, &plan);
         for split in 0..=plan.rows() {
-            let left = session.run_partial_range(&plan, 0, split);
-            let right = session.run_partial_range(&plan, split, plan.rows());
+            let left = session.run_range(&plan, 0, split, RangeOpts::default());
+            let right = session.run_range(&plan, split, plan.rows(), RangeOpts::default());
             assert_eq!(
                 left.partial.merge(right.partial),
-                whole.partial,
+                expect.partial,
                 "split at {split}"
             );
         }
-        // Range reports charge the range, not the whole plan.
-        let half = session.run_partial_range(&plan, 0, 4);
-        assert!(half.report.cycles > 0);
-        assert!((half.report.cpt - half.report.cycles as f64 / 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn composite_range_partials_measure_local_domains() {
-        // A composite plan's morsels each measure their own domains;
-        // the fused keys decompose back to the same tuples.
-        let t = Table::new("r")
-            .with_column("a", vec![1, 0, 1, 0, 2, 2])
-            .with_column("b", vec![9, 1, 9, 3, 0, 0])
-            .with_column("v", vec![1, 2, 3, 4, 5, 6]);
-        let q = AggregateQuery::paper("a", "v").with_group_by_also("b");
-        let plan = Engine::new().plan(&t, &q).unwrap();
-        let mut session = Session::new();
-        let lo_half = session.run_partial_range(&plan, 0, 3);
-        let hi_half = session.run_partial_range(&plan, 3, 6);
-        // First half sees b ∈ {9, 1} (domain 10), second b ∈ {3, 0}
-        // (domain 4): locally consistent, globally incomparable.
-        assert_eq!(lo_half.key_domains, vec![2, 10]);
-        assert_eq!(hi_half.key_domains, vec![3, 4]);
-        let tuples = |pr: &PartialRun| -> Vec<Vec<u32>> {
-            pr.partial
-                .base
-                .groups
-                .iter()
-                .map(|&k| decompose_key(k, &pr.key_domains[1..]))
-                .collect()
-        };
-        assert_eq!(tuples(&lo_half), vec![vec![0, 1], vec![1, 9]]);
-        assert_eq!(tuples(&hi_half), vec![vec![0, 3], vec![2, 0]]);
+        // A range is charged its own work, on the shared machine.
+        let before = session.total_cycles();
+        let half = session.run_range(&plan, 0, 4, RangeOpts::default());
+        assert!(half.cycles > 0);
+        assert_eq!(session.total_cycles() - before, half.cycles);
     }
 
     #[test]
@@ -1044,7 +617,7 @@ mod tests {
         let plan = Engine::new()
             .plan(&people(), &AggregateQuery::paper("g", "v"))
             .unwrap();
-        let _ = Session::new().run_partial_range(&plan, 4, 9);
+        let _ = Session::new().run_range(&plan, 4, 9, RangeOpts::default());
     }
 
     #[test]

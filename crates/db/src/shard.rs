@@ -8,28 +8,25 @@
 //! workers, each with its own long-lived session/machine.
 //! [`ShardedDatabase::register`] splits a table into N contiguous row
 //! chunks — contiguity preserves per-chunk sortedness metadata, so
-//! presorted plans still kick in per shard — and a query runs in three
-//! phases:
+//! presorted plans still kick in per shard — and a query is the one
+//! read driver (ARCHITECTURE.md, "Read path") on the pool schedule:
 //!
 //! 1. **plan** the query on every non-empty shard (each shard's plan
 //!    cache and adaptive §V-D choice apply to *its* partition);
 //! 2. **execute** each plan's distributive slice as fixed-size
-//!    *morsels* (row ranges run via
-//!    [`crate::Session::run_partial_range`]) on the pooled workers —
-//!    idle workers steal a skewed shard's tail instead of waiting, and
-//!    every morsel still runs the algorithm its *shard's* statistics
-//!    picked;
+//!    *morsels* (row ranges run via [`crate::Session::run_range`]) on
+//!    the pooled workers — idle workers steal a skewed shard's tail
+//!    instead of waiting, and every morsel still runs the algorithm its
+//!    *shard's* statistics picked;
 //! 3. **merge** the [`vagg_core::PartialAggregate`]s (COUNT/SUM add,
 //!    MIN/MAX combine) and finalise the non-distributive tail —
 //!    HAVING, ORDER BY, LIMIT — once on the coordinator.
 //!
-//! Composite `GROUP BY` shards too: fused keys are measured per input,
-//! so raw partials would not be comparable across shards — instead the
-//! workers re-key every partial through a query-scoped, cooperatively
-//! built [`KeyDictionary`] (tuple → dense id), the coordinator merges
-//! by dense id, and resolves ids back to globally fused keys once on
-//! the merged (small) output. The answer matches a single session's
-//! bit for bit, including `HAVING`/`ORDER BY`/`LIMIT` tails.
+//! Composite `GROUP BY` shards too: every morsel fuses its keys with
+//! the elementwise maximum of the shard plans' exact key domains, so
+//! all partials share one fused key space and merge directly. The
+//! answer matches a single session's bit for bit, including
+//! `HAVING`/`ORDER BY`/`LIMIT` tails.
 //!
 //! The write path shards too: [`ShardedDatabase::append_rows`] /
 //! [`ShardedDatabase::insert_sql`] route each appended batch to the
@@ -51,35 +48,31 @@
 //! accessors per shard and merged.
 
 use crate::cancel::CancelToken;
-use crate::catalogue::CatOp;
+use crate::catalogue::{CatOp, SharedCatalogue};
 use crate::database::ExplainOutput;
 use crate::database::{Database, MutationReceipt, SqlError};
 use crate::delta::TableStats;
 use crate::engine::{Engine, ExecutionReport, QueryOutput, Row};
-use crate::executor::{Executor, ExecutorConfig, ExecutorError, ExecutorStats, Morsel, MorselOutcome};
+use crate::executor::{Executor, ExecutorConfig, ExecutorError, ExecutorStats};
 use crate::filter::Predicate;
 use crate::ingest::{CompactionPolicy, RowBatch};
 use crate::join::{
-    derived_table, plan_join, side_columns, ColumnSet, JoinBuildSink, JoinIndex, JoinMorsel,
-    JoinPlan, JoinStrategy, JoinWork,
+    derived_table, plan_derived, plan_join, side_columns, ColumnSet, JoinBuildSink, JoinIndex,
+    JoinMorsel, JoinObs, JoinPlan, JoinStrategy, JoinWork,
 };
 use crate::metrics::{MetricsSnapshot, SlowQuery};
-use crate::plan::{PlanError, PlanStep, QueryPlan};
+use crate::plan::{PlanError, QueryPlan};
 use crate::prepared::PreparedStatement;
-use crate::query::{AggregateQuery, Having, OrderBy, OrderKey};
+use crate::read::{self, check_cancel, ReadRequest, Schedule};
 use crate::recovery;
-use crate::session::agg_column;
-use crate::session::assemble_rows;
 use crate::snapshot::{Snapshot, SnapshotStats};
-use crate::sql::SqlQuery;
-use crate::sql::{parse_statement, parse_template, Statement};
+use crate::sql::{parse_statement, parse_template, ParseSqlError, SqlQuery, Statement};
 use crate::table::Table;
-use crate::trace::{QueryTrace, WorkerRollup};
+use crate::trace::QueryTrace;
 use crate::wal::{self, WalError, WalRecord, WalWriter};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use vagg_core::{AggResult, PartialAggregate};
 use vagg_sim::SimConfig;
 
 /// A row-partitioned database: one coordinator over N shard catalogues
@@ -147,7 +140,7 @@ pub struct ShardedOutput {
     /// clause demands) — identical to a single-session execution for
     /// the distributive aggregates COUNT/SUM/MIN/MAX (and AVG, which
     /// falls out of SUM/COUNT on readback), including composite
-    /// `GROUP BY` (merged through the query's [`KeyDictionary`]).
+    /// `GROUP BY` (every shard fuses into one key space).
     pub rows: Vec<Row>,
     /// The coordinator's view: `cycles` is the *makespan* (the most
     /// loaded executor worker — the workers run in parallel),
@@ -175,6 +168,10 @@ pub struct ShardedOutput {
     /// `EXPLAIN ANALYZE` (boxed: traces carry per-morsel spans and are
     /// much larger than the merged rows).
     pub trace: Option<Box<QueryTrace>>,
+    /// Ranges (and the rows they covered) the read driver dropped by
+    /// zone map before running them — for whoever drove the read to
+    /// fold into its metrics.
+    pub(crate) pruned: (u64, u64),
 }
 
 /// An atomic cross-shard point-in-time cut of a [`ShardedDatabase`]:
@@ -711,21 +708,7 @@ impl ShardedDatabase {
                     RowBatch::from_rows(&ins.columns, &ins.rows).map_err(SqlError::Ingest)?;
                 self.append_rows(&ins.table, batch)
             }
-            Statement::Select(_) => Err(SqlError::Parse(crate::sql::ParseSqlError::Expected {
-                expected: "INSERT",
-                found: "SELECT".into(),
-            })),
-            Statement::Explain(_) | Statement::ExplainAnalyze(_) => {
-                Err(SqlError::Parse(crate::sql::ParseSqlError::Expected {
-                    expected: "INSERT",
-                    found: "EXPLAIN".into(),
-                }))
-            }
-            Statement::Delete(_) | Statement::Update(_) => Err(SqlError::MutationStatement),
-            Statement::CreateSnapshot(_) => Err(SqlError::ShardedTimeTravel),
-            Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
-                Err(SqlError::TransactionStatement)
-            }
+            other => Err(rejection(&other, "INSERT")),
         }
     }
 
@@ -751,17 +734,7 @@ impl ShardedDatabase {
             Statement::Update(upd) => {
                 self.mutate_shards(&upd.table, Some(&upd.sets), upd.filter.as_ref())
             }
-            Statement::Insert(_) => Err(SqlError::InsertStatement),
-            Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_) => {
-                Err(SqlError::Parse(crate::sql::ParseSqlError::Expected {
-                    expected: "DELETE or UPDATE",
-                    found: "SELECT".into(),
-                }))
-            }
-            Statement::CreateSnapshot(_) => Err(SqlError::ShardedTimeTravel),
-            Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
-                Err(SqlError::TransactionStatement)
-            }
+            other => Err(rejection(&other, "DELETE or UPDATE")),
         }
     }
 
@@ -844,118 +817,46 @@ impl ShardedDatabase {
         })
     }
 
-    /// Parses and runs one `SELECT` across every shard, merging the
-    /// partial aggregates (see the [module docs](self)).
-    /// `EXPLAIN ANALYZE SELECT …` executes with per-morsel tracing on
-    /// and returns the span tree in [`ShardedOutput::trace`]. Bare
-    /// `EXPLAIN` is rejected — use [`ShardedDatabase::explain_sql`]
-    /// for the typed per-shard plan — and so is `INSERT` (use
-    /// [`ShardedDatabase::insert_sql`], which routes rows to shards).
+    /// Parses and runs one `SELECT` across every shard through the read
+    /// driver on the worker pool (ARCHITECTURE.md, "Read path"): each
+    /// populated shard plans its partition, the plans run as stealable
+    /// morsels, the partials merge once and the tail runs once on the
+    /// coordinator. `EXPLAIN ANALYZE SELECT …` executes with per-morsel
+    /// tracing on and returns the span tree in
+    /// [`ShardedOutput::trace`]. Bare `EXPLAIN` is rejected — use
+    /// [`ShardedDatabase::explain_sql`] for the typed per-shard plan —
+    /// and so are writes (use [`ShardedDatabase::insert_sql`] /
+    /// [`ShardedDatabase::mutate_sql`], which route to shards).
     ///
     /// # Errors
     ///
     /// As [`Database::run_sql`], plus [`SqlError::ExplainStatement`]
-    /// for `EXPLAIN` and [`SqlError::InsertStatement`] for `INSERT`.
-    /// Composite `GROUP BY` shards like any other query (merged through
-    /// the query's [`KeyDictionary`]); only a *global* fused-key domain
-    /// exceeding the 32-bit key space is rejected, with the same typed
-    /// [`PlanError::CompositeKeyOverflow`] a single session reports.
+    /// for `EXPLAIN`, [`SqlError::InsertStatement`] /
+    /// [`SqlError::MutationStatement`] for writes and
+    /// [`SqlError::ShardedTimeTravel`] for `AS OF`. Composite
+    /// `GROUP BY` shards like any other query; only a *global* fused-key
+    /// domain exceeding the 32-bit key space is rejected, with the same
+    /// typed [`PlanError::CompositeKeyOverflow`] a single session
+    /// reports.
     pub fn run_sql(&mut self, sql: &str) -> Result<ShardedOutput, SqlError> {
-        self.run_sql_governed(sql, None)
+        self.read_sql(sql, None, None)
     }
 
     /// [`ShardedDatabase::run_sql`] under a [`CancelToken`]: the
     /// executor checks the token at every morsel pop, so tripping it —
     /// from any thread holding a clone — surfaces a typed
     /// [`SqlError::Cancelled`] within one morsel's latency and frees
-    /// the pool for the next query. The token's optional deadline and
-    /// morsel budget trip the same way; cancelled queries are counted
-    /// in [`ShardedDatabase::metrics`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedDatabase::run_sql`], plus [`SqlError::Cancelled`].
+    /// the pool for the next query. Cancelled queries are counted in
+    /// [`ShardedDatabase::metrics`].
     pub fn run_sql_cancellable(
         &mut self,
         sql: &str,
         token: &CancelToken,
     ) -> Result<ShardedOutput, SqlError> {
-        self.run_sql_governed(sql, Some(token))
+        self.read_sql(sql, None, Some(token))
     }
 
-    fn run_sql_governed(
-        &mut self,
-        sql: &str,
-        cancel: Option<&CancelToken>,
-    ) -> Result<ShardedOutput, SqlError> {
-        let run = |db: &mut Self| match parse_statement(sql)? {
-            Statement::Select(q) => {
-                if q.as_of.is_some() {
-                    return Err(SqlError::ShardedTimeTravel);
-                }
-                let out = if q.join.is_some() {
-                    // An atomic cross-shard cut: both join sides read
-                    // the same moment on every shard.
-                    let cut = db.snapshot();
-                    db.run_join_cut(&cut, &q, None, cancel)?
-                } else {
-                    db.run_query(&q.table, &q.query, None, cancel)?
-                };
-                db.note_query(sql, &out);
-                Ok(out)
-            }
-            Statement::ExplainAnalyze(q) => {
-                if q.as_of.is_some() {
-                    return Err(SqlError::ShardedTimeTravel);
-                }
-                let mut trace = QueryTrace::new(sql.trim().to_string());
-                let mut out = if q.join.is_some() {
-                    let cut = db.snapshot();
-                    db.run_join_cut(&cut, &q, Some(&mut trace), cancel)?
-                } else {
-                    db.run_query(&q.table, &q.query, Some(&mut trace), cancel)?
-                };
-                out.trace = Some(Box::new(trace));
-                db.note_query(sql, &out);
-                Ok(out)
-            }
-            Statement::Explain(_) => Err(SqlError::ExplainStatement),
-            Statement::Insert(_) => Err(SqlError::InsertStatement),
-            Statement::Delete(_) | Statement::Update(_) => Err(SqlError::MutationStatement),
-            Statement::CreateSnapshot(_) => Err(SqlError::ShardedTimeTravel),
-            Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
-                Err(SqlError::TransactionStatement)
-            }
-        };
-        let out = run(self);
-        if matches!(out, Err(SqlError::Cancelled(_))) {
-            if let Some(shard) = self.shards.first() {
-                shard.catalogue().metrics().record_cancelled();
-            }
-        }
-        out
-    }
-
-    /// Folds one finished query into the coordinator's metrics registry
-    /// (shard 0's catalogue owns the sharded registry; see
-    /// [`ShardedDatabase::metrics`]).
-    fn note_query(&self, sql: &str, out: &ShardedOutput) {
-        let Some(shard) = self.shards.first() else {
-            return;
-        };
-        let metrics = shard.catalogue().metrics();
-        metrics.record_query(
-            sql.trim(),
-            out.report.cycles,
-            out.rows.len() as u64,
-            out.report.steps.len(),
-        );
-        if out.trace.is_some() {
-            metrics.record_traced_query();
-        }
-    }
-
-    /// Parses and runs one `SELECT` **at an atomic cross-shard
+    /// [`ShardedDatabase::run_sql`] **at an atomic cross-shard
     /// snapshot** (see [`ShardedDatabase::snapshot`]): every shard
     /// plans and executes against its pinned cut, so the merged answer
     /// is a consistent database-wide view however much routed ingest
@@ -963,8 +864,8 @@ impl ShardedDatabase {
     ///
     /// # Errors
     ///
-    /// As [`ShardedDatabase::run_sql`], plus [`SqlError::ReadOnly`]
-    /// for `INSERT` (snapshots are immutable),
+    /// As [`ShardedDatabase::run_sql`], except that writes are
+    /// [`SqlError::ReadOnly`] (snapshots are immutable); plus
     /// [`SqlError::SnapshotShardMismatch`] when the snapshot's shard
     /// count differs from this database's, and
     /// [`SqlError::ForeignSnapshot`] when a shard cut belongs to a
@@ -974,51 +875,136 @@ impl ShardedDatabase {
         snap: &ShardedSnapshot,
         sql: &str,
     ) -> Result<ShardedOutput, SqlError> {
-        match parse_statement(sql)? {
-            Statement::Select(q) => {
-                let out = self.run_stmt_at(snap, &q, None)?;
-                self.note_query(sql, &out);
-                Ok(out)
-            }
-            Statement::ExplainAnalyze(q) => {
-                let mut trace = QueryTrace::new(sql.trim().to_string());
-                let mut out = self.run_stmt_at(snap, &q, Some(&mut trace))?;
-                out.trace = Some(Box::new(trace));
-                self.note_query(sql, &out);
-                Ok(out)
-            }
-            Statement::Explain(_) => Err(SqlError::ExplainStatement),
-            Statement::Insert(_) | Statement::Delete(_) | Statement::Update(_) => {
-                Err(SqlError::ReadOnly)
-            }
-            Statement::CreateSnapshot(_) => Err(SqlError::ShardedTimeTravel),
-            Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
-                Err(SqlError::TransactionStatement)
-            }
-        }
+        self.read_sql(sql, Some(snap), None).map_err(|e| match e {
+            SqlError::InsertStatement | SqlError::MutationStatement => SqlError::ReadOnly,
+            e => e,
+        })
     }
 
-    /// The `SELECT`-at-snapshot body shared by the plain and
-    /// `EXPLAIN ANALYZE` arms of [`ShardedDatabase::run_sql_at`].
-    fn run_stmt_at(
+    /// The body of the three SQL read entry points; metrics go to the
+    /// coordinator's registry (shard 0's catalogue owns it; see
+    /// [`ShardedDatabase::metrics`]).
+    fn read_sql(
         &mut self,
-        snap: &ShardedSnapshot,
-        q: &SqlQuery,
-        trace: Option<&mut QueryTrace>,
+        sql: &str,
+        at: Option<&ShardedSnapshot>,
+        cancel: Option<&CancelToken>,
     ) -> Result<ShardedOutput, SqlError> {
-        if q.as_of.is_some() {
-            return Err(SqlError::ShardedTimeTravel);
-        }
-        if q.join.is_some() {
-            self.check_snapshot(snap)?;
-            for (shard, cut) in self.shards.iter().zip(snap.shards.iter()) {
-                if !cut.catalogue().is_same(shard.catalogue()) {
-                    return Err(SqlError::ForeignSnapshot);
+        let out = self.read_statement(sql, at, cancel);
+        let metrics = self.shards[0].catalogue().metrics();
+        match &out {
+            Ok(out) => {
+                metrics.record_query(
+                    sql.trim(),
+                    out.report.cycles,
+                    out.rows.len() as u64,
+                    out.report.steps.len(),
+                );
+                if out.trace.is_some() {
+                    metrics.record_traced_query();
                 }
             }
-            return self.run_join_cut(snap, q, trace, None);
+            Err(SqlError::Cancelled(_)) => metrics.record_cancelled(),
+            Err(_) => {}
         }
-        self.run_query_at(snap, &q.table, &q.query, trace)
+        out
+    }
+
+    fn read_statement(
+        &mut self,
+        sql: &str,
+        at: Option<&ShardedSnapshot>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<ShardedOutput, SqlError> {
+        let stmt = parse_statement(sql)?;
+        if matches!(stmt, Statement::Explain(_)) {
+            return Err(SqlError::ExplainStatement);
+        }
+        let mut trace = matches!(stmt, Statement::ExplainAnalyze(_))
+            .then(|| QueryTrace::new(sql.trim().to_string()));
+        let q = select_of(stmt)?;
+        let mut out = if q.join.is_some() {
+            // An atomic cross-shard cut: both join sides read the same
+            // moment on every shard.
+            let owned;
+            let cut = match at {
+                Some(cut) => cut,
+                None => {
+                    owned = self.snapshot();
+                    &owned
+                }
+            };
+            self.run_join_cut(cut, &q, trace.as_mut(), cancel)?
+        } else {
+            let plans = self.plan_shards(&q.table, at, |_, catalogue, cut| match cut {
+                Some(cut) => catalogue.plan_query_at(cut, &q.table, &q.query),
+                None => catalogue.plan_query(&q.table, &q.query),
+            })?;
+            self.execute_read(ReadRequest {
+                plans,
+                prefix: &[],
+                cancel,
+                trace: trace.as_mut(),
+            })?
+        };
+        out.trace = trace.map(Box::new);
+        Ok(out)
+    }
+
+    /// Hands a planned read to the driver on the worker pool
+    /// ([`Schedule::Pool`]) — the one finish step behind every sharded
+    /// `SELECT`, prepared statement and join.
+    fn execute_read(&mut self, request: ReadRequest<'_>) -> Result<ShardedOutput, SqlError> {
+        let out = read::drive(request, Schedule::Pool(&self.executor))?;
+        self.executor.note_pruned(out.pruned.0, out.pruned.1);
+        Ok(out)
+    }
+
+    /// Plans `table` on every shard whose partition has rows, with
+    /// `plan(shard, catalogue, cut)` — at the shard's cut of `at` when
+    /// a snapshot is given (unknown-table and all-empty detection then
+    /// run against the cut: a table registered after the snapshot does
+    /// not exist there), else live. Planning everything up front
+    /// surfaces errors before any morsel runs.
+    ///
+    /// # Errors
+    ///
+    /// [`SqlError::UnknownTable`] when no shard knows the table,
+    /// [`PlanError::EmptyTable`] when it has no rows anywhere (nothing
+    /// validated the query, so it must not reach the coordinator
+    /// tail), the snapshot-compatibility errors of
+    /// [`ShardedDatabase::check_cut`], and whatever `plan` returns.
+    fn plan_shards(
+        &self,
+        table: &str,
+        at: Option<&ShardedSnapshot>,
+        mut plan: impl FnMut(usize, &SharedCatalogue, Option<&Snapshot>) -> Result<QueryPlan, SqlError>,
+    ) -> Result<Vec<Option<QueryPlan>>, SqlError> {
+        if let Some(at) = at {
+            self.check_cut(at)?;
+        }
+        let mut known = false;
+        let mut plans = Vec::with_capacity(self.shards.len());
+        for (i, shard) in self.shards.iter().enumerate() {
+            let cut = at.map(|at| &at.shards[i]);
+            let rows = match cut {
+                Some(cut) => cut.table(table),
+                None => shard.table(table),
+            }
+            .map(|t| t.rows());
+            known |= rows.is_some();
+            plans.push(match rows {
+                Some(n) if n > 0 => Some(plan(i, shard.catalogue(), cut)?),
+                _ => None,
+            });
+        }
+        if !known {
+            return Err(SqlError::UnknownTable(table.to_string()));
+        }
+        if plans.iter().all(Option::is_none) {
+            return Err(SqlError::Plan(PlanError::EmptyTable));
+        }
+        Ok(plans)
     }
 
     /// Plans a statement against the first non-empty shard's partition
@@ -1032,21 +1018,10 @@ impl ShardedDatabase {
     ///
     /// As [`Database::explain_sql`].
     pub fn explain_sql(&self, sql: &str) -> Result<ExplainOutput, SqlError> {
-        let q = match parse_statement(sql)? {
-            Statement::Select(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q) => q,
-            Statement::Insert(_) => return Err(SqlError::InsertStatement),
-            Statement::Delete(_) | Statement::Update(_) => return Err(SqlError::MutationStatement),
-            Statement::CreateSnapshot(_) => return Err(SqlError::ShardedTimeTravel),
-            Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
-                return Err(SqlError::TransactionStatement)
-            }
-        };
-        if q.as_of.is_some() {
-            return Err(SqlError::ShardedTimeTravel);
-        }
+        let q = select_of(parse_statement(sql)?)?;
         if q.join.is_some() {
-            let cut = self.snapshot();
-            return Ok(ExplainOutput::Join(Box::new(self.plan_join_cut(&cut, &q)?)));
+            let plan = self.plan_join_cut(&self.snapshot(), &q)?;
+            return Ok(ExplainOutput::Join(Box::new(plan)));
         }
         let shard = self
             .first_populated_shard(&q.table)?
@@ -1071,23 +1046,11 @@ impl ShardedDatabase {
     /// [`SqlError::JoinStatement`] when the statement has no `JOIN`
     /// clause.
     pub fn explain_join_sql(&self, sql: &str) -> Result<JoinPlan, SqlError> {
-        let q = match parse_statement(sql)? {
-            Statement::Select(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q) => q,
-            Statement::Insert(_) => return Err(SqlError::InsertStatement),
-            Statement::Delete(_) | Statement::Update(_) => return Err(SqlError::MutationStatement),
-            Statement::CreateSnapshot(_) => return Err(SqlError::ShardedTimeTravel),
-            Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
-                return Err(SqlError::TransactionStatement)
-            }
-        };
-        if q.as_of.is_some() {
-            return Err(SqlError::ShardedTimeTravel);
-        }
+        let q = select_of(parse_statement(sql)?)?;
         if q.join.is_none() {
             return Err(SqlError::JoinStatement);
         }
-        let cut = self.snapshot();
-        self.plan_join_cut(&cut, &q)
+        self.plan_join_cut(&self.snapshot(), &q)
     }
 
     /// Prepares a statement once against every shard; execute it with
@@ -1122,55 +1085,29 @@ impl ShardedDatabase {
         })
     }
 
-    /// Binds `params` on every shard's prepared statement, executes
-    /// the distributive slices concurrently and merges, exactly like
-    /// [`ShardedDatabase::run_sql`] without the parse/plan work.
+    /// Binds `params` on every shard's prepared statement and executes
+    /// exactly like [`ShardedDatabase::run_sql`] without the parse/plan
+    /// work.
     ///
     /// # Errors
     ///
     /// Bind errors ([`PlanError::BindArity`] / [`PlanError::BindType`]
-    /// wrapped in [`SqlError::Plan`]) and re-planning errors.
+    /// wrapped in [`SqlError::Plan`]), re-planning errors, and
+    /// [`SqlError::ShardMismatch`] for a statement prepared on a
+    /// database with a different shard count.
     pub fn execute_prepared(
         &mut self,
         stmt: &mut ShardedStatement,
         params: &[u64],
     ) -> Result<ShardedOutput, SqlError> {
-        if stmt.stmts.len() != self.shards.len() {
-            return Err(SqlError::ShardMismatch {
-                statement: stmt.stmts.len(),
-                database: self.shards.len(),
-            });
-        }
-        let mut query = None;
-        let mut plans: Vec<Option<QueryPlan>> = Vec::with_capacity(self.shards.len());
-        for (shard, prepared) in self.shards.iter().zip(stmt.stmts.iter_mut()) {
-            if shard.table(prepared.table()).is_some_and(|t| t.rows() > 0) {
-                let plan = prepared.bound_plan(shard.catalogue(), params)?;
-                query.get_or_insert_with(|| plan.query().clone());
-                plans.push(Some(plan));
-            } else {
-                query.get_or_insert(prepared.bind(params).map_err(SqlError::Plan)?);
-                plans.push(None);
-            }
-        }
-        // An entirely empty table cannot plan anywhere: fail exactly
-        // like `run_sql` does (also keeping unvalidated queries away
-        // from the coordinator tail — plan-time validation runs on
-        // populated shards only).
-        if plans.iter().all(Option::is_none) {
-            return Err(SqlError::Plan(PlanError::EmptyTable));
-        }
-        let query = query.expect("a populated shard bound the query");
-        let out = self.execute_plans(&query, plans, None, None)?;
-        stmt.executions += 1;
-        Ok(out)
+        self.run_prepared(stmt, None, params)
     }
 
-    /// Binds `params` on every shard's prepared statement **at an
-    /// atomic cross-shard snapshot**: each shard's plan is pinned (or
-    /// rebased) to its cut's statistics, so a statement prepared
-    /// before heavy ingest reproduces the pinned answer exactly —
-    /// even if the live §V-D choice has flipped on some shards since.
+    /// [`ShardedDatabase::execute_prepared`] **at an atomic cross-shard
+    /// snapshot**: each shard's plan is pinned (or rebased) to its
+    /// cut's statistics, so a statement prepared before heavy ingest
+    /// reproduces the pinned answer exactly — even if the live §V-D
+    /// choice has flipped on some shards since.
     ///
     /// # Errors
     ///
@@ -1184,48 +1121,46 @@ impl ShardedDatabase {
         snap: &ShardedSnapshot,
         params: &[u64],
     ) -> Result<ShardedOutput, SqlError> {
+        self.run_prepared(stmt, Some(snap), params)
+    }
+
+    /// The body of the two prepared entry points.
+    fn run_prepared(
+        &mut self,
+        stmt: &mut ShardedStatement,
+        at: Option<&ShardedSnapshot>,
+        params: &[u64],
+    ) -> Result<ShardedOutput, SqlError> {
         if stmt.stmts.len() != self.shards.len() {
             return Err(SqlError::ShardMismatch {
                 statement: stmt.stmts.len(),
                 database: self.shards.len(),
             });
         }
-        self.check_snapshot(snap)?;
-        let mut query = None;
-        let mut plans: Vec<Option<QueryPlan>> = Vec::with_capacity(self.shards.len());
-        for ((shard, cut), prepared) in self
-            .shards
-            .iter()
-            .zip(snap.shards.iter())
-            .zip(stmt.stmts.iter_mut())
-        {
-            let populated = cut.table(prepared.table()).is_some_and(|t| t.rows() > 0);
-            if populated {
-                let plan = prepared.bound_plan_at(shard.catalogue(), Some(cut), params)?;
-                query.get_or_insert_with(|| plan.query().clone());
-                plans.push(Some(plan));
-            } else {
-                query.get_or_insert(prepared.bind(params).map_err(SqlError::Plan)?);
-                plans.push(None);
-            }
-        }
-        if plans.iter().all(Option::is_none) {
-            return Err(SqlError::Plan(PlanError::EmptyTable));
-        }
-        let query = query.expect("a populated shard bound the query");
-        let out = self.execute_plans(&query, plans, None, None)?;
+        // A bad parameter list fails before any shard plans.
+        stmt.stmts[0].bind(params).map_err(SqlError::Plan)?;
+        let table = stmt.stmts[0].table().to_string();
+        let plans = self.plan_shards(&table, at, |i, catalogue, cut| {
+            stmt.stmts[i].bound_plan_at(catalogue, cut, params)
+        })?;
+        let out = self.execute_read(ReadRequest::new(plans))?;
         stmt.executions += 1;
         Ok(out)
     }
 
-    /// The shard-count compatibility check shared by the at-snapshot
-    /// read paths.
-    fn check_snapshot(&self, snap: &ShardedSnapshot) -> Result<(), SqlError> {
+    /// Whether `snap` can serve reads here: one cut per shard, each cut
+    /// from that shard's own catalogue.
+    fn check_cut(&self, snap: &ShardedSnapshot) -> Result<(), SqlError> {
         if snap.shards.len() != self.shards.len() {
             return Err(SqlError::SnapshotShardMismatch {
                 snapshot: snap.shards.len(),
                 database: self.shards.len(),
             });
+        }
+        for (shard, cut) in self.shards.iter().zip(&snap.shards) {
+            if !cut.catalogue().is_same(shard.catalogue()) {
+                return Err(SqlError::ForeignSnapshot);
+            }
         }
         Ok(())
     }
@@ -1250,67 +1185,6 @@ impl ShardedDatabase {
         } else {
             Err(SqlError::UnknownTable(table.to_string()))
         }
-    }
-
-    fn run_query(
-        &mut self,
-        table: &str,
-        query: &AggregateQuery,
-        trace: Option<&mut QueryTrace>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<ShardedOutput, SqlError> {
-        // Plan every populated shard up front so errors surface before
-        // any morsel runs.
-        self.first_populated_shard(table)?;
-        let plans = self
-            .shards
-            .iter()
-            .map(|shard| match shard.table(table) {
-                Some(t) if t.rows() > 0 => shard.catalogue().plan_query(table, query).map(Some),
-                _ => Ok(None),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if plans.iter().all(Option::is_none) {
-            return Err(SqlError::Plan(PlanError::EmptyTable));
-        }
-        self.execute_plans(query, plans, trace, cancel)
-    }
-
-    /// [`ShardedDatabase::run_query`] at a pinned cross-shard cut:
-    /// every shard plans via
-    /// [`crate::SharedCatalogue::plan_query_at`] against its snapshot.
-    fn run_query_at(
-        &mut self,
-        snap: &ShardedSnapshot,
-        table: &str,
-        query: &AggregateQuery,
-        trace: Option<&mut QueryTrace>,
-    ) -> Result<ShardedOutput, SqlError> {
-        self.check_snapshot(snap)?;
-        // Unknown-table / all-empty detection runs against the *cut*:
-        // a table registered after the snapshot does not exist here.
-        let mut seen = false;
-        let mut plans: Vec<Option<QueryPlan>> = Vec::with_capacity(self.shards.len());
-        for (shard, cut) in self.shards.iter().zip(snap.shards.iter()) {
-            match cut.table(table) {
-                Some(t) if t.rows() > 0 => {
-                    plans.push(Some(shard.catalogue().plan_query_at(cut, table, query)?));
-                    seen = true;
-                }
-                Some(_) => {
-                    plans.push(None);
-                    seen = true;
-                }
-                None => plans.push(None),
-            }
-        }
-        if !seen {
-            return Err(SqlError::UnknownTable(table.to_string()));
-        }
-        if plans.iter().all(Option::is_none) {
-            return Err(SqlError::Plan(PlanError::EmptyTable));
-        }
-        self.execute_plans(query, plans, trace, None)
     }
 
     /// Plans a two-table join at a cross-shard cut: schemas from any
@@ -1362,9 +1236,8 @@ impl ShardedDatabase {
     ///    morselized and streamed through them; partitioned probes
     ///    route each row to the one index its key hashes to.
     /// 3. **Aggregate**: the matched pairs gather per-shard derived
-    ///    tables, and the ordinary sharded aggregation pipeline
-    ///    ([`ShardedDatabase::run_sql`]'s morsel + merge + coordinator
-    ///    tail) runs over them unchanged.
+    ///    tables, and the read driver runs the aggregation over them
+    ///    like over any other per-shard plans.
     fn run_join_cut(
         &mut self,
         cut: &ShardedSnapshot,
@@ -1372,6 +1245,7 @@ impl ShardedDatabase {
         mut trace: Option<&mut QueryTrace>,
         cancel: Option<&CancelToken>,
     ) -> Result<ShardedOutput, SqlError> {
+        self.check_cut(cut)?;
         let plan = self.plan_join_cut(cut, q)?;
         let parts = |name: &str| -> Result<Vec<Table>, SqlError> {
             cut.shards
@@ -1457,361 +1331,73 @@ impl ShardedDatabase {
         outcomes.sort_by_key(|o| (o.shard, o.lo));
 
         if let Some(t) = trace.as_deref_mut() {
-            // The join phases are host-side shared-state work (interning
-            // into the sinks, probing the frozen indexes): no simulated
-            // cycles, observed rows only.
-            let entries: u64 = indexes.iter().map(|i| i.entries() as u64).sum();
-            let hits: u64 = indexes.iter().map(JoinIndex::dict_hits).sum();
-            let probe_rows: u64 = pparts.iter().map(|p| p.rows() as u64).sum();
-            let pairs: u64 = outcomes.iter().map(|o| o.pairs.len() as u64).sum();
-            for step in plan.steps() {
-                match step {
-                    PlanStep::JoinBuild { .. } => t.record_host_step(
-                        step.to_string(),
-                        step.estimated_rows(),
-                        build_rows as u64,
-                        entries,
-                    ),
-                    PlanStep::JoinProbe { .. } => t.record_host_step(
-                        step.to_string(),
-                        step.estimated_rows(),
-                        probe_rows,
-                        pairs,
-                    ),
-                    _ => {}
-                }
+            JoinObs {
+                build_rows,
+                entries: indexes.iter().map(JoinIndex::entries).sum(),
+                dict_hits: indexes.iter().map(JoinIndex::dict_hits).sum(),
+                probe_rows: pparts.iter().map(Table::rows).sum(),
+                pairs: outcomes.iter().map(|o| o.pairs.len()).sum(),
+                freeze_ns,
             }
-            t.dict_entries += entries;
-            t.dict_hits += hits;
-            t.freeze_ns = Some(t.freeze_ns.unwrap_or(0) + freeze_ns);
+            .record(t, &plan);
         }
 
-        // Gather per-shard derived tables and run the ordinary sharded
-        // aggregation pipeline over them.
-        let derived: Vec<Table> = (0..self.shards.len())
+        // Gather per-shard derived tables and run the aggregation over
+        // them; a shard no key matched on has nothing to plan.
+        let engine = self.shards[0].catalogue().engine();
+        let plans = (0..self.shards.len())
             .map(|s| {
                 let pairs: Vec<(u32, u32)> = outcomes
                     .iter()
                     .filter(|o| o.shard == s)
                     .flat_map(|o| o.pairs.iter().copied())
                     .collect();
-                derived_table(&plan, &pairs, &probe_sets[s], &build)
-            })
-            .collect();
-        let engine = self.shards[0].catalogue().engine();
-        let plans: Vec<Option<QueryPlan>> = derived
-            .iter()
-            .map(|t| {
-                if t.rows() == 0 {
-                    Ok(None)
-                } else {
-                    engine.plan(t, plan.query()).map(Some)
-                }
+                let derived = derived_table(&plan, &pairs, &probe_sets[s], &build);
+                plan_derived(engine, &derived, plan.query())
             })
             .collect::<Result<_, PlanError>>()?;
-        if plans.iter().all(Option::is_none) {
-            // No key matched anywhere: zero rows, not a planning error.
-            return Ok(ShardedOutput {
-                rows: Vec::new(),
-                report: ExecutionReport {
-                    algorithm: None,
-                    rows_aggregated: 0,
-                    cycles: 0,
-                    cpt: 0.0,
-                    steps: plan.steps().to_vec(),
-                },
-                shard_reports: Vec::new(),
-                worker_loads: vec![0; self.executor.worker_count()],
-                steals: 0,
-                trace: None,
-            });
-        }
-        let mut out = self.execute_plans(plan.query(), plans, trace, cancel)?;
-        let mut steps = plan.steps().to_vec();
-        steps.append(&mut out.report.steps);
-        out.report.steps = steps;
-        Ok(out)
-    }
-
-    /// Phase 2 + 3: split every shard's plan into morsels, run them on
-    /// the persistent worker pool (idle workers steal a skewed shard's
-    /// tail), merge the partials, finalise the tail on the coordinator.
-    fn execute_plans(
-        &mut self,
-        query: &AggregateQuery,
-        plans: Vec<Option<QueryPlan>>,
-        mut trace: Option<&mut QueryTrace>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<ShardedOutput, SqlError> {
-        let morsel_rows = self.executor.morsel_rows_hint().max(1);
-        let prune = self.executor.config().prune;
-        let plans: Vec<Option<Arc<QueryPlan>>> =
-            plans.into_iter().map(|p| p.map(Arc::new)).collect();
-        // Composite grouping rides the forced-domain fast path: every
-        // shard plan already carries its partition's exact per-column
-        // key domains (the planner computed them for the overflow
-        // check), and their elementwise max is the domain over the
-        // whole partitioned input — exactly what a single session
-        // would measure. Forcing those domains into every morsel's
-        // fusion puts all partials in one shared fused key space, so
-        // they merge directly: no per-morsel max scans, no dictionary,
-        // no re-keying. The *global* product must be re-vetted here —
-        // each shard's plan only checked its own partition.
-        let forced: Option<Arc<[u64]>> = if query.group_by_rest.is_empty() {
-            None
-        } else {
-            let mut domains: Vec<u64> = Vec::new();
-            for plan in plans.iter().flatten() {
-                if domains.is_empty() {
-                    domains = plan.key_domains().to_vec();
-                } else {
-                    for (d, &x) in domains.iter_mut().zip(plan.key_domains()) {
-                        *d = (*d).max(x);
-                    }
-                }
-            }
-            let total: u128 = domains.iter().map(|&d| d as u128).product();
-            if total > u32::MAX as u128 + 1 {
-                return Err(SqlError::Plan(PlanError::CompositeKeyOverflow {
-                    domain: total.min(u64::MAX as u128) as u64,
-                }));
-            }
-            Some(domains.into())
-        };
-        if let Some(t) = trace.as_deref_mut() {
-            // Establish the rollup order and sum each step's estimate
-            // across the shard plans (shards may pick different
-            // algorithms; their steps roll up separately by rendering).
-            for plan in plans.iter().flatten() {
-                t.estimate_plan(plan);
-            }
-        }
-        let mut morsels = Vec::new();
-        let (mut pruned_morsels, mut pruned_rows) = (0u64, 0u64);
-        for (shard, plan) in plans.iter().enumerate() {
-            let Some(plan) = plan else { continue };
-            let mut lo = 0;
-            while lo < plan.rows() {
-                let hi = (lo + morsel_rows).min(plan.rows());
-                // Zone-map pruning: a morsel whose zones prove the
-                // WHERE predicate matches nothing contributes exactly
-                // what a filter-emptied morsel would — an empty
-                // partial — so it is dropped before dispatch.
-                if prune && plan.prunes_range(lo, hi) {
-                    pruned_morsels += 1;
-                    pruned_rows += (hi - lo) as u64;
-                } else {
-                    morsels.push(Morsel {
-                        shard,
-                        plan: Arc::clone(plan),
-                        lo,
-                        hi,
-                        domains: forced.clone(),
-                        traced: trace.is_some(),
-                    });
-                }
-                lo = hi;
-            }
-        }
-        if pruned_morsels > 0 {
-            self.executor.note_pruned(pruned_morsels, pruned_rows);
-        }
-        if let Some(t) = trace.as_deref_mut() {
-            t.morsels_dispatched += morsels.len() as u64;
-            t.morsels_pruned += pruned_morsels;
-            t.rows_pruned += pruned_rows;
-        }
-        let outcomes = self.executor.execute(morsels, cancel);
-        // A tripped token means the outcome set is incomplete: surface
-        // the typed error instead of merging a partial answer.
-        check_cancel(cancel)?;
-
-        // Worker accounting: the measured morsel costs are scheduled
-        // onto W virtual workers deterministically (host threads race
-        // wall time, which says nothing about simulated cycles — see
-        // `virtual_schedule`); the busiest worker's total is the
-        // parallel makespan.
-        let sched = crate::executor::virtual_schedule(
-            &outcomes,
-            self.executor.worker_count(),
-            self.executor.config().steal,
-        );
-
-        if let Some(t) = trace.as_deref_mut() {
-            let mut spans: Vec<_> = outcomes.iter().filter_map(|o| o.trace.clone()).collect();
-            // Completion order is racy; the trace keeps (shard, lo).
-            spans.sort_by_key(|s| (s.shard, s.lo));
-            for span in &spans {
-                t.record_steps(&span.steps);
-                t.queue_wait_ns += span.queue_wait_ns;
-            }
-            t.morsels.extend(spans);
-            t.workers = (0..sched.loads.len())
-                .map(|w| WorkerRollup {
-                    worker: w,
-                    cycles: sched.loads[w],
-                    morsels: sched.morsels[w],
-                    steals: sched.stolen[w],
-                })
-                .collect();
-            t.steals = sched.steals;
-        }
-        let (worker_loads, steals) = (sched.loads, sched.steals);
-
-        let partial_groups: u64 = outcomes
-            .iter()
-            .map(|o| o.run.partial.base.groups.len() as u64)
-            .sum();
-        let merged = PartialAggregate::merge_all(outcomes.iter().map(|o| o.run.partial.clone()))
-            .unwrap_or_else(|| PartialAggregate::empty(query.needs_minmax()));
-        // With forced domains every partial is keyed in the same
-        // global fused space and the merge-join above already produced
-        // the single-session answer, sorted by fused key — only the
-        // decomposition radices remain to recover the column parts.
-        let rest_domains: Vec<u32> = forced
-            .as_ref()
-            .map_or_else(Vec::new, |d| d[1..].iter().map(|&d| d as u32).collect());
-        let (mut base, mut mm) = (merged.base, merged.minmax);
-        // The coordinator tail's host steps slot into the trace between
-        // the distributive steps and the finalisers, mirroring when
-        // they actually ran.
-        let finaliser = plans.iter().flatten().find_map(|p| {
-            p.steps()
-                .iter()
-                .find(|s| {
-                    matches!(
-                        s,
-                        PlanStep::VectorHaving { .. }
-                            | PlanStep::VectorOrderBy { .. }
-                            | PlanStep::Limit(_)
-                    )
-                })
-                .map(ToString::to_string)
-        });
-        if let Some(t) = trace.as_deref_mut() {
-            t.record_host_step_before(
-                finaliser.as_deref(),
-                "MergePartials".to_string(),
-                None,
-                partial_groups,
-                base.groups.len() as u64,
-            );
-        }
-        if let Some(h) = &query.having {
-            let before = base.groups.len() as u64;
-            host_having(h, &mut base, &mut mm);
-            if let Some(t) = trace.as_deref_mut() {
-                if let Some(step) =
-                    find_plan_step(&plans, |s| matches!(s, PlanStep::VectorHaving { .. }))
-                {
-                    t.record_host_step(step, None, before, base.groups.len() as u64);
-                }
-            }
-        }
-        if let Some(ob) = &query.order_by {
-            let before = base.groups.len() as u64;
-            host_order_by(ob, &mut base, &mut mm);
-            if let Some(t) = trace.as_deref_mut() {
-                if let Some(step) =
-                    find_plan_step(&plans, |s| matches!(s, PlanStep::VectorOrderBy { .. }))
-                {
-                    t.record_host_step(step, None, before, before);
-                }
-                if let Some(step) = find_plan_step(&plans, |s| matches!(s, PlanStep::Limit(_))) {
-                    t.record_host_step(step, None, before, base.groups.len() as u64);
-                }
-            }
-        }
-        let rows = assemble_rows(
-            query,
-            &base,
-            mm.as_ref().map(|(a, b)| (&a[..], &b[..])),
-            &rest_domains,
-        );
-
-        // Per-shard reports: one shard's work summed over its morsels,
-        // wherever they ran.
-        let mut shard_reports = Vec::new();
-        for (s, plan) in plans.iter().enumerate() {
-            let Some(plan) = plan else { continue };
-            let mine: Vec<&MorselOutcome> = outcomes.iter().filter(|o| o.shard == s).collect();
-            let cycles: u64 = mine.iter().map(|o| o.run.report.cycles).sum();
-            let rows_aggregated: usize = mine.iter().map(|o| o.run.report.rows_aggregated).sum();
-            let aggregated = mine
-                .iter()
-                .find(|o| o.run.report.algorithm.is_some())
-                .or(mine.first());
-            shard_reports.push(ExecutionReport {
-                algorithm: aggregated.and_then(|o| o.run.report.algorithm),
-                rows_aggregated,
-                cycles,
-                cpt: if plan.rows() == 0 {
-                    0.0
-                } else {
-                    cycles as f64 / plan.rows() as f64
-                },
-                steps: aggregated
-                    .map(|o| o.run.report.steps.clone())
-                    .unwrap_or_default(),
-            });
-        }
-        let aggregated = shard_reports
-            .iter()
-            .find(|r| r.algorithm.is_some())
-            .or(shard_reports.first());
-        let cycles = worker_loads.iter().copied().max().unwrap_or(0);
-        let total_rows: usize = shard_reports.iter().map(|r| r.rows_aggregated).sum();
-        // `cpt` keeps the field's contract — cycles per *input* tuple —
-        // with the makespan as the cycle count: the parallel cost of
-        // pushing the whole table through.
-        let input_rows: usize = plans.iter().flatten().map(|p| p.rows()).sum();
-        let report = ExecutionReport {
-            algorithm: aggregated.and_then(|r| r.algorithm),
-            rows_aggregated: total_rows,
-            cycles,
-            cpt: if input_rows == 0 {
-                0.0
-            } else {
-                cycles as f64 / input_rows as f64
-            },
-            steps: aggregated.map(|r| r.steps.clone()).unwrap_or_default(),
-        };
-        if let Some(t) = trace {
-            t.cycles = report.cycles;
-            t.rows = rows.len() as u64;
-        }
-        Ok(ShardedOutput {
-            rows,
-            report,
-            shard_reports,
-            worker_loads,
-            steals,
-            trace: None,
+        self.execute_read(ReadRequest {
+            plans,
+            prefix: plan.steps(),
+            cancel,
+            trace,
         })
     }
 }
 
-/// Surfaces a tripped [`CancelToken`] as the typed
-/// [`SqlError::Cancelled`] — called right after each executor
-/// submission returns, before any partial outcome is merged.
-fn check_cancel(cancel: Option<&CancelToken>) -> Result<(), SqlError> {
-    match cancel.and_then(CancelToken::cause) {
-        Some(cause) => Err(SqlError::Cancelled(cause)),
-        None => Ok(()),
-    }
+/// The typed reason a sharded entry point cannot take `stmt`;
+/// `expected` names what it wanted where the statement is a read.
+fn rejection(stmt: &Statement, expected: &'static str) -> SqlError {
+    let found = match stmt {
+        Statement::Select(_) => "SELECT",
+        Statement::Explain(_) | Statement::ExplainAnalyze(_) => "EXPLAIN",
+        Statement::Insert(_) => return SqlError::InsertStatement,
+        Statement::Delete(_) | Statement::Update(_) => return SqlError::MutationStatement,
+        Statement::CreateSnapshot(_) => return SqlError::ShardedTimeTravel,
+        Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
+            return SqlError::TransactionStatement
+        }
+    };
+    SqlError::Parse(ParseSqlError::Expected {
+        expected,
+        found: found.into(),
+    })
 }
 
-/// The rendered form of the first plan step matching `pred` across the
-/// shard plans — the rollup key the coordinator's host-side finalisers
-/// record their actuals under (the shards all plan the same tail).
-fn find_plan_step(
-    plans: &[Option<Arc<QueryPlan>>],
-    pred: impl Fn(&PlanStep) -> bool,
-) -> Option<String> {
-    plans
-        .iter()
-        .flatten()
-        .find_map(|p| p.steps().iter().find(|s| pred(s)).map(ToString::to_string))
+/// The query of a read statement (`SELECT` / `EXPLAIN [ANALYZE]
+/// SELECT`), or the typed reason the sharded read and plan entry points
+/// cannot take the statement — `AS OF` included: named versions are
+/// per-catalogue.
+fn select_of(stmt: Statement) -> Result<SqlQuery, SqlError> {
+    match stmt {
+        Statement::Select(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q) => {
+            if q.as_of.is_some() {
+                return Err(SqlError::ShardedTimeTravel);
+            }
+            Ok(q)
+        }
+        other => Err(rejection(&other, "SELECT")),
+    }
 }
 
 /// Convenience: the merged output in [`QueryOutput`] form.
@@ -1821,54 +1407,6 @@ impl From<ShardedOutput> for QueryOutput {
             rows: out.rows,
             report: out.report,
         }
-    }
-}
-
-// Coordinator-side HAVING over the merged (small) output table: the
-// same semantics as the shards' vectorised kernel, applied host-side
-// because the merged table lives on the coordinator host. Shared with
-// the single-session cancellable morsel loop.
-pub(crate) fn host_having(h: &Having, base: &mut AggResult, mm: &mut Option<(Vec<u32>, Vec<u32>)>) {
-    let pred_col = agg_column(h.agg, base, mm).to_vec();
-    let keep: Vec<bool> = pred_col.iter().map(|&x| h.pred.matches(x)).collect();
-    let filter = |col: &mut Vec<u32>| {
-        let mut it = keep.iter();
-        col.retain(|_| *it.next().expect("keep mask covers every row"));
-    };
-    filter(&mut base.groups);
-    filter(&mut base.counts);
-    filter(&mut base.sums);
-    if let Some((mins, maxs)) = mm {
-        filter(mins);
-        filter(maxs);
-    }
-}
-
-// Coordinator-side ORDER BY + LIMIT: a stable sort on the same key the
-// shards' radix kernel would use (complement for DESC), then truncate.
-pub(crate) fn host_order_by(
-    ob: &OrderBy,
-    base: &mut AggResult,
-    mm: &mut Option<(Vec<u32>, Vec<u32>)>,
-) {
-    let n = base.len();
-    let keys: Vec<u32> = match ob.key {
-        OrderKey::Group => base.groups.clone(),
-        OrderKey::Agg(a) => agg_column(a, base, mm).to_vec(),
-    };
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by_key(|&i| if ob.desc { u32::MAX - keys[i] } else { keys[i] });
-    let keep = ob.limit.unwrap_or(n).min(n);
-    let permute = |col: &mut Vec<u32>| {
-        let reordered: Vec<u32> = idx.iter().take(keep).map(|&i| col[i]).collect();
-        *col = reordered;
-    };
-    permute(&mut base.groups);
-    permute(&mut base.counts);
-    permute(&mut base.sums);
-    if let Some((mins, maxs)) = mm {
-        permute(mins);
-        permute(maxs);
     }
 }
 

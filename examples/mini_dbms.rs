@@ -99,8 +99,8 @@ fn main() {
     println!("  ... ({} rows total)", out.rows.len());
 
     // Query 4: the full tail — range WHERE (composed from max + ≠),
-    // HAVING over a computed aggregate, and a vectorised top-k
-    // (radix-sorted ORDER BY ... DESC LIMIT).
+    // HAVING over a computed aggregate, and a top-k (ORDER BY ... DESC
+    // LIMIT) — the tail runs host-side over the small output table.
     let sql = "SELECT region, COUNT(*), SUM(amount) FROM orders \
                WHERE amount > 400 GROUP BY region \
                HAVING COUNT(*) > 50 \

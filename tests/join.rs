@@ -10,7 +10,8 @@
 use proptest::correlated::{SideData, TablePair};
 use proptest::prelude::*;
 use vagg::db::{
-    parse, CompactionPolicy, Database, Engine, Row, RowBatch, ShardedDatabase, SqlOutcome, Table,
+    parse, CompactionPolicy, Database, Engine, Row, RowBatch, Session, ShardedDatabase, SqlOutcome,
+    Table,
 };
 
 /// Correlated pairs over one or two key columns, sweeping overlap
@@ -147,10 +148,10 @@ fn oracle_rows(sql: &str, pair: &TablePair, left_rows: usize, right_rows: usize)
             .collect();
         flat = flat.with_column(s.clone(), data);
     }
-    Engine::new()
-        .execute(&flat, &q.query)
-        .unwrap_or_else(|e| panic!("oracle execution of {sql:?} failed: {e}"))
-        .rows
+    let plan = Engine::new()
+        .plan(&flat, &q.query)
+        .unwrap_or_else(|e| panic!("oracle planning of {sql:?} failed: {e}"));
+    Session::new().run(&plan).rows
 }
 
 /// Runs one SELECT on a single-session database, unwrapping to rows.

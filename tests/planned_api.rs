@@ -64,8 +64,8 @@ fn explain_golden_full_tail_via_sql() {
          \x20 2. VectorFilter(status <> 0)\n\
          \x20 3. CardinalityScan[exact](cardinality≈12)\n\
          \x20 4. Aggregate[mono]\n\
-         \x20 5. VectorHaving(COUNT(*) > 1)\n\
-         \x20 6. VectorOrderBy[radix](SUM(amount) DESC)\n\
+         \x20 5. Having(COUNT(*) > 1)\n\
+         \x20 6. OrderBy(SUM(amount) DESC)\n\
          \x20 7. Limit(3)"
     );
 }
@@ -319,8 +319,8 @@ fn explain_analyze_golden_full_tail() {
          \x20 2. VectorFilter(status <> 0) est≈6 rows=6→4 cycles=_ morsels=1\n\
          \x20 3. CardinalityScan[exact](cardinality≈12) est≈? rows=4→4 cycles=_ morsels=1\n\
          \x20 4. Aggregate[mono] est≈12 rows=4→4 cycles=_ morsels=1\n\
-         \x20 5. VectorHaving(COUNT(*) > 0) est≈? rows=4→4 cycles=_ morsels=1\n\
-         \x20 6. VectorOrderBy[radix](SUM(amount) DESC) est≈? rows=4→4 cycles=_ morsels=1\n\
+         \x20 5. Having(COUNT(*) > 0) est≈? rows=4→4 cycles=_ morsels=1\n\
+         \x20 6. OrderBy(SUM(amount) DESC) est≈? rows=4→4 cycles=_ morsels=1\n\
          \x20 7. Limit(3) est≈3 rows=4→3 cycles=_ morsels=1"
     );
 }

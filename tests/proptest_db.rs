@@ -4,10 +4,16 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use vagg::db::{
-    parse, AggFn, AggregateQuery, CompactionPolicy, Database, Engine, OrderKey, Predicate,
-    RowBatch, Session, ShardedDatabase, Table,
+    parse, AggFn, AggregateQuery, CompactionPolicy, Database, Engine, OrderKey, PlanError,
+    Predicate, QueryOutput, RowBatch, Session, ShardedDatabase, Table,
 };
 use vagg::sim::Machine;
+
+/// Plans `q` and runs it on a fresh one-query session.
+fn execute(table: &Table, q: &AggregateQuery) -> Result<QueryOutput, PlanError> {
+    let plan = Engine::new().plan(table, q)?;
+    Ok(Session::new().run(&plan))
+}
 
 fn arb_aggfn() -> impl Strategy<Value = AggFn> {
     prop_oneof![
@@ -176,7 +182,7 @@ proptest! {
             .with_column("g", g)
             .with_column("v", v)
             .with_column("w", w);
-        let out = Engine::new().execute(&table, &q);
+        let out = execute(&table, &q);
 
         match out {
             Ok(out) => {
@@ -200,9 +206,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `Engine::plan` + `Session::run` is exactly the one-shot
-    /// `Engine::execute` it replaced: same rows, same cycles, same
-    /// algorithm, on random full-pipeline queries.
+    /// `Engine::plan` + `Session::run` is a pure function of the table
+    /// and the query: two fresh one-query sessions agree on rows,
+    /// cycles and algorithm, on random full-pipeline queries.
     #[test]
     fn plan_plus_session_matches_execute(
         rows in proptest::collection::vec((0u32..16, 0u32..10, 0u32..8), 1..300),
@@ -237,7 +243,7 @@ proptest! {
             .with_column("w", w);
 
         let engine = Engine::new();
-        let via_execute = engine.execute(&table, &q).unwrap();
+        let via_execute = execute(&table, &q).unwrap();
         let plan = engine.plan(&table, &q).unwrap();
         prop_assert!(plan.explain().contains("CardinalityScan"));
         let via_session = Session::new().run(&plan);
@@ -320,9 +326,7 @@ proptest! {
             for p in &params {
                 inlined = inlined.replacen('?', &p.to_string(), 1);
             }
-            let fresh = Engine::new()
-                .execute(&table, &parse(&inlined).unwrap().query)
-                .unwrap();
+            let fresh = execute(&table, &parse(&inlined).unwrap().query).unwrap();
             prop_assert_eq!(prepared.rows, fresh.rows, "{} with {:?}", sql, params);
         }
         prop_assert_eq!(stmt.replans(), 0, "binding never re-plans");
@@ -443,7 +447,7 @@ proptest! {
             .with_column("b", b)
             .with_column("v", v);
         let q = AggregateQuery::paper("a", "v").with_group_by_also("b");
-        let out = Engine::new().execute(&table, &q).unwrap();
+        let out = execute(&table, &q).unwrap();
 
         prop_assert_eq!(out.rows.len(), expect.len());
         for r in &out.rows {
