@@ -1,0 +1,228 @@
+//! Golden cycle fingerprint: the simulated machine's counters for a
+//! fixed set of runs, held to literals.
+//!
+//! Every other timing test in the suite is relational (`big < small`);
+//! none would notice a one-cycle drift. This one does: a change meant
+//! only to make the *simulator* faster on the host must leave every
+//! number below untouched. A change that moves the model on purpose
+//! regenerates the table with
+//!
+//! ```text
+//! cargo test --release --test cycle_golden -- --ignored --nocapture print_golden
+//! ```
+//!
+//! and pastes the printed rows over [`GOLDEN`].
+
+use vagg::core::{Algorithm, StagedInput};
+use vagg::datagen::rng::Xoshiro256StarStar;
+use vagg::datagen::{DatasetSpec, Distribution};
+use vagg::db::{Database, SqlOutcome, Table};
+use vagg::sim::{Machine, SimStats};
+use vagg::sort::{radix_sort, vsr_sort, SortArrays};
+
+const SEED: u64 = 13;
+const ROWS: usize = 2_048;
+const SORT_ROWS: usize = 4_096;
+const SQL_ROWS: usize = 8_192;
+const DISTRIBUTIONS: [Distribution; 3] = [
+    Distribution::Uniform,
+    Distribution::Zipf,
+    Distribution::Sorted,
+];
+const CARDINALITIES: [u64; 3] = [76, 1_220, 39_062];
+
+/// What one run is held to: cycles, micro-ops, L1 (hits, misses), L2
+/// (hits, misses), DRAM (row hits, row conflicts, forced closes).
+type Fingerprint = [u64; 9];
+
+fn fingerprint(s: &SimStats) -> Fingerprint {
+    [
+        s.cycles,
+        s.ops,
+        s.mem.l1.hits,
+        s.mem.l1.misses,
+        s.mem.l2.hits,
+        s.mem.l2.misses,
+        s.mem.dram.row_hits,
+        s.mem.dram.row_conflicts,
+        s.mem.dram.forced_closes,
+    ]
+}
+
+fn kernel_runs() -> Vec<(String, Fingerprint)> {
+    let mut out = Vec::new();
+    for algorithm in Algorithm::PAPER {
+        for distribution in DISTRIBUTIONS {
+            for cardinality in CARDINALITIES {
+                // As in the benchmark grid: polytable's replicated tables
+                // at the top cardinality cost more host time than the
+                // rest of the grid together.
+                if algorithm == Algorithm::Polytable && cardinality == 39_062 {
+                    continue;
+                }
+                let ds = DatasetSpec::paper(distribution, cardinality)
+                    .with_rows(ROWS)
+                    .with_seed(SEED)
+                    .generate();
+                let mut m = Machine::paper();
+                let input = StagedInput::stage(&mut m, &ds);
+                algorithm.execute(&mut m, &input);
+                out.push((
+                    format!(
+                        "{}/{}/{}",
+                        algorithm.short_name(),
+                        distribution.name(),
+                        cardinality
+                    ),
+                    fingerprint(&m.stats()),
+                ));
+            }
+        }
+    }
+    out
+}
+
+fn sort_runs() -> Vec<(String, Fingerprint)> {
+    const MAX_KEY: u32 = 65_535;
+    let mut rng = Xoshiro256StarStar::seed_from_u64(SEED);
+    let keys: Vec<u32> = (0..SORT_ROWS)
+        .map(|_| rng.next_below(u64::from(MAX_KEY) + 1) as u32)
+        .collect();
+    let vals: Vec<u32> = (0..SORT_ROWS as u32).collect();
+    let sorts: [(&str, fn(&mut Machine, &SortArrays, u32) -> u32); 2] =
+        [("radix_sort", radix_sort), ("vsr_sort", vsr_sort)];
+    sorts
+        .into_iter()
+        .map(|(name, sort)| {
+            let mut m = Machine::paper();
+            let arrays = SortArrays::stage(&mut m, &keys, &vals);
+            sort(&mut m, &arrays, MAX_KEY);
+            (format!("{name}/{SORT_ROWS}"), fingerprint(&m.stats()))
+        })
+        .collect()
+}
+
+fn sql_runs() -> Vec<(String, Fingerprint)> {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(SEED + 1);
+    let mut col =
+        |bound: u64| -> Vec<u32> { (0..SQL_ROWS).map(|_| rng.next_below(bound) as u32).collect() };
+    let table = Table::new("t")
+        .with_column("g", col(1_220))
+        .with_column("v", col(1_000))
+        .with_column("w", col(100));
+    let mut db = Database::new();
+    db.register(table);
+    // One session machine runs both statements, so the second row also
+    // holds the state the first one left in the caches and DRAM banks.
+    [
+        ("full_scan", "SELECT g, COUNT(*), SUM(v) FROM t GROUP BY g"),
+        (
+            "filtered",
+            "SELECT g, COUNT(*), SUM(v), MAX(v) FROM t WHERE w > 49 GROUP BY g",
+        ),
+    ]
+    .into_iter()
+    .map(|(name, sql)| {
+        let before = db.session().machine().cycles();
+        let SqlOutcome::Rows(out) = db.run_sql(sql).expect("valid SQL") else {
+            panic!("a SELECT returns rows");
+        };
+        let stats = db.session().machine().stats();
+        assert_eq!(out.report.cycles, stats.cycles - before, "report = delta");
+        (format!("sql/{name}"), fingerprint(&stats))
+    })
+    .collect()
+}
+
+fn every_run() -> Vec<(String, Fingerprint)> {
+    let mut runs = kernel_runs();
+    runs.extend(sort_runs());
+    runs.extend(sql_runs());
+    runs
+}
+
+#[test]
+fn simulated_counters_match_the_golden_table() {
+    let runs = every_run();
+    assert_eq!(runs.len(), GOLDEN.len(), "run list and table differ");
+    let mut drifted = Vec::new();
+    for ((name, got), (golden_name, golden)) in runs.iter().zip(GOLDEN) {
+        assert_eq!(name, golden_name, "run order and table order differ");
+        if got != golden {
+            drifted.push(format!("{name}: {got:?}, golden {golden:?}"));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "simulated counters moved (cycles, ops, l1 hit/miss, l2 hit/miss, \
+         dram row-hit/conflict/forced-close):\n{}",
+        drifted.join("\n")
+    );
+}
+
+#[test]
+#[ignore = "regenerates the table after a deliberate model change"]
+fn print_golden() {
+    for (name, f) in every_run() {
+        println!("    ({name:?}, {f:?}),");
+    }
+}
+
+#[rustfmt::skip]
+const GOLDEN: &[(&str, Fingerprint)] = &[
+    ("scalar/uniform/76", [21358, 31860, 14587, 281, 0, 281, 244, 0, 34]),
+    ("scalar/uniform/1220", [38128, 47451, 21382, 599, 0, 599, 522, 0, 73]),
+    ("scalar/uniform/39062", [336901, 357147, 126368, 13124, 14458, 7581, 9239, 108, 1292]),
+    ("scalar/zipf/76", [21358, 31860, 14587, 281, 0, 281, 244, 0, 34]),
+    ("scalar/zipf/1220", [32956, 44145, 19586, 509, 0, 509, 444, 0, 61]),
+    ("scalar/zipf/39062", [302219, 350243, 125189, 10416, 10364, 6965, 8383, 51, 1175]),
+    ("scalar/sorted/76", [25923, 25717, 12540, 281, 0, 281, 244, 0, 34]),
+    ("scalar/sorted/1220", [42752, 41315, 19339, 599, 0, 599, 522, 0, 73]),
+    ("scalar/sorted/39062", [353077, 350964, 125290, 12140, 12103, 8039, 10118, 110, 1418]),
+    ("ssr/uniform/76", [55227, 21950, 9709, 400, 17869, 840, 734, 0, 101]),
+    ("ssr/uniform/1220", [185407, 82521, 36970, 1424, 32790, 1790, 1565, 0, 217]),
+    ("ssr/uniform/39062", [280698, 133705, 60073, 2265, 40683, 2036, 1780, 0, 248]),
+    ("ssr/zipf/76", [54906, 21952, 9733, 376, 16089, 840, 734, 0, 101]),
+    ("ssr/zipf/1220", [175130, 76410, 34781, 1263, 30875, 1669, 1459, 0, 203]),
+    ("ssr/zipf/39062", [259209, 121430, 55616, 2002, 36237, 1800, 1573, 0, 219]),
+    ("ssr/sorted/76", [10343, 1374, 285, 96, 461, 280, 244, 0, 33]),
+    ("ssr/sorted/1220", [32617, 13360, 4611, 380, 1371, 510, 444, 0, 62]),
+    ("ssr/sorted/39062", [54970, 26347, 9357, 629, 2375, 756, 660, 0, 92]),
+    ("poly/uniform/76", [15082, 1577, 142, 10, 8224, 889, 776, 0, 108]),
+    ("poly/uniform/1220", [364085, 16760, 2284, 154, 6943, 21821, 29101, 884, 3964]),
+    ("poly/zipf/76", [15082, 1577, 142, 10, 6500, 889, 776, 0, 108]),
+    ("poly/zipf/1220", [363609, 16734, 2280, 154, 6702, 20835, 27498, 650, 3752]),
+    ("poly/sorted/76", [13922, 1478, 142, 11, 1433, 889, 776, 0, 108]),
+    ("poly/sorted/1220", [353921, 16661, 2284, 155, 3441, 21297, 28147, 558, 3880]),
+    ("asr/uniform/76", [13936, 2745, 432, 101, 4263, 541, 472, 0, 66]),
+    ("asr/uniform/1220", [41471, 16425, 5111, 397, 7973, 783, 684, 0, 95]),
+    ("asr/uniform/39062", [63874, 30022, 10149, 655, 12831, 1038, 907, 0, 126]),
+    ("asr/zipf/76", [13704, 2747, 456, 77, 3224, 541, 472, 0, 66]),
+    ("asr/zipf/1220", [32815, 10314, 2922, 236, 6481, 662, 578, 0, 81]),
+    ("asr/zipf/39062", [43729, 17747, 5692, 392, 9372, 802, 700, 0, 98]),
+    ("asr/sorted/76", [10343, 1374, 285, 96, 461, 280, 244, 0, 33]),
+    ("asr/sorted/1220", [32617, 13360, 4611, 380, 1371, 510, 444, 0, 62]),
+    ("asr/sorted/39062", [54970, 26347, 9357, 629, 2375, 756, 660, 0, 92]),
+    ("mono/uniform/76", [5478, 629, 0, 0, 778, 281, 244, 0, 34]),
+    ("mono/uniform/1220", [8749, 1025, 0, 0, 5967, 599, 522, 0, 73]),
+    ("mono/uniform/39062", [206570, 13859, 0, 0, 17584, 9407, 12004, 125, 1680]),
+    ("mono/zipf/76", [5582, 629, 0, 0, 778, 281, 244, 0, 34]),
+    ("mono/zipf/1220", [8233, 1025, 0, 0, 3817, 518, 451, 0, 63]),
+    ("mono/zipf/39062", [180137, 11893, 0, 0, 13255, 8418, 10660, 62, 1499]),
+    ("mono/sorted/76", [8159, 530, 0, 1, 155, 281, 244, 0, 34]),
+    ("mono/sorted/1220", [8405, 926, 0, 1, 673, 599, 522, 0, 73]),
+    ("mono/sorted/39062", [216025, 13628, 0, 1, 14213, 9984, 13111, 129, 1836]),
+    ("psm/uniform/76", [5478, 629, 0, 0, 778, 281, 244, 0, 34]),
+    ("psm/uniform/1220", [8749, 1025, 0, 0, 5967, 599, 522, 0, 73]),
+    ("psm/uniform/39062", [228950, 15440, 296, 10, 18974, 10563, 13874, 132, 1946]),
+    ("psm/zipf/76", [5582, 629, 0, 0, 778, 281, 244, 0, 34]),
+    ("psm/zipf/1220", [8233, 1025, 0, 0, 3817, 518, 451, 0, 63]),
+    ("psm/zipf/39062", [193447, 13474, 296, 10, 14082, 8941, 11483, 64, 1618]),
+    ("psm/sorted/76", [8159, 530, 0, 1, 155, 281, 244, 0, 34]),
+    ("psm/sorted/1220", [8405, 926, 0, 1, 673, 599, 522, 0, 73]),
+    ("psm/sorted/39062", [216025, 13628, 0, 1, 14213, 9984, 13111, 129, 1836]),
+    ("radix_sort/4096", [306000, 135560, 63488, 2048, 75013, 2048, 1791, 0, 248]),
+    ("vsr_sort/4096", [28387, 5908, 992, 32, 22998, 1056, 923, 0, 128]),
+    ("sql/full_scan", [23450, 3141, 0, 0, 23668, 1409, 1231, 0, 171]),
+    ("sql/filtered", [61227, 10104, 2208, 154, 49413, 2709, 2367, 0, 329]),
+];
