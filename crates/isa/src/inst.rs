@@ -326,15 +326,57 @@ impl MemPattern {
     /// one cycle per distinct cache line; indexed patterns charge
     /// `ceil(VL / lanes)` cycles.
     pub fn agen_cycles(&self, vl: usize, lanes: usize, line: u64) -> u64 {
+        let lines = match self {
+            MemPattern::Indexed { .. } => 0, // charged by VL, not by lines
+            _ => self.lines_touched(vl, line).len(),
+        };
+        self.agen_cycles_for_lines(vl, lanes, lines)
+    }
+
+    /// [`MemPattern::agen_cycles`] for a caller that already holds the
+    /// pattern's line list: `lines` is `lines_touched(vl, line).len()`.
+    pub fn agen_cycles_for_lines(&self, vl: usize, lanes: usize, lines: usize) -> u64 {
         match self {
             MemPattern::Indexed { .. } => (vl.div_ceil(lanes) as u64).max(1),
-            _ => self.lines_touched(vl, line).len().max(1) as u64,
+            _ => lines.max(1) as u64,
         }
     }
 
     /// The distinct cache lines touched by the first `vl` elements, in first
     /// touch order.
     pub fn lines_touched(&self, vl: usize, line: u64) -> Vec<u64> {
+        if vl == 0 {
+            return Vec::new();
+        }
+        let eb = self.elem_bytes().max(1);
+        if let MemPattern::UnitStride { .. } = self {
+            // Consecutive elements abut or overlap, so together they
+            // cover one contiguous run of lines.
+            let last_byte = self.address(vl - 1) + eb - 1;
+            return (self.address(0) / line..=last_byte / line).collect();
+        }
+        // First-touch order decides the order the memory hierarchy sees
+        // the lines in (LRU and DRAM bank state follow from it), so the
+        // list is built by appending; neighbouring elements mostly share
+        // a line, which the check against the last one catches before
+        // the search.
+        let mut lines = Vec::new();
+        for i in 0..vl {
+            let a = self.address(i);
+            // An element may straddle a line boundary.
+            for l in a / line..=(a + eb - 1) / line {
+                if lines.last() != Some(&l) && !lines.contains(&l) {
+                    lines.push(l);
+                }
+            }
+        }
+        lines
+    }
+
+    /// [`MemPattern::lines_touched`] as it was before the closed-range
+    /// and last-line shortcuts: the differential tests' reference.
+    #[cfg(test)]
+    fn lines_touched_reference(&self, vl: usize, line: u64) -> Vec<u64> {
         let mut lines = Vec::new();
         for i in 0..vl {
             let a = self.address(i);
@@ -481,5 +523,76 @@ mod tests {
             elem_bytes: 4,
         };
         assert_eq!(p.lines_touched(1, 64), vec![0, 1]);
+    }
+}
+
+/// Old element-by-element dedupe ≡ new `lines_touched`.
+#[cfg(test)]
+mod differential_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn elem_bytes() -> impl Strategy<Value = u64> {
+        prop::sample::select(vec![1u64, 4, 8])
+    }
+
+    // Lines smaller than an element (every element straddles), the
+    // machine's 64 bytes, and one that is not a power of two.
+    fn line_bytes() -> impl Strategy<Value = u64> {
+        prop::sample::select(vec![4u64, 64, 48])
+    }
+
+    fn patterns() -> impl Strategy<Value = MemPattern> {
+        // Bases leave room below for 64 elements of the most negative
+        // stride and sit at every offset within a line.
+        let base = 1u64 << 20..(1u64 << 20) + 4_096;
+        let stride = prop_oneof![Just(0i64), -300i64..300, -5_000i64..5_000];
+        prop_oneof![
+            (base.clone(), elem_bytes())
+                .prop_map(|(base, elem_bytes)| MemPattern::UnitStride { base, elem_bytes }),
+            (base.clone(), stride, elem_bytes()).prop_map(|(base, stride, elem_bytes)| {
+                MemPattern::Strided {
+                    base,
+                    stride,
+                    elem_bytes,
+                }
+            }),
+            // Offsets that revisit lines out of order.
+            (
+                base,
+                prop::collection::vec(prop_oneof![0u64..256, 0u64..100_000], 64..65),
+                elem_bytes()
+            )
+                .prop_map(|(base, offsets, elem_bytes)| MemPattern::Indexed {
+                    base,
+                    offsets,
+                    elem_bytes,
+                }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3_000))]
+
+        #[test]
+        fn same_lines_in_the_same_order(
+            pattern in patterns(),
+            vl in 0usize..65,
+            line in line_bytes(),
+            lanes in prop::sample::select(vec![1usize, 4, 8]),
+        ) {
+            let reference = pattern.lines_touched_reference(vl, line);
+            prop_assert_eq!(&pattern.lines_touched(vl, line), &reference);
+            // Address generation charged what the old line list charged.
+            let old_agen = match pattern {
+                MemPattern::Indexed { .. } => (vl.div_ceil(lanes) as u64).max(1),
+                _ => reference.len().max(1) as u64,
+            };
+            prop_assert_eq!(pattern.agen_cycles(vl, lanes, line), old_agen);
+            prop_assert_eq!(
+                pattern.agen_cycles_for_lines(vl, lanes, reference.len()),
+                old_agen
+            );
+        }
     }
 }

@@ -207,6 +207,13 @@ impl VectorFile {
     pub fn mask_mut(&mut self, m: Mreg) -> &mut MaskData {
         &mut self.masks[usize::from(m.0)]
     }
+
+    /// Both register banks at once, each indexed by register number, so
+    /// that an instruction can write one register while it reads others
+    /// and a mask in place.
+    pub fn banks_mut(&mut self) -> (&mut [VectorData], &mut [MaskData]) {
+        (&mut self.vregs, &mut self.masks)
+    }
 }
 
 #[cfg(test)]
@@ -241,6 +248,19 @@ mod tests {
         let mut f = VectorFile::new(8);
         f.vreg_mut(Vreg(0)).as_mut_slice()[0] = 7;
         assert_eq!(f.vreg(Vreg(1)).as_slice()[0], 0);
+    }
+
+    #[test]
+    fn banks_borrow_a_destination_beside_its_sources() {
+        let mut f = VectorFile::new(4);
+        f.vreg_mut(Vreg(2)).as_mut_slice()[1] = 9;
+        f.mask_mut(Mreg(1)).as_mut_slice()[1] = true;
+        let (vregs, masks) = f.banks_mut();
+        let (src, dst) = vregs.split_at_mut(3);
+        if masks[1].as_slice()[1] {
+            dst[0].as_mut_slice()[1] = src[2].as_slice()[1] + 1;
+        }
+        assert_eq!(f.vreg(Vreg(3)).as_slice(), &[0, 10, 0, 0]);
     }
 
     #[test]

@@ -108,15 +108,55 @@ pub struct DecodedAddr {
     pub column: u64,
 }
 
+#[cfg(test)]
+thread_local! {
+    static SCAN_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Test switch: when set on this thread, every bus reservation takes
+/// the full scan and never the fast path — the model exactly as it was
+/// before the fast path existed, which the differential tests run
+/// beside the real one.
+#[cfg(test)]
+fn scan_only() -> bool {
+    SCAN_ONLY.get()
+}
+
+#[cfg(not(test))]
+fn scan_only() -> bool {
+    false
+}
+
+/// Runs `f` with every bus reservation on this thread forced onto the
+/// full scan.
+#[cfg(test)]
+pub(crate) fn with_scan_only<T>(f: impl FnOnce() -> T) -> T {
+    struct Reset;
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            SCAN_ONLY.set(false);
+        }
+    }
+    let _reset = Reset;
+    SCAN_ONLY.set(true);
+    f()
+}
+
 /// Data-bus reservation schedule. The controller's 64-deep transaction
 /// queue (Table II) lets it reorder requests and backfill idle bus slots,
 /// so a late-arriving request must not starve earlier-timestamped traffic:
 /// reservations claim the earliest idle gap at or after their ready time.
 #[derive(Debug, Clone, Default)]
 struct BusSchedule {
-    /// Sorted, disjoint busy intervals `[start, end)`, pruned from the
-    /// front as they age out.
+    /// Busy intervals `[start, end)` sorted by start, the oldest start
+    /// dropped past 128 entries whether or not it has aged out. The cap
+    /// and the insertion order are observable in the cycle counts, so
+    /// the fast path in [`BusSchedule::reserve`] only skips a scan whose
+    /// outcome is known; nothing is merged or pruned.
     busy: std::collections::VecDeque<(u64, u64)>,
+    /// Largest interval end ever reserved, dropped entries included: a
+    /// request ready at or after it overlaps nothing in `busy`.
+    max_end: u64,
 }
 
 impl BusSchedule {
@@ -124,19 +164,29 @@ impl BusSchedule {
     /// returns the reserved start.
     fn reserve(&mut self, earliest: u64, width: u64) -> u64 {
         let mut start = earliest;
-        let mut insert_at = self.busy.len();
-        for (i, &(b, e)) in self.busy.iter().enumerate() {
-            if start + width <= b {
-                insert_at = i;
-                break;
+        // Past every reservation there is nothing to collide with and no
+        // gap to slot in before: the scan would end at the back. (It can
+        // stop earlier only for a zero-width transfer meeting zero-width
+        // entries at exactly `earliest`, and then what it inserts equals
+        // its neighbours.)
+        if earliest >= self.max_end && !scan_only() {
+            self.busy.push_back((start, start + width));
+        } else {
+            let mut insert_at = self.busy.len();
+            for (i, &(b, e)) in self.busy.iter().enumerate() {
+                if start + width <= b {
+                    insert_at = i;
+                    break;
+                }
+                if start < e {
+                    start = e;
+                }
             }
-            if start < e {
-                start = e;
-            }
+            self.busy.insert(insert_at, (start, start + width));
         }
-        self.busy.insert(insert_at, (start, start + width));
-        // Coalesce + prune to bound the schedule (the transaction queue
-        // depth bounds how far back the controller can reorder).
+        self.max_end = self.max_end.max(start + width);
+        // The transaction queue depth bounds how far back the controller
+        // can reorder: bound the schedule by dropping the oldest start.
         while self.busy.len() > 128 {
             self.busy.pop_front();
         }
@@ -172,6 +222,8 @@ pub struct DramStats {
 #[derive(Debug, Clone)]
 pub struct Dram {
     params: DramParams,
+    /// 64-byte bursts per row buffer (the column field's range).
+    bursts_per_row: u64,
     banks: Vec<BankState>, // ranks × banks
     /// Shared data bus reservations.
     bus: BusSchedule,
@@ -183,6 +235,7 @@ impl Dram {
     pub fn new(params: DramParams) -> Self {
         let nbanks = (params.ranks * params.banks) as usize;
         Self {
+            bursts_per_row: params.row_buffer_bytes() / params.burst_bytes,
             params,
             banks: vec![BankState::default(); nbanks],
             bus: BusSchedule::default(),
@@ -209,9 +262,8 @@ impl Dram {
     pub fn decode(&self, byte_addr: u64) -> DecodedAddr {
         let p = &self.params;
         let mut a = byte_addr / p.burst_bytes; // drop burst offset
-        let bursts_per_row = p.row_buffer_bytes() / p.burst_bytes;
-        let column = a % bursts_per_row;
-        a /= bursts_per_row;
+        let column = a % self.bursts_per_row;
+        a /= self.bursts_per_row;
         let bank = a % p.banks;
         a /= p.banks;
         let rank = a % p.ranks;
@@ -232,8 +284,8 @@ impl Dram {
     /// posted, but the bank is busy, which is what back-pressures the
     /// pipeline).
     pub fn access(&mut self, byte_addr: u64, cpu_now: u64) -> u64 {
-        let p = self.params.clone();
         let d = self.decode(byte_addr);
+        let p = &self.params;
         let mem_now = cpu_now.div_ceil(p.clock_ratio);
         let bank_idx = (d.rank * p.banks + d.bank) as usize;
 
@@ -455,5 +507,47 @@ mod tests {
         d.access(64, 0);
         // After quiesce the bank is precharged again → row miss, not hit.
         assert_eq!(d.stats().row_misses, 1);
+    }
+}
+
+/// Old scan ≡ new fast path for the data bus.
+#[cfg(test)]
+mod differential_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+        // A time domain that advances slower than the bus fills, with
+        // requests reaching far back: collisions, backfilled gaps, the
+        // 128-entry cap dropping live reservations and zero-width
+        // transfers all occur.
+        #[test]
+        fn the_bus_holds_the_same_reservations_either_way(
+            calls in prop::collection::vec((0u64..900, 0u64..7), 300..420)
+        ) {
+            let (mut fast, mut scanned) = (BusSchedule::default(), BusSchedule::default());
+            for (i, &(back, width)) in calls.iter().enumerate() {
+                let earliest = (3 * i as u64).saturating_sub(back);
+                let start = fast.reserve(earliest, width);
+                prop_assert_eq!(start, with_scan_only(|| scanned.reserve(earliest, width)));
+                prop_assert_eq!(&fast.busy, &scanned.busy, "after call {}", i);
+            }
+        }
+    }
+
+    #[test]
+    fn the_bus_cap_drops_a_live_reservation() {
+        // 129 transfers booked far ahead: the window drops the earliest
+        // although nothing has reached it, and its slot reads as free
+        // again. Cycle counts depend on this; see `BusSchedule::busy`.
+        let mut bus = BusSchedule::default();
+        for i in 0..129u64 {
+            assert_eq!(bus.reserve(1_000 + 4 * i, 4), 1_000 + 4 * i);
+        }
+        assert_eq!(bus.busy.len(), 128);
+        assert_eq!(bus.reserve(1_000, 4), 1_000, "dropped, so free again");
+        assert_eq!(bus.reserve(1_004, 4), 1_000 + 4 * 129, "the rest is booked");
     }
 }

@@ -65,7 +65,7 @@ impl HierarchyParams {
 }
 
 /// Combined counters for one simulation.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HierarchyStats {
     /// L1-d counters.
     pub l1: CacheStats,
@@ -335,5 +335,70 @@ mod tests {
         // Second round: L1 thrashes but L2 absorbs everything.
         assert!(s.l1.misses > 0);
         assert_eq!(s.dram.requests, 0, "L2-resident set went to DRAM");
+    }
+}
+
+/// Old scan ≡ new fast path, seen through the whole hierarchy.
+#[cfg(test)]
+mod differential_tests {
+    use super::*;
+    use crate::dram::with_scan_only;
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone, Copy)]
+    struct Access {
+        line: u64,
+        write: bool,
+        vector: bool,
+        /// Issue time relative to the previous completion: well before
+        /// it (overlapping requests, bus backfill), at it, or after it.
+        offset: i64,
+    }
+
+    // 16 Ki lines = 1 MiB, four times the L2: most accesses reach DRAM,
+    // and dirty victims post write-backs at earlier timestamps.
+    fn accesses() -> impl Strategy<Value = Vec<Access>> {
+        let offset = prop_oneof![-400i64..0, Just(0i64), 0i64..60];
+        prop::collection::vec(
+            (0u64..16_384, any::<bool>(), any::<bool>(), offset).prop_map(
+                |(line, write, vector, offset)| Access {
+                    line,
+                    write,
+                    vector,
+                    offset,
+                },
+            ),
+            300..500,
+        )
+    }
+
+    fn drive(stream: &[Access]) -> (Vec<u64>, HierarchyStats) {
+        let mut h = MemoryHierarchy::new(HierarchyParams::westmere());
+        let mut now = 0u64;
+        let done: Vec<u64> = stream
+            .iter()
+            .map(|a| {
+                now = now.saturating_add_signed(a.offset);
+                let done = if a.vector {
+                    h.vector_access(a.line * 64, a.write, now)
+                } else {
+                    h.scalar_access(a.line * 64, a.write, now)
+                };
+                now = done;
+                done
+            })
+            .collect();
+        (done, h.stats())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+        #[test]
+        fn every_access_completes_when_the_scan_says(stream in accesses()) {
+            let fast = drive(&stream);
+            let scanned = with_scan_only(|| drive(&stream));
+            prop_assert_eq!(fast, scanned);
+        }
     }
 }

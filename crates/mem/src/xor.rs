@@ -45,24 +45,59 @@ pub fn poly_mod_index(line_addr: u64, sets: u64) -> u64 {
     assert!(h <= 16, "no polynomial tabulated for degree {h}");
     let poly = POLYS[h as usize];
     let mut a = line_addr;
-    // Cancel bits from the top down to degree h.
-    let mut bit = 63;
-    while bit >= h {
-        if (a >> bit) & 1 == 1 {
-            a ^= poly << (bit - h);
-        }
-        if bit == 0 {
-            break;
-        }
-        bit -= 1;
+    // Cancel the set bits from the top down to degree h.
+    while a >> h != 0 {
+        let bit = 63 - a.leading_zeros() as u64;
+        a ^= poly << (bit - h);
     }
-    a & (sets - 1)
+    a
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    /// The reduction one bit position at a time, zero bits included, as
+    /// it was before `poly_mod_index` jumped from set bit to set bit.
+    fn poly_mod_index_bit_by_bit(line_addr: u64, sets: u64) -> u64 {
+        let h = sets.trailing_zeros() as u64;
+        if h == 0 {
+            return 0;
+        }
+        let poly = POLYS[h as usize];
+        let mut a = line_addr;
+        let mut bit = 63;
+        while bit >= h {
+            if (a >> bit) & 1 == 1 {
+                a ^= poly << (bit - h);
+            }
+            if bit == 0 {
+                break;
+            }
+            bit -= 1;
+        }
+        a & (sets - 1)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn jumping_between_set_bits_reduces_to_the_same_index(
+            addr in proptest::any::<u64>(),
+            shift in 0u32..64,
+            degree in 0u32..17,
+        ) {
+            // Shifted down so that short addresses, where the reduction
+            // stops early, are as common as full-width ones.
+            let (addr, sets) = (addr >> shift, 1u64 << degree);
+            proptest::prop_assert_eq!(
+                poly_mod_index(addr, sets),
+                poly_mod_index_bit_by_bit(addr, sets)
+            );
+        }
+    }
 
     #[test]
     fn index_is_in_range() {

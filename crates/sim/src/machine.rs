@@ -29,7 +29,7 @@ use vagg_isa::conflict::MaskLogic;
 use vagg_isa::exec::{self, BinOp, CmpOp, RedOp};
 use vagg_isa::inst::{MemPattern, VecOpTiming};
 use vagg_isa::irregular;
-use vagg_isa::reg::{Mreg, VectorFile, Vreg, NUM_MASKS, NUM_VREGS};
+use vagg_isa::reg::{MaskData, Mreg, VectorData, VectorFile, Vreg, NUM_MASKS, NUM_VREGS};
 use vagg_mem::{HierarchyStats, MemoryHierarchy};
 
 /// A readiness token: the simulated cycle at which a value is available.
@@ -37,7 +37,7 @@ use vagg_mem::{HierarchyStats, MemoryHierarchy};
 pub type Tok = u64;
 
 /// Aggregate statistics for one simulation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimStats {
     /// Total simulated cycles (last commit).
     pub cycles: u64,
@@ -143,6 +143,87 @@ pub struct Machine {
     last_store_agu: Tok,
     mix: OpMix,
     trace: Option<Trace>,
+    /// Stand-ins for a source register that is also the destination (see
+    /// [`dst_and_srcs`]); MVL elements each, reused by every instruction.
+    alias_v: Vec<u64>,
+    alias_m: Vec<bool>,
+}
+
+/// One register of either bank, as its elements.
+trait Reg {
+    type Elem: Copy;
+    fn elems(&self) -> &[Self::Elem];
+    fn elems_mut(&mut self) -> &mut [Self::Elem];
+}
+
+impl Reg for VectorData {
+    type Elem = u64;
+    fn elems(&self) -> &[u64] {
+        self.as_slice()
+    }
+    fn elems_mut(&mut self) -> &mut [u64] {
+        self.as_mut_slice()
+    }
+}
+
+impl Reg for MaskData {
+    type Elem = bool;
+    fn elems(&self) -> &[bool] {
+        self.as_slice()
+    }
+    fn elems_mut(&mut self) -> &mut [bool] {
+        self.as_mut_slice()
+    }
+}
+
+/// Borrows register `dst` of `bank` for writing and registers `srcs` for
+/// reading, in place. A source that *is* the destination reads `alias`
+/// instead, into which the destination's old contents are copied first —
+/// the one case that still costs a copy, and never an allocation.
+fn dst_and_srcs<'a, R: Reg, const N: usize>(
+    bank: &'a mut [R],
+    alias: &'a mut Vec<R::Elem>,
+    dst: u8,
+    srcs: [u8; N],
+) -> (&'a mut [R::Elem], [&'a [R::Elem]; N]) {
+    let dst = usize::from(dst);
+    if srcs.iter().any(|&s| usize::from(s) == dst) {
+        alias.clear();
+        alias.extend_from_slice(bank[dst].elems());
+    }
+    let (below, rest) = bank.split_at_mut(dst);
+    let (d, above) = rest.split_first_mut().expect("register number in range");
+    let (below, above, alias) = (&*below, &*above, alias.as_slice());
+    let srcs = srcs.map(|s| {
+        let s = usize::from(s);
+        match s.cmp(&dst) {
+            std::cmp::Ordering::Less => below[s].elems(),
+            std::cmp::Ordering::Equal => alias,
+            std::cmp::Ordering::Greater => above[s - dst - 1].elems(),
+        }
+    });
+    (d.elems_mut(), srcs)
+}
+
+/// [`dst_and_srcs`] over the mask bank for an instruction that writes
+/// mask `md` under an optional governing mask `m`.
+fn mask_dst_and_governor<'a>(
+    masks: &'a mut [MaskData],
+    alias: &'a mut Vec<bool>,
+    md: Mreg,
+    m: Option<Mreg>,
+) -> (&'a mut [bool], Option<&'a [bool]>) {
+    match m {
+        Some(m) => {
+            let (dst, [governor]) = dst_and_srcs(masks, alias, md.0, [m.0]);
+            (dst, Some(governor))
+        }
+        None => (masks[usize::from(md.0)].as_mut_slice(), None),
+    }
+}
+
+fn mask_of(masks: &[MaskData], m: Option<Mreg>) -> Option<&[bool]> {
+    m.map(|m| masks[usize::from(m.0)].as_slice())
 }
 
 impl Machine {
@@ -159,6 +240,8 @@ impl Machine {
             last_store_agu: 0,
             mix: OpMix::default(),
             trace: None,
+            alias_v: Vec::with_capacity(cfg.mvl),
+            alias_m: Vec::with_capacity(cfg.mvl),
             cfg,
         }
     }
@@ -266,10 +349,6 @@ impl Machine {
         self.hier.line_bytes()
     }
 
-    fn mask_slice(&self, m: Option<Mreg>) -> Option<Vec<bool>> {
-        m.map(|m| self.vf.mask(m).as_slice().to_vec())
-    }
-
     fn mask_dep(&self, m: Option<Mreg>) -> Tok {
         m.map_or(0, |m| self.mask_ready[m.0 as usize])
     }
@@ -321,20 +400,32 @@ impl Machine {
         a.max(b).max(c)
     }
 
-    // Issue the memory phase of a vector memory instruction: the distinct
-    // cache lines of `pattern` are requested one per cycle starting when
-    // the AGU produces them; returns the last completion.
-    fn vector_mem_phase(
-        &mut self,
-        pattern: &MemPattern,
-        vl: usize,
-        write: bool,
-        agu_done: Tok,
-        queue_free: Tok,
-    ) -> Tok {
+    // The distinct cache lines of a vector memory instruction, in first
+    // touch order, and its address-generation occupancy. Built once per
+    // instruction: the memory phase(s) and the trace event read the same
+    // list.
+    fn lines_and_agen(&self, pattern: &MemPattern, vl: usize) -> (Vec<u64>, u64) {
+        let lines = pattern.lines_touched(vl, self.line_bytes());
+        let occ = pattern.agen_cycles_for_lines(vl, self.cfg.lanes, lines.len());
+        (lines, occ)
+    }
+
+    // The pattern of an indexed instruction: element `i` at `base +
+    // vidx[i] * elem_bytes`.
+    fn indexed_pattern(&self, base: u64, vidx: Vreg, elem_bytes: u64) -> MemPattern {
+        let idx = &self.vf.vreg(vidx).as_slice()[..self.vf.vl()];
+        MemPattern::Indexed {
+            base,
+            offsets: idx.iter().map(|&x| x * elem_bytes).collect(),
+            elem_bytes,
+        }
+    }
+
+    // Issue the memory phase of a vector memory instruction: its distinct
+    // cache lines are requested one per cycle starting when the AGU
+    // produces them; returns the last completion.
+    fn vector_mem_phase(&mut self, lines: &[u64], write: bool, start: Tok) -> Tok {
         let line = self.line_bytes();
-        let lines = pattern.lines_touched(vl, line);
-        let start = agu_done.max(queue_free);
         // The interleaved L2 (XOR set placement across banks, §II-A) can
         // accept one line request per bank per cycle; the vector interface
         // issues up to `lanes` per cycle. Without the paper's L1 bypass the
@@ -452,17 +543,9 @@ impl Machine {
         );
         let (_, done) = self.vec_op(op.mnemonic(), VecOpTiming::Elementwise, 0, deps);
         let vl = self.vf.vl();
-        let mask = self.mask_slice(m);
-        let a = self.vf.vreg(va).as_slice().to_vec();
-        let b = self.vf.vreg(vb).as_slice().to_vec();
-        exec::binop_vv(
-            op,
-            self.vf.vreg_mut(vd).as_mut_slice(),
-            &a,
-            &b,
-            vl,
-            mask.as_deref(),
-        );
+        let (vregs, masks) = self.vf.banks_mut();
+        let (dst, [a, b]) = dst_and_srcs(vregs, &mut self.alias_v, vd.0, [va.0, vb.0]);
+        exec::binop_vv(op, dst, a, b, vl, mask_of(masks, m));
         self.vreg_ready[vd.0 as usize] = done;
     }
 
@@ -476,16 +559,9 @@ impl Machine {
         let deps = Self::deps3(self.vreg_ready[va.0 as usize], self.mask_dep(m), dst_dep);
         let (_, done) = self.vec_op(op.mnemonic(), VecOpTiming::Elementwise, 0, deps);
         let vl = self.vf.vl();
-        let mask = self.mask_slice(m);
-        let a = self.vf.vreg(va).as_slice().to_vec();
-        exec::binop_vs(
-            op,
-            self.vf.vreg_mut(vd).as_mut_slice(),
-            &a,
-            s,
-            vl,
-            mask.as_deref(),
-        );
+        let (vregs, masks) = self.vf.banks_mut();
+        let (dst, [a]) = dst_and_srcs(vregs, &mut self.alias_v, vd.0, [va.0]);
+        exec::binop_vs(op, dst, a, s, vl, mask_of(masks, m));
         self.vreg_ready[vd.0 as usize] = done;
     }
 
@@ -499,13 +575,9 @@ impl Machine {
         let deps = self.mask_dep(m).max(dst_dep);
         let (_, done) = self.vec_op("vset", VecOpTiming::Elementwise, 0, deps);
         let vl = self.vf.vl();
-        let mask = self.mask_slice(m);
-        exec::set_all(
-            self.vf.vreg_mut(vd).as_mut_slice(),
-            value,
-            vl,
-            mask.as_deref(),
-        );
+        let (vregs, masks) = self.vf.banks_mut();
+        let dst = vregs[usize::from(vd.0)].as_mut_slice();
+        exec::set_all(dst, value, vl, mask_of(masks, m));
         self.vreg_ready[vd.0 as usize] = done;
     }
 
@@ -524,8 +596,9 @@ impl Machine {
         let deps = self.mask_dep(m).max(dst_dep);
         let (_, done) = self.vec_op("viota", VecOpTiming::Elementwise, 0, deps);
         let vl = self.vf.vl();
-        let mask = self.mask_slice(m);
-        exec::iota(self.vf.vreg_mut(vd).as_mut_slice(), vl, mask.as_deref());
+        let (vregs, masks) = self.vf.banks_mut();
+        let dst = vregs[usize::from(vd.0)].as_mut_slice();
+        exec::iota(dst, vl, mask_of(masks, m));
         self.vreg_ready[vd.0 as usize] = done;
     }
 
@@ -538,17 +611,13 @@ impl Machine {
         );
         let (_, done) = self.vec_op(op.mnemonic(), VecOpTiming::Elementwise, 0, deps);
         let vl = self.vf.vl();
-        let mask = self.mask_slice(m);
-        let a = self.vf.vreg(va).as_slice().to_vec();
-        let b = self.vf.vreg(vb).as_slice().to_vec();
-        exec::compare_vv(
-            op,
-            self.vf.mask_mut(md).as_mut_slice(),
-            &a,
-            &b,
-            vl,
-            mask.as_deref(),
+        let (vregs, masks) = self.vf.banks_mut();
+        let (a, b) = (
+            vregs[usize::from(va.0)].as_slice(),
+            vregs[usize::from(vb.0)].as_slice(),
         );
+        let (dst, governor) = mask_dst_and_governor(masks, &mut self.alias_m, md, m);
+        exec::compare_vv(op, dst, a, b, vl, governor);
         self.mask_ready[md.0 as usize] = done;
     }
 
@@ -557,16 +626,10 @@ impl Machine {
         let deps = Self::deps2(self.vreg_ready[va.0 as usize], self.mask_dep(m));
         let (_, done) = self.vec_op(op.mnemonic(), VecOpTiming::Elementwise, 0, deps);
         let vl = self.vf.vl();
-        let mask = self.mask_slice(m);
-        let a = self.vf.vreg(va).as_slice().to_vec();
-        exec::compare_vs(
-            op,
-            self.vf.mask_mut(md).as_mut_slice(),
-            &a,
-            s,
-            vl,
-            mask.as_deref(),
-        );
+        let (vregs, masks) = self.vf.banks_mut();
+        let a = vregs[usize::from(va.0)].as_slice();
+        let (dst, governor) = mask_dst_and_governor(masks, &mut self.alias_m, md, m);
+        exec::compare_vs(op, dst, a, s, vl, governor);
         self.mask_ready[md.0 as usize] = done;
     }
 
@@ -575,8 +638,8 @@ impl Machine {
         let deps = Self::deps2(self.vreg_ready[va.0 as usize], self.mask_dep(m));
         let (_, done) = self.vec_op(op.mnemonic(), VecOpTiming::Reduction, 0, deps);
         let vl = self.vf.vl();
-        let mask = self.mask_slice(m);
-        let v = exec::reduce(op, self.vf.vreg(va).as_slice(), vl, mask.as_deref());
+        let mask = m.map(|m| self.vf.mask(m).as_slice());
+        let v = exec::reduce(op, self.vf.vreg(va).as_slice(), vl, mask);
         (v, done)
     }
 
@@ -598,9 +661,9 @@ impl Machine {
         );
         let (_, done) = self.vec_op("vcompress", VecOpTiming::Elementwise, 0, deps);
         let vl = self.vf.vl();
-        let mask = self.vf.mask(m).as_slice().to_vec();
-        let a = self.vf.vreg(va).as_slice().to_vec();
-        let k = exec::compress(self.vf.vreg_mut(vd).as_mut_slice(), &a, &mask, vl);
+        let (vregs, masks) = self.vf.banks_mut();
+        let (dst, [a]) = dst_and_srcs(vregs, &mut self.alias_v, vd.0, [va.0]);
+        let k = exec::compress(dst, a, masks[usize::from(m.0)].as_slice(), vl);
         self.vreg_ready[vd.0 as usize] = done;
         (k, done)
     }
@@ -614,9 +677,9 @@ impl Machine {
         );
         let (_, done) = self.vec_op("vexpand", VecOpTiming::Elementwise, 0, deps);
         let vl = self.vf.vl();
-        let mask = self.vf.mask(m).as_slice().to_vec();
-        let a = self.vf.vreg(va).as_slice().to_vec();
-        exec::expand(self.vf.vreg_mut(vd).as_mut_slice(), &a, &mask, vl);
+        let (vregs, masks) = self.vf.banks_mut();
+        let (dst, [a]) = dst_and_srcs(vregs, &mut self.alias_v, vd.0, [va.0]);
+        exec::expand(dst, a, masks[usize::from(m.0)].as_slice(), vl);
         self.vreg_ready[vd.0 as usize] = done;
         done
     }
@@ -641,8 +704,8 @@ impl Machine {
     pub fn mmove(&mut self, md: Mreg, ma: Mreg) {
         let deps = self.mask_ready[ma.0 as usize];
         let (_, done) = self.vec_op("mmove", VecOpTiming::MaskOp, 0, deps);
-        let src = self.vf.mask(ma).as_slice().to_vec();
-        self.vf.mask_mut(md).as_mut_slice().copy_from_slice(&src);
+        let (dst, [src]) = dst_and_srcs(self.vf.banks_mut().1, &mut self.alias_m, md.0, [ma.0]);
+        dst.copy_from_slice(src);
         self.mask_ready[md.0 as usize] = done;
     }
 
@@ -665,8 +728,7 @@ impl Machine {
     /// `vpi` — Vector Prior Instances.
     pub fn vpi(&mut self, vd: Vreg, va: Vreg) {
         let vl = self.vf.vl();
-        let keys = self.vf.vreg(va).as_slice().to_vec();
-        let r = irregular::vpi(&keys, vl, self.cfg.cam_ports);
+        let r = irregular::vpi(self.vf.vreg(va).as_slice(), vl, self.cfg.cam_ports);
         let deps = self.vreg_ready[va.0 as usize];
         let (_, done) = self.vec_op("vpi", VecOpTiming::Cam, r.cycles, deps);
         self.vf.vreg_mut(vd).as_mut_slice()[..r.value.len()].copy_from_slice(&r.value);
@@ -676,8 +738,7 @@ impl Machine {
     /// `vlu` — Vector Last Unique.
     pub fn vlu(&mut self, md: Mreg, va: Vreg) {
         let vl = self.vf.vl();
-        let keys = self.vf.vreg(va).as_slice().to_vec();
-        let r = irregular::vlu(&keys, vl, self.cfg.cam_ports);
+        let r = irregular::vlu(self.vf.vreg(va).as_slice(), vl, self.cfg.cam_ports);
         let deps = self.vreg_ready[va.0 as usize];
         let (_, done) = self.vec_op("vlu", VecOpTiming::Cam, r.cycles, deps);
         self.vf
@@ -690,9 +751,9 @@ impl Machine {
     /// `vgasum`/`vgamin`/`vgamax` — Vector Group Aggregate.
     pub fn vga(&mut self, op: RedOp, vd: Vreg, vkeys: Vreg, vvals: Vreg) {
         let vl = self.vf.vl();
-        let keys = self.vf.vreg(vkeys).as_slice().to_vec();
-        let vals = self.vf.vreg(vvals).as_slice().to_vec();
-        let r = irregular::vga(op, &keys, &vals, vl, self.cfg.cam_ports);
+        let keys = self.vf.vreg(vkeys).as_slice();
+        let vals = self.vf.vreg(vvals).as_slice();
+        let r = irregular::vga(op, keys, vals, vl, self.cfg.cam_ports);
         let deps = Self::deps2(
             self.vreg_ready[vkeys.0 as usize],
             self.vreg_ready[vvals.0 as usize],
@@ -717,8 +778,7 @@ impl Machine {
     /// Panics if the current VL exceeds 64 (the bitmask width limit).
     pub fn vconflict(&mut self, vd: Vreg, va: Vreg) {
         let vl = self.vf.vl();
-        let keys = self.vf.vreg(va).as_slice().to_vec();
-        let out = vagg_isa::conflict::vconflict(&keys, vl);
+        let out = vagg_isa::conflict::vconflict(self.vf.vreg(va).as_slice(), vl);
         let deps = self.vreg_ready[va.0 as usize];
         let (_, done) = self.vec_op("vconflict", VecOpTiming::Elementwise, 0, deps);
         self.vf.vreg_mut(vd).as_mut_slice()[..out.len()].copy_from_slice(&out);
@@ -730,8 +790,7 @@ impl Machine {
     /// from a [`Machine::kmov`]).
     pub fn vtestnm_vs(&mut self, md: Mreg, va: Vreg, s: u64, dep: Tok) {
         let vl = self.vf.vl();
-        let a = self.vf.vreg(va).as_slice().to_vec();
-        let out = vagg_isa::conflict::vtestnm_vs(&a, s, vl);
+        let out = vagg_isa::conflict::vtestnm_vs(self.vf.vreg(va).as_slice(), s, vl);
         let deps = Self::deps2(self.vreg_ready[va.0 as usize], dep);
         let (_, done) = self.vec_op("vtestnm", VecOpTiming::Elementwise, 0, deps);
         self.vf.mask_mut(md).as_mut_slice()[..out.len()].copy_from_slice(&out);
@@ -746,9 +805,8 @@ impl Machine {
         );
         let (_, done) = self.vec_op(op.mnemonic(), VecOpTiming::MaskOp, 0, deps);
         let vl = self.vf.vl();
-        let a = self.vf.mask(ma).as_slice().to_vec();
-        let b = self.vf.mask(mb).as_slice().to_vec();
-        let out = vagg_isa::conflict::mask_logic(op, &a, &b, vl);
+        let (a, b) = (self.vf.mask(ma).as_slice(), self.vf.mask(mb).as_slice());
+        let out = vagg_isa::conflict::mask_logic(op, a, b, vl);
         self.vf.mask_mut(md).as_mut_slice()[..out.len()].copy_from_slice(&out);
         self.mask_ready[md.0 as usize] = done;
     }
@@ -791,51 +849,40 @@ impl Machine {
         let vl = self.vf.vl();
         self.mix.v_scatter_adds += 1;
         self.mix.v_elements += vl as u64;
-        let lanes = self.cfg.lanes;
-        let line = self.line_bytes();
-        let mask = self.mask_slice(m);
-        let offsets: Vec<u64> = self.vf.vreg(vidx).as_slice()[..vl]
-            .iter()
-            .map(|&x| x * elem_bytes)
-            .collect();
-        let pattern = MemPattern::Indexed {
-            base,
-            offsets,
-            elem_bytes,
-        };
+        let pattern = self.indexed_pattern(base, vidx, elem_bytes);
         let deps = Self::deps3(
             dep.max(self.vreg_ready[vidx.0 as usize]),
             self.mask_dep(m),
             self.vreg_ready[vs.0 as usize],
         );
 
-        let occ = pattern.agen_cycles(vl, lanes, line);
+        let (lines, occ) = self.lines_and_agen(&pattern, vl);
         let slot = self.pipe.reserve_store_slot();
         let start = self.pipe.dispatch(FuKind::StoreAgu, occ, deps.max(slot));
         let _data = self.pipe.dispatch(FuKind::StoreData, occ, deps);
         let agu_done = start + occ;
         // Read-modify-write: fetch each distinct line, then write it back.
-        let read_done = self.vector_mem_phase(&pattern, vl, false, agu_done, 0);
-        let done = self.vector_mem_phase(&pattern, vl, true, read_done, 0);
+        let read_done = self.vector_mem_phase(&lines, false, agu_done);
+        let done = self.vector_mem_phase(&lines, true, read_done);
         self.pipe.complete_store(done);
         self.pipe.retire(agu_done);
         if self.trace.is_some() {
-            let lines = pattern.lines_touched(vl, line).len();
             self.emit(
                 "vscatadd",
                 TraceClass::ScatterAdd,
                 vl,
                 done,
                 Some(pattern.address(0)),
-                Some(lines),
+                Some(lines.len()),
             );
         }
 
-        for i in 0..vl {
-            if mask.as_ref().is_none_or(|mk| mk[i]) {
+        let mask = m.map(|m| self.vf.mask(m).as_slice());
+        let src = self.vf.vreg(vs).as_slice();
+        for (i, &add) in src[..vl].iter().enumerate() {
+            if mask.is_none_or(|mk| mk[i]) {
                 let addr = pattern.address(i);
                 let old = self.space.read_elem(addr, elem_bytes);
-                let add = self.vf.vreg(vs).as_slice()[i];
                 self.space
                     .write_elem(addr, elem_bytes, old.wrapping_add(add));
             }
@@ -881,16 +928,7 @@ impl Machine {
         m: Option<Mreg>,
         dep: Tok,
     ) -> Tok {
-        let vl = self.vf.vl();
-        let offsets: Vec<u64> = self.vf.vreg(vidx).as_slice()[..vl]
-            .iter()
-            .map(|&x| x * elem_bytes)
-            .collect();
-        let pattern = MemPattern::Indexed {
-            base,
-            offsets,
-            elem_bytes,
-        };
+        let pattern = self.indexed_pattern(base, vidx, elem_bytes);
         let dep = dep.max(self.vreg_ready[vidx.0 as usize]);
         self.vload_pattern(vd, pattern, m, dep)
     }
@@ -903,9 +941,6 @@ impl Machine {
             MemPattern::Indexed { .. } => self.mix.v_gathers += 1,
         }
         self.mix.v_elements += vl as u64;
-        let lanes = self.cfg.lanes;
-        let line = self.line_bytes();
-        let mask = self.mask_slice(m);
         let dst_dep = if m.is_some() {
             self.vreg_ready[vd.0 as usize]
         } else {
@@ -913,39 +948,37 @@ impl Machine {
         };
         let deps = Self::deps3(dep, self.mask_dep(m), dst_dep);
 
-        let occ = pattern.agen_cycles(vl, lanes, line);
+        let (lines, occ) = self.lines_and_agen(&pattern, vl);
         let slot = self.pipe.reserve_load_slot();
         let start = self.pipe.dispatch(FuKind::VecMemAgu, occ, deps.max(slot));
         let agu_done = start + occ;
-        let done = self.vector_mem_phase(&pattern, vl, false, agu_done, 0);
+        let done = self.vector_mem_phase(&lines, false, agu_done);
         self.pipe.complete_load(done);
         self.pipe.retire(done);
         if self.trace.is_some() {
-            let (name, lines) = (
-                match pattern {
-                    MemPattern::UnitStride { .. } => "vld.u",
-                    MemPattern::Strided { .. } => "vld.s",
-                    MemPattern::Indexed { .. } => "vgather",
-                },
-                pattern.lines_touched(vl, line).len(),
-            );
+            let name = match pattern {
+                MemPattern::UnitStride { .. } => "vld.u",
+                MemPattern::Strided { .. } => "vld.s",
+                MemPattern::Indexed { .. } => "vgather",
+            };
             self.emit(
                 name,
                 TraceClass::VecLoad,
                 vl,
                 done,
                 Some(pattern.address(0)),
-                Some(lines),
+                Some(lines.len()),
             );
         }
 
         // Functional transfer (merge masking).
-        for i in 0..vl {
-            if mask.as_ref().is_none_or(|mk| mk[i]) {
-                let v = self
-                    .space
-                    .read_elem(pattern.address(i), pattern.elem_bytes());
-                self.vf.vreg_mut(vd).as_mut_slice()[i] = v;
+        let (vregs, masks) = self.vf.banks_mut();
+        let mask = mask_of(masks, m);
+        let dst = vregs[usize::from(vd.0)].as_mut_slice();
+        let mut memory = self.space.page_reader();
+        for (i, d) in dst[..vl].iter_mut().enumerate() {
+            if mask.is_none_or(|mk| mk[i]) {
+                *d = memory.read_elem(pattern.address(i), pattern.elem_bytes());
             }
         }
         self.vreg_ready[vd.0 as usize] = done;
@@ -978,16 +1011,7 @@ impl Machine {
     /// Indexed vector prefetch (gather-shaped; see
     /// [`Machine::vprefetch_unit`]).
     pub fn vprefetch_indexed(&mut self, base: u64, vidx: Vreg, elem_bytes: u64, dep: Tok) {
-        let vl = self.vf.vl();
-        let offsets: Vec<u64> = self.vf.vreg(vidx).as_slice()[..vl]
-            .iter()
-            .map(|&x| x * elem_bytes)
-            .collect();
-        let pattern = MemPattern::Indexed {
-            base,
-            offsets,
-            elem_bytes,
-        };
+        let pattern = self.indexed_pattern(base, vidx, elem_bytes);
         let dep = dep.max(self.vreg_ready[vidx.0 as usize]);
         self.vprefetch_pattern(pattern, dep);
     }
@@ -996,33 +1020,28 @@ impl Machine {
         let vl = self.vf.vl();
         self.mix.v_prefetches += 1;
         self.mix.v_elements += vl as u64;
-        let lanes = self.cfg.lanes;
-        let line = self.line_bytes();
-        let occ = pattern.agen_cycles(vl, lanes, line);
+        let (lines, occ) = self.lines_and_agen(&pattern, vl);
         let slot = self.pipe.reserve_load_slot();
         let start = self.pipe.dispatch(FuKind::VecMemAgu, occ, dep.max(slot));
         let agu_done = start + occ;
-        let done = self.vector_mem_phase(&pattern, vl, false, agu_done, 0);
+        let done = self.vector_mem_phase(&lines, false, agu_done);
         self.pipe.complete_load(done);
         // A prefetch retires as soon as its AGU work is done — it has no
         // architectural result for anything to wait on.
         self.pipe.retire(agu_done);
         if self.trace.is_some() {
-            let (name, lines) = (
-                match pattern {
-                    MemPattern::UnitStride { .. } => "vpf.u",
-                    MemPattern::Strided { .. } => "vpf.s",
-                    MemPattern::Indexed { .. } => "vpf.x",
-                },
-                pattern.lines_touched(vl, line).len(),
-            );
+            let name = match pattern {
+                MemPattern::UnitStride { .. } => "vpf.u",
+                MemPattern::Strided { .. } => "vpf.s",
+                MemPattern::Indexed { .. } => "vpf.x",
+            };
             self.emit(
                 name,
                 TraceClass::Prefetch,
                 vl,
                 done,
                 Some(pattern.address(0)),
-                Some(lines),
+                Some(lines.len()),
             );
         }
     }
@@ -1066,18 +1085,14 @@ impl Machine {
         m: Option<Mreg>,
         dep: Tok,
     ) -> Tok {
-        let vl = self.vf.vl();
-        let mask = self.mask_slice(m);
-        let offsets: Vec<u64> = self.vf.vreg(vidx).as_slice()[..vl]
-            .iter()
-            .map(|&x| x * elem_bytes)
-            .collect();
+        let pattern = self.indexed_pattern(base, vidx, elem_bytes);
         #[cfg(debug_assertions)]
-        {
+        if let MemPattern::Indexed { offsets, .. } = &pattern {
+            let mask = m.map(|m| self.vf.mask(m).as_slice());
             let mut active: Vec<u64> = offsets
                 .iter()
                 .enumerate()
-                .filter(|(i, _)| mask.as_ref().is_none_or(|mk| mk[*i]))
+                .filter(|(i, _)| mask.is_none_or(|mk| mk[*i]))
                 .map(|(_, &o)| o)
                 .collect();
             active.sort_unstable();
@@ -1089,28 +1104,11 @@ impl Machine {
                 "GMS conflict: duplicate scatter indices"
             );
         }
-        let pattern = MemPattern::Indexed {
-            base,
-            offsets,
-            elem_bytes,
-        };
         let dep = dep.max(self.vreg_ready[vidx.0 as usize]);
-        self.vstore_pattern_masked(vs, pattern, mask, m, dep)
+        self.vstore_pattern(vs, pattern, m, dep)
     }
 
     fn vstore_pattern(&mut self, vs: Vreg, pattern: MemPattern, m: Option<Mreg>, dep: Tok) -> Tok {
-        let mask = self.mask_slice(m);
-        self.vstore_pattern_masked(vs, pattern, mask, m, dep)
-    }
-
-    fn vstore_pattern_masked(
-        &mut self,
-        vs: Vreg,
-        pattern: MemPattern,
-        mask: Option<Vec<bool>>,
-        m: Option<Mreg>,
-        dep: Tok,
-    ) -> Tok {
         let vl = self.vf.vl();
         match pattern {
             MemPattern::UnitStride { .. } => self.mix.v_unit_stores += 1,
@@ -1118,42 +1116,38 @@ impl Machine {
             MemPattern::Indexed { .. } => self.mix.v_scatters += 1,
         }
         self.mix.v_elements += vl as u64;
-        let lanes = self.cfg.lanes;
-        let line = self.line_bytes();
         let deps = Self::deps3(dep, self.mask_dep(m), self.vreg_ready[vs.0 as usize]);
 
-        let occ = pattern.agen_cycles(vl, lanes, line);
+        let (lines, occ) = self.lines_and_agen(&pattern, vl);
         let slot = self.pipe.reserve_store_slot();
         let start = self.pipe.dispatch(FuKind::StoreAgu, occ, deps.max(slot));
         let _data = self.pipe.dispatch(FuKind::StoreData, occ, deps);
         let agu_done = start + occ;
-        let done = self.vector_mem_phase(&pattern, vl, true, agu_done, 0);
+        let done = self.vector_mem_phase(&lines, true, agu_done);
         self.pipe.complete_store(done);
         self.pipe.retire(agu_done);
         if self.trace.is_some() {
-            let (name, lines) = (
-                match pattern {
-                    MemPattern::UnitStride { .. } => "vst.u",
-                    MemPattern::Strided { .. } => "vst.s",
-                    MemPattern::Indexed { .. } => "vscatter",
-                },
-                pattern.lines_touched(vl, line).len(),
-            );
+            let name = match pattern {
+                MemPattern::UnitStride { .. } => "vst.u",
+                MemPattern::Strided { .. } => "vst.s",
+                MemPattern::Indexed { .. } => "vscatter",
+            };
             self.emit(
                 name,
                 TraceClass::VecStore,
                 vl,
                 done,
                 Some(pattern.address(0)),
-                Some(lines),
+                Some(lines.len()),
             );
         }
 
-        for i in 0..vl {
-            if mask.as_ref().is_none_or(|mk| mk[i]) {
-                let v = self.vf.vreg(vs).as_slice()[i];
-                self.space
-                    .write_elem(pattern.address(i), pattern.elem_bytes(), v);
+        let mask = m.map(|m| self.vf.mask(m).as_slice());
+        let src = self.vf.vreg(vs).as_slice();
+        let mut memory = self.space.page_writer();
+        for (i, &v) in src[..vl].iter().enumerate() {
+            if mask.is_none_or(|mk| mk[i]) {
+                memory.write_elem(pattern.address(i), pattern.elem_bytes(), v);
             }
         }
         agu_done

@@ -21,7 +21,109 @@ pub struct AddressSpace {
     brk: u64,
 }
 
+/// Element reads that remember the last page they looked up. The
+/// elements of a vector load mostly share pages (64 consecutive words
+/// lie on two), so the page map is consulted once per page instead of
+/// once per element.
+pub(crate) struct PageReader<'a> {
+    space: &'a AddressSpace,
+    /// Number and contents of the remembered page; no address maps to
+    /// page `u64::MAX`.
+    page_no: u64,
+    page: Option<&'a [u8; PAGE_BYTES]>,
+}
+
+impl PageReader<'_> {
+    /// [`AddressSpace::read_elem`], through the remembered page.
+    pub(crate) fn read_elem(&mut self, addr: u64, width: u64) -> u64 {
+        let off = (addr as usize) & (PAGE_BYTES - 1);
+        let bytes = width as usize;
+        if !matches!(width, 1 | 4 | 8) || off + bytes > PAGE_BYTES {
+            // Straddles two pages (or is a width to refuse).
+            return self.space.read_elem(addr, width);
+        }
+        let page_no = addr >> PAGE_SHIFT;
+        if page_no != self.page_no {
+            self.page_no = page_no;
+            self.page = self.space.pages.get(&page_no).map(|p| &**p);
+        }
+        let Some(page) = self.page else { return 0 };
+        let mut le = [0u8; 8];
+        le[..bytes].copy_from_slice(&page[off..off + bytes]);
+        u64::from_le_bytes(le)
+    }
+}
+
+/// Element writes that hold on to the last page they touched, the write
+/// side of [`PageReader`]. The held page is out of the map while it is
+/// held and goes back when the writer moves on or is dropped.
+pub(crate) struct PageWriter<'a> {
+    space: &'a mut AddressSpace,
+    /// Number of the held page; no address maps to page `u64::MAX`.
+    page_no: u64,
+    /// The held page, or `None` while it has not been materialised.
+    page: Option<Box<[u8; PAGE_BYTES]>>,
+}
+
+impl PageWriter<'_> {
+    /// [`AddressSpace::write_elem`], through the held page.
+    pub(crate) fn write_elem(&mut self, addr: u64, width: u64, val: u64) {
+        let off = (addr as usize) & (PAGE_BYTES - 1);
+        let bytes = width as usize;
+        if !matches!(width, 1 | 4 | 8) || off + bytes > PAGE_BYTES {
+            // Straddles two pages (or is a width to refuse): through the
+            // map, so the held page goes back first.
+            self.release();
+            return self.space.write_elem(addr, width, val);
+        }
+        let page_no = addr >> PAGE_SHIFT;
+        if page_no != self.page_no {
+            self.release();
+            self.page_no = page_no;
+            self.page = self.space.pages.remove(&page_no);
+        }
+        let le = val.to_le_bytes();
+        // As in `write_u8`: zero to a page never materialised is a no-op.
+        if self.page.is_none() && le[..bytes].iter().all(|&b| b == 0) {
+            return;
+        }
+        let page = self.page.get_or_insert_with(|| Box::new([0; PAGE_BYTES]));
+        page[off..off + bytes].copy_from_slice(&le[..bytes]);
+    }
+
+    fn release(&mut self) {
+        if let Some(page) = self.page.take() {
+            self.space.pages.insert(self.page_no, page);
+        }
+        self.page_no = u64::MAX;
+    }
+}
+
+impl Drop for PageWriter<'_> {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
 impl AddressSpace {
+    /// A writer for a run of element writes (see [`PageWriter`]).
+    pub(crate) fn page_writer(&mut self) -> PageWriter<'_> {
+        PageWriter {
+            space: self,
+            page_no: u64::MAX,
+            page: None,
+        }
+    }
+
+    /// A reader for a run of element reads (see [`PageReader`]).
+    pub(crate) fn page_reader(&self) -> PageReader<'_> {
+        PageReader {
+            space: self,
+            page_no: u64::MAX,
+            page: None,
+        }
+    }
+
     /// An empty space; allocations start above the null page.
     pub fn new() -> Self {
         Self {
@@ -239,6 +341,63 @@ mod tests {
         assert_eq!(s.read_elem(0x20, 4), u32::MAX as u64);
         s.write_elem(0x30, 8, 42);
         assert_eq!(s.read_elem(0x30, 8), 42);
+    }
+
+    #[test]
+    fn page_reader_reads_what_read_elem_reads() {
+        let mut s = AddressSpace::new();
+        // Three materialised pages with a hole after them.
+        for i in 0..3 * PAGE_BYTES as u64 {
+            s.write_u8(0x1000 + i, (i * 7 + 1) as u8);
+        }
+        let mut reader = s.page_reader();
+        // Every alignment, across page edges, into the hole and back.
+        for width in [1u64, 4, 8] {
+            for addr in (0x1000 - 16..0x1000 + 3 * PAGE_BYTES as u64 + 16).chain([0x1004, 0x9000]) {
+                assert_eq!(
+                    reader.read_elem(addr, width),
+                    s.read_elem(addr, width),
+                    "{width} bytes at {addr:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn page_writer_leaves_what_write_elem_leaves() {
+        // The same writes — every width and alignment, across page edges,
+        // zeros onto absent and present pages, revisits — through the
+        // writer and through `write_elem`: same bytes, same resident set.
+        let (mut direct, mut held) = (AddressSpace::new(), AddressSpace::new());
+        let mut writes = Vec::new();
+        for (i, addr) in (0x1000 - 9..0x1000 + 2 * PAGE_BYTES as u64 + 9)
+            .chain([0x5000, 0x1010, 0x5004, 0x9000])
+            .enumerate()
+        {
+            let width = [1u64, 4, 8][i % 3];
+            let val = if i % 5 == 0 {
+                0
+            } else {
+                0x0102_0304_0506_0708u64.wrapping_mul(i as u64)
+            };
+            writes.push((addr * [1, 3][i % 2], width, val));
+        }
+        let mut writer = held.page_writer();
+        for &(addr, width, val) in &writes {
+            direct.write_elem(addr, width, val);
+            writer.write_elem(addr, width, val);
+        }
+        drop(writer);
+        assert_eq!(held.resident_pages(), direct.resident_pages());
+        for &(addr, _, _) in &writes {
+            assert_eq!(held.read_u64(addr), direct.read_u64(addr), "at {addr:#x}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported element width")]
+    fn page_reader_refuses_the_widths_read_elem_refuses() {
+        AddressSpace::new().page_reader().read_elem(0, 2);
     }
 
     #[test]

@@ -104,8 +104,11 @@ fn sort_runs() -> Vec<(String, Fingerprint)> {
 
 fn sql_runs() -> Vec<(String, Fingerprint)> {
     let mut rng = Xoshiro256StarStar::seed_from_u64(SEED + 1);
-    let mut col =
-        |bound: u64| -> Vec<u32> { (0..SQL_ROWS).map(|_| rng.next_below(bound) as u32).collect() };
+    let mut col = |bound: u64| -> Vec<u32> {
+        (0..SQL_ROWS)
+            .map(|_| rng.next_below(bound) as u32)
+            .collect()
+    };
     let table = Table::new("t")
         .with_column("g", col(1_220))
         .with_column("v", col(1_000))

@@ -117,6 +117,48 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
+    // The DRAM-bound regime: a footprint four times the L2, requests
+    // issued well before the previous one completes (so the data bus
+    // backfills gaps) and enough of them that the bus's reservation
+    // window overflows. Whatever shortcuts the model takes on the host,
+    // a replay must complete every single access on the same cycle and
+    // leave the same counters — and a clone taken mid-stream must carry
+    // on exactly like the original.
+    #[test]
+    fn dram_bound_streams_replay_access_for_access(
+        stream in prop::collection::vec(
+            (0u64..16_384, any::<bool>(), any::<bool>(), 0u64..500),
+            300..700,
+        ),
+        fork_at in 0usize..300,
+    ) {
+        let completions = |h: &mut MemoryHierarchy, stream: &[(u64, bool, bool, u64)], mut now: u64| {
+            let done: Vec<u64> = stream
+                .iter()
+                .map(|&(line, write, vector, overlap)| {
+                    let at = now.saturating_sub(overlap);
+                    now = if vector {
+                        h.vector_access(line * 64, write, at)
+                    } else {
+                        h.scalar_access(line * 64, write, at)
+                    };
+                    now
+                })
+                .collect();
+            (done, now)
+        };
+        let mut whole = MemoryHierarchy::new(HierarchyParams::westmere());
+        let (expected, _) = completions(&mut whole, &stream, 0);
+
+        let mut head = MemoryHierarchy::new(HierarchyParams::westmere());
+        let (mut got, now) = completions(&mut head, &stream[..fork_at], 0);
+        let mut tail = head.clone();
+        got.extend(completions(&mut tail, &stream[fork_at..], now).0);
+        prop_assert_eq!(got, expected);
+        prop_assert_eq!(tail.stats(), whole.stats());
+        prop_assert!(whole.stats().dram.requests > 128, "stream never filled the bus window");
+    }
+
     #[test]
     fn flush_empties_both_caches(stream in accesses()) {
         let mut h = MemoryHierarchy::new(HierarchyParams::westmere());

@@ -70,6 +70,66 @@ fn trace_counts_match_opmix_for_monotable() {
 }
 
 #[test]
+fn tracing_changes_no_simulated_counter() {
+    // The trace event of a vector memory instruction reports the line
+    // list the instruction built for its own timing; recording it must
+    // leave cycles, micro-ops, cache and DRAM counters and the
+    // instruction mix exactly as an untraced machine has them, and every
+    // recorded line count must be what the pattern says it touches.
+    for (alg, c) in [
+        (Algorithm::Monotable, 152),
+        (Algorithm::Polytable, 152),
+        (Algorithm::StandardSortedReduce, 1_220),
+        (Algorithm::AdvancedSortedReduce, 1_220),
+        (Algorithm::ScatterAddMonotable, 152),
+    ] {
+        let ds = DatasetSpec::paper(Distribution::Zipf, c)
+            .with_rows(2_000)
+            .with_seed(7)
+            .generate();
+        let run = |trace: bool| {
+            let mut m = Machine::new(SimConfig::paper());
+            if trace {
+                m.enable_trace(usize::MAX);
+            }
+            let st = vagg::core::StagedInput::stage(&mut m, &ds);
+            alg.execute(&mut m, &st);
+            m
+        };
+        let (mut traced, untraced) = (run(true), run(false));
+        assert_eq!(traced.stats(), untraced.stats(), "{}", alg.name());
+
+        let t = traced.take_trace().unwrap();
+        let with_lines = t.events().iter().filter(|e| e.lines.is_some()).count() as u64;
+        let mix = untraced.mix();
+        assert_eq!(
+            with_lines,
+            mix.v_unit_loads
+                + mix.v_strided_loads
+                + mix.v_gathers
+                + mix.v_unit_stores
+                + mix.v_strided_stores
+                + mix.v_scatters
+                + mix.v_scatter_adds
+                + mix.v_prefetches,
+            "{}: every vector memory event carries a line count",
+            alg.name()
+        );
+        // A unit-stride transfer of `vl` words touches the lines its
+        // span covers — the count is checkable from the event alone.
+        for e in t
+            .events()
+            .iter()
+            .filter(|e| e.mnemonic == "vld.u" && e.vl > 0)
+        {
+            let (addr, lines) = (e.addr.unwrap(), e.lines.unwrap() as u64);
+            let span = (addr + 4 * e.vl as u64 - 1) / 64 - addr / 64 + 1;
+            assert_eq!(lines, span, "vld.u of {} words at {addr:#x}", e.vl);
+        }
+    }
+}
+
+#[test]
 fn trace_counts_match_opmix_for_scalar() {
     let mut m = traced_run(Algorithm::Scalar, 1_000, 76);
     let mix = m.mix();
