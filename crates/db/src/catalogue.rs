@@ -45,7 +45,7 @@ use crate::plan::{QueryPlan, ScanMode};
 use crate::query::AggregateQuery;
 use crate::snapshot::{PinRegistry, Snapshot, SnapshotStats, TableCut};
 use crate::table::Table;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, Mutex, RwLock};
 use vagg_core::{select_algorithm, AdaptiveMode, PlannerInputs};
@@ -94,6 +94,70 @@ impl Registered {
         self.materialise();
         self.view.expect("just materialised")
     }
+
+    /// Re-seeds the statistics from the merged view — a DELETE/UPDATE
+    /// changes existing rows, which the incremental observe path cannot
+    /// express.
+    fn reseed(&mut self) {
+        self.stats = TableStats::seed(self.materialise());
+    }
+
+    /// The physical row ids of the *visible* rows `filter` matches:
+    /// tombstoned rows never match again, overwritten values are what
+    /// the predicate sees. `None` matches every visible row.
+    fn matching(&self, filter: Option<&(String, Predicate)>) -> Result<Vec<u32>, SqlError> {
+        let total = self.base.rows() + self.delta.rows();
+        let mut keep = vec![true; total];
+        for &row in self.delta.tombstone_prefix(self.delta.tombstone_count()) {
+            keep[row as usize] = false;
+        }
+        let values = match filter {
+            Some((column, _)) => {
+                let base_col = self
+                    .base
+                    .column(column)
+                    .ok_or_else(|| SqlError::Plan(PlanError::UnknownColumn(column.clone())))?;
+                let mut values = Vec::with_capacity(total);
+                values.extend_from_slice(base_col);
+                values.extend_from_slice(self.delta.column(column));
+                for ow in self.delta.overwrite_prefix(self.delta.overwrite_count()) {
+                    if ow.column == *column {
+                        values[ow.row as usize] = ow.value;
+                    }
+                }
+                Some(values)
+            }
+            None => None,
+        };
+        Ok((0..total as u32)
+            .filter(|&i| keep[i as usize])
+            .filter(|&i| match (&values, filter) {
+                (Some(values), Some((_, pred))) => pred.matches(values[i as usize]),
+                _ => true,
+            })
+            .collect())
+    }
+
+    /// Turns `rows` into checked physical ids: a predicate is resolved
+    /// against this table as it stands, and given ids must name rows
+    /// the table has — an id beyond them would index past the end of
+    /// every later resolution and merge.
+    fn resolve(&self, rows: &mut RowSel) -> Result<(), SqlError> {
+        match rows {
+            RowSel::Where(filter) => *rows = RowSel::Ids(self.matching(filter.as_ref())?),
+            RowSel::Ids(ids) => {
+                let physical = self.base.rows() + self.delta.rows();
+                if let Some(&row) = ids.iter().find(|&&row| row as usize >= physical) {
+                    return Err(SqlError::RowOutOfRange {
+                        table: self.base.name().to_string(),
+                        row,
+                        rows: physical,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A borrowed consistent read of one table — the input every plan is
@@ -106,54 +170,90 @@ struct ViewRef<'a> {
     stats: &'a TableStats,
 }
 
-/// One resolved write inside a transaction (or an autocommit
-/// DELETE/UPDATE): the unit [`SharedCatalogue::apply_ops`] installs
-/// atomically and the WAL logs per record. Row ids are *physical*
-/// positions into base ++ delta — resolved before logging, so replay
-/// is deterministic.
-#[derive(Debug, Clone)]
-pub(crate) enum CatOp {
-    /// Append a validated batch (the transactional INSERT).
+/// The rows a DELETE/UPDATE names.
+#[derive(Debug)]
+pub(crate) enum RowSel {
+    /// A live statement's WHERE clause (`None` = every visible row);
+    /// [`SharedCatalogue::install`] resolves it and rewrites it in
+    /// place to [`RowSel::Ids`].
+    Where(Option<(String, Predicate)>),
+    /// *Physical* positions into base ++ delta — what the WAL logs, so
+    /// replay re-applies them verbatim and never re-runs a predicate.
+    Ids(Vec<u32>),
+}
+
+impl RowSel {
+    /// The physical row ids of a resolved selection.
+    pub(crate) fn ids(&self) -> &[u32] {
+        match self {
+            RowSel::Ids(ids) => ids,
+            RowSel::Where(_) => unreachable!("install resolves every predicate before use"),
+        }
+    }
+}
+
+/// One write — an autocommit statement, one statement of a
+/// transaction, or one replayed WAL record: the unit
+/// [`SharedCatalogue::install`] installs and the WAL logs per record.
+#[derive(Debug)]
+pub(crate) enum WriteOp {
+    /// Append a batch.
     Append {
         /// Target table.
         table: String,
         /// The rows.
         batch: RowBatch,
     },
-    /// Tombstone the given physical rows.
+    /// Tombstone the selected rows.
     Delete {
         /// Target table.
         table: String,
-        /// Physical row ids to tombstone.
-        rows: Vec<u32>,
+        /// The rows to tombstone.
+        rows: RowSel,
     },
-    /// Overwrite `sets` columns of the given physical rows.
+    /// Overwrite `sets` columns of the selected rows.
     Update {
         /// Target table.
         table: String,
-        /// Physical row ids to overwrite.
-        rows: Vec<u32>,
+        /// The rows to overwrite.
+        rows: RowSel,
         /// `(column, new value)` assignments applied to every row.
         sets: Vec<(String, u32)>,
     },
 }
 
-impl CatOp {
+impl WriteOp {
     /// The table this op writes.
     pub(crate) fn table(&self) -> &str {
         match self {
-            CatOp::Append { table, .. }
-            | CatOp::Delete { table, .. }
-            | CatOp::Update { table, .. } => table,
+            WriteOp::Append { table, .. }
+            | WriteOp::Delete { table, .. }
+            | WriteOp::Update { table, .. } => table,
         }
     }
+}
 
-    /// Whether the op changes nothing (empty batch / no matched rows).
-    fn is_empty(&self) -> bool {
-        match self {
-            CatOp::Append { batch, .. } => batch.rows() == 0,
-            CatOp::Delete { rows, .. } => rows.is_empty(),
-            CatOp::Update { rows, sets, .. } => rows.is_empty() || sets.is_empty(),
+/// What one op of an [`SharedCatalogue::install`] did.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Installed {
+    /// Rows appended, tombstoned or overwritten; 0 means the op changed
+    /// nothing and bumped no version.
+    pub(crate) rows: usize,
+    /// The table's data version after the op.
+    pub(crate) data_version: u64,
+    /// Rows parked in the table's delta after the op.
+    pub(crate) delta_rows: usize,
+}
+
+impl Installed {
+    /// The public receipt of an append, given whether the compaction
+    /// check that followed it installed a compaction.
+    pub(crate) fn receipt(self, compacted: bool) -> IngestReceipt {
+        IngestReceipt {
+            rows: self.rows,
+            delta_rows: if compacted { 0 } else { self.delta_rows },
+            compacted,
+            data_version: self.data_version,
         }
     }
 }
@@ -361,7 +461,9 @@ impl SharedCatalogue {
         old.map(Registered::into_table)
     }
 
-    /// Appends a batch of rows to a registered table — the write path.
+    /// Appends a batch of rows to a registered table — the one-op case
+    /// of the write path (ARCHITECTURE.md, "Write path"): the one
+    /// installer, then the compaction check.
     ///
     /// The batch is validated against the table's column set, parked in
     /// the table's [`DeltaStore`] (O(batch) — no base column is
@@ -385,61 +487,115 @@ impl SharedCatalogue {
     /// [`SqlError::Ingest`] (typed [`crate::IngestError`]) for batches
     /// that do not fit the schema.
     pub fn append(&self, table: &str, batch: RowBatch) -> Result<IngestReceipt, SqlError> {
-        // Phase 1 (write lock, O(batch)): validate, park the rows in
-        // the delta, fold the statistics, bump the data version.
-        let (mut receipt, compact) = {
-            let mut tables = self.inner.tables.write().expect("catalogue lock");
-            let r = tables
-                .get_mut(table)
-                .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-            batch
-                .validate(&r.base.column_names())
-                .map_err(SqlError::Ingest)?;
-            if batch.rows() == 0 {
-                return Ok(IngestReceipt {
-                    rows: 0,
-                    delta_rows: r.delta.rows(),
-                    compacted: false,
-                    data_version: r.data_version,
-                });
-            }
-            r.delta.append(&batch);
-            r.stats.observe(&batch);
-            r.data_version += 1;
-            r.view = None;
-            r.version_index.insert(r.data_version, r.delta.cut());
-            let policy = *self.inner.policy.read().expect("policy lock");
-            let receipt = IngestReceipt {
-                rows: batch.rows(),
-                delta_rows: r.delta.rows(),
-                compacted: false,
-                data_version: r.data_version,
-            };
-            // The snapshot for an off-lock merge: the base clone is
-            // `Arc`-cheap; the delta clone is one memcpy of the delta
-            // rows — an order less work than the merge + stats re-seed
-            // it keeps out of this critical section, and bounded by
-            // the compaction threshold itself.
-            let compact = policy
-                .should_compact(r.base.rows(), r.delta.load())
-                .then(|| (r.schema_version, r.base.clone(), r.delta.clone()));
-            (receipt, compact)
+        let op = WriteOp::Append {
+            table: table.to_string(),
+            batch,
         };
-        if let Some((schema_version, base, delta)) = compact {
-            receipt.compacted =
-                self.compact_off_lock(table, schema_version, receipt.data_version, base, delta);
-            if receipt.compacted {
-                receipt.delta_rows = 0;
+        let done = self.install(&mut [op])?[0];
+        Ok(done.receipt(done.rows > 0 && self.maybe_compact(table)))
+    }
+
+    /// **The** installer — every INSERT, DELETE, UPDATE, COMMIT and
+    /// replayed WAL record changes table data here and nowhere else.
+    /// Under **one** registry write lock it validates every op, turns
+    /// every row selection of the list into physical ids against the
+    /// state *before* any op of the list installs (a transaction's
+    /// DELETE does not see the same transaction's INSERT; given ids
+    /// must name rows that exist then) — the ids the WAL logs, written
+    /// back into the op — then applies the ops in order. Nothing is
+    /// applied unless everything validated; readers see none of the ops
+    /// or all of them (the next snapshot cut lands after the lock
+    /// drops). Each op that changes something bumps its table's data
+    /// version by one, and installing a list of resolved ops equals
+    /// installing them one by one — which is what lets replay hand a
+    /// committed transaction's records to this same function one at a
+    /// time and rebuild identical version counters and statistics.
+    ///
+    /// The condition that must hold: resolution and install share the
+    /// lock. Physical ids are positions into base ++ delta, and a
+    /// compaction (which any other handle's write can trip) renumbers
+    /// them — ids resolved under an earlier lock hold could tombstone
+    /// or overwrite the wrong rows.
+    ///
+    /// Compaction is *not* evaluated here — callers run
+    /// [`SharedCatalogue::maybe_compact`] per table afterwards, off
+    /// this lock.
+    pub(crate) fn install(&self, ops: &mut [WriteOp]) -> Result<Vec<Installed>, SqlError> {
+        let mut tables = self.inner.tables.write().expect("catalogue lock");
+        for op in ops.iter_mut() {
+            let r = tables
+                .get(op.table())
+                .ok_or_else(|| SqlError::UnknownTable(op.table().to_string()))?;
+            match op {
+                WriteOp::Append { batch, .. } => batch
+                    .validate(&r.base.column_names())
+                    .map_err(SqlError::Ingest)?,
+                WriteOp::Delete { rows, .. } => r.resolve(rows)?,
+                WriteOp::Update { rows, sets, .. } => {
+                    for (column, _) in sets.iter() {
+                        if r.base.column(column).is_none() {
+                            return Err(SqlError::Plan(PlanError::UnknownColumn(column.clone())));
+                        }
+                    }
+                    r.resolve(rows)?;
+                }
             }
         }
-        self.inner.metrics.record_ingest(receipt.rows as u64);
-        Ok(receipt)
+        // Tables whose statistics a DELETE/UPDATE of this list outdated:
+        // re-seeded before the table's next append folds into them, or
+        // at the end.
+        let mut stale: BTreeSet<&str> = BTreeSet::new();
+        let mut done = Vec::with_capacity(ops.len());
+        for op in ops.iter() {
+            let r = tables.get_mut(op.table()).expect("validated above");
+            let rows = match op {
+                WriteOp::Append { batch, .. } => {
+                    if batch.rows() > 0 {
+                        if stale.remove(op.table()) {
+                            r.reseed();
+                        }
+                        r.delta.append(batch);
+                        r.stats.observe(batch);
+                        self.inner.metrics.record_ingest(batch.rows() as u64);
+                    }
+                    batch.rows()
+                }
+                WriteOp::Delete { rows, .. } => {
+                    r.delta.tombstone_rows(rows.ids());
+                    rows.ids().len()
+                }
+                WriteOp::Update { rows, sets, .. } => {
+                    for &row in rows.ids() {
+                        for (column, value) in sets {
+                            r.delta.overwrite(column, row, *value);
+                        }
+                    }
+                    rows.ids().len()
+                }
+            };
+            if rows > 0 {
+                if !matches!(op, WriteOp::Append { .. }) {
+                    stale.insert(op.table());
+                }
+                r.data_version += 1;
+                r.view = None;
+                r.version_index.insert(r.data_version, r.delta.cut());
+            }
+            done.push(Installed {
+                rows,
+                data_version: r.data_version,
+                delta_rows: r.delta.rows(),
+            });
+        }
+        for table in stale {
+            tables.get_mut(table).expect("validated above").reseed();
+        }
+        Ok(done)
     }
 
     /// Compacts `table` now if the policy threshold trips over the
-    /// delta's total load (rows + tombstones + overwrites) — the
-    /// re-check the mutation paths (DELETE/UPDATE, transaction commits)
-    /// run after applying, mirroring the append path's inline trigger.
+    /// delta's total load (rows + tombstones + overwrites) — the one
+    /// compaction check, run after every write that changed something.
     /// Returns whether a compaction was installed.
     pub(crate) fn maybe_compact(&self, table: &str) -> bool {
         let staged = {
@@ -451,6 +607,11 @@ impl SharedCatalogue {
             if !policy.should_compact(r.base.rows(), r.delta.load()) {
                 return false;
             }
+            // The snapshot for an off-lock merge: the base clone is
+            // `Arc`-cheap; the delta clone is one memcpy of the delta
+            // rows — an order less work than the merge + stats re-seed
+            // it keeps out of the critical section, and bounded by the
+            // compaction threshold itself.
             (
                 r.schema_version,
                 r.data_version,
@@ -665,130 +826,6 @@ impl SharedCatalogue {
             }
         }
         view
-    }
-
-    /// Resolves a DELETE/UPDATE predicate to the **physical** row ids
-    /// (positions into base ++ delta) of the *visible* matching rows:
-    /// tombstoned rows never match again, overwritten values are what
-    /// the predicate sees. `None` matches every visible row. The ids
-    /// are what the WAL logs — replay re-applies them verbatim, so the
-    /// resolution is done exactly once, before logging.
-    pub(crate) fn resolve_physical(
-        &self,
-        table: &str,
-        filter: Option<&(String, Predicate)>,
-    ) -> Result<Vec<u32>, SqlError> {
-        let tables = self.inner.tables.read().expect("catalogue lock");
-        let r = tables
-            .get(table)
-            .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-        let total = r.base.rows() + r.delta.rows();
-        let mut keep = vec![true; total];
-        for &row in r.delta.tombstone_prefix(r.delta.tombstone_count()) {
-            keep[row as usize] = false;
-        }
-        let values = match filter {
-            Some((column, _)) => {
-                let base_col = r
-                    .base
-                    .column(column)
-                    .ok_or_else(|| SqlError::Plan(PlanError::UnknownColumn(column.clone())))?;
-                let mut values = Vec::with_capacity(total);
-                values.extend_from_slice(base_col);
-                values.extend_from_slice(r.delta.column(column));
-                for ow in r.delta.overwrite_prefix(r.delta.overwrite_count()) {
-                    if ow.column == *column {
-                        values[ow.row as usize] = ow.value;
-                    }
-                }
-                Some(values)
-            }
-            None => None,
-        };
-        Ok((0..total as u32)
-            .filter(|&i| keep[i as usize])
-            .filter(|&i| match (&values, filter) {
-                (Some(values), Some((_, pred))) => pred.matches(values[i as usize]),
-                _ => true,
-            })
-            .collect())
-    }
-
-    /// Applies a batch of resolved write ops under **one** registry
-    /// write lock — the all-or-nothing install behind transaction
-    /// commits and autocommit DELETE/UPDATE. Everything is validated
-    /// before anything is applied; readers see either none of the ops
-    /// or all of them (the next snapshot cut lands after the lock
-    /// drops). Each non-empty op bumps its table's data version by one,
-    /// exactly as the autocommit paths do, so WAL replay through this
-    /// same funnel reconstructs identical version counters.
-    ///
-    /// Returns each touched table's final data version. Compaction is
-    /// *not* evaluated here — callers run
-    /// [`SharedCatalogue::maybe_compact`] per table afterwards, off
-    /// this lock.
-    pub(crate) fn apply_ops(&self, ops: &[CatOp]) -> Result<BTreeMap<String, u64>, SqlError> {
-        let mut tables = self.inner.tables.write().expect("catalogue lock");
-        for op in ops {
-            let r = tables
-                .get(op.table())
-                .ok_or_else(|| SqlError::UnknownTable(op.table().to_string()))?;
-            match op {
-                CatOp::Append { batch, .. } => batch
-                    .validate(&r.base.column_names())
-                    .map_err(SqlError::Ingest)?,
-                CatOp::Delete { .. } => {}
-                CatOp::Update { sets, .. } => {
-                    for (column, _) in sets {
-                        if r.base.column(column).is_none() {
-                            return Err(SqlError::Plan(PlanError::UnknownColumn(column.clone())));
-                        }
-                    }
-                }
-            }
-        }
-        // `true` = the table needs a stats re-seed (deletes/updates
-        // change existing rows, which the incremental observe path
-        // cannot express).
-        let mut touched: BTreeMap<String, bool> = BTreeMap::new();
-        for op in ops {
-            if op.is_empty() {
-                continue;
-            }
-            let r = tables.get_mut(op.table()).expect("validated above");
-            match op {
-                CatOp::Append { batch, .. } => {
-                    r.delta.append(batch);
-                    r.stats.observe(batch);
-                }
-                CatOp::Delete { rows, .. } => {
-                    r.delta.tombstone_rows(rows);
-                    touched.insert(op.table().to_string(), true);
-                }
-                CatOp::Update { rows, sets, .. } => {
-                    for &row in rows {
-                        for (column, value) in sets {
-                            r.delta.overwrite(column, row, *value);
-                        }
-                    }
-                    touched.insert(op.table().to_string(), true);
-                }
-            }
-            r.data_version += 1;
-            r.view = None;
-            r.version_index.insert(r.data_version, r.delta.cut());
-            touched.entry(op.table().to_string()).or_insert(false);
-        }
-        let mut versions = BTreeMap::new();
-        for (name, reseed) in touched {
-            let r = tables.get_mut(&name).expect("touched tables exist");
-            if reseed {
-                r.materialise();
-                r.stats = TableStats::seed(r.view.as_ref().expect("just materialised"));
-            }
-            versions.insert(name, r.data_version);
-        }
-        Ok(versions)
     }
 
     /// The table's content as of an earlier data version — `AS OF
@@ -1351,6 +1388,49 @@ mod tests {
         assert!(std::error::Error::source(&e).is_some());
         // A rejected batch changes nothing.
         assert_eq!(cat.versions("r"), Some((1, 1)));
+        assert_eq!(cat.table("r").unwrap().rows(), 8);
+    }
+
+    #[test]
+    fn install_rejects_out_of_range_row_ids_and_applies_nothing() {
+        let cat = catalogue();
+        let state = |cat: &SharedCatalogue| {
+            let stats = format!("{:?}", cat.table_stats("r").unwrap());
+            (cat.versions("r"), cat.delta_rows("r"), stats)
+        };
+        let before = state(&cat);
+        let ids = |ids: &[u32]| RowSel::Ids(ids.to_vec());
+        let mut ops = vec![
+            WriteOp::Append {
+                table: "r".into(),
+                batch: batch(vec![7], vec![7]),
+            },
+            WriteOp::Delete {
+                table: "r".into(),
+                rows: ids(&[7]),
+            },
+            // Row 8 is the row the append above adds: like a
+            // predicate, ids name rows that exist before the list.
+            WriteOp::Update {
+                table: "r".into(),
+                rows: ids(&[3, 8]),
+                sets: vec![("v".into(), 1)],
+            },
+        ];
+        let e = cat.install(&mut ops).unwrap_err();
+        let expect = SqlError::RowOutOfRange {
+            table: "r".into(),
+            row: 8,
+            rows: 8,
+        };
+        assert_eq!(e, expect);
+        assert!(e.to_string().contains("physical row 8"));
+        assert_eq!(state(&cat), before, "nothing was applied");
+        // The same list without the bad op installs, one version per op.
+        ops.pop();
+        let done = cat.install(&mut ops).unwrap();
+        assert_eq!((done[0].rows, done[1].rows), (1, 1));
+        assert_eq!(cat.versions("r"), Some((1, 3)));
         assert_eq!(cat.table("r").unwrap().rows(), 8);
     }
 

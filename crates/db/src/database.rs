@@ -33,10 +33,9 @@
 
 use crate::cache::CacheStats;
 use crate::cancel::{CancelCause, CancelToken};
-use crate::catalogue::{CatOp, SharedCatalogue};
+use crate::catalogue::{Installed, RowSel, SharedCatalogue, WriteOp};
 use crate::delta::TableStats;
 use crate::engine::{Engine, QueryOutput};
-use crate::filter::Predicate;
 use crate::ingest::{CompactionPolicy, IngestError, IngestReceipt, RowBatch};
 use crate::join::{
     join_local_traced, plan_derived, plan_join, plan_join_at, JoinPlan, PreparedJoin,
@@ -167,6 +166,19 @@ pub enum SqlError {
     /// exhausted morsel budget. Any partial work was discarded; the
     /// catalogue is untouched.
     Cancelled(CancelCause),
+    /// A write named a physical row the table does not have — only a
+    /// replayed write-ahead-log record can (live statements resolve
+    /// their rows under the lock that installs them), so the log passed
+    /// its checksums but does not describe this table. Nothing was
+    /// applied.
+    RowOutOfRange {
+        /// The table written.
+        table: String,
+        /// The offending physical row id.
+        row: u32,
+        /// Physical rows the table has.
+        rows: usize,
+    },
 }
 
 impl fmt::Display for SqlError {
@@ -255,6 +267,11 @@ impl fmt::Display for SqlError {
                  a version durable"
             ),
             SqlError::Cancelled(cause) => write!(f, "query cancelled: {cause}"),
+            SqlError::RowOutOfRange { table, row, rows } => write!(
+                f,
+                "write names physical row {row} of table {table:?}, which \
+                 has {rows}"
+            ),
         }
     }
 }
@@ -379,23 +396,6 @@ pub enum SqlOutcome {
     SnapshotCreated,
 }
 
-/// One write statement buffered inside an open `BEGIN` transaction.
-/// `INSERT`s are validated and staged immediately; `DELETE`/`UPDATE`
-/// predicates are kept symbolic and resolved to physical rows at
-/// `COMMIT`, against the then-committed state.
-enum Pending {
-    Insert(CatOp),
-    Delete {
-        table: String,
-        filter: Option<(String, Predicate)>,
-    },
-    Update {
-        table: String,
-        sets: Vec<(String, u32)>,
-        filter: Option<(String, Predicate)>,
-    },
-}
-
 /// The session's transaction state.
 enum TxnState {
     /// No open transaction: every statement autocommits.
@@ -404,8 +404,10 @@ enum TxnState {
     Read(Snapshot),
     /// `BEGIN`: writes buffer here until `COMMIT`; reads see the
     /// committed state (the transaction's own writes are not visible
-    /// to it before commit).
-    Write(Vec<Pending>),
+    /// to it before commit). `INSERT`s are validated when queued;
+    /// `DELETE`/`UPDATE` predicates stay symbolic and are resolved at
+    /// `COMMIT`, against the then-committed state.
+    Write(Vec<WriteOp>),
 }
 
 /// A durable session's write-ahead log: the open writer plus the log's
@@ -632,33 +634,14 @@ impl Database {
     /// [`SqlError::UnknownTable`] for unregistered tables and
     /// [`SqlError::Ingest`] for batches that do not fit the schema. On
     /// a durable database the batch is logged (and the log flushed)
-    /// before this returns; if the append tripped a compaction the log
-    /// is checkpointed instead — rewritten as one image per table.
+    /// before this returns; if the append then trips a compaction the
+    /// log is checkpointed — rewritten as one image per table. This is
+    /// the one-op case of the committer every write goes through
+    /// (ARCHITECTURE.md, "Write path").
     pub fn append_rows(&mut self, table: &str, batch: RowBatch) -> Result<IngestReceipt, SqlError> {
-        let columns: Vec<(String, Vec<u32>)> = if self.durability.is_some() {
-            batch
-                .columns()
-                .map(|(n, v)| (n.to_string(), v.to_vec()))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let receipt = self.catalogue.append(table, batch)?;
-        if self.durability.is_some() {
-            if receipt.compacted {
-                // The delta (this batch included) was folded into the
-                // base: the checkpoint images capture it, and the old
-                // per-batch records are dead weight — rewrite the log.
-                self.write_checkpoint()?;
-            } else {
-                self.log_autocommit(&WalRecord::Batch {
-                    txn: AUTOCOMMIT,
-                    table: table.to_string(),
-                    columns,
-                })?;
-            }
-        }
-        Ok(receipt)
+        let table = table.to_string();
+        let (done, compacted) = self.commit(&mut [WriteOp::Append { table, batch }], false)?;
+        Ok(done[0].receipt(compacted))
     }
 
     /// The live, incrementally maintained statistics of a registered
@@ -937,6 +920,9 @@ impl Database {
     /// database however much concurrent ingest lands in between (writes
     /// inside the transaction are rejected with [`SqlError::ReadOnly`]).
     ///
+    /// Every write goes through the one committer (ARCHITECTURE.md,
+    /// "Write path"): install under one catalogue lock, log, flush, then
+    /// the compaction check — an autocommit statement is a list of one.
     /// Between a bare `BEGIN` and `COMMIT`, write statements buffer
     /// ([`SqlOutcome::Queued`]) and install atomically at `COMMIT`:
     /// other sessions see all of the transaction or none of it, and on
@@ -1019,51 +1005,18 @@ impl Database {
             Statement::Insert(ins) => {
                 let batch =
                     RowBatch::from_rows(&ins.columns, &ins.rows).map_err(SqlError::Ingest)?;
-                match &mut self.txn {
-                    TxnState::Read(_) => Err(SqlError::ReadOnly),
-                    TxnState::Write(_) => {
-                        // Validate against the schema now (typed errors
-                        // at the statement, not at COMMIT), then stage.
-                        let table = self
-                            .catalogue
-                            .table(&ins.table)
-                            .ok_or_else(|| SqlError::UnknownTable(ins.table.clone()))?;
-                        batch
-                            .validate(&table.column_names())
-                            .map_err(SqlError::Ingest)?;
-                        self.queue(Pending::Insert(CatOp::Append {
-                            table: ins.table,
-                            batch,
-                        }))
-                    }
-                    TxnState::None => {
-                        Ok(SqlOutcome::Inserted(self.append_rows(&ins.table, batch)?))
-                    }
-                }
+                let table = ins.table;
+                self.write(WriteOp::Append { table, batch })
             }
-            Statement::Delete(del) => match &mut self.txn {
-                TxnState::Read(_) => Err(SqlError::ReadOnly),
-                TxnState::Write(_) => {
-                    self.check_table(&del.table)?;
-                    self.queue(Pending::Delete {
-                        table: del.table,
-                        filter: del.filter,
-                    })
-                }
-                TxnState::None => self.autocommit_delete(&del.table, del.filter.as_ref()),
-            },
-            Statement::Update(upd) => match &mut self.txn {
-                TxnState::Read(_) => Err(SqlError::ReadOnly),
-                TxnState::Write(_) => {
-                    self.check_table(&upd.table)?;
-                    self.queue(Pending::Update {
-                        table: upd.table,
-                        sets: upd.sets,
-                        filter: upd.filter,
-                    })
-                }
-                TxnState::None => self.autocommit_update(&upd.table, upd.sets, upd.filter.as_ref()),
-            },
+            Statement::Delete(del) => self.write(WriteOp::Delete {
+                table: del.table,
+                rows: RowSel::Where(del.filter),
+            }),
+            Statement::Update(upd) => self.write(WriteOp::Update {
+                table: upd.table,
+                rows: RowSel::Where(upd.filter),
+                sets: upd.sets,
+            }),
             Statement::CreateSnapshot(name) => match &self.txn {
                 // A read-only transaction cannot write; a write
                 // transaction's CREATE SNAPSHOT applies immediately to
@@ -1071,7 +1024,8 @@ impl Database {
                 TxnState::Read(_) => Err(SqlError::ReadOnly),
                 _ => {
                     self.catalogue.create_named(&name)?;
-                    self.log_autocommit(&WalRecord::CreateSnapshot { name })?;
+                    self.log_record(&WalRecord::CreateSnapshot { name });
+                    self.flush_wal()?;
                     Ok(SqlOutcome::SnapshotCreated)
                 }
             },
@@ -1089,7 +1043,13 @@ impl Database {
             Statement::Commit => match std::mem::replace(&mut self.txn, TxnState::None) {
                 TxnState::None => Err(SqlError::NoOpenTransaction),
                 TxnState::Read(_) => Ok(SqlOutcome::TransactionCommitted),
-                TxnState::Write(pending) => self.commit_write_txn(pending),
+                // The transaction is already closed when the commit
+                // runs: an error there (a batch that no longer fits a
+                // re-registered schema, say) means it rolled back —
+                // nothing was applied or logged.
+                TxnState::Write(mut ops) => self
+                    .commit(&mut ops, true)
+                    .map(|_| SqlOutcome::TransactionCommitted),
             },
             Statement::Rollback => match std::mem::replace(&mut self.txn, TxnState::None) {
                 TxnState::None => Err(SqlError::NoOpenTransaction),
@@ -1102,177 +1062,128 @@ impl Database {
         Ok(out)
     }
 
-    /// `table` must be registered — queue-time validation for write
-    /// transactions, so a typo errors at the statement, not at COMMIT.
-    fn check_table(&self, table: &str) -> Result<(), SqlError> {
-        if self.catalogue.table(table).is_none() {
-            return Err(SqlError::UnknownTable(table.to_string()));
-        }
-        Ok(())
-    }
-
-    /// Buffers one statement on the open write transaction.
-    fn queue(&mut self, pending: Pending) -> Result<SqlOutcome, SqlError> {
+    /// Runs one write statement: rejected inside a read-only
+    /// transaction, queued inside a write transaction, committed on its
+    /// own otherwise.
+    fn write(&mut self, op: WriteOp) -> Result<SqlOutcome, SqlError> {
         match &mut self.txn {
-            TxnState::Write(buffer) => {
-                buffer.push(pending);
-                Ok(SqlOutcome::Queued(buffer.len()))
-            }
-            _ => unreachable!("queue() is only called with an open write transaction"),
-        }
-    }
-
-    /// Autocommit `DELETE`: resolve the predicate to physical rows,
-    /// tombstone them, log, then let compaction drop them physically.
-    fn autocommit_delete(
-        &mut self,
-        table: &str,
-        filter: Option<&(String, Predicate)>,
-    ) -> Result<SqlOutcome, SqlError> {
-        let rows = self.catalogue.resolve_physical(table, filter)?;
-        let current = self
-            .catalogue
-            .data_version(table)
-            .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-        if rows.is_empty() {
-            return Ok(SqlOutcome::Deleted(MutationReceipt {
-                rows: 0,
-                data_version: current,
-            }));
-        }
-        let count = rows.len();
-        let op = CatOp::Delete {
-            table: table.to_string(),
-            rows: rows.clone(),
-        };
-        let versions = self.catalogue.apply_ops(&[op])?;
-        let data_version = versions.get(table).copied().unwrap_or(current);
-        self.log_autocommit(&WalRecord::Delete {
-            txn: AUTOCOMMIT,
-            table: table.to_string(),
-            rows,
-        })?;
-        self.after_write(table)?;
-        Ok(SqlOutcome::Deleted(MutationReceipt {
-            rows: count,
-            data_version,
-        }))
-    }
-
-    /// Autocommit `UPDATE`: resolve, overwrite, log.
-    fn autocommit_update(
-        &mut self,
-        table: &str,
-        sets: Vec<(String, u32)>,
-        filter: Option<&(String, Predicate)>,
-    ) -> Result<SqlOutcome, SqlError> {
-        let rows = self.catalogue.resolve_physical(table, filter)?;
-        let current = self
-            .catalogue
-            .data_version(table)
-            .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-        if rows.is_empty() {
-            // Still surface bad SET columns: an UPDATE naming a column
-            // that does not exist is an error even over zero rows.
-            let live = self.catalogue.table(table).expect("version implies table");
-            for (column, _) in &sets {
-                if live.column(column).is_none() {
-                    return Err(SqlError::Plan(PlanError::UnknownColumn(column.clone())));
+            TxnState::Read(_) => Err(SqlError::ReadOnly),
+            TxnState::Write(queue) => {
+                // A missing table or an ill-fitting batch is a typed
+                // error at the statement, not at COMMIT.
+                let schema = self
+                    .catalogue
+                    .schema(op.table())
+                    .ok_or_else(|| SqlError::UnknownTable(op.table().to_string()))?;
+                if let WriteOp::Append { batch, .. } = &op {
+                    let names: Vec<&str> = schema.iter().map(String::as_str).collect();
+                    batch.validate(&names).map_err(SqlError::Ingest)?;
                 }
+                queue.push(op);
+                Ok(SqlOutcome::Queued(queue.len()))
             }
-            return Ok(SqlOutcome::Updated(MutationReceipt {
-                rows: 0,
-                data_version: current,
-            }));
+            TxnState::None => {
+                let mut ops = [op];
+                let (done, compacted) = self.commit(&mut ops, false)?;
+                let receipt = MutationReceipt {
+                    rows: done[0].rows,
+                    data_version: done[0].data_version,
+                };
+                Ok(match ops[0] {
+                    WriteOp::Append { .. } => SqlOutcome::Inserted(done[0].receipt(compacted)),
+                    WriteOp::Delete { .. } => SqlOutcome::Deleted(receipt),
+                    WriteOp::Update { .. } => SqlOutcome::Updated(receipt),
+                })
+            }
         }
-        let count = rows.len();
-        let op = CatOp::Update {
-            table: table.to_string(),
-            rows: rows.clone(),
-            sets: sets.clone(),
-        };
-        let versions = self.catalogue.apply_ops(&[op])?;
-        let data_version = versions.get(table).copied().unwrap_or(current);
-        self.log_autocommit(&WalRecord::Update {
-            txn: AUTOCOMMIT,
-            table: table.to_string(),
-            rows,
-            sets,
-        })?;
-        self.after_write(table)?;
-        Ok(SqlOutcome::Updated(MutationReceipt {
-            rows: count,
-            data_version,
-        }))
     }
 
-    /// Installs a write transaction's buffered statements in one atomic
-    /// step: resolve `DELETE`/`UPDATE` predicates against the committed
-    /// state, apply every operation under a single catalogue write
-    /// lock, then log all records plus the commit mark in one flush.
-    /// The transaction id is the commit record's prospective LSN —
+    /// **The** committer (ARCHITECTURE.md, "Write path"): `append_rows`,
+    /// every autocommit `INSERT` / `DELETE` / `UPDATE` and every
+    /// `COMMIT` are this function called with one op or many. Install
+    /// all ops under one catalogue write lock, buffer their records —
+    /// tagged, when `atomic`, with a fresh transaction id and closed by
+    /// a commit mark, so a crash replays all of the list or none — then
+    /// the one flush, and only then the compaction check per touched
+    /// table. The transaction id is the LSN of the run's first record:
     /// unique, monotonic, and it survives restarts for free.
     ///
-    /// The transaction is already closed when this runs: an error here
-    /// (a batch that no longer fits a re-registered schema, say) means
-    /// the transaction rolled back — nothing was applied or logged.
-    fn commit_write_txn(&mut self, pending: Vec<Pending>) -> Result<SqlOutcome, SqlError> {
-        if pending.is_empty() {
-            return Ok(SqlOutcome::TransactionCommitted);
-        }
-        let mut ops = Vec::with_capacity(pending.len());
-        for p in pending {
-            ops.push(match p {
-                Pending::Insert(op) => op,
-                Pending::Delete { table, filter } => {
-                    let rows = self.catalogue.resolve_physical(&table, filter.as_ref())?;
-                    CatOp::Delete { table, rows }
-                }
-                Pending::Update {
-                    table,
-                    sets,
-                    filter,
-                } => {
-                    let rows = self.catalogue.resolve_physical(&table, filter.as_ref())?;
-                    CatOp::Update { table, rows, sets }
-                }
-            });
-        }
-        self.catalogue.apply_ops(&ops)?;
-        if let Some(d) = self.durability.as_mut() {
-            let txn = d.writer.next_lsn();
-            for op in &ops {
-                d.writer.append(&record_of(op, txn));
+    /// Returns what each op did and whether a compaction was installed.
+    /// A list that changed nothing writes nothing.
+    fn commit(
+        &mut self,
+        ops: &mut [WriteOp],
+        atomic: bool,
+    ) -> Result<(Vec<Installed>, bool), SqlError> {
+        let txn = match &self.durability {
+            Some(d) if atomic => d.writer.next_lsn(),
+            _ => AUTOCOMMIT,
+        };
+        let done = self.install_buffered(ops, txn)?;
+        let mut compacted = false;
+        if done.iter().any(|d| d.rows > 0) {
+            if txn != AUTOCOMMIT {
+                self.log_record(&WalRecord::Commit { txn });
             }
-            d.writer.append(&WalRecord::Commit { txn });
-            d.writer.flush()?;
+            self.flush_wal()?;
+            let mut touched: Vec<&str> = ops.iter().map(WriteOp::table).collect();
+            touched.sort_unstable();
+            touched.dedup();
+            for table in touched {
+                compacted |= self.after_write(table)?;
+            }
         }
-        let touched: BTreeSet<String> = ops.iter().map(|op| op.table().to_string()).collect();
-        for table in &touched {
-            self.after_write(table)?;
-        }
-        Ok(SqlOutcome::TransactionCommitted)
+        Ok((done, compacted))
     }
 
-    /// Post-write housekeeping: a threshold compaction if the table's
-    /// delta (batches plus tombstones) crossed the policy line, and —
-    /// since compaction rewrites history the log's records describe —
-    /// a checkpoint when it ran.
-    fn after_write(&mut self, table: &str) -> Result<(), SqlError> {
-        if self.catalogue.maybe_compact(table) {
-            self.write_checkpoint()?;
+    /// Phase 1 of a commit: install `ops` and buffer their log records
+    /// under `txn`, without flushing. The phases are separately
+    /// callable for the sharded coordinator, which runs this on every
+    /// shard under one global transaction id, flushes them all, and
+    /// only then writes its own commit record — shard records without a
+    /// vouching coordinator commit are ignored on replay, which makes
+    /// cross-shard writes atomic across a crash.
+    pub(crate) fn install_buffered(
+        &mut self,
+        ops: &mut [WriteOp],
+        txn: u64,
+    ) -> Result<Vec<Installed>, SqlError> {
+        let done = self.catalogue.install(ops)?;
+        if self.durability.is_some() && done.iter().any(|d| d.rows > 0) {
+            for op in ops.iter() {
+                self.log_record(&record_of(op, txn));
+            }
         }
-        Ok(())
+        Ok(done)
     }
 
-    /// Appends `record` and flushes — the autocommit durability point.
-    /// A no-op on non-durable databases.
-    fn log_autocommit(&mut self, record: &WalRecord) -> Result<(), SqlError> {
+    /// Buffers one record on the log without flushing.
+    fn log_record(&mut self, record: &WalRecord) {
         if let Some(d) = self.durability.as_mut() {
             d.writer.append(record);
+        }
+    }
+
+    /// Phase 2 of a commit — **the** durability point: every buffered
+    /// record reaches the file here and nowhere else. A no-op on
+    /// non-durable databases.
+    pub(crate) fn flush_wal(&mut self) -> Result<(), SqlError> {
+        if let Some(d) = self.durability.as_mut() {
             d.writer.flush()?;
         }
         Ok(())
+    }
+
+    /// Phase 3 of a commit, after the flush: a threshold compaction if
+    /// the table's delta (batches plus tombstones) crossed the policy
+    /// line, and — since compaction rewrites history the log's records
+    /// describe — a checkpoint when it ran. Returns whether it ran.
+    pub(crate) fn after_write(&mut self, table: &str) -> Result<bool, SqlError> {
+        let compacted = self.catalogue.maybe_compact(table);
+        if compacted {
+            self.write_checkpoint()?;
+        }
+        Ok(compacted)
     }
 
     /// Rewrites the write-ahead log as a checkpoint: one register image
@@ -1317,34 +1228,6 @@ impl Database {
         // session's append activity didn't.
         d.writer.carry_stats(prior);
         Ok(())
-    }
-
-    // -- sharded durability hooks -------------------------------------
-    // The sharded coordinator tags multi-shard operations with a global
-    // transaction id, buffers the records on every touched shard's log,
-    // flushes them all, and only then writes its own commit record —
-    // shard records without a vouching coordinator commit are ignored
-    // on replay, which makes cross-shard writes atomic across a crash.
-
-    /// Buffers one record on this shard's log without flushing.
-    pub(crate) fn log_record(&mut self, record: &WalRecord) {
-        if let Some(d) = self.durability.as_mut() {
-            d.writer.append(record);
-        }
-    }
-
-    /// Flushes this shard's log — the per-shard half of a cross-shard
-    /// commit.
-    pub(crate) fn flush_wal(&mut self) -> Result<(), SqlError> {
-        if let Some(d) = self.durability.as_mut() {
-            d.writer.flush()?;
-        }
-        Ok(())
-    }
-
-    /// [`Database::after_write`] for the sharded write paths.
-    pub(crate) fn compact_and_checkpoint(&mut self, table: &str) -> Result<(), SqlError> {
-        self.after_write(table)
     }
 
     /// [`Database::run_sql`] for reads **at an explicit snapshot**: the
@@ -1585,11 +1468,11 @@ fn select_of(stmt: Statement) -> Result<SqlQuery, SqlError> {
     }
 }
 
-/// The WAL record describing one catalogue operation, tagged with the
-/// owning transaction id (shared with the sharded coordinator).
-pub(crate) fn record_of(op: &CatOp, txn: u64) -> WalRecord {
+/// The WAL record describing one installed (hence resolved) op, tagged
+/// with the owning transaction id.
+fn record_of(op: &WriteOp, txn: u64) -> WalRecord {
     match op {
-        CatOp::Append { table, batch } => WalRecord::Batch {
+        WriteOp::Append { table, batch } => WalRecord::Batch {
             txn,
             table: table.clone(),
             columns: batch
@@ -1597,15 +1480,15 @@ pub(crate) fn record_of(op: &CatOp, txn: u64) -> WalRecord {
                 .map(|(n, v)| (n.to_string(), v.to_vec()))
                 .collect(),
         },
-        CatOp::Delete { table, rows } => WalRecord::Delete {
+        WriteOp::Delete { table, rows } => WalRecord::Delete {
             txn,
             table: table.clone(),
-            rows: rows.clone(),
+            rows: rows.ids().to_vec(),
         },
-        CatOp::Update { table, rows, sets } => WalRecord::Update {
+        WriteOp::Update { table, rows, sets } => WalRecord::Update {
             txn,
             table: table.clone(),
-            rows: rows.clone(),
+            rows: rows.ids().to_vec(),
             sets: sets.clone(),
         },
     }

@@ -48,8 +48,7 @@ pub const DEFAULT_MORSEL_ROWS: usize = 2048;
 
 /// How an [`Executor`] is shaped. The default — as many workers as
 /// shards, [`DEFAULT_MORSEL_ROWS`]-row morsels, stealing on, zone-map
-/// pruning on, adaptive sizing off — is what
-/// [`crate::ShardedDatabase::new`] builds.
+/// pruning on — is what [`crate::ShardedDatabase::new`] builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorConfig {
     /// Worker threads in the pool. `0` means "match the shard count" —
@@ -67,13 +66,6 @@ pub struct ExecutorConfig {
     /// pool degrades to static shard-to-worker assignment — kept as a
     /// switch so the bench can measure exactly what stealing buys.
     pub steal: bool,
-    /// Whether coordinators consult [`Executor::morsel_rows_hint`] —
-    /// a sizing hint retuned after every query from the observed
-    /// per-morsel cost spread (high variance → smaller morsels so
-    /// stealing can rebalance; flat costs → larger morsels to shed
-    /// scheduling overhead). Off by default so morsel boundaries stay
-    /// reproducible run-to-run.
-    pub adaptive: bool,
     /// Whether coordinators prune morsels whose zone maps prove the
     /// WHERE predicate can match no row (see
     /// [`crate::QueryPlan::zone_maps`]). Pruning is result-invariant —
@@ -89,7 +81,6 @@ impl Default for ExecutorConfig {
             workers: 0,
             morsel_rows: DEFAULT_MORSEL_ROWS,
             steal: true,
-            adaptive: false,
             prune: true,
         }
     }
@@ -424,9 +415,6 @@ pub struct Executor {
     /// with that shard's ranges; the placement overrides it only when
     /// load balance demands (counted as an affinity move).
     affinity: Mutex<Vec<usize>>,
-    /// Adaptive morsel sizing hint, retuned after every aggregation
-    /// query from the observed per-morsel cost spread.
-    morsel_hint: AtomicUsize,
 }
 
 impl fmt::Debug for Executor {
@@ -493,7 +481,6 @@ impl Executor {
             config,
             stats: Mutex::new(ExecutorStats::default()),
             affinity: Mutex::new(Vec::new()),
-            morsel_hint: AtomicUsize::new(config.morsel_rows),
         })
     }
 
@@ -528,46 +515,6 @@ impl Executor {
             .morsels_pruned
             .fetch_add(morsels, Ordering::Relaxed);
         self.shared.rows_pruned.fetch_add(rows, Ordering::Relaxed);
-    }
-
-    /// Rows per morsel a coordinator should split with right now: the
-    /// configured size, or — with [`ExecutorConfig::adaptive`] on —
-    /// the pool's retuned hint. The hint shrinks (half, floored at
-    /// `max(256, configured/8)`) when the last query's per-morsel
-    /// costs were skewed (max > 2× mean: finer morsels give stealing
-    /// something to rebalance) and grows (double, capped at
-    /// `configured × 8`) when costs were flat (max < 1.25× mean:
-    /// scheduling overhead dominates).
-    pub fn morsel_rows_hint(&self) -> usize {
-        if self.config.adaptive {
-            self.morsel_hint.load(Ordering::Relaxed)
-        } else {
-            self.config.morsel_rows
-        }
-    }
-
-    /// Retunes the adaptive sizing hint from one query's observed
-    /// per-morsel simulated costs.
-    fn retune_morsels(&self, outcomes: &[MorselOutcome]) {
-        if !self.config.adaptive || outcomes.len() < 2 {
-            return;
-        }
-        let costs: Vec<u64> = outcomes.iter().map(|o| o.run.cycles).collect();
-        let max = *costs.iter().max().expect("at least two outcomes");
-        let mean = costs.iter().sum::<u64>() / costs.len() as u64;
-        let hint = self.morsel_hint.load(Ordering::Relaxed);
-        let floor = (self.config.morsel_rows / 8)
-            .max(256)
-            .min(self.config.morsel_rows);
-        let ceil = self.config.morsel_rows.saturating_mul(8);
-        let next = if max > mean.saturating_mul(2) {
-            (hint / 2).max(floor)
-        } else if max.saturating_mul(4) < mean.saturating_mul(5) {
-            (hint.saturating_mul(2)).min(ceil)
-        } else {
-            hint
-        };
-        self.morsel_hint.store(next, Ordering::Relaxed);
     }
 
     /// Places each shard on a worker for one submission: shards are
@@ -620,16 +567,13 @@ impl Executor {
         morsels: Vec<Morsel>,
         cancel: Option<&CancelToken>,
     ) -> Vec<MorselOutcome> {
-        let outcomes: Vec<MorselOutcome> = self
-            .submit(morsels.into_iter().map(Task::Agg).collect(), cancel)
+        self.submit(morsels.into_iter().map(Task::Agg).collect(), cancel)
             .into_iter()
             .map(|o| match o {
                 TaskOutcome::Agg(o) => *o,
                 TaskOutcome::Join(_) => unreachable!("aggregation tasks yield Agg outcomes"),
             })
-            .collect();
-        self.retune_morsels(&outcomes);
-        outcomes
+            .collect()
     }
 
     /// Runs one join phase's morsels (all build, or all probe) to

@@ -136,7 +136,7 @@ pub(crate) fn drive(
             true,
             false,
         ),
-        Schedule::Pool(pool) => (pool.morsel_rows_hint(), pool.config().prune, true),
+        Schedule::Pool(pool) => (pool.config().morsel_rows, pool.config().prune, true),
     };
     let mut morsels = Vec::new();
     let (mut morsels_pruned, mut rows_pruned) = (0u64, 0u64);

@@ -1,10 +1,9 @@
 //! Crash recovery: replaying a validated write-ahead log into an empty
 //! [`SharedCatalogue`].
 //!
-//! Replay mirrors the live write paths exactly — autocommit batches go
-//! through [`SharedCatalogue::append`] (incremental statistics), every
-//! DELETE/UPDATE and every committed transaction goes through
-//! [`SharedCatalogue::apply_ops`] — so version counters and statistics
+//! Replay goes through the live write path's own installer
+//! ([`SharedCatalogue::install`], which range-checks the logged row ids
+//! and applies them verbatim) — so version counters and statistics
 //! come out identical to the pre-crash state, not merely equivalent.
 //!
 //! Two passes:
@@ -12,18 +11,19 @@
 //! 1. Collect the **committed set**: transaction ids with a commit
 //!    record in this log, plus any ids the caller vouches for (the
 //!    sharded coordinator's commit records live in a separate log).
-//! 2. Apply records in LSN order. Records of uncommitted transactions
-//!    are skipped — an open transaction at crash time rolls back by
-//!    omission. Records of one committed transaction form a contiguous
-//!    run (the writer holds `&mut self` across a transaction), applied
-//!    as a single atomic [`SharedCatalogue::apply_ops`] batch at the
-//!    run's log position.
+//! 2. Apply records in LSN order, one install per Batch/Delete/Update
+//!    record. Records of uncommitted transactions are skipped — an open
+//!    transaction at crash time rolls back by omission. A committed
+//!    transaction needs no grouping: its row ids were resolved against
+//!    the state before it when it committed, and installing a list
+//!    equals installing its ops one by one (nobody reads the catalogue
+//!    while it is being recovered).
 //!
 //! The caller ([`crate::Database::open`]) disables compaction for the
 //! duration: every compaction that happened live rewrote the log, so
 //! no surviving record should re-trip one during replay.
 
-use crate::catalogue::{CatOp, NamedTables, SharedCatalogue};
+use crate::catalogue::{NamedTables, RowSel, SharedCatalogue, WriteOp};
 use crate::database::SqlError;
 use crate::ingest::RowBatch;
 use crate::table::Table;
@@ -74,40 +74,23 @@ pub(crate) fn replay(
     extra_committed: &BTreeSet<u64>,
 ) -> Result<(), SqlError> {
     let committed = committed_set(records, extra_committed);
-    // Ops of the committed transaction run currently being collected;
-    // flushed through one `apply_ops` when the run ends.
-    let mut run: Vec<CatOp> = Vec::new();
-    let mut run_txn = crate::wal::AUTOCOMMIT;
-    macro_rules! flush_run {
-        () => {
-            if !run.is_empty() {
-                catalogue.apply_ops(&run)?;
-                run.clear();
-            }
-        };
-    }
     for (_, record) in records {
-        let txn = record.txn();
-        if txn != run_txn {
-            flush_run!();
-            run_txn = txn;
-        }
-        if !committed.contains(&txn) {
+        if !committed.contains(&record.txn()) {
             continue; // Uncommitted at crash time: rolled back by omission.
         }
-        match record {
-            WalRecord::Commit { .. } => {}
+        let op = match record {
+            WalRecord::Commit { .. } => continue,
             WalRecord::CreateSnapshot { name } => {
-                flush_run!();
                 catalogue.create_named(name)?;
+                continue;
             }
             WalRecord::SnapshotImage { name, tables } => {
-                flush_run!();
                 let mut frozen = NamedTables::new();
                 for (table, data_version, columns) in tables {
                     frozen.insert(table.clone(), (*data_version, table_from(table, columns)));
                 }
                 catalogue.install_named(name.clone(), frozen);
+                continue;
             }
             WalRecord::Register {
                 table,
@@ -116,50 +99,26 @@ pub(crate) fn replay(
                 columns,
                 ..
             } => {
-                // Registration is not a CatOp: apply the pending run
-                // first so in-transaction ordering is preserved.
-                flush_run!();
                 catalogue.register_at(table_from(table, columns), *schema_version, *data_version);
+                continue;
             }
-            WalRecord::Batch { table, columns, .. } => {
-                if txn == crate::wal::AUTOCOMMIT {
-                    // The live autocommit INSERT path: incremental
-                    // statistics via `observe`, same as when logged.
-                    catalogue.append(table, batch_from(columns))?;
-                } else {
-                    run.push(CatOp::Append {
-                        table: table.clone(),
-                        batch: batch_from(columns),
-                    });
-                }
-            }
-            WalRecord::Delete { table, rows, .. } => {
-                let op = CatOp::Delete {
-                    table: table.clone(),
-                    rows: rows.clone(),
-                };
-                if txn == crate::wal::AUTOCOMMIT {
-                    catalogue.apply_ops(&[op])?;
-                } else {
-                    run.push(op);
-                }
-            }
+            WalRecord::Batch { table, columns, .. } => WriteOp::Append {
+                table: table.clone(),
+                batch: batch_from(columns),
+            },
+            WalRecord::Delete { table, rows, .. } => WriteOp::Delete {
+                table: table.clone(),
+                rows: RowSel::Ids(rows.clone()),
+            },
             WalRecord::Update {
                 table, rows, sets, ..
-            } => {
-                let op = CatOp::Update {
-                    table: table.clone(),
-                    rows: rows.clone(),
-                    sets: sets.clone(),
-                };
-                if txn == crate::wal::AUTOCOMMIT {
-                    catalogue.apply_ops(&[op])?;
-                } else {
-                    run.push(op);
-                }
-            }
-        }
+            } => WriteOp::Update {
+                table: table.clone(),
+                rows: RowSel::Ids(rows.clone()),
+                sets: sets.clone(),
+            },
+        };
+        catalogue.install(&mut [op])?;
     }
-    flush_run!();
     Ok(())
 }

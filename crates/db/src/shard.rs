@@ -48,7 +48,7 @@
 //! accessors per shard and merged.
 
 use crate::cancel::CancelToken;
-use crate::catalogue::{CatOp, SharedCatalogue};
+use crate::catalogue::{RowSel, SharedCatalogue, WriteOp};
 use crate::database::ExplainOutput;
 use crate::database::{Database, MutationReceipt, SqlError};
 use crate::delta::TableStats;
@@ -712,12 +712,13 @@ impl ShardedDatabase {
         }
     }
 
-    /// Parses and runs one `DELETE` or `UPDATE` across every shard:
-    /// each shard resolves the predicate against its own partition,
-    /// tombstones / overwrites its matches, and on a durable database
-    /// all shards' records are tagged with one global transaction id
-    /// and committed by the coordinator after every shard's log flushed
-    /// — the mutation is atomic across a crash, all shards or none.
+    /// Parses and runs one `DELETE` or `UPDATE` across every shard
+    /// (ARCHITECTURE.md, "Write path"): each shard resolves the
+    /// predicate against its own partition and tombstones / overwrites
+    /// its matches, and on a durable database all shards' records are
+    /// tagged with one global transaction id and committed by the
+    /// coordinator after every shard's log flushed — the mutation is
+    /// atomic across a crash, all shards or none.
     ///
     /// The receipt's `rows` is the total across shards and
     /// `data_version` the merged version (see
@@ -740,62 +741,47 @@ impl ShardedDatabase {
 
     /// The cross-shard mutation engine behind
     /// [`ShardedDatabase::mutate_sql`]: `sets == None` deletes,
-    /// `Some(sets)` updates. Resolution runs on every shard before any
-    /// shard is mutated, so validation errors leave nothing
-    /// half-applied; the in-memory applies then run shard by shard
+    /// `Some(sets)` updates. Names are validated on every shard before
+    /// any shard is mutated, so errors leave nothing half-applied; then
+    /// the three phases of the single-session committer
+    /// (ARCHITECTURE.md, "Write path") run across the shards — install
+    /// and buffer everywhere under one gtid, flush everywhere, the
+    /// coordinator's commit, then the compaction check everywhere —
     /// under the coordinator's `&mut self` (no reader can interleave a
-    /// write), and durability is one gtid-tagged commit.
+    /// write).
     fn mutate_shards(
         &mut self,
         table: &str,
         sets: Option<&Vec<(String, u32)>>,
         filter: Option<&(String, Predicate)>,
     ) -> Result<MutationReceipt, SqlError> {
-        // Phase 1: resolve and validate everywhere, mutating nothing.
-        let mut ops: Vec<Option<CatOp>> = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
-            let cat = shard.catalogue();
-            if let Some(sets) = sets {
-                let schema = cat
-                    .schema(table)
-                    .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-                for (column, _) in sets {
-                    if !schema.contains(column) {
-                        return Err(SqlError::Plan(PlanError::UnknownColumn(column.clone())));
-                    }
-                }
+            let schema = shard
+                .catalogue()
+                .schema(table)
+                .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
+            let set_columns = sets.into_iter().flatten().map(|(c, _)| c);
+            let mut named = set_columns.chain(filter.map(|(c, _)| c));
+            if let Some(column) = named.find(|c| !schema.contains(c)) {
+                return Err(SqlError::Plan(PlanError::UnknownColumn(column.clone())));
             }
-            let rows = cat.resolve_physical(table, filter)?;
-            ops.push(if rows.is_empty() {
-                None
-            } else {
-                Some(match sets {
-                    None => CatOp::Delete {
-                        table: table.to_string(),
-                        rows,
-                    },
-                    Some(sets) => CatOp::Update {
-                        table: table.to_string(),
-                        rows,
-                        sets: sets.clone(),
-                    },
-                })
-            });
         }
-        // Phase 2: apply and log, one gtid across every touched shard.
         let gtid = self
             .coordinator
             .as_ref()
             .map_or(crate::wal::AUTOCOMMIT, Coordinator::next_gtid);
         let mut total = 0usize;
-        for (shard, op) in self.shards.iter_mut().zip(&ops) {
-            let Some(op) = op else { continue };
-            total += match op {
-                CatOp::Delete { rows, .. } | CatOp::Update { rows, .. } => rows.len(),
-                CatOp::Append { .. } => unreachable!("mutations are deletes or updates"),
+        for shard in &mut self.shards {
+            let (table, rows) = (table.to_string(), RowSel::Where(filter.cloned()));
+            let mut op = match sets {
+                None => WriteOp::Delete { table, rows },
+                Some(sets) => WriteOp::Update {
+                    table,
+                    rows,
+                    sets: sets.clone(),
+                },
             };
-            shard.catalogue().apply_ops(std::slice::from_ref(op))?;
-            shard.log_record(&crate::database::record_of(op, gtid));
+            total += shard.install_buffered(std::slice::from_mut(&mut op), gtid)?[0].rows;
         }
         if total > 0 {
             for shard in &mut self.shards {
@@ -805,7 +791,7 @@ impl ShardedDatabase {
                 coord.commit(gtid)?;
             }
             for shard in &mut self.shards {
-                shard.compact_and_checkpoint(table)?;
+                shard.after_write(table)?;
             }
         }
         let data_version = self

@@ -312,6 +312,17 @@ fn metrics_count_ingest_and_wal() {
         // so only the two INSERTs are session appends.
         assert!(snap.get("wal_appends").unwrap() >= 2);
         assert!(snap.get("wal_bytes").unwrap() > 0);
+        // The same rows inserted inside a transaction move the ingest
+        // counters exactly as the autocommit inserts did.
+        db.run_sql("BEGIN").unwrap();
+        db.run_sql("INSERT INTO t (g, v) VALUES (1, 10), (2, 20)")
+            .unwrap();
+        db.run_sql("INSERT INTO t (g, v) VALUES (3, 30)").unwrap();
+        assert_eq!(db.metrics().get("ingest_batches"), Some(2), "only queued");
+        db.run_sql("COMMIT").unwrap();
+        let snap = db.metrics();
+        assert_eq!(snap.get("ingest_batches"), Some(4));
+        assert_eq!(snap.get("ingest_rows"), Some(6));
     }
     // Reopen: recovery reports the replayed records (the checkpoint
     // image plus the appends that followed it).
