@@ -132,7 +132,10 @@ fn write_summary(s: &Summary) {
         s.steal_ms,
         s.no_steal_ms,
     );
-    let _ = writeln!(out, "  \"selective_where\": {{\n    \"rows\": {SELECTIVE_ROWS},");
+    let _ = writeln!(
+        out,
+        "  \"selective_where\": {{\n    \"rows\": {SELECTIVE_ROWS},"
+    );
     for (i, (label, pruned_ms, unpruned_ms, morsels_pruned)) in s.selective.iter().enumerate() {
         let _ = writeln!(
             out,
@@ -269,7 +272,8 @@ fn bench(c: &mut Criterion) {
     ];
     let mut selective = Vec::new();
     for (label, threshold) in tiers {
-        let sql = format!("SELECT g, COUNT(*), SUM(v) FROM events WHERE v > {threshold} GROUP BY g");
+        let sql =
+            format!("SELECT g, COUNT(*), SUM(v) FROM events WHERE v > {threshold} GROUP BY g");
         let mut tier = [0.0f64; 2];
         let mut morsels_pruned = 0;
         for (slot, prune) in [(0, true), (1, false)] {

@@ -384,6 +384,10 @@ const ZONE_ROWS: usize = 2048;
 /// stays conservative, memory stays bounded.
 const MAX_ZONES: usize = 4096;
 
+/// One zone of one column as `(lo, hi, min, max)`: rows `lo..hi` hold
+/// only values in `min..=max`.
+pub(crate) type ZoneRange = (usize, usize, u32, u32);
+
 /// Per-range min/max column summaries ("zone maps"): the table's rows
 /// split into ordered ranges — one per seeded chunk of the base, one
 /// per appended batch — with each column's `(min, max)` kept per range.
@@ -459,8 +463,9 @@ impl ZoneMaps {
             *bounds = bounds
                 .chunks(2)
                 .map(|c| {
-                    c.iter()
-                        .fold((u32::MAX, 0u32), |(lo, hi), &(mn, mx)| (lo.min(mn), hi.max(mx)))
+                    c.iter().fold((u32::MAX, 0u32), |(lo, hi), &(mn, mx)| {
+                        (lo.min(mn), hi.max(mx))
+                    })
                 })
                 .collect();
         }
@@ -472,9 +477,9 @@ impl ZoneMaps {
         self.ranges.len()
     }
 
-    /// One column's zones as `(lo, hi, min, max)` row-range bounds —
-    /// what the planner pins onto a plan for its WHERE column.
-    pub(crate) fn column_zones(&self, name: &str) -> Option<Vec<(usize, usize, u32, u32)>> {
+    /// One column's zones — what the planner pins onto a plan for its
+    /// WHERE column.
+    pub(crate) fn column_zones(&self, name: &str) -> Option<Vec<ZoneRange>> {
         let bounds = self.columns.get(name)?;
         Some(
             self.ranges
@@ -488,9 +493,9 @@ impl ZoneMaps {
 
 /// `(min, max)` of a non-empty slice.
 fn minmax(values: &[u32]) -> (u32, u32) {
-    values.iter().fold((u32::MAX, 0u32), |(lo, hi), &x| {
-        (lo.min(x), hi.max(x))
-    })
+    values
+        .iter()
+        .fold((u32::MAX, 0u32), |(lo, hi), &x| (lo.min(x), hi.max(x)))
 }
 
 /// Live, incrementally maintained statistics for one registered table:

@@ -13,6 +13,7 @@
 //! metadata (charged scans are replayed by the session at execution time,
 //! exactly as the paper charges the metadata step to the query).
 
+use crate::delta::ZoneRange;
 use crate::engine::CardinalityEstimation;
 use crate::filter::Predicate;
 use crate::query::{AggFn, AggregateQuery, OrderKey};
@@ -343,12 +344,12 @@ pub struct QueryPlan {
     /// partials land in one shared key space and merge directly (no
     /// dictionary remap).
     pub(crate) domains: Arc<[u64]>,
-    /// The WHERE column's zone maps as `(lo, hi, min, max)` row ranges
-    /// aligned with this plan's staged view — stamped by the catalogue
-    /// from [`crate::TableStats`], `None` for engine-direct or frozen
-    /// plans. Morsel generators prune ranges the predicate provably
-    /// fails (see [`crate::Predicate::excludes_range`]).
-    pub(crate) zones: Option<Arc<[(usize, usize, u32, u32)]>>,
+    /// The WHERE column's zone maps, row ranges aligned with this plan's
+    /// staged view — stamped by the catalogue from [`crate::TableStats`],
+    /// `None` for engine-direct or frozen plans. Morsel generators prune
+    /// ranges the predicate provably fails (see
+    /// [`crate::Predicate::excludes_range`]).
+    pub(crate) zones: Option<Arc<[ZoneRange]>>,
     /// How many zone maps the planned table kept at plan time (0 = no
     /// zone maps, e.g. engine-direct plans); rendered by
     /// [`QueryPlan::explain`].
@@ -428,7 +429,7 @@ impl QueryPlan {
 
     /// The WHERE column's zone ranges, when the plan carries both a
     /// filter and stamped zone maps.
-    pub(crate) fn filter_zones(&self) -> Option<&[(usize, usize, u32, u32)]> {
+    pub(crate) fn filter_zones(&self) -> Option<&[ZoneRange]> {
         match (&self.zones, &self.query.filter) {
             (Some(z), Some(_)) => Some(z),
             _ => None,

@@ -25,12 +25,42 @@ struct Entry {
 /// The same structure backs VPI, VLU and the VGAx family; only the update
 /// rule differs (increment vs. sum/min/max with a value operand) and whether
 /// the output is taken before or after the update.
+///
+/// The entry list is the model: its order (first occurrence), `last_idx`
+/// and length are what the instructions report. How an entry is *found*
+/// is host business — a hardware CAM matches every entry at once, so the
+/// lookup goes through a hash index instead of a scan of the list.
 #[derive(Debug, Clone)]
 pub struct Cam {
     entries: Vec<Entry>,
+    /// Open-addressed key → entry lookup: a slot holds the entry's
+    /// position in `entries` plus one, zero while empty. Sized (at least
+    /// 4 slots per element, so probes stay short) and cleared by every
+    /// pass.
+    index: Vec<u16>,
+    /// The keys of the slice being formed (timing only).
+    slice: Vec<u64>,
     ports: usize,
     /// Cycles consumed by operations since construction or [`Cam::reset`].
     cycles: u64,
+}
+
+/// Greedy slicing of `keys` into groups of up to `ports` adjacent elements
+/// with pairwise-distinct keys; 2 cycles (lookup + write-back) per slice.
+fn slice_cycles(keys: &[u64], ports: usize, slice: &mut Vec<u64>) -> u64 {
+    let mut cycles = 0u64;
+    slice.clear();
+    for &k in keys {
+        if slice.len() == ports || slice.contains(&k) {
+            cycles += 2;
+            slice.clear();
+        }
+        slice.push(k);
+    }
+    if !slice.is_empty() {
+        cycles += 2;
+    }
+    cycles
 }
 
 impl Cam {
@@ -43,6 +73,8 @@ impl Cam {
         assert!(ports > 0, "CAM needs at least one port");
         Self {
             entries: Vec::with_capacity(mvl),
+            index: Vec::new(),
+            slice: Vec::with_capacity(ports),
             ports,
             cycles: 0,
         }
@@ -65,8 +97,65 @@ impl Cam {
         self.cycles = 0;
     }
 
-    fn lookup(&mut self, key: u64) -> Option<&mut Entry> {
-        self.entries.iter_mut().find(|e| e.key == key)
+    /// Where `key`'s entry is in `entries`, or else the index slot that
+    /// will name it once pushed (meaningless while there is no index).
+    #[inline]
+    fn find(&self, key: u64) -> Result<usize, usize> {
+        if self.index.is_empty() {
+            return self.entries.iter().position(|e| e.key == key).ok_or(0);
+        }
+        // Multiplicative hash: the top log2(slots) bits of the product.
+        let slots = self.index.len();
+        let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            >> (u64::BITS - slots.trailing_zeros())) as usize;
+        loop {
+            match self.index[slot] {
+                0 => return Err(slot),
+                n if self.entries[usize::from(n) - 1].key == key => return Ok(usize::from(n) - 1),
+                _ => slot = (slot + 1) & (slots - 1),
+            }
+        }
+    }
+
+    /// Runs one instruction pass over `keys[..vl]`: `update` is given the
+    /// accumulator of the element's entry (`None` = first instance) and
+    /// the element number, and returns the new accumulator.
+    pub(crate) fn pass<F>(&mut self, keys: &[u64], vl: usize, mut update: F)
+    where
+        F: FnMut(Option<u64>, usize) -> u64,
+    {
+        self.reset();
+        let keys = &keys[..vl];
+        self.cycles = slice_cycles(keys, self.ports, &mut self.slice);
+
+        // Entry numbers 1..=vl must fit a slot; a longer vector (no
+        // machine configures one) gets no index and is scanned.
+        let slots = if vl <= usize::from(u16::MAX) {
+            (4 * vl.max(1)).next_power_of_two()
+        } else {
+            0
+        };
+        self.index.clear();
+        self.index.resize(slots, 0);
+        for (i, &k) in keys.iter().enumerate() {
+            match self.find(k) {
+                Ok(e) => {
+                    let e = &mut self.entries[e];
+                    e.acc = update(Some(e.acc), i);
+                    e.last_idx = i;
+                }
+                Err(slot) => {
+                    self.entries.push(Entry {
+                        key: k,
+                        last_idx: i,
+                        acc: update(None, i),
+                    });
+                    if let Some(named) = self.index.get_mut(slot) {
+                        *named = self.entries.len() as u16;
+                    }
+                }
+            }
+        }
     }
 
     /// Runs one instruction pass over `keys[..vl]`, applying `update` to the
@@ -79,6 +168,23 @@ impl Cam {
     /// Returns the output vector; the per-element *last-instance* mask is
     /// available afterwards via [`Cam::last_unique_mask`].
     pub fn run<F>(&mut self, keys: &[u64], vl: usize, mut update: F) -> Vec<u64>
+    where
+        F: FnMut(Option<u64>, usize) -> (u64, u64),
+    {
+        let mut out = vec![0u64; keys.len()];
+        self.pass(keys, vl, |prev, i| {
+            let (stored, emitted) = update(prev, i);
+            out[i] = emitted;
+            stored
+        });
+        out
+    }
+
+    /// The lookup as a scan of the entry list, as `run` was before it had
+    /// an index; kept as the reference that `differential_tests` hold
+    /// the indexed pass to.
+    #[cfg(test)]
+    fn run_scan<F>(&mut self, keys: &[u64], vl: usize, mut update: F) -> Vec<u64>
     where
         F: FnMut(Option<u64>, usize) -> (u64, u64),
     {
@@ -99,7 +205,7 @@ impl Cam {
             slice_keys.push(k);
 
             // Functional update.
-            match self.lookup(k) {
+            match self.entries.iter_mut().find(|e| e.key == k) {
                 Some(e) => {
                     let (stored, emitted) = update(Some(e.acc), i);
                     e.acc = stored;
@@ -128,10 +234,16 @@ impl Cam {
     /// final instance of its key.
     pub fn last_unique_mask(&self, len: usize) -> Vec<bool> {
         let mut m = vec![false; len];
-        for e in &self.entries {
-            m[e.last_idx] = true;
-        }
+        self.last_unique_mask_into(&mut m);
         m
+    }
+
+    /// [`Cam::last_unique_mask`] into a mask the caller owns.
+    pub(crate) fn last_unique_mask_into(&self, mask: &mut [bool]) {
+        mask.fill(false);
+        for e in &self.entries {
+            mask[e.last_idx] = true;
+        }
     }
 
     /// Number of distinct keys currently held.
@@ -144,19 +256,8 @@ impl Cam {
 /// ports, without performing the functional work.
 pub fn cam_cycles(keys: &[u64], vl: usize, ports: usize) -> u64 {
     assert!(ports > 0);
-    let mut cycles = 0u64;
-    let mut slice: Vec<u64> = Vec::with_capacity(ports);
-    for &k in keys.iter().take(vl) {
-        if slice.len() == ports || slice.contains(&k) {
-            cycles += 2;
-            slice.clear();
-        }
-        slice.push(k);
-    }
-    if !slice.is_empty() {
-        cycles += 2;
-    }
-    cycles
+    let vl = vl.min(keys.len());
+    slice_cycles(&keys[..vl], ports, &mut Vec::with_capacity(ports))
 }
 
 #[cfg(test)]
@@ -235,5 +336,108 @@ mod tests {
     #[should_panic(expected = "at least one port")]
     fn zero_ports_panics() {
         Cam::new(8, 0);
+    }
+}
+
+/// The indexed pass against the scan it replaced.
+#[cfg(test)]
+mod differential_tests {
+    use super::*;
+    use crate::exec::RedOp;
+    use crate::irregular::{vga_on, vlu_on, vpi_on};
+    use proptest::prelude::*;
+
+    const LEN: usize = 64;
+
+    // All equal, all distinct, skewed, and keys the multiplicative hash
+    // sends to few slots: multiples of 2^58 keep only their low 6 bits
+    // after the multiply.
+    fn keyvecs() -> impl Strategy<Value = Vec<u64>> {
+        let colliding = prop_oneof![
+            (0u64..64).prop_map(|m| m << 58),
+            Just(u64::MAX),
+            Just(0u64),
+            (0u64..4).prop_map(|m| u64::MAX - m),
+        ];
+        // Zipf-ish: the minimum of three draws leans towards small keys.
+        let skewed = (0u64..40, 0u64..40, 0u64..40).prop_map(|(a, b, c)| a.min(b).min(c));
+        prop_oneof![
+            any::<u64>().prop_map(|k| vec![k; LEN]),
+            any::<u64>().prop_map(|k| (0..LEN as u64).map(|i| k.wrapping_add(i)).collect()),
+            prop::collection::vec(skewed, LEN..LEN + 1),
+            prop::collection::vec(colliding, LEN..LEN + 1),
+            prop::collection::vec(0u64..8, LEN..LEN + 1),
+        ]
+    }
+
+    /// What is observable of a CAM after an instruction.
+    fn state(cam: &Cam) -> (u64, usize, Vec<bool>) {
+        (cam.cycles(), cam.occupancy(), cam.last_unique_mask(LEN))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+        #[test]
+        fn indexed_pass_equals_the_scan(
+            keys in keyvecs(),
+            other_keys in keyvecs(),
+            values in prop::collection::vec(any::<u64>(), LEN..LEN + 1),
+            vl in prop::sample::select(vec![0usize, 1, LEN / 2, LEN]),
+            other_vl in prop::sample::select(vec![0usize, 1, 5, LEN]),
+            ports in prop::sample::select(vec![1usize, 4, 8]),
+        ) {
+            // One CAM for every instruction of the case, as a machine's is.
+            let mut cam = Cam::new(LEN, ports);
+            let mut reference = Cam::new(LEN, ports);
+            let count = |prev: Option<u64>, _| {
+                let n = prev.map_or(0, |c| c + 1);
+                (n, n)
+            };
+            let mut out = vec![7u64; LEN];
+            let mut mask = vec![true; LEN];
+
+            prop_assert_eq!(vpi_on(&mut cam, &keys, vl, &mut out), cam.cycles());
+            prop_assert_eq!(&out, &reference.run_scan(&keys, vl, count));
+            prop_assert_eq!(state(&cam), state(&reference));
+
+            // A different vector length in between resizes the index.
+            vlu_on(&mut cam, &other_keys, other_vl, &mut mask);
+            reference.run_scan(&other_keys, other_vl, count);
+            prop_assert_eq!(&mask, &reference.last_unique_mask(LEN));
+            prop_assert_eq!(state(&cam), state(&reference));
+
+            for op in [RedOp::Sum, RedOp::Min, RedOp::Max] {
+                vga_on(&mut cam, op, &keys, &values, vl, &mut out);
+                let expect = reference.run_scan(&keys, vl, |prev, i| {
+                    let combined = prev.map_or(values[i], |acc| op.fold(acc, values[i]));
+                    (combined, combined)
+                });
+                prop_assert_eq!(&out, &expect, "{:?}", op);
+                prop_assert_eq!(state(&cam), state(&reference), "{:?}", op);
+            }
+
+            // `run`, the allocating form of the same pass.
+            prop_assert_eq!(cam.run(&keys, vl, count), reference.run_scan(&keys, vl, count));
+            prop_assert_eq!(state(&cam), state(&reference));
+        }
+    }
+
+    #[test]
+    fn a_vector_too_long_for_the_index_is_scanned() {
+        // More distinct keys than a slot can number, then the one whose
+        // number would have wrapped to "empty" once more.
+        let distinct = usize::from(u16::MAX) + 1;
+        let mut keys: Vec<u64> = (0..distinct as u64).map(|i| i << 40).collect();
+        keys.push(keys[distinct - 1]);
+        let vl = keys.len();
+        let mut cam = Cam::new(8, 4);
+        let out = cam.run(&keys, vl, |prev, _| {
+            let n = prev.map_or(0, |c| c + 1);
+            (n, n)
+        });
+        assert!(out[..distinct].iter().all(|&n| n == 0));
+        assert_eq!(out[distinct], 1, "the repeated key has one prior instance");
+        assert_eq!(cam.occupancy(), distinct);
     }
 }

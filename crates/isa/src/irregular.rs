@@ -23,15 +23,21 @@ pub struct CamResult<T> {
 ///
 /// `out[i]` = how many earlier elements of `keys[..i]` equal `keys[i]`.
 pub fn vpi(keys: &[u64], vl: usize, ports: usize) -> CamResult<Vec<u64>> {
-    let mut cam = Cam::new(keys.len(), ports);
-    let out = cam.run(keys, vl, |prev, _| {
-        let n = prev.map_or(0, |c| c + 1);
-        (n, n)
+    let mut value = vec![0; keys.len()];
+    let cycles = vpi_on(&mut Cam::new(keys.len(), ports), keys, vl, &mut value);
+    CamResult { value, cycles }
+}
+
+/// [`vpi`] on a CAM the caller keeps (a machine has one, not one per
+/// instruction), into `out`: elements from `vl` on are zeroed, as in
+/// [`vpi`]'s value. Returns the cycles.
+pub fn vpi_on(cam: &mut Cam, keys: &[u64], vl: usize, out: &mut [u64]) -> u64 {
+    out[vl..].fill(0);
+    cam.pass(keys, vl, |prev, i| {
+        out[i] = prev.map_or(0, |c| c + 1);
+        out[i]
     });
-    CamResult {
-        value: out,
-        cycles: cam.cycles(),
-    }
+    cam.cycles()
 }
 
 /// `VLU` — Vector Last Unique (Figure 10b).
@@ -39,15 +45,17 @@ pub fn vpi(keys: &[u64], vl: usize, ports: usize) -> CamResult<Vec<u64>> {
 /// Output mask bit `i` is set iff `keys[i]` does not occur again in
 /// `keys[i+1..vl]`.
 pub fn vlu(keys: &[u64], vl: usize, ports: usize) -> CamResult<Vec<bool>> {
-    let mut cam = Cam::new(keys.len(), ports);
-    cam.run(keys, vl, |prev, _| {
-        let n = prev.map_or(0, |c| c + 1);
-        (n, n)
-    });
-    CamResult {
-        value: cam.last_unique_mask(keys.len()),
-        cycles: cam.cycles(),
-    }
+    let mut value = vec![false; keys.len()];
+    let cycles = vlu_on(&mut Cam::new(keys.len(), ports), keys, vl, &mut value);
+    CamResult { value, cycles }
+}
+
+/// [`vlu`] on a CAM the caller keeps, into `out` (every bit is written).
+/// Returns the cycles.
+pub fn vlu_on(cam: &mut Cam, keys: &[u64], vl: usize, out: &mut [bool]) -> u64 {
+    cam.pass(keys, vl, |prev, _| prev.map_or(0, |c| c + 1));
+    cam.last_unique_mask_into(out);
+    cam.cycles()
 }
 
 /// `VGAx` — Vector Group Aggregate (Figures 13/14).
@@ -63,19 +71,32 @@ pub fn vga(
     vl: usize,
     ports: usize,
 ) -> CamResult<Vec<u64>> {
-    assert!(values.len() >= vl, "value operand shorter than VL");
+    let mut value = vec![0; keys.len()];
     let mut cam = Cam::new(keys.len(), ports);
-    let out = cam.run(keys, vl, |prev, i| {
-        let combined = match prev {
+    let cycles = vga_on(&mut cam, op, keys, values, vl, &mut value);
+    CamResult { value, cycles }
+}
+
+/// [`vga`] on a CAM the caller keeps, into `out`: elements from `vl` on
+/// are zeroed, as in [`vga`]'s value. Returns the cycles.
+pub fn vga_on(
+    cam: &mut Cam,
+    op: RedOp,
+    keys: &[u64],
+    values: &[u64],
+    vl: usize,
+    out: &mut [u64],
+) -> u64 {
+    assert!(values.len() >= vl, "value operand shorter than VL");
+    out[vl..].fill(0);
+    cam.pass(keys, vl, |prev, i| {
+        out[i] = match prev {
             Some(acc) => op.fold(acc, values[i]),
             None => values[i],
         };
-        (combined, combined)
+        out[i]
     });
-    CamResult {
-        value: out,
-        cycles: cam.cycles(),
-    }
+    cam.cycles()
 }
 
 /// `VGAsum` (Figure 13).

@@ -25,6 +25,7 @@ use crate::config::SimConfig;
 use crate::memory::AddressSpace;
 use crate::trace::{Trace, TraceClass};
 use vagg_cpu::{FuKind, Pipeline};
+use vagg_isa::cam::Cam;
 use vagg_isa::conflict::MaskLogic;
 use vagg_isa::exec::{self, BinOp, CmpOp, RedOp};
 use vagg_isa::inst::{MemPattern, VecOpTiming};
@@ -147,6 +148,8 @@ pub struct Machine {
     /// [`dst_and_srcs`]); MVL elements each, reused by every instruction.
     alias_v: Vec<u64>,
     alias_m: Vec<bool>,
+    /// The one CAM behind `vpi` / `vlu` / `vga*` (cleared by each).
+    cam: Cam,
 }
 
 /// One register of either bank, as its elements.
@@ -242,6 +245,7 @@ impl Machine {
             trace: None,
             alias_v: Vec::with_capacity(cfg.mvl),
             alias_m: Vec::with_capacity(cfg.mvl),
+            cam: Cam::new(cfg.mvl, cfg.cam_ports),
             cfg,
         }
     }
@@ -728,38 +732,40 @@ impl Machine {
     /// `vpi` — Vector Prior Instances.
     pub fn vpi(&mut self, vd: Vreg, va: Vreg) {
         let vl = self.vf.vl();
-        let r = irregular::vpi(self.vf.vreg(va).as_slice(), vl, self.cfg.cam_ports);
+        let (dst, [keys]) = dst_and_srcs(self.vf.banks_mut().0, &mut self.alias_v, vd.0, [va.0]);
+        let cycles = irregular::vpi_on(&mut self.cam, keys, vl, dst);
         let deps = self.vreg_ready[va.0 as usize];
-        let (_, done) = self.vec_op("vpi", VecOpTiming::Cam, r.cycles, deps);
-        self.vf.vreg_mut(vd).as_mut_slice()[..r.value.len()].copy_from_slice(&r.value);
+        let (_, done) = self.vec_op("vpi", VecOpTiming::Cam, cycles, deps);
         self.vreg_ready[vd.0 as usize] = done;
     }
 
     /// `vlu` — Vector Last Unique.
     pub fn vlu(&mut self, md: Mreg, va: Vreg) {
         let vl = self.vf.vl();
-        let r = irregular::vlu(self.vf.vreg(va).as_slice(), vl, self.cfg.cam_ports);
+        let (vregs, masks) = self.vf.banks_mut();
+        let keys = vregs[usize::from(va.0)].as_slice();
+        let dst = masks[usize::from(md.0)].as_mut_slice();
+        let cycles = irregular::vlu_on(&mut self.cam, keys, vl, dst);
         let deps = self.vreg_ready[va.0 as usize];
-        let (_, done) = self.vec_op("vlu", VecOpTiming::Cam, r.cycles, deps);
-        self.vf
-            .mask_mut(md)
-            .as_mut_slice()
-            .copy_from_slice(&r.value);
+        let (_, done) = self.vec_op("vlu", VecOpTiming::Cam, cycles, deps);
         self.mask_ready[md.0 as usize] = done;
     }
 
     /// `vgasum`/`vgamin`/`vgamax` — Vector Group Aggregate.
     pub fn vga(&mut self, op: RedOp, vd: Vreg, vkeys: Vreg, vvals: Vreg) {
         let vl = self.vf.vl();
-        let keys = self.vf.vreg(vkeys).as_slice();
-        let vals = self.vf.vreg(vvals).as_slice();
-        let r = irregular::vga(op, keys, vals, vl, self.cfg.cam_ports);
+        let (dst, [keys, vals]) = dst_and_srcs(
+            self.vf.banks_mut().0,
+            &mut self.alias_v,
+            vd.0,
+            [vkeys.0, vvals.0],
+        );
+        let cycles = irregular::vga_on(&mut self.cam, op, keys, vals, vl, dst);
         let deps = Self::deps2(
             self.vreg_ready[vkeys.0 as usize],
             self.vreg_ready[vvals.0 as usize],
         );
-        let (_, done) = self.vec_op(op.vga_mnemonic(), VecOpTiming::Cam, r.cycles, deps);
-        self.vf.vreg_mut(vd).as_mut_slice()[..r.value.len()].copy_from_slice(&r.value);
+        let (_, done) = self.vec_op(op.vga_mnemonic(), VecOpTiming::Cam, cycles, deps);
         self.vreg_ready[vd.0 as usize] = done;
     }
 
@@ -975,10 +981,11 @@ impl Machine {
         let (vregs, masks) = self.vf.banks_mut();
         let mask = mask_of(masks, m);
         let dst = vregs[usize::from(vd.0)].as_mut_slice();
-        let mut memory = self.space.page_reader();
         for (i, d) in dst[..vl].iter_mut().enumerate() {
             if mask.is_none_or(|mk| mk[i]) {
-                *d = memory.read_elem(pattern.address(i), pattern.elem_bytes());
+                *d = self
+                    .space
+                    .read_elem(pattern.address(i), pattern.elem_bytes());
             }
         }
         self.vreg_ready[vd.0 as usize] = done;
@@ -1144,10 +1151,10 @@ impl Machine {
 
         let mask = m.map(|m| self.vf.mask(m).as_slice());
         let src = self.vf.vreg(vs).as_slice();
-        let mut memory = self.space.page_writer();
         for (i, &v) in src[..vl].iter().enumerate() {
             if mask.is_none_or(|mk| mk[i]) {
-                memory.write_elem(pattern.address(i), pattern.elem_bytes(), v);
+                self.space
+                    .write_elem(pattern.address(i), pattern.elem_bytes(), v);
             }
         }
         agu_done

@@ -5,248 +5,238 @@
 //! column arrays and bookkeeping tables. Storage is paged and allocated on
 //! demand, so multi-gigabyte layouts (e.g. polytable's MVL-replicated tables
 //! at high cardinality) only consume host memory for pages actually touched.
+//!
+//! Pages are found through a two-level radix table (directory → region
+//! table → slab of pages), not a hash: the functional model pays one
+//! lookup per element of every vector load and store. Only the bytes and
+//! [`AddressSpace::resident_pages`] are observable; the layout is not
+//! (ARCHITECTURE.md, "Host cost of the functional model").
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 // 256-byte pages: fine-grained enough that sparse gather/scatter traffic
 // into gigabyte-scale replicated tables stays cheap on the host.
 const PAGE_SHIFT: u32 = 8;
 const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
+// 256 pages (64 KiB) per region table: a table is 1 KiB, so a lone page
+// in a sparse layout costs five pages' worth of host memory, not more.
+const TABLE_SHIFT: u32 = 8;
+const TABLE_PAGES: usize = 1 << TABLE_SHIFT;
+// The directory covers the first 2^22 regions (256 GiB, at most 16 MiB
+// of directory): far more than the bump allocator hands out for any
+// layout the host could back, so only stray addresses lie beyond it.
+const DIR_REGIONS: u64 = 1 << 22;
+
+type Page = [u8; PAGE_BYTES];
 
 /// Sparse, zero-initialised byte-addressable memory with a bump allocator.
+///
+/// Any `u64` address may be read or written. Writing zeros to a page that
+/// was never materialised is a no-op: absent pages already read as zero.
+/// This keeps table-clearing phases (e.g. polytable zeroing gigabytes of
+/// replicated cells) from consuming host memory — the *timing* of those
+/// stores is charged by the hierarchy model regardless.
+///
+/// Links between the levels are an index plus one, so that zero — what a
+/// fresh directory entry or table holds — means "absent".
 #[derive(Debug, Default)]
 pub struct AddressSpace {
-    pages: HashMap<u64, Box<[u8; PAGE_BYTES]>>,
+    /// Region number → its table in `tables`; grown to the highest region
+    /// written.
+    dir: Vec<u32>,
+    /// Page within a region → its page in `slab`.
+    tables: Vec<[u32; TABLE_PAGES]>,
+    /// The materialised pages, in the order they were first written.
+    slab: Vec<Page>,
+    /// Page number → its page in `slab`, for regions past [`DIR_REGIONS`].
+    far: HashMap<u64, u32>,
     /// Next free address for [`AddressSpace::alloc`].
     brk: u64,
 }
 
-/// Element reads that remember the last page they looked up. The
-/// elements of a vector load mostly share pages (64 consecutive words
-/// lie on two), so the page map is consulted once per page instead of
-/// once per element.
-pub(crate) struct PageReader<'a> {
-    space: &'a AddressSpace,
-    /// Number and contents of the remembered page; no address maps to
-    /// page `u64::MAX`.
-    page_no: u64,
-    page: Option<&'a [u8; PAGE_BYTES]>,
-}
-
-impl PageReader<'_> {
-    /// [`AddressSpace::read_elem`], through the remembered page.
-    pub(crate) fn read_elem(&mut self, addr: u64, width: u64) -> u64 {
-        let off = (addr as usize) & (PAGE_BYTES - 1);
-        let bytes = width as usize;
-        if !matches!(width, 1 | 4 | 8) || off + bytes > PAGE_BYTES {
-            // Straddles two pages (or is a width to refuse).
-            return self.space.read_elem(addr, width);
+/// The runs, one per page, of `len` words starting at the 4-aligned
+/// `base`: each run's address and its range of word numbers.
+fn page_runs(base: u64, len: usize) -> impl Iterator<Item = (u64, Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        if done == len {
+            return None;
         }
-        let page_no = addr >> PAGE_SHIFT;
-        if page_no != self.page_no {
-            self.page_no = page_no;
-            self.page = self.space.pages.get(&page_no).map(|p| &**p);
-        }
-        let Some(page) = self.page else { return 0 };
-        let mut le = [0u8; 8];
-        le[..bytes].copy_from_slice(&page[off..off + bytes]);
-        u64::from_le_bytes(le)
-    }
-}
-
-/// Element writes that hold on to the last page they touched, the write
-/// side of [`PageReader`]. The held page is out of the map while it is
-/// held and goes back when the writer moves on or is dropped.
-pub(crate) struct PageWriter<'a> {
-    space: &'a mut AddressSpace,
-    /// Number of the held page; no address maps to page `u64::MAX`.
-    page_no: u64,
-    /// The held page, or `None` while it has not been materialised.
-    page: Option<Box<[u8; PAGE_BYTES]>>,
-}
-
-impl PageWriter<'_> {
-    /// [`AddressSpace::write_elem`], through the held page.
-    pub(crate) fn write_elem(&mut self, addr: u64, width: u64, val: u64) {
-        let off = (addr as usize) & (PAGE_BYTES - 1);
-        let bytes = width as usize;
-        if !matches!(width, 1 | 4 | 8) || off + bytes > PAGE_BYTES {
-            // Straddles two pages (or is a width to refuse): through the
-            // map, so the held page goes back first.
-            self.release();
-            return self.space.write_elem(addr, width, val);
-        }
-        let page_no = addr >> PAGE_SHIFT;
-        if page_no != self.page_no {
-            self.release();
-            self.page_no = page_no;
-            self.page = self.space.pages.remove(&page_no);
-        }
-        let le = val.to_le_bytes();
-        // As in `write_u8`: zero to a page never materialised is a no-op.
-        if self.page.is_none() && le[..bytes].iter().all(|&b| b == 0) {
-            return;
-        }
-        let page = self.page.get_or_insert_with(|| Box::new([0; PAGE_BYTES]));
-        page[off..off + bytes].copy_from_slice(&le[..bytes]);
-    }
-
-    fn release(&mut self) {
-        if let Some(page) = self.page.take() {
-            self.space.pages.insert(self.page_no, page);
-        }
-        self.page_no = u64::MAX;
-    }
-}
-
-impl Drop for PageWriter<'_> {
-    fn drop(&mut self) {
-        self.release();
-    }
+        let addr = base + 4 * done as u64;
+        let room = (PAGE_BYTES - (addr as usize & (PAGE_BYTES - 1))) / 4;
+        let run = done..len.min(done + room);
+        done = run.end;
+        Some((addr, run))
+    })
 }
 
 impl AddressSpace {
-    /// A writer for a run of element writes (see [`PageWriter`]).
-    pub(crate) fn page_writer(&mut self) -> PageWriter<'_> {
-        PageWriter {
-            space: self,
-            page_no: u64::MAX,
-            page: None,
-        }
-    }
-
-    /// A reader for a run of element reads (see [`PageReader`]).
-    pub(crate) fn page_reader(&self) -> PageReader<'_> {
-        PageReader {
-            space: self,
-            page_no: u64::MAX,
-            page: None,
-        }
-    }
-
     /// An empty space; allocations start above the null page.
     pub fn new() -> Self {
         Self {
-            pages: HashMap::new(),
             brk: PAGE_BYTES as u64,
+            ..Self::default()
         }
     }
 
     /// Reserves `bytes` of fresh zeroed memory aligned to `align` (which
     /// must be a power of two). Returns the base address.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the reservation does not fit below `u64::MAX`.
     pub fn alloc(&mut self, bytes: u64, align: u64) -> u64 {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
-        let base = (self.brk + align - 1) & !(align - 1);
-        self.brk = base + bytes.max(1);
+        let base = self.brk.checked_add(align - 1).map(|b| b & !(align - 1));
+        let end = base.and_then(|b| b.checked_add(bytes.max(1)));
+        let (Some(base), Some(end)) = (base, end) else {
+            panic!(
+                "alloc of {bytes} bytes aligned to {align} overflows the address space (brk {:#x})",
+                self.brk
+            );
+        };
+        self.brk = end;
         base
     }
 
-    /// Releases every allocation and drops the materialised pages,
+    /// Releases every allocation and forgets the materialised pages,
     /// returning the space to its freshly-constructed state. Long-lived
     /// owners (e.g. a query session reusing one machine) call this
-    /// between units of work so host memory stays bounded.
+    /// between units of work so host memory stays bounded: the page
+    /// storage is kept and recycled, so the next unit of work allocates
+    /// only what it needs beyond the largest one so far.
     pub fn reset(&mut self) {
-        self.pages.clear();
+        self.dir.clear();
+        self.tables.clear();
+        self.slab.clear();
+        self.far.clear();
         self.brk = PAGE_BYTES as u64;
     }
 
     /// Number of host pages materialised (test/diagnostic hook).
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.slab.len()
     }
 
-    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_BYTES] {
-        self.pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0; PAGE_BYTES]))
+    /// Where in `slab` the page holding `addr` is, if it was ever
+    /// materialised: two dependent loads.
+    #[inline]
+    fn slot(&self, addr: u64) -> Option<usize> {
+        let page_no = addr >> PAGE_SHIFT;
+        let region = page_no >> TABLE_SHIFT;
+        let link = if region < DIR_REGIONS {
+            match self.dir.get(region as usize) {
+                Some(&t) if t != 0 => self.tables[t as usize - 1][page_no as usize % TABLE_PAGES],
+                _ => 0,
+            }
+        } else {
+            self.far.get(&page_no).copied().unwrap_or(0)
+        };
+        (link as usize).checked_sub(1)
+    }
+
+    #[inline]
+    fn page(&self, addr: u64) -> Option<&Page> {
+        self.slot(addr).map(|i| &self.slab[i])
+    }
+
+    /// Links a fresh zeroed page for `addr`, which must have none.
+    fn materialise(&mut self, addr: u64) -> &mut Page {
+        let page_no = addr >> PAGE_SHIFT;
+        let region = page_no >> TABLE_SHIFT;
+        let link = if region < DIR_REGIONS {
+            let region = region as usize;
+            if region >= self.dir.len() {
+                self.dir.resize(region + 1, 0);
+            }
+            if self.dir[region] == 0 {
+                self.tables.push([0; TABLE_PAGES]);
+                self.dir[region] =
+                    u32::try_from(self.tables.len()).expect("fewer tables than pages");
+            }
+            &mut self.tables[self.dir[region] as usize - 1][page_no as usize % TABLE_PAGES]
+        } else {
+            self.far.entry(page_no).or_insert(0)
+        };
+        debug_assert_eq!(*link, 0, "page already materialised");
+        self.slab.push([0; PAGE_BYTES]);
+        *link = u32::try_from(self.slab.len()).expect("under 2^32 resident pages (1 TiB)");
+        self.slab.last_mut().expect("just pushed")
+    }
+
+    /// Copies `bytes` to `addr`; they must not cross a page boundary.
+    /// Zeros onto an absent page materialise nothing.
+    #[inline]
+    fn write_in_page(&mut self, addr: u64, bytes: &[u8]) {
+        let page = match self.slot(addr) {
+            Some(i) => &mut self.slab[i],
+            None if bytes.iter().all(|&b| b == 0) => return,
+            None => self.materialise(addr),
+        };
+        let off = (addr as usize) & (PAGE_BYTES - 1);
+        page[off..off + bytes.len()].copy_from_slice(bytes);
+    }
+
+    /// Reads `N` bytes at `addr` (may straddle pages).
+    #[inline]
+    fn read_bytes<const N: usize>(&self, addr: u64) -> [u8; N] {
+        let off = (addr as usize) & (PAGE_BYTES - 1);
+        let mut b = [0u8; N];
+        if off + N <= PAGE_BYTES {
+            if let Some(p) = self.page(addr) {
+                b.copy_from_slice(&p[off..off + N]);
+            }
+        } else {
+            for (i, x) in b.iter_mut().enumerate() {
+                *x = self.read_u8(addr + i as u64);
+            }
+        }
+        b
+    }
+
+    /// Writes `N` bytes at `addr` (may straddle pages).
+    #[inline]
+    fn write_bytes<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) {
+        let off = (addr as usize) & (PAGE_BYTES - 1);
+        if off + N <= PAGE_BYTES {
+            self.write_in_page(addr, &bytes);
+        } else {
+            for (i, b) in bytes.into_iter().enumerate() {
+                self.write_in_page(addr + i as u64, &[b]);
+            }
+        }
     }
 
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
-        self.pages
-            .get(&(addr >> PAGE_SHIFT))
+        self.page(addr)
             .map_or(0, |p| p[(addr as usize) & (PAGE_BYTES - 1)])
     }
 
     /// Writes one byte.
-    ///
-    /// Writing zero to a page that was never materialised is a no-op:
-    /// absent pages already read as zero. This keeps table-clearing phases
-    /// (e.g. polytable zeroing gigabytes of replicated cells) from
-    /// consuming host memory — the *timing* of those stores is charged by
-    /// the hierarchy model regardless.
     pub fn write_u8(&mut self, addr: u64, val: u8) {
-        if val == 0 && !self.pages.contains_key(&(addr >> PAGE_SHIFT)) {
-            return;
-        }
-        self.page_mut(addr)[(addr as usize) & (PAGE_BYTES - 1)] = val;
+        self.write_in_page(addr, &[val]);
     }
 
     /// Reads a little-endian `u32` (may straddle pages).
     pub fn read_u32(&self, addr: u64) -> u32 {
-        let off = (addr as usize) & (PAGE_BYTES - 1);
-        if off + 4 <= PAGE_BYTES {
-            // Fast path: one page lookup.
-            match self.pages.get(&(addr >> PAGE_SHIFT)) {
-                Some(p) => u32::from_le_bytes(p[off..off + 4].try_into().expect("4 bytes")),
-                None => 0,
-            }
-        } else {
-            let mut b = [0u8; 4];
-            for (i, x) in b.iter_mut().enumerate() {
-                *x = self.read_u8(addr + i as u64);
-            }
-            u32::from_le_bytes(b)
-        }
+        u32::from_le_bytes(self.read_bytes(addr))
     }
 
     /// Writes a little-endian `u32`.
     pub fn write_u32(&mut self, addr: u64, val: u32) {
-        let off = (addr as usize) & (PAGE_BYTES - 1);
-        if off + 4 <= PAGE_BYTES {
-            if val == 0 && !self.pages.contains_key(&(addr >> PAGE_SHIFT)) {
-                return; // zero to an unmaterialised page: no-op
-            }
-            let p = self.page_mut(addr);
-            p[off..off + 4].copy_from_slice(&val.to_le_bytes());
-        } else {
-            for (i, b) in val.to_le_bytes().into_iter().enumerate() {
-                self.write_u8(addr + i as u64, b);
-            }
-        }
+        self.write_bytes(addr, val.to_le_bytes());
     }
 
     /// Reads a little-endian `u64`.
     pub fn read_u64(&self, addr: u64) -> u64 {
-        let off = (addr as usize) & (PAGE_BYTES - 1);
-        if off + 8 <= PAGE_BYTES {
-            match self.pages.get(&(addr >> PAGE_SHIFT)) {
-                Some(p) => u64::from_le_bytes(p[off..off + 8].try_into().expect("8 bytes")),
-                None => 0,
-            }
-        } else {
-            let mut b = [0u8; 8];
-            for (i, x) in b.iter_mut().enumerate() {
-                *x = self.read_u8(addr + i as u64);
-            }
-            u64::from_le_bytes(b)
-        }
+        u64::from_le_bytes(self.read_bytes(addr))
     }
 
     /// Writes a little-endian `u64`.
     pub fn write_u64(&mut self, addr: u64, val: u64) {
-        let off = (addr as usize) & (PAGE_BYTES - 1);
-        if off + 8 <= PAGE_BYTES {
-            if val == 0 && !self.pages.contains_key(&(addr >> PAGE_SHIFT)) {
-                return;
-            }
-            let p = self.page_mut(addr);
-            p[off..off + 8].copy_from_slice(&val.to_le_bytes());
-        } else {
-            for (i, b) in val.to_le_bytes().into_iter().enumerate() {
-                self.write_u8(addr + i as u64, b);
-            }
-        }
+        self.write_bytes(addr, val.to_le_bytes());
     }
 
     /// Reads an element of `width` ∈ {1, 4, 8} bytes zero-extended to
@@ -272,16 +262,47 @@ impl AddressSpace {
 
     /// Host-side bulk upload of a `u32` slice (dataset staging; untimed).
     pub fn write_slice_u32(&mut self, base: u64, data: &[u32]) {
-        for (i, &v) in data.iter().enumerate() {
-            self.write_u32(base + 4 * i as u64, v);
+        if !base.is_multiple_of(4) {
+            // Words may straddle pages: one at a time.
+            for (i, &v) in data.iter().enumerate() {
+                self.write_u32(base + 4 * i as u64, v);
+            }
+            return;
+        }
+        for (addr, run) in page_runs(base, data.len()) {
+            let words = &data[run];
+            let page = match self.slot(addr) {
+                Some(i) => &mut self.slab[i],
+                // As in `write_in_page`: zeros onto an absent page.
+                None if words.iter().all(|&w| w == 0) => continue,
+                None => self.materialise(addr),
+            };
+            let off = (addr as usize) & (PAGE_BYTES - 1);
+            for (dst, w) in page[off..].chunks_exact_mut(4).zip(words) {
+                dst.copy_from_slice(&w.to_le_bytes());
+            }
         }
     }
 
     /// Host-side bulk download of `len` `u32`s (result checking; untimed).
     pub fn read_slice_u32(&self, base: u64, len: usize) -> Vec<u32> {
-        (0..len)
-            .map(|i| self.read_u32(base + 4 * i as u64))
-            .collect()
+        if !base.is_multiple_of(4) {
+            return (0..len)
+                .map(|i| self.read_u32(base + 4 * i as u64))
+                .collect();
+        }
+        let mut out = Vec::with_capacity(len);
+        for (addr, run) in page_runs(base, len) {
+            match self.page(addr) {
+                Some(page) => {
+                    let off = (addr as usize) & (PAGE_BYTES - 1);
+                    let words = page[off..].chunks_exact(4).take(run.len());
+                    out.extend(words.map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes"))));
+                }
+                None => out.resize(run.end, 0),
+            }
+        }
+        out
     }
 
     /// Allocates and uploads a `u32` column, returning its base address.
@@ -333,6 +354,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "overflows the address space")]
+    fn alloc_past_the_top_panics_instead_of_wrapping() {
+        let mut s = AddressSpace::new();
+        s.alloc(u64::MAX - 1_000, 64);
+        // Would wrap `brk` to a few hundred and alias the null page.
+        s.alloc(2_000, 64);
+    }
+
+    #[test]
     fn elem_widths() {
         let mut s = AddressSpace::new();
         s.write_elem(0x10, 1, 0x1FF);
@@ -341,63 +371,6 @@ mod tests {
         assert_eq!(s.read_elem(0x20, 4), u32::MAX as u64);
         s.write_elem(0x30, 8, 42);
         assert_eq!(s.read_elem(0x30, 8), 42);
-    }
-
-    #[test]
-    fn page_reader_reads_what_read_elem_reads() {
-        let mut s = AddressSpace::new();
-        // Three materialised pages with a hole after them.
-        for i in 0..3 * PAGE_BYTES as u64 {
-            s.write_u8(0x1000 + i, (i * 7 + 1) as u8);
-        }
-        let mut reader = s.page_reader();
-        // Every alignment, across page edges, into the hole and back.
-        for width in [1u64, 4, 8] {
-            for addr in (0x1000 - 16..0x1000 + 3 * PAGE_BYTES as u64 + 16).chain([0x1004, 0x9000]) {
-                assert_eq!(
-                    reader.read_elem(addr, width),
-                    s.read_elem(addr, width),
-                    "{width} bytes at {addr:#x}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn page_writer_leaves_what_write_elem_leaves() {
-        // The same writes — every width and alignment, across page edges,
-        // zeros onto absent and present pages, revisits — through the
-        // writer and through `write_elem`: same bytes, same resident set.
-        let (mut direct, mut held) = (AddressSpace::new(), AddressSpace::new());
-        let mut writes = Vec::new();
-        for (i, addr) in (0x1000 - 9..0x1000 + 2 * PAGE_BYTES as u64 + 9)
-            .chain([0x5000, 0x1010, 0x5004, 0x9000])
-            .enumerate()
-        {
-            let width = [1u64, 4, 8][i % 3];
-            let val = if i % 5 == 0 {
-                0
-            } else {
-                0x0102_0304_0506_0708u64.wrapping_mul(i as u64)
-            };
-            writes.push((addr * [1, 3][i % 2], width, val));
-        }
-        let mut writer = held.page_writer();
-        for &(addr, width, val) in &writes {
-            direct.write_elem(addr, width, val);
-            writer.write_elem(addr, width, val);
-        }
-        drop(writer);
-        assert_eq!(held.resident_pages(), direct.resident_pages());
-        for &(addr, _, _) in &writes {
-            assert_eq!(held.read_u64(addr), direct.read_u64(addr), "at {addr:#x}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "unsupported element width")]
-    fn page_reader_refuses_the_widths_read_elem_refuses() {
-        AddressSpace::new().page_reader().read_elem(0, 2);
     }
 
     #[test]
@@ -421,5 +394,151 @@ mod tests {
         let base = s.alloc(1 << 30, 64);
         s.write_u32(base + (1 << 29), 7);
         assert!(s.resident_pages() <= 2);
+    }
+}
+
+/// The radix table against a byte map: same bytes, same resident pages.
+#[cfg(test)]
+mod differential_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    const REGION_BYTES: u64 = 1 << (PAGE_SHIFT + TABLE_SHIFT);
+    /// First address the directory does not cover.
+    const BOUND: u64 = DIR_REGIONS * REGION_BYTES;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        WriteElem(u64, u64, u64),
+        ReadElem(u64, u64),
+        WriteSlice(u64, Vec<u32>),
+        ReadSlice(u64, usize),
+        Alloc(u64, u64),
+        Reset,
+    }
+
+    /// What the space must behave like: a byte map, the pages that took
+    /// a non-zero byte since the last reset, and the bump pointer.
+    struct Oracle {
+        bytes: BTreeMap<u64, u8>,
+        resident: BTreeSet<u64>,
+        brk: u64,
+    }
+
+    impl Oracle {
+        fn write(&mut self, addr: u64, bytes: &[u8]) {
+            for (a, &b) in (addr..).zip(bytes) {
+                self.bytes.insert(a, b);
+                if b != 0 {
+                    self.resident.insert(a >> PAGE_SHIFT);
+                }
+            }
+        }
+
+        fn read(&self, addr: u64, n: usize) -> u64 {
+            let mut le = [0u8; 8];
+            for (a, b) in (addr..).zip(&mut le[..n]) {
+                *b = self.bytes.get(&a).copied().unwrap_or(0);
+            }
+            u64::from_le_bytes(le)
+        }
+    }
+
+    // A few pages at the bottom (where `alloc` hands out), both sides of
+    // a page edge, a region edge and the directory bound, and the top of
+    // the address space; every alignment, and narrow enough to revisit.
+    // Every window leaves room above for a 32-word slice.
+    fn addrs() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..1_024,
+            REGION_BYTES - 300..REGION_BYTES + 300,
+            BOUND - 300..BOUND + 300,
+            BOUND + 5 * REGION_BYTES - 20..BOUND + 5 * REGION_BYTES + 20,
+            u64::MAX - 600..u64::MAX - 135,
+        ]
+    }
+
+    fn ops() -> impl Strategy<Value = Op> {
+        let width = || prop::sample::select(vec![1u64, 4, 8]);
+        // Zero often enough to meet absent pages.
+        let val = || prop_oneof![Just(0u64), any::<u64>(), 1u64..256];
+        let words = || prop::collection::vec(prop_oneof![Just(0u32), any::<u32>()], 0..33);
+        prop_oneof![
+            // Twice: the shim's union has no weights.
+            (addrs(), width(), val()).prop_map(|(a, w, v)| Op::WriteElem(a, w, v)),
+            (addrs(), width(), val()).prop_map(|(a, w, v)| Op::WriteElem(a, w, v)),
+            (addrs(), width()).prop_map(|(a, w)| Op::ReadElem(a, w)),
+            (addrs(), words()).prop_map(|(a, d)| Op::WriteSlice(a, d)),
+            // The aligned (page-wise) path, half of it all zeros.
+            (addrs(), words(), any::<bool>()).prop_map(|(a, d, zero)| {
+                Op::WriteSlice(a & !3, if zero { vec![0; d.len()] } else { d })
+            }),
+            (addrs(), 0usize..33).prop_map(|(a, n)| Op::ReadSlice(a, n)),
+            (addrs(), 0usize..33).prop_map(|(a, n)| Op::ReadSlice(a & !3, n)),
+            (0u64..700, prop::sample::select(vec![1u64, 4, 64, 256]))
+                .prop_map(|(b, a)| Op::Alloc(b, a)),
+            Just(Op::Reset),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn same_bytes_and_resident_pages_as_a_byte_map(
+            ops in prop::collection::vec(ops(), 1..250),
+        ) {
+            let mut space = AddressSpace::new();
+            let mut oracle = Oracle {
+                bytes: BTreeMap::new(),
+                resident: BTreeSet::new(),
+                brk: PAGE_BYTES as u64,
+            };
+            // A last reset, so that every case ends on one.
+            for op in ops.iter().chain([&Op::Reset]) {
+                match op {
+                    &Op::WriteElem(addr, width, val) => {
+                        space.write_elem(addr, width, val);
+                        oracle.write(addr, &val.to_le_bytes()[..width as usize]);
+                    }
+                    &Op::ReadElem(addr, width) => {
+                        prop_assert_eq!(
+                            space.read_elem(addr, width),
+                            oracle.read(addr, width as usize),
+                            "{} bytes at {:#x}", width, addr
+                        );
+                    }
+                    Op::WriteSlice(base, data) => {
+                        space.write_slice_u32(*base, data);
+                        let bytes: Vec<u8> = data.iter().flat_map(|w| w.to_le_bytes()).collect();
+                        oracle.write(*base, &bytes);
+                    }
+                    &Op::ReadSlice(base, len) => {
+                        let expect: Vec<u32> = (0..len as u64)
+                            .map(|i| oracle.read(base + 4 * i, 4) as u32)
+                            .collect();
+                        prop_assert_eq!(space.read_slice_u32(base, len), expect, "at {:#x}", base);
+                    }
+                    &Op::Alloc(bytes, align) => {
+                        let base = oracle.brk.next_multiple_of(align);
+                        oracle.brk = base + bytes.max(1);
+                        prop_assert_eq!(space.alloc(bytes, align), base);
+                    }
+                    Op::Reset => {
+                        space.reset();
+                        let written: Vec<u64> = oracle.bytes.keys().copied().collect();
+                        oracle.bytes.clear();
+                        oracle.resident.clear();
+                        oracle.brk = PAGE_BYTES as u64;
+                        prop_assert_eq!(space.resident_pages(), 0);
+                        for addr in written {
+                            prop_assert_eq!(space.read_u8(addr), 0, "{:#x} after reset", addr);
+                        }
+                    }
+                }
+                prop_assert_eq!(space.resident_pages(), oracle.resident.len(), "after {:?}", op);
+            }
+        }
     }
 }

@@ -89,8 +89,8 @@ fn sort_runs() -> Vec<(String, Fingerprint)> {
         .map(|_| rng.next_below(u64::from(MAX_KEY) + 1) as u32)
         .collect();
     let vals: Vec<u32> = (0..SORT_ROWS as u32).collect();
-    let sorts: [(&str, fn(&mut Machine, &SortArrays, u32) -> u32); 2] =
-        [("radix_sort", radix_sort), ("vsr_sort", vsr_sort)];
+    type Sort = fn(&mut Machine, &SortArrays, u32) -> u32;
+    let sorts: [(&str, Sort); 2] = [("radix_sort", radix_sort), ("vsr_sort", vsr_sort)];
     sorts
         .into_iter()
         .map(|(name, sort)| {

@@ -205,7 +205,10 @@ fn pruning_fires_on_clustered_data_and_counts_it() {
     let (g, v) = clustered(n, 1, 42);
     // v tops out near n/1*10; keep only the very tail — almost every
     // zone excludes the predicate.
-    let sql = format!("SELECT g, COUNT(*), SUM(v) FROM t WHERE v > {} GROUP BY g", n * 10 - 500);
+    let sql = format!(
+        "SELECT g, COUNT(*), SUM(v) FROM t WHERE v > {} GROUP BY g",
+        n * 10 - 500
+    );
 
     let mut single = Database::new();
     single.register(table(&g, &v));
