@@ -17,7 +17,7 @@ use vagg::core::{Algorithm, StagedInput};
 use vagg::datagen::rng::Xoshiro256StarStar;
 use vagg::datagen::{DatasetSpec, Distribution};
 use vagg::db::{Database, SqlOutcome, Table};
-use vagg::sim::{Machine, SimStats};
+use vagg::sim::{Machine, SimConfig, SimStats};
 use vagg::sort::{radix_sort, vsr_sort, SortArrays};
 
 const SEED: u64 = 13;
@@ -74,6 +74,62 @@ fn kernel_runs() -> Vec<(String, Fingerprint)> {
                         distribution.name(),
                         cardinality
                     ),
+                    fingerprint(&m.stats()),
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// Machines away from [`SimConfig::paper`]: the schedulers' host fast
+/// paths depend on the widest reservation (`VL / lanes`, CAM slice
+/// counts) and on the queue depths, which the paper's configuration
+/// holds at one value each.
+fn configs() -> [(&'static str, SimConfig); 5] {
+    let paper = SimConfig::paper;
+    let mut cached_vectors = paper();
+    cached_vectors.mem.l1_bypass_vector = false;
+    let mut plain_l2 = paper();
+    plain_l2.mem.xor_l2 = false;
+    let mut shallow = paper();
+    shallow.cpu.issue_queue_per_cluster = 2;
+    shallow.cpu.reorder_buffer = 32;
+    [
+        (
+            "mvl16-lanes2-ports2",
+            paper().with_mvl(16).with_lanes(2).with_cam_ports(2),
+        ),
+        (
+            "mvl128-lanes8-ports8",
+            paper().with_mvl(128).with_lanes(8).with_cam_ports(8),
+        ),
+        ("l1-vectors", cached_vectors),
+        ("plain-l2", plain_l2),
+        ("iq2-rob32", shallow),
+    ]
+}
+
+fn config_runs() -> Vec<(String, Fingerprint)> {
+    const ALGORITHMS: [Algorithm; 4] = [
+        Algorithm::Scalar,
+        Algorithm::Monotable,
+        Algorithm::PartiallySortedMonotable,
+        Algorithm::AdvancedSortedReduce,
+    ];
+    let mut out = Vec::new();
+    for (config_name, config) in configs() {
+        for algorithm in ALGORITHMS {
+            for cardinality in [76, 39_062] {
+                let ds = DatasetSpec::paper(Distribution::Uniform, cardinality)
+                    .with_rows(ROWS)
+                    .with_seed(SEED)
+                    .generate();
+                let mut m = Machine::new(config.clone());
+                let input = StagedInput::stage(&mut m, &ds);
+                algorithm.execute(&mut m, &input);
+                out.push((
+                    format!("{config_name}/{}/{cardinality}", algorithm.short_name()),
                     fingerprint(&m.stats()),
                 ));
             }
@@ -141,6 +197,7 @@ fn every_run() -> Vec<(String, Fingerprint)> {
     let mut runs = kernel_runs();
     runs.extend(sort_runs());
     runs.extend(sql_runs());
+    runs.extend(config_runs());
     runs
 }
 
@@ -227,5 +284,44 @@ const GOLDEN: &[(&str, Fingerprint)] = &[
     ("radix_sort/4096", [306000, 135560, 63488, 2048, 75013, 2048, 1791, 0, 248]),
     ("vsr_sort/4096", [28387, 5908, 992, 32, 22998, 1056, 923, 0, 128]),
     ("sql/full_scan", [23450, 3141, 0, 0, 23668, 1409, 1231, 0, 171]),
-    ("sql/filtered", [61227, 10104, 2208, 154, 49413, 2709, 2367, 0, 329]),
+    ("sql/filtered", [61227, 10104, 2208, 154, 49413, 2709, 2367, 0, 329]),    ("mvl16-lanes2-ports2/scalar/76", [21358, 31860, 14587, 281, 0, 281, 244, 0, 34]),
+    ("mvl16-lanes2-ports2/scalar/39062", [336901, 357147, 126368, 13124, 14458, 7581, 9239, 108, 1292]),
+    ("mvl16-lanes2-ports2/mono/76", [7294, 2423, 0, 0, 2622, 281, 244, 0, 34]),
+    ("mvl16-lanes2-ports2/mono/39062", [177231, 43234, 0, 0, 17627, 7629, 9328, 110, 1303]),
+    ("mvl16-lanes2-ports2/psm/76", [7294, 2423, 0, 0, 2622, 281, 244, 0, 34]),
+    ("mvl16-lanes2-ports2/psm/39062", [211242, 47709, 296, 10, 23162, 8624, 10929, 116, 1531]),
+    ("mvl16-lanes2-ports2/asr/76", [19487, 7146, 432, 101, 7144, 538, 470, 0, 65]),
+    ("mvl16-lanes2-ports2/asr/39062", [72591, 37260, 10149, 655, 20408, 1038, 907, 0, 126]),
+    ("mvl128-lanes8-ports8/scalar/76", [21358, 31860, 14587, 281, 0, 281, 244, 0, 34]),
+    ("mvl128-lanes8-ports8/scalar/39062", [336901, 357147, 126368, 13124, 14458, 7581, 9239, 108, 1292]),
+    ("mvl128-lanes8-ports8/mono/76", [5334, 319, 0, 0, 458, 281, 244, 0, 34]),
+    ("mvl128-lanes8-ports8/mono/39062", [158428, 7029, 0, 0, 16781, 9528, 12167, 127, 1708]),
+    ("mvl128-lanes8-ports8/psm/76", [5334, 319, 0, 0, 458, 281, 244, 0, 34]),
+    ("mvl128-lanes8-ports8/psm/39062", [161716, 8128, 296, 10, 16943, 10632, 13955, 130, 1956]),
+    ("mvl128-lanes8-ports8/asr/76", [11890, 2022, 432, 101, 3157, 545, 476, 0, 66]),
+    ("mvl128-lanes8-ports8/asr/39062", [61296, 28816, 10149, 655, 9891, 1038, 907, 0, 126]),
+    ("l1-vectors/scalar/76", [21358, 31860, 14587, 281, 0, 281, 244, 0, 34]),
+    ("l1-vectors/scalar/39062", [336901, 357147, 126368, 13124, 14458, 7581, 9239, 108, 1292]),
+    ("l1-vectors/mono/76", [5460, 629, 778, 281, 0, 281, 244, 0, 34]),
+    ("l1-vectors/mono/39062", [205454, 13859, 12834, 14157, 13732, 9355, 11901, 122, 1666]),
+    ("l1-vectors/psm/76", [5460, 629, 778, 281, 0, 281, 244, 0, 34]),
+    ("l1-vectors/psm/39062", [226558, 15440, 16198, 13625, 11393, 10471, 13697, 133, 1920]),
+    ("l1-vectors/asr/76", [13521, 2745, 4690, 541, 0, 541, 472, 0, 66]),
+    ("l1-vectors/asr/39062", [51889, 30022, 22609, 1325, 997, 1038, 907, 0, 126]),
+    ("plain-l2/scalar/76", [21358, 31860, 14587, 281, 0, 281, 244, 0, 34]),
+    ("plain-l2/scalar/39062", [338633, 357147, 126368, 13124, 14397, 7642, 9278, 122, 1296]),
+    ("plain-l2/mono/76", [5478, 629, 0, 0, 778, 281, 244, 0, 34]),
+    ("plain-l2/mono/39062", [205434, 13859, 0, 0, 17639, 9352, 11893, 131, 1667]),
+    ("plain-l2/psm/76", [5478, 629, 0, 0, 778, 281, 244, 0, 34]),
+    ("plain-l2/psm/39062", [229386, 15440, 296, 10, 18966, 10571, 13861, 150, 1946]),
+    ("plain-l2/asr/76", [13936, 2745, 432, 101, 4263, 541, 472, 0, 66]),
+    ("plain-l2/asr/39062", [63874, 30022, 10149, 655, 12831, 1038, 907, 0, 126]),
+    ("iq2-rob32/scalar/76", [33722, 31860, 14587, 281, 0, 281, 244, 0, 34]),
+    ("iq2-rob32/scalar/39062", [416508, 357147, 126368, 13124, 14458, 7581, 9239, 108, 1292]),
+    ("iq2-rob32/mono/76", [9400, 629, 0, 0, 778, 281, 244, 0, 34]),
+    ("iq2-rob32/mono/39062", [214170, 13859, 0, 0, 17584, 9407, 12004, 125, 1680]),
+    ("iq2-rob32/psm/76", [9400, 629, 0, 0, 778, 281, 244, 0, 34]),
+    ("iq2-rob32/psm/39062", [245375, 15440, 296, 10, 18974, 10563, 13874, 132, 1946]),
+    ("iq2-rob32/asr/76", [15157, 2745, 432, 101, 4263, 541, 472, 0, 66]),
+    ("iq2-rob32/asr/39062", [65662, 30022, 10149, 655, 12831, 1038, 907, 0, 126]),
 ];
