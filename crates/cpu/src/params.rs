@@ -17,15 +17,16 @@ pub struct CpuParams {
     pub writeback_width: u64,
     /// Commit width per cycle.
     pub commit_width: u64,
-    /// Reorder buffer entries.
+    /// Reorder buffer entries; at least 1 (`Pipeline::new` refuses 0).
     pub reorder_buffer: usize,
     /// Issue width per execution cluster.
     pub issue_per_cluster: u64,
-    /// Issue-queue entries per cluster.
+    /// Issue-queue entries per cluster; at least 1 (`Pipeline::new`
+    /// refuses 0).
     pub issue_queue_per_cluster: usize,
-    /// Load queue entries.
+    /// Load queue entries; at least 1 (`Pipeline::new` refuses 0).
     pub load_queue: usize,
-    /// Store queue entries.
+    /// Store queue entries; at least 1 (`Pipeline::new` refuses 0).
     pub store_queue: usize,
     /// Lockstepped vector lanes.
     pub lanes: usize,

@@ -50,15 +50,23 @@ fn scan_only() -> bool {
 /// disjoint nor sorted by end ([`ClusterState::issue_slot`] may move a
 /// start past the probed gap), and the 64-entry cap evicts the oldest
 /// *start*, live or not. Both are observable in the cycle counts, so the
-/// host fast paths below only skip a scan whose outcome is already
+/// host fast paths below only skip comparisons whose outcome is already
 /// known; they never reorder, merge or prune entries (see ARCHITECTURE,
-/// "Host cost of the timing model").
+/// "Host cost of the timing model"). Each is switched off by
+/// [`scan_only`], and `differential_tests` holds the two equal: whole
+/// micro-op streams (`fast_paths_start_every_op_where_the_scan_does`)
+/// and one schedule with overlapping intervals and evicted live entries
+/// (`one_schedule_holds_the_same_intervals_either_way`).
 #[derive(Debug, Clone, Default)]
 struct FuSchedule {
     busy: VecDeque<(u64, u64)>,
     /// Largest interval end ever reserved, evicted entries included: an
     /// op ready at or after it overlaps nothing in `busy`.
     max_end: u64,
+    /// Largest `width` ever reserved. Every entry is `(b, b + w)` for
+    /// the `w` it was reserved with, so `e - b <= max_width` holds for
+    /// all of `busy`, whatever is evicted.
+    max_width: u64,
 }
 
 impl FuSchedule {
@@ -68,8 +76,19 @@ impl FuSchedule {
         if earliest >= self.max_end && !scan_only() {
             return earliest;
         }
+        // The dead prefix. `b + max_width <= earliest` gives
+        // `e <= earliest <= start`: the entry cannot raise `start`, nor
+        // end the walk (`start + width <= b < e` contradicts it, widths
+        // being ≥ 1). `busy` is sorted by start, so these entries are a
+        // prefix; nothing is assumed about the order of ends.
+        let live = if scan_only() {
+            0
+        } else {
+            self.busy
+                .partition_point(|&(b, _)| b + self.max_width <= earliest)
+        };
         let mut start = earliest;
-        for &(b, e) in &self.busy {
+        for &(b, e) in self.busy.range(live..) {
             if start + width <= b {
                 break;
             }
@@ -83,6 +102,8 @@ impl FuSchedule {
     /// Reserves `[start, start + width)`; `start` must come from
     /// [`FuSchedule::probe`] with the same arguments.
     fn reserve(&mut self, start: u64, width: u64) {
+        // `busy` is sorted by start: past the last start, the first
+        // entry not before `start` is the end of the list.
         if self.busy.back().is_none_or(|&(b, _)| start > b) && !scan_only() {
             self.busy.push_back((start, start + width));
         } else {
@@ -94,6 +115,7 @@ impl FuSchedule {
             self.busy.insert(at, (start, start + width));
         }
         self.max_end = self.max_end.max(start + width);
+        self.max_width = self.max_width.max(width);
         while self.busy.len() > 64 {
             self.busy.pop_front();
         }
@@ -128,6 +150,7 @@ impl ClusterState {
         if issue_per_cycle > 1 {
             return start;
         }
+        // Past `max_issued` no cycle is taken (same tests as the FUs').
         if start <= self.max_issued || scan_only() {
             while self.issued.contains(&start) {
                 start += 1;
@@ -140,6 +163,34 @@ impl ClusterState {
         }
         start
     }
+}
+
+/// The (cluster, FU) pair of one family offering the earliest start to an
+/// op that is ready at `ready0`, and that start; of equal starts the
+/// first in (cluster, FU) order.
+fn select(
+    clusters: &[ClusterState],
+    iq_cap: usize,
+    ready0: u64,
+    occupancy: u64,
+) -> (usize, usize, u64) {
+    let mut best = (0, 0, u64::MAX);
+    for (ci, c) in clusters.iter().enumerate() {
+        // Issue-queue back-pressure applies per cluster.
+        let iq_ready = if c.queue.len() >= iq_cap {
+            c.queue.front().copied().unwrap_or(0)
+        } else {
+            0
+        };
+        let ready = ready0.max(iq_ready);
+        for (fi, fu) in c.fus.iter().enumerate() {
+            let start = fu.probe(ready, occupancy);
+            if start < best.2 {
+                best = (ci, fi, start);
+            }
+        }
+    }
+    best
 }
 
 /// The pipeline model. Feed it micro-ops in program order via
@@ -173,7 +224,23 @@ fn ordinal(kind: FuKind) -> usize {
 impl Pipeline {
     /// Creates an empty pipeline; the first op dispatches after the
     /// frontend fill latency.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the issue queue, the reorder buffer, the load queue or
+    /// the store queue has no entries: an op could never leave it.
     pub fn new(params: CpuParams) -> Self {
+        for (field, entries) in [
+            ("issue_queue_per_cluster", params.issue_queue_per_cluster),
+            ("reorder_buffer", params.reorder_buffer),
+            ("load_queue", params.load_queue),
+            ("store_queue", params.store_queue),
+        ] {
+            assert!(
+                entries > 0,
+                "CpuParams::{field} is {entries}: the pipeline needs at least one entry"
+            );
+        }
         let clusters = FuKind::ALL
             .iter()
             .map(|&k| {
@@ -296,24 +363,7 @@ impl Pipeline {
         let issue_per = self.params.issue_per_cluster;
         let ready0 = deps_ready.max(dispatch_at + 1);
 
-        let (ci, fi, _) = self.clusters[ord]
-            .iter()
-            .enumerate()
-            .flat_map(|(ci, c)| {
-                // Issue-queue back-pressure applies per cluster.
-                let iq_ready = if c.queue.len() >= iq_cap {
-                    c.queue.front().copied().unwrap_or(0)
-                } else {
-                    0
-                };
-                let ready = ready0.max(iq_ready);
-                c.fus
-                    .iter()
-                    .enumerate()
-                    .map(move |(fi, fu)| (ci, fi, fu.probe(ready, occupancy)))
-            })
-            .min_by_key(|&(_, _, s)| s)
-            .expect("at least one FU");
+        let (ci, fi, best) = select(&self.clusters[ord], iq_cap, ready0, occupancy);
 
         let cluster = &mut self.clusters[ord][ci];
         let mut ready = ready0;
@@ -321,7 +371,17 @@ impl Pipeline {
             let oldest = cluster.queue.pop_front().expect("queue non-empty");
             ready = ready.max(oldest);
         }
-        let slot = cluster.fus[fi].probe(ready, occupancy);
+        // `queue.len() <= iq_cap` always (one push per call, after this
+        // loop; the capacity is at least 1), so the loop popped exactly
+        // the `front()` that `select` folded into its probe of the
+        // winner: `best` is what probing again with `ready` returns.
+        // Held by `fast_paths_start_every_op_where_the_scan_does`, which
+        // draws the queue depth.
+        let slot = if scan_only() {
+            cluster.fus[fi].probe(ready, occupancy)
+        } else {
+            best
+        };
         let start = cluster.issue_slot(slot, issue_per);
         cluster.fus[fi].reserve(start, occupancy);
         cluster.queue.push_back(start);
@@ -565,6 +625,37 @@ mod tests {
         assert_eq!(p.reserve_store_slot(), 777);
     }
 
+    /// A pipeline on Table I's parameters with one of them changed.
+    fn pipe_with(change: impl FnOnce(&mut CpuParams)) -> Pipeline {
+        let mut params = CpuParams::westmere();
+        change(&mut params);
+        Pipeline::new(params)
+    }
+
+    #[test]
+    #[should_panic(expected = "CpuParams::issue_queue_per_cluster is 0")]
+    fn an_empty_issue_queue_is_refused() {
+        pipe_with(|p| p.issue_queue_per_cluster = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "CpuParams::reorder_buffer is 0")]
+    fn an_empty_reorder_buffer_is_refused() {
+        pipe_with(|p| p.reorder_buffer = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "CpuParams::load_queue is 0")]
+    fn an_empty_load_queue_is_refused() {
+        pipe_with(|p| p.load_queue = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "CpuParams::store_queue is 0")]
+    fn an_empty_store_queue_is_refused() {
+        pipe_with(|p| p.store_queue = 0);
+    }
+
     #[test]
     fn cycles_track_last_commit() {
         let mut p = pipe();
@@ -656,6 +747,24 @@ mod schedule_tests {
     }
 
     #[test]
+    fn of_equal_starts_the_first_cluster_wins() {
+        // Three idle arithmetic clusters offer the same start; the op
+        // goes to the first, and the next op to the first still idle.
+        let mut p = Pipeline::new(CpuParams::westmere());
+        let ord = ordinal(FuKind::ScalarArith);
+        let booked = |p: &Pipeline| -> Vec<usize> {
+            p.clusters[ord]
+                .iter()
+                .map(|c| c.fus[0].busy.len())
+                .collect()
+        };
+        for expected in [[1, 0, 0], [1, 1, 0], [1, 1, 1]] {
+            p.dispatch(FuKind::ScalarArith, 100, 0);
+            assert_eq!(booked(&p), expected);
+        }
+    }
+
+    #[test]
     fn issue_slot_unlimited_when_width_above_one() {
         let mut c = ClusterState::new(2);
         assert_eq!(c.issue_slot(5, 2), 5);
@@ -690,13 +799,17 @@ mod differential_tests {
         kind: FuKind,
         occupancy: u64,
         /// Where the operands become ready, relative to the previous
-        /// op's start: behind it, at it, or far ahead of it.
+        /// op's start: behind it, at it, or far ahead of it;
+        /// [`READY_NOW`] for "already, whenever it dispatches".
         dep_offset: i64,
         /// Cycles between execution end and completion (a memory op's
         /// latency), so commits — and with them ROB back-pressure —
         /// arrive out of step with issue.
         latency: u64,
     }
+
+    /// Saturates `deps_ready` to 0, so the op is ready at `dispatch_at + 1`.
+    const READY_NOW: i64 = i64::MIN;
 
     fn ops() -> impl Strategy<Value = Vec<Op>> {
         let dep_offset = prop_oneof![-600i64..0, Just(0i64), 1i64..40, 40i64..3_000];
@@ -714,9 +827,54 @@ mod differential_tests {
         )
     }
 
+    /// What a scalar kernel does to the lists: bursts of short ops that
+    /// are ready as they dispatch, on few clusters, while every eighth op
+    /// is parked hundreds of cycles ahead (a DRAM miss) — so every list
+    /// is a long dead prefix, a few live entries and a far reservation
+    /// that lifts `max_end` over all of it. One op in eight is 16 wide,
+    /// so `max_width` is far above the typical width.
+    fn saturated_ops() -> impl Strategy<Value = Vec<Op>> {
+        let kind = prop::sample::select(vec![
+            FuKind::ScalarArith,
+            FuKind::ScalarArith,
+            FuKind::ScalarArith,
+            FuKind::LoadAgu,
+            FuKind::StoreAgu,
+            FuKind::VecArith,
+        ]);
+        let occupancy = prop::sample::select(vec![1u64, 1, 1, 1, 1, 1, 1, 16]);
+        prop::collection::vec((kind, occupancy, 200i64..900, 0u64..30), 500..700).prop_map(|ops| {
+            ops.into_iter()
+                .enumerate()
+                .map(|(i, (kind, occupancy, park, latency))| Op {
+                    kind,
+                    occupancy,
+                    dep_offset: if i % 8 == 7 { park } else { READY_NOW },
+                    latency,
+                })
+                .collect()
+        })
+    }
+
+    /// Shallow and deep queues around Table I's: the capacities decide
+    /// how far apart the entries of one list lie.
+    fn params() -> impl Strategy<Value = CpuParams> {
+        (1usize..17, 8usize..257, 1u64..7, 1u64..3).prop_map(
+            |(issue_queue_per_cluster, reorder_buffer, dispatch_width, issue_per_cluster)| {
+                CpuParams {
+                    issue_queue_per_cluster,
+                    reorder_buffer,
+                    dispatch_width,
+                    issue_per_cluster,
+                    ..CpuParams::westmere()
+                }
+            },
+        )
+    }
+
     /// Every op's start and commit cycle, then the final cycle count.
-    fn drive(ops: &[Op]) -> Vec<u64> {
-        let mut p = Pipeline::new(CpuParams::westmere());
+    fn drive(params: &CpuParams, ops: &[Op]) -> Vec<u64> {
+        let mut p = Pipeline::new(params.clone());
         let mut out = Vec::with_capacity(2 * ops.len() + 1);
         let mut cursor = 0u64;
         for op in ops {
@@ -730,14 +888,71 @@ mod differential_tests {
         out
     }
 
+    /// The parent's selection, verbatim: the oracle for [`select`].
+    fn select_by_min_by_key(
+        clusters: &[ClusterState],
+        iq_cap: usize,
+        ready0: u64,
+        occupancy: u64,
+    ) -> (usize, usize, u64) {
+        clusters
+            .iter()
+            .enumerate()
+            .flat_map(|(ci, c)| {
+                // Issue-queue back-pressure applies per cluster.
+                let iq_ready = if c.queue.len() >= iq_cap {
+                    c.queue.front().copied().unwrap_or(0)
+                } else {
+                    0
+                };
+                let ready = ready0.max(iq_ready);
+                c.fus
+                    .iter()
+                    .enumerate()
+                    .map(move |(fi, fu)| (ci, fi, fu.probe(ready, occupancy)))
+            })
+            .min_by_key(|&(_, _, s)| s)
+            .expect("at least one FU")
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1_000))]
 
         #[test]
-        fn fast_paths_start_every_op_where_the_scan_does(ops in ops()) {
-            let fast = drive(&ops);
-            let scanned = with_scan_only(|| drive(&ops));
+        fn fast_paths_start_every_op_where_the_scan_does(
+            params in params(),
+            ops in prop_oneof![ops(), saturated_ops()],
+        ) {
+            let fast = drive(&params, &ops);
+            let scanned = with_scan_only(|| drive(&params, &ops));
             prop_assert_eq!(fast, scanned);
+        }
+
+        // Three clusters of two FUs booked at random in a time domain
+        // small enough that equal starts are the rule: the nested loop
+        // picks the pair `min_by_key` picked, the first of the minima.
+        #[test]
+        fn the_selection_keeps_the_first_of_equal_starts(
+            bookings in prop::collection::vec((0usize..3, 0usize..2, 0u64..40, 1u64..6), 0..30),
+            queued in prop::collection::vec((0usize..3, 0u64..60), 0..9),
+            ready0 in 0u64..50,
+            occupancy in 1u64..6,
+        ) {
+            let mut clusters = vec![ClusterState::new(2); 3];
+            for &(ci, fi, earliest, width) in &bookings {
+                let fu = &mut clusters[ci].fus[fi];
+                let start = fu.probe(earliest, width);
+                fu.reserve(start, width);
+            }
+            for &(ci, issue) in &queued {
+                clusters[ci].queue.push_back(issue);
+            }
+            for iq_cap in 1..4 {
+                prop_assert_eq!(
+                    select(&clusters, iq_cap, ready0, occupancy),
+                    select_by_min_by_key(&clusters, iq_cap, ready0, occupancy)
+                );
+            }
         }
 
         // One schedule on its own, in a time domain small enough that

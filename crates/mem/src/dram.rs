@@ -151,12 +151,22 @@ struct BusSchedule {
     /// Busy intervals `[start, end)` sorted by start, the oldest start
     /// dropped past 128 entries whether or not it has aged out. The cap
     /// and the insertion order are observable in the cycle counts, so
-    /// the fast path in [`BusSchedule::reserve`] only skips a scan whose
-    /// outcome is known; nothing is merged or pruned.
+    /// the fast paths in [`BusSchedule::reserve`] only skip comparisons
+    /// whose outcome is known; nothing is merged or pruned.
+    ///
+    /// Unlike an FU's list this one is disjoint — a transfer is booked
+    /// where the scan put it, after every earlier entry's end and before
+    /// every later entry's start — so it is sorted by end as well, and
+    /// the back entry is never the one the cap drops.
     busy: std::collections::VecDeque<(u64, u64)>,
-    /// Largest interval end ever reserved, dropped entries included: a
-    /// request ready at or after it overlaps nothing in `busy`.
+    /// The back entry's end (0 while empty): the largest end ever
+    /// reserved. A request ready at or after it overlaps nothing.
     max_end: u64,
+    /// Start of a gap-free run of reservations that ends at `max_end`:
+    /// every cycle of `[tail_from, max_end)` is booked by entries still
+    /// in `busy`. The true run may start earlier (a backfilled gap is
+    /// not tracked); it never starts later.
+    tail_from: u64,
 }
 
 impl BusSchedule {
@@ -164,12 +174,15 @@ impl BusSchedule {
     /// returns the reserved start.
     fn reserve(&mut self, earliest: u64, width: u64) -> u64 {
         let mut start = earliest;
-        // Past every reservation there is nothing to collide with and no
-        // gap to slot in before: the scan would end at the back. (It can
-        // stop earlier only for a zero-width transfer meeting zero-width
-        // entries at exactly `earliest`, and then what it inserts equals
-        // its neighbours.)
-        if earliest >= self.max_end && !scan_only() {
+        // From the start of the tail run on, the scan cannot stop before
+        // the back: what lies before the run ends at or before
+        // `tail_from`, inside it each entry's end is the next one's
+        // start, so no `width > 0` cycles are free, and past `max_end`
+        // nothing is booked at all. Held by both proptests of
+        // `differential_tests` (a bus that fills faster than time
+        // advances; a saturated one whose run outgrows the cap).
+        if earliest >= self.tail_from && width > 0 && !scan_only() {
+            start = earliest.max(self.max_end);
             self.busy.push_back((start, start + width));
         } else {
             let mut insert_at = self.busy.len();
@@ -184,11 +197,19 @@ impl BusSchedule {
             }
             self.busy.insert(insert_at, (start, start + width));
         }
+        if start > self.max_end {
+            // Appended after an idle gap: a new run starts here.
+            self.tail_from = start;
+        }
         self.max_end = self.max_end.max(start + width);
         // The transaction queue depth bounds how far back the controller
         // can reorder: bound the schedule by dropping the oldest start.
         while self.busy.len() > 128 {
-            self.busy.pop_front();
+            // A dropped entry's cycles read as free again; if it was
+            // part of the run, the run now starts at its end.
+            if let Some((_, e)) = self.busy.pop_front() {
+                self.tail_from = self.tail_from.max(e);
+            }
         }
         start
     }
@@ -535,6 +556,69 @@ mod differential_tests {
                 prop_assert_eq!(&fast.busy, &scanned.busy, "after call {}", i);
             }
         }
+
+        // A saturated bus: 130 to 200 transfers queued behind one early
+        // point book a gap-free run that outgrows the cap, so its head
+        // is dropped while it is still live. Then requests anywhere from
+        // before the first entry to past the last one — in the dropped
+        // head (free again), in the surviving run, before it, beyond it,
+        // at width 0 — mixed with more queued transfers and with late
+        // ones that leave a gap and start a new run.
+        #[test]
+        fn a_saturated_bus_holds_the_same_reservations_either_way(
+            lead in prop::collection::vec((0u64..120, 1u64..7), 0..4),
+            run in prop::collection::vec(1u64..7, 130..200),
+            calls in prop::collection::vec((0u64..4, 0u64..1_100, 0u64..7), 150..250),
+        ) {
+            let (mut fast, mut scanned) = (BusSchedule::default(), BusSchedule::default());
+            let run_from = 150;
+            let queued = run.iter().map(|&width| (run_from, width));
+            let mixed = calls.iter().map(|&(shape, at, width)| match shape {
+                0 => (run_from, width.max(1)),
+                // Up to a few thousand cycles: often past the far end.
+                1 => (4 * at, width),
+                _ => (at, width),
+            });
+            for (i, (earliest, width)) in lead.iter().copied().chain(queued).chain(mixed).enumerate() {
+                let start = fast.reserve(earliest, width);
+                prop_assert_eq!(start, with_scan_only(|| scanned.reserve(earliest, width)));
+                prop_assert_eq!(&fast.busy, &scanned.busy, "after call {}", i);
+            }
+        }
+    }
+
+    #[test]
+    fn the_tail_run_follows_the_cap() {
+        let mut bus = BusSchedule::default();
+        assert_eq!(bus.reserve(0, 4), 0);
+        // 130 transfers queued behind one another book [100, 620)
+        // without a gap. The 128th overflows the window, which drops
+        // [0, 4); the last two drop the run's own head, [100, 104) and
+        // [104, 108), while nothing has reached it.
+        for i in 0..128u64 {
+            assert_eq!(bus.reserve(100, 4), 100 + 4 * i);
+        }
+        assert_eq!(bus.reserve(200, 4), 612);
+        assert_eq!(bus.reserve(200, 4), 616);
+        assert_eq!(bus.busy.front(), Some(&(108, 112)));
+        // In the dropped head of the run: free again. (Booked at the
+        // front of a full window, each is itself dropped at once.)
+        assert_eq!(bus.reserve(100, 4), 100);
+        assert_eq!(bus.reserve(104, 4), 104);
+        // Before the run ever started.
+        assert_eq!(bus.reserve(50, 4), 50);
+        // Too late for what is left of the dropped head: behind the run.
+        assert_eq!(bus.reserve(106, 4), 620);
+        // In the surviving run: behind it, wherever in it.
+        assert_eq!(bus.reserve(300, 4), 624);
+        assert_eq!(bus.reserve(627, 4), 628);
+        // A zero-width transfer slots in between two entries of the run.
+        assert_eq!(bus.reserve(300, 0), 300);
+        assert_eq!(bus.reserve(302, 0), 304);
+        // Past the end an append leaves a gap, which the next fills.
+        assert_eq!(bus.reserve(700, 4), 700);
+        assert_eq!(bus.reserve(300, 4), 632);
+        assert_eq!(bus.reserve(300, 100), 704);
     }
 
     #[test]

@@ -49,6 +49,23 @@ fn fingerprint(s: &SimStats) -> Fingerprint {
     ]
 }
 
+/// One algorithm over one generated dataset on a fresh machine.
+fn kernel_run(
+    config: SimConfig,
+    algorithm: Algorithm,
+    distribution: Distribution,
+    cardinality: u64,
+) -> Fingerprint {
+    let ds = DatasetSpec::paper(distribution, cardinality)
+        .with_rows(ROWS)
+        .with_seed(SEED)
+        .generate();
+    let mut m = Machine::new(config);
+    let input = StagedInput::stage(&mut m, &ds);
+    algorithm.execute(&mut m, &input);
+    fingerprint(&m.stats())
+}
+
 fn kernel_runs() -> Vec<(String, Fingerprint)> {
     let mut out = Vec::new();
     for algorithm in Algorithm::PAPER {
@@ -60,13 +77,6 @@ fn kernel_runs() -> Vec<(String, Fingerprint)> {
                 if algorithm == Algorithm::Polytable && cardinality == 39_062 {
                     continue;
                 }
-                let ds = DatasetSpec::paper(distribution, cardinality)
-                    .with_rows(ROWS)
-                    .with_seed(SEED)
-                    .generate();
-                let mut m = Machine::paper();
-                let input = StagedInput::stage(&mut m, &ds);
-                algorithm.execute(&mut m, &input);
                 out.push((
                     format!(
                         "{}/{}/{}",
@@ -74,7 +84,7 @@ fn kernel_runs() -> Vec<(String, Fingerprint)> {
                         distribution.name(),
                         cardinality
                     ),
-                    fingerprint(&m.stats()),
+                    kernel_run(SimConfig::paper(), algorithm, distribution, cardinality),
                 ));
             }
         }
@@ -121,16 +131,14 @@ fn config_runs() -> Vec<(String, Fingerprint)> {
     for (config_name, config) in configs() {
         for algorithm in ALGORITHMS {
             for cardinality in [76, 39_062] {
-                let ds = DatasetSpec::paper(Distribution::Uniform, cardinality)
-                    .with_rows(ROWS)
-                    .with_seed(SEED)
-                    .generate();
-                let mut m = Machine::new(config.clone());
-                let input = StagedInput::stage(&mut m, &ds);
-                algorithm.execute(&mut m, &input);
                 out.push((
                     format!("{config_name}/{}/{cardinality}", algorithm.short_name()),
-                    fingerprint(&m.stats()),
+                    kernel_run(
+                        config.clone(),
+                        algorithm,
+                        Distribution::Uniform,
+                        cardinality,
+                    ),
                 ));
             }
         }
@@ -284,7 +292,8 @@ const GOLDEN: &[(&str, Fingerprint)] = &[
     ("radix_sort/4096", [306000, 135560, 63488, 2048, 75013, 2048, 1791, 0, 248]),
     ("vsr_sort/4096", [28387, 5908, 992, 32, 22998, 1056, 923, 0, 128]),
     ("sql/full_scan", [23450, 3141, 0, 0, 23668, 1409, 1231, 0, 171]),
-    ("sql/filtered", [61227, 10104, 2208, 154, 49413, 2709, 2367, 0, 329]),    ("mvl16-lanes2-ports2/scalar/76", [21358, 31860, 14587, 281, 0, 281, 244, 0, 34]),
+    ("sql/filtered", [61227, 10104, 2208, 154, 49413, 2709, 2367, 0, 329]),
+    ("mvl16-lanes2-ports2/scalar/76", [21358, 31860, 14587, 281, 0, 281, 244, 0, 34]),
     ("mvl16-lanes2-ports2/scalar/39062", [336901, 357147, 126368, 13124, 14458, 7581, 9239, 108, 1292]),
     ("mvl16-lanes2-ports2/mono/76", [7294, 2423, 0, 0, 2622, 281, 244, 0, 34]),
     ("mvl16-lanes2-ports2/mono/39062", [177231, 43234, 0, 0, 17627, 7629, 9328, 110, 1303]),
