@@ -11,12 +11,13 @@
 //! cargo test --release --test cycle_golden -- --ignored --nocapture print_golden
 //! ```
 //!
-//! and pastes the printed rows over [`GOLDEN`].
+//! and pastes the printed rows over [`GOLDEN`] and [`HAND_GOLDEN`].
 
 use vagg::core::{Algorithm, StagedInput};
 use vagg::datagen::rng::Xoshiro256StarStar;
 use vagg::datagen::{DatasetSpec, Distribution};
 use vagg::db::{Database, SqlOutcome, Table};
+use vagg::isa::{BinOp, CmpOp, Mreg, Vreg};
 use vagg::sim::{Machine, SimConfig, SimStats};
 use vagg::sort::{radix_sort, vsr_sort, SortArrays};
 
@@ -92,11 +93,20 @@ fn kernel_runs() -> Vec<(String, Fingerprint)> {
     out
 }
 
+/// The paper's machine with another line size at every level (cache
+/// sizes unchanged): how addresses split into lines, and lines into sets,
+/// is the one thing 64-byte lines hold at one value.
+fn with_line_bytes(line_bytes: u64) -> SimConfig {
+    let mut config = SimConfig::paper();
+    config.mem.line_bytes = line_bytes;
+    config
+}
+
 /// Machines away from [`SimConfig::paper`]: the schedulers' host fast
 /// paths depend on the widest reservation (`VL / lanes`, CAM slice
 /// counts) and on the queue depths, which the paper's configuration
-/// holds at one value each.
-fn configs() -> [(&'static str, SimConfig); 5] {
+/// holds at one value each; the memory side's depend on the line size.
+fn configs() -> [(&'static str, SimConfig); 7] {
     let paper = SimConfig::paper;
     let mut cached_vectors = paper();
     cached_vectors.mem.l1_bypass_vector = false;
@@ -117,6 +127,8 @@ fn configs() -> [(&'static str, SimConfig); 5] {
         ("l1-vectors", cached_vectors),
         ("plain-l2", plain_l2),
         ("iq2-rob32", shallow),
+        ("line32", with_line_bytes(32)),
+        ("line128", with_line_bytes(128)),
     ]
 }
 
@@ -201,20 +213,164 @@ fn sql_runs() -> Vec<(String, Fingerprint)> {
     .collect()
 }
 
+/// The scatter-add monotable (§VI-B comparator): every `vscatadd` runs
+/// two memory phases, a read and a write, over one line list.
+fn scatter_add_runs() -> Vec<(String, Fingerprint)> {
+    [76, 39_062]
+        .into_iter()
+        .map(|cardinality| {
+            (
+                format!("sam/uniform/{cardinality}"),
+                kernel_run(
+                    SimConfig::paper(),
+                    Algorithm::ScatterAddMonotable,
+                    Distribution::Uniform,
+                    cardinality,
+                ),
+            )
+        })
+        .collect()
+}
+
+/// A [`Fingerprint`] and, behind it, the vector accesses that found
+/// their line in the scalar L1 (`vector_l1_evictions`).
+type WideFingerprint = [u64; 10];
+
+fn wide_fingerprint(s: &SimStats) -> WideFingerprint {
+    let mut wide = [0; 10];
+    wide[..9].copy_from_slice(&fingerprint(s));
+    wide[9] = s.mem.vector_l1_evictions;
+    wide
+}
+
+const HAND_ROWS: usize = 8_192;
+
+/// A software-prefetched gather loop no algorithm in the repo runs: the
+/// three prefetch shapes ahead of the unit-stride, strided and indexed
+/// loads they cover.
+fn prefetching_kernel(m: &mut Machine) {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(SEED + 2);
+    const CELLS: u32 = 2_048;
+    let keys: Vec<u32> = (0..HAND_ROWS)
+        .map(|_| rng.next_below(u64::from(CELLS)) as u32)
+        .collect();
+    let table: Vec<u32> = (0..CELLS).collect();
+    let mvl = m.mvl();
+    let keys_at = m.space_mut().alloc_slice_u32(&keys);
+    let table_at = m.space_mut().alloc_slice_u32(&table);
+    let out_at = m.space_mut().alloc(4 * HAND_ROWS as u64, 64);
+    let (vk, vt, vs) = (Vreg(0), Vreg(1), Vreg(2));
+    m.set_vl(mvl);
+    m.vprefetch_unit(keys_at, 4, 0);
+    for start in (0..HAND_ROWS).step_by(mvl) {
+        let at = 4 * start as u64;
+        let lt = m.s_op(0);
+        // The next chunk of keys, this chunk's table cells, and the
+        // column of a 16-word-wide matrix the strided load reads.
+        m.vprefetch_unit(keys_at + at + 4 * mvl as u64, 4, lt);
+        m.vload_unit(vk, keys_at + at, 4, lt);
+        m.vprefetch_indexed(table_at, vk, 4, 0);
+        m.vprefetch_strided(keys_at + at / 16, 64, 4, lt);
+        m.vgather(vt, table_at, vk, 4, None, 0);
+        m.vload_strided(vs, keys_at + at / 16, 64, 4, lt);
+        m.vbinop_vv(BinOp::Add, vt, vt, vs, None);
+        m.vstore_unit(vt, out_at + at, 4, 0);
+    }
+}
+
+/// Scalar and vector code taking turns over one table larger than the
+/// L2, so that vector line requests find clean and dirty copies in the
+/// scalar L1, the dirty ones push dirty victims out of the L2, and the
+/// scalar side misses on lines the vector side pulled out.
+fn interleaved_kernel(m: &mut Machine) {
+    const CELLS: u64 = 96 * 1_024;
+    let mut rng = Xoshiro256StarStar::seed_from_u64(SEED + 3);
+    let keys: Vec<u32> = (0..HAND_ROWS)
+        .map(|_| rng.next_below(CELLS) as u32)
+        .collect();
+    let mvl = m.mvl();
+    let keys_at = m.space_mut().alloc_slice_u32(&keys);
+    let table_at = m.space_mut().alloc(4 * CELLS, 64);
+    let (vk, vt, vi) = (Vreg(0), Vreg(1), Vreg(2));
+    let mask = Mreg(0);
+    for (chunk, start) in (0..HAND_ROWS).step_by(mvl).enumerate() {
+        let at = 4 * start as u64;
+        // Scalar read-modify-write of this chunk's first cells: their
+        // lines become dirty in the L1 ...
+        let mut tok = 0;
+        for &k in &keys[start..start + 8] {
+            let cell = table_at + 4 * u64::from(k);
+            let (old, loaded) = m.s_load_u32(cell, tok);
+            tok = m.s_store_u32(cell, old.wrapping_add(1), loaded);
+        }
+        // ... and a scalar read leaves a clean line of the key column.
+        m.s_load_u32(keys_at + at, 0);
+        m.set_vl(mvl);
+        m.vload_unit(vk, keys_at + at, 4, tok);
+        m.vgather(vt, table_at, vk, 4, None, tok);
+        m.vscatter_add(vt, table_at, vk, 4, None, 0);
+        // A scatter needs unique cells: keep each key's low bits and
+        // spread the lanes over the start of the table.
+        m.viota(vi, None);
+        m.vbinop_vs(BinOp::Shl, vi, vi, 5, None);
+        m.vbinop_vs(BinOp::And, vk, vk, 31, None);
+        m.vbinop_vv(BinOp::Add, vk, vk, vi, None);
+        m.vcmp_vs(CmpOp::Ne, mask, vk, 7, None);
+        m.vgather(vt, table_at, vk, 4, Some(mask), 0);
+        m.vbinop_vs(BinOp::Add, vt, vt, 1, Some(mask));
+        m.vscatter(vt, table_at, vk, 4, Some(mask), 0);
+        if chunk % 4 == 3 {
+            m.vstore_strided(vt, table_at + 4 * (chunk as u64 % 16), 128, 4, 0);
+        }
+    }
+}
+
+fn hand_runs() -> Vec<(String, WideFingerprint)> {
+    let mut cached_vectors = SimConfig::paper();
+    cached_vectors.mem.l1_bypass_vector = false;
+    type Kernel = fn(&mut Machine);
+    let runs: [(&str, Kernel, SimConfig); 6] = [
+        ("prefetching/paper", prefetching_kernel, SimConfig::paper()),
+        (
+            "prefetching/line32",
+            prefetching_kernel,
+            with_line_bytes(32),
+        ),
+        ("interleaved/paper", interleaved_kernel, SimConfig::paper()),
+        (
+            "interleaved/line32",
+            interleaved_kernel,
+            with_line_bytes(32),
+        ),
+        (
+            "interleaved/line128",
+            interleaved_kernel,
+            with_line_bytes(128),
+        ),
+        ("interleaved/l1-vectors", interleaved_kernel, cached_vectors),
+    ];
+    runs.into_iter()
+        .map(|(name, kernel, config)| {
+            let mut m = Machine::new(config);
+            kernel(&mut m);
+            (name.to_string(), wide_fingerprint(&m.stats()))
+        })
+        .collect()
+}
+
 fn every_run() -> Vec<(String, Fingerprint)> {
     let mut runs = kernel_runs();
     runs.extend(sort_runs());
     runs.extend(sql_runs());
     runs.extend(config_runs());
+    runs.extend(scatter_add_runs());
     runs
 }
 
-#[test]
-fn simulated_counters_match_the_golden_table() {
-    let runs = every_run();
-    assert_eq!(runs.len(), GOLDEN.len(), "run list and table differ");
+fn assert_golden<const N: usize>(runs: &[(String, [u64; N])], table: &[(&str, [u64; N])]) {
+    assert_eq!(runs.len(), table.len(), "run list and table differ");
     let mut drifted = Vec::new();
-    for ((name, got), (golden_name, golden)) in runs.iter().zip(GOLDEN) {
+    for ((name, got), (golden_name, golden)) in runs.iter().zip(table) {
         assert_eq!(name, golden_name, "run order and table order differ");
         if got != golden {
             drifted.push(format!("{name}: {got:?}, golden {golden:?}"));
@@ -223,15 +379,32 @@ fn simulated_counters_match_the_golden_table() {
     assert!(
         drifted.is_empty(),
         "simulated counters moved (cycles, ops, l1 hit/miss, l2 hit/miss, \
-         dram row-hit/conflict/forced-close):\n{}",
+         dram row-hit/conflict/forced-close[, vector l1 evictions]):\n{}",
         drifted.join("\n")
     );
+}
+
+#[test]
+fn simulated_counters_match_the_golden_table() {
+    assert_golden(&every_run(), GOLDEN);
+}
+
+#[test]
+fn hand_written_kernels_match_the_golden_table() {
+    let runs = hand_runs();
+    assert_golden(&runs, HAND_GOLDEN);
+    // The coherence path is behind a literal, not just reachable.
+    assert!(runs.iter().any(|(_, f)| f[9] > 0));
 }
 
 #[test]
 #[ignore = "regenerates the table after a deliberate model change"]
 fn print_golden() {
     for (name, f) in every_run() {
+        println!("    ({name:?}, {f:?}),");
+    }
+    println!("-- HAND_GOLDEN");
+    for (name, f) in hand_runs() {
         println!("    ({name:?}, {f:?}),");
     }
 }
@@ -333,4 +506,32 @@ const GOLDEN: &[(&str, Fingerprint)] = &[
     ("iq2-rob32/psm/39062", [245375, 15440, 296, 10, 18974, 10563, 13874, 132, 1946]),
     ("iq2-rob32/asr/76", [15157, 2745, 432, 101, 4263, 541, 472, 0, 66]),
     ("iq2-rob32/asr/39062", [65662, 30022, 10149, 655, 12831, 1038, 907, 0, 126]),
+    ("line32/scalar/76", [23182, 31860, 14306, 562, 0, 562, 491, 0, 68]),
+    ("line32/scalar/39062", [399977, 357147, 118005, 21487, 21353, 14272, 17048, 254, 2382]),
+    ("line32/mono/76", [10530, 629, 0, 0, 1548, 562, 491, 0, 68]),
+    ("line32/mono/39062", [291003, 13859, 0, 0, 25013, 19170, 24257, 284, 3401]),
+    ("line32/psm/76", [10530, 629, 0, 0, 1548, 562, 491, 0, 68]),
+    ("line32/psm/39062", [297679, 15440, 286, 20, 29071, 20400, 26182, 285, 3679]),
+    ("line32/asr/76", [21790, 2745, 407, 126, 5486, 1081, 945, 0, 133]),
+    ("line32/asr/39062", [75437, 30022, 9495, 1309, 17073, 2076, 1816, 0, 255]),
+    ("line128/scalar/76", [20962, 31860, 14727, 141, 0, 141, 122, 0, 16]),
+    ("line128/scalar/39062", [294509, 357147, 130805, 8687, 10504, 4466, 5735, 63, 797]),
+    ("line128/mono/76", [3815, 629, 0, 0, 459, 141, 122, 0, 16]),
+    ("line128/mono/39062", [117554, 13859, 0, 0, 14659, 4874, 6376, 60, 891]),
+    ("line128/psm/76", [3815, 629, 0, 0, 459, 141, 122, 0, 16]),
+    ("line128/psm/39062", [160262, 15440, 301, 5, 12927, 6313, 8690, 45, 1223]),
+    ("line128/asr/76", [10619, 2745, 456, 77, 3439, 271, 236, 0, 32]),
+    ("line128/asr/39062", [58150, 30022, 10474, 330, 9460, 520, 454, 0, 61]),
+    ("sam/uniform/76", [5281, 405, 0, 0, 778, 281, 244, 0, 34]),
+    ("sam/uniform/39062", [184782, 13635, 0, 0, 17584, 9407, 12004, 125, 1680]),
+];
+
+#[rustfmt::skip]
+const HAND_GOLDEN: &[(&str, WideFingerprint)] = &[
+    ("prefetching/paper", [22047, 1282, 0, 0, 29732, 1152, 1007, 0, 140, 0]),
+    ("prefetching/line32", [31881, 1282, 0, 0, 31722, 2304, 2016, 0, 283, 0]),
+    ("interleaved/paper", [152877, 5056, 1024, 1152, 40180, 5399, 5755, 0, 807, 1152]),
+    ("interleaved/line32", [176949, 5056, 1024, 1152, 38951, 7191, 6535, 0, 917, 1152]),
+    ("interleaved/line128", [138369, 5056, 1025, 1151, 41030, 4129, 5290, 0, 742, 1151]),
+    ("interleaved/l1-vectors", [152768, 5056, 37204, 8375, 10356, 5395, 5683, 0, 799, 0]),
 ];
