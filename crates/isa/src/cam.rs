@@ -45,6 +45,16 @@ pub struct Cam {
     cycles: u64,
 }
 
+pub(crate) const HASH_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Where the probe for `key` starts in an open-addressed index of `slots`
+/// entries (a power of two): a multiplicative hash, the top
+/// `log2(slots)` bits of the product.
+#[inline]
+pub(crate) fn first_slot(key: u64, slots: usize) -> usize {
+    (key.wrapping_mul(HASH_MULTIPLIER) >> (u64::BITS - slots.trailing_zeros())) as usize
+}
+
 /// Greedy slicing of `keys` into groups of up to `ports` adjacent elements
 /// with pairwise-distinct keys; 2 cycles (lookup + write-back) per slice.
 fn slice_cycles(keys: &[u64], ports: usize, slice: &mut Vec<u64>) -> u64 {
@@ -104,10 +114,8 @@ impl Cam {
         if self.index.is_empty() {
             return self.entries.iter().position(|e| e.key == key).ok_or(0);
         }
-        // Multiplicative hash: the top log2(slots) bits of the product.
         let slots = self.index.len();
-        let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            >> (u64::BITS - slots.trailing_zeros())) as usize;
+        let mut slot = first_slot(key, slots);
         loop {
             match self.index[slot] {
                 0 => return Err(slot),

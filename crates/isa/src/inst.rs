@@ -18,6 +18,8 @@
 //! cache line touched, indexed (gather/scatter) patterns charge
 //! `VL / lanes` cycles.
 
+use crate::cam::first_slot;
+
 /// Instruction classes of Table III (plus the irregular additions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstClass {
@@ -304,12 +306,17 @@ pub enum MemPattern {
 }
 
 impl MemPattern {
-    /// The byte address of element `i`.
+    /// The byte address of element `i`. Strided and indexed addresses
+    /// wrap around the top of the address space (an index register may
+    /// hold anything, in masked-off lanes too, and every `u64` is an
+    /// address), in every build profile.
     pub fn address(&self, i: usize) -> u64 {
         match self {
             MemPattern::UnitStride { base, elem_bytes } => base + i as u64 * elem_bytes,
-            MemPattern::Strided { base, stride, .. } => (*base as i64 + *stride * i as i64) as u64,
-            MemPattern::Indexed { base, offsets, .. } => base + offsets[i],
+            MemPattern::Strided { base, stride, .. } => {
+                base.wrapping_add_signed(stride.wrapping_mul(i as i64))
+            }
+            MemPattern::Indexed { base, offsets, .. } => base.wrapping_add(offsets[i]),
         }
     }
 
@@ -345,36 +352,40 @@ impl MemPattern {
     /// The distinct cache lines touched by the first `vl` elements, in first
     /// touch order.
     pub fn lines_touched(&self, vl: usize, line: u64) -> Vec<u64> {
-        if vl == 0 {
-            return Vec::new();
-        }
-        let eb = self.elem_bytes().max(1);
-        if let MemPattern::UnitStride { .. } = self {
-            // Consecutive elements abut or overlap, so together they
-            // cover one contiguous run of lines.
-            let last_byte = self.address(vl - 1) + eb - 1;
-            return (self.address(0) / line..=last_byte / line).collect();
-        }
-        // First-touch order decides the order the memory hierarchy sees
-        // the lines in (LRU and DRAM bank state follow from it), so the
-        // list is built by appending; neighbouring elements mostly share
-        // a line, which the check against the last one catches before
-        // the search.
         let mut lines = Vec::new();
-        for i in 0..vl {
-            let a = self.address(i);
-            // An element may straddle a line boundary.
-            for l in a / line..=(a + eb - 1) / line {
-                if lines.last() != Some(&l) && !lines.contains(&l) {
-                    lines.push(l);
-                }
-            }
-        }
+        self.lines_into(vl, line, &mut lines);
         lines
     }
 
+    /// [`MemPattern::lines_touched`] into a buffer the caller keeps: the
+    /// buffer is cleared first, and a vector memory instruction that
+    /// reuses one allocates nothing.
+    pub fn lines_into(&self, vl: usize, line: u64, lines: &mut Vec<u64>) {
+        lines.clear();
+        if vl == 0 {
+            return;
+        }
+        let eb = self.elem_bytes().max(1);
+        match self {
+            MemPattern::UnitStride { .. } => {
+                // Consecutive elements abut or overlap, so together they
+                // cover one contiguous run of lines.
+                let last_byte = self.address(vl - 1) + eb - 1;
+                lines.extend(self.address(0) / line..=last_byte / line);
+            }
+            MemPattern::Strided { .. } => {
+                first_touches((0..vl).map(|i| self.address(i)), vl, eb, line, lines);
+            }
+            MemPattern::Indexed { base, offsets, .. } => {
+                let addrs = offsets[..vl].iter().map(|&o| base.wrapping_add(o));
+                first_touches(addrs, vl, eb, line, lines);
+            }
+        }
+    }
+
     /// [`MemPattern::lines_touched`] as it was before the closed-range
-    /// and last-line shortcuts: the differential tests' reference.
+    /// and last-line shortcuts and the line index: the differential
+    /// tests' reference.
     #[cfg(test)]
     fn lines_touched_reference(&self, vl: usize, line: u64) -> Vec<u64> {
         let mut lines = Vec::new();
@@ -391,6 +402,62 @@ impl MemPattern {
             }
         }
         lines
+    }
+}
+
+/// Slots of the line index in [`first_touches`]: four per element of
+/// the longest vector it serves, so probes stay short.
+const INDEX_SLOTS: usize = 256;
+
+/// Fills the empty `lines` with the lines of the `vl` elements at `addrs`,
+/// `eb` bytes each, in first-touch order, each line once.
+///
+/// First-touch order decides the order the memory hierarchy sees the
+/// lines in (LRU and DRAM bank state follow from it), so the list is
+/// built by appending. Neighbouring elements mostly share a line, which
+/// the check against the last one catches; whether any other line is
+/// already listed is a question about the *set* of lines so far, so how
+/// it is answered — a search of the list, or an open-addressed index of
+/// entry numbers into it — cannot change the list
+/// (`differential_tests::same_lines_in_the_same_order`).
+fn first_touches(
+    addrs: impl Iterator<Item = u64>,
+    vl: usize,
+    eb: u64,
+    line: u64,
+    lines: &mut Vec<u64>,
+) {
+    // A slot holds a line's position in `lines` plus one, zero while
+    // empty. An element no wider than a line touches at most two, so 64
+    // elements list at most 128 lines: positions fit a byte and the index
+    // stays at most half full. Anything longer is searched.
+    let mut index = [0u8; INDEX_SLOTS];
+    let indexed = vl <= INDEX_SLOTS / 4 && eb <= line;
+    for a in addrs {
+        // An element may straddle a line boundary.
+        for l in a / line..=(a + eb - 1) / line {
+            if lines.last() == Some(&l) {
+                continue;
+            }
+            if !indexed {
+                if !lines.contains(&l) {
+                    lines.push(l);
+                }
+                continue;
+            }
+            let mut slot = first_slot(l, INDEX_SLOTS);
+            loop {
+                match index[slot] {
+                    0 => {
+                        lines.push(l);
+                        index[slot] = lines.len() as u8;
+                        break;
+                    }
+                    n if lines[usize::from(n) - 1] == l => break,
+                    _ => slot = (slot + 1) % INDEX_SLOTS,
+                }
+            }
+        }
     }
 }
 
@@ -526,7 +593,7 @@ mod tests {
     }
 }
 
-/// Old element-by-element dedupe ≡ new `lines_touched`.
+/// Old element-by-element dedupe ≡ new `lines_into`.
 #[cfg(test)]
 mod differential_tests {
     use super::*;
@@ -536,16 +603,33 @@ mod differential_tests {
         prop::sample::select(vec![1u64, 4, 8])
     }
 
-    // Lines smaller than an element (every element straddles), the
-    // machine's 64 bytes, and one that is not a power of two.
+    // Lines smaller than an element (every element straddles, and an
+    // 8-byte one is wider than the line: no index), the machine's 64
+    // bytes, and one that is not a power of two.
     fn line_bytes() -> impl Strategy<Value = u64> {
         prop::sample::select(vec![4u64, 64, 48])
     }
 
+    // Up to the longest vector the line index serves, and past it.
+    fn vector_lengths() -> impl Strategy<Value = usize> {
+        prop_oneof![0usize..65, 0usize..65, 65usize..257]
+    }
+
+    // Offsets that revisit lines out of order, and far ones that wrap
+    // around the top of the address space.
+    fn offsets() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..256,
+            0u64..100_000,
+            (0u64..4, 0u64..200).prop_map(|(hi, lo)| (hi << 62) + lo),
+            (1u64..5_000).prop_map(|below| below.wrapping_neg()),
+        ]
+    }
+
     fn patterns() -> impl Strategy<Value = MemPattern> {
-        // Bases leave room below for 64 elements of the most negative
+        // Bases leave room below for 256 elements of the most negative
         // stride and sit at every offset within a line.
-        let base = 1u64 << 20..(1u64 << 20) + 4_096;
+        let base = 1u64 << 21..(1u64 << 21) + 4_096;
         let stride = prop_oneof![Just(0i64), -300i64..300, -5_000i64..5_000];
         prop_oneof![
             (base.clone(), elem_bytes())
@@ -557,10 +641,9 @@ mod differential_tests {
                     elem_bytes,
                 }
             }),
-            // Offsets that revisit lines out of order.
             (
                 base,
-                prop::collection::vec(prop_oneof![0u64..256, 0u64..100_000], 64..65),
+                prop::collection::vec(offsets(), 256..257),
                 elem_bytes()
             )
                 .prop_map(|(base, offsets, elem_bytes)| MemPattern::Indexed {
@@ -571,28 +654,58 @@ mod differential_tests {
         ]
     }
 
+    #[test]
+    fn lines_that_share_an_index_slot_are_told_apart() {
+        // Line numbers whose hash product has a zero top byte all start
+        // their probe at slot 0; the multiplier's inverse finds them.
+        use crate::cam::HASH_MULTIPLIER;
+        const INVERSE: u64 = 0xF1DE_83E1_9937_733D;
+        assert_eq!(INVERSE.wrapping_mul(HASH_MULTIPLIER), 1);
+        let colliding: Vec<u64> = (1u64..)
+            .map(|product| INVERSE.wrapping_mul(product))
+            .filter(|line| line >> 58 == 0)
+            .take(24)
+            .collect();
+        // 64 elements over 24 lines: each revisited, out of order.
+        let offsets: Vec<u64> = (0..64).map(|i| colliding[i * 7 % 24] << 6).collect();
+        let pattern = MemPattern::Indexed {
+            base: 0,
+            offsets,
+            elem_bytes: 4,
+        };
+        let reference = pattern.lines_touched_reference(64, 64);
+        assert_eq!(reference.len(), 24);
+        assert!(reference.iter().all(|&l| first_slot(l, INDEX_SLOTS) == 0));
+        assert_eq!(pattern.lines_touched(64, 64), reference);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3_000))]
 
         #[test]
         fn same_lines_in_the_same_order(
-            pattern in patterns(),
-            vl in 0usize..65,
-            line in line_bytes(),
+            calls in prop::collection::vec((patterns(), vector_lengths(), line_bytes()), 1..4),
             lanes in prop::sample::select(vec![1usize, 4, 8]),
         ) {
-            let reference = pattern.lines_touched_reference(vl, line);
-            prop_assert_eq!(&pattern.lines_touched(vl, line), &reference);
-            // Address generation charged what the old line list charged.
-            let old_agen = match pattern {
-                MemPattern::Indexed { .. } => (vl.div_ceil(lanes) as u64).max(1),
-                _ => reference.len().max(1) as u64,
-            };
-            prop_assert_eq!(pattern.agen_cycles(vl, lanes, line), old_agen);
-            prop_assert_eq!(
-                pattern.agen_cycles_for_lines(vl, lanes, reference.len()),
-                old_agen
-            );
+            // One buffer across calls of different patterns, as the
+            // machine keeps one across instructions.
+            let mut lines = vec![7; 3];
+            for (pattern, vl, line) in calls {
+                let reference = pattern.lines_touched_reference(vl, line);
+                pattern.lines_into(vl, line, &mut lines);
+                prop_assert_eq!(&lines, &reference);
+                prop_assert_eq!(&pattern.lines_touched(vl, line), &reference);
+                // Address generation charged what the old line list charged.
+                let old_agen = match pattern {
+                    MemPattern::Indexed { .. } => (vl.div_ceil(lanes) as u64).max(1),
+                    _ => reference.len().max(1) as u64,
+                };
+                prop_assert_eq!(pattern.agen_cycles(vl, lanes, line), old_agen);
+                prop_assert_eq!(
+                    pattern.agen_cycles_for_lines(vl, lanes, reference.len()),
+                    old_agen
+                );
+            }
         }
     }
 }

@@ -74,6 +74,8 @@ pub struct Cache {
     line_bytes: u64,
     index_fn: IndexFn,
     lines: Vec<Line>, // sets * ways
+    /// How many of `lines` are valid.
+    valid_lines: usize,
     tick: u64,
     stats: CacheStats,
 }
@@ -102,6 +104,7 @@ impl Cache {
             line_bytes,
             index_fn,
             lines: vec![Line::default(); (sets as usize) * ways],
+            valid_lines: 0,
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -138,9 +141,25 @@ impl Cache {
         start..start + self.ways
     }
 
+    /// The line address of a byte address.
+    pub(crate) fn line_of(&self, byte_addr: u64) -> u64 {
+        byte_addr / self.line_bytes
+    }
+
     /// Looks up a byte address without modifying state (except no stats).
     pub fn probe(&self, byte_addr: u64) -> bool {
-        let line_addr = byte_addr / self.line_bytes;
+        self.probe_line(self.line_of(byte_addr))
+    }
+
+    /// [`Cache::probe`] by line address.
+    pub(crate) fn probe_line(&self, line_addr: u64) -> bool {
+        // No valid line, no hit: `valid_lines` counts the valid entries of
+        // `lines` (held to a recount by `differential_tests`), so an empty
+        // cache answers without indexing or scanning a set — the scalar
+        // L1 as most vector line requests find it.
+        if self.valid_lines == 0 {
+            return false;
+        }
         self.lines[self.set_range(line_addr)]
             .iter()
             .any(|l| l.valid && l.tag == line_addr)
@@ -149,7 +168,11 @@ impl Cache {
     /// Accesses a byte address; `write` marks the line dirty. On a miss the
     /// line is allocated (write-allocate for both directions).
     pub fn access(&mut self, byte_addr: u64, write: bool) -> Access {
-        let line_addr = byte_addr / self.line_bytes;
+        self.access_line(self.line_of(byte_addr), write)
+    }
+
+    /// [`Cache::access`] by line address.
+    pub(crate) fn access_line(&mut self, line_addr: u64, write: bool) -> Access {
         self.tick += 1;
         self.stats.accesses += 1;
         let tick = self.tick;
@@ -166,6 +189,7 @@ impl Cache {
         self.stats.misses += 1;
         // Victim: invalid way first, else true-LRU.
         let victim = if let Some(v) = set.iter_mut().find(|l| !l.valid) {
+            self.valid_lines += 1;
             v
         } else {
             set.iter_mut().min_by_key(|l| l.lru).expect("ways > 0")
@@ -186,11 +210,16 @@ impl Cache {
     /// Removes a line if present, returning its address if it was dirty
     /// (used to keep the scalar L1 coherent with the vector L1-bypass path).
     pub fn evict_line(&mut self, byte_addr: u64) -> Option<u64> {
-        let line_addr = byte_addr / self.line_bytes;
+        self.invalidate_line(self.line_of(byte_addr))
+    }
+
+    /// [`Cache::evict_line`] by line address.
+    pub(crate) fn invalidate_line(&mut self, line_addr: u64) -> Option<u64> {
         let range = self.set_range(line_addr);
         let set = &mut self.lines[range];
         if let Some(l) = set.iter_mut().find(|l| l.valid && l.tag == line_addr) {
             l.valid = false;
+            self.valid_lines -= 1;
             let was_dirty = l.dirty;
             l.dirty = false;
             return was_dirty.then_some(line_addr);
@@ -204,6 +233,7 @@ impl Cache {
         for l in &mut self.lines {
             *l = Line::default();
         }
+        self.valid_lines = 0;
     }
 }
 
@@ -409,6 +439,66 @@ mod model_tests {
                 let expect = model.access(addr, round % 2 == 0);
                 assert_eq!(got, expect, "round {round} line {k}");
             }
+        }
+    }
+}
+
+/// The line-address cache against the byte-address one it replaced.
+#[cfg(test)]
+mod differential_tests {
+    use super::*;
+    use crate::reference::RefCache;
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Access(u64, bool),
+        Probe(u64),
+        Evict(u64),
+        Flush,
+    }
+
+    // 4 sets × 2 ways: 24 lines' worth of byte addresses keeps every set
+    // full and turning over; evictions and flushes empty it again.
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        let addr = || 0u64..24 * 64;
+        prop::collection::vec(
+            prop_oneof![
+                (addr(), any::<bool>()).prop_map(|(a, w)| Op::Access(a, w)),
+                (addr(), any::<bool>()).prop_map(|(a, w)| Op::Access(a, w)),
+                addr().prop_map(Op::Probe),
+                addr().prop_map(Op::Evict),
+                addr().prop_map(Op::Evict),
+                Just(Op::Flush),
+            ],
+            1..200,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn same_outcomes_and_a_valid_count_that_is_a_recount(
+            ops in ops(),
+            line_bytes in prop::sample::select(vec![32u64, 48, 64, 128]),
+        ) {
+            let mut cache = Cache::new(8 * line_bytes, 2, line_bytes);
+            let mut reference = RefCache::new(8 * line_bytes, 2, line_bytes);
+            for op in ops {
+                match op {
+                    Op::Access(a, w) => prop_assert_eq!(cache.access(a, w), reference.access(a, w)),
+                    Op::Probe(a) => prop_assert_eq!(cache.probe(a), reference.probe(a)),
+                    Op::Evict(a) => prop_assert_eq!(cache.evict_line(a), reference.evict_line(a)),
+                    Op::Flush => {
+                        cache.flush();
+                        reference.flush();
+                    }
+                }
+                let recount = cache.lines.iter().filter(|l| l.valid).count();
+                prop_assert_eq!(cache.valid_lines, recount, "after {:?}", op);
+            }
+            prop_assert_eq!(cache.stats(), reference.stats());
         }
     }
 }

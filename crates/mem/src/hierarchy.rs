@@ -146,16 +146,28 @@ impl MemoryHierarchy {
         let _ = self.dram.access(addr, now);
     }
 
-    // Fill path shared by both access kinds once the request reaches the L2.
-    fn access_l2(&mut self, byte_addr: u64, write: bool, now: u64) -> u64 {
+    // A dirty line leaving the L1 is installed in the L2 (write-back),
+    // which may push a dirty line of its own out to DRAM.
+    fn write_back_to_l2(&mut self, line_addr: u64, now: u64) {
+        if let Access::Miss {
+            writeback: Some(l2v),
+        } = self.l2.access_line(line_addr, true)
+        {
+            self.post_writeback_to_dram(l2v, now);
+        }
+    }
+
+    // Fill path shared by both access kinds once the request reaches the
+    // L2; a miss goes to DRAM at `dram_addr`, a byte address in the line.
+    fn access_l2(&mut self, line_addr: u64, dram_addr: u64, write: bool, now: u64) -> u64 {
         let after_l2 = now + self.params.l2_latency;
-        match self.l2.access(byte_addr, write) {
+        match self.l2.access_line(line_addr, write) {
             Access::Hit => after_l2,
             Access::Miss { writeback } => {
                 if let Some(line) = writeback {
                     self.post_writeback_to_dram(line, after_l2);
                 }
-                self.dram.access(byte_addr, after_l2)
+                self.dram.access(dram_addr, after_l2)
             }
         }
     }
@@ -164,20 +176,14 @@ impl MemoryHierarchy {
     /// completion cycle.
     pub fn scalar_access(&mut self, byte_addr: u64, write: bool, now: u64) -> u64 {
         let after_l1 = now + self.params.l1_latency;
-        match self.l1d.access(byte_addr, write) {
+        let line_addr = self.l1d.line_of(byte_addr);
+        match self.l1d.access_line(line_addr, write) {
             Access::Hit => after_l1,
             Access::Miss { writeback } => {
                 if let Some(line) = writeback {
-                    // L1 victim is installed in the L2 (write-back).
-                    let addr = line * self.params.line_bytes;
-                    if let Access::Miss {
-                        writeback: Some(l2v),
-                    } = self.l2.access(addr, true)
-                    {
-                        self.post_writeback_to_dram(l2v, after_l1);
-                    }
+                    self.write_back_to_l2(line, after_l1);
                 }
-                self.access_l2(byte_addr, write, after_l1)
+                self.access_l2(line_addr, byte_addr, write, after_l1)
             }
         }
     }
@@ -185,23 +191,47 @@ impl MemoryHierarchy {
     /// One element of a vector memory instruction. Bypasses the L1-d when
     /// the paper's configuration is active. Returns the completion cycle.
     pub fn vector_access(&mut self, byte_addr: u64, write: bool, now: u64) -> u64 {
-        if !self.params.l1_bypass_vector {
-            return self.scalar_access(byte_addr, write, now);
-        }
-        // Coherence: pull the line out of the scalar L1 if present.
-        if self.l1d.probe(byte_addr) {
-            self.vector_l1_evictions += 1;
-            if let Some(line) = self.l1d.evict_line(byte_addr) {
-                let addr = line * self.params.line_bytes;
-                if let Access::Miss {
-                    writeback: Some(l2v),
-                } = self.l2.access(addr, true)
-                {
-                    self.post_writeback_to_dram(l2v, now);
-                }
+        self.vector_lines(&[self.l1d.line_of(byte_addr)], write, now, 1)
+    }
+
+    /// The memory phase of a vector memory instruction: its distinct
+    /// lines, as line addresses in the order they are requested, `ports`
+    /// per cycle from `start` on. Returns the last completion (`start`
+    /// when there are no lines).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ports` is zero.
+    ///
+    /// The model is per line request — their order, each one's issue
+    /// cycle, one LRU tick per cache access, where a write-back is posted
+    /// — and is what `vector_access` did for one line at a time from byte
+    /// addresses (`differential_tests::line_requests_complete_as_at_the_parent`).
+    pub fn vector_lines(&mut self, lines: &[u64], write: bool, start: u64, ports: u64) -> u64 {
+        let line_bytes = self.params.line_bytes;
+        let mut done = start;
+        // Line `i` is requested at `start + i / ports`.
+        for (cycle, group) in lines.chunks(ports as usize).enumerate() {
+            let now = start + cycle as u64;
+            for &line_addr in group {
+                let addr = line_addr * line_bytes;
+                let t = if self.params.l1_bypass_vector {
+                    // Coherence: pull the line out of the scalar L1 if
+                    // present.
+                    if self.l1d.probe_line(line_addr) {
+                        self.vector_l1_evictions += 1;
+                        if let Some(line) = self.l1d.invalidate_line(line_addr) {
+                            self.write_back_to_l2(line, now);
+                        }
+                    }
+                    self.access_l2(line_addr, addr, write, now)
+                } else {
+                    self.scalar_access(addr, write, now)
+                };
+                done = done.max(t);
             }
         }
-        self.access_l2(byte_addr, write, now)
+        done
     }
 
     /// True if the byte's line currently resides in the L2 (test hook).
@@ -338,11 +368,13 @@ mod tests {
     }
 }
 
-/// Old scan ≡ new fast path, seen through the whole hierarchy.
+/// Old scan ≡ new fast path, and the old per-line walk from byte
+/// addresses ≡ `vector_lines`, seen through the whole hierarchy.
 #[cfg(test)]
 mod differential_tests {
     use super::*;
     use crate::dram::with_scan_only;
+    use crate::reference::RefHierarchy;
     use proptest::prelude::*;
 
     #[derive(Debug, Clone, Copy)]
@@ -391,6 +423,47 @@ mod differential_tests {
         (done, h.stats())
     }
 
+    /// One step of a program: a scalar access or the memory phase of a
+    /// vector instruction, whichever `draw` falls to.
+    #[derive(Debug, Clone)]
+    struct Step {
+        /// Scalar if below the case's scalar share (in tenths).
+        draw: u8,
+        /// The scalar access: a byte offset into the working set, any
+        /// alignment.
+        byte: u64,
+        /// The vector phase's line list.
+        lines: Vec<u64>,
+        write: bool,
+    }
+
+    // Small caches (a 2 KiB L1, a 32 KiB L2: 32 and 512 lines of 64
+    // bytes) so that a hundred steps fill and turn over both. The working
+    // set is 768 lines, one and a half times the L2 at 64 bytes, so dirty
+    // L2 victims reach DRAM; scalar accesses cluster on its first 4 KiB
+    // (twice the L1), which vector phases revisit: the L1 is hit, evicted
+    // from clean and dirty, and emptied. Line lists repeat lines, as a
+    // scatter-add's two phases do across calls and as no deduplicated
+    // list does within one — the walk must not care.
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        let line = || prop_oneof![0u64..64, 0u64..768];
+        prop::collection::vec(
+            (
+                0u8..10,
+                0u64..4_096,
+                prop::collection::vec(line(), 0..40),
+                any::<bool>(),
+            )
+                .prop_map(|(draw, byte, lines, write)| Step {
+                    draw,
+                    byte,
+                    lines,
+                    write,
+                }),
+            50..150,
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1_000))]
 
@@ -399,6 +472,50 @@ mod differential_tests {
             let fast = drive(&stream);
             let scanned = with_scan_only(|| drive(&stream));
             prop_assert_eq!(fast, scanned);
+        }
+
+        #[test]
+        fn line_requests_complete_as_at_the_parent(
+            steps in steps(),
+            // Mostly scalar: a full L1. Mostly vector: an L1 of a few
+            // lines that vector phases keep emptying, where the valid-line
+            // count decides.
+            scalar_tenths in prop::sample::select(vec![1u8, 6]),
+            line_bytes in prop::sample::select(vec![32u64, 64, 128]),
+            l1_bypass_vector in any::<bool>(),
+            xor_l2 in any::<bool>(),
+            ports in prop::sample::select(vec![1u64, 2, 3, 4, 8]),
+        ) {
+            let params = HierarchyParams {
+                l1_size: 2 * 1_024,
+                l2_size: 32 * 1_024,
+                line_bytes,
+                l1_bypass_vector,
+                xor_l2,
+                ..HierarchyParams::westmere()
+            };
+            let mut new = MemoryHierarchy::new(params.clone());
+            let mut old = RefHierarchy::new(params);
+            let mut now = 0u64;
+            for Step { draw, byte, lines, write } in steps {
+                if draw < scalar_tenths {
+                    let done = new.scalar_access(byte, write, now);
+                    prop_assert_eq!(done, old.scalar_access(byte, write, now));
+                    now = done;
+                } else {
+                    let done = new.vector_lines(&lines, write, now, ports);
+                    prop_assert_eq!(done, old.vector_mem_phase(&lines, write, now, ports));
+                    // The one-line wrapper is the same walk.
+                    let byte = 3 * byte;
+                    prop_assert_eq!(
+                        new.vector_access(byte, write, done),
+                        old.vector_access(byte, write, done)
+                    );
+                    // Issue the next step before this one is done.
+                    now += (done - now) / 4;
+                }
+                prop_assert_eq!(new.stats(), old.stats());
+            }
         }
     }
 }

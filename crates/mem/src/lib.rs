@@ -16,6 +16,8 @@
 pub mod cache;
 pub mod dram;
 pub mod hierarchy;
+#[cfg(test)]
+mod reference;
 pub mod xor;
 
 pub use cache::{Access, Cache, CacheStats};

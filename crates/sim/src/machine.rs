@@ -150,6 +150,12 @@ pub struct Machine {
     alias_m: Vec<bool>,
     /// The one CAM behind `vpi` / `vlu` / `vga*` (cleared by each).
     cam: Cam,
+    /// The line list of the vector memory instruction in flight
+    /// ([`Machine::agen`]) and the offset vector of an indexed one
+    /// ([`Machine::indexed_pattern`]); capacity kept from instruction to
+    /// instruction, so none of them allocates (`tests/no_alloc.rs`).
+    lines: Vec<u64>,
+    offsets: Vec<u64>,
 }
 
 /// One register of either bank, as its elements.
@@ -229,6 +235,15 @@ fn mask_of(masks: &[MaskData], m: Option<Mreg>) -> Option<&[bool]> {
     m.map(|m| masks[usize::from(m.0)].as_slice())
 }
 
+/// The address a vector memory instruction's trace event carries:
+/// element 0's, which an indexed access of no elements does not have.
+fn traced_address(pattern: &MemPattern, vl: usize) -> Option<u64> {
+    match pattern {
+        MemPattern::Indexed { .. } if vl == 0 => None,
+        _ => Some(pattern.address(0)),
+    }
+}
+
 impl Machine {
     /// Builds a machine from a configuration.
     pub fn new(cfg: SimConfig) -> Self {
@@ -246,6 +261,8 @@ impl Machine {
             alias_v: Vec::with_capacity(cfg.mvl),
             alias_m: Vec::with_capacity(cfg.mvl),
             cam: Cam::new(cfg.mvl, cfg.cam_ports),
+            lines: Vec::new(),
+            offsets: Vec::with_capacity(cfg.mvl),
             cfg,
         }
     }
@@ -349,10 +366,6 @@ impl Machine {
     // internals
     // ------------------------------------------------------------------
 
-    fn line_bytes(&self) -> u64 {
-        self.hier.line_bytes()
-    }
-
     fn mask_dep(&self, m: Option<Mreg>) -> Tok {
         m.map_or(0, |m| self.mask_ready[m.0 as usize])
     }
@@ -404,32 +417,42 @@ impl Machine {
         a.max(b).max(c)
     }
 
-    // The distinct cache lines of a vector memory instruction, in first
-    // touch order, and its address-generation occupancy. Built once per
-    // instruction: the memory phase(s) and the trace event read the same
-    // list.
-    fn lines_and_agen(&self, pattern: &MemPattern, vl: usize) -> (Vec<u64>, u64) {
-        let lines = pattern.lines_touched(vl, self.line_bytes());
-        let occ = pattern.agen_cycles_for_lines(vl, self.cfg.lanes, lines.len());
-        (lines, occ)
+    // Builds the line list of a vector memory instruction — its distinct
+    // cache lines, in first touch order — and returns its
+    // address-generation occupancy. Built once per instruction: the
+    // memory phase(s) and the trace event read the same list.
+    fn agen(&mut self, pattern: &MemPattern, vl: usize) -> u64 {
+        pattern.lines_into(vl, self.hier.line_bytes(), &mut self.lines);
+        pattern.agen_cycles_for_lines(vl, self.cfg.lanes, self.lines.len())
     }
 
     // The pattern of an indexed instruction: element `i` at `base +
-    // vidx[i] * elem_bytes`.
-    fn indexed_pattern(&self, base: u64, vidx: Vreg, elem_bytes: u64) -> MemPattern {
+    // vidx[i] * elem_bytes`, wrapping (see `MemPattern::address`). Its
+    // offset vector is the machine's, to be handed back with
+    // `recycle_offsets` when the instruction is done.
+    fn indexed_pattern(&mut self, base: u64, vidx: Vreg, elem_bytes: u64) -> MemPattern {
         let idx = &self.vf.vreg(vidx).as_slice()[..self.vf.vl()];
+        let mut offsets = std::mem::take(&mut self.offsets);
+        offsets.clear();
+        offsets.extend(idx.iter().map(|&x| x.wrapping_mul(elem_bytes)));
         MemPattern::Indexed {
             base,
-            offsets: idx.iter().map(|&x| x * elem_bytes).collect(),
+            offsets,
             elem_bytes,
         }
     }
 
-    // Issue the memory phase of a vector memory instruction: its distinct
-    // cache lines are requested one per cycle starting when the AGU
-    // produces them; returns the last completion.
-    fn vector_mem_phase(&mut self, lines: &[u64], write: bool, start: Tok) -> Tok {
-        let line = self.line_bytes();
+    // Takes back the offset vector `indexed_pattern` lent out.
+    fn recycle_offsets(&mut self, pattern: MemPattern) {
+        if let MemPattern::Indexed { offsets, .. } = pattern {
+            self.offsets = offsets;
+        }
+    }
+
+    // Issue the memory phase of a vector memory instruction: the lines
+    // `agen` listed are requested starting when the AGU produces them;
+    // returns the last completion.
+    fn vector_mem_phase(&mut self, write: bool, start: Tok) -> Tok {
         // The interleaved L2 (XOR set placement across banks, §II-A) can
         // accept one line request per bank per cycle; the vector interface
         // issues up to `lanes` per cycle. Without the paper's L1 bypass the
@@ -440,14 +463,7 @@ impl Machine {
         } else {
             1
         };
-        let mut done = start;
-        for (i, l) in lines.iter().enumerate() {
-            let t = self
-                .hier
-                .vector_access(l * line, write, start + i as u64 / ports);
-            done = done.max(t);
-        }
-        done
+        self.hier.vector_lines(&self.lines, write, start, ports)
     }
 
     // ------------------------------------------------------------------
@@ -862,14 +878,14 @@ impl Machine {
             self.vreg_ready[vs.0 as usize],
         );
 
-        let (lines, occ) = self.lines_and_agen(&pattern, vl);
+        let occ = self.agen(&pattern, vl);
         let slot = self.pipe.reserve_store_slot();
         let start = self.pipe.dispatch(FuKind::StoreAgu, occ, deps.max(slot));
         let _data = self.pipe.dispatch(FuKind::StoreData, occ, deps);
         let agu_done = start + occ;
         // Read-modify-write: fetch each distinct line, then write it back.
-        let read_done = self.vector_mem_phase(&lines, false, agu_done);
-        let done = self.vector_mem_phase(&lines, true, read_done);
+        let read_done = self.vector_mem_phase(false, agu_done);
+        let done = self.vector_mem_phase(true, read_done);
         self.pipe.complete_store(done);
         self.pipe.retire(agu_done);
         if self.trace.is_some() {
@@ -878,8 +894,8 @@ impl Machine {
                 TraceClass::ScatterAdd,
                 vl,
                 done,
-                Some(pattern.address(0)),
-                Some(lines.len()),
+                traced_address(&pattern, vl),
+                Some(self.lines.len()),
             );
         }
 
@@ -893,6 +909,7 @@ impl Machine {
                     .write_elem(addr, elem_bytes, old.wrapping_add(add));
             }
         }
+        self.recycle_offsets(pattern);
         agu_done
     }
 
@@ -903,7 +920,7 @@ impl Machine {
     /// Unit-stride vector load of `vl` elements of `elem_bytes` each.
     pub fn vload_unit(&mut self, vd: Vreg, base: u64, elem_bytes: u64, dep: Tok) -> Tok {
         let pattern = MemPattern::UnitStride { base, elem_bytes };
-        self.vload_pattern(vd, pattern, None, dep)
+        self.vload_pattern(vd, &pattern, None, dep)
     }
 
     /// Strided vector load (`stride_bytes` between consecutive elements).
@@ -920,7 +937,7 @@ impl Machine {
             stride: stride_bytes,
             elem_bytes,
         };
-        self.vload_pattern(vd, pattern, None, dep)
+        self.vload_pattern(vd, &pattern, None, dep)
     }
 
     /// Indexed vector load (gather): element `i` comes from
@@ -936,10 +953,12 @@ impl Machine {
     ) -> Tok {
         let pattern = self.indexed_pattern(base, vidx, elem_bytes);
         let dep = dep.max(self.vreg_ready[vidx.0 as usize]);
-        self.vload_pattern(vd, pattern, m, dep)
+        let done = self.vload_pattern(vd, &pattern, m, dep);
+        self.recycle_offsets(pattern);
+        done
     }
 
-    fn vload_pattern(&mut self, vd: Vreg, pattern: MemPattern, m: Option<Mreg>, dep: Tok) -> Tok {
+    fn vload_pattern(&mut self, vd: Vreg, pattern: &MemPattern, m: Option<Mreg>, dep: Tok) -> Tok {
         let vl = self.vf.vl();
         match pattern {
             MemPattern::UnitStride { .. } => self.mix.v_unit_loads += 1,
@@ -954,11 +973,11 @@ impl Machine {
         };
         let deps = Self::deps3(dep, self.mask_dep(m), dst_dep);
 
-        let (lines, occ) = self.lines_and_agen(&pattern, vl);
+        let occ = self.agen(pattern, vl);
         let slot = self.pipe.reserve_load_slot();
         let start = self.pipe.dispatch(FuKind::VecMemAgu, occ, deps.max(slot));
         let agu_done = start + occ;
-        let done = self.vector_mem_phase(&lines, false, agu_done);
+        let done = self.vector_mem_phase(false, agu_done);
         self.pipe.complete_load(done);
         self.pipe.retire(done);
         if self.trace.is_some() {
@@ -972,20 +991,29 @@ impl Machine {
                 TraceClass::VecLoad,
                 vl,
                 done,
-                Some(pattern.address(0)),
-                Some(lines.len()),
+                traced_address(pattern, vl),
+                Some(self.lines.len()),
             );
         }
 
         // Functional transfer (merge masking).
         let (vregs, masks) = self.vf.banks_mut();
         let mask = mask_of(masks, m);
-        let dst = vregs[usize::from(vd.0)].as_mut_slice();
-        for (i, d) in dst[..vl].iter_mut().enumerate() {
-            if mask.is_none_or(|mk| mk[i]) {
-                *d = self
-                    .space
-                    .read_elem(pattern.address(i), pattern.elem_bytes());
+        let dst = &mut vregs[usize::from(vd.0)].as_mut_slice()[..vl];
+        match (pattern, mask) {
+            // Every element, back to back: by page run, not by element
+            // (`differential_tests::unit_stride_transfers_as_element_by_element`).
+            (&MemPattern::UnitStride { base, elem_bytes }, None) => {
+                self.space.read_run(base, elem_bytes, dst);
+            }
+            _ => {
+                for (i, d) in dst.iter_mut().enumerate() {
+                    if mask.is_none_or(|mk| mk[i]) {
+                        *d = self
+                            .space
+                            .read_elem(pattern.address(i), pattern.elem_bytes());
+                    }
+                }
             }
         }
         self.vreg_ready[vd.0 as usize] = done;
@@ -1002,7 +1030,7 @@ impl Machine {
     /// the load queue is full.
     pub fn vprefetch_unit(&mut self, base: u64, elem_bytes: u64, dep: Tok) {
         let pattern = MemPattern::UnitStride { base, elem_bytes };
-        self.vprefetch_pattern(pattern, dep);
+        self.vprefetch_pattern(&pattern, dep);
     }
 
     /// Strided vector prefetch (see [`Machine::vprefetch_unit`]).
@@ -1012,7 +1040,7 @@ impl Machine {
             stride: stride_bytes,
             elem_bytes,
         };
-        self.vprefetch_pattern(pattern, dep);
+        self.vprefetch_pattern(&pattern, dep);
     }
 
     /// Indexed vector prefetch (gather-shaped; see
@@ -1020,18 +1048,19 @@ impl Machine {
     pub fn vprefetch_indexed(&mut self, base: u64, vidx: Vreg, elem_bytes: u64, dep: Tok) {
         let pattern = self.indexed_pattern(base, vidx, elem_bytes);
         let dep = dep.max(self.vreg_ready[vidx.0 as usize]);
-        self.vprefetch_pattern(pattern, dep);
+        self.vprefetch_pattern(&pattern, dep);
+        self.recycle_offsets(pattern);
     }
 
-    fn vprefetch_pattern(&mut self, pattern: MemPattern, dep: Tok) {
+    fn vprefetch_pattern(&mut self, pattern: &MemPattern, dep: Tok) {
         let vl = self.vf.vl();
         self.mix.v_prefetches += 1;
         self.mix.v_elements += vl as u64;
-        let (lines, occ) = self.lines_and_agen(&pattern, vl);
+        let occ = self.agen(pattern, vl);
         let slot = self.pipe.reserve_load_slot();
         let start = self.pipe.dispatch(FuKind::VecMemAgu, occ, dep.max(slot));
         let agu_done = start + occ;
-        let done = self.vector_mem_phase(&lines, false, agu_done);
+        let done = self.vector_mem_phase(false, agu_done);
         self.pipe.complete_load(done);
         // A prefetch retires as soon as its AGU work is done — it has no
         // architectural result for anything to wait on.
@@ -1047,8 +1076,8 @@ impl Machine {
                 TraceClass::Prefetch,
                 vl,
                 done,
-                Some(pattern.address(0)),
-                Some(lines.len()),
+                traced_address(pattern, vl),
+                Some(self.lines.len()),
             );
         }
     }
@@ -1056,7 +1085,7 @@ impl Machine {
     /// Unit-stride vector store.
     pub fn vstore_unit(&mut self, vs: Vreg, base: u64, elem_bytes: u64, dep: Tok) -> Tok {
         let pattern = MemPattern::UnitStride { base, elem_bytes };
-        self.vstore_pattern(vs, pattern, None, dep)
+        self.vstore_pattern(vs, &pattern, None, dep)
     }
 
     /// Strided vector store.
@@ -1073,7 +1102,7 @@ impl Machine {
             stride: stride_bytes,
             elem_bytes,
         };
-        self.vstore_pattern(vs, pattern, None, dep)
+        self.vstore_pattern(vs, &pattern, None, dep)
     }
 
     /// Indexed vector store (scatter): element `i` goes to
@@ -1096,26 +1125,29 @@ impl Machine {
         #[cfg(debug_assertions)]
         if let MemPattern::Indexed { offsets, .. } = &pattern {
             let mask = m.map(|m| self.vf.mask(m).as_slice());
-            let mut active: Vec<u64> = offsets
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| mask.is_none_or(|mk| mk[*i]))
-                .map(|(_, &o)| o)
-                .collect();
+            // Sorted in the alias stand-in, which no store uses.
+            let active = &mut self.alias_v;
+            active.clear();
+            active.extend(
+                offsets
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| mask.is_none_or(|mk| mk[*i]))
+                    .map(|(_, &o)| o),
+            );
             active.sort_unstable();
-            let len_before = active.len();
-            active.dedup();
-            debug_assert_eq!(
-                len_before,
-                active.len(),
+            debug_assert!(
+                active.windows(2).all(|pair| pair[0] != pair[1]),
                 "GMS conflict: duplicate scatter indices"
             );
         }
         let dep = dep.max(self.vreg_ready[vidx.0 as usize]);
-        self.vstore_pattern(vs, pattern, m, dep)
+        let agu_done = self.vstore_pattern(vs, &pattern, m, dep);
+        self.recycle_offsets(pattern);
+        agu_done
     }
 
-    fn vstore_pattern(&mut self, vs: Vreg, pattern: MemPattern, m: Option<Mreg>, dep: Tok) -> Tok {
+    fn vstore_pattern(&mut self, vs: Vreg, pattern: &MemPattern, m: Option<Mreg>, dep: Tok) -> Tok {
         let vl = self.vf.vl();
         match pattern {
             MemPattern::UnitStride { .. } => self.mix.v_unit_stores += 1,
@@ -1125,12 +1157,12 @@ impl Machine {
         self.mix.v_elements += vl as u64;
         let deps = Self::deps3(dep, self.mask_dep(m), self.vreg_ready[vs.0 as usize]);
 
-        let (lines, occ) = self.lines_and_agen(&pattern, vl);
+        let occ = self.agen(pattern, vl);
         let slot = self.pipe.reserve_store_slot();
         let start = self.pipe.dispatch(FuKind::StoreAgu, occ, deps.max(slot));
         let _data = self.pipe.dispatch(FuKind::StoreData, occ, deps);
         let agu_done = start + occ;
-        let done = self.vector_mem_phase(&lines, true, agu_done);
+        let done = self.vector_mem_phase(true, agu_done);
         self.pipe.complete_store(done);
         self.pipe.retire(agu_done);
         if self.trace.is_some() {
@@ -1144,17 +1176,25 @@ impl Machine {
                 TraceClass::VecStore,
                 vl,
                 done,
-                Some(pattern.address(0)),
-                Some(lines.len()),
+                traced_address(pattern, vl),
+                Some(self.lines.len()),
             );
         }
 
         let mask = m.map(|m| self.vf.mask(m).as_slice());
-        let src = self.vf.vreg(vs).as_slice();
-        for (i, &v) in src[..vl].iter().enumerate() {
-            if mask.is_none_or(|mk| mk[i]) {
-                self.space
-                    .write_elem(pattern.address(i), pattern.elem_bytes(), v);
+        let src = &self.vf.vreg(vs).as_slice()[..vl];
+        match (pattern, mask) {
+            // As in `vload_pattern`: by page run.
+            (&MemPattern::UnitStride { base, elem_bytes }, None) => {
+                self.space.write_run(base, elem_bytes, src);
+            }
+            _ => {
+                for (i, &v) in src.iter().enumerate() {
+                    if mask.is_none_or(|mk| mk[i]) {
+                        self.space
+                            .write_elem(pattern.address(i), pattern.elem_bytes(), v);
+                    }
+                }
             }
         }
         agu_done
@@ -1497,6 +1537,44 @@ mod tests {
     }
 
     #[test]
+    fn far_indices_wrap_around_the_address_space() {
+        // `u64::MAX / 2` words is four bytes short of a whole turn: the
+        // element sits one word below the base, in every build profile,
+        // and an index register may hold such a value in any lane.
+        const FAR: u64 = u64::MAX / 2;
+        let mut m = machine();
+        let base = m.space_mut().alloc_slice_u32(&[10, 11, 12, 13, 14]) + 4;
+        m.set_vl(4);
+        m.viota(V1, None);
+        m.vset_elem(V1, 2, FAR, 0);
+        m.vcmp_vs(CmpOp::Ne, M0, V1, FAR, None);
+
+        // Masked off, then active.
+        m.vset(V0, 99, None);
+        m.vgather(V0, base, V1, 4, Some(M0), 0);
+        assert_eq!(m.vreg_snapshot(V0), vec![11, 12, 99, 14]);
+        m.vgather(V0, base, V1, 4, None, 0);
+        assert_eq!(m.vreg_snapshot(V0), vec![11, 12, 10, 14]);
+
+        m.vset(V2, 7, None);
+        m.vscatter(V2, base, V1, 4, Some(M0), 0);
+        assert_eq!(m.space().read_slice_u32(base - 4, 5), vec![10, 7, 7, 13, 7]);
+        m.vscatter(V2, base, V1, 4, None, 0);
+        assert_eq!(m.space().read_slice_u32(base - 4, 5), vec![7, 7, 7, 13, 7]);
+        m.vscatter_add(V2, base, V1, 4, None, 0);
+        m.vprefetch_indexed(base, V1, 4, 0);
+        assert_eq!(
+            m.space().read_slice_u32(base - 4, 5),
+            vec![14, 14, 14, 13, 14]
+        );
+
+        // A stride may carry an access around the top as well.
+        m.set_vl(2);
+        m.vload_strided(V0, base, i64::MAX, 4, 0);
+        assert_eq!(m.vreg_snapshot(V0)[0], 14);
+    }
+
+    #[test]
     fn stats_expose_memory_behaviour() {
         let mut m = machine();
         let base = m.space_mut().alloc(4096, 64);
@@ -1507,5 +1585,81 @@ mod tests {
         assert!(s.ops > 0);
         assert!(s.mem.l2.accesses >= 4); // 64×4B = 4 lines via L1 bypass
         assert_eq!(s.mem.l1.accesses, 0);
+    }
+}
+
+/// A unit-stride transfer by page run ≡ the element-by-element loop it
+/// used to be, which every other pattern still runs: a strided access
+/// whose stride is the element size is the same elements through that
+/// loop.
+#[cfg(test)]
+mod differential_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    type Outcome = (Vec<u64>, Vec<u8>, usize, SimStats);
+
+    /// Stores `vals[..vl]` at `base` and loads them back over a register
+    /// of stale contents; returns that register, the bytes around the
+    /// transfer, the resident pages and the counters.
+    fn transfer(
+        unit: bool,
+        staged: &[u32],
+        at: u64,
+        width: u64,
+        vl: usize,
+        vals: &[u64],
+    ) -> Outcome {
+        const REGION: u64 = 2_048;
+        let mut m = Machine::paper();
+        let region = m.space_mut().alloc(REGION, 256);
+        // Staged data covers the region's second half only, so a run
+        // meets resident pages, absent pages and the edge between them.
+        m.space_mut().write_slice_u32(region + REGION / 2, staged);
+        let (src, dst) = (Vreg(0), Vreg(1));
+        m.vf.vreg_mut(src).as_mut_slice()[..vals.len()].copy_from_slice(vals);
+        m.vf.vreg_mut(dst).as_mut_slice().fill(u64::MAX);
+        m.set_vl(vl);
+        let base = region + at;
+        if unit {
+            m.vstore_unit(src, base, width, 0);
+            m.vload_unit(dst, base, width, 0);
+        } else {
+            m.vstore_strided(src, base, width as i64, width, 0);
+            m.vload_strided(dst, base, width as i64, width, 0);
+        }
+        let bytes = (region..region + REGION)
+            .map(|a| m.space().read_u8(a))
+            .collect();
+        let mut stats = m.stats();
+        // The two spellings count as different instructions.
+        stats.mix = OpMix::default();
+        (
+            m.vf.vreg(dst).as_slice().to_vec(),
+            bytes,
+            m.space().resident_pages(),
+            stats,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+
+        #[test]
+        fn unit_stride_transfers_as_element_by_element(
+            staged in prop::collection::vec(prop_oneof![Just(0u32), any::<u32>()], 0..128),
+            at in 0u64..1_400,
+            width in prop::sample::select(vec![1u64, 4, 8]),
+            vl in 0usize..65,
+            vals in prop::collection::vec(
+                prop_oneof![Just(0u64), any::<u64>(), (1u64..9).prop_map(|high| high << 32)],
+                64..65,
+            ),
+        ) {
+            prop_assert_eq!(
+                transfer(true, &staged, at, width, vl, &vals),
+                transfer(false, &staged, at, width, vl, &vals)
+            );
+        }
     }
 }

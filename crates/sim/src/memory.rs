@@ -55,6 +55,24 @@ pub struct AddressSpace {
     brk: u64,
 }
 
+/// A 32-bit memory word as the bulk transfers carry it: a `u32` of a host
+/// slice, or the low half of a vector register's `u64` element.
+trait Word: Copy + From<u32> {
+    fn low_u32(self) -> u32;
+}
+
+impl Word for u32 {
+    fn low_u32(self) -> u32 {
+        self
+    }
+}
+
+impl Word for u64 {
+    fn low_u32(self) -> u32 {
+        self as u32
+    }
+}
+
 /// The runs, one per page, of `len` words starting at the 4-aligned
 /// `base`: each run's address and its range of word numbers.
 fn page_runs(base: u64, len: usize) -> impl Iterator<Item = (u64, Range<usize>)> {
@@ -260,48 +278,94 @@ impl AddressSpace {
         }
     }
 
-    /// Host-side bulk upload of a `u32` slice (dataset staging; untimed).
-    pub fn write_slice_u32(&mut self, base: u64, data: &[u32]) {
+    /// Writes `words` from `base` on. From a 4-aligned base, one page
+    /// run at a time: one page lookup and one copy loop per 256-byte
+    /// page. An aligned word lies in one page, and a run of zero words
+    /// onto an absent page materialises nothing, as each word alone would
+    /// not — so the bytes and `resident_pages()` are those of one
+    /// `write_u32` per word (`differential_tests`), which is what any
+    /// other base gets: its words may straddle pages.
+    fn write_words<W: Word>(&mut self, base: u64, words: &[W]) {
         if !base.is_multiple_of(4) {
-            // Words may straddle pages: one at a time.
-            for (i, &v) in data.iter().enumerate() {
-                self.write_u32(base + 4 * i as u64, v);
+            for (i, w) in words.iter().enumerate() {
+                self.write_u32(base + 4 * i as u64, w.low_u32());
             }
             return;
         }
-        for (addr, run) in page_runs(base, data.len()) {
-            let words = &data[run];
+        for (addr, run) in page_runs(base, words.len()) {
+            let words = &words[run];
             let page = match self.slot(addr) {
                 Some(i) => &mut self.slab[i],
                 // As in `write_in_page`: zeros onto an absent page.
-                None if words.iter().all(|&w| w == 0) => continue,
+                None if words.iter().all(|w| w.low_u32() == 0) => continue,
                 None => self.materialise(addr),
             };
             let off = (addr as usize) & (PAGE_BYTES - 1);
             for (dst, w) in page[off..].chunks_exact_mut(4).zip(words) {
-                dst.copy_from_slice(&w.to_le_bytes());
+                dst.copy_from_slice(&w.low_u32().to_le_bytes());
             }
         }
     }
 
-    /// Host-side bulk download of `len` `u32`s (result checking; untimed).
-    pub fn read_slice_u32(&self, base: u64, len: usize) -> Vec<u32> {
+    /// Fills `out` with the words from `base` on
+    /// ([`AddressSpace::write_words`]'s twin).
+    fn read_words<W: Word>(&self, base: u64, out: &mut [W]) {
         if !base.is_multiple_of(4) {
-            return (0..len)
-                .map(|i| self.read_u32(base + 4 * i as u64))
-                .collect();
+            for (i, w) in out.iter_mut().enumerate() {
+                *w = self.read_u32(base + 4 * i as u64).into();
+            }
+            return;
         }
-        let mut out = Vec::with_capacity(len);
-        for (addr, run) in page_runs(base, len) {
+        for (addr, run) in page_runs(base, out.len()) {
+            let out = &mut out[run];
             match self.page(addr) {
                 Some(page) => {
                     let off = (addr as usize) & (PAGE_BYTES - 1);
-                    let words = page[off..].chunks_exact(4).take(run.len());
-                    out.extend(words.map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes"))));
+                    for (w, b) in out.iter_mut().zip(page[off..].chunks_exact(4)) {
+                        *w = u32::from_le_bytes(b.try_into().expect("4 bytes")).into();
+                    }
                 }
-                None => out.resize(run.end, 0),
+                None => out.fill(0.into()),
             }
         }
+    }
+
+    /// [`AddressSpace::write_elem`] for `vals.len()` consecutive elements
+    /// of `width` bytes from `base` on — an unmasked unit-stride vector
+    /// store. 32-bit elements move by page run; the other widths go
+    /// element by element.
+    pub(crate) fn write_run(&mut self, base: u64, width: u64, vals: &[u64]) {
+        if width == 4 {
+            self.write_words(base, vals);
+        } else {
+            for (i, &v) in vals.iter().enumerate() {
+                self.write_elem(base + i as u64 * width, width, v);
+            }
+        }
+    }
+
+    /// [`AddressSpace::read_elem`] for `out.len()` consecutive elements
+    /// ([`AddressSpace::write_run`]'s twin) — an unmasked unit-stride
+    /// vector load.
+    pub(crate) fn read_run(&self, base: u64, width: u64, out: &mut [u64]) {
+        if width == 4 {
+            self.read_words(base, out);
+        } else {
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = self.read_elem(base + i as u64 * width, width);
+            }
+        }
+    }
+
+    /// Host-side bulk upload of a `u32` slice (dataset staging; untimed).
+    pub fn write_slice_u32(&mut self, base: u64, data: &[u32]) {
+        self.write_words(base, data);
+    }
+
+    /// Host-side bulk download of `len` `u32`s (result checking; untimed).
+    pub fn read_slice_u32(&self, base: u64, len: usize) -> Vec<u32> {
+        let mut out = vec![0; len];
+        self.read_words(base, &mut out);
         out
     }
 
@@ -414,6 +478,8 @@ mod differential_tests {
         ReadElem(u64, u64),
         WriteSlice(u64, Vec<u32>),
         ReadSlice(u64, usize),
+        WriteRun(u64, u64, Vec<u64>),
+        ReadRun(u64, u64, usize),
         Alloc(u64, u64),
         Reset,
     }
@@ -459,8 +525,29 @@ mod differential_tests {
         ]
     }
 
+    // As `addrs`, with room above for a run of 80 eight-byte elements.
+    fn run_addrs() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            addrs().prop_map(|a| a.min(u64::MAX - 2_000)),
+            u64::MAX - 2_000..u64::MAX - 700,
+        ]
+    }
+
     fn ops() -> impl Strategy<Value = Op> {
         let width = || prop::sample::select(vec![1u64, 4, 8]);
+        // Up to 80 elements: a run of words crosses one page edge or two.
+        // Zeros, and values whose low word alone is zero: what a 32-bit
+        // store writes of them materialises nothing.
+        let run = || {
+            prop::collection::vec(
+                prop_oneof![
+                    Just(0u64),
+                    any::<u64>(),
+                    (1u64..1_000).prop_map(|high| high << 32)
+                ],
+                0..81,
+            )
+        };
         // Zero often enough to meet absent pages.
         let val = || prop_oneof![Just(0u64), any::<u64>(), 1u64..256];
         let words = || prop::collection::vec(prop_oneof![Just(0u32), any::<u32>()], 0..33);
@@ -476,6 +563,19 @@ mod differential_tests {
             }),
             (addrs(), 0usize..33).prop_map(|(a, n)| Op::ReadSlice(a, n)),
             (addrs(), 0usize..33).prop_map(|(a, n)| Op::ReadSlice(a & !3, n)),
+            // Vector runs at any base and width, then the page-wise path
+            // (aligned words), half of it storing zero words.
+            (run_addrs(), width(), run()).prop_map(|(a, w, v)| Op::WriteRun(a, w, v)),
+            (run_addrs(), run(), any::<bool>()).prop_map(|(a, v, zero)| {
+                let v = if zero {
+                    v.iter().map(|x| x << 32).collect()
+                } else {
+                    v
+                };
+                Op::WriteRun(a & !3, 4, v)
+            }),
+            (run_addrs(), width(), 0usize..81).prop_map(|(a, w, n)| Op::ReadRun(a, w, n)),
+            (run_addrs(), 0usize..81).prop_map(|(a, n)| Op::ReadRun(a & !3, 4, n)),
             (0u64..700, prop::sample::select(vec![1u64, 4, 64, 256]))
                 .prop_map(|(b, a)| Op::Alloc(b, a)),
             Just(Op::Reset),
@@ -519,6 +619,21 @@ mod differential_tests {
                             .map(|i| oracle.read(base + 4 * i, 4) as u32)
                             .collect();
                         prop_assert_eq!(space.read_slice_u32(base, len), expect, "at {:#x}", base);
+                    }
+                    Op::WriteRun(base, width, vals) => {
+                        space.write_run(*base, *width, vals);
+                        for (addr, val) in (*base..).step_by(*width as usize).zip(vals) {
+                            oracle.write(addr, &val.to_le_bytes()[..*width as usize]);
+                        }
+                    }
+                    &Op::ReadRun(base, width, len) => {
+                        let expect: Vec<u64> = (0..len as u64)
+                            .map(|i| oracle.read(base + width * i, width as usize))
+                            .collect();
+                        // Over stale register contents, not zeros.
+                        let mut got = vec![u64::MAX; len];
+                        space.read_run(base, width, &mut got);
+                        prop_assert_eq!(got, expect, "{} x {} at {:#x}", len, width, base);
                     }
                     &Op::Alloc(bytes, align) => {
                         let base = oracle.brk.next_multiple_of(align);

@@ -1,0 +1,111 @@
+//! Vector memory instructions allocate nothing.
+//!
+//! The machine keeps the line list and the offset vector of the
+//! instruction in flight from one instruction to the next, and moves
+//! unit-stride data by page run; a kernel is tens of thousands of these
+//! instructions, so one `Vec` each was thousands of heap calls per SQL
+//! statement. A counting global allocator holds the count at zero.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use vagg::isa::{BinOp, CmpOp, Mreg, RedOp, Vreg};
+use vagg::sim::Machine;
+
+thread_local! {
+    /// Allocations made by this thread while it is counting; `None`
+    /// while it is not (the test harness's own threads never are).
+    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to the system allocator;
+// the thread-local is a `Cell` of a `Copy` value with a const
+// initialiser, so touching it neither allocates nor runs a destructor.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // `try_with`: a thread being torn down may allocate after its
+        // thread-locals are gone.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Heap allocations (and reallocations) `f` makes on this thread.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    ALLOCATIONS.with(|n| n.set(Some(0)));
+    f();
+    ALLOCATIONS.with(|n| n.replace(None)).expect("was counting")
+}
+
+#[test]
+fn the_counter_counts() {
+    assert_eq!(
+        allocations_in(|| drop(std::hint::black_box(vec![1u8; 64]))),
+        1
+    );
+    assert_eq!(allocations_in(|| ()), 0);
+}
+
+#[test]
+fn vector_instructions_do_not_allocate() {
+    const ROWS: u32 = 4_096;
+    let mut m = Machine::paper();
+    let mvl = m.mvl();
+    let keys: Vec<u32> = (0..ROWS)
+        .map(|i| i.wrapping_mul(2_654_435_761) % 1_000)
+        .collect();
+    let keys_at = m.space_mut().alloc_slice_u32(&keys);
+    let table_at = m.space_mut().alloc(4 * 1_024, 64);
+    let out_at = m.space_mut().alloc(4 * u64::from(ROWS), 64);
+    let (vk, vv, vt, vi) = (Vreg(0), Vreg(1), Vreg(2), Vreg(3));
+    let mask = Mreg(0);
+
+    // One chunk of a monotable-shaped loop, and the instructions it
+    // does not use.
+    let chunk = |m: &mut Machine, i: u64| {
+        let at = 4 * (i * mvl as u64 % u64::from(ROWS));
+        m.vload_unit(vk, keys_at + at, 4, 0);
+        m.viota(vi, None);
+        m.vga(RedOp::Sum, vv, vk, vi);
+        m.vlu(mask, vk);
+        m.vgather(vt, table_at, vk, 4, Some(mask), 0);
+        m.vbinop_vv(BinOp::Add, vt, vt, vv, Some(mask));
+        m.vscatter(vt, table_at, vk, 4, Some(mask), 0);
+        m.vgather(vt, table_at, vk, 4, None, 0);
+        m.vscatter(vt, out_at, vi, 4, None, 0);
+        m.vscatter_add(vv, table_at, vk, 4, None, 0);
+        m.vprefetch_indexed(table_at, vk, 4, 0);
+        m.vprefetch_unit(keys_at + at, 4, 0);
+        m.vcmp_vs(CmpOp::Ne, mask, vk, 3, None);
+        m.vstore_unit(vt, out_at + at, 4, 0);
+        m.vload_strided(vv, keys_at, 64, 4, 0);
+        m.vstore_strided(vv, out_at, 64, 4, 0);
+    };
+
+    m.set_vl(mvl);
+    // The warm-up sizes the scratch and materialises the pages.
+    for i in 0..u64::from(ROWS) / mvl as u64 {
+        chunk(&mut m, i);
+    }
+    let allocations = allocations_in(|| {
+        for i in 0..1_000 {
+            chunk(&mut m, i);
+        }
+    });
+    assert_eq!(allocations, 0, "over 1 000 chunks of 16 instructions");
+    assert!(m.stats().mix.v_gathers >= 2_000);
+}

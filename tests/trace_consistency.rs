@@ -300,3 +300,37 @@ fn fu_utilization_reflects_algorithm_character() {
         assert!((0.0..=1.0).contains(&u), "utilisation {u} out of range");
     }
 }
+
+#[test]
+fn zero_length_indexed_instructions_trace_without_an_address() {
+    // An indexed access of no elements has no element 0 to name: the
+    // event carries no address and no lines, and tracing still changes
+    // no simulated counter.
+    let run = |trace: bool| {
+        let mut m = Machine::new(SimConfig::paper());
+        if trace {
+            m.enable_trace(16);
+        }
+        let table = m.space_mut().alloc(256, 64);
+        m.set_vl(0);
+        m.vgather(Vreg(0), table, Vreg(1), 4, None, 0);
+        m.vscatter(Vreg(0), table, Vreg(1), 4, None, 0);
+        m.vprefetch_indexed(table, Vreg(1), 4, 0);
+        m.vscatter_add(Vreg(0), table, Vreg(1), 4, None, 0);
+        m
+    };
+    let (mut traced, untraced) = (run(true), run(false));
+    assert_eq!(traced.stats(), untraced.stats());
+    let t = traced.take_trace().unwrap();
+    let memory: Vec<_> = t.events().iter().filter(|e| e.class.is_memory()).collect();
+    let names: Vec<&str> = memory.iter().map(|e| e.mnemonic).collect();
+    assert_eq!(names, ["vgather", "vscatter", "vpf.x", "vscatadd"]);
+    for e in memory {
+        assert_eq!(
+            (e.vl, e.addr, e.lines),
+            (0, None, Some(0)),
+            "{}",
+            e.mnemonic
+        );
+    }
+}
