@@ -1,0 +1,414 @@
+//! Live statistics are what a fresh registration of the same rows
+//! would compute — at every data version, however the rows got there.
+//!
+//! The §V-D policy plans from `TableStats` (cardinality, sortedness),
+//! and morsel pruning trusts its zone maps, so the write path may
+//! maintain them any way it likes as long as, **after every
+//! statement**:
+//!
+//! * each column's `ColumnStats` — `min`, `max`, `sorted`,
+//!   `distinct_estimate`, `cardinality`, and its `{:?}` — equals that of
+//!   `Database::register(db.table(t))` on a fresh database;
+//! * whenever the delta holds no appended rows (right after a
+//!   registration, a compaction, or a DELETE / UPDATE on a compacted
+//!   table) the whole `TableStats` `{:?}`, zone maps included, equals
+//!   the fresh registration's;
+//! * a filtered aggregate — pruned over the *current* zones — returns
+//!   the rows a host-side scan of the table computes.
+//!
+//! Op lists mix appends (empty, 1-row, 64-row, with a sorted key column
+//! and not), `DELETE` / `UPDATE` whose predicate matches no, some or
+//! all rows, and `BEGIN … COMMIT` lists of them, under
+//! `CompactionPolicy::{never, every(1), every(3), default}`, through
+//! autocommit SQL, `append_rows`, a 3-shard `ShardedDatabase`, and
+//! drop + reopen replay. This file judges how compaction maintains
+//! statistics; `tests/write_path.rs` holds that every entry point
+//! agrees with every other.
+
+use proptest::prelude::*;
+use std::collections::BTreeMap;
+use vagg::db::{
+    CompactionPolicy, Database, Engine, ExecutorConfig, Row, RowBatch, ShardedDatabase, SqlOutcome,
+    Table, TableStats, TempDir,
+};
+
+const COLUMNS: [&str; 3] = ["g", "k", "v"];
+
+#[derive(Debug, Clone)]
+enum Op {
+    /// `rows` rows drawn from `seed`; `sorted` continues the ascending
+    /// run of the key column `k`, otherwise `k` is random.
+    Append {
+        rows: usize,
+        sorted: bool,
+        seed: u64,
+    },
+    /// `DELETE FROM t WHERE <clause>`.
+    Delete(String),
+    /// `UPDATE t SET <column> = <value> WHERE <clause>`.
+    Update(&'static str, u32, String),
+}
+
+#[derive(Debug, Clone)]
+enum Step {
+    One(Op),
+    /// `BEGIN; …; COMMIT` where the entry point has transactions, the
+    /// ops one by one where it does not.
+    Txn(Vec<Op>),
+}
+
+/// `(g, k, v)` rows of one append, materialised against the running key
+/// counter so that sorted batches really extend the sorted run.
+fn rows_of(rows: usize, sorted: bool, seed: u64, next_key: &mut u32) -> Vec<[u32; 3]> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as u32
+    };
+    (0..rows)
+        .map(|_| {
+            let k = if sorted {
+                *next_key += 1;
+                *next_key
+            } else {
+                next() % 2000
+            };
+            [next() % 8, k, next() % 100]
+        })
+        .collect()
+}
+
+fn batch_of(rows: &[[u32; 3]]) -> RowBatch {
+    COLUMNS
+        .iter()
+        .enumerate()
+        .fold(RowBatch::new(), |b, (c, name)| {
+            b.with_column(*name, rows.iter().map(|r| r[c]).collect())
+        })
+}
+
+fn insert_sql(rows: &[[u32; 3]]) -> String {
+    let values: Vec<String> = rows
+        .iter()
+        .map(|r| format!("({}, {}, {})", r[0], r[1], r[2]))
+        .collect();
+    format!("INSERT INTO t (g, k, v) VALUES {}", values.join(", "))
+}
+
+fn mutation_sql(op: &Op) -> String {
+    match op {
+        Op::Delete(clause) => format!("DELETE FROM t WHERE {clause}"),
+        Op::Update(column, value, clause) => {
+            format!("UPDATE t SET {column} = {value} WHERE {clause}")
+        }
+        Op::Append { .. } => unreachable!("appends are materialised, not rendered"),
+    }
+}
+
+/// Predicates matching no row, every row, a prefix of the key column
+/// (the rolling-window shape), and arbitrary subsets.
+fn arb_where() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("v > 1000".to_string()),
+        Just("v < 1000".to_string()),
+        (0u32..200).prop_map(|c| format!("k < {c}")),
+        (200u32..600).prop_map(|c| format!("k > {c}")),
+        (0u32..30).prop_map(|c| format!("v < {c}")),
+        (3u32..8).prop_map(|c| format!("g > {c}")),
+        (0u32..8).prop_map(|c| format!("g <> {c}")),
+    ]
+}
+
+fn arb_append() -> impl Strategy<Value = Op> {
+    (
+        prop_oneof![Just(0usize), Just(1usize), Just(64usize), 2usize..7],
+        0usize..2,
+        any::<u64>(),
+    )
+        .prop_map(|(rows, sorted, seed)| Op::Append {
+            rows,
+            sorted: sorted == 1,
+            seed,
+        })
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        arb_append(),
+        arb_append(),
+        arb_where().prop_map(Op::Delete),
+        (0u32..100, arb_where()).prop_map(|(v, w)| Op::Update("v", v, w)),
+        (0u32..2000, arb_where()).prop_map(|(k, w)| Op::Update("k", k, w)),
+    ]
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        arb_op().prop_map(Step::One),
+        arb_op().prop_map(Step::One),
+        arb_op().prop_map(Step::One),
+        proptest::collection::vec(arb_op(), 1..4).prop_map(Step::Txn),
+    ]
+}
+
+fn policy_of(choice: usize) -> CompactionPolicy {
+    match choice {
+        0 => CompactionPolicy::never(),
+        1 => CompactionPolicy::every(1),
+        2 => CompactionPolicy::every(3),
+        _ => CompactionPolicy::default(),
+    }
+}
+
+/// Rows registered before the first statement: more distinct keys than
+/// the distinct sketch retains, so it starts at capacity.
+const SEED_ROWS: usize = 300;
+
+fn seed_table() -> Table {
+    let mut next_key = 0;
+    let rows = rows_of(SEED_ROWS, true, 7, &mut next_key);
+    COLUMNS
+        .iter()
+        .enumerate()
+        .fold(Table::new("t"), |t, (c, name)| {
+            t.with_column(*name, rows.iter().map(|r| r[c]).collect())
+        })
+}
+
+/// What a fresh registration of `db`'s current rows computes.
+fn fresh_stats(db: &Database) -> TableStats {
+    let mut fresh = Database::new();
+    fresh.register(db.table("t").expect("t is registered"));
+    fresh.table_stats("t").expect("just registered")
+}
+
+/// The statistics half of the oracle, on one database.
+fn check_stats(db: &Database, what: &str) -> Result<(), TestCaseError> {
+    let live = db.table_stats("t").expect("t is registered");
+    let fresh = fresh_stats(db);
+    prop_assert_eq!(live.rows(), fresh.rows(), "{}: rows", what);
+    prop_assert_eq!(
+        live.column_names(),
+        fresh.column_names(),
+        "{}: columns",
+        what
+    );
+    for name in COLUMNS {
+        let (a, b) = (live.column(name).unwrap(), fresh.column(name).unwrap());
+        prop_assert_eq!(a.min, b.min, "{}: {} min", what, name);
+        prop_assert_eq!(a.max, b.max, "{}: {} max", what, name);
+        prop_assert_eq!(a.sorted, b.sorted, "{}: {} sorted", what, name);
+        prop_assert_eq!(
+            a.cardinality(),
+            b.cardinality(),
+            "{}: {} cardinality",
+            what,
+            name
+        );
+        prop_assert_eq!(
+            a.distinct_estimate(),
+            b.distinct_estimate(),
+            "{}: {} distinct",
+            what,
+            name
+        );
+        prop_assert_eq!(
+            format!("{a:?}"),
+            format!("{b:?}"),
+            "{}: {} rendered",
+            what,
+            name
+        );
+    }
+    if db.catalogue().delta_rows("t") == Some(0) {
+        prop_assert_eq!(
+            format!("{live:?}"),
+            format!("{fresh:?}"),
+            "{}: whole statistics with an empty delta",
+            what
+        );
+    }
+    Ok(())
+}
+
+/// `SELECT g, COUNT(*), SUM(v) … WHERE v > threshold GROUP BY g` by a
+/// host-side scan: what an unpruned execution returns.
+fn scan(tables: &[Table], threshold: u32) -> Vec<(u32, Vec<f64>)> {
+    let mut groups: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
+    for t in tables {
+        let (g, v) = (t.column("g").unwrap(), t.column("v").unwrap());
+        for (&g, &v) in g.iter().zip(v) {
+            if v > threshold {
+                let e = groups.entry(g).or_default();
+                e.0 += 1;
+                e.1 += u64::from(v);
+            }
+        }
+    }
+    groups
+        .into_iter()
+        .map(|(g, (n, sum))| (g, vec![n as f64, sum as f64]))
+        .collect()
+}
+
+fn flat(rows: &[Row]) -> Vec<(u32, Vec<f64>)> {
+    rows.iter().map(|r| (r.group, r.values.clone())).collect()
+}
+
+fn range_sql(threshold: u32) -> String {
+    format!("SELECT g, COUNT(*), SUM(v) FROM t WHERE v > {threshold} GROUP BY g")
+}
+
+/// Both halves of the oracle on one single-store database.
+fn check(db: &mut Database, threshold: u32, what: &str) -> Result<(), TestCaseError> {
+    check_stats(db, what)?;
+    let table = db.table("t").unwrap();
+    // A table a DELETE emptied plans to a typed `EmptyTable` error.
+    if table.rows() > 0 {
+        let got = db.execute_sql(&range_sql(threshold)).unwrap();
+        prop_assert_eq!(
+            flat(&got.rows),
+            scan(&[table], threshold),
+            "{}: pruned read",
+            what
+        );
+    }
+    Ok(())
+}
+
+fn check_sharded(
+    db: &mut ShardedDatabase,
+    threshold: u32,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    let mut tables = Vec::new();
+    for (i, shard) in db.shards().iter().enumerate() {
+        check_stats(shard, &format!("{what}, shard {i}"))?;
+        tables.push(shard.table("t").unwrap());
+    }
+    if tables.iter().any(|t| t.rows() > 0) {
+        let got = db.run_sql(&range_sql(threshold)).unwrap();
+        prop_assert_eq!(
+            flat(&got.rows),
+            scan(&tables, threshold),
+            "{}: pruned read",
+            what
+        );
+    }
+    Ok(())
+}
+
+fn open(dir: &TempDir, policy: CompactionPolicy) -> Database {
+    let db = Database::open(dir.path()).unwrap();
+    db.catalogue().set_compaction_policy(policy);
+    db
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn live_statistics_equal_a_fresh_registration_after_every_statement(
+        steps in proptest::collection::vec(arb_step(), 1..10),
+        policy in 0usize..4,
+        threshold in 0u32..100,
+    ) {
+        let policy = policy_of(policy);
+        let in_memory = || {
+            let mut db = Database::new();
+            db.catalogue().set_compaction_policy(policy);
+            db.register(seed_table());
+            db
+        };
+        let (mut sql, mut bulk) = (in_memory(), in_memory());
+        // Small morsels, so that pruning decides per zone and not for
+        // the table as a whole.
+        let mut sharded = ShardedDatabase::with_executor(
+            Engine::new(),
+            3,
+            ExecutorConfig { morsel_rows: 16, ..ExecutorConfig::default() },
+        );
+        sharded.set_compaction_policy(policy);
+        sharded.register(seed_table());
+        let dir = TempDir::new("stats-oracle");
+        let mut durable = open(&dir, policy);
+        durable.register(seed_table());
+
+        check(&mut sql, threshold, "registered")?;
+        check_sharded(&mut sharded, threshold, "registered, sharded")?;
+
+        let mut next_key = SEED_ROWS as u32;
+        for (i, step) in steps.iter().enumerate() {
+            let ops: &[Op] = match step {
+                Step::One(op) => std::slice::from_ref(op),
+                Step::Txn(ops) => ops,
+            };
+            // One rendering of the step for every entry point: SQL text
+            // where SQL can say it (it cannot say "no rows"), else the
+            // batch.
+            let rendered: Vec<(Option<String>, Option<RowBatch>)> = ops
+                .iter()
+                .map(|op| match op {
+                    Op::Append { rows, sorted, seed } => {
+                        let rows = rows_of(*rows, *sorted, *seed, &mut next_key);
+                        let sql = (!rows.is_empty()).then(|| insert_sql(&rows));
+                        (sql, Some(batch_of(&rows)))
+                    }
+                    other => (Some(mutation_sql(other)), None),
+                })
+                .collect();
+            let in_txn = matches!(step, Step::Txn(_));
+
+            // (a) autocommit SQL / BEGIN … COMMIT, and (d) the same on a
+            // durable database.
+            for (db, what) in [(&mut sql, "sql"), (&mut durable, "durable")] {
+                if in_txn {
+                    db.run_sql("BEGIN").unwrap();
+                }
+                for (text, batch) in &rendered {
+                    match (text, batch) {
+                        (Some(text), _) => {
+                            let outcome = db.run_sql(text).unwrap();
+                            prop_assert_eq!(in_txn, matches!(outcome, SqlOutcome::Queued(_)));
+                        }
+                        // The empty append, outside any bracket.
+                        (None, Some(batch)) if !in_txn => {
+                            db.append_rows("t", batch.clone()).unwrap();
+                        }
+                        _ => {}
+                    }
+                    if !in_txn {
+                        check(db, threshold, &format!("{what}, step {i}"))?;
+                    }
+                }
+                if in_txn {
+                    db.run_sql("COMMIT").unwrap();
+                    check(db, threshold, &format!("{what}, step {i} committed"))?;
+                }
+            }
+            drop(durable);
+            durable = open(&dir, policy);
+            check(&mut durable, threshold, &format!("replayed, step {i}"))?;
+
+            // (b) the bulk API for appends, and (c) three shards; both
+            // take a list one op at a time.
+            for (text, batch) in &rendered {
+                match (batch, text) {
+                    (Some(batch), _) => {
+                        bulk.append_rows("t", batch.clone()).unwrap();
+                        sharded.append_rows("t", batch.clone()).unwrap();
+                    }
+                    (None, Some(text)) => {
+                        bulk.run_sql(text).unwrap();
+                        sharded.mutate_sql(text).unwrap();
+                    }
+                    (None, None) => unreachable!("a rendered op is text or a batch"),
+                }
+                check(&mut bulk, threshold, &format!("append_rows, step {i}"))?;
+                check_sharded(&mut sharded, threshold, &format!("sharded, step {i}"))?;
+            }
+        }
+    }
+}
