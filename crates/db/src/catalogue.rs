@@ -35,7 +35,7 @@
 
 use crate::cache::{CacheStats, Lookup, PlanCache, QueryShape};
 use crate::database::{Database, SqlError};
-use crate::delta::{materialise, DeltaCut, DeltaStore, TableStats};
+use crate::delta::{materialise, DeltaCut, DeltaStore, TableStats, ZoneMaps};
 use crate::engine::Engine;
 use crate::filter::Predicate;
 use crate::ingest::{CompactionPolicy, IngestReceipt, RowBatch};
@@ -97,9 +97,11 @@ impl Registered {
 
     /// Re-seeds the statistics from the merged view — a DELETE/UPDATE
     /// changes existing rows, which the incremental observe path cannot
-    /// express.
-    fn reseed(&mut self) {
+    /// express. Leaves the view clean, which the compaction check that
+    /// follows takes instead of merging again.
+    fn reseed(&mut self, metrics: &MetricsRegistry) {
         self.stats = TableStats::seed(self.materialise());
+        metrics.record_stats_reseed();
     }
 
     /// The physical row ids of the *visible* rows `filter` matches:
@@ -423,6 +425,7 @@ impl SharedCatalogue {
         let name = table.name().to_string();
         let delta = DeltaStore::for_table(&table);
         let stats = TableStats::seed(&table);
+        self.inner.metrics.record_stats_reseed();
         let mut tables = self.inner.tables.write().expect("catalogue lock");
         let (schema_version, data_version) =
             versions.unwrap_or_else(|| (tables.get(&name).map_or(1, |r| r.schema_version + 1), 1));
@@ -470,8 +473,8 @@ impl SharedCatalogue {
     /// touched), folded into the live [`TableStats`], and the table's
     /// *data* version is bumped (the schema version is not). When the
     /// [`CompactionPolicy`] threshold trips, the delta is merged into a
-    /// new base and the statistics are re-seeded from the merged
-    /// columns; the merge itself runs outside the registry lock, and a
+    /// new base, which keeps the column statistics and gets fresh zone
+    /// maps; the merge itself runs outside the registry lock, and a
     /// concurrent append that lands mid-merge supersedes it (the
     /// receipt then reports `compacted: false` and the next append
     /// re-evaluates the threshold over the larger delta).
@@ -552,7 +555,7 @@ impl SharedCatalogue {
                 WriteOp::Append { batch, .. } => {
                     if batch.rows() > 0 {
                         if stale.remove(op.table()) {
-                            r.reseed();
+                            r.reseed(&self.inner.metrics);
                         }
                         r.delta.append(batch);
                         r.stats.observe(batch);
@@ -588,7 +591,8 @@ impl SharedCatalogue {
             });
         }
         for table in stale {
-            tables.get_mut(table).expect("validated above").reseed();
+            let r = tables.get_mut(table).expect("validated above");
+            r.reseed(&self.inner.metrics);
         }
         Ok(done)
     }
@@ -597,8 +601,19 @@ impl SharedCatalogue {
     /// delta's total load (rows + tombstones + overwrites) — the one
     /// compaction check, run after every write that changed something.
     /// Returns whether a compaction was installed.
+    ///
+    /// A compaction changes a table's layout, not its content, so it
+    /// computes nothing about the content twice. Phase 1 (read lock)
+    /// stages the clean view when there is one — there is after every
+    /// DELETE / UPDATE, whose re-seed just built it — and otherwise
+    /// the parts of an off-lock merge. Phase 2 (no lock): that merge,
+    /// which physically drops tombstoned rows and folds overwrites in,
+    /// and the zone maps of the merged table, without blocking other
+    /// sessions or tables. Phase 3 (write lock): install only if the
+    /// table has not moved on — a concurrent write bumped the data
+    /// version and will trip (a bigger) compaction itself.
     pub(crate) fn maybe_compact(&self, table: &str) -> bool {
-        let staged = {
+        let (schema_version, data_version, clean, parts) = {
             let tables = self.inner.tables.read().expect("catalogue lock");
             let Some(r) = tables.get(table) else {
                 return false;
@@ -607,38 +622,19 @@ impl SharedCatalogue {
             if !policy.should_compact(r.base.rows(), r.delta.load()) {
                 return false;
             }
-            // The snapshot for an off-lock merge: the base clone is
-            // `Arc`-cheap; the delta clone is one memcpy of the delta
-            // rows — an order less work than the merge + stats re-seed
-            // it keeps out of the critical section, and bounded by the
-            // compaction threshold itself.
-            (
-                r.schema_version,
-                r.data_version,
-                r.base.clone(),
-                r.delta.clone(),
-            )
+            // The base clone is `Arc`-cheap; the delta clone is one
+            // memcpy of the delta rows — an order less work than the
+            // merge it keeps out of the critical section, bounded by
+            // the compaction threshold itself, and skipped when the
+            // view makes the merge unnecessary.
+            let parts = r.view.is_none().then(|| (r.base.clone(), r.delta.clone()));
+            (r.schema_version, r.data_version, r.view.clone(), parts)
         };
-        let (schema_version, data_version, base, delta) = staged;
-        self.compact_off_lock(table, schema_version, data_version, base, delta)
-    }
-
-    /// Phases 2–3 of a compaction. Phase 2 (no lock): the O(rows) merge
-    /// — which physically drops tombstoned rows and folds overwrites in
-    /// — and the statistics re-seed run without blocking other sessions
-    /// or tables. Phase 3 (write lock): install only if the table has
-    /// not moved on — a concurrent write bumped the data version and
-    /// will trip (a bigger) compaction itself.
-    fn compact_off_lock(
-        &self,
-        table: &str,
-        schema_version: u64,
-        data_version: u64,
-        base: Table,
-        delta: DeltaStore,
-    ) -> bool {
-        let merged = materialise(&base, &delta, delta.cut());
-        let stats = TableStats::seed(&merged);
+        let merged = clean.unwrap_or_else(|| {
+            let (base, delta) = parts.expect("staged whenever the view is dirty");
+            materialise(&base, &delta, delta.cut())
+        });
+        let zones = ZoneMaps::seed(&merged);
         let mut tables = self.inner.tables.write().expect("catalogue lock");
         let Some(r) = tables.get_mut(table) else {
             return false;
@@ -646,7 +642,15 @@ impl SharedCatalogue {
         if r.schema_version != schema_version || r.data_version != data_version {
             return false;
         }
-        r.stats = stats;
+        // The column statistics carry over. What makes that exact: at
+        // every data version `r.stats`' per-column part equals
+        // `TableStats::seed(view)`'s — `observe` is exact for appends,
+        // `reseed()` follows every DELETE / UPDATE inside the lock hold
+        // that installs it — and `merged` is that view. Only the zones,
+        // which describe the layout, are re-chunked. Held by
+        // `tests/stats_oracle.rs` after every statement.
+        r.stats.relay(zones);
+        debug_assert_eq!(r.stats, TableStats::seed(&merged), "carried ≡ re-seeded");
         r.base = merged.clone(); // `Arc` columns: base and view share
         r.view = Some(merged);
         // Versions older than the compaction lose their delta

@@ -9,12 +9,13 @@
 //! see base ++ delta through the catalogue's merged view, materialised
 //! lazily once per data version; a threshold-triggered compaction
 //! (see [`crate::ingest::CompactionPolicy`]) merges the delta into a
-//! new base and re-seeds statistics. Because the delta is append-only
-//! between compactions, a [`crate::Snapshot`] pins a point-in-time
-//! view as `(epoch, prefix row count)` — no delta data is copied at
-//! capture time, and compaction *retires* a still-pinned delta to a
-//! frozen side store instead of freeing it (deferred GC, reclaimed
-//! when the last pin drops).
+//! new base and re-chunks the zone maps over it (the column statistics
+//! describe the rows, not their layout, and carry over). Because the
+//! delta is append-only between compactions, a [`crate::Snapshot`] pins
+//! a point-in-time view as `(epoch, prefix row count)` — no delta data
+//! is copied at capture time, and compaction *retires* a still-pinned
+//! delta to a frozen side store instead of freeing it (deferred GC,
+//! reclaimed when the last pin drops).
 //!
 //! [`TableStats`] is the live-statistics half: per-column row count,
 //! min/max, sortedness and a sampled (KMV sketch) distinct estimate,
@@ -26,7 +27,7 @@
 
 use crate::ingest::RowBatch;
 use crate::table::Table;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A stable point-in-time cut of one [`DeltaStore`]: how many appended
 /// rows, tombstones and overwrites were visible at a mutation boundary.
@@ -305,7 +306,7 @@ pub(crate) fn materialise(base: &Table, delta: &DeltaStore, cut: DeltaCut) -> Ta
 }
 
 /// Incrementally maintained statistics for one column.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnStats {
     /// Smallest value seen (`None` while the column is empty).
     pub min: Option<u32>,
@@ -333,14 +334,21 @@ impl ColumnStats {
         }
     }
 
+    /// Folds appended values in, one pass per statistic: each loop is
+    /// a branch-free fold or exits early, where one loop doing all
+    /// four serialises on the sketch.
     fn observe(&mut self, values: &[u32]) {
+        let (Some(&first), Some(&last)) = (values.first(), values.last()) else {
+            return;
+        };
+        let (lo, hi) = minmax(values);
+        self.min = Some(self.min.map_or(lo, |m| m.min(lo)));
+        self.max = Some(self.max.map_or(hi, |m| m.max(hi)));
+        self.sorted = self.sorted
+            && self.last.is_none_or(|l| l <= first)
+            && values.windows(2).all(|w| w[0] <= w[1]);
+        self.last = Some(last);
         for &x in values {
-            self.min = Some(self.min.map_or(x, |m| m.min(x)));
-            self.max = Some(self.max.map_or(x, |m| m.max(x)));
-            if self.last.is_some_and(|l| l > x) {
-                self.sorted = false;
-            }
-            self.last = Some(x);
             self.sketch.insert(x);
         }
     }
@@ -397,8 +405,9 @@ pub(crate) type ZoneRange = (usize, usize, u32, u32);
 /// `[min, max]`, so a WHERE predicate no value in the covering zones'
 /// bounds can satisfy provably matches nothing in the morsel. Ranges
 /// are positions in the table's *merged read view*; the catalogue
-/// re-seeds statistics (zones included) whenever a DELETE/UPDATE or
-/// compaction shifts view positions, so the alignment invariant is
+/// re-seeds statistics (zones included) whenever a DELETE/UPDATE
+/// shifts view positions and re-chunks the zones alone when a
+/// compaction re-lays the rows out, so the alignment invariant is
 /// `ranges` partitioning `[0, rows)` of whatever view the stats
 /// describe.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -411,7 +420,7 @@ pub struct ZoneMaps {
 
 impl ZoneMaps {
     /// Zones scanned from a full table in [`ZONE_ROWS`]-sized chunks.
-    fn seed(table: &Table) -> Self {
+    pub(crate) fn seed(table: &Table) -> Self {
         let mut zones = Self {
             ranges: Vec::new(),
             columns: table
@@ -501,9 +510,11 @@ fn minmax(values: &[u32]) -> (u32, u32) {
 /// Live, incrementally maintained statistics for one registered table:
 /// the row count, one [`ColumnStats`] per column, and per-range
 /// [`ZoneMaps`]. Seeded from the base table at registration, updated
-/// per appended batch, re-seeded from the merged table on compaction
-/// and on DELETE/UPDATE (which shift view positions).
-#[derive(Debug, Clone)]
+/// per appended batch, re-seeded from the merged view on DELETE/UPDATE
+/// (which change rows and shift view positions); a compaction, which
+/// only re-lays the same rows out, keeps the column statistics and
+/// re-chunks the zones.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableStats {
     rows: usize,
     columns: BTreeMap<String, ColumnStats>,
@@ -511,8 +522,8 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Statistics scanned from a full table (registration / compaction
-    /// re-seed).
+    /// Statistics scanned from a full table (registration, the re-seed
+    /// after a DELETE/UPDATE, frozen tables).
     pub(crate) fn seed(table: &Table) -> Self {
         let mut stats = Self {
             rows: 0,
@@ -540,6 +551,24 @@ impl TableStats {
                 .observe(values);
         }
         self.rows += batch.rows();
+    }
+
+    /// Installs the zones of a compaction's merged table — the same
+    /// rows as the view these statistics describe, laid out as one
+    /// base. Nothing else moves: min/max and the distinct sketch are
+    /// functions of the *set* of values seen, `sorted` / `last` of their
+    /// order, and a compaction changes neither; with
+    /// `zones = ZoneMaps::seed(merged)` the result is
+    /// `TableStats::seed(merged)`, which
+    /// `tests/stats_oracle.rs` holds after every statement and the
+    /// catalogue `debug_assert`s at every compaction.
+    pub(crate) fn relay(&mut self, zones: ZoneMaps) {
+        debug_assert_eq!(
+            zones.ranges.last().map_or(0, |r| r.1),
+            self.rows,
+            "a compaction changes the layout, not the row count"
+        );
+        self.zones = zones;
     }
 
     /// The table's per-range zone maps (see [`ZoneMaps`]).
@@ -594,11 +623,20 @@ impl TableStats {
 /// A K-minimum-values distinct-count sketch: keep the `K` smallest
 /// hashes seen; with fewer than `K` distinct hashes the count is exact,
 /// beyond that `distinct ≈ (K-1) · 2⁶⁴ / kth_smallest`. Deterministic
-/// (SplitMix64 hash, no RNG state), O(log K) per insert — the "sampled
-/// distinct estimate" a real optimiser maintains without re-scanning.
-#[derive(Debug, Clone)]
+/// (SplitMix64 hash, no RNG state) — the "sampled distinct estimate" a
+/// real optimiser maintains without re-scanning.
+///
+/// The retained hashes are one sorted array: at capacity a single
+/// compare against the kth rejects almost every value of a
+/// high-cardinality column, the rest is a binary search and a shift of
+/// at most 2 KiB, and a clone — which every statement's snapshot cut
+/// takes per column — is one `memcpy`. The sketch is a function of the
+/// set of hashes inserted, whatever holds them: `differential_tests`
+/// compare it with the B-tree it replaces (`reference`), hash for hash.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct DistinctSketch {
-    hashes: BTreeSet<u64>,
+    /// Ascending, distinct, at most [`SKETCH_K`].
+    hashes: Vec<u64>,
 }
 
 /// Sketch capacity: 256 minima keep the estimate within ~6% (1/√K)
@@ -607,20 +645,29 @@ const SKETCH_K: usize = 256;
 
 impl DistinctSketch {
     fn new() -> Self {
-        Self {
-            hashes: BTreeSet::new(),
-        }
+        Self { hashes: Vec::new() }
     }
 
     fn insert(&mut self, value: u32) {
-        self.insert_hash(splitmix64(value as u64 ^ 0x5851_F42D_4C95_7F2D));
+        self.insert_hash(hash_of(value));
+    }
+
+    /// Whether the sketch holds [`SKETCH_K`] hashes and `h` is not
+    /// below the largest of them: `h` is the kth itself or would be
+    /// dropped again at once.
+    fn rejects(&self, h: u64) -> bool {
+        self.hashes.len() == SKETCH_K && h >= self.hashes[SKETCH_K - 1]
     }
 
     fn insert_hash(&mut self, h: u64) {
-        if self.hashes.len() < SKETCH_K {
-            self.hashes.insert(h);
-        } else if h < *self.hashes.last().expect("sketch at capacity") && self.hashes.insert(h) {
-            self.hashes.pop_last();
+        if self.rejects(h) {
+            return;
+        }
+        if let Err(at) = self.hashes.binary_search(&h) {
+            if self.hashes.len() == SKETCH_K {
+                self.hashes.pop();
+            }
+            self.hashes.insert(at, h);
         }
     }
 
@@ -630,6 +677,10 @@ impl DistinctSketch {
     /// sketch over all the rows would.
     fn merge(&mut self, other: &DistinctSketch) {
         for &h in &other.hashes {
+            // Ascending: once one is rejected, so is every later one.
+            if self.rejects(h) {
+                break;
+            }
             self.insert_hash(h);
         }
     }
@@ -638,9 +689,14 @@ impl DistinctSketch {
         if self.hashes.len() < SKETCH_K {
             return self.hashes.len() as u64;
         }
-        let kth = *self.hashes.last().expect("sketch at capacity");
+        let kth = self.hashes[SKETCH_K - 1];
         ((SKETCH_K as u128 - 1) * (u64::MAX as u128) / (kth as u128).max(1)) as u64
     }
+}
+
+/// The hash a column value enters the sketch under.
+fn hash_of(value: u32) -> u64 {
+    splitmix64(value as u64 ^ 0x5851_F42D_4C95_7F2D)
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -648,6 +704,179 @@ fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// The B-tree sketch the sorted array replaced, verbatim: what
+/// `differential_tests` compare [`DistinctSketch`] with. Never edit it
+/// along with the live sketch.
+#[cfg(test)]
+mod reference {
+    use super::{splitmix64, SKETCH_K};
+    use std::collections::BTreeSet;
+
+    #[derive(Debug, Clone)]
+    pub(super) struct DistinctSketch {
+        pub(super) hashes: BTreeSet<u64>,
+    }
+
+    impl DistinctSketch {
+        pub(super) fn new() -> Self {
+            Self {
+                hashes: BTreeSet::new(),
+            }
+        }
+
+        pub(super) fn insert(&mut self, value: u32) {
+            self.insert_hash(splitmix64(value as u64 ^ 0x5851_F42D_4C95_7F2D));
+        }
+
+        pub(super) fn insert_hash(&mut self, h: u64) {
+            if self.hashes.len() < SKETCH_K {
+                self.hashes.insert(h);
+            } else if h < *self.hashes.last().expect("sketch at capacity") && self.hashes.insert(h)
+            {
+                self.hashes.pop_last();
+            }
+        }
+
+        pub(super) fn merge(&mut self, other: &DistinctSketch) {
+            for &h in &other.hashes {
+                self.insert_hash(h);
+            }
+        }
+
+        pub(super) fn estimate(&self) -> u64 {
+            if self.hashes.len() < SKETCH_K {
+                return self.hashes.len() as u64;
+            }
+            let kth = *self.hashes.last().expect("sketch at capacity");
+            ((SKETCH_K as u128 - 1) * (u64::MAX as u128) / (kth as u128).max(1)) as u64
+        }
+    }
+}
+
+/// A seeded stream for the property tests of this file.
+#[cfg(test)]
+struct Xorshift(u64);
+
+#[cfg(test)]
+impl Xorshift {
+    fn new(seed: u64) -> Self {
+        Self(splitmix64(seed) | 1)
+    }
+
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, bound: u64) -> u64 {
+        (self.next() >> 11) % bound
+    }
+}
+
+/// The array sketch against the B-tree sketch: the same retained
+/// hashes in the same order, and the same estimate, after every step of
+/// arbitrary `insert` / `merge` streams.
+#[cfg(test)]
+mod differential_tests {
+    use super::*;
+
+    /// Both sketches, driven together and compared after every call.
+    struct Pair {
+        array: DistinctSketch,
+        btree: reference::DistinctSketch,
+    }
+
+    impl Pair {
+        fn new() -> Self {
+            Self {
+                array: DistinctSketch::new(),
+                btree: reference::DistinctSketch::new(),
+            }
+        }
+
+        fn check(&self, what: &str) {
+            assert!(
+                self.array.hashes.iter().eq(self.btree.hashes.iter()),
+                "{what}: retained hashes differ"
+            );
+            assert!(self.array.hashes.len() <= SKETCH_K, "{what}: over capacity");
+            assert_eq!(self.array.estimate(), self.btree.estimate(), "{what}");
+        }
+
+        fn insert(&mut self, value: u32) {
+            self.array.insert(value);
+            self.btree.insert(value);
+        }
+
+        fn insert_hash(&mut self, h: u64) {
+            self.array.insert_hash(h);
+            self.btree.insert_hash(h);
+        }
+
+        fn merge(&mut self, other: &Pair) {
+            self.array.merge(&other.array);
+            self.btree.merge(&other.btree);
+        }
+
+        /// A sketch of `n` values below `domain`.
+        fn of(rng: &mut Xorshift, n: u64, domain: u64) -> Self {
+            let mut pair = Self::new();
+            for _ in 0..n {
+                pair.insert(rng.below(domain) as u32);
+            }
+            pair
+        }
+    }
+
+    #[test]
+    fn the_array_sketch_retains_what_the_btree_sketch_retains() {
+        // All-equal, below capacity, exactly at it, one over, far over.
+        for (case, &domain) in [1u64, 100, 256, 257, 50_000]
+            .iter()
+            .cycle()
+            .take(60)
+            .enumerate()
+        {
+            let mut rng = Xorshift::new(case as u64);
+            let mut pair = Pair::new();
+            for step in 0..1500 {
+                let what = format!("domain {domain}, case {case}, step {step}");
+                match rng.below(40) {
+                    // The current kth itself, its neighbours, and the
+                    // extremes: the capacity reject's boundary.
+                    0 => {
+                        if let Some(&kth) = pair.array.hashes.last() {
+                            let around =
+                                [kth, kth.wrapping_sub(1), kth.wrapping_add(1), 0, u64::MAX];
+                            pair.insert_hash(around[rng.below(5) as usize]);
+                        }
+                    }
+                    // Another sketch, smaller or larger than this one.
+                    1 => {
+                        let n = [0, 10, 300, 3000][rng.below(4) as usize];
+                        let other_domain = [1, 100, 256, 50_000][rng.below(4) as usize];
+                        let other = Pair::of(&mut rng, n, other_domain);
+                        other.check(&what);
+                        pair.merge(&other);
+                    }
+                    // Itself.
+                    2 => {
+                        let copy = Pair {
+                            array: pair.array.clone(),
+                            btree: pair.btree.clone(),
+                        };
+                        pair.merge(&copy);
+                    }
+                    _ => pair.insert(rng.below(domain) as u32),
+                }
+                pair.check(&what);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -802,34 +1031,58 @@ mod tests {
         assert!(TableStats::merged(&[sorted, other]).is_none());
     }
 
+    /// `seed(base)` + k × `observe(batch)` must equal
+    /// `seed(base ++ batches)` in every column statistic — what lets a
+    /// compaction carry the statistics it has. A property over seeded
+    /// streams (the crate has no proptest dependency): bases and batches
+    /// of 0 to a few hundred rows, sorted and not, over domains below,
+    /// at and far above the sketch's capacity.
     #[test]
     fn incremental_stats_match_a_full_rescan() {
-        // seed(base) + observe(batch) must equal seed(base ++ batch)
-        // for every statistic the planner consults.
-        let base = Table::new("r")
-            .with_column("g", vec![1, 2, 3])
-            .with_column("v", vec![9, 9, 0]);
-        let mut stats = TableStats::seed(&base);
-        stats.observe(&batch(vec![3, 7, 2], vec![5, 5, 5]));
-
-        let merged = Table::new("r")
-            .with_column("g", vec![1, 2, 3, 3, 7, 2])
-            .with_column("v", vec![9, 9, 0, 5, 5, 5]);
-        let fresh = TableStats::seed(&merged);
-
-        assert_eq!(stats.rows(), fresh.rows());
-        for name in ["g", "v"] {
-            let (a, b) = (stats.column(name).unwrap(), fresh.column(name).unwrap());
-            assert_eq!(a.min, b.min, "{name} min");
-            assert_eq!(a.max, b.max, "{name} max");
-            assert_eq!(a.sorted, b.sorted, "{name} sorted");
-            assert_eq!(
-                a.distinct_estimate(),
-                b.distinct_estimate(),
-                "{name} distinct"
-            );
-            // Sortedness agrees with the Table's own detection.
-            assert_eq!(b.sorted, merged.meta(name).unwrap().sorted, "{name}");
+        for case in 0..400u64 {
+            let mut rng = Xorshift::new(case);
+            let domain = [1, 7, 256, 257, 100_000][rng.below(5) as usize];
+            let mut next_key = 0u32;
+            let mut rows = |rng: &mut Xorshift, n: u64| -> (Vec<u32>, Vec<u32>) {
+                let ascending = rng.below(2) == 0;
+                (0..n)
+                    .map(|_| {
+                        next_key += rng.below(3) as u32;
+                        let g = if ascending {
+                            next_key
+                        } else {
+                            rng.below(domain) as u32
+                        };
+                        (g, rng.below(domain) as u32)
+                    })
+                    .unzip()
+            };
+            let n = [0, 1, 64, 600][rng.below(4) as usize];
+            let (mut g, mut v) = rows(&mut rng, n);
+            let base = Table::new("r")
+                .with_column("g", g.clone())
+                .with_column("v", v.clone());
+            let mut stats = TableStats::seed(&base);
+            for _ in 0..rng.below(5) {
+                let n = [0, 1, 64, 300][rng.below(4) as usize];
+                let (bg, bv) = rows(&mut rng, n);
+                g.extend_from_slice(&bg);
+                v.extend_from_slice(&bv);
+                stats.observe(&batch(bg, bv));
+            }
+            let merged = Table::new("r").with_column("g", g).with_column("v", v);
+            let fresh = TableStats::seed(&merged);
+            assert_eq!(stats.rows(), fresh.rows(), "case {case}");
+            // Zones differ by design (one per batch against one per
+            // 2048 rows); every column statistic is equal.
+            assert_eq!(stats.columns, fresh.columns, "case {case}");
+            for name in ["g", "v"] {
+                let (a, b) = (stats.column(name).unwrap(), fresh.column(name).unwrap());
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "case {case}: {name}");
+                assert_eq!(a.distinct_estimate(), b.distinct_estimate());
+                // Sortedness agrees with the Table's own detection.
+                assert_eq!(b.sorted, merged.meta(name).unwrap().sorted, "case {case}");
+            }
         }
     }
 

@@ -202,8 +202,8 @@ impl Error for IngestError {}
 /// When the catalogue merges a table's delta into its base. The delta
 /// keeps appends O(batch) and reads pay one base++delta merge per data
 /// version; compaction bounds that merge (and the delta's memory) by
-/// folding the delta into a new immutable base and re-seeding the
-/// statistics from the merged columns.
+/// folding the delta into a new immutable base and re-chunking the
+/// zone maps over it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompactionPolicy {
     /// Compact when the delta holds at least this many rows.

@@ -76,6 +76,7 @@ pub struct MetricsRegistry {
     ingest_batches: AtomicU64,
     ingest_rows: AtomicU64,
     compactions: AtomicU64,
+    stats_reseeds: AtomicU64,
     wal_replayed_records: AtomicU64,
     morsels_pruned: AtomicU64,
     rows_pruned: AtomicU64,
@@ -142,6 +143,14 @@ impl MetricsRegistry {
         self.compactions.fetch_add(1, Relaxed);
     }
 
+    /// Records one full statistics scan of a table
+    /// (`TableStats::seed`): a registration, or the re-seed a
+    /// DELETE / UPDATE forces. A compaction records none — it carries
+    /// the column statistics it has.
+    pub(crate) fn record_stats_reseed(&self) {
+        self.stats_reseeds.fetch_add(1, Relaxed);
+    }
+
     /// Records morsels (and the rows they covered) a query skipped
     /// because their zone maps proved the WHERE predicate matches no
     /// row in their range.
@@ -191,6 +200,7 @@ impl MetricsRegistry {
         snap.add("ingest_batches", self.ingest_batches.load(Relaxed));
         snap.add("ingest_rows", self.ingest_rows.load(Relaxed));
         snap.add("compactions", self.compactions.load(Relaxed));
+        snap.add("stats_reseeds", self.stats_reseeds.load(Relaxed));
         snap.add("morsels_pruned", self.morsels_pruned.load(Relaxed));
         snap.add("rows_pruned", self.rows_pruned.load(Relaxed));
         snap.add(

@@ -330,6 +330,66 @@ fn metrics_count_ingest_and_wal() {
     assert!(db.metrics().get("wal_replayed_records").unwrap() >= 1);
 }
 
+/// `stats_reseeds` counts full statistics scans, and where they happen
+/// is structure, not timing: a registration is one, a DELETE / UPDATE
+/// that changed rows is exactly one whether or not it trips a
+/// compaction, and a compaction — which carries the column statistics
+/// it has — is none.
+#[test]
+fn stats_reseeds_count_registrations_and_mutations_never_compactions() {
+    let mut db = Database::new();
+    let count = |db: &Database| {
+        let snap = db.metrics();
+        (
+            snap.get("stats_reseeds").unwrap(),
+            snap.get("compactions").unwrap(),
+        )
+    };
+    assert_eq!(count(&db), (0, 0));
+    db.register(
+        Table::new("t")
+            .with_column("g", (0..40).collect())
+            .with_column("v", (0..40).map(|i| i % 7).collect()),
+    );
+    assert_eq!(count(&db), (1, 0), "register seeds once");
+
+    // Append-only compactions: every second single-row INSERT.
+    db.catalogue()
+        .set_compaction_policy(vagg::db::CompactionPolicy::every(2));
+    for i in 0..6 {
+        db.run_sql(&format!("INSERT INTO t (g, v) VALUES ({}, 1)", 40 + i))
+            .unwrap();
+    }
+    assert_eq!(count(&db), (1, 3), "an append-only compaction adds 0");
+
+    // One tombstone: below the threshold, no compaction.
+    db.run_sql("DELETE FROM t WHERE g < 1").unwrap();
+    assert_eq!(count(&db), (2, 3), "a DELETE adds 1");
+    // The second trips it: still exactly one re-seed.
+    db.run_sql("DELETE FROM t WHERE g < 2").unwrap();
+    assert_eq!(count(&db), (3, 4), "a DELETE that compacts adds 1");
+    // An UPDATE of three cells compacts too.
+    db.run_sql("UPDATE t SET v = 9 WHERE g < 5").unwrap();
+    assert_eq!(count(&db), (4, 5), "an UPDATE that compacts adds 1");
+    // Mutations that match nothing change nothing.
+    db.run_sql("DELETE FROM t WHERE g > 1000").unwrap();
+    db.run_sql("UPDATE t SET v = 9 WHERE g > 1000").unwrap();
+    assert_eq!(count(&db), (4, 5));
+    // A transaction re-seeds once per table however many of its
+    // statements mutate, unless an append has to fold in between.
+    db.catalogue()
+        .set_compaction_policy(vagg::db::CompactionPolicy::never());
+    db.run_sql("BEGIN").unwrap();
+    db.run_sql("DELETE FROM t WHERE g < 6").unwrap();
+    db.run_sql("UPDATE t SET v = 3 WHERE g < 9").unwrap();
+    db.run_sql("COMMIT").unwrap();
+    assert_eq!(count(&db), (5, 5));
+
+    let snap = db.metrics();
+    assert!(snap.to_text().contains("vagg_stats_reseeds 5"));
+    assert!(snap.to_json().contains("\"stats_reseeds\": 5"));
+}
+
 /// The slow-query log retains the worst N by simulated cycles, most
 /// expensive first, and the threshold gates admission.
 #[test]

@@ -327,6 +327,25 @@ fn metrics_expose_qps_quantiles_and_queue_depth() {
     }
 }
 
+/// The write path's `stats_reseeds` reaches a client: two registered
+/// tables, then one per DELETE — none for the compaction it trips.
+#[test]
+fn stats_reseeds_are_served_over_the_wire() {
+    let catalogue = catalogue(200);
+    catalogue.set_compaction_policy(vagg::db::CompactionPolicy::every(1));
+    let handle = serve(catalogue, ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let text = client.metrics().unwrap();
+    assert!(text.contains("vagg_stats_reseeds 2\n"), "{text}");
+    client
+        .run("INSERT INTO events (g, v, k) VALUES (1, 2, 3)")
+        .unwrap();
+    client.run("DELETE FROM events WHERE k > 900").unwrap();
+    let text = client.metrics().unwrap();
+    assert!(text.contains("vagg_compactions 2\n"), "{text}");
+    assert!(text.contains("vagg_stats_reseeds 3\n"), "{text}");
+}
+
 #[test]
 fn graceful_shutdown_drains_and_joins() {
     let handle = serve(catalogue(10_000), ServerConfig::default()).unwrap();

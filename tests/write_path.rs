@@ -14,7 +14,9 @@
 //! file is the twin of `tests/read_path.rs`.
 
 use proptest::prelude::*;
-use vagg::db::{CompactionPolicy, Database, RowBatch, ShardedDatabase, SqlOutcome, Table, TempDir};
+use vagg::db::{
+    CompactionPolicy, Database, RowBatch, ShardedDatabase, SqlOutcome, Table, TableStats, TempDir,
+};
 
 #[derive(Debug, Clone)]
 enum Stmt {
@@ -64,10 +66,10 @@ fn seed_table() -> Table {
 }
 
 /// Everything a write changes: the materialised rows, the data version,
-/// the full statistics (rendered — zone maps and sketches have no
-/// public equality), the delta fill, and compactions so far (`carried`
-/// holds those of sessions already dropped).
-type State = (Vec<(String, Vec<u32>)>, u64, String, usize, u64);
+/// the full statistics (zone maps and sketches included), the delta
+/// fill, and compactions so far (`carried` holds those of sessions
+/// already dropped).
+type State = (Vec<(String, Vec<u32>)>, u64, TableStats, usize, u64);
 
 fn state(db: &Database, carried: u64) -> State {
     let t = db.table("t").unwrap();
@@ -79,7 +81,7 @@ fn state(db: &Database, carried: u64) -> State {
     (
         columns,
         db.data_version("t").unwrap(),
-        format!("{:?}", db.table_stats("t").unwrap()),
+        db.table_stats("t").unwrap(),
         db.catalogue().delta_rows("t").unwrap(),
         carried + db.metrics().get("compactions").unwrap(),
     )
