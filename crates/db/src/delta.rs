@@ -559,15 +559,10 @@ impl TableStats {
     /// functions of the *set* of values seen, `sorted` / `last` of their
     /// order, and a compaction changes neither; with
     /// `zones = ZoneMaps::seed(merged)` the result is
-    /// `TableStats::seed(merged)`, which
-    /// `tests/stats_oracle.rs` holds after every statement and the
-    /// catalogue `debug_assert`s at every compaction.
+    /// `TableStats::seed(merged)`, which `tests/stats_oracle.rs` holds
+    /// after every statement and the catalogue `debug_assert`s at every
+    /// compaction.
     pub(crate) fn relay(&mut self, zones: ZoneMaps) {
-        debug_assert_eq!(
-            zones.ranges.last().map_or(0, |r| r.1),
-            self.rows,
-            "a compaction changes the layout, not the row count"
-        );
         self.zones = zones;
     }
 
@@ -652,15 +647,10 @@ impl DistinctSketch {
         self.insert_hash(hash_of(value));
     }
 
-    /// Whether the sketch holds [`SKETCH_K`] hashes and `h` is not
-    /// below the largest of them: `h` is the kth itself or would be
-    /// dropped again at once.
-    fn rejects(&self, h: u64) -> bool {
-        self.hashes.len() == SKETCH_K && h >= self.hashes[SKETCH_K - 1]
-    }
-
     fn insert_hash(&mut self, h: u64) {
-        if self.rejects(h) {
+        // At capacity, a hash that is not below the kth is the kth
+        // itself or would be dropped again at once.
+        if self.hashes.len() == SKETCH_K && h >= self.hashes[SKETCH_K - 1] {
             return;
         }
         if let Err(at) = self.hashes.binary_search(&h) {
@@ -677,10 +667,6 @@ impl DistinctSketch {
     /// sketch over all the rows would.
     fn merge(&mut self, other: &DistinctSketch) {
         for &h in &other.hashes {
-            // Ascending: once one is rejected, so is every later one.
-            if self.rejects(h) {
-                break;
-            }
             self.insert_hash(h);
         }
     }
@@ -1077,11 +1063,9 @@ mod tests {
             // 2048 rows); every column statistic is equal.
             assert_eq!(stats.columns, fresh.columns, "case {case}");
             for name in ["g", "v"] {
-                let (a, b) = (stats.column(name).unwrap(), fresh.column(name).unwrap());
-                assert_eq!(format!("{a:?}"), format!("{b:?}"), "case {case}: {name}");
-                assert_eq!(a.distinct_estimate(), b.distinct_estimate());
                 // Sortedness agrees with the Table's own detection.
-                assert_eq!(b.sorted, merged.meta(name).unwrap().sorted, "case {case}");
+                let sorted = fresh.column(name).unwrap().sorted;
+                assert_eq!(sorted, merged.meta(name).unwrap().sorted, "case {case}");
             }
         }
     }

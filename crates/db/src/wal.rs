@@ -203,18 +203,15 @@ pub(crate) enum WalRecord {
 pub(crate) type FrozenTable = (String, u64, Vec<(String, Vec<u32>)>);
 
 impl WalRecord {
-    /// What the record is about, for a message: the table it writes,
-    /// or the named snapshot.
-    fn subject(&self) -> String {
+    /// The table or named snapshot the record is about, for a message.
+    fn subject(&self) -> &str {
         match self {
             WalRecord::Register { table, .. }
             | WalRecord::Batch { table, .. }
             | WalRecord::Delete { table, .. }
-            | WalRecord::Update { table, .. } => format!("table {table:?}"),
-            WalRecord::Commit { txn } => format!("the commit of transaction {txn}"),
-            WalRecord::CreateSnapshot { name } | WalRecord::SnapshotImage { name, .. } => {
-                format!("snapshot {name:?}")
-            }
+            | WalRecord::Update { table, .. } => table,
+            WalRecord::CreateSnapshot { name } | WalRecord::SnapshotImage { name, .. } => name,
+            WalRecord::Commit { .. } => "a commit",
         }
     }
 
@@ -456,7 +453,7 @@ fn checksum(lsn: u64, payload: &[u8]) -> u64 {
 fn frame_len(record: &WalRecord, payload: usize) -> u32 {
     u32::try_from(payload).unwrap_or_else(|_| {
         panic!(
-            "wal record for {} is {payload} bytes, past the 4 GiB a frame can hold",
+            "wal record for {:?} is {payload} bytes, past the 4 GiB a frame can hold",
             record.subject()
         )
     })
@@ -932,7 +929,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "table \"events\" is 4294967296 bytes")]
+    #[should_panic(expected = "for \"events\" is 4294967296 bytes")]
     fn a_frame_past_four_gib_is_refused_by_name() {
         let record = WalRecord::Batch {
             txn: 0,
