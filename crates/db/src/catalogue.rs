@@ -622,11 +622,13 @@ impl SharedCatalogue {
             if !policy.should_compact(r.base.rows(), r.delta.load()) {
                 return false;
             }
-            // The base clone is `Arc`-cheap; the delta clone is one
-            // memcpy of the delta rows — an order less work than the
-            // merge it keeps out of the critical section, bounded by
-            // the compaction threshold itself, and skipped when the
-            // view makes the merge unnecessary.
+            // A `view` that is there is the merge at this data version
+            // (`install` drops it with every change), so taking it is
+            // taking `materialise`'s result; `tests/write_path.rs` holds
+            // the rows either way. Otherwise: the base clone is
+            // `Arc`-cheap and the delta clone one memcpy of the delta
+            // rows — an order less work than the merge it keeps out of
+            // the critical section, bounded by the compaction threshold.
             let parts = r.view.is_none().then(|| (r.base.clone(), r.delta.clone()));
             (r.schema_version, r.data_version, r.view.clone(), parts)
         };

@@ -336,7 +336,8 @@ impl ColumnStats {
 
     /// Folds appended values in, one pass per statistic: each loop is
     /// a branch-free fold or exits early, where one loop doing all
-    /// four serialises on the sketch.
+    /// four serialises on the sketch. Equal to a re-scan of everything
+    /// seen so far (`incremental_stats_match_a_full_rescan`).
     fn observe(&mut self, values: &[u32]) {
         let (Some(&first), Some(&last)) = (values.first(), values.last()) else {
             return;
