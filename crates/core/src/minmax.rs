@@ -59,25 +59,35 @@ pub fn reference_minmax(g: &[u32], v: &[u32]) -> MinMaxResult {
     MinMaxResult { base, mins, maxs }
 }
 
-/// Runs the extended monotable kernel; returns the result read back from
-/// simulated memory.
-pub fn minmax_aggregate(m: &mut Machine, input: &StagedInput) -> MinMaxResult {
+/// The four tables, live in simulated memory between [`open`] and
+/// [`close`].
+#[derive(Debug, Clone, Copy)]
+pub struct Tables {
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    cells: usize,
+}
+
+impl Tables {
+    /// Keys the tables have a cell for: `0..cells`.
+    pub fn cells(&self) -> usize {
+        self.cells
+    }
+}
+
+/// Allocates the four tables for keys `0..cells` and clears them —
+/// zeros for count/sum/max, the min identity for min — with vector
+/// stores, the first of which waits on `tok`.
+pub fn open(m: &mut Machine, cells: usize, tok: vagg_sim::Tok) -> Tables {
     let mvl = m.mvl();
-    let n = input.n;
-    let (maxg, tok) = if input.presorted {
-        crate::input::presorted_max(m, input)
-    } else {
-        vector_max_scan(m, input)
-    };
-    let cells = maxg as usize + 1;
     let bytes = 4 * cells as u64;
+    let count = m.space_mut().alloc(bytes, 64);
+    let sum = m.space_mut().alloc(bytes, 64);
+    let min = m.space_mut().alloc(bytes, 64);
+    let max = m.space_mut().alloc(bytes, 64);
 
-    let count_tbl = m.space_mut().alloc(bytes, 64);
-    let sum_tbl = m.space_mut().alloc(bytes, 64);
-    let min_tbl = m.space_mut().alloc(bytes, 64);
-    let max_tbl = m.space_mut().alloc(bytes, 64);
-
-    // Clear: zeros for count/sum/max, the min identity for min.
     m.set_vl(mvl);
     m.vset(VT, 0, None);
     m.vset(VFILL, u32::MAX as u64, None);
@@ -88,66 +98,96 @@ pub fn minmax_aggregate(m: &mut Machine, input: &StagedInput) -> MinMaxResult {
             m.set_vl(vl);
         }
         let off = 4 * i as u64;
-        t = m.vstore_unit(VT, count_tbl + off, 4, t);
-        m.vstore_unit(VT, sum_tbl + off, 4, t);
-        m.vstore_unit(VT, max_tbl + off, 4, t);
-        m.vstore_unit(VFILL, min_tbl + off, 4, t);
+        t = m.vstore_unit(VT, count + off, 4, t);
+        m.vstore_unit(VT, sum + off, 4, t);
+        m.vstore_unit(VT, max + off, 4, t);
+        m.vstore_unit(VFILL, min + off, 4, t);
     }
+    Tables {
+        count,
+        sum,
+        min,
+        max,
+        cells,
+    }
+}
 
+/// The main loop over the `n` staged rows at `g`/`v` — one VGAx chain
+/// per aggregate — into the live tables. Every key must be below
+/// [`Tables::cells`]; any number of updates may run between one
+/// [`open`] and its [`close`].
+pub fn update(m: &mut Machine, tables: &Tables, g: u64, v: u64, n: usize) {
+    let mvl = m.mvl();
     m.set_vl(mvl);
     m.vset(VONE, 1, None);
 
-    // Main loop: one VGAx chain per aggregate.
     for start in (0..n).step_by(mvl) {
         let vl = (n - start).min(mvl);
         m.set_vl(vl);
         let lt = m.s_op(0);
-        m.vload_unit(VG, input.g + 4 * start as u64, 4, lt);
-        m.vload_unit(VV, input.v + 4 * start as u64, 4, lt);
+        m.vload_unit(VG, g + 4 * start as u64, 4, lt);
+        m.vload_unit(VV, v + 4 * start as u64, 4, lt);
         m.vga(RedOp::Sum, VA, VG, VV);
         m.vga(RedOp::Sum, VC, VG, VONE);
         m.vga(RedOp::Min, VMIN, VG, VV);
         m.vga(RedOp::Max, VMAX, VG, VV);
         m.vlu(M0, VG);
 
-        m.vgather(VT, sum_tbl, VG, 4, Some(M0), 0);
+        m.vgather(VT, tables.sum, VG, 4, Some(M0), 0);
         m.vbinop_vv(BinOp::Add, VT, VT, VA, Some(M0));
-        m.vscatter(VT, sum_tbl, VG, 4, Some(M0), 0);
+        m.vscatter(VT, tables.sum, VG, 4, Some(M0), 0);
 
-        m.vgather(VT2, count_tbl, VG, 4, Some(M0), 0);
+        m.vgather(VT2, tables.count, VG, 4, Some(M0), 0);
         m.vbinop_vv(BinOp::Add, VT2, VT2, VC, Some(M0));
-        m.vscatter(VT2, count_tbl, VG, 4, Some(M0), 0);
+        m.vscatter(VT2, tables.count, VG, 4, Some(M0), 0);
 
         // min[g] = min(min[g], group minimum). Table III has no vmin, but
         // for u32 values held in u64 lanes min(a,b) = a + b − max(a,b)
         // computes it exactly in three instructions.
-        m.vgather(VT3, min_tbl, VG, 4, Some(M0), 0);
+        m.vgather(VT3, tables.min, VG, 4, Some(M0), 0);
         m.vbinop_vv(BinOp::Add, VSUMAB, VT3, VMIN, None);
         m.vbinop_vv(BinOp::Max, VT3, VT3, VMIN, None);
         m.vbinop_vv(BinOp::Sub, VT3, VSUMAB, VT3, None);
-        m.vscatter(VT3, min_tbl, VG, 4, Some(M0), 0);
+        m.vscatter(VT3, tables.min, VG, 4, Some(M0), 0);
 
-        m.vgather(VT4, max_tbl, VG, 4, Some(M0), 0);
+        m.vgather(VT4, tables.max, VG, 4, Some(M0), 0);
         m.vbinop_vv(BinOp::Max, VT4, VT4, VMAX, Some(M0));
-        m.vscatter(VT4, max_tbl, VG, 4, Some(M0), 0);
+        m.vscatter(VT4, tables.max, VG, 4, Some(M0), 0);
     }
+}
 
-    // Compact via the shared COUNT/SUM path, then read min/max columns
-    // for the surviving groups.
-    let out = OutputTable::alloc(m, cells);
-    let rows = compact_tables(m, count_tbl, sum_tbl, cells, &out);
+/// Compacts via the shared COUNT/SUM path, then reads the min/max
+/// columns of the surviving groups with scalar loads; returns the
+/// result read back from simulated memory.
+pub fn close(m: &mut Machine, tables: &Tables) -> MinMaxResult {
+    let out = OutputTable::alloc(m, tables.cells);
+    let rows = compact_tables(m, tables.count, tables.sum, tables.cells, &out);
     let base = out.read(m, rows);
     let mut mins = Vec::with_capacity(rows);
     let mut maxs = Vec::with_capacity(rows);
     let mut tok = 0;
     for &g in &base.groups {
-        let (mn, t1) = m.s_load_u32(min_tbl + 4 * g as u64, tok);
-        let (mx, t2) = m.s_load_u32(max_tbl + 4 * g as u64, tok);
+        let (mn, t1) = m.s_load_u32(tables.min + 4 * g as u64, tok);
+        let (mx, t2) = m.s_load_u32(tables.max + 4 * g as u64, tok);
         tok = t1.max(t2);
         mins.push(mn);
         maxs.push(mx);
     }
     MinMaxResult { base, mins, maxs }
+}
+
+/// Runs the extended monotable kernel — the §III-A scan, then one
+/// [`open`], one [`update`], one [`close`]; returns the result read
+/// back from simulated memory.
+pub fn minmax_aggregate(m: &mut Machine, input: &StagedInput) -> MinMaxResult {
+    let (maxg, tok) = if input.presorted {
+        crate::input::presorted_max(m, input)
+    } else {
+        vector_max_scan(m, input)
+    };
+    let tables = open(m, maxg as usize + 1, tok);
+    update(m, &tables, input.g, input.v, input.n);
+    close(m, &tables)
 }
 
 #[cfg(test)]

@@ -34,23 +34,28 @@ const VZ: Vreg = Vreg(6); // zero
 const VONE: Vreg = Vreg(7); // all-ones (hoisted)
 const M0: Mreg = Mreg(0); // VLU mask
 
-/// Runs monotable on already-staged input columns at `g`/`v` (used both
-/// directly and by partially-sorted monotable after its partial sort).
-/// Returns the output table and row count.
-pub fn monotable_on(
-    m: &mut Machine,
-    g: u64,
-    v: u64,
-    n: usize,
-    maxg: u32,
-    tok: vagg_sim::Tok,
-) -> (OutputTable, usize) {
-    let mvl = m.mvl();
-    let cells = maxg as usize + 1;
+/// The single pair of tables, live in simulated memory between
+/// [`open`] and [`close`].
+#[derive(Debug, Clone, Copy)]
+pub struct Tables {
+    count: u64,
+    sum: u64,
+    cells: usize,
+}
 
-    // Step 2: clear the single pair of tables (vector stores).
-    let count_tbl = m.space_mut().alloc(4 * cells as u64, 64);
-    let sum_tbl = m.space_mut().alloc(4 * cells as u64, 64);
+impl Tables {
+    /// Keys the tables have a cell for: `0..cells`.
+    pub fn cells(&self) -> usize {
+        self.cells
+    }
+}
+
+/// Step 2: allocates the pair of tables for keys `0..cells` and clears
+/// them with vector stores, the first of which waits on `tok`.
+pub fn open(m: &mut Machine, cells: usize, tok: vagg_sim::Tok) -> Tables {
+    let mvl = m.mvl();
+    let count = m.space_mut().alloc(4 * cells as u64, 64);
+    let sum = m.space_mut().alloc(4 * cells as u64, 64);
     m.set_vl(mvl);
     m.vset(VZ, 0, None);
     let mut t = tok;
@@ -59,10 +64,18 @@ pub fn monotable_on(
         if vl != m.vl() {
             m.set_vl(vl);
         }
-        t = m.vstore_unit(VZ, count_tbl + 4 * i as u64, 4, t);
-        m.vstore_unit(VZ, sum_tbl + 4 * i as u64, 4, t);
+        t = m.vstore_unit(VZ, count + 4 * i as u64, 4, t);
+        m.vstore_unit(VZ, sum + 4 * i as u64, 4, t);
     }
+    Tables { count, sum, cells }
+}
 
+/// Step 3: the Figure 15 loop over the `n` staged rows at `g`/`v`, once
+/// per table, into the live tables. Every key must be below
+/// [`Tables::cells`]; any number of updates may run between one
+/// [`open`] and its [`close`].
+pub fn update(m: &mut Machine, tables: &Tables, g: u64, v: u64, n: usize) {
+    let mvl = m.mvl();
     // All-ones vector, hoisted: VGAsum over it yields running group
     // counts (§VI-B notes VGAsum generalises VPI this way), letting the
     // count and sum updates proceed as two independent dependency chains
@@ -70,7 +83,6 @@ pub fn monotable_on(
     m.set_vl(mvl);
     m.vset(VONE, 1, None);
 
-    // Step 3: the Figure 15 loop, once per table.
     for start in (0..n).step_by(mvl) {
         let vl = (n - start).min(mvl);
         m.set_vl(vl);
@@ -81,19 +93,39 @@ pub fn monotable_on(
         m.vga(RedOp::Sum, VC, VG, VONE); // running group counts
         m.vlu(M0, VG); // last instances
                        // sum[g] += group sum (masked to last instances: conflict-free).
-        m.vgather(VTS, sum_tbl, VG, 4, Some(M0), 0);
+        m.vgather(VTS, tables.sum, VG, 4, Some(M0), 0);
         m.vbinop_vv(BinOp::Add, VTS, VTS, VA, Some(M0));
-        m.vscatter(VTS, sum_tbl, VG, 4, Some(M0), 0);
+        m.vscatter(VTS, tables.sum, VG, 4, Some(M0), 0);
         // count[g] += group count.
-        m.vgather(VTC, count_tbl, VG, 4, Some(M0), 0);
+        m.vgather(VTC, tables.count, VG, 4, Some(M0), 0);
         m.vbinop_vv(BinOp::Add, VTC, VTC, VC, Some(M0));
-        m.vscatter(VTC, count_tbl, VG, 4, Some(M0), 0);
+        m.vscatter(VTC, tables.count, VG, 4, Some(M0), 0);
     }
+}
 
-    // Step 4: compact.
-    let out = OutputTable::alloc(m, cells);
-    let rows = compact_tables(m, count_tbl, sum_tbl, cells, &out);
+/// Step 4: compacts the tables into a fresh output table. Returns it
+/// and its row count.
+pub fn close(m: &mut Machine, tables: &Tables) -> (OutputTable, usize) {
+    let out = OutputTable::alloc(m, tables.cells);
+    let rows = compact_tables(m, tables.count, tables.sum, tables.cells, &out);
     (out, rows)
+}
+
+/// Runs monotable on already-staged input columns at `g`/`v` (used both
+/// directly and by partially-sorted monotable after its partial sort):
+/// one [`open`], one [`update`], one [`close`]. Returns the output
+/// table and row count.
+pub fn monotable_on(
+    m: &mut Machine,
+    g: u64,
+    v: u64,
+    n: usize,
+    maxg: u32,
+    tok: vagg_sim::Tok,
+) -> (OutputTable, usize) {
+    let tables = open(m, maxg as usize + 1, tok);
+    update(m, &tables, g, v, n);
+    close(m, &tables)
 }
 
 /// Runs the full monotable algorithm on a staged input.

@@ -439,6 +439,9 @@ pub struct Database {
     session: Session,
     txn: TxnState,
     durability: Option<Durability>,
+    /// The token of the [`Database::run_cancellable`] call in flight:
+    /// every read made inside it carries it on its request.
+    cancel: Option<CancelToken>,
 }
 
 impl fmt::Debug for Database {
@@ -479,6 +482,7 @@ impl Database {
             session,
             txn: TxnState::None,
             durability: None,
+            cancel: None,
         }
     }
 
@@ -831,10 +835,9 @@ impl Database {
             }
         };
         let request = ReadRequest {
-            plans: vec![plan],
             prefix: &prefix,
-            cancel: opts.cancel,
             trace: trace.as_mut(),
+            ..ReadRequest::new(vec![plan])
         };
         let output = self.execute_read(sql, request)?;
         Ok((output, trace))
@@ -852,8 +855,18 @@ impl Database {
         request: ReadRequest<'_>,
     ) -> Result<QueryOutput, SqlError> {
         let traced = request.trace.is_some();
-        let out = read::drive(request, Schedule::Inline(&mut self.session))?;
+        // Whichever entry point built the request — ad hoc, prepared,
+        // a prepared join — the token of the call it was made under
+        // rides on it, and the driver polls it before every range.
+        let request = ReadRequest {
+            cancel: self.cancel.as_ref(),
+            ..request
+        };
+        let out = read::drive(request, Schedule::Inline(&mut self.session));
         let metrics = self.catalogue.metrics();
+        // Cancelled or not: an abandoned aggregate was opened too.
+        metrics.record_aggregate(self.session.take_agg_counts());
+        let out = out?;
         if out.pruned.0 > 0 {
             metrics.record_pruned(out.pruned.0, out.pruned.1);
         }
@@ -876,7 +889,6 @@ impl Database {
         stmt: Statement,
         sql: &str,
         at: Option<&Snapshot>,
-        cancel: Option<&CancelToken>,
     ) -> Result<SqlOutcome, SqlError> {
         let explain = matches!(stmt, Statement::Explain(_));
         let trace = matches!(stmt, Statement::ExplainAnalyze(_));
@@ -887,7 +899,7 @@ impl Database {
                 ExplainOutput::Join(plan) => SqlOutcome::JoinPlan(plan),
             });
         }
-        let (output, trace) = self.select(&q, sql, ReadOpts { at, cancel, trace })?;
+        let (output, trace) = self.select(&q, sql, ReadOpts { at, trace })?;
         Ok(match trace {
             Some(trace) => SqlOutcome::Analyzed(Box::new(AnalyzedQuery { output, trace })),
             None => SqlOutcome::Rows(output),
@@ -965,7 +977,7 @@ impl Database {
     /// [`SqlError::Plan`] (carrying a typed [`PlanError`]) for planning
     /// problems.
     pub fn run_sql(&mut self, sql: &str) -> Result<SqlOutcome, SqlError> {
-        self.run_statement(sql, None)
+        self.run_statement(sql)
     }
 
     /// [`Database::run_sql`] under a [`CancelToken`] (see
@@ -982,7 +994,48 @@ impl Database {
         sql: &str,
         token: &CancelToken,
     ) -> Result<SqlOutcome, SqlError> {
-        let out = check_cancel(Some(token)).and_then(|()| self.run_statement(sql, Some(token)));
+        self.run_cancellable(token, |db| db.run_statement(sql))
+    }
+
+    /// Runs `f` with every read it makes on this session — ad hoc,
+    /// prepared ([`PreparedStatement::execute`] and its siblings), a
+    /// prepared join — governed by `token`, exactly as
+    /// [`Database::run_sql_cancellable`] governs a statement: the token
+    /// is checked before `f` starts and then before each
+    /// [`crate::DEFAULT_MORSEL_ROWS`]-row range of each read, and a
+    /// read that ends [`SqlError::Cancelled`] is counted in
+    /// [`Database::metrics`]. This is how a caller that holds a
+    /// prepared statement makes its execution interruptible.
+    ///
+    /// ```
+    /// use vagg_db::{CancelToken, Database, SqlError, Table};
+    ///
+    /// let mut db = Database::new();
+    /// db.register(Table::new("r").with_column("g", (0..4096u32).collect()));
+    /// let mut stmt = db.prepare("SELECT g, COUNT(*) FROM r WHERE g < ? GROUP BY g")?;
+    /// let token = CancelToken::with_morsel_budget(1); // two ranges to run
+    /// let err = db
+    ///     .run_cancellable(&token, |db| stmt.execute(db, &[4000]))
+    ///     .unwrap_err();
+    /// assert!(matches!(err, SqlError::Cancelled(_)));
+    /// # Ok::<(), SqlError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`SqlError::Cancelled`] when the token has tripped, else
+    /// whatever `f` returns.
+    pub fn run_cancellable<T>(
+        &mut self,
+        token: &CancelToken,
+        f: impl FnOnce(&mut Self) -> Result<T, SqlError>,
+    ) -> Result<T, SqlError> {
+        let out = check_cancel(Some(token)).and_then(|()| {
+            let outer = self.cancel.replace(token.clone());
+            let out = f(self);
+            self.cancel = outer;
+            out
+        });
         if matches!(out, Err(SqlError::Cancelled(_))) {
             self.catalogue.metrics().record_cancelled();
         }
@@ -991,16 +1044,12 @@ impl Database {
 
     /// The body of [`Database::run_sql`] and
     /// [`Database::run_sql_cancellable`].
-    fn run_statement(
-        &mut self,
-        sql: &str,
-        cancel: Option<&CancelToken>,
-    ) -> Result<SqlOutcome, SqlError> {
+    fn run_statement(&mut self, sql: &str) -> Result<SqlOutcome, SqlError> {
         let out = match parse_statement(sql)? {
             stmt
             @ (Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_)) => {
                 // The driver checks the token range by range.
-                return self.read(stmt, sql, None, cancel);
+                return self.read(stmt, sql, None);
             }
             Statement::Insert(ins) => {
                 let batch =
@@ -1058,7 +1107,7 @@ impl Database {
         }?;
         // Writes and transaction brackets have no range boundary to
         // check at; a trip during the statement is still typed.
-        check_cancel(cancel)?;
+        check_cancel(self.cancel.as_ref())?;
         Ok(out)
     }
 
@@ -1268,7 +1317,7 @@ impl Database {
     /// snapshot was cut from a different catalogue.
     pub fn run_sql_at(&mut self, snap: &Snapshot, sql: &str) -> Result<SqlOutcome, SqlError> {
         let stmt = parse_statement(sql)?;
-        self.read(stmt, sql, Some(snap), None).map_err(|e| match e {
+        self.read(stmt, sql, Some(snap)).map_err(|e| match e {
             SqlError::InsertStatement | SqlError::MutationStatement => SqlError::ReadOnly,
             e => e,
         })
@@ -1440,14 +1489,13 @@ impl Database {
     }
 }
 
-/// How one read was asked for: the `_at` / `_cancellable` / traced
-/// variants of the public entry points, as data.
+/// How one read was asked for: the `_at` / traced variants of the
+/// public entry points, as data. (The token of a cancellable call is
+/// the session's, not the statement's: [`Database::run_cancellable`].)
 #[derive(Clone, Copy, Default)]
 struct ReadOpts<'a> {
     /// Read at this snapshot instead of the session's own view.
     at: Option<&'a Snapshot>,
-    /// Run in morsel-sized ranges, checking this token before each.
-    cancel: Option<&'a CancelToken>,
     /// Gather an `EXPLAIN ANALYZE` trace while executing.
     trace: bool,
 }

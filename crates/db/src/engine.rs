@@ -666,21 +666,39 @@ mod tests {
         let t = Table::new("r").with_column("g", g).with_column("v", v);
         let q = AggregateQuery::paper("g", "v");
 
-        let exact = execute(&Engine::new(), &t, &q).unwrap();
-        let sampled = execute(
-            &Engine::new().with_estimation(CardinalityEstimation::Sampled { stride: 8 }),
-            &t,
-            &q,
-        )
-        .unwrap();
-        assert_eq!(exact.rows, sampled.rows);
-        assert_eq!(exact.report.algorithm, sampled.report.algorithm);
+        // The whole plan as one traced range: (partial, scan step
+        // cycles, total cycles).
+        let run = |engine: Engine| {
+            let plan = engine.plan(&t, &q).unwrap();
+            let opts = crate::session::RangeOpts {
+                trace: true,
+                ..Default::default()
+            };
+            let run = Session::with_config(engine.config().clone()).run_range(&plan, 0, n, opts);
+            let scan = run
+                .steps
+                .iter()
+                .find(|s| matches!(s.step, PlanStep::CardinalityScan { .. }))
+                .expect("the scan step ran")
+                .cycles;
+            (plan.algorithm(), run.partial, scan, run.cycles)
+        };
+        let exact = run(Engine::new());
+        let sampled =
+            run(Engine::new().with_estimation(CardinalityEstimation::Sampled { stride: 8 }));
+        assert_eq!(exact.1, sampled.1);
+        assert_eq!(exact.0, sampled.0);
+        // Both stage the same columns; the sampled scan reads an eighth
+        // of what the exact one does.
         assert!(
-            sampled.report.cycles < exact.report.cycles,
+            sampled.2 < exact.2,
             "sampled planning ({}) should cost less than exact ({})",
-            sampled.report.cycles,
-            exact.report.cycles
+            sampled.2,
+            exact.2
         );
+        // A sample bounds no key, so the kernel still scans exactly to
+        // guard its tables — the scan an exact plan runs once, for both.
+        assert!(sampled.3 > exact.3, "{} vs {}", sampled.3, exact.3);
     }
 
     #[test]

@@ -15,10 +15,16 @@
 //!   of a thread stack.
 //! * **Morsels.** A shard's plan is split into fixed-size row ranges
 //!   (morsels) over its base++delta prefix view; each morsel runs the
-//!   distributive slice via [`Session::run_range`] and yields a
-//!   mergeable [`vagg_core::PartialAggregate`]. The shard's §V-D
-//!   algorithm choice rides on the plan, so every morsel of a shard
-//!   still runs the algorithm *that shard's* statistics picked.
+//!   distributive slice as one update of its worker's open aggregate.
+//!   The shard's §V-D algorithm choice rides on the plan, so every
+//!   morsel of a shard still runs the algorithm *that shard's*
+//!   statistics picked.
+//! * **Worker-local aggregate state.** The tables a query's morsels
+//!   update live on the worker's machine for as long as the job does:
+//!   the first morsel a worker runs opens them, and when the worker
+//!   finds nothing left to claim it closes them — one compaction, one
+//!   read-back, one mergeable [`vagg_core::PartialAggregate`] per
+//!   worker that took part (see `worker_loop` for the protocol).
 //! * **Work stealing.** Morsels are seeded onto per-worker deques
 //!   (shard *i* → worker *i mod W*, preserving locality). A worker pops
 //!   its own deque LIFO (hottest range first); when empty it scans the
@@ -27,13 +33,15 @@
 //!   instead of serialising the query.
 //!
 //! Merging is order-insensitive (the partial-aggregate merge-join is
-//! associative and commutative), so stealing never changes results —
-//! only the makespan. [`ExecutorStats`] exposes the steal traffic.
+//! associative and commutative, and so is accumulating into a table),
+//! so stealing never changes results — only the makespan and how many
+//! partials there are to merge. [`ExecutorStats`] exposes the steal
+//! traffic.
 
 use crate::cancel::CancelToken;
 use crate::join::{JoinMorsel, JoinOutcome};
 use crate::plan::QueryPlan;
-use crate::session::{PartialRun, RangeOpts, Session};
+use crate::session::{ClosedAggregate, PartialRun, RangeOpts, Session};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -140,6 +148,17 @@ pub struct ExecutorStats {
     /// worker than its previous query used (load imbalance outweighed
     /// stickiness).
     pub affinity_moves: u64,
+    /// Aggregate tables the workers opened (allocated and cleared): one
+    /// per worker that ran a morsel of a table-based plan, plus one per
+    /// spill.
+    pub agg_opens: u64,
+    /// Aggregate tables the workers closed at the end of a query — at
+    /// most one per query per worker that ran one of its morsels.
+    pub agg_closes: u64,
+    /// Morsels whose keys outgrew their worker's open tables (closed
+    /// into a partial and reopened larger); zero while the planner's
+    /// key space is exact.
+    pub agg_spills: u64,
     /// Tasks seeded on the deques but not yet claimed, at sampling
     /// time.
     queued: u64,
@@ -174,13 +193,17 @@ pub(crate) struct Morsel {
     /// every morsel of every shard fuses into one key space — see
     /// [`RangeOpts::forced`].
     pub(crate) domains: Arc<[u64]>,
+    /// The query's key space (the maximum of
+    /// [`QueryPlan::table_cells`] across its shard plans): what the
+    /// first morsel to reach a session opens the aggregate tables with.
+    pub(crate) cells: usize,
     /// Record per-step actuals while running (`EXPLAIN ANALYZE`).
     pub(crate) traced: bool,
 }
 
 impl Morsel {
-    /// Runs the range on `session` and tags the outcome with where it
-    /// ran — the one call both schedules make.
+    /// Runs the range into `session`'s open aggregate and tags the
+    /// outcome with where it ran — the one call both schedules make.
     pub(crate) fn run(
         &self,
         session: &mut Session,
@@ -201,12 +224,13 @@ impl Morsel {
             home,
             stolen,
             queue_wait_ns,
-            run: session.run_range(&self.plan, self.lo, self.hi, opts),
+            run: session.update(&self.plan, self.lo, self.hi, opts, self.cells),
         }
     }
 }
 
-/// What one morsel produced, tagged with where it ran.
+/// What one morsel produced — its cost and counts; the groups come out
+/// of its session's close — tagged with where it ran.
 pub(crate) struct MorselOutcome {
     pub(crate) shard: usize,
     pub(crate) lo: usize,
@@ -253,22 +277,16 @@ impl Task {
     }
 }
 
-/// What one [`Task`] produced.
+/// What one [`Task`] produced — or, once per worker that ran an
+/// aggregation morsel of the job, what closing its aggregate did.
 pub(crate) enum TaskOutcome {
-    /// An aggregation morsel's partial (boxed: the partial and its
-    /// optional step trace dwarf a join outcome).
+    /// An aggregation morsel's run (boxed: it and its optional step
+    /// trace dwarf a join outcome).
     Agg(Box<MorselOutcome>),
     /// A join morsel's matched pairs.
     Join(JoinOutcome),
-}
-
-impl TaskOutcome {
-    fn stolen(&self) -> bool {
-        match self {
-            TaskOutcome::Agg(o) => o.stolen,
-            TaskOutcome::Join(o) => o.stolen,
-        }
-    }
+    /// A worker's closed aggregate: the groups of every morsel it ran.
+    Closed(Box<ClosedAggregate>),
 }
 
 /// The result of [`virtual_schedule`]: deterministic per-worker
@@ -297,10 +315,17 @@ pub(crate) struct VirtualSchedule {
 /// *tail* morsel of the most-backlogged victim. Returns per-worker
 /// simulated loads (their max is the query's makespan), per-worker
 /// morsel/steal counts, and the number of steals the schedule needed.
+///
+/// `aggregate` is what one machine pays to open and close the query's
+/// aggregate (the mean of what the real workers measured): every virtual
+/// worker that runs a morsel at all is charged it once, with its first
+/// morsel — a virtual worker is a machine of its own, with tables of
+/// its own, however the host threads happened to share the morsels.
 pub(crate) fn virtual_schedule(
     outcomes: &[MorselOutcome],
     workers: usize,
     steal: bool,
+    aggregate: u64,
 ) -> VirtualSchedule {
     let mut order: Vec<&MorselOutcome> = outcomes.iter().collect();
     order.sort_by_key(|o| (o.shard, o.lo));
@@ -322,9 +347,10 @@ pub(crate) fn virtual_schedule(
         .filter(|&w| live[w])
         .min_by_key(|&w| (sched.loads[w], w))
     {
+        let first = if sched.morsels[w] == 0 { aggregate } else { 0 };
         if let Some(cycles) = deques[w].pop_front() {
             backlog[w] -= cycles;
-            sched.loads[w] += cycles;
+            sched.loads[w] += cycles + first;
             sched.morsels[w] += 1;
         } else if steal {
             let victim = (0..workers)
@@ -334,7 +360,7 @@ pub(crate) fn virtual_schedule(
                 Some(v) => {
                     let cycles = deques[v].pop_back().expect("victim deque is non-empty");
                     backlog[v] -= cycles;
-                    sched.loads[w] += cycles;
+                    sched.loads[w] += cycles + first;
                     sched.morsels[w] += 1;
                     sched.stolen[w] += 1;
                     sched.steals += 1;
@@ -352,6 +378,9 @@ pub(crate) fn virtual_schedule(
 /// the shard→worker placement the submission chose.
 struct Job {
     deques: Vec<Mutex<VecDeque<Task>>>,
+    /// Units of work not yet finished: every seeded task, plus one
+    /// close per worker that has started an aggregation morsel. The
+    /// worker that takes it to zero wakes the coordinator.
     remaining: AtomicUsize,
     results: Mutex<Vec<TaskOutcome>>,
     /// Home worker per shard id (the affinity placement), so outcomes
@@ -399,6 +428,11 @@ struct Shared {
     rows_pruned: AtomicU64,
     /// Cumulative count of shards the affinity placement re-homed.
     affinity_moves: AtomicU64,
+    /// Cumulative aggregate-table counts, folded in by each worker when
+    /// it is done with a job.
+    agg_opens: AtomicU64,
+    agg_closes: AtomicU64,
+    agg_spills: AtomicU64,
 }
 
 /// A persistent pool of morsel workers (see the [module docs](self)).
@@ -464,6 +498,9 @@ impl Executor {
             morsels_pruned: AtomicU64::new(0),
             rows_pruned: AtomicU64::new(0),
             affinity_moves: AtomicU64::new(0),
+            agg_opens: AtomicU64::new(0),
+            agg_closes: AtomicU64::new(0),
+            agg_spills: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|id| {
@@ -504,6 +541,9 @@ impl Executor {
         stats.morsels_pruned = self.shared.morsels_pruned.load(Ordering::Relaxed);
         stats.rows_pruned = self.shared.rows_pruned.load(Ordering::Relaxed);
         stats.affinity_moves = self.shared.affinity_moves.load(Ordering::Relaxed);
+        stats.agg_opens = self.shared.agg_opens.load(Ordering::Relaxed);
+        stats.agg_closes = self.shared.agg_closes.load(Ordering::Relaxed);
+        stats.agg_spills = self.shared.agg_spills.load(Ordering::Relaxed);
         stats
     }
 
@@ -560,20 +600,23 @@ impl Executor {
     }
 
     /// Runs one query's morsels to completion on the pool and returns
-    /// every morsel's outcome (in completion order). Blocks the
-    /// calling coordinator; the workers run concurrently.
+    /// every morsel's outcome (in completion order) and the closed
+    /// aggregate of every worker that ran one. Blocks the calling
+    /// coordinator; the workers run concurrently.
     pub(crate) fn execute(
         &self,
         morsels: Vec<Morsel>,
         cancel: Option<&CancelToken>,
-    ) -> Vec<MorselOutcome> {
-        self.submit(morsels.into_iter().map(Task::Agg).collect(), cancel)
-            .into_iter()
-            .map(|o| match o {
-                TaskOutcome::Agg(o) => *o,
+    ) -> (Vec<MorselOutcome>, Vec<ClosedAggregate>) {
+        let (mut outcomes, mut closed) = (Vec::new(), Vec::new());
+        for o in self.submit(morsels.into_iter().map(Task::Agg).collect(), cancel) {
+            match o {
+                TaskOutcome::Agg(o) => outcomes.push(*o),
+                TaskOutcome::Closed(c) => closed.push(*c),
                 TaskOutcome::Join(_) => unreachable!("aggregation tasks yield Agg outcomes"),
-            })
-            .collect()
+            }
+        }
+        (outcomes, closed)
     }
 
     /// Runs one join phase's morsels (all build, or all probe) to
@@ -590,13 +633,16 @@ impl Executor {
             .into_iter()
             .map(|o| match o {
                 TaskOutcome::Join(o) => o,
-                TaskOutcome::Agg(_) => unreachable!("join tasks yield Join outcomes"),
+                TaskOutcome::Agg(_) | TaskOutcome::Closed(_) => {
+                    unreachable!("join tasks yield Join outcomes")
+                }
             })
             .collect()
     }
 
     /// The shared submission path: seeds the tasks, wakes the pool,
-    /// parks until the last task completes, re-raises worker panics.
+    /// parks until the last unit of work — task or close — completes,
+    /// re-raises worker panics.
     /// With a `cancel` token, every morsel pop checks it first: a
     /// tripped token drains the remaining tasks unexecuted (see
     /// [`crate::CancelToken`]) — the caller is responsible for turning
@@ -639,7 +685,8 @@ impl Executor {
             st.epoch += 1;
             self.shared.work.notify_all();
         }
-        // Park until the last morsel's worker clears the job slot.
+        // Park until the worker that finishes the job's last unit of
+        // work clears the job slot.
         {
             let mut st = self.shared.state.lock().expect("executor state lock");
             while st.job.is_some() {
@@ -652,8 +699,15 @@ impl Executor {
         let outcomes = std::mem::take(&mut *job.results.lock().expect("results lock"));
         let mut stats = self.stats.lock().expect("executor stats lock");
         stats.queries += 1;
-        stats.morsels += outcomes.len() as u64;
-        stats.steals += outcomes.iter().filter(|o| o.stolen()).count() as u64;
+        for o in &outcomes {
+            let stolen = match o {
+                TaskOutcome::Agg(o) => o.stolen,
+                TaskOutcome::Join(o) => o.stolen,
+                TaskOutcome::Closed(_) => continue,
+            };
+            stats.morsels += 1;
+            stats.steals += u64::from(stolen);
+        }
         outcomes
     }
 }
@@ -718,6 +772,15 @@ fn worker_loop(id: usize, shared: &Shared, sim: SimConfig) {
                 st = shared.work.wait(st).expect("executor state lock");
             }
         };
+        // A worker's aggregate state is local to it and scoped to the
+        // job (one job is in flight at a time): the worker that opens
+        // owes the job one close. It says so by bumping `remaining`
+        // *before* it finishes the morsel that opens — the count cannot
+        // reach zero while a close is owed, so the coordinator's wake-up
+        // stays "last unit of work done" and waits for no idle worker —
+        // and pays when `claim` comes back empty: tasks are only ever
+        // taken off the deques, so nothing can follow.
+        let mut owes_close = false;
         while let Some((task, stolen)) = claim(&job, id) {
             shared.queued.fetch_sub(1, Ordering::Relaxed);
             // The morsel-pop cancellation point: a tripped token means
@@ -733,6 +796,10 @@ fn worker_loop(id: usize, shared: &Shared, sim: SimConfig) {
                 }
             }
             shared.inflight.fetch_add(1, Ordering::Relaxed);
+            if matches!(task, Task::Agg(_)) && !owes_close {
+                job.remaining.fetch_add(1, Ordering::AcqRel);
+                owes_close = true;
+            }
             // A panic inside a morsel (the session, the dictionary, or
             // a join sink) must not strand the coordinator on the done
             // condvar: the morsel is still counted as finished, the job
@@ -759,11 +826,43 @@ fn worker_loop(id: usize, shared: &Shared, sim: SimConfig) {
             shared.inflight.fetch_sub(1, Ordering::Relaxed);
             finish_task(&job, shared);
         }
+        if owes_close {
+            // Nobody reads the answer of a failed or cancelled job, and
+            // a morsel that panicked may have left its tables half
+            // updated: drop them without a compaction.
+            let dead = job.failed.load(Ordering::Acquire)
+                || job.cancel.as_ref().is_some_and(|c| c.cause().is_some());
+            let closed = if dead {
+                None
+            } else {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.close()))
+                    .unwrap_or_else(|_| {
+                        job.failed.store(true, Ordering::Release);
+                        None
+                    })
+            };
+            match closed {
+                Some(closed) => {
+                    let done = TaskOutcome::Closed(Box::new(closed));
+                    job.results.lock().expect("results lock").push(done);
+                }
+                None => session.abandon(),
+            }
+            let counts = session.take_agg_counts();
+            shared.agg_opens.fetch_add(counts.opens, Ordering::Relaxed);
+            shared
+                .agg_closes
+                .fetch_add(counts.closes, Ordering::Relaxed);
+            shared
+                .agg_spills
+                .fetch_add(counts.spills, Ordering::Relaxed);
+            finish_task(&job, shared);
+        }
     }
 }
 
-/// Counts one task as finished; the last one clears the job slot and
-/// wakes the coordinator.
+/// Counts one unit of work — a task, or a worker's close — as finished;
+/// the last one clears the job slot and wakes the coordinator.
 fn finish_task(job: &Job, shared: &Shared) {
     if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
         let mut st = shared.state.lock().expect("executor state lock");
@@ -802,6 +901,7 @@ mod tests {
                 lo,
                 hi,
                 domains: plan.key_domains().into(),
+                cells: plan.table_cells(plan.key_domains()),
                 traced: false,
             });
             lo = hi;
@@ -809,8 +909,9 @@ mod tests {
         out
     }
 
-    fn merged_rows(outcomes: &[MorselOutcome]) -> PartialAggregate {
-        PartialAggregate::merge_all(outcomes.iter().map(|o| o.run.partial.clone())).unwrap()
+    // The groups are in the closes, one per worker that ran a morsel.
+    fn merged_rows(closed: Vec<ClosedAggregate>) -> PartialAggregate {
+        PartialAggregate::merge_all(closed.into_iter().map(|c| c.partial)).unwrap()
     }
 
     fn whole(plan: &QueryPlan) -> PartialAggregate {
@@ -858,13 +959,17 @@ mod tests {
             SimConfig::paper(),
         );
         for round in 0..3 {
-            let outcomes = exec.execute(morselize(0, &p, 64), None);
+            let (outcomes, closed) = exec.execute(morselize(0, &p, 64), None);
             assert_eq!(outcomes.len(), 8, "round {round}");
-            assert_eq!(merged_rows(&outcomes), expect);
+            assert!((1..=3).contains(&closed.len()), "one close per worker");
+            assert_eq!(merged_rows(closed), expect);
         }
         let stats = exec.stats();
         assert_eq!(stats.queries, 3);
-        assert_eq!(stats.morsels, 24);
+        assert_eq!(stats.morsels, 24, "closes are not morsels");
+        assert!((3..=9).contains(&stats.agg_closes), "{stats:?}");
+        assert_eq!(stats.agg_opens, stats.agg_closes);
+        assert_eq!(stats.agg_spills, 0);
     }
 
     #[test]
@@ -881,9 +986,10 @@ mod tests {
         );
         // Everything seeded on worker 0 (shard 0); worker 1 must not
         // touch it.
-        let outcomes = exec.execute(morselize(0, &p, 50), None);
+        let (outcomes, closed) = exec.execute(morselize(0, &p, 50), None);
         assert_eq!(outcomes.len(), 8);
         assert!(outcomes.iter().all(|o| o.worker == 0 && !o.stolen));
+        assert_eq!(closed.len(), 1, "the idle worker opened nothing");
         assert_eq!(exec.stats().steals, 0);
     }
 
@@ -904,14 +1010,15 @@ mod tests {
         // wakes — so stealing is asserted on the deterministic virtual
         // schedule, which replays the measured costs on four parallel
         // machines.
-        let outcomes = exec.execute(morselize(0, &p, 100), None);
+        let (outcomes, closed) = exec.execute(morselize(0, &p, 100), None);
         assert_eq!(outcomes.len(), 40);
+        let aggregate = closed.iter().map(|c| c.cycles).max().unwrap();
         assert!(
-            virtual_schedule(&outcomes, 4, true).steals > 0,
+            virtual_schedule(&outcomes, 4, true, aggregate).steals > 0,
             "idle workers steal from the hot shard"
         );
         // These hold under any interleaving.
-        assert_eq!(merged_rows(&outcomes), whole(&p));
+        assert_eq!(merged_rows(closed), whole(&p));
         let stolen = outcomes.iter().filter(|o| o.stolen).count();
         assert_eq!(exec.stats().steals, stolen as u64);
     }
@@ -925,7 +1032,8 @@ mod tests {
             },
             SimConfig::paper(),
         );
-        assert!(exec.execute(Vec::new(), None).is_empty());
+        let (outcomes, closed) = exec.execute(Vec::new(), None);
+        assert!(outcomes.is_empty() && closed.is_empty());
         assert_eq!(exec.stats().queries, 0);
     }
 
@@ -942,10 +1050,12 @@ mod tests {
         );
         let token = CancelToken::new();
         token.cancel();
-        let outcomes = exec.execute(morselize(0, &p, 100), Some(&token));
+        let (outcomes, closed) = exec.execute(morselize(0, &p, 100), Some(&token));
         assert!(outcomes.is_empty(), "no morsel ran after the trip");
+        assert!(closed.is_empty(), "so nothing was opened to close");
         let stats = exec.stats();
         assert_eq!(stats.cancelled_morsels, 8);
+        assert_eq!(stats.agg_opens, 0);
         assert_eq!(stats.queued(), 0, "the deques drained fully");
         assert_eq!(stats.inflight(), 0);
     }
@@ -962,12 +1072,87 @@ mod tests {
             SimConfig::paper(),
         );
         let token = CancelToken::with_morsel_budget(0);
-        let drained = exec.execute(morselize(0, &p, 64), Some(&token));
+        let (drained, _) = exec.execute(morselize(0, &p, 64), Some(&token));
         assert!(drained.is_empty());
         // The next (uncancelled) query on the same pool is whole.
-        let outcomes = exec.execute(morselize(0, &p, 64), None);
+        let (outcomes, closed) = exec.execute(morselize(0, &p, 64), None);
         assert_eq!(outcomes.len(), 8);
-        assert_eq!(merged_rows(&outcomes), whole(&p));
+        assert_eq!(merged_rows(closed), whole(&p));
+    }
+
+    #[test]
+    fn a_morsel_that_panics_with_tables_open_fails_its_query_only() {
+        let p = plan(500);
+        let exec = Executor::new(
+            ExecutorConfig {
+                workers: 1,
+                morsel_rows: 64,
+                ..ExecutorConfig::default()
+            },
+            SimConfig::paper(),
+        );
+        // The worker pops its deque newest-first, so a morsel seeded at
+        // the front runs last — with the tables of the seven before it
+        // open on the worker's machine. This one escapes its plan's rows
+        // and panics inside the session.
+        let mut morsels = morselize(0, &p, 64);
+        morsels[0].hi = p.rows() + 1;
+        let failed =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exec.execute(morsels, None)));
+        assert!(failed.is_err(), "the coordinator re-raises the panic");
+        let stats = exec.stats();
+        assert_eq!((stats.agg_opens, stats.agg_closes), (1, 0), "abandoned");
+        assert_eq!((stats.queued(), stats.inflight()), (0, 0));
+
+        // The worker survived, and its session kept nothing of the
+        // failed query: the next one is whole.
+        let (outcomes, closed) = exec.execute(morselize(0, &p, 64), None);
+        assert_eq!(outcomes.len(), 8);
+        assert_eq!(merged_rows(closed), whole(&p));
+        let stats = exec.stats();
+        assert_eq!((stats.agg_opens, stats.agg_closes), (2, 1));
+    }
+
+    #[test]
+    fn a_one_morsel_job_waits_for_its_close() {
+        // The job's only task finishing must not wake the coordinator:
+        // the worker that ran it still owes the close.
+        let p = plan(60);
+        let exec = Executor::new(
+            ExecutorConfig {
+                workers: 2,
+                ..ExecutorConfig::default()
+            },
+            SimConfig::paper(),
+        );
+        for _ in 0..50 {
+            let (outcomes, closed) = exec.execute(morselize(0, &p, 64), None);
+            assert_eq!((outcomes.len(), closed.len()), (1, 1));
+            assert_eq!(merged_rows(closed), whole(&p));
+        }
+    }
+
+    #[test]
+    fn a_worker_that_only_stole_closes_too() {
+        // Everything is seeded on worker 0; whatever worker 1 runs, it
+        // stole. Whether it gets any is a race — but the merged answer
+        // is whole exactly when every worker that ran a morsel closed.
+        let p = plan(4000);
+        let exec = Executor::new(
+            ExecutorConfig {
+                workers: 2,
+                morsel_rows: 50,
+                ..ExecutorConfig::default()
+            },
+            SimConfig::paper(),
+        );
+        for _ in 0..20 {
+            let (outcomes, closed) = exec.execute(morselize(0, &p, 50), None);
+            let ran: std::collections::BTreeSet<usize> =
+                outcomes.iter().map(|o| o.worker).collect();
+            assert_eq!(closed.len(), ran.len(), "one close per worker that ran");
+            assert_eq!(merged_rows(closed), whole(&p));
+        }
     }
 
     #[test]
@@ -982,7 +1167,7 @@ mod tests {
             SimConfig::paper(),
         );
         let token = CancelToken::new();
-        let outcomes = exec.execute(morselize(0, &p, 64), Some(&token));
+        let (outcomes, _) = exec.execute(morselize(0, &p, 64), Some(&token));
         assert_eq!(outcomes.len(), 8);
         assert_eq!(token.morsels(), 8, "every pop was counted on the token");
         assert_eq!(exec.stats().cancelled_morsels, 0);

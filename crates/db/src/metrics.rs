@@ -77,6 +77,9 @@ pub struct MetricsRegistry {
     ingest_rows: AtomicU64,
     compactions: AtomicU64,
     stats_reseeds: AtomicU64,
+    agg_opens: AtomicU64,
+    agg_closes: AtomicU64,
+    agg_spills: AtomicU64,
     wal_replayed_records: AtomicU64,
     morsels_pruned: AtomicU64,
     rows_pruned: AtomicU64,
@@ -151,6 +154,17 @@ impl MetricsRegistry {
         self.stats_reseeds.fetch_add(1, Relaxed);
     }
 
+    /// Records what a read did to its session's aggregate tables: how
+    /// often it opened (allocated and cleared) them, closed (compacted
+    /// and read back) them at its end, and had a range outgrow them. A
+    /// completed read closes once however many ranges it ran; only a
+    /// sampled key-space estimate that under-bounds spills.
+    pub(crate) fn record_aggregate(&self, counts: crate::session::AggCounts) {
+        self.agg_opens.fetch_add(counts.opens, Relaxed);
+        self.agg_closes.fetch_add(counts.closes, Relaxed);
+        self.agg_spills.fetch_add(counts.spills, Relaxed);
+    }
+
     /// Records morsels (and the rows they covered) a query skipped
     /// because their zone maps proved the WHERE predicate matches no
     /// row in their range.
@@ -201,6 +215,9 @@ impl MetricsRegistry {
         snap.add("ingest_rows", self.ingest_rows.load(Relaxed));
         snap.add("compactions", self.compactions.load(Relaxed));
         snap.add("stats_reseeds", self.stats_reseeds.load(Relaxed));
+        snap.add("agg_opens", self.agg_opens.load(Relaxed));
+        snap.add("agg_closes", self.agg_closes.load(Relaxed));
+        snap.add("agg_spills", self.agg_spills.load(Relaxed));
         snap.add("morsels_pruned", self.morsels_pruned.load(Relaxed));
         snap.add("rows_pruned", self.rows_pruned.load(Relaxed));
         snap.add(

@@ -427,6 +427,20 @@ impl QueryPlan {
         &self.domains
     }
 
+    /// The key space a session opens this plan's aggregate tables with:
+    /// every (fused) group key of the plan lies below it unless the
+    /// estimate was sampled. `domains` are the composite key domains the
+    /// ranges fuse with — the driver's maxima across shard plans, whose
+    /// product bounds every fused key; single-column grouping takes the
+    /// planner's `max + 1`.
+    pub(crate) fn table_cells(&self, domains: &[u64]) -> usize {
+        let cells = match domains {
+            [] => self.cardinality,
+            domains => domains.iter().product(),
+        };
+        usize::try_from(cells).expect("a key space fits the host's address width")
+    }
+
     /// The WHERE column's zone ranges, when the plan carries both a
     /// filter and stamped zone maps.
     pub(crate) fn filter_zones(&self) -> Option<&[ZoneRange]> {

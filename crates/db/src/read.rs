@@ -2,19 +2,21 @@
 //!
 //! Every read — ad hoc or prepared, live or at a snapshot, traced or
 //! not, one session or sharded, one table or a join's derived table —
-//! is *plan → row ranges → [`Session::run_range`] per range → one merge
-//! → one host tail → rows + report* ([`drive`]). What differs between
-//! entry points is data handed to the driver, not another copy of it:
-//! the [`Schedule`] says where the ranges run, and the token and trace
-//! ride on the [`ReadRequest`].
+//! is *plan → row ranges → one update of the machine's open aggregate
+//! per range → one close per machine → one merge → one host tail →
+//! rows + report* ([`drive`]). What differs between entry points is
+//! data handed to the driver, not another copy of it: the [`Schedule`]
+//! says where the ranges run, and the token and trace ride on the
+//! [`ReadRequest`].
 //!
 //! One cycle contract follows, on every path: `report.cycles` is the
 //! simulated work on the staged columns (fuse, filter, cardinality
-//! scan, aggregate); merging the partials and HAVING / ORDER BY / LIMIT
-//! over the (at most cardinality-row) output table are host steps that
-//! cost no simulated cycles. See the "Read path" section of
-//! ARCHITECTURE.md for the diagram and the sizing table behind the
-//! schedules.
+//! scan, aggregate — the aggregate's open and close included, once per
+//! machine the query touched); merging the closed partials and HAVING /
+//! ORDER BY / LIMIT over the (at most cardinality-row) output table are
+//! host steps that cost no simulated cycles. See the "Read path"
+//! section of ARCHITECTURE.md for the diagram and the measurements
+//! behind the schedules.
 
 use crate::cancel::CancelToken;
 use crate::database::SqlError;
@@ -127,6 +129,16 @@ pub(crate) fn drive(
         }
     }
 
+    // The key space every session opens the query's tables with: wide
+    // enough for every shard plan, so a worker's tables serve whichever
+    // shards' morsels it runs.
+    let cells = plans
+        .iter()
+        .flatten()
+        .map(|plan| plan.table_cells(&domains))
+        .max()
+        .unwrap_or(0);
+
     // Cut the ranges. One whose zone maps prove the WHERE predicate
     // matches nothing contributes exactly what a filter-emptied range
     // would — an empty partial — so it is dropped before it runs.
@@ -155,6 +167,7 @@ pub(crate) fn drive(
                     lo,
                     hi,
                     domains: Arc::clone(&domains),
+                    cells,
                     traced: trace.is_some(),
                 });
             }
@@ -162,33 +175,50 @@ pub(crate) fn drive(
         }
     }
 
-    // Run them. A tripped token means the outcome set is incomplete:
-    // surface the typed error instead of merging a partial answer.
-    let (outcomes, workers, steal) = match schedule {
+    // Run them: every range is one update of the open aggregate of the
+    // session it runs on, and every session that ran one closes once. A
+    // tripped token means the outcome set is incomplete: the open
+    // aggregates are abandoned, and the typed error surfaces instead of
+    // a partial answer.
+    let (outcomes, closed, workers, steal) = match schedule {
         Schedule::Inline(session) => {
             session.note_query();
             let mut outcomes = Vec::with_capacity(morsels.len());
             for morsel in &morsels {
-                if let Some(token) = cancel {
-                    token.admit_morsel().map_err(SqlError::Cancelled)?;
+                if let Some(Err(cause)) = cancel.map(CancelToken::admit_morsel) {
+                    session.abandon();
+                    return Err(SqlError::Cancelled(cause));
                 }
                 // One session is worker 0, every range at home on it.
                 outcomes.push(morsel.run(session, 0, 0, false, 0));
             }
-            (outcomes, 1, false)
+            (outcomes, Vec::from_iter(session.close()), 1, false)
         }
         Schedule::Pool(pool) => {
-            let outcomes = pool.execute(morsels, cancel);
+            let (outcomes, closed) = pool.execute(morsels, cancel);
             check_cancel(cancel)?;
-            (outcomes, pool.worker_count(), pool.config().steal)
+            (outcomes, closed, pool.worker_count(), pool.config().steal)
         }
     };
     // Worker accounting: the measured range costs are scheduled onto
     // the workers deterministically (host threads race wall time, which
-    // says nothing about simulated cycles — see `virtual_schedule`);
-    // the busiest worker's total is the parallel makespan. One inline
-    // session is one worker: its makespan is the sum.
-    let sched = virtual_schedule(&outcomes, workers, steal);
+    // says nothing about simulated cycles — see `virtual_schedule`),
+    // each worker that runs a range paying for one aggregate of its
+    // own; the busiest worker's total is the parallel makespan. One
+    // inline session is one worker: its makespan is the sum of its
+    // ranges and its close. What an aggregate costs is the mean over
+    // the sessions that held one: a close reads back the groups its
+    // session saw, so a thread that won more morsels pays a little more
+    // and the other less — their mean moves less with how the host
+    // threads split the morsels than their maximum does (measured on a
+    // 32-morsel full scan: a 14 / 18 split moves the maximum by 15 of
+    // 108 771 cycles, the mean by 5).
+    let aggregate = closed
+        .iter()
+        .map(|c| c.cycles)
+        .sum::<u64>()
+        .div_ceil(closed.len().max(1) as u64);
+    let sched = virtual_schedule(&outcomes, workers, steal, aggregate);
 
     if let Some(t) = trace.as_deref_mut() {
         t.morsels_pruned += morsels_pruned;
@@ -214,6 +244,11 @@ pub(crate) fn drive(
                 });
             }
         }
+        for c in &closed {
+            if let Some(step) = &c.step {
+                t.record_close(step, c.partial.len() as u64, c.cycles);
+            }
+        }
         if pooled {
             t.workers = (0..workers)
                 .map(|w| WorkerRollup {
@@ -228,7 +263,8 @@ pub(crate) fn drive(
     }
 
     // Per-shard reports: one shard's work summed over its ranges,
-    // wherever they ran.
+    // wherever they ran (an aggregate belongs to the machine that held
+    // it, not to a shard: its open and close are in the makespan only).
     let mut ran: Vec<(&QueryPlan, ExecutionReport)> = Vec::new();
     for (s, plan) in plans.iter().enumerate() {
         let Some(plan) = plan else { continue };
@@ -249,7 +285,7 @@ pub(crate) fn drive(
     // query, so the first one names it (no plan at all: no rows).
     let rows = match plans.iter().flatten().next() {
         Some(plan) => {
-            let partials = outcomes.into_iter().map(|o| o.run.partial);
+            let partials = closed.into_iter().map(|c| c.partial);
             finish(plan, partials, &domains, trace.as_deref_mut(), pooled)
         }
         None => Vec::new(),
@@ -291,7 +327,8 @@ pub(crate) fn drive(
     })
 }
 
-// Folds the range partials into the output table and runs the query's
+// Folds the closed partials — one per session that ran a range of the
+// query — into the output table and runs the query's
 // non-distributive tail — HAVING, ORDER BY, LIMIT — over it, once, on
 // the host: the table has at most cardinality rows and already lives
 // host-side after the merge. `plan` names the query and the planned

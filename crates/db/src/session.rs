@@ -8,12 +8,17 @@
 //! [`Session::run`] reports the *cycle delta* it cost, so per-query
 //! accounting stays exact across reuse.
 //!
-//! A session only ever runs *row ranges* of a plan
-//! ([`Session::run_range`]): the simulated, mergeable slice of a query.
-//! Cutting ranges, merging their partials and the host-side tail belong
-//! to the one read driver every entry point shares (see the "Read path"
-//! section of ARCHITECTURE.md); [`Session::run`] is that driver with one
-//! range.
+//! A session only ever runs *row ranges* of a plan: the simulated,
+//! mergeable slice of a query. The aggregate those ranges feed outlives
+//! each of them — the tables of the table-based kernels are opened once
+//! at the bottom of the simulated address space, every range is staged
+//! above them and updates them in place, and one close compacts and
+//! reads them back when the query is done on this machine
+//! (`Session::{update, close, abandon}`; [`Session::run_range`] is one
+//! update and the close). Cutting ranges, merging the closed partials
+//! and the host-side tail belong to the one read driver every entry
+//! point shares (see the "Read path" section of ARCHITECTURE.md);
+//! [`Session::run`] is that driver with one range.
 
 use crate::engine::{QueryOutput, Row};
 use crate::filter::vector_filter;
@@ -21,8 +26,9 @@ use crate::plan::{PlanStep, QueryPlan, ScanMode};
 use crate::query::{AggFn, AggregateQuery};
 use crate::read::{self, ReadRequest, Schedule};
 use crate::trace::StepTrace;
-use vagg_core::input::vector_max_scan;
-use vagg_core::{minmax_aggregate, PartialAggregate, StagedInput};
+use vagg_core::input::{presorted_max, vector_max_scan};
+use vagg_core::sampling::sampled_max_scan;
+use vagg_core::{minmax, monotable, Algorithm, PartialAggregate, StagedInput};
 use vagg_sim::{Machine, SimConfig};
 
 /// Per-range options of [`Session::run_range`].
@@ -48,6 +54,12 @@ pub struct RangeOpts<'a> {
 /// aggregation, no HAVING/ORDER BY/LIMIT) and what it cost. Partials of
 /// disjoint ranges fold into the whole answer with
 /// [`PartialAggregate::merge`].
+///
+/// Inside a query the read driver runs its ranges as updates of one
+/// open aggregate: there `partial` is empty (the groups come out of the
+/// session's one close) and `cycles` are the range's own — stage, fuse,
+/// filter, scan, the kernel's loop — with the open and the close
+/// reported by the close, beside them.
 #[derive(Debug, Clone)]
 pub struct PartialRun {
     /// The mergeable COUNT/SUM (+ optional MIN/MAX) columns.
@@ -55,7 +67,7 @@ pub struct PartialRun {
     /// Rows of the range surviving the WHERE clause.
     pub rows_aggregated: usize,
     /// Simulated cycles the range cost (cycle-counter delta), so range
-    /// costs add up to the whole-plan cost.
+    /// costs and the close add up to the whole-plan cost.
     pub cycles: u64,
     /// Whether an aggregation kernel ran; `false` when the range was
     /// empty or the WHERE clause removed every row.
@@ -88,6 +100,142 @@ pub struct PartialRun {
 pub struct Session {
     machine: Machine,
     queries: usize,
+    /// The aggregate of the query in flight on this machine: created by
+    /// the query's first [`Session::update`], taken by its
+    /// [`Session::close`] or [`Session::abandon`].
+    agg: Option<OpenAggregate>,
+    counts: AggCounts,
+}
+
+/// How often this session opened, closed and outgrew aggregate tables
+/// since whoever drives it last took the counts
+/// ([`Session::take_agg_counts`]) to fold them into its metrics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct AggCounts {
+    /// Tables allocated and cleared (a spill re-opens).
+    pub(crate) opens: u64,
+    /// Tables compacted and read back at the end of a query.
+    pub(crate) closes: u64,
+    /// Ranges whose keys outgrew the open tables.
+    pub(crate) spills: u64,
+}
+
+// The live tables of the two table-based kernels, behind one interface.
+#[derive(Debug, Clone, Copy)]
+enum Tables {
+    Mono(monotable::Tables),
+    MinMax(minmax::Tables),
+}
+
+impl Tables {
+    fn open(m: &mut Machine, minmax: bool, cells: usize) -> Self {
+        // The size came from the plan, not from a scan: nothing to wait on.
+        if minmax {
+            Tables::MinMax(minmax::open(m, cells, 0))
+        } else {
+            Tables::Mono(monotable::open(m, cells, 0))
+        }
+    }
+
+    fn cells(&self) -> usize {
+        match self {
+            Tables::Mono(t) => t.cells(),
+            Tables::MinMax(t) => t.cells(),
+        }
+    }
+
+    fn update(&self, m: &mut Machine, input: &StagedInput) {
+        match self {
+            Tables::Mono(t) => monotable::update(m, t, input.g, input.v, input.n),
+            Tables::MinMax(t) => minmax::update(m, t, input.g, input.v, input.n),
+        }
+    }
+
+    fn close(&self, m: &mut Machine) -> PartialAggregate {
+        match self {
+            Tables::Mono(t) => {
+                let (out, rows) = monotable::close(m, t);
+                PartialAggregate::new(out.read(m, rows), None)
+            }
+            Tables::MinMax(t) => {
+                let r = minmax::close(m, t);
+                PartialAggregate::new(r.base, Some((r.mins, r.maxs)))
+            }
+        }
+    }
+
+    // The plan step the tables' open and close are billed to.
+    fn step(&self) -> PlanStep {
+        match self {
+            Tables::Mono(_) => PlanStep::Aggregate(Algorithm::Monotable),
+            Tables::MinMax(_) => PlanStep::MinMaxKernel,
+        }
+    }
+}
+
+// Aggregate state that outlives a range. Invariant: everything below
+// `mark` belongs to the query (the live tables; after a spill also what
+// the spilling range had staged), everything at or above it to the range
+// in flight — so releasing to `mark` before each range hands every range
+// the same staging addresses and never touches a table
+// (`tests/read_path.rs` is the oracle: carried rows ≡ whole-plan rows).
+#[derive(Debug)]
+struct OpenAggregate {
+    // Live on the machine from the first range of a table-based plan on.
+    tables: Option<Tables>,
+    // Rows the live tables took: none means nothing to compact.
+    table_rows: usize,
+    mark: u64,
+    // Host side: tables a spill closed, and what the kernels that keep no
+    // tables (sorted reduce, polytable, PSM, scalar) produced per range.
+    pending: Option<PartialAggregate>,
+    // Cycles of the opens and spills so far; the close reports them with
+    // its own.
+    cycles: u64,
+    minmax: bool,
+}
+
+impl OpenAggregate {
+    fn open(&mut self, m: &mut Machine, cells: usize, counts: &mut AggCounts) {
+        let t0 = m.cycles();
+        self.tables = Some(Tables::open(m, self.minmax, cells));
+        self.table_rows = 0;
+        self.mark = m.space().mark();
+        self.cycles += m.cycles() - t0;
+        counts.opens += 1;
+    }
+
+    // Compacts and reads back the live tables (if they took any row) into
+    // `pending`.
+    fn close_tables(&mut self, m: &mut Machine) -> Option<PlanStep> {
+        let tables = self.tables.take()?;
+        if self.table_rows > 0 {
+            let t0 = m.cycles();
+            self.merge(tables.close(m));
+            self.cycles += m.cycles() - t0;
+        }
+        Some(tables.step())
+    }
+
+    fn merge(&mut self, partial: PartialAggregate) {
+        self.pending = Some(match self.pending.take() {
+            Some(pending) => pending.merge(partial),
+            None => partial,
+        });
+    }
+}
+
+/// What [`Session::close`] produced: the query's groups on this machine
+/// and what opening, spilling and closing its tables cost.
+#[derive(Debug)]
+pub(crate) struct ClosedAggregate {
+    pub(crate) partial: PartialAggregate,
+    /// Simulated cycles of every open, spill and the close — the part
+    /// of the query no range's [`PartialRun::cycles`] holds.
+    pub(crate) cycles: u64,
+    /// The kernel step those cycles are billed to, when tables were
+    /// opened at all.
+    pub(crate) step: Option<PlanStep>,
 }
 
 impl std::fmt::Debug for Session {
@@ -157,6 +305,8 @@ impl Session {
         Self {
             machine: Machine::new(cfg),
             queries: 0,
+            agg: None,
+            counts: AggCounts::default(),
         }
     }
 
@@ -202,10 +352,12 @@ impl Session {
     /// cardinality scan, aggregate — over the row range `lo..hi` of its
     /// staged columns, and returns the mergeable partial instead of
     /// assembled rows: `merge(run_range(0..k), run_range(k..n))` is the
-    /// whole plan's partial for every split point `k`. This is the one
-    /// way work reaches the machine; the read driver decides the ranges
-    /// (one per plan, morsels under a [`crate::CancelToken`], stealable
-    /// morsels on the [`crate::Executor`]).
+    /// whole plan's partial for every split point `k`. It is one update
+    /// of a freshly opened aggregate and its close — the same calls, in
+    /// the same order, the read driver makes for a whole query (which
+    /// opens once, updates per range and closes once; the driver decides
+    /// the ranges: one per plan, morsels under a [`crate::CancelToken`],
+    /// stealable morsels on the [`crate::Executor`]).
     ///
     /// # Panics
     ///
@@ -219,19 +371,62 @@ impl Session {
         hi: usize,
         opts: RangeOpts<'_>,
     ) -> PartialRun {
+        debug_assert!(self.agg.is_none(), "a query is in flight on this session");
+        let cells = plan.table_cells(opts.forced.unwrap_or(plan.key_domains()));
+        let mut run = self.update(plan, lo, hi, opts, cells);
+        if let Some(closed) = self.close() {
+            run.partial = closed.partial;
+            run.cycles += closed.cycles;
+            if let (true, Some(step)) = (opts.trace, closed.step) {
+                let groups = run.partial.len() as u64;
+                match run.steps.iter_mut().find(|s| s.step == step) {
+                    Some(s) => {
+                        s.cycles += closed.cycles;
+                        s.rows_out = groups;
+                    }
+                    // The WHERE clause emptied the range after its
+                    // tables were cleared.
+                    None => run.steps.push(StepTrace {
+                        step,
+                        rows_in: 0,
+                        rows_out: groups,
+                        cycles: closed.cycles,
+                    }),
+                }
+            }
+        }
+        run
+    }
+
+    /// Runs the range `lo..hi` of `plan` into the session's open
+    /// aggregate, opening it first when this is the query's first range
+    /// here. `cells` is the query's key space (see
+    /// [`QueryPlan::table_cells`]) — what the tables of a table-based
+    /// plan are opened with, once, before anything is staged, so that
+    /// they sit at the bottom of the address space and every range is
+    /// staged at the same addresses above them. The range's exact
+    /// §III-A scan is the guard: a range whose keys outgrow the open
+    /// tables *spills* them — closes them into a host-side partial and
+    /// reopens larger — and never writes past a table. A plan whose
+    /// algorithm keeps no tables runs its whole kernel on the range and
+    /// folds the partial in host-side.
+    ///
+    /// The returned run carries no groups (they come out of
+    /// [`Session::close`]), and its `cycles` and `steps` hold the
+    /// range's own work only.
+    pub(crate) fn update(
+        &mut self,
+        plan: &QueryPlan,
+        lo: usize,
+        hi: usize,
+        opts: RangeOpts<'_>,
+        cells: usize,
+    ) -> PartialRun {
         assert!(
             lo <= hi && hi <= plan.rows,
             "morsel {lo}..{hi} escapes the plan's {} rows",
             plan.rows
         );
-        let start = self.machine.cycles();
-        // Queries own no machine-resident state between runs (results are
-        // read back to the host), so reclaim the simulated address space
-        // up front: the bump allocator never frees, and without this a
-        // long-lived session would grow host memory by the staged table
-        // size on every query. Cycle and cache-model state persist.
-        self.machine.space_mut().reset();
-        let m = &mut self.machine;
         let mut trace = Tracer {
             plan,
             steps: opts.trace.then(Vec::new),
@@ -240,6 +435,37 @@ impl Session {
         if n == 0 {
             return trace.skipped(0);
         }
+        let minmax = plan.query.needs_minmax();
+        let carried = minmax || plan.algorithm == Algorithm::Monotable;
+        let Session {
+            machine: m,
+            agg,
+            counts,
+            ..
+        } = self;
+        // Queries own no machine-resident state between runs (results
+        // are read back to the host), so the first range of a query
+        // reclaims the whole simulated address space — the bump
+        // allocator never frees, and without this a long-lived session
+        // would grow host memory by the staged table size on every
+        // query — and every later one what the range before it staged.
+        // Cycle and cache-model state persist.
+        let agg = agg.get_or_insert_with(|| {
+            m.space_mut().reset();
+            OpenAggregate {
+                tables: None,
+                table_rows: 0,
+                mark: m.space().mark(),
+                pending: None,
+                cycles: 0,
+                minmax,
+            }
+        });
+        m.space_mut().release_to(agg.mark);
+        if carried && agg.tables.is_none() {
+            agg.open(m, cells.max(1), counts);
+        }
+        let start = m.cycles();
 
         // Composite GROUP BY: fuse the grouping columns into one key per
         // row on the machine; the fused column then flows through the
@@ -280,7 +506,7 @@ impl Session {
             );
             if kept == 0 {
                 // Nothing survived: no aggregation algorithm runs at
-                // all, and the partial is empty (of the right family).
+                // all, and the range adds nothing to the aggregate.
                 return trace.skipped(m.cycles() - start);
             }
             // Compaction preserves relative order, so a sorted column
@@ -305,20 +531,22 @@ impl Session {
             stage0
         };
 
-        // The charged planning scan (§III-A): the session replays the
-        // metadata step the paper bills to the query. The algorithm
-        // choice itself was fixed at plan time.
-        match plan.scan_mode {
-            ScanMode::Presorted => {
-                let _ = vagg_core::input::presorted_max(m, &input);
-            }
-            ScanMode::Exact => {
-                let _ = vector_max_scan(m, &input);
-            }
+        // The charged planning scan (§III-A), once: the session replays
+        // the metadata step the paper bills to the query, and a
+        // table-based kernel takes its exact maximum as the guard of the
+        // open tables instead of scanning again. A kernel that keeps no
+        // tables is run whole and scans for itself, so only a *sampled*
+        // plan — whose scan the kernel's exact one does not repeat —
+        // scans here. The algorithm choice itself was fixed at plan time.
+        let exact = match plan.scan_mode {
+            ScanMode::Presorted if carried => Some(presorted_max(m, &input).0),
+            ScanMode::Exact if carried => Some(vector_max_scan(m, &input).0),
+            ScanMode::Presorted | ScanMode::Exact => None,
             ScanMode::Sampled { stride } => {
-                let _ = vagg_core::sampling::sampled_max_scan(m, &input, stride);
+                let _ = sampled_max_scan(m, &input, stride);
+                None
             }
-        }
+        };
         let agg0 = m.cycles();
         trace.step(
             |s| matches!(s, PlanStep::CardinalityScan { .. }),
@@ -327,27 +555,80 @@ impl Session {
             agg0 - scan0,
         );
 
-        let (base, mm) = if plan.query.needs_minmax() {
-            let r = minmax_aggregate(m, &input);
-            (r.base, Some((r.mins, r.maxs)))
+        // What the range spends on the aggregate's tables rather than
+        // on itself: reported by the close.
+        let mut spilled = 0;
+        let groups = if carried {
+            // A sample bounds nothing: the kernel's own exact scan, as
+            // before, billed to the kernel.
+            let maxg = exact.unwrap_or_else(|| vector_max_scan(m, &input).0);
+            let need = maxg as usize + 1;
+            if agg.tables.is_some_and(|t| need > t.cells()) {
+                let before = agg.cycles;
+                agg.close_tables(m);
+                // Twice what this range needs, so that a run of slightly
+                // growing ranges spills a logarithmic number of times.
+                agg.open(m, (2 * need).min(1 << 32), counts);
+                counts.spills += 1;
+                spilled = agg.cycles - before;
+            }
+            let tables = agg.tables.expect("opened before the range was staged");
+            tables.update(m, &input);
+            agg.table_rows += rows_aggregated;
+            0
         } else {
             let (result, _) = plan.algorithm.execute(m, &input);
-            (result, None)
+            let groups = result.len();
+            agg.merge(PartialAggregate::new(result, None));
+            groups
         };
         trace.step(
             |s| matches!(s, PlanStep::Aggregate(_) | PlanStep::MinMaxKernel),
             rows_aggregated,
-            base.len(),
-            m.cycles() - agg0,
+            groups,
+            m.cycles() - agg0 - spilled,
         );
 
         PartialRun {
-            partial: PartialAggregate::new(base, mm),
+            partial: PartialAggregate::empty(minmax),
             rows_aggregated,
-            cycles: m.cycles() - start,
+            cycles: m.cycles() - start - spilled,
             aggregated: true,
             steps: trace.steps.unwrap_or_default(),
         }
+    }
+
+    /// Ends the query on this machine: compacts and reads back the open
+    /// tables (once — unless no range put a row in them), folds in what
+    /// spills and table-less kernels left host-side, and reports the
+    /// cycles no range was charged. `None` when no range of the query
+    /// ran here.
+    pub(crate) fn close(&mut self) -> Option<ClosedAggregate> {
+        let mut agg = self.agg.take()?;
+        let step = agg.close_tables(&mut self.machine);
+        self.counts.closes += u64::from(step.is_some());
+        Some(ClosedAggregate {
+            partial: agg
+                .pending
+                .unwrap_or_else(|| PartialAggregate::empty(agg.minmax)),
+            cycles: agg.cycles,
+            step,
+        })
+    }
+
+    /// Drops the query in flight without closing it — its token tripped
+    /// or one of its ranges panicked: no compaction runs, the tables and
+    /// whatever was staged are released, and the next query finds the
+    /// session as a finished one leaves it.
+    pub(crate) fn abandon(&mut self) {
+        self.agg = None;
+        self.machine.space_mut().reset();
+    }
+
+    /// The open / close / spill counts since the last call, which this
+    /// one resets.
+    pub(crate) fn take_agg_counts(&mut self) -> AggCounts {
+        std::mem::take(&mut self.counts)
     }
 }
 
@@ -490,6 +771,48 @@ mod tests {
             session.run(&plan);
         }
         assert_eq!(session.machine().space().resident_pages(), after_one);
+    }
+
+    #[test]
+    fn a_carried_query_holds_its_tables_and_one_range_however_many_it_runs() {
+        // 1 000 identical 64-row ranges (periodic columns without a zero
+        // word, so every staged page materialises): each range releases
+        // what the one before it staged, and the simulated memory of the
+        // query stays what its first range made it — tables + one
+        // range's staging, not 1 000 ×.
+        const RANGES: usize = 1_000;
+        let t = Table::new("r")
+            .with_column("g", (0..64 * RANGES).map(|i| (1 + i % 7) as u32).collect())
+            .with_column("v", (0..64 * RANGES).map(|i| (1 + i % 10) as u32).collect());
+        let plan = Engine::new()
+            .plan(&t, &AggregateQuery::paper("g", "v"))
+            .unwrap();
+        let cells = plan.table_cells(plan.key_domains());
+        let mut session = Session::new();
+        let resident = |s: &Session| s.machine().space().resident_pages();
+
+        let mut first = 0;
+        for r in 0..RANGES {
+            let run = session.update(&plan, 64 * r, 64 * (r + 1), RangeOpts::default(), cells);
+            assert!(run.partial.is_empty(), "the groups come out of the close");
+            if r == 0 {
+                first = resident(&session);
+                assert!(first > 0);
+            }
+            assert_eq!(resident(&session), first, "after range {r}");
+        }
+        let closed = session.close().expect("a query was in flight");
+        let counts = session.take_agg_counts();
+        assert_eq!((counts.opens, counts.closes, counts.spills), (1, 1, 0));
+        assert_eq!(closed.partial, one_range(&mut session, &plan).partial);
+        assert!(session.close().is_none(), "closed once");
+
+        // Abandoned instead: nothing stays resident, and nothing closed.
+        session.update(&plan, 0, 64, RangeOpts::default(), cells);
+        session.abandon();
+        assert_eq!(resident(&session), 0);
+        let counts = session.take_agg_counts();
+        assert_eq!((counts.opens, counts.closes), (2, 1), "`one_range` closed");
     }
 
     #[test]

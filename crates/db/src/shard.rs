@@ -14,13 +14,15 @@
 //! 1. **plan** the query on every non-empty shard (each shard's plan
 //!    cache and adaptive §V-D choice apply to *its* partition);
 //! 2. **execute** each plan's distributive slice as fixed-size
-//!    *morsels* (row ranges run via [`crate::Session::run_range`]) on
-//!    the pooled workers — idle workers steal a skewed shard's tail
-//!    instead of waiting, and every morsel still runs the algorithm its
+//!    *morsels* (row ranges, each one update of the aggregate its
+//!    worker's [`crate::Session`] holds open for the query) on the
+//!    pooled workers — idle workers steal a skewed shard's tail instead
+//!    of waiting, and every morsel still runs the algorithm its
 //!    *shard's* statistics picked;
-//! 3. **merge** the [`vagg_core::PartialAggregate`]s (COUNT/SUM add,
-//!    MIN/MAX combine) and finalise the non-distributive tail —
-//!    HAVING, ORDER BY, LIMIT — once on the coordinator.
+//! 3. **merge** the [`vagg_core::PartialAggregate`]s the workers closed
+//!    (COUNT/SUM add, MIN/MAX combine) and finalise the
+//!    non-distributive tail — HAVING, ORDER BY, LIMIT — once on the
+//!    coordinator.
 //!
 //! Composite `GROUP BY` shards too: every morsel fuses its keys with
 //! the elementwise maximum of the shard plans' exact key domains, so
@@ -417,7 +419,8 @@ impl ShardedDatabase {
     /// shard's [`Database::metrics`] summed (counters and the query
     /// cycle histogram; the worst slow queries kept), plus the shared
     /// worker pool's counters as `executor_queries` / `executor_morsels`
-    /// / `executor_steals`.
+    /// / `executor_steals` and, under the names a single database
+    /// reports them by, `agg_opens` / `agg_closes` / `agg_spills`.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         for shard in &self.shards {
@@ -431,6 +434,11 @@ impl ShardedDatabase {
         snap.add("executor_morsels_pruned", stats.morsels_pruned);
         snap.add("executor_rows_pruned", stats.rows_pruned);
         snap.add("executor_affinity_moves", stats.affinity_moves);
+        // The pool's sessions ran the reads: their aggregate counts are
+        // the database's.
+        snap.add("agg_opens", stats.agg_opens);
+        snap.add("agg_closes", stats.agg_closes);
+        snap.add("agg_spills", stats.agg_spills);
         snap.add("executor_queued", stats.queued());
         snap.add("executor_inflight", stats.inflight());
         snap
@@ -1449,11 +1457,14 @@ mod tests {
         let makespan = *out.worker_loads.iter().max().unwrap();
         assert_eq!(out.report.cycles, makespan);
         assert!(out.shard_reports.iter().all(|r| r.cycles > 0));
-        // Every cycle of shard work is accounted to exactly one worker.
-        assert_eq!(
-            out.worker_loads.iter().sum::<u64>(),
-            out.shard_reports.iter().map(|r| r.cycles).sum::<u64>()
-        );
+        // Every cycle of shard work is accounted to exactly one worker,
+        // and every worker that ran a morsel paid for one aggregate of
+        // its own — the same open + close each — on top.
+        let loads: u64 = out.worker_loads.iter().sum();
+        let ranges: u64 = out.shard_reports.iter().map(|r| r.cycles).sum();
+        let active = out.worker_loads.iter().filter(|&&l| l > 0).count() as u64;
+        assert!(loads > ranges, "{loads} vs {ranges}");
+        assert_eq!((loads - ranges) % active, 0, "{:?}", out.worker_loads);
         // cpt keeps its contract: makespan cycles per *input* tuple
         // (400 rows entered the shards), not per surviving row.
         assert!(out.report.rows_aggregated < 400, "the filter removed rows");

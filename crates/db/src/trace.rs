@@ -72,9 +72,14 @@ pub struct StepRollup {
     pub est_rows: Option<u64>,
     /// Observed rows entering the step, summed across morsels.
     pub rows_in: u64,
-    /// Observed rows leaving the step, summed across morsels.
+    /// Observed rows leaving the step, summed across morsels — for a
+    /// table-based aggregate, the groups each session that took part
+    /// read back at its close (so between the query's groups and that
+    /// times the workers, as the host threads happened to share the
+    /// morsels).
     pub rows_out: u64,
-    /// Simulated cycles, summed across morsels.
+    /// Simulated cycles, summed across morsels and, for a table-based
+    /// aggregate, the opens and closes of its tables.
     pub cycles: u64,
     /// How many morsels executed the step.
     pub morsels: u64,
@@ -82,13 +87,15 @@ pub struct StepRollup {
 
 /// Deterministic per-worker rollup from the virtual schedule (see
 /// `virtual_schedule` in the executor): the same measured morsel costs
-/// replayed onto virtual workers, so the numbers are reproducible even
-/// though physical placement is racy.
+/// replayed onto virtual workers — each charged, with its first morsel,
+/// one open and close of the query's aggregate — so the numbers are
+/// reproducible even though physical placement is racy.
 #[derive(Debug, Clone)]
 pub struct WorkerRollup {
     /// Virtual worker index.
     pub worker: usize,
-    /// Simulated cycles of the morsels this worker ran.
+    /// Simulated cycles of the morsels this worker ran, plus — if it
+    /// ran any — one open and close of the aggregate.
     pub cycles: u64,
     /// Morsels this worker ran.
     pub morsels: u64,
@@ -208,6 +215,16 @@ impl QueryTrace {
             r.cycles += s.cycles;
             r.morsels += 1;
         }
+    }
+
+    /// Folds one session's close in: the groups it read back leave the
+    /// kernel `step` its tables belong to, and the cycles of opening,
+    /// spilling and closing them are billed there — beside the ranges
+    /// that updated them, which `morsels` goes on counting alone.
+    pub(crate) fn record_close(&mut self, step: &PlanStep, groups: u64, cycles: u64) {
+        let r = self.rollup_mut(step.to_string());
+        r.rows_out += groups;
+        r.cycles += cycles;
     }
 
     /// Folds a host-side coordinator step (merge/finalise, join

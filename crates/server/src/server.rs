@@ -552,9 +552,10 @@ impl ServerInner {
         }
     }
 
-    /// Same bracket for a prepared statement. The engine's prepared
-    /// path is already a single staged pass, so the token is checked
-    /// coarsely (before and after) rather than per morsel.
+    /// Same bracket for a prepared statement: the execution carries the
+    /// token on its read request, as a `Query` does, so a `Cancel`
+    /// frame, the timeout and the morsel budget all take effect before
+    /// the next 2048-row range.
     fn run_execute(
         &self,
         db: &mut Database,
@@ -574,16 +575,7 @@ impl ServerInner {
         };
         let token = CancelToken::with_limits(self.config.query_timeout, self.config.morsel_budget);
         self.cancels.lock().unwrap().insert(query_id, token.clone());
-        let result = match token.cause() {
-            Some(cause) => Err(SqlError::Cancelled(cause)),
-            None => {
-                let out = stmt.execute(db, params);
-                match (out, token.cause()) {
-                    (Ok(_), Some(cause)) => Err(SqlError::Cancelled(cause)),
-                    (out, _) => out,
-                }
-            }
-        };
+        let result = db.run_cancellable(&token, |db| stmt.execute(db, params));
         self.cancels.lock().unwrap().remove(&query_id);
         drop(permit);
         self.stats.queries.fetch_add(1, Ordering::Relaxed);

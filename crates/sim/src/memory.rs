@@ -47,8 +47,11 @@ pub struct AddressSpace {
     dir: Vec<u32>,
     /// Page within a region → its page in `slab`.
     tables: Vec<[u32; TABLE_PAGES]>,
-    /// The materialised pages, in the order they were first written.
+    /// The materialised pages, in no particular order.
     slab: Vec<Page>,
+    /// The page number of each page in `slab`: what
+    /// [`AddressSpace::release_to`] finds the pages above a mark by.
+    owners: Vec<u64>,
     /// Page number → its page in `slab`, for regions past [`DIR_REGIONS`].
     far: HashMap<u64, u32>,
     /// Next free address for [`AddressSpace::alloc`].
@@ -128,8 +131,76 @@ impl AddressSpace {
         self.dir.clear();
         self.tables.clear();
         self.slab.clear();
+        self.owners.clear();
         self.far.clear();
         self.brk = PAGE_BYTES as u64;
+    }
+
+    /// The next free address: everything [`AddressSpace::alloc`] hands
+    /// out from now on lies at or above it, and a later
+    /// [`AddressSpace::release_to`] takes exactly that back.
+    pub fn mark(&self) -> u64 {
+        self.brk
+    }
+
+    /// [`AddressSpace::reset`], restricted to the addresses at or above
+    /// `mark`: the allocations made since `mark` was taken are released
+    /// (the next [`AddressSpace::alloc`] starts at `mark` again), every
+    /// byte at or above `mark` reads zero, and a zero written there
+    /// materialises nothing. Everything below `mark` keeps its bytes. A
+    /// page that `mark` cuts in two stays resident if it was, with its
+    /// upper part zeroed; the pages wholly above are forgotten and their
+    /// storage recycled, so an owner that releases after every unit of
+    /// work holds what lies below the mark plus one unit's pages, however
+    /// many units it runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mark` is not one this space could have handed out
+    /// since its last reset (below the null page's end, or above the
+    /// current break).
+    pub fn release_to(&mut self, mark: u64) {
+        assert!(
+            (PAGE_BYTES as u64..=self.brk).contains(&mark),
+            "mark {mark:#x} is not between the null page and the break {:#x}",
+            self.brk
+        );
+        self.brk = mark;
+        let cut = (mark as usize) & (PAGE_BYTES - 1);
+        if cut != 0 {
+            if let Some(i) = self.slot(mark) {
+                self.slab[i][cut..].fill(0);
+            }
+        }
+        let first_released = mark.div_ceil(PAGE_BYTES as u64);
+        let mut i = 0;
+        while i < self.slab.len() {
+            if self.owners[i] < first_released {
+                i += 1;
+                continue;
+            }
+            // Forget page `i`; the last page moves into its place.
+            self.set_link(self.owners[i], 0);
+            self.slab.swap_remove(i);
+            self.owners.swap_remove(i);
+            if let Some(&moved) = self.owners.get(i) {
+                self.set_link(moved, i as u32 + 1);
+            }
+        }
+    }
+
+    /// Points the link of the materialised page `page_no` at `link`
+    /// (zero: absent).
+    fn set_link(&mut self, page_no: u64, link: u32) {
+        let region = page_no >> TABLE_SHIFT;
+        if region < DIR_REGIONS {
+            let table = self.dir[region as usize] as usize - 1;
+            self.tables[table][page_no as usize % TABLE_PAGES] = link;
+        } else if link == 0 {
+            self.far.remove(&page_no);
+        } else {
+            self.far.insert(page_no, link);
+        }
     }
 
     /// Number of host pages materialised (test/diagnostic hook).
@@ -179,6 +250,7 @@ impl AddressSpace {
         };
         debug_assert_eq!(*link, 0, "page already materialised");
         self.slab.push([0; PAGE_BYTES]);
+        self.owners.push(page_no);
         *link = u32::try_from(self.slab.len()).expect("under 2^32 resident pages (1 TiB)");
         self.slab.last_mut().expect("just pushed")
     }
@@ -481,11 +553,18 @@ mod differential_tests {
         WriteRun(u64, u64, Vec<u64>),
         ReadRun(u64, u64, usize),
         Alloc(u64, u64),
+        /// `release_to` a mark this far (in 1/2^16ths) from the null
+        /// page's end to the break: any alignment, both ends included.
+        Release(u64),
+        /// `release_to(mark())`: releases no allocation, but whatever
+        /// was written past the break.
+        ReleaseToMark,
         Reset,
     }
 
     /// What the space must behave like: a byte map, the pages that took
-    /// a non-zero byte since the last reset, and the bump pointer.
+    /// a non-zero byte since they were last reset or released, and the
+    /// bump pointer.
     struct Oracle {
         bytes: BTreeMap<u64, u8>,
         resident: BTreeSet<u64>,
@@ -578,6 +657,8 @@ mod differential_tests {
             (run_addrs(), 0usize..81).prop_map(|(a, n)| Op::ReadRun(a & !3, 4, n)),
             (0u64..700, prop::sample::select(vec![1u64, 4, 64, 256]))
                 .prop_map(|(b, a)| Op::Alloc(b, a)),
+            (0u64..=1 << 16).prop_map(Op::Release),
+            Just(Op::ReleaseToMark),
             Just(Op::Reset),
         ]
     }
@@ -639,6 +720,32 @@ mod differential_tests {
                         let base = oracle.brk.next_multiple_of(align);
                         oracle.brk = base + bytes.max(1);
                         prop_assert_eq!(space.alloc(bytes, align), base);
+                    }
+                    Op::Release(_) | Op::ReleaseToMark => {
+                        let mark = match op {
+                            &Op::Release(part) => {
+                                let floor = PAGE_BYTES as u64;
+                                floor + (((oracle.brk - floor) as u128 * part as u128) >> 16) as u64
+                            }
+                            _ => space.mark(),
+                        };
+                        prop_assert_eq!(space.mark(), oracle.brk);
+                        space.release_to(mark);
+                        prop_assert_eq!(space.mark(), mark);
+                        // Below the mark nothing moves (the reads of
+                        // later ops check it); at and above, all of it
+                        // reads zero, and only a page the mark cuts in
+                        // two may stay resident.
+                        let released = oracle.bytes.split_off(&mark);
+                        oracle.resident.retain(|&page| page << PAGE_SHIFT < mark);
+                        oracle.brk = mark;
+                        for &addr in released.keys() {
+                            prop_assert_eq!(space.read_u8(addr), 0, "{:#x} after release", addr);
+                        }
+                        // A zero there materialises nothing.
+                        let before = space.resident_pages();
+                        space.write_u32(mark.next_multiple_of(PAGE_BYTES as u64), 0);
+                        prop_assert_eq!(space.resident_pages(), before);
                     }
                     Op::Reset => {
                         space.reset();

@@ -464,8 +464,8 @@ const GOLDEN: &[(&str, Fingerprint)] = &[
     ("psm/sorted/39062", [216025, 13628, 0, 1, 14213, 9984, 13111, 129, 1836]),
     ("radix_sort/4096", [306000, 135560, 63488, 2048, 75013, 2048, 1791, 0, 248]),
     ("vsr_sort/4096", [28387, 5908, 992, 32, 22998, 1056, 923, 0, 128]),
-    ("sql/full_scan", [23450, 3141, 0, 0, 23668, 1409, 1231, 0, 171]),
-    ("sql/filtered", [61227, 10104, 2208, 154, 49413, 2709, 2367, 0, 329]),
+    ("sql/full_scan", [21482, 2753, 0, 0, 23156, 1409, 1231, 0, 171]),
+    ("sql/filtered", [60779, 9516, 2208, 154, 48617, 2736, 2392, 0, 331]),
     ("mvl16-lanes2-ports2/scalar/76", [21358, 31860, 14587, 281, 0, 281, 244, 0, 34]),
     ("mvl16-lanes2-ports2/scalar/39062", [336901, 357147, 126368, 13124, 14458, 7581, 9239, 108, 1292]),
     ("mvl16-lanes2-ports2/mono/76", [7294, 2423, 0, 0, 2622, 281, 244, 0, 34]),

@@ -52,6 +52,24 @@ fn assert_trace_consistent(t: &vagg::db::QueryTrace) {
         );
         assert!(m.lo < m.hi, "morsels cover a non-empty range");
     }
+    // Ranges + closes make each worker's load: every virtual worker that
+    // ran a morsel carries the morsels it ran and, once, the open and
+    // close of an aggregate of its own — the same charge each, the
+    // mean (rounded up) of what the real sessions measured. The steps'
+    // rollups hold every real open and close, so their excess over the
+    // morsels is at least that charge and at most one per pool worker.
+    if !t.morsels.is_empty() {
+        let loads: u64 = t.workers.iter().map(|w| w.cycles).sum();
+        let ranges: u64 = t.morsels.iter().map(|m| m.cycles).sum();
+        let active = t.workers.iter().filter(|w| w.morsels > 0).count() as u64;
+        assert!(loads >= ranges);
+        assert_eq!((loads - ranges) % active, 0, "one charge per active worker");
+        let charge = (loads - ranges) / active;
+        let rolled: u64 = t.steps.iter().map(|s| s.cycles).sum();
+        assert!(rolled >= ranges + charge, "{rolled} < {ranges} + {charge}");
+        assert!(rolled <= ranges + charge * t.workers.len() as u64);
+        assert_eq!(t.cycles, t.workers.iter().map(|w| w.cycles).max().unwrap());
+    }
     // The rendering never panics and carries the headline counters.
     let text = t.explain();
     assert!(text.contains("rows="));
@@ -388,6 +406,77 @@ fn stats_reseeds_count_registrations_and_mutations_never_compactions() {
     let snap = db.metrics();
     assert!(snap.to_text().contains("vagg_stats_reseeds 5"));
     assert!(snap.to_json().contains("\"stats_reseeds\": 5"));
+}
+
+/// `agg_opens` / `agg_closes` / `agg_spills` count what reads do to their
+/// sessions' aggregate tables, and how often is structure, not timing: a
+/// statement opens and closes once per session that ran one of its
+/// ranges — once inline, however many ranges a token cuts it into; at
+/// most once per pool worker — and never spills while the planner's key
+/// space is exact.
+#[test]
+fn aggregates_open_and_close_once_per_session_a_statement_touched() {
+    let table = || {
+        Table::new("t")
+            .with_column("g", (0..9_000u32).map(|i| i * 7 % 61).collect())
+            .with_column("h", (0..9_000u32).map(|i| i % 3).collect())
+            .with_column("v", (0..9_000u32).map(|i| i % 10).collect())
+    };
+    let statements = [
+        "SELECT g, COUNT(*), SUM(v) FROM t GROUP BY g",
+        "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v) FROM t WHERE v > 3 GROUP BY g",
+        "SELECT g, h, COUNT(*), SUM(v) FROM t GROUP BY g, h ORDER BY SUM(v) DESC LIMIT 4",
+        // The zone maps prune every range: nothing runs, nothing opens.
+        "SELECT g, COUNT(*) FROM t WHERE v > 100 GROUP BY g",
+    ];
+    let count = |snap: &vagg::db::MetricsSnapshot| {
+        ["agg_opens", "agg_closes", "agg_spills"].map(|name| snap.get(name).unwrap())
+    };
+
+    let mut db = Database::new();
+    db.register(table());
+    assert_eq!(count(&db.metrics()), [0, 0, 0]);
+    let mut expect = 0;
+    for sql in statements {
+        // Whole plan, then five 2048-row ranges under a token.
+        db.run_sql(sql).unwrap();
+        let token = vagg::db::CancelToken::new();
+        db.run_sql_cancellable(sql, &token).unwrap();
+        if sql.contains("v > 100") {
+            assert_eq!(token.morsels(), 0, "{sql}");
+        } else {
+            assert_eq!(token.morsels(), 5, "{sql}");
+            expect += 2;
+        }
+        assert_eq!(count(&db.metrics()), [expect, expect, 0], "{sql}");
+    }
+    let snap = db.metrics();
+    assert!(snap.to_text().contains("vagg_agg_closes 6\n"));
+    assert!(snap.to_json().contains("\"agg_spills\": 0"));
+
+    // The pool: 4 shards on 2 workers; each statement closes once per
+    // worker that ran one of its morsels.
+    let config = vagg::db::ExecutorConfig {
+        workers: 2,
+        ..Default::default()
+    };
+    let mut sharded = ShardedDatabase::with_executor(vagg::db::Engine::new(), 4, config);
+    sharded.register(table());
+    let mut before = count(&sharded.metrics());
+    assert_eq!(before, [0, 0, 0]);
+    for sql in statements {
+        let traced = sharded.run_sql(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+        let trace = traced.trace.as_deref().unwrap();
+        assert_trace_consistent(trace);
+        let ran: std::collections::BTreeSet<usize> =
+            trace.morsels.iter().map(|m| m.worker).collect();
+        let after = count(&sharded.metrics());
+        assert_eq!(after[1] - before[1], ran.len() as u64, "{sql}");
+        assert_eq!(after[0], after[1], "every open was closed: {sql}");
+        assert_eq!(after[2], 0, "{sql}");
+        assert_eq!(sharded.executor_stats().agg_closes, after[1]);
+        before = after;
+    }
 }
 
 /// The slow-query log retains the worst N by simulated cycles, most

@@ -8,15 +8,24 @@
 //! one-worker `ShardedDatabase` must agree on the rows **and** on
 //! `report.cycles`, and tracing must change neither. The contract:
 //! `report.cycles` is the simulated work on the staged columns (fuse,
-//! filter, cardinality scan, aggregate); the merge and HAVING / ORDER BY
-//! / LIMIT over the output table are host steps.
+//! filter, cardinality scan, aggregate — its tables opened once and
+//! closed once per machine the query touched); the merge and HAVING /
+//! ORDER BY / LIMIT over the output table are host steps.
+//!
+//! The aggregate's tables outlive a range, so the oracle follows the
+//! state: however a statement is cut into ranges and wherever they run
+//! — whole plan, 2048-row ranges under a token, pool morsels of any
+//! size, stolen or not — the rows are the whole plan's; a cancelled or
+//! spilled aggregate leaves nothing behind.
 
 use proptest::prelude::*;
+use vagg::core::{monotable, StagedInput};
 use vagg::datagen::rng::Xoshiro256StarStar;
 use vagg::db::{
-    CancelToken, Database, Engine, ExecutorConfig, QueryOutput, ShardedDatabase, SqlOutcome, Table,
-    DEFAULT_MORSEL_ROWS,
+    CancelToken, CardinalityEstimation, Database, Engine, ExecutorConfig, QueryOutput, Row,
+    ShardedDatabase, SqlError, SqlOutcome, Table, DEFAULT_MORSEL_ROWS,
 };
+use vagg::sim::Machine;
 
 fn table(n: usize, seed: u64) -> Table {
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(3));
@@ -258,4 +267,274 @@ fn larger_tables_keep_rows_identical_and_each_schedule_deterministic() {
     assert_eq!(pooled.rows, whole.rows);
     let again: QueryOutput = fresh_sharded(&t).run_sql(sql).unwrap().into();
     assert_eq!(pooled.report.cycles, again.report.cycles);
+}
+
+/// A table whose statements exercise the carried state: `w` is
+/// clustered (constant over 256 rows), so a `w > k` filter empties
+/// whole ranges; `spike` plants a run of key 40 in the second vector
+/// chunk only, where no sampled scan of stride ≥ 2 looks — a sampled
+/// key-space estimate under-bounds it, and the range that meets it
+/// spills; `wide` plants one key past the §V-D threshold, so the
+/// planner picks a kernel that keeps no tables.
+fn carried_table(n: usize, seed: u64, spike: bool, wide: bool) -> Table {
+    let mut rng =
+        Xoshiro256StarStar::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(11));
+    let mut col =
+        |bound: u64| -> Vec<u32> { (0..n).map(|_| rng.next_below(bound) as u32).collect() };
+    let (mut a, b, v) = (col(13), col(5), col(97));
+    if spike {
+        for key in a.iter_mut().skip(64).take(64) {
+            *key = 40;
+        }
+    }
+    if wide {
+        a[n / 2] = 20_000;
+    }
+    Table::new("t")
+        .with_column("a", a)
+        .with_column("b", b)
+        .with_column("v", v)
+        .with_column("w", (0..n).map(|i| (i / 256 % 8) as u32).collect())
+}
+
+/// COUNT(*) and SUM(v) per group key tuple, on the host.
+fn host_oracle(t: &Table, composite: bool, filter: Option<u32>) -> Vec<(Vec<u32>, u64, u64)> {
+    let col = |name: &str| t.column(name).expect("column exists");
+    let (a, b, v, w) = (col("a"), col("b"), col("v"), col("w"));
+    let mut groups = std::collections::BTreeMap::new();
+    for i in 0..t.rows() {
+        if filter.is_some_and(|k| w[i] <= k) {
+            continue;
+        }
+        let key = if composite {
+            vec![a[i], b[i]]
+        } else {
+            vec![a[i]]
+        };
+        let e = groups.entry(key).or_insert((0u64, 0u64));
+        e.0 += 1;
+        e.1 += u64::from(v[i]);
+    }
+    groups.into_iter().map(|(k, (c, s))| (k, c, s)).collect()
+}
+
+fn database(engine: &Engine, t: &Table) -> Database {
+    let mut db = Database::with_engine(engine.clone());
+    db.register(t.clone());
+    db
+}
+
+fn pool(engine: &Engine, t: &Table, shards: usize, workers: usize, rows: usize) -> ShardedDatabase {
+    let config = ExecutorConfig {
+        workers,
+        morsel_rows: rows,
+        ..ExecutorConfig::default()
+    };
+    let mut db = ShardedDatabase::with_executor(engine.clone(), shards, config);
+    db.register(t.clone());
+    db
+}
+
+fn counter(db: &Database, name: &str) -> u64 {
+    db.metrics().get(name).expect("the registry reports it")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Carried rows ≡ whole-plan rows (≡ the host's) on every schedule,
+    /// for every kernel family, and each session closes exactly once.
+    #[test]
+    fn carried_state_agrees_with_the_whole_plan_on_every_schedule(
+        n in 1usize..7_000,
+        seed in 0u64..1000,
+        // Morsel rows of the pools: anything from 1 to the whole table.
+        cut in 0usize..7_000,
+        composite in any::<bool>(),
+        minmax in any::<bool>(),
+        // `w` is below 8: the top of this range empties every range,
+        // everything below it some of them.
+        filter in proptest::option::of(0u32..9),
+        stride in proptest::option::of(2usize..9),
+        // Bit 0: the spike; bit 1: the wide key.
+        plant in 0u8..4,
+    ) {
+        let t = carried_table(n, seed, plant & 1 != 0 && n > 256, plant & 2 != 0);
+        let engine = match stride {
+            Some(stride) => Engine::new().with_estimation(CardinalityEstimation::Sampled { stride }),
+            None => Engine::new(),
+        };
+        let keys = if composite { "a, b" } else { "a" };
+        let mut sql = format!("SELECT {keys}, COUNT(*), SUM(v)");
+        if minmax {
+            sql += ", MIN(v), MAX(v)";
+        }
+        sql += " FROM t";
+        if let Some(k) = filter {
+            sql += &format!(" WHERE w > {k}");
+        }
+        sql += &format!(" GROUP BY {keys}");
+
+        // The whole plan: one range, one open, one close.
+        let mut whole_db = database(&engine, &t);
+        let whole = rows_of(whole_db.run_sql(&sql).unwrap());
+        let expect = host_oracle(&t, composite, filter);
+        prop_assert_eq!(whole.rows.len(), expect.len(), "{}", &sql);
+        for (row, (key, count, sum)) in whole.rows.iter().zip(&expect) {
+            prop_assert_eq!(&row.group_parts, key, "{}", &sql);
+            prop_assert_eq!(row.values[0], *count as f64, "{}", &sql);
+            prop_assert_eq!(row.values[1], *sum as f64, "{}", &sql);
+        }
+
+        // Inline under a token: 2048-row ranges into one open aggregate.
+        let mut ranged_db = database(&engine, &t);
+        let token = CancelToken::new();
+        let ranged = rows_of(ranged_db.run_sql_cancellable(&sql, &token).unwrap());
+        prop_assert_eq!(&ranged.rows, &whole.rows, "inline + token: {}", &sql);
+        prop_assert_eq!(ranged.report.rows_aggregated, whole.report.rows_aggregated);
+        for db in [&whole_db, &ranged_db] {
+            // A table-based statement that reached its first range closes
+            // once; only an under-bounding sampled estimate spills.
+            prop_assert!(counter(db, "agg_closes") <= 1);
+            prop_assert_eq!(counter(db, "agg_opens"), counter(db, "agg_closes") + counter(db, "agg_spills"));
+            if stride.is_none() {
+                prop_assert_eq!(counter(db, "agg_spills"), 0, "exact estimates bound every key");
+            }
+        }
+        if n <= DEFAULT_MORSEL_ROWS {
+            prop_assert_eq!(ranged.report.cycles, whole.report.cycles, "one range: {}", &sql);
+        }
+
+        // The pool: one shard on one worker, then four shards on two
+        // workers that steal from each other.
+        let rows = 1 + cut % n;
+        for (shards, workers) in [(1, 1), (4, 2)] {
+            let mut db = pool(&engine, &t, shards, workers, rows);
+            let out = db.run_sql(&sql).unwrap();
+            prop_assert_eq!(&out.rows, &whole.rows, "{}×{} pool, {}-row morsels: {}", shards, workers, rows, &sql);
+            let stats = db.executor_stats();
+            prop_assert!(stats.agg_closes <= workers as u64, "{:?}", stats);
+            prop_assert_eq!(stats.agg_opens, stats.agg_closes + stats.agg_spills, "{:?}", stats);
+            // Again on the same pool: nothing of the first is left over.
+            let again = db.run_sql(&sql).unwrap();
+            prop_assert_eq!(&again.rows, &whole.rows, "second run on the pool: {}", &sql);
+        }
+    }
+}
+
+/// The spill, held still: the planted keys are invisible to a stride-8
+/// sample, so the estimate under-bounds them; the first range spills —
+/// its (still empty) tables are dropped, larger ones opened — and the
+/// rows are the exact plan's.
+#[test]
+fn a_range_that_outgrows_the_tables_spills_and_never_writes_past_them() {
+    let t = carried_table(3 * DEFAULT_MORSEL_ROWS, 5, true, false);
+    let sampled = Engine::new().with_estimation(CardinalityEstimation::Sampled { stride: 8 });
+    let sql = "SELECT a, COUNT(*), SUM(v), MIN(v) FROM t GROUP BY a";
+    let exact = rows_of(database(&Engine::new(), &t).run_sql(sql).unwrap());
+    assert!(exact.rows.iter().any(|r| r.group == 40), "the planted run");
+
+    let mut db = database(&sampled, &t);
+    let out = rows_of(db.run_sql_cancellable(sql, &CancelToken::new()).unwrap());
+    assert_eq!(out.rows, exact.rows);
+    assert_eq!(counter(&db, "agg_spills"), 1);
+    assert_eq!(counter(&db, "agg_opens"), 2);
+    assert_eq!(counter(&db, "agg_closes"), 1);
+
+    // Spilled tables that had taken rows are merged, not dropped: plant
+    // the run where only the *second* range meets it.
+    let mut late = t.column("a").unwrap().to_vec();
+    late.copy_within(64..128, DEFAULT_MORSEL_ROWS + 64);
+    for key in &mut late[64..128] {
+        *key = 3;
+    }
+    let late = Table::new("t")
+        .with_column("a", late)
+        .with_column("v", t.column("v").unwrap().to_vec());
+    let exact = rows_of(database(&Engine::new(), &late).run_sql(sql).unwrap());
+    let mut db = database(&sampled, &late);
+    let out = rows_of(db.run_sql_cancellable(sql, &CancelToken::new()).unwrap());
+    assert_eq!(out.rows, exact.rows);
+    assert_eq!(counter(&db, "agg_spills"), 1);
+    let pooled = pool(&sampled, &late, 1, 1, DEFAULT_MORSEL_ROWS)
+        .run_sql(sql)
+        .unwrap();
+    assert_eq!(pooled.rows, exact.rows);
+}
+
+/// One §III-A scan per range, and it is used: on a fresh session a
+/// whole-plan statement costs exactly open + scan + loop + close, at the
+/// addresses the session gives them — the tables at the bottom of the
+/// address space, the staged columns above (no second scan hiding in
+/// `Aggregate`).
+#[test]
+fn a_whole_plan_statement_is_open_scan_loop_close() {
+    let t = table(DEFAULT_MORSEL_ROWS, 9);
+    let out = rows_of(
+        fresh(&t)
+            .run_sql("SELECT a, COUNT(*), SUM(v) FROM t GROUP BY a")
+            .unwrap(),
+    );
+
+    let (g, v) = (t.column("a").unwrap(), t.column("v").unwrap());
+    let cells = *g.iter().max().unwrap() as usize + 1;
+    let mut m = Machine::paper();
+    let tables = monotable::open(&mut m, cells, 0);
+    let input = StagedInput::stage_raw(&mut m, g, v, false);
+    let (maxg, _) = vagg::core::input::vector_max_scan(&mut m, &input);
+    assert_eq!(maxg as usize + 1, cells);
+    monotable::update(&mut m, &tables, input.g, input.v, input.n);
+    let (result, rows) = monotable::close(&mut m, &tables);
+    assert_eq!(out.report.cycles, m.cycles());
+    let groups: Vec<u32> = out.rows.iter().map(|r| r.group).collect();
+    assert_eq!(result.read(&m, rows).groups, groups);
+}
+
+/// Cancel after k ranges: the open aggregate is abandoned — no
+/// compaction, nothing left resident — and the next statement on the
+/// same session, or the same pool, is correct.
+#[test]
+fn a_cancelled_query_leaves_the_session_as_a_finished_one_does() {
+    let t = table(5 * DEFAULT_MORSEL_ROWS + 3, 21);
+    let sql = "SELECT a, b, COUNT(*), SUM(v), MAX(v) FROM t WHERE w > 0 GROUP BY a, b";
+    let resident = |db: &Database| db.session().machine().space().resident_pages();
+
+    let mut reference = fresh(&t);
+    let expect = rows_of(
+        reference
+            .run_sql_cancellable(sql, &CancelToken::new())
+            .unwrap(),
+    );
+    let baseline = resident(&reference);
+    let cycles = expect.report.cycles;
+
+    for k in 0..6 {
+        let mut db = fresh(&t);
+        let err = db
+            .run_sql_cancellable(sql, &CancelToken::with_morsel_budget(k))
+            .unwrap_err();
+        assert!(matches!(err, SqlError::Cancelled(_)), "budget {k}: {err}");
+        assert_eq!(resident(&db), 0, "budget {k}: abandoned");
+        assert_eq!(counter(&db, "agg_closes"), 0, "budget {k}");
+        assert_eq!(counter(&db, "agg_opens"), u64::from(k > 0), "budget {k}");
+        let next = rows_of(db.run_sql_cancellable(sql, &CancelToken::new()).unwrap());
+        assert_eq!(next.rows, expect.rows, "budget {k}");
+        assert_eq!(resident(&db), baseline, "budget {k}");
+        assert!(k > 0 || next.report.cycles == cycles, "nothing ran before");
+    }
+
+    let mut db = pool(&Engine::new(), &t, 4, 2, 512);
+    for k in [0, 1, 3, 7] {
+        let err = db
+            .run_sql_cancellable(sql, &CancelToken::with_morsel_budget(k))
+            .unwrap_err();
+        assert!(matches!(err, SqlError::Cancelled(_)), "budget {k}: {err}");
+        let next: Vec<Row> = db.run_sql(sql).unwrap().rows;
+        assert_eq!(next, expect.rows, "pool after budget {k}");
+    }
+    let stats = db.executor_stats();
+    assert!(
+        stats.agg_opens > stats.agg_closes,
+        "{stats:?}: abandoned aggregates were opened"
+    );
 }

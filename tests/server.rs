@@ -222,6 +222,99 @@ fn an_explicit_cancel_reaches_a_query_on_another_connection() {
     handle.shutdown();
 }
 
+/// The deterministic half of the same fix: a prepared `Execute` counts
+/// its ranges against the morsel budget — it used to run whole and look
+/// at the token afterwards, which no budget ever trips — and the
+/// aggregate it had open is abandoned, not closed.
+#[test]
+fn a_morsel_budget_cancels_a_prepared_execute_mid_flight() {
+    let config = ServerConfig {
+        morsel_budget: Some(2),
+        ..ServerConfig::default()
+    };
+    let handle = serve(catalogue(60_000), config).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let stmt = client
+        .prepare("SELECT g, COUNT(*), SUM(v) FROM events WHERE v < ? GROUP BY g")
+        .unwrap();
+    let err = client.execute(stmt, &[50]).unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::Cancelled), "{err}");
+    let metrics = client.metrics().unwrap();
+    assert!(metrics.contains("vagg_agg_opens 1\n"), "{metrics}");
+    assert!(metrics.contains("vagg_agg_closes 0\n"), "{metrics}");
+
+    // The connection and its session survive: a statement that fits
+    // the budget runs, and closes what it opened.
+    let small = client
+        .prepare("SELECT g, COUNT(*) FROM dims WHERE w < ? GROUP BY g")
+        .unwrap();
+    assert_eq!(client.execute(small, &[1_000]).unwrap().len(), 31);
+    let metrics = client.metrics().unwrap();
+    assert!(metrics.contains("vagg_agg_opens 2\n"), "{metrics}");
+    assert!(metrics.contains("vagg_agg_closes 1\n"), "{metrics}");
+    assert!(metrics.contains("vagg_agg_spills 0\n"), "{metrics}");
+    handle.shutdown();
+}
+
+/// A prepared `Execute` polls its token per range, as a `Query` does: a
+/// `Cancel` frame that lands while it runs over a 98-range table ends
+/// it `Cancelled`, and the statement after it on the same connection —
+/// same session, whose open aggregate was abandoned — is correct.
+#[test]
+fn an_explicit_cancel_reaches_a_prepared_execute_mid_flight() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    let catalogue = catalogue(200_000);
+    let sql =
+        "SELECT g, k, COUNT(*), SUM(v), MIN(v), MAX(v) FROM events WHERE v < 90 GROUP BY g, k";
+    let expect = library_rows(&catalogue, sql);
+    let handle = serve(catalogue, ServerConfig::default()).unwrap();
+    let addr = handle.addr();
+
+    // A fresh client numbers its queries 1, 2, …: the runner publishes
+    // the id it is about to execute under, the controller fires Cancel
+    // at it from a separate connection until one lands mid-flight.
+    let current = Arc::new(AtomicU64::new(0));
+    let runner = std::thread::spawn({
+        let current = Arc::clone(&current);
+        move || {
+            let mut client = Client::connect(addr).expect("runner connect");
+            let stmt = client
+                .prepare(&sql.replace("90", "?"))
+                .expect("prepare the statement");
+            for id in 1..=200 {
+                current.store(id, Ordering::Release);
+                match client.execute(stmt, &[90]) {
+                    Ok(_) => continue,
+                    Err(e) => {
+                        assert_eq!(e.code(), Some(ErrorCode::Cancelled), "{e}");
+                        // The same connection, the same statement.
+                        return Some(client.execute(stmt, &[90]).expect("next execute"));
+                    }
+                }
+            }
+            None
+        }
+    });
+    let mut controller = Client::connect(addr).expect("controller connect");
+    for _ in 0..20_000 {
+        let id = current.load(Ordering::Acquire);
+        controller.cancel(id).expect("cancel frame");
+        if runner.is_finished() {
+            break;
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let rows = runner
+        .join()
+        .expect("runner thread")
+        .expect("the runner observed a Cancelled error");
+    assert_same_rows(&rows, &expect, sql);
+    assert!(handle.stats().cancelled() >= 1);
+    handle.shutdown();
+}
+
 #[test]
 fn garbage_frames_get_a_typed_protocol_error_not_a_panic() {
     let handle = serve(catalogue(100), ServerConfig::default()).unwrap();

@@ -161,9 +161,16 @@ fn sharded_sessions_match_a_single_session_for_every_aggregate() {
         let out = sharded.run_sql(sql).unwrap();
         assert_eq!(out.rows, expect.rows, "{sessions} sessions");
         assert_eq!(out.report.rows_aggregated, expect.report.rows_aggregated);
-        // The makespan is the slowest shard, not the sum.
+        // The makespan is the busiest worker — here one shard's one
+        // morsel and the open and close of that worker's aggregate —
+        // not the sum.
         let max = out.shard_reports.iter().map(|r| r.cycles).max().unwrap();
-        assert_eq!(out.report.cycles, max);
+        let sum: u64 = out.shard_reports.iter().map(|r| r.cycles).sum();
+        assert_eq!(out.report.cycles, *out.worker_loads.iter().max().unwrap());
+        assert!(out.report.cycles > max, "{sessions} sessions");
+        if sessions > 1 {
+            assert!(out.report.cycles < sum, "{sessions} sessions");
+        }
     }
 }
 
