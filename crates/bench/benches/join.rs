@@ -1,32 +1,22 @@
-//! Equi-join bench: where the hash-join cycles go and what the
-//! sharded exchange strategies cost.
+//! What the two sharded exchange strategies of an equi-join cost — the
+//! one join question no tracked `benchmark/` metric asks (`db.join.ms`
+//! and `db.join.freeze_us` time a single-session join).
 //!
-//! Three measurement families —
-//!
-//! * `build-vs-probe`: a fixed 2,000-row build side probed by
-//!   successively larger fact tables; the per-row slope is the probe
-//!   (stream) cost and the intercept is the build (intern + bucket)
-//!   cost;
-//! * `exchange`: the same fact on four shards against a small build
-//!   side (planner picks broadcast — one global index) and a large one
-//!   (planner partitions both sides by join key);
-//! * `shape`: small×large vs large×large at equal total input rows,
-//!   single-session and sharded.
-//!
-//! Besides the usual stdout lines, the bench writes a machine-readable
-//! summary to `BENCH_join.json` at the repository root so future PRs
-//! can track the join-path trajectory.
+//! The same 24,000-row fact on four shards against a 1,000-row build
+//! side (the planner picks broadcast: one global index every shard
+//! probes) and an 8,000-row one (the planner partitions both sides by
+//! join-key hash). Criterion measures host wall time per query; the
+//! strategy is asserted, so a planner change that moves the boundary
+//! fails here instead of silently measuring something else.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use vagg_datagen::rng::Xoshiro256StarStar;
-use vagg_db::{Database, JoinStrategy, ShardedDatabase, SqlOutcome, Table};
+use vagg_db::{JoinStrategy, ShardedDatabase, Table};
 
 const SHARDS: usize = 4;
-const BUILD_ROWS: usize = 2_000;
-const PROBE_SWEEP: [usize; 3] = [6_000, 12_000, 24_000];
+const PROBE_ROWS: usize = 24_000;
 
 const SQL: &str = "SELECT priority, COUNT(*), SUM(amount) \
                    FROM fact JOIN dim ON fact.orderkey = dim.orderkey \
@@ -40,88 +30,21 @@ fn dim(rows: usize) -> Table {
 }
 
 /// A fact side: uniform foreign keys into `0..key_domain`, a value.
-fn fact(rows: usize, key_domain: usize, seed: u64) -> Table {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+fn fact(key_domain: usize) -> Table {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(21);
     Table::new("fact")
         .with_column(
             "orderkey",
-            (0..rows)
+            (0..PROBE_ROWS)
                 .map(|_| rng.next_below(key_domain as u64) as u32)
                 .collect(),
         )
         .with_column(
             "amount",
-            (0..rows).map(|_| rng.next_below(1_000) as u32).collect(),
+            (0..PROBE_ROWS)
+                .map(|_| rng.next_below(1_000) as u32)
+                .collect(),
         )
-}
-
-/// Mean wall milliseconds per call (one warm-up, then `iters` timed).
-fn wall_ms(iters: u32, mut f: impl FnMut()) -> f64 {
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_secs_f64() * 1e3 / iters as f64
-}
-
-fn run_join(db: &mut Database) -> usize {
-    match db.run_sql(SQL).expect("join executes") {
-        SqlOutcome::Rows(out) => out.rows.len(),
-        other => unreachable!("SELECT returns rows: {other:?}"),
-    }
-}
-
-struct Summary {
-    sweep_ms: Vec<(usize, f64)>,
-    probe_ms_per_1k: f64,
-    build_intercept_ms: f64,
-    broadcast_ms: f64,
-    partition_ms: f64,
-    small_large_ms: f64,
-    large_large_ms: f64,
-    large_large_sharded_ms: f64,
-}
-
-fn write_summary(s: &Summary) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_join.json");
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"generated_by\": \"cargo bench -p vagg-bench --bench join\",\n  \
-         \"shards\": {SHARDS},"
-    );
-    let sweep = s
-        .sweep_ms
-        .iter()
-        .map(|(rows, ms)| format!("{{\"probe_rows\": {rows}, \"ms\": {ms:.4}}}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let _ = writeln!(
-        out,
-        "  \"build_vs_probe\": {{\n    \"build_rows\": {BUILD_ROWS},\n    \
-         \"sweep\": [{sweep}],\n    \
-         \"probe_ms_per_1k_rows\": {:.4},\n    \
-         \"build_intercept_ms\": {:.4}\n  }},",
-        s.probe_ms_per_1k, s.build_intercept_ms
-    );
-    let _ = writeln!(
-        out,
-        "  \"exchange\": {{\n    \"probe_rows\": {},\n    \
-         \"broadcast\": {{\"build_rows\": 1000, \"ms\": {:.4}}},\n    \
-         \"partitioned\": {{\"build_rows\": 8000, \"ms\": {:.4}}}\n  }},",
-        PROBE_SWEEP[2], s.broadcast_ms, s.partition_ms
-    );
-    let _ = writeln!(
-        out,
-        "  \"shape\": {{\n    \
-         \"small_x_large\": {{\"sides\": [{BUILD_ROWS}, {}], \"ms\": {:.4}}},\n    \
-         \"large_x_large\": {{\"sides\": [12000, 12000], \"ms\": {:.4}, \
-         \"sharded_ms\": {:.4}}}\n  }}\n}}",
-        PROBE_SWEEP[2], s.small_large_ms, s.large_large_ms, s.large_large_sharded_ms
-    );
-    std::fs::write(path, out).expect("write BENCH_join.json");
-    println!("  wrote {path}");
 }
 
 fn bench(c: &mut Criterion) {
@@ -130,87 +53,19 @@ fn bench(c: &mut Criterion) {
     g.measurement_time(Duration::from_secs(1));
     g.sample_size(10);
 
-    // Build vs probe: fixed build side, growing probe side. The probe
-    // stream is linear in its rows; extrapolating to zero probe rows
-    // isolates what the build (intern + bucket + freeze) costs.
-    let mut sweep_ms = Vec::new();
-    for (i, &rows) in PROBE_SWEEP.iter().enumerate() {
-        let mut db = Database::new();
-        db.register(dim(BUILD_ROWS));
-        db.register(fact(rows, BUILD_ROWS, 7 + i as u64));
-        g.bench_function(format!("build-vs-probe/probe-{rows}"), |b| {
-            b.iter(|| black_box(run_join(&mut db)))
-        });
-        sweep_ms.push((
-            rows,
-            wall_ms(8, || {
-                black_box(run_join(&mut db));
-            }),
-        ));
-    }
-    let (lo, hi) = (sweep_ms[0], sweep_ms[sweep_ms.len() - 1]);
-    let probe_ms_per_1k = (hi.1 - lo.1) / ((hi.0 - lo.0) as f64 / 1e3);
-    let build_intercept_ms = lo.1 - probe_ms_per_1k * lo.0 as f64 / 1e3;
-    println!(
-        "  probe ≈ {probe_ms_per_1k:.3} ms/1k rows, build+tail intercept ≈ \
-         {build_intercept_ms:.3} ms"
-    );
-
-    // Exchange strategies on four shards: the planner broadcasts the
-    // 1,000-row build side (one global index) and partitions the
-    // 8,000-row one (both sides routed by join-key hash).
-    let mut exchange = |build_rows: usize, expect: JoinStrategy| -> f64 {
+    for (build_rows, expect) in [
+        (1_000, JoinStrategy::Broadcast),
+        (8_000, JoinStrategy::Partition),
+    ] {
         let mut db = ShardedDatabase::new(SHARDS);
         db.register(dim(build_rows));
-        db.register(fact(PROBE_SWEEP[2], build_rows, 21));
+        db.register(fact(build_rows));
         let plan = db.explain_join_sql(SQL).expect("join plans");
         assert_eq!(plan.strategy(), expect, "{build_rows}-row build side");
-        g.bench_function(format!("exchange/{expect}"), |b| {
+        g.bench_function(format!("exchange/{expect}-build-{build_rows}"), |b| {
             b.iter(|| black_box(db.run_sql(SQL).expect("sharded join").rows.len()))
         });
-        wall_ms(8, || {
-            black_box(db.run_sql(SQL).expect("sharded join").rows.len());
-        })
-    };
-    let broadcast_ms = exchange(1_000, JoinStrategy::Broadcast);
-    let partition_ms = exchange(8_000, JoinStrategy::Partition);
-
-    // Query shape: the 24k-probe point above is small×large; measure
-    // large×large at the same total input rows, single and sharded.
-    let small_large_ms = sweep_ms[sweep_ms.len() - 1].1;
-    let large_large_ms = {
-        let mut db = Database::new();
-        db.register(dim(12_000));
-        db.register(fact(12_000, 12_000, 35));
-        g.bench_function("shape/large-x-large", |b| {
-            b.iter(|| black_box(run_join(&mut db)))
-        });
-        wall_ms(8, || {
-            black_box(run_join(&mut db));
-        })
-    };
-    let large_large_sharded_ms = {
-        let mut db = ShardedDatabase::new(SHARDS);
-        db.register(dim(12_000));
-        db.register(fact(12_000, 12_000, 35));
-        g.bench_function("shape/large-x-large-sharded", |b| {
-            b.iter(|| black_box(db.run_sql(SQL).expect("sharded join").rows.len()))
-        });
-        wall_ms(8, || {
-            black_box(db.run_sql(SQL).expect("sharded join").rows.len());
-        })
-    };
-
-    write_summary(&Summary {
-        sweep_ms,
-        probe_ms_per_1k,
-        build_intercept_ms,
-        broadcast_ms,
-        partition_ms,
-        small_large_ms,
-        large_large_ms,
-        large_large_sharded_ms,
-    });
+    }
     g.finish();
 }
 

@@ -71,15 +71,18 @@ pub struct ExecutorConfig {
     /// coordinator's morsel split loop spin forever.
     pub morsel_rows: usize,
     /// Whether idle workers steal from other workers' deques. Off, the
-    /// pool degrades to static shard-to-worker assignment — kept as a
-    /// switch so the bench can measure exactly what stealing buys.
+    /// pool degrades to static shard-to-worker assignment: the
+    /// reference side of the differentials that hold stealing to
+    /// "same rows, shorter simulated makespan" (`tests/morsel.rs`
+    /// `zipf_skewed_partitions_steal_without_changing_results`,
+    /// `shard::tests::stealing_levels_a_skewed_partition_without_changing_results`).
     pub steal: bool,
     /// Whether coordinators prune morsels whose zone maps prove the
     /// WHERE predicate can match no row (see
     /// [`crate::QueryPlan::zone_maps`]). Pruning is result-invariant —
     /// a pruned morsel is exactly one the filter would have emptied —
-    /// so this switch exists for the bench to measure what pruning
-    /// buys, not for correctness.
+    /// and off is the reference side of the differential that holds it
+    /// to that (`tests/pruning.rs`: pruned ≡ unpruned, bit for bit).
     pub prune: bool,
 }
 

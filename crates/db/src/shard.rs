@@ -390,9 +390,9 @@ impl ShardedDatabase {
 
     /// Replaces the worker pool with a freshly spawned one of the given
     /// shape (`workers == 0` means one worker per shard). The old pool
-    /// is joined; its cumulative [`ExecutorStats`] are discarded. This
-    /// is also how the bench measures what pooling buys: rebuilding
-    /// per query reproduces the old spawn-threads-per-query regime.
+    /// is joined; its cumulative [`ExecutorStats`] are discarded. A
+    /// durable database needs this: [`ShardedDatabase::open`] builds
+    /// the default pool, and nothing else reshapes it afterwards.
     ///
     /// # Errors
     ///
@@ -1484,8 +1484,7 @@ mod tests {
         let stats = sharded.executor_stats();
         assert_eq!(stats.queries, 3, "one pool served every query");
         assert!(stats.morsels >= 6, "at least one morsel per shard");
-        // Rebuilding the pool resets its counters (the spawn-per-query
-        // regime the bench measures).
+        // Rebuilding the pool resets its counters.
         sharded
             .set_executor_config(ExecutorConfig {
                 workers: 3,
