@@ -17,6 +17,11 @@
 //! — whole plan, 2048-row ranges under a token, pool morsels of any
 //! size, stolen or not — the rows are the whole plan's; a cancelled or
 //! spilled aggregate leaves nothing behind.
+//!
+//! A join is held to the same: its build and probe are host phases in
+//! front of the driver, so every entry point — a prepared join and the
+//! one-shard pool included — agrees on rows, cycles, executed steps and
+//! the hash side's `dict_entries` / `dict_hits`.
 
 use proptest::prelude::*;
 use vagg::core::{monotable, StagedInput};
@@ -537,4 +542,172 @@ fn a_cancelled_query_leaves_the_session_as_a_finished_one_does() {
         stats.agg_opens > stats.agg_closes,
         "{stats:?}: abandoned aggregates were opened"
     );
+}
+
+/// A join pair whose derived table fits one morsel, so every schedule
+/// runs the aggregation as one range: `r` holds each `(a, b)` tuple at
+/// most twice (`m` ≤ 130 rows over the 13 × 5 tuple space, walked in
+/// order) and `l` has at most half a morsel of rows, so at most
+/// [`DEFAULT_MORSEL_ROWS`] pairs match.
+fn join_pair(n: usize, m: usize, seed: u64) -> (Table, Table) {
+    let t = table(n, seed);
+    let col = |name: &str| t.column(name).expect("generated column").to_vec();
+    let l = Table::new("l")
+        .with_column("a", col("a"))
+        .with_column("b", col("b"))
+        .with_column("w", col("w"));
+    let r = Table::new("r")
+        .with_column("a", (0..m).map(|i| (i % 13) as u32).collect())
+        .with_column("b", (0..m).map(|i| (i / 13 % 5) as u32).collect())
+        .with_column("v", (0..m).map(|i| (i * 7 % 97) as u32).collect());
+    (l, r)
+}
+
+/// What a join answered, and — where the entry point traces — the hash
+/// side's `(dict_entries, dict_hits)`.
+type JoinAnswer = (&'static str, QueryOutput, Option<(u64, u64)>);
+
+/// Every way to ask for the join `sql`, each on a fresh database over
+/// `l` and `r`.
+fn every_join_path(l: &Table, r: &Table, sql: &str) -> Vec<JoinAnswer> {
+    let analyze = format!("EXPLAIN ANALYZE {sql}");
+    let fresh = || {
+        let mut db = Database::new();
+        db.register(l.clone());
+        db.register(r.clone());
+        db
+    };
+    let fresh_sharded = || {
+        let mut db = fresh_sharded(l);
+        db.register(r.clone());
+        db
+    };
+    let traced = |outcome: SqlOutcome| {
+        let dict = match &outcome {
+            SqlOutcome::Analyzed(a) => Some((a.trace.dict_entries, a.trace.dict_hits)),
+            _ => None,
+        };
+        (rows_of(outcome), dict)
+    };
+    let token = CancelToken::new();
+    let mut paths = vec![
+        ("run_sql", rows_of(fresh().run_sql(sql).unwrap()), None),
+        ("execute_sql", fresh().execute_sql(sql).unwrap(), None),
+        (
+            "run_sql_cancellable",
+            rows_of(fresh().run_sql_cancellable(sql, &token).unwrap()),
+            None,
+        ),
+        (
+            "sharded",
+            fresh_sharded().run_sql(sql).unwrap().into(),
+            None,
+        ),
+    ];
+    {
+        let (out, dict) = traced(fresh().run_sql(&analyze).unwrap());
+        paths.push(("run_sql traced", out, dict));
+    }
+    {
+        let outcome = fresh().run_sql_cancellable(&analyze, &token).unwrap();
+        let (out, dict) = traced(outcome);
+        paths.push(("run_sql_cancellable traced", out, dict));
+    }
+    {
+        let mut db = fresh();
+        let snap = db.snapshot();
+        let out = rows_of(db.run_sql_at(&snap, sql).unwrap());
+        paths.push(("run_sql_at", out, None));
+    }
+    {
+        let mut db = fresh();
+        let snap = db.snapshot();
+        let (out, dict) = traced(db.run_sql_at(&snap, &analyze).unwrap());
+        paths.push(("run_sql_at traced", out, dict));
+    }
+    {
+        let mut db = fresh();
+        let mut stmt = db.prepare_join(sql).unwrap();
+        let out = stmt.execute(&mut db, &[]).unwrap();
+        paths.push(("prepared join execute", out, None));
+    }
+    {
+        let mut db = fresh();
+        let mut stmt = db.prepare_join(sql).unwrap();
+        let snap = db.snapshot();
+        let out = stmt.execute_at(&mut db, &snap, &[]).unwrap();
+        paths.push(("prepared join execute_at", out, None));
+    }
+    {
+        let out = fresh_sharded().run_sql(&analyze).unwrap();
+        let trace = out.trace.as_deref().expect("EXPLAIN ANALYZE traces");
+        assert_eq!(trace.cycles, out.report.cycles);
+        let dict = (trace.dict_entries, trace.dict_hits);
+        paths.push(("sharded traced", out.into(), Some(dict)));
+    }
+    paths
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The join oracle: every entry point runs the same build, probe
+    /// and aggregation, so rows, cycles, executed steps and the hash
+    /// side's counters agree, traced or not.
+    #[test]
+    fn every_entry_point_agrees_on_a_join(
+        n in 1usize..=DEFAULT_MORSEL_ROWS / 2,
+        m in 1usize..=130,
+        seed in 0u64..1000,
+        // `w` is below 8, so the top of this range empties the input.
+        filter in proptest::option::of(0u32..10),
+        minmax in any::<bool>(),
+    ) {
+        let (l, r) = join_pair(n, m, seed);
+        let mut sql = String::from("SELECT l.a, COUNT(*), SUM(v)");
+        if minmax {
+            sql += ", MAX(v)";
+        }
+        sql += " FROM l JOIN r ON l.a = r.a AND l.b = r.b";
+        if let Some(k) = filter {
+            sql += &format!(" WHERE w > {k}");
+        }
+        sql += " GROUP BY l.a";
+
+        // The hash side on the host: the planner builds the side with
+        // fewer rows (`r` on a tie).
+        let build = if m <= n { &r } else { &l };
+        let (ka, kb) = (build.column("a").unwrap(), build.column("b").unwrap());
+        let distinct: std::collections::BTreeSet<(u32, u32)> =
+            ka.iter().copied().zip(kb.iter().copied()).collect();
+        let dict = (distinct.len() as u64, (build.rows() - distinct.len()) as u64);
+
+        let mut paths = every_join_path(&l, &r, &sql).into_iter();
+        let (_, expect, _) = paths.next().expect("at least one path");
+        for (name, got, traced) in paths {
+            prop_assert_eq!(&got.rows, &expect.rows, "{}: rows of {}", name, sql);
+            if let Some(traced) = traced {
+                prop_assert_eq!(traced, dict, "{}: hash side of {}", name, sql);
+            }
+            prop_assert_eq!(
+                got.report.cycles, expect.report.cycles,
+                "{}: cycles of {}", name, sql
+            );
+            prop_assert_eq!(
+                got.report.rows_aggregated, expect.report.rows_aggregated,
+                "{}: {}", name, sql
+            );
+            prop_assert_eq!(
+                got.report.algorithm, expect.report.algorithm,
+                "{}: {}", name, sql
+            );
+            prop_assert_eq!(
+                got.report.describe(), expect.report.describe(),
+                "{}: executed steps of {}", name, sql
+            );
+        }
+        if filter.is_some_and(|k| k >= 7) {
+            prop_assert!(expect.rows.is_empty(), "WHERE removed every row: {}", sql);
+        }
+    }
 }
