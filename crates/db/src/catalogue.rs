@@ -333,16 +333,10 @@ impl SharedCatalogue {
 
     /// An empty catalogue with a custom planning engine.
     pub fn with_engine(engine: Engine) -> Self {
-        Self::with_engine_and_cache(engine, PlanCache::default())
-    }
-
-    /// An empty catalogue with a custom engine and plan cache (e.g. a
-    /// different capacity).
-    pub fn with_engine_and_cache(engine: Engine, cache: PlanCache) -> Self {
         Self {
             inner: Arc::new(Inner {
                 tables: RwLock::new(BTreeMap::new()),
-                cache: Mutex::new(cache),
+                cache: Mutex::new(PlanCache::default()),
                 policy: RwLock::new(CompactionPolicy::default()),
                 pins: Mutex::new(PinRegistry::default()),
                 named: RwLock::new(BTreeMap::new()),

@@ -37,9 +37,7 @@ use crate::catalogue::{Installed, RowSel, SharedCatalogue, WriteOp};
 use crate::delta::TableStats;
 use crate::engine::{Engine, QueryOutput};
 use crate::ingest::{CompactionPolicy, IngestError, IngestReceipt, RowBatch};
-use crate::join::{
-    join_local_traced, plan_derived, plan_join, plan_join_at, JoinPlan, PreparedJoin,
-};
+use crate::join::{plan_derived, plan_join, plan_join_at, run_join, JoinPlan, PreparedJoin};
 use crate::metrics::{MetricsSnapshot, SlowQuery};
 use crate::plan::{PlanError, QueryPlan};
 use crate::prepared::PreparedStatement;
@@ -697,6 +695,12 @@ impl Database {
         !matches!(self.txn, TxnState::None)
     }
 
+    /// The token of the [`Database::run_cancellable`] call in flight, if
+    /// any: every read made under it polls it range by range.
+    pub(crate) fn cancel(&self) -> Option<&CancelToken> {
+        self.cancel.as_ref()
+    }
+
     /// The open read-only transaction's snapshot, for the prepared
     /// statement path to join.
     pub(crate) fn txn_snapshot(&self) -> Option<&Snapshot> {
@@ -826,11 +830,17 @@ impl Database {
             None => (Some(self.plan_read(q, opts.at)?), Vec::new()),
             Some(_) => {
                 let (join, lt, rt) = self.plan_join_read(q, opts.at)?;
-                let (derived, obs) = join_local_traced(&join, &lt, &rt);
+                let (derived, obs) = run_join(
+                    &join,
+                    std::slice::from_ref(&lt),
+                    std::slice::from_ref(&rt),
+                    None,
+                    self.cancel.as_ref(),
+                )?;
                 if let Some(t) = &mut trace {
                     obs.record(t, &join);
                 }
-                let plan = plan_derived(self.catalogue.engine(), &derived, join.query())?;
+                let plan = plan_derived(self.catalogue.engine(), &derived[0], join.query())?;
                 (plan, join.steps)
             }
         };
@@ -983,12 +993,12 @@ impl Database {
     /// [`Database::run_sql`] under a [`CancelToken`] (see
     /// [`crate::cancel`]): a `SELECT` runs in
     /// [`crate::DEFAULT_MORSEL_ROWS`]-row ranges with the token checked
-    /// before each one (a join before its host-side build, then per
-    /// range of the aggregation), so a tripped token surfaces
-    /// [`SqlError::Cancelled`] within one range's work; rows are
-    /// bit-identical to the plain path. Every other statement checks
-    /// the token before and after. Cancelled queries are counted in
-    /// [`Database::metrics`].
+    /// before each one (a join polls per range of its host-side build
+    /// and probe, then per range of the aggregation), so a tripped token
+    /// surfaces [`SqlError::Cancelled`] within one range's work; rows
+    /// are bit-identical to the plain path. Every other statement
+    /// checks the token before and after. Cancelled queries are counted
+    /// in [`Database::metrics`].
     pub fn run_sql_cancellable(
         &mut self,
         sql: &str,

@@ -742,13 +742,13 @@ mod reference {
     }
 }
 
-/// A seeded stream for the property tests of this file.
+/// A seeded stream for the crate's property tests.
 #[cfg(test)]
-struct Xorshift(u64);
+pub(crate) struct Xorshift(u64);
 
 #[cfg(test)]
 impl Xorshift {
-    fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self(splitmix64(seed) | 1)
     }
 
@@ -759,7 +759,7 @@ impl Xorshift {
         self.0
     }
 
-    fn below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn below(&mut self, bound: u64) -> u64 {
         (self.next() >> 11) % bound
     }
 }

@@ -803,8 +803,8 @@ fn worker_loop(id: usize, shared: &Shared, sim: SimConfig) {
                 job.remaining.fetch_add(1, Ordering::AcqRel);
                 owes_close = true;
             }
-            // A panic inside a morsel (the session, the dictionary, or
-            // a join sink) must not strand the coordinator on the done
+            // A panic inside a morsel (the session or a join sink) must
+            // not strand the coordinator on the done
             // condvar: the morsel is still counted as finished, the job
             // is flagged failed, and the coordinator re-raises the
             // panic — while this worker survives to serve later

@@ -1,22 +1,23 @@
-//! Equi-joins: hash build/probe on the [`crate::KeyDictionary`], with a
-//! §V-D-style adaptive choice of build side and sharded exchange
-//! strategy.
+//! Equi-joins: one hash build/probe path for a single session and for
+//! the sharded exchange, with a §V-D-style adaptive choice of build
+//! side and exchange strategy.
 //!
 //! A two-table `SELECT ... FROM a JOIN b ON a.k = b.k [AND ...]` runs
-//! in three phases:
+//! in three phases, the first two in `run_join`:
 //!
 //! 1. **Build.** The planner picks a *build side* from live
 //!    [`TableStats`] — fewer rows wins, ties broken by the smaller KMV
 //!    distinct estimate of the join key, then by key sortedness — and
-//!    its key tuples are interned through a [`KeyDictionary`] into
-//!    dense-id buckets of row ids (`JoinBuildSink`). On the sharded
-//!    path the build is *cooperative*: build-side row ranges are
-//!    morsels on the persistent [`crate::Executor`], and every worker
-//!    interns into the same shared dictionary.
-//! 2. **Probe.** Probe-side morsels stream through the frozen
-//!    `JoinIndex`: each row's key tuple is looked up (no interning —
-//!    a miss is simply a dropped row) and matched build rows emit
-//!    `(probe row, build row)` pairs.
+//!    its rows are grouped by key tuple into one hash map per
+//!    partition (`JoinBuildSink`): each build range groups its rows
+//!    locally, then merges them in under one lock. On the sharded path
+//!    the ranges are morsels on the persistent [`crate::Executor`], so
+//!    the build is cooperative.
+//! 2. **Probe.** Freezing takes each map out of its sink and sorts its
+//!    buckets (`JoinIndex`); probe ranges then look each row's key
+//!    tuple up in it — a plain map lookup, no lock; a miss is simply a
+//!    dropped row — and matched build rows emit `(probe row, build
+//!    row)` pairs.
 //! 3. **Aggregate.** The pairs gather a *derived table* whose columns
 //!    are exactly the query's references (`l.g`, `r.v`, …), and the
 //!    ordinary single-table engine plans and executes the GROUP
@@ -27,11 +28,11 @@
 //! The sharded exchange picks between two strategies
 //! ([`JoinStrategy`]): **broadcast** builds one global index over the
 //! (small) build side and every shard probes its own partition against
-//! it; **partition** splits the build side into one dictionary per
-//! shard by a hash of the join key, and each probe row is routed to
-//! the partition its key hashes to — both sides partitioned by join
-//! key, no probe row ever visits more than one dictionary. Both
-//! strategies produce identical pairs; the choice only moves work.
+//! it; **partition** splits the build side into one index per shard by
+//! a hash of the join key, and each probe row is routed to the
+//! partition its key hashes to — both sides partitioned by join key,
+//! no probe row ever visits more than one index. Both strategies
+//! produce identical pairs; the choice only moves work.
 //!
 //! Determinism: build buckets are sorted by row id when the index
 //! freezes, probe rows are scanned in order per shard, and the
@@ -40,32 +41,34 @@
 //! differential tests in `tests/join.rs` hold all of them against a
 //! nested-loop oracle).
 
+use crate::cancel::CancelToken;
 use crate::catalogue::{CatalogueId, SharedCatalogue};
 use crate::database::{Database, SqlError};
 use crate::delta::TableStats;
 use crate::engine::{Engine, QueryOutput};
-use crate::keydict::KeyDictionary;
+use crate::executor::{Executor, DEFAULT_MORSEL_ROWS};
 use crate::plan::{PlanError, PlanStep, QueryPlan};
 use crate::query::AggregateQuery;
-use crate::read::ReadRequest;
+use crate::read::{check_cancel, ranges, ReadRequest};
 use crate::snapshot::Snapshot;
 use crate::sql::{parse_template, JoinClause, SqlTemplate};
 use crate::table::Table;
 use crate::trace::QueryTrace;
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// How a sharded join moves the build side to the probe side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinStrategy {
     /// Single-session execution: one build, one probe, no exchange.
     Local,
-    /// The (small) build side is interned into **one** global
-    /// dictionary and every shard probes its partition against it.
+    /// The (small) build side goes into **one** global index and every
+    /// shard probes its partition against it.
     Broadcast,
     /// Both sides are partitioned by a hash of the join key: the build
-    /// side is split into one dictionary per shard, and each probe row
-    /// is routed to the partition its key hashes to.
+    /// side is split into one index per shard, and each probe row is
+    /// routed to the partition its key hashes to.
     Partition,
 }
 
@@ -291,7 +294,7 @@ impl JoinPlan {
 }
 
 /// The row-count threshold under which a sharded build side is always
-/// broadcast (one global dictionary) rather than partitioned.
+/// broadcast (one global index) rather than partitioned.
 const BROADCAST_ROWS: usize = 1024;
 
 /// Plans an equi-join: validates the ON columns, resolves every column
@@ -487,7 +490,7 @@ pub(crate) fn plan_derived(
 }
 
 /// Routes a key tuple to one of `parts` hash partitions (FNV-1a).
-pub(crate) fn route(tuple: &[u32], parts: usize) -> usize {
+fn route(tuple: &[u32], parts: usize) -> usize {
     if parts <= 1 {
         return 0;
     }
@@ -501,85 +504,71 @@ pub(crate) fn route(tuple: &[u32], parts: usize) -> usize {
     (h % parts as u64) as usize
 }
 
-/// One partition of the hash-join build phase: a shared
-/// [`KeyDictionary`] interning key tuples to dense ids, plus dense-id
-/// buckets of build row ids. Workers insert concurrently
-/// ([`build_range`]); freezing sorts every bucket so the index is
-/// deterministic however morsels interleaved.
+/// The hash side's one structure: key tuple → the build rows that carry
+/// it.
+type Buckets = HashMap<Box<[u32]>, Vec<u32>>;
+
+/// One partition of the hash-join build phase. Workers merge whole
+/// ranges into it ([`build_range`]), in whatever order they finish.
 #[derive(Debug, Default)]
-pub(crate) struct JoinBuildSink {
-    dict: Arc<KeyDictionary>,
-    buckets: Mutex<Vec<Vec<u32>>>,
-}
+struct JoinBuildSink(Mutex<Buckets>);
 
 impl JoinBuildSink {
-    pub(crate) fn new() -> Self {
-        Self::default()
+    fn lock(&self) -> MutexGuard<'_, Buckets> {
+        self.0.lock().expect("join build sink lock")
     }
 
-    /// Interns staged `(dense id, build row)` entries under one lock.
-    fn push(&self, staged: &[(usize, u32)]) {
-        let mut buckets = self.buckets.lock().expect("join bucket lock");
-        for &(id, row) in staged {
-            if buckets.len() <= id {
-                buckets.resize(id + 1, Vec::new());
-            }
-            buckets[id].push(row);
-        }
-    }
-
-    /// The frozen, deterministic probe index: every bucket sorted by
-    /// build row id (concurrent morsels insert in completion order).
-    pub(crate) fn freeze(&self) -> JoinIndex {
-        let mut buckets = self.buckets.lock().expect("join bucket lock").clone();
-        for bucket in &mut buckets {
+    /// Takes the map out as the frozen, deterministic probe index:
+    /// every bucket sorted by build row id (ranges merge in completion
+    /// order). The sink is left empty.
+    fn freeze(&self) -> JoinIndex {
+        let mut buckets = std::mem::take(&mut *self.lock());
+        for bucket in buckets.values_mut() {
             bucket.sort_unstable();
         }
-        JoinIndex {
-            dict: Arc::clone(&self.dict),
-            buckets,
-        }
+        JoinIndex(buckets)
     }
 }
 
-/// The frozen build side of a hash join: lookup a probe tuple in the
-/// dictionary (no interning), then emit its bucket's build rows.
+/// The frozen build side of a hash join: a probe tuple's bucket is a
+/// plain lookup — nothing is shared for writing any more, so nothing
+/// is locked.
 #[derive(Debug)]
-pub(crate) struct JoinIndex {
-    dict: Arc<KeyDictionary>,
-    buckets: Vec<Vec<u32>>,
-}
+struct JoinIndex(Buckets);
 
 impl JoinIndex {
-    /// Distinct build key tuples interned into this partition.
-    pub(crate) fn entries(&self) -> usize {
-        self.dict.len()
-    }
-
-    /// Intern calls answered by an existing entry (duplicate build
-    /// keys).
-    pub(crate) fn dict_hits(&self) -> u64 {
-        self.dict.hits()
+    /// Distinct build key tuples in this partition.
+    fn entries(&self) -> usize {
+        self.0.len()
     }
 }
 
-/// Interns build rows `lo..hi` of `keys` into `sinks` — one sink
-/// broadcasts, several partition by [`route`] of the key tuple.
-pub(crate) fn build_range(sinks: &[JoinBuildSink], keys: &[Arc<[u32]>], lo: usize, hi: usize) {
+/// Groups build rows `lo..hi` of `keys` by key tuple on the worker,
+/// then merges the groups into `sinks` under one lock per sink — one
+/// sink broadcasts, several partition by [`route`] of the key tuple.
+fn build_range(sinks: &[JoinBuildSink], keys: &[Arc<[u32]>], lo: usize, hi: usize) {
     let mut tuple = vec![0u32; keys.len()];
-    let mut staged: Vec<Vec<(usize, u32)>> = vec![Vec::new(); sinks.len()];
+    let mut staged = vec![Buckets::new(); sinks.len()];
     for row in lo..hi {
         for (t, k) in tuple.iter_mut().zip(keys) {
             *t = k[row];
         }
-        let part = route(&tuple, sinks.len());
-        let id = sinks[part].dict.intern(&tuple) as usize;
+        let staged = &mut staged[route(&tuple, sinks.len())];
         let row = u32::try_from(row).expect("build rows fit the 32-bit row id space");
-        staged[part].push((id, row));
+        match staged.get_mut(&tuple[..]) {
+            Some(bucket) => bucket.push(row),
+            None => {
+                staged.insert(tuple.as_slice().into(), vec![row]);
+            }
+        }
     }
-    for (sink, staged) in sinks.iter().zip(&staged) {
-        if !staged.is_empty() {
-            sink.push(staged);
+    for (sink, staged) in sinks.iter().zip(staged) {
+        if staged.is_empty() {
+            continue;
+        }
+        let mut shared = sink.lock();
+        for (tuple, rows) in staged {
+            shared.entry(tuple).or_default().extend(rows);
         }
     }
 }
@@ -587,7 +576,7 @@ pub(crate) fn build_range(sinks: &[JoinBuildSink], keys: &[Arc<[u32]>], lo: usiz
 /// Probes rows `lo..hi` of `keys` against `indexes` (routing each row
 /// by [`route`] when partitioned), returning matched
 /// `(probe row, build row)` pairs in probe-row order.
-pub(crate) fn probe_range(
+fn probe_range(
     indexes: &[JoinIndex],
     keys: &[Arc<[u32]>],
     lo: usize,
@@ -600,11 +589,9 @@ pub(crate) fn probe_range(
             *t = k[row];
         }
         let index = &indexes[route(&tuple, indexes.len())];
-        if let Some(id) = index.dict.lookup(&tuple) {
-            if let Some(bucket) = index.buckets.get(id as usize) {
-                let row = u32::try_from(row).expect("probe rows fit the 32-bit row id space");
-                pairs.extend(bucket.iter().map(|&b| (row, b)));
-            }
+        if let Some(bucket) = index.0.get(&tuple[..]) {
+            let row = u32::try_from(row).expect("probe rows fit the 32-bit row id space");
+            pairs.extend(bucket.iter().map(|&b| (row, b)));
         }
     }
     pairs
@@ -614,13 +601,13 @@ pub(crate) fn probe_range(
 /// straight `Arc` shares for a single table, concatenated across
 /// partitions for the sharded build side (global row ids).
 #[derive(Debug)]
-pub(crate) struct ColumnSet {
+struct ColumnSet {
     cols: Vec<(String, Arc<[u32]>)>,
 }
 
 impl ColumnSet {
     /// Zero-copy column shares from one table.
-    pub(crate) fn from_table(table: &Table, names: &[&str]) -> Self {
+    fn from_table(table: &Table, names: &[&str]) -> Self {
         Self {
             cols: names
                 .iter()
@@ -636,7 +623,7 @@ impl ColumnSet {
 
     /// Columns concatenated across partitions, in partition order —
     /// the sharded build side's global row id space.
-    pub(crate) fn concat(parts: &[Table], names: &[&str]) -> Self {
+    fn concat(parts: &[Table], names: &[&str]) -> Self {
         Self {
             cols: names
                 .iter()
@@ -652,7 +639,7 @@ impl ColumnSet {
     }
 
     /// One column's data by actual column name.
-    pub(crate) fn get(&self, name: &str) -> &Arc<[u32]> {
+    fn get(&self, name: &str) -> &Arc<[u32]> {
         self.cols
             .iter()
             .find(|(n, _)| n == name)
@@ -661,14 +648,14 @@ impl ColumnSet {
     }
 
     /// The key columns named by `names`, in order (shared, cheap).
-    pub(crate) fn keys(&self, names: &[&str]) -> Vec<Arc<[u32]>> {
+    fn keys(&self, names: &[&str]) -> Vec<Arc<[u32]>> {
         names.iter().map(|&n| Arc::clone(self.get(n))).collect()
     }
 }
 
 /// The actual column names a side must contribute: its join keys plus
 /// every referenced column, deduplicated.
-pub(crate) fn side_columns(plan: &JoinPlan, build: bool) -> Vec<&str> {
+fn side_columns(plan: &JoinPlan, build: bool) -> Vec<&str> {
     let mut names: Vec<&str> = if build {
         plan.build_keys()
     } else {
@@ -684,7 +671,7 @@ pub(crate) fn side_columns(plan: &JoinPlan, build: bool) -> Vec<&str> {
 
 /// Gathers the matched pairs into the derived table the aggregation
 /// runs over: one column per reference, named as the query spells it.
-pub(crate) fn derived_table(
+fn derived_table(
     plan: &JoinPlan,
     pairs: &[(u32, u32)],
     probe: &ColumnSet,
@@ -707,37 +694,30 @@ pub(crate) fn derived_table(
     out
 }
 
-/// Runs a planned join start to finish on the calling thread (the
-/// single-session [`JoinStrategy::Local`] path): build, probe, gather
-/// the derived table.
-pub(crate) fn join_local(plan: &JoinPlan, left: &Table, right: &Table) -> Table {
-    join_local_traced(plan, left, right).0
-}
-
 /// Host-side observations of one join execution, recorded for
 /// `EXPLAIN ANALYZE`. The join phases run entirely on the host
-/// (interning into the sinks, probing the frozen indexes — no simulated
+/// (merging into the sinks, probing the frozen indexes — no simulated
 /// machine work), so recording them cannot perturb any result.
 pub(crate) struct JoinObs {
-    /// Build-side input rows interned.
-    pub(crate) build_rows: usize,
-    /// Distinct key tuples the build dictionaries hold.
-    pub(crate) entries: usize,
-    /// Intern calls answered by an existing entry.
-    pub(crate) dict_hits: u64,
+    /// Build-side input rows.
+    build_rows: usize,
+    /// Distinct key tuples the build indexes hold.
+    entries: usize,
+    /// Build rows whose key tuple an earlier row had already entered.
+    dict_hits: u64,
     /// Probe-side input rows streamed.
-    pub(crate) probe_rows: usize,
+    probe_rows: usize,
     /// Matched `(probe, build)` pairs emitted.
-    pub(crate) pairs: usize,
+    pairs: usize,
     /// Host nanoseconds spent freezing the build index (the barrier
     /// between the phases). Wall-clock; diagnostic only.
-    pub(crate) freeze_ns: u64,
+    freeze_ns: u64,
 }
 
 impl JoinObs {
     /// Folds the observations into a trace: the build/probe steps'
     /// observed rows under the plan's rendered step names (no simulated
-    /// cycles), plus the key-dictionary counters and the freeze-barrier
+    /// cycles), plus the hash side's counters and the freeze-barrier
     /// wall time.
     pub(crate) fn record(&self, t: &mut QueryTrace, plan: &JoinPlan) {
         for step in plan.steps() {
@@ -759,38 +739,156 @@ impl JoinObs {
     }
 }
 
-/// [`join_local`] plus the [`JoinObs`] the run produced. The
-/// untraced path calls this too and drops the observations — they are
-/// a handful of host-side reads, not measurable work.
-pub(crate) fn join_local_traced(plan: &JoinPlan, left: &Table, right: &Table) -> (Table, JoinObs) {
-    let (build_t, probe_t) = if plan.build_right {
+/// **The** join path — *build ranges → freeze → probe ranges → gather*
+/// — for one partition per side (a single session) or one per shard:
+///
+/// 1. **Build.** The build side's partitions form one global row id
+///    space (one partition is shared as it is, several are
+///    concatenated), cut into ranges that merge their key tuples into
+///    the sink(s): one under [`JoinStrategy::Local`] and
+///    [`JoinStrategy::Broadcast`], one per probe partition, keyed by a
+///    hash of the join key, under [`JoinStrategy::Partition`].
+/// 2. **Freeze** (timed): the phase barrier — every sink becomes a
+///    deterministic index, so a probe range always sees a complete
+///    build side.
+/// 3. **Probe.** Each probe partition is cut into ranges streamed
+///    through the indexes; a partitioned probe routes each row to the
+///    one index its key hashes to.
+/// 4. **Gather.** The matched pairs, in (partition, probe row) order,
+///    become one derived table per probe partition — what the read
+///    driver aggregates like any other per-shard plans.
+///
+/// Where the ranges run is data, as for [`crate::read::drive`]: on
+/// `pool` as stealable morsels of its configured size, the token
+/// checked at every pop; with no pool in order on the calling thread —
+/// one range per side, or, when `cancel` is given,
+/// [`DEFAULT_MORSEL_ROWS`] ranges with the token checked before each.
+///
+/// # Errors
+///
+/// [`SqlError::Cancelled`] when the token trips before the last range
+/// of either phase ran.
+pub(crate) fn run_join(
+    plan: &JoinPlan,
+    left: &[Table],
+    right: &[Table],
+    pool: Option<&Executor>,
+    cancel: Option<&CancelToken>,
+) -> Result<(Vec<Table>, JoinObs), SqlError> {
+    let (bparts, pparts) = if plan.build_right {
         (right, left)
     } else {
         (left, right)
     };
-    let build = ColumnSet::from_table(build_t, &side_columns(plan, true));
-    let probe = ColumnSet::from_table(probe_t, &side_columns(plan, false));
-    let sinks = [JoinBuildSink::new()];
-    build_range(&sinks, &build.keys(&plan.build_keys()), 0, build_t.rows());
+    let range_rows = match pool {
+        Some(pool) => pool.config().morsel_rows,
+        None => cancel.map_or(usize::MAX, |_| DEFAULT_MORSEL_ROWS),
+    };
+    let run = |morsels: Vec<JoinMorsel>| -> Result<Vec<JoinOutcome>, SqlError> {
+        match pool {
+            Some(pool) => {
+                let outcomes = pool.execute_join(morsels, cancel);
+                check_cancel(cancel)?;
+                Ok(outcomes)
+            }
+            None => morsels
+                .iter()
+                .map(|morsel| match cancel.map(CancelToken::admit_morsel) {
+                    Some(Err(cause)) => Err(SqlError::Cancelled(cause)),
+                    _ => Ok(morsel.run(false)),
+                })
+                .collect(),
+        }
+    };
+
+    let build_columns = side_columns(plan, true);
+    let build = match bparts {
+        [one] => ColumnSet::from_table(one, &build_columns),
+        several => ColumnSet::concat(several, &build_columns),
+    };
+    let nsinks = match plan.strategy {
+        JoinStrategy::Partition => pparts.len(),
+        JoinStrategy::Local | JoinStrategy::Broadcast => 1,
+    };
+    let sinks: Arc<Vec<JoinBuildSink>> =
+        Arc::new((0..nsinks).map(|_| JoinBuildSink::default()).collect());
+    let build_keys = Arc::new(build.keys(&plan.build_keys()));
+    let build_rows = bparts.iter().map(Table::rows).sum();
+    // Build ranges belong to no shard: each carries a tag of its own,
+    // so the pool places them across all its workers.
+    let builds = ranges(build_rows, range_rows)
+        .enumerate()
+        .map(|(tag, (lo, hi))| JoinMorsel {
+            shard: tag,
+            keys: Arc::clone(&build_keys),
+            lo,
+            hi,
+            work: JoinWork::Build {
+                sinks: Arc::clone(&sinks),
+            },
+        })
+        .collect();
+    run(builds)?;
+
     let freeze_start = std::time::Instant::now();
-    let indexes = [sinks[0].freeze()];
+    let indexes: Arc<Vec<JoinIndex>> = Arc::new(sinks.iter().map(JoinBuildSink::freeze).collect());
     let freeze_ns = freeze_start.elapsed().as_nanos() as u64;
-    let pairs = probe_range(&indexes, &probe.keys(&plan.probe_keys()), 0, probe_t.rows());
+
+    let probe_columns = side_columns(plan, false);
+    let probe_keys = plan.probe_keys();
+    let probe_sets: Vec<ColumnSet> = pparts
+        .iter()
+        .map(|part| ColumnSet::from_table(part, &probe_columns))
+        .collect();
+    let mut probes = Vec::new();
+    for (shard, (part, set)) in pparts.iter().zip(&probe_sets).enumerate() {
+        let keys = Arc::new(set.keys(&probe_keys));
+        probes.extend(ranges(part.rows(), range_rows).map(|(lo, hi)| JoinMorsel {
+            shard,
+            keys: Arc::clone(&keys),
+            lo,
+            hi,
+            work: JoinWork::Probe {
+                indexes: Arc::clone(&indexes),
+            },
+        }));
+    }
+    let mut outcomes = run(probes)?;
+    // Pool morsels complete in racy order; pair order must not.
+    outcomes.sort_by_key(|o| (o.shard, o.lo));
+
+    let entries: usize = indexes.iter().map(JoinIndex::entries).sum();
     let obs = JoinObs {
-        build_rows: build_t.rows(),
-        entries: indexes[0].entries(),
-        dict_hits: indexes[0].dict_hits(),
-        probe_rows: probe_t.rows(),
-        pairs: pairs.len(),
+        build_rows,
+        entries,
+        dict_hits: (build_rows - entries) as u64,
+        probe_rows: pparts.iter().map(Table::rows).sum(),
+        pairs: outcomes.iter().map(|o| o.pairs.len()).sum(),
         freeze_ns,
     };
-    (derived_table(plan, &pairs, &probe, &build), obs)
+    // One partition's pairs, in probe-row order: its first range's
+    // are moved, not copied — a single session has no other.
+    let mut pairs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); pparts.len()];
+    for outcome in outcomes {
+        let mine = &mut pairs[outcome.shard];
+        if mine.is_empty() {
+            *mine = outcome.pairs;
+        } else {
+            mine.extend(outcome.pairs);
+        }
+    }
+    let derived = probe_sets
+        .iter()
+        .zip(&pairs)
+        .map(|(probe, pairs)| derived_table(plan, pairs, probe, &build))
+        .collect();
+    Ok((derived, obs))
 }
 
-/// What a join morsel does: cooperatively intern a build row range, or
-/// stream a probe row range through the frozen indexes.
-pub(crate) enum JoinWork {
-    /// Intern rows into the shared build sinks.
+/// What a join morsel does: merge a build row range into the shared
+/// sinks, or stream a probe row range through the frozen indexes.
+enum JoinWork {
+    /// Merge rows into the shared build sinks.
     Build {
         /// One sink broadcasts; several partition by key hash.
         sinks: Arc<Vec<JoinBuildSink>>,
@@ -805,14 +903,14 @@ pub(crate) enum JoinWork {
 /// One stealable unit of join work: a row range of one side's key
 /// columns (see [`crate::Executor`]).
 pub(crate) struct JoinMorsel {
-    /// Home shard (probe morsels) or spread tag (build morsels) — the
-    /// executor seeds deques by `shard % workers`.
+    /// Home shard (probe morsels) or spread tag (build morsels) — what
+    /// the executor's affinity placement assigns a home worker to.
     pub(crate) shard: usize,
     /// The key columns this morsel reads.
-    pub(crate) keys: Arc<Vec<Arc<[u32]>>>,
+    keys: Arc<Vec<Arc<[u32]>>>,
     pub(crate) lo: usize,
     pub(crate) hi: usize,
-    pub(crate) work: JoinWork,
+    work: JoinWork,
 }
 
 /// What one join morsel produced.
@@ -827,7 +925,8 @@ pub(crate) struct JoinOutcome {
 }
 
 impl JoinMorsel {
-    /// Executes the morsel (on a pool worker).
+    /// Executes the morsel — on a pool worker, or on the calling
+    /// thread of a single session.
     pub(crate) fn run(&self, stolen: bool) -> JoinOutcome {
         let pairs = match &self.work {
             JoinWork::Build { sinks } => {
@@ -929,7 +1028,7 @@ impl PreparedJoin {
                     &owned
                 }
             };
-            self.refresh(db.catalogue(), snap, &agg)?;
+            self.refresh(db.catalogue(), snap, &agg, db.cancel())?;
         }
         self.run_tail(db, &agg)
     }
@@ -952,7 +1051,7 @@ impl PreparedJoin {
             return Err(SqlError::ForeignSnapshot);
         }
         let agg = crate::prepared::bind_slots(&self.template, params).map_err(SqlError::Plan)?;
-        self.refresh(db.catalogue(), snap, &agg)?;
+        self.refresh(db.catalogue(), snap, &agg, db.cancel())?;
         self.run_tail(db, &agg)
     }
 
@@ -975,14 +1074,16 @@ impl PreparedJoin {
 
     /// Reuses the cached join when both tables still sit at the cached
     /// versions under the same catalogue; otherwise re-plans and
-    /// re-materialises the join at `snap`'s cut. Binding only patches
-    /// comparison constants — column references never change between
-    /// binds — so a version-stable cache stays valid across executions.
+    /// re-materialises the join at `snap`'s cut, on the calling thread
+    /// and under `cancel`. Binding only patches comparison constants —
+    /// column references never change between binds — so a
+    /// version-stable cache stays valid across executions.
     fn refresh(
         &mut self,
         catalogue: &SharedCatalogue,
         snap: &Snapshot,
         agg: &AggregateQuery,
+        cancel: Option<&CancelToken>,
     ) -> Result<(), SqlError> {
         let versions = |table: &str| -> Result<(u64, u64), SqlError> {
             match (snap.schema_version(table), snap.data_version(table)) {
@@ -999,7 +1100,16 @@ impl PreparedJoin {
             .is_some_and(|c| c.catalogue.matches(catalogue) && c.left == left && c.right == right);
         if !hit {
             let (plan, ltab, rtab) = self.plan_at(snap, agg)?;
-            let derived = join_local(&plan, &ltab, &rtab);
+            let (mut derived, _) = run_join(
+                &plan,
+                std::slice::from_ref(&ltab),
+                std::slice::from_ref(&rtab),
+                None,
+                cancel,
+            )?;
+            let derived = derived
+                .pop()
+                .expect("one derived table per probe partition");
             self.cached = Some(CachedJoin {
                 catalogue: catalogue.id(),
                 left,
@@ -1074,31 +1184,162 @@ mod tests {
         assert_eq!(p.build_distinct(), 2);
     }
 
+    /// The one path on the calling thread, no token.
+    fn join(p: &JoinPlan, left: &[Table], right: &[Table]) -> (Vec<Table>, JoinObs) {
+        run_join(p, left, right, None, None).expect("no token to trip")
+    }
+
     #[test]
     fn local_join_produces_the_nested_loop_pairs() {
         let (l, r) = tables();
         let p = plan(&l, &r, 1);
-        let derived = join_local(&p, &l, &r);
+        let (derived, obs) = join(&p, &[l], &[r]);
         // Nested loop: l rows with k ∈ {1, 2} match; k=2 matches two
         // r rows.
-        assert_eq!(derived.rows(), 4);
-        assert_eq!(derived.column("l.k"), Some(&[1u32, 2, 2, 1][..]));
-        assert_eq!(derived.column("l.v"), Some(&[10u32, 20, 20, 40][..]));
+        assert_eq!(derived.len(), 1);
+        assert_eq!(derived[0].rows(), 4);
+        assert_eq!(derived[0].column("l.k"), Some(&[1u32, 2, 2, 1][..]));
+        assert_eq!(derived[0].column("l.v"), Some(&[10u32, 20, 20, 40][..]));
+        assert_eq!((obs.build_rows, obs.entries, obs.dict_hits), (3, 2, 1));
+        assert_eq!((obs.probe_rows, obs.pairs), (5, 4));
     }
 
     #[test]
     fn partitioned_probe_matches_broadcast() {
         let (l, r) = tables();
         let p = plan(&l, &r, 1);
-        let build = ColumnSet::from_table(&r, &side_columns(&p, true));
-        let probe = ColumnSet::from_table(&l, &side_columns(&p, false));
-        let pairs_for = |parts: usize| {
-            let sinks: Vec<JoinBuildSink> = (0..parts).map(|_| JoinBuildSink::new()).collect();
-            build_range(&sinks, &build.keys(&p.build_keys()), 0, r.rows());
-            let indexes: Vec<JoinIndex> = sinks.iter().map(JoinBuildSink::freeze).collect();
-            probe_range(&indexes, &probe.keys(&p.probe_keys()), 0, l.rows())
+        // Both sides cut into three partitions, as three shards hold
+        // them: the per-partition derived tables, in partition order,
+        // are the single session's.
+        let cut = |t: &Table, at: [usize; 4]| -> Vec<Table> {
+            at.windows(2)
+                .map(|w| {
+                    t.column_names()
+                        .iter()
+                        .fold(Table::new(t.name()), |part, c| {
+                            part.with_column(*c, t.column(c).unwrap()[w[0]..w[1]].to_vec())
+                        })
+                })
+                .collect()
         };
-        assert_eq!(pairs_for(1), pairs_for(4));
+        let (lparts, rparts) = (cut(&l, [0, 2, 2, 5]), cut(&r, [0, 1, 2, 3]));
+        let (whole, _) = join(&p, &[l], &[r]);
+        for strategy in [JoinStrategy::Broadcast, JoinStrategy::Partition] {
+            let p = JoinPlan {
+                strategy,
+                ..p.clone()
+            };
+            let (parts, obs) = join(&p, &lparts, &rparts);
+            assert_eq!(parts.len(), 3, "{strategy}: one derived table per shard");
+            for name in ["l.k", "l.v"] {
+                let gathered: Vec<u32> = parts
+                    .iter()
+                    .flat_map(|t| t.column(name).unwrap().iter().copied())
+                    .collect();
+                assert_eq!(
+                    gathered,
+                    whole[0].column(name).unwrap(),
+                    "{strategy}: {name}"
+                );
+            }
+            assert_eq!(
+                (obs.entries, obs.dict_hits, obs.pairs),
+                (2, 1, 4),
+                "{strategy}"
+            );
+        }
+    }
+
+    /// The hash side against the nested loop, as a property over seeded
+    /// streams (the crate has no proptest dependency): key tuples of
+    /// 1–3 columns over a small domain, so both sides repeat tuples;
+    /// the build side cut into ranges of random size, merged in
+    /// shuffled order into 1 and into 3 sinks.
+    #[test]
+    fn the_hash_side_matches_the_nested_loop() {
+        use crate::delta::Xorshift;
+        for case in 0..300u64 {
+            let mut rng = Xorshift::new(case);
+            let columns = 1 + rng.below(3) as usize;
+            let domain = 1 + rng.below(4);
+            let (build_rows, probe_rows) = (rng.below(60) as usize, rng.below(60) as usize);
+            let mut side = |rows: usize| -> Vec<Arc<[u32]>> {
+                (0..columns)
+                    .map(|_| (0..rows).map(|_| rng.below(domain) as u32).collect())
+                    .collect()
+            };
+            let (build, probe) = (side(build_rows), side(probe_rows));
+            let tuple = |keys: &[Arc<[u32]>], row: usize| -> Vec<u32> {
+                keys.iter().map(|k| k[row]).collect()
+            };
+
+            let mut expect = Vec::new();
+            for p in 0..probe_rows {
+                for b in 0..build_rows {
+                    if tuple(&probe, p) == tuple(&build, b) {
+                        expect.push((p as u32, b as u32));
+                    }
+                }
+            }
+            let distinct: std::collections::BTreeSet<Vec<u32>> =
+                (0..build_rows).map(|b| tuple(&build, b)).collect();
+
+            let mut cuts: Vec<(usize, usize)> = Vec::new();
+            let mut lo = 0;
+            while lo < build_rows {
+                let hi = (lo + 1 + rng.below(16) as usize).min(build_rows);
+                cuts.push((lo, hi));
+                lo = hi;
+            }
+            for i in (1..cuts.len()).rev() {
+                cuts.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            for parts in [1, 3] {
+                let sinks: Vec<JoinBuildSink> =
+                    (0..parts).map(|_| JoinBuildSink::default()).collect();
+                for &(lo, hi) in &cuts {
+                    build_range(&sinks, &build, lo, hi);
+                }
+                let indexes: Vec<JoinIndex> = sinks.iter().map(JoinBuildSink::freeze).collect();
+                let entries: usize = indexes.iter().map(JoinIndex::entries).sum();
+                assert_eq!(entries, distinct.len(), "case {case}, {parts} sinks");
+                assert_eq!(
+                    probe_range(&indexes, &probe, 0, probe_rows),
+                    expect,
+                    "case {case}, {parts} sinks"
+                );
+            }
+
+            // And through the one path: the same pairs counted, and
+            // `dict_hits` the build rows that repeated a tuple.
+            if build_rows == 0 || probe_rows == 0 {
+                continue; // the planner rejects an empty side
+            }
+            let table = |name: &str, keys: &[Arc<[u32]>]| {
+                keys.iter().enumerate().fold(Table::new(name), |t, (c, k)| {
+                    t.with_column(format!("k{c}"), k.to_vec())
+                })
+            };
+            let (l, r) = (table("l", &probe), table("r", &build));
+            let clause = JoinClause {
+                table: "r".into(),
+                on: (0..columns)
+                    .map(|c| (format!("k{c}"), format!("k{c}")))
+                    .collect(),
+            };
+            let (ls, rs) = (TableStats::seed(&l), TableStats::seed(&r));
+            let agg = AggregateQuery::paper("l.k0", "r.k0");
+            let p = plan_join(&agg, &clause, "l", &l, &ls, 1, &r, &rs, 1, 1, None).unwrap();
+            let built = if p.build_right() { &build } else { &probe };
+            let distinct: std::collections::BTreeSet<Vec<u32>> =
+                (0..built[0].len()).map(|b| tuple(built, b)).collect();
+            let (derived, obs) = join(&p, &[l], &[r]);
+            assert_eq!(derived[0].rows(), expect.len(), "case {case}");
+            assert_eq!(obs.pairs, expect.len(), "case {case}");
+            assert_eq!(obs.entries, distinct.len(), "case {case}");
+            assert_eq!(obs.dict_hits, (obs.build_rows - obs.entries) as u64);
+            assert_eq!(obs.build_rows, built[0].len(), "case {case}");
+        }
     }
 
     #[test]

@@ -29,8 +29,9 @@
 //!   concurrent sessions, and a [`ShardedDatabase`] that partitions
 //!   rows across N shards, runs their plans as stealable morsels on a
 //!   persistent worker pool (the [`Executor`]), merges
-//!   [`vagg_core::PartialAggregate`]s — composite `GROUP BY` included,
-//!   via a query-scoped [`KeyDictionary`];
+//!   [`vagg_core::PartialAggregate`]s — composite `GROUP BY` included:
+//!   every morsel fuses its keys with the plan's global key domains, so
+//!   the partials share one key space and merge directly;
 //! * the write path — `INSERT INTO ... VALUES` and the bulk
 //!   [`Database::append_rows`] API feed per-table [`DeltaStore`]s
 //!   (append-only batches over the immutable base columns), live
@@ -182,7 +183,6 @@ pub mod executor;
 pub mod filter;
 pub mod ingest;
 pub mod join;
-pub mod keydict;
 pub mod metrics;
 pub mod plan;
 pub mod prepared;
@@ -208,7 +208,6 @@ pub use executor::{Executor, ExecutorConfig, ExecutorError, ExecutorStats, DEFAU
 pub use filter::{reference_filter, vector_filter, Predicate};
 pub use ingest::{CompactionPolicy, IngestError, IngestReceipt, RowBatch};
 pub use join::{JoinPlan, JoinStrategy, PreparedJoin};
-pub use keydict::KeyDictionary;
 pub use metrics::{MetricsRegistry, MetricsSnapshot, SlowQuery};
 pub use plan::{PlanError, PlanStep, QueryPlan, ScanMode};
 pub use prepared::PreparedStatement;

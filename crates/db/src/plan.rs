@@ -202,9 +202,9 @@ pub enum PlanStep {
         /// Row budget.
         usize,
     ),
-    /// Hash-join build phase: the chosen build side's key tuples are
-    /// interned through a [`crate::KeyDictionary`] into dense-id
-    /// buckets (cooperatively, when run on the morsel executor).
+    /// Hash-join build phase: the chosen build side's rows are grouped
+    /// by key tuple into one hash index (cooperatively, when run on the
+    /// morsel executor).
     JoinBuild {
         /// The build-side table.
         table: String,
@@ -215,8 +215,8 @@ pub enum PlanStep {
         /// The planner's KMV distinct estimate of the build key.
         distinct: u64,
     },
-    /// Hash-join probe phase: probe-side morsels stream through the
-    /// built dictionary, emitting matched row pairs.
+    /// Hash-join probe phase: probe-side ranges stream through the
+    /// frozen index, emitting matched row pairs.
     JoinProbe {
         /// The probe-side table.
         table: String,

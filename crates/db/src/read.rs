@@ -76,6 +76,15 @@ pub(crate) fn check_cancel(cancel: Option<&CancelToken>) -> Result<(), SqlError>
     }
 }
 
+/// Cuts `0..rows` into consecutive ranges of at most `range_rows` — how
+/// every schedule, of an aggregation and of a join's build and probe,
+/// turns rows into units of work.
+pub(crate) fn ranges(rows: usize, range_rows: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..rows)
+        .step_by(range_rows)
+        .map(move |lo| (lo, lo.saturating_add(range_rows).min(rows)))
+}
+
 /// Runs one read to completion. With no plan at all (a join that
 /// matched nothing) the answer is zero rows at zero cycles.
 ///
@@ -154,9 +163,7 @@ pub(crate) fn drive(
     let (mut morsels_pruned, mut rows_pruned) = (0u64, 0u64);
     for (shard, plan) in plans.iter().enumerate() {
         let Some(plan) = plan else { continue };
-        let mut lo = 0;
-        while lo < plan.rows() {
-            let hi = lo.saturating_add(range_rows).min(plan.rows());
+        for (lo, hi) in ranges(plan.rows(), range_rows) {
             if prune && plan.prunes_range(lo, hi) {
                 morsels_pruned += 1;
                 rows_pruned += (hi - lo) as u64;
@@ -171,7 +178,6 @@ pub(crate) fn drive(
                     traced: trace.is_some(),
                 });
             }
-            lo = hi;
         }
     }
 

@@ -55,17 +55,14 @@ use crate::database::ExplainOutput;
 use crate::database::{Database, MutationReceipt, SqlError};
 use crate::delta::TableStats;
 use crate::engine::{Engine, ExecutionReport, QueryOutput, Row};
-use crate::executor::{Executor, ExecutorConfig, ExecutorError, ExecutorStats};
+use crate::executor::{Executor, ExecutorConfig, ExecutorStats};
 use crate::filter::Predicate;
 use crate::ingest::{CompactionPolicy, RowBatch};
-use crate::join::{
-    derived_table, plan_derived, plan_join, side_columns, ColumnSet, JoinBuildSink, JoinIndex,
-    JoinMorsel, JoinObs, JoinPlan, JoinStrategy, JoinWork,
-};
+use crate::join::{plan_derived, plan_join, run_join, JoinPlan};
 use crate::metrics::{MetricsSnapshot, SlowQuery};
 use crate::plan::{PlanError, QueryPlan};
 use crate::prepared::PreparedStatement;
-use crate::read::{self, check_cancel, ReadRequest, Schedule};
+use crate::read::{self, ReadRequest, Schedule};
 use crate::recovery;
 use crate::snapshot::{Snapshot, SnapshotStats};
 use crate::sql::{parse_statement, parse_template, ParseSqlError, SqlQuery, Statement};
@@ -75,7 +72,6 @@ use crate::wal::{self, WalError, WalRecord, WalWriter};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use vagg_sim::SimConfig;
 
 /// A row-partitioned database: one coordinator over N shard catalogues
 /// and one persistent morsel [`Executor`]. See the [module docs](self).
@@ -87,9 +83,6 @@ pub struct ShardedDatabase {
     next_shard: usize,
     /// The persistent worker pool running every query's morsels.
     executor: Executor,
-    /// The machine configuration the workers' sessions run (the
-    /// shards' engine configuration).
-    sim: SimConfig,
     /// The cross-shard commit log ([`ShardedDatabase::open`] only).
     coordinator: Option<Coordinator>,
 }
@@ -294,14 +287,12 @@ impl ShardedDatabase {
     /// means one worker per shard.
     pub fn with_executor(engine: Engine, shards: usize, config: ExecutorConfig) -> Self {
         let shards = shards.max(1);
-        let sim = engine.config().clone();
         Self {
             shards: (0..shards)
                 .map(|_| Database::with_engine(engine.clone()))
                 .collect(),
             next_shard: 0,
-            executor: Executor::new(resolve(config, shards), sim.clone()),
-            sim,
+            executor: Executor::new(resolve(config, shards), engine.config().clone()),
             coordinator: None,
         }
     }
@@ -360,8 +351,7 @@ impl ShardedDatabase {
         Ok(Self {
             shards: shard_dbs,
             next_shard: 0,
-            executor: Executor::new(resolve(ExecutorConfig::default(), shards), sim.clone()),
-            sim,
+            executor: Executor::new(resolve(ExecutorConfig::default(), shards), sim),
             coordinator: Some(Coordinator { log, writer }),
         })
     }
@@ -385,22 +375,6 @@ impl ShardedDatabase {
         }
         let coord = self.coordinator.as_mut().expect("checked above");
         coord.writer = wal::rewrite(&coord.log, &[], coord.writer.next_lsn())?;
-        Ok(())
-    }
-
-    /// Replaces the worker pool with a freshly spawned one of the given
-    /// shape (`workers == 0` means one worker per shard). The old pool
-    /// is joined; its cumulative [`ExecutorStats`] are discarded. A
-    /// durable database needs this: [`ShardedDatabase::open`] builds
-    /// the default pool, and nothing else reshapes it afterwards.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecutorError::ZeroMorselRows`] for `morsel_rows == 0` (the
-    /// old pool is left in place). `workers == 0` is the "one worker
-    /// per shard" sentinel here, resolved before the pool is built.
-    pub fn set_executor_config(&mut self, config: ExecutorConfig) -> Result<(), ExecutorError> {
-        self.executor = Executor::try_new(resolve(config, self.shards.len()), self.sim.clone())?;
         Ok(())
     }
 
@@ -1030,9 +1004,10 @@ impl ShardedDatabase {
     /// Plans a two-table `JOIN` statement against an atomic cross-shard
     /// cut without executing it: the [`JoinPlan`] carries the §V-D
     /// build-side choice and the sharded exchange strategy
-    /// ([`JoinStrategy::Broadcast`] or [`JoinStrategy::Partition`])
-    /// picked from the merged [`TableStats`] of both sides. Accepts a
-    /// bare `SELECT` or an `EXPLAIN SELECT`.
+    /// ([`crate::JoinStrategy::Broadcast`] or
+    /// [`crate::JoinStrategy::Partition`]) picked from the merged
+    /// [`TableStats`] of both sides. Accepts a bare `SELECT` or an
+    /// `EXPLAIN SELECT`.
     ///
     /// # Errors
     ///
@@ -1216,22 +1191,11 @@ impl ShardedDatabase {
         )?)
     }
 
-    /// Executes a two-table join at a cross-shard cut — the sharded
-    /// exchange (see [`crate::join`]):
-    ///
-    /// 1. **Build**, cooperatively: the build side's partitions are
-    ///    concatenated into one global row id space and split into
-    ///    morsels on the executor; every worker interns key tuples into
-    ///    the shared sink(s) — one global sink under
-    ///    [`JoinStrategy::Broadcast`], one sink per shard keyed by a
-    ///    hash of the join key under [`JoinStrategy::Partition`].
-    /// 2. **Probe**, streamed: after the coordinator freezes the
-    ///    indexes (the phase barrier), each shard's probe partition is
-    ///    morselized and streamed through them; partitioned probes
-    ///    route each row to the one index its key hashes to.
-    /// 3. **Aggregate**: the matched pairs gather per-shard derived
-    ///    tables, and the read driver runs the aggregation over them
-    ///    like over any other per-shard plans.
+    /// Executes a two-table join at a cross-shard cut: the one join path
+    /// ([`crate::join::run_join`]) over every shard's partition of both
+    /// sides, its ranges morsels on the worker pool, then the read
+    /// driver over the per-shard derived tables like over any other
+    /// per-shard plans.
     fn run_join_cut(
         &mut self,
         cut: &ShardedSnapshot,
@@ -1251,104 +1215,15 @@ impl ShardedDatabase {
                 .collect()
         };
         let (lparts, rparts) = (parts(plan.left_table())?, parts(plan.right_table())?);
-        let (bparts, pparts) = if plan.build_right() {
-            (rparts, lparts)
-        } else {
-            (lparts, rparts)
-        };
-        let (bkeys, pkeys) = (plan.build_keys(), plan.probe_keys());
-        let build = ColumnSet::concat(&bparts, &side_columns(&plan, true));
-        let morsel_rows = self.executor.config().morsel_rows.max(1);
-
-        // Build phase: one sink broadcasts, N sinks partition by key
-        // hash. Build morsels carry a spreading tag so they seed
-        // across the whole pool.
-        let nparts = match plan.strategy() {
-            JoinStrategy::Partition => self.shards.len(),
-            JoinStrategy::Local | JoinStrategy::Broadcast => 1,
-        };
-        let sinks: Arc<Vec<JoinBuildSink>> =
-            Arc::new((0..nparts).map(|_| JoinBuildSink::new()).collect());
-        let build_keys: Arc<Vec<Arc<[u32]>>> = Arc::new(build.keys(&bkeys));
-        let build_rows = build_keys.first().map_or(0, |k| k.len());
-        let mut morsels = Vec::new();
-        let (mut lo, mut tag) = (0, 0);
-        while lo < build_rows {
-            let hi = (lo + morsel_rows).min(build_rows);
-            morsels.push(JoinMorsel {
-                shard: tag,
-                keys: Arc::clone(&build_keys),
-                lo,
-                hi,
-                work: JoinWork::Build {
-                    sinks: Arc::clone(&sinks),
-                },
-            });
-            tag += 1;
-            lo = hi;
-        }
-        self.executor.execute_join(morsels, cancel);
-        check_cancel(cancel)?;
-
-        // Phase barrier: freeze the sinks into deterministic indexes,
-        // then stream each shard's probe partition through them.
-        let freeze0 = std::time::Instant::now();
-        let indexes: Arc<Vec<JoinIndex>> =
-            Arc::new(sinks.iter().map(JoinBuildSink::freeze).collect());
-        let freeze_ns = freeze0.elapsed().as_nanos() as u64;
-        let probe_sets: Vec<ColumnSet> = pparts
-            .iter()
-            .map(|t| ColumnSet::from_table(t, &side_columns(&plan, false)))
-            .collect();
-        let mut probes = Vec::new();
-        for (shard, set) in probe_sets.iter().enumerate() {
-            let keys: Arc<Vec<Arc<[u32]>>> = Arc::new(set.keys(&pkeys));
-            let rows = pparts[shard].rows();
-            let mut lo = 0;
-            while lo < rows {
-                let hi = (lo + morsel_rows).min(rows);
-                probes.push(JoinMorsel {
-                    shard,
-                    keys: Arc::clone(&keys),
-                    lo,
-                    hi,
-                    work: JoinWork::Probe {
-                        indexes: Arc::clone(&indexes),
-                    },
-                });
-                lo = hi;
-            }
-        }
-        let mut outcomes = self.executor.execute_join(probes, cancel);
-        check_cancel(cancel)?;
-        // Morsels complete in racy order; pair order must not.
-        outcomes.sort_by_key(|o| (o.shard, o.lo));
-
+        let (derived, obs) = run_join(&plan, &lparts, &rparts, Some(&self.executor), cancel)?;
         if let Some(t) = trace.as_deref_mut() {
-            JoinObs {
-                build_rows,
-                entries: indexes.iter().map(JoinIndex::entries).sum(),
-                dict_hits: indexes.iter().map(JoinIndex::dict_hits).sum(),
-                probe_rows: pparts.iter().map(Table::rows).sum(),
-                pairs: outcomes.iter().map(|o| o.pairs.len()).sum(),
-                freeze_ns,
-            }
-            .record(t, &plan);
+            obs.record(t, &plan);
         }
-
-        // Gather per-shard derived tables and run the aggregation over
-        // them; a shard no key matched on has nothing to plan.
+        // A shard no key matched on has nothing to plan.
         let engine = self.shards[0].catalogue().engine();
-        let plans = (0..self.shards.len())
-            .map(|s| {
-                let pairs: Vec<(u32, u32)> = outcomes
-                    .iter()
-                    .filter(|o| o.shard == s)
-                    .flat_map(|o| o.pairs.iter().copied())
-                    .collect();
-                let derived = derived_table(&plan, &pairs, &probe_sets[s], &build);
-                plan_derived(engine, &derived, plan.query())
-            })
+        let plans = derived
+            .iter()
+            .map(|derived| plan_derived(engine, derived, plan.query()))
             .collect::<Result<_, PlanError>>()?;
         self.execute_read(ReadRequest {
             plans,
@@ -1484,32 +1359,6 @@ mod tests {
         let stats = sharded.executor_stats();
         assert_eq!(stats.queries, 3, "one pool served every query");
         assert!(stats.morsels >= 6, "at least one morsel per shard");
-        // Rebuilding the pool resets its counters.
-        sharded
-            .set_executor_config(ExecutorConfig {
-                workers: 3,
-                morsel_rows: 64,
-                steal: false,
-                ..ExecutorConfig::default()
-            })
-            .unwrap();
-        assert_eq!(sharded.executor_stats(), ExecutorStats::default());
-        let out = sharded
-            .run_sql("SELECT g, SUM(v) FROM events GROUP BY g")
-            .unwrap();
-        assert_eq!(out.worker_loads.len(), 3);
-        assert_eq!(out.steals, 0, "stealing disabled");
-        assert_eq!(sharded.executor_stats().queries, 1);
-        // Degenerate sizes are rejected with typed errors; the pool
-        // (and its counters) survives the refused reconfiguration.
-        let err = sharded
-            .set_executor_config(ExecutorConfig {
-                morsel_rows: 0,
-                ..ExecutorConfig::default()
-            })
-            .unwrap_err();
-        assert_eq!(err, crate::executor::ExecutorError::ZeroMorselRows);
-        assert_eq!(sharded.executor_stats().queries, 1, "pool untouched");
     }
 
     #[test]
@@ -1615,9 +1464,9 @@ mod tests {
 
     #[test]
     fn composite_group_by_shards_and_matches_a_single_session() {
-        // Shards fuse (a, b) with *locally* measured domains; the
-        // shared key dictionary makes the partials mergeable and the
-        // answer must match a single session bit for bit.
+        // Every morsel fuses (a, b) with the plan's global key
+        // domains, so the partials merge directly and the answer must
+        // match a single session bit for bit.
         let sql = "SELECT a, b, COUNT(*), SUM(v), MIN(v), MAX(v) FROM t \
                    WHERE v <> 7 GROUP BY a, b";
         let mut single = Database::new();

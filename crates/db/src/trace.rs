@@ -105,7 +105,7 @@ pub struct WorkerRollup {
 
 /// The folded trace of one executed query: per-step estimated-vs-actual
 /// rollups, per-worker rollups, morsel spans, and the shared-state costs
-/// (key dictionary, join freeze barrier) — everything `EXPLAIN ANALYZE`
+/// (join hash side, join freeze barrier) — everything `EXPLAIN ANALYZE`
 /// renders.
 #[derive(Debug, Clone)]
 pub struct QueryTrace {
@@ -129,10 +129,11 @@ pub struct QueryTrace {
     /// Rows those pruned morsels covered — rows the query never
     /// touched.
     pub rows_pruned: u64,
-    /// Entries interned into the query-scoped [`crate::KeyDictionary`]
-    /// (composite GROUP BY re-keying, join build side); 0 when unused.
+    /// Distinct key tuples in a join's build index(es); 0 for non-join
+    /// queries.
     pub dict_entries: u64,
-    /// Dictionary intern calls answered by an existing entry.
+    /// Build rows whose key tuple an earlier row had already entered
+    /// (build rows − `dict_entries`).
     pub dict_hits: u64,
     /// Host nanoseconds spent in the join build→probe freeze barrier;
     /// `None` for non-join queries. Wall-clock, diagnostic only.

@@ -186,8 +186,8 @@ impl Client {
         self.outcome(&Request::Rollback)
     }
 
-    /// Trips the cancel token of the query registered under
-    /// `query_id`, whichever connection submitted it.
+    /// Trips the cancel token of every in-flight query registered under
+    /// `query_id`, whichever connections submitted them.
     pub fn cancel(&mut self, query_id: u64) -> Result<String, ClientError> {
         self.outcome(&Request::Cancel { query_id })
     }

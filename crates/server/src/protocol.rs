@@ -160,7 +160,7 @@ pub enum Request {
     Commit,
     /// Roll the open transaction back.
     Rollback,
-    /// Trip the cancel token of the in-flight query registered under
+    /// Trip the cancel token of every in-flight query registered under
     /// `query_id` — on *any* connection.
     Cancel {
         /// The target query's client-chosen handle.

@@ -15,10 +15,12 @@
 //!   instead of wedging the connection, so clients see backpressure
 //!   as a typed, retryable error rather than latency.
 //! - **Cancellation** — every `Query`/`Execute` registers a
-//!   [`CancelToken`] under its client-chosen `query_id` in a
-//!   server-wide table, so a `Cancel` frame from *any* connection can
-//!   trip it. The engine observes the token at morsel boundaries and
-//!   the worker is freed mid-query.
+//!   [`CancelToken`] under its connection and its client-chosen
+//!   `query_id` in a server-wide table, so a `Cancel` frame from *any*
+//!   connection trips every in-flight query submitted under that id
+//!   (clients number their queries alike; two of them sharing an id
+//!   must not share a registry slot). The engine observes the token at
+//!   morsel boundaries and the worker is freed mid-query.
 //! - **Budgets** — the server can impose a wall-clock timeout and a
 //!   morsel budget on every query it admits
 //!   ([`ServerConfig::query_timeout`] /
@@ -32,7 +34,7 @@ use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -210,10 +212,12 @@ struct ServerInner {
     catalogue: SharedCatalogue,
     config: ServerConfig,
     gate: Gate,
-    /// In-flight cancel tokens keyed by the client-chosen `query_id`.
-    /// Server-wide on purpose: a controller connection can cancel a
-    /// query submitted on any other connection.
-    cancels: Mutex<HashMap<u64, CancelToken>>,
+    /// The in-flight query of each connection — connection number →
+    /// (client-chosen `query_id`, its token). Server-wide on purpose: a
+    /// controller connection can cancel a query submitted on any other
+    /// connection; keyed by connection because every client counts its
+    /// ids from 1.
+    cancels: Mutex<HashMap<u64, (u64, CancelToken)>>,
     stats: ServingStats,
     started: Instant,
     shutdown: AtomicBool,
@@ -255,7 +259,7 @@ pub fn serve(catalogue: SharedCatalogue, config: ServerConfig) -> io::Result<Ser
                         break;
                     }
                     let Ok(stream) = stream else { continue };
-                    inner
+                    let conn = inner
                         .stats
                         .connections_total
                         .fetch_add(1, Ordering::Relaxed);
@@ -264,7 +268,7 @@ pub fn serve(catalogue: SharedCatalogue, config: ServerConfig) -> io::Result<Ser
                     let handle = std::thread::Builder::new()
                         .name("vagg-conn".into())
                         .spawn(move || {
-                            serve_connection(&inner, stream);
+                            serve_connection(&inner, conn, stream);
                             inner.stats.connections_open.fetch_sub(1, Ordering::Relaxed);
                         })
                         .expect("spawn connection thread");
@@ -403,7 +407,9 @@ fn send(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
     write_frame(stream, &resp.encode())
 }
 
-fn serve_connection(inner: &ServerInner, mut stream: TcpStream) {
+/// Serves one connection to completion; `conn` is its number among all
+/// the server accepted — what its queries are registered under.
+fn serve_connection(inner: &ServerInner, conn: u64, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL));
 
@@ -496,7 +502,9 @@ fn serve_connection(inner: &ServerInner, mut stream: TcpStream) {
                 let _ = send(&mut stream, &Response::Bye);
                 return;
             }
-            Request::Query { query_id, sql } => inner.run_query(&mut db, query_id, &sql),
+            Request::Query { query_id, sql } => {
+                inner.governed(conn, query_id, |token| db.run_sql_cancellable(&sql, token))
+            }
             Request::Prepare { sql } => match db.prepare(&sql) {
                 Ok(statement) => {
                     next_statement += 1;
@@ -507,11 +515,24 @@ fn serve_connection(inner: &ServerInner, mut stream: TcpStream) {
                 }
                 Err(e) => inner.error_response(&e),
             },
+            // The execution carries the token on its read request, as a
+            // `Query` does, so a `Cancel` frame, the timeout and the
+            // morsel budget all take effect before the next 2048-row
+            // range.
             Request::Execute {
                 query_id,
                 statement,
                 params,
-            } => inner.run_execute(&mut db, &mut prepared, query_id, statement, &params),
+            } => match prepared.get_mut(&statement) {
+                Some(stmt) => inner.governed(conn, query_id, |token| {
+                    db.run_cancellable(token, |db| stmt.execute(db, &params))
+                        .map(SqlOutcome::Rows)
+                }),
+                None => Response::Error {
+                    code: ErrorCode::Bind,
+                    message: format!("unknown prepared statement id {statement}"),
+                },
+            },
             Request::Begin { read_only } => inner.run_plain(
                 &mut db,
                 if read_only {
@@ -535,52 +556,31 @@ fn serve_connection(inner: &ServerInner, mut stream: TcpStream) {
 // Request handling
 
 impl ServerInner {
-    /// Admission + cancellation bracket around one SQL statement.
-    fn run_query(&self, db: &mut Database, query_id: u64, sql: &str) -> Response {
+    fn registry(&self) -> MutexGuard<'_, HashMap<u64, (u64, CancelToken)>> {
+        self.cancels.lock().unwrap()
+    }
+
+    /// The admission + cancellation bracket around one governed
+    /// statement of connection `conn`: a gate permit, a token under the
+    /// configured limits, registered under `query_id` for exactly as
+    /// long as `run` executes.
+    fn governed(
+        &self,
+        conn: u64,
+        query_id: u64,
+        run: impl FnOnce(&CancelToken) -> Result<SqlOutcome, SqlError>,
+    ) -> Response {
         let Ok(permit) = self.gate.admit() else {
             return self.reject();
         };
         let token = CancelToken::with_limits(self.config.query_timeout, self.config.morsel_budget);
-        self.cancels.lock().unwrap().insert(query_id, token.clone());
-        let result = db.run_sql_cancellable(sql, &token);
-        self.cancels.lock().unwrap().remove(&query_id);
+        self.registry().insert(conn, (query_id, token.clone()));
+        let result = run(&token);
+        self.registry().remove(&conn);
         drop(permit);
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
         match result {
             Ok(outcome) => self.render(outcome),
-            Err(e) => self.count_and_render_error(&e),
-        }
-    }
-
-    /// Same bracket for a prepared statement: the execution carries the
-    /// token on its read request, as a `Query` does, so a `Cancel`
-    /// frame, the timeout and the morsel budget all take effect before
-    /// the next 2048-row range.
-    fn run_execute(
-        &self,
-        db: &mut Database,
-        prepared: &mut HashMap<u32, PreparedStatement>,
-        query_id: u64,
-        statement: u32,
-        params: &[u64],
-    ) -> Response {
-        let Some(stmt) = prepared.get_mut(&statement) else {
-            return Response::Error {
-                code: ErrorCode::Bind,
-                message: format!("unknown prepared statement id {statement}"),
-            };
-        };
-        let Ok(permit) = self.gate.admit() else {
-            return self.reject();
-        };
-        let token = CancelToken::with_limits(self.config.query_timeout, self.config.morsel_budget);
-        self.cancels.lock().unwrap().insert(query_id, token.clone());
-        let result = db.run_cancellable(&token, |db| stmt.execute(db, params));
-        self.cancels.lock().unwrap().remove(&query_id);
-        drop(permit);
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        match result {
-            Ok(output) => self.render(SqlOutcome::Rows(output)),
             Err(e) => self.count_and_render_error(&e),
         }
     }
@@ -594,14 +594,21 @@ impl ServerInner {
         }
     }
 
+    /// Trips every in-flight query submitted under `query_id`,
+    /// whichever connections they run on.
     fn cancel(&self, query_id: u64) -> Response {
-        match self.cancels.lock().unwrap().get(&query_id) {
-            Some(token) => {
+        let mut signalled = false;
+        for (id, token) in self.registry().values() {
+            if *id == query_id {
                 token.cancel();
-                Response::Outcome(format!("cancel signalled for query {query_id}"))
+                signalled = true;
             }
-            None => Response::Outcome(format!("no in-flight query {query_id}")),
         }
+        Response::Outcome(if signalled {
+            format!("cancel signalled for query {query_id}")
+        } else {
+            format!("no in-flight query {query_id}")
+        })
     }
 
     fn reject(&self) -> Response {

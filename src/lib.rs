@@ -25,9 +25,9 @@
 //!   query shape, [`db::PreparedStatement`]s (`?` placeholders, bind
 //!   per execution), a [`db::SharedCatalogue`] for concurrent
 //!   sessions, and a [`db::ShardedDatabase`] merging partial
-//!   aggregates — composite `GROUP BY` included, via a shared
-//!   [`db::KeyDictionary`] — across morsels run on a persistent
-//!   work-stealing [`db::Executor`] pool.
+//!   aggregates — composite `GROUP BY` included, fused in one key
+//!   space from the plan's global key domains — across morsels run on
+//!   a persistent work-stealing [`db::Executor`] pool.
 //!
 //! ## Quickstart
 //!

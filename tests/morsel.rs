@@ -4,8 +4,9 @@
 //!
 //! * **Composite `GROUP BY` shards correctly.** Property tests check
 //!   that `SELECT a, b, ... GROUP BY a, b` on a [`ShardedDatabase`] —
-//!   merged through the query-scoped key dictionary — matches a single
-//!   session bit for bit, including `HAVING`/`ORDER BY`/`LIMIT` tails,
+//!   every morsel fusing its keys with the plan's global key domains,
+//!   so the partials merge directly — matches a single session bit
+//!   for bit, including `HAVING`/`ORDER BY`/`LIMIT` tails,
 //!   across delta compaction boundaries, over the prepared path, and
 //!   at pinned snapshots.
 //! * **Work stealing changes the makespan, never the answer.** A

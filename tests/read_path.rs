@@ -563,6 +563,12 @@ fn join_pair(n: usize, m: usize, seed: u64) -> (Table, Table) {
     (l, r)
 }
 
+fn fresh_pair(l: &Table, r: &Table) -> Database {
+    let mut db = fresh(l);
+    db.register(r.clone());
+    db
+}
+
 /// What a join answered, and — where the entry point traces — the hash
 /// side's `(dict_entries, dict_hits)`.
 type JoinAnswer = (&'static str, QueryOutput, Option<(u64, u64)>);
@@ -571,13 +577,8 @@ type JoinAnswer = (&'static str, QueryOutput, Option<(u64, u64)>);
 /// `l` and `r`.
 fn every_join_path(l: &Table, r: &Table, sql: &str) -> Vec<JoinAnswer> {
     let analyze = format!("EXPLAIN ANALYZE {sql}");
-    let fresh = || {
-        let mut db = Database::new();
-        db.register(l.clone());
-        db.register(r.clone());
-        db
-    };
-    let fresh_sharded = || {
+    let single = || fresh_pair(l, r);
+    let sharded = || {
         let mut db = fresh_sharded(l);
         db.register(r.clone());
         db
@@ -591,55 +592,51 @@ fn every_join_path(l: &Table, r: &Table, sql: &str) -> Vec<JoinAnswer> {
     };
     let token = CancelToken::new();
     let mut paths = vec![
-        ("run_sql", rows_of(fresh().run_sql(sql).unwrap()), None),
-        ("execute_sql", fresh().execute_sql(sql).unwrap(), None),
+        ("run_sql", rows_of(single().run_sql(sql).unwrap()), None),
+        ("execute_sql", single().execute_sql(sql).unwrap(), None),
         (
             "run_sql_cancellable",
-            rows_of(fresh().run_sql_cancellable(sql, &token).unwrap()),
+            rows_of(single().run_sql_cancellable(sql, &token).unwrap()),
             None,
         ),
-        (
-            "sharded",
-            fresh_sharded().run_sql(sql).unwrap().into(),
-            None,
-        ),
+        ("sharded", sharded().run_sql(sql).unwrap().into(), None),
     ];
     {
-        let (out, dict) = traced(fresh().run_sql(&analyze).unwrap());
+        let (out, dict) = traced(single().run_sql(&analyze).unwrap());
         paths.push(("run_sql traced", out, dict));
     }
     {
-        let outcome = fresh().run_sql_cancellable(&analyze, &token).unwrap();
+        let outcome = single().run_sql_cancellable(&analyze, &token).unwrap();
         let (out, dict) = traced(outcome);
         paths.push(("run_sql_cancellable traced", out, dict));
     }
     {
-        let mut db = fresh();
+        let mut db = single();
         let snap = db.snapshot();
         let out = rows_of(db.run_sql_at(&snap, sql).unwrap());
         paths.push(("run_sql_at", out, None));
     }
     {
-        let mut db = fresh();
+        let mut db = single();
         let snap = db.snapshot();
         let (out, dict) = traced(db.run_sql_at(&snap, &analyze).unwrap());
         paths.push(("run_sql_at traced", out, dict));
     }
     {
-        let mut db = fresh();
+        let mut db = single();
         let mut stmt = db.prepare_join(sql).unwrap();
         let out = stmt.execute(&mut db, &[]).unwrap();
         paths.push(("prepared join execute", out, None));
     }
     {
-        let mut db = fresh();
+        let mut db = single();
         let mut stmt = db.prepare_join(sql).unwrap();
         let snap = db.snapshot();
         let out = stmt.execute_at(&mut db, &snap, &[]).unwrap();
         paths.push(("prepared join execute_at", out, None));
     }
     {
-        let out = fresh_sharded().run_sql(&analyze).unwrap();
+        let out = sharded().run_sql(&analyze).unwrap();
         let trace = out.trace.as_deref().expect("EXPLAIN ANALYZE traces");
         assert_eq!(trace.cycles, out.report.cycles);
         let dict = (trace.dict_entries, trace.dict_hits);
@@ -710,4 +707,57 @@ proptest! {
             prop_assert!(expect.rows.is_empty(), "WHERE removed every row: {}", sql);
         }
     }
+}
+
+/// A join under a token is cancellable *during* its host phases: the
+/// build and probe ranges count against the budget like the
+/// aggregation's, so every budget short of all of them ends
+/// `Cancelled`, is counted, and leaves the session answering correctly.
+#[test]
+fn a_join_polls_its_token_per_range_of_build_probe_and_aggregation() {
+    let (l, r) = join_pair(3 * DEFAULT_MORSEL_ROWS + 5, 40, 11);
+    let sql = "SELECT l.a, COUNT(*), SUM(v) FROM l JOIN r ON l.a = r.a AND l.b = r.b \
+               WHERE w > 1 GROUP BY l.a";
+    let fresh = || fresh_pair(&l, &r);
+    // `r` (40 rows, every tuple once) builds in one range, `l` probes
+    // in four, and the matched pairs aggregate in ranges of their own.
+    let (la, lb) = (l.column("a").unwrap(), l.column("b").unwrap());
+    let pairs = (0..l.rows()).filter(|&i| (lb[i] * 13 + la[i]) < 40).count();
+    let ranges = 1 + 4 + pairs.div_ceil(DEFAULT_MORSEL_ROWS) as u64;
+    assert!(pairs > DEFAULT_MORSEL_ROWS, "several aggregation ranges");
+
+    let expect = rows_of(fresh().run_sql(sql).unwrap());
+    let token = CancelToken::new();
+    let ranged = rows_of(fresh().run_sql_cancellable(sql, &token).unwrap());
+    assert_eq!(ranged.rows, expect.rows);
+    assert_eq!(token.morsels(), ranges, "one check per range");
+
+    for k in 0..ranges {
+        let mut db = fresh();
+        let err = db
+            .run_sql_cancellable(sql, &CancelToken::with_morsel_budget(k))
+            .unwrap_err();
+        assert!(matches!(err, SqlError::Cancelled(_)), "budget {k}: {err}");
+        assert_eq!(counter(&db, "queries_cancelled"), 1, "budget {k}");
+        let next = rows_of(db.run_sql(sql).unwrap());
+        assert_eq!(next.rows, expect.rows, "after budget {k}");
+    }
+    let mut db = fresh();
+    let enough = CancelToken::with_morsel_budget(ranges);
+    let out = rows_of(db.run_sql_cancellable(sql, &enough).unwrap());
+    assert_eq!(out.rows, expect.rows);
+    assert_eq!(counter(&db, "queries_cancelled"), 0);
+
+    // A prepared join rebuilds under the token of the call it runs in,
+    // and a cancelled rebuild caches nothing.
+    let mut stmt = db.prepare_join(sql).unwrap();
+    let err = db
+        .run_cancellable(&CancelToken::with_morsel_budget(1), |db| {
+            stmt.execute(db, &[])
+        })
+        .unwrap_err();
+    assert!(matches!(err, SqlError::Cancelled(_)), "{err}");
+    assert_eq!(stmt.rejoins(), 0);
+    assert_eq!(stmt.execute(&mut db, &[]).unwrap().rows, expect.rows);
+    assert_eq!(stmt.rejoins(), 1);
 }

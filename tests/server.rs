@@ -222,6 +222,60 @@ fn an_explicit_cancel_reaches_a_query_on_another_connection() {
     handle.shutdown();
 }
 
+/// Every client numbers its queries from 1, so two connections run the
+/// same id as a matter of course. They must not share a registry slot:
+/// one `Cancel` reaches both, each removes only its own entry, and
+/// afterwards nothing is left in flight under the id.
+#[test]
+fn one_cancel_reaches_every_connection_running_that_query_id() {
+    let handle = serve(catalogue(400_000), ServerConfig::default()).unwrap();
+    let addr = handle.addr();
+    let runners: Vec<_> = (0..2)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("runner connect");
+                let sql = "SELECT g, k, COUNT(*), SUM(v), MIN(v), MAX(v) FROM events GROUP BY g, k";
+                client.run_with_id(1, sql).map(|_| "a reply")
+            })
+        })
+        .collect();
+
+    let mut controller = Client::connect(addr).expect("controller connect");
+    let mut both_in_flight = false;
+    for _ in 0..20_000 {
+        let metrics = controller.metrics().expect("metrics frame");
+        both_in_flight = metrics.contains("vagg_server_inflight 2\n");
+        if both_in_flight || runners.iter().any(|r| r.is_finished()) {
+            break;
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    assert!(
+        both_in_flight,
+        "both queries were admitted before either ended"
+    );
+    // A query registers right after it is admitted; repeating the frame
+    // covers that instant, and costs nothing once both have tripped.
+    for _ in 0..20_000 {
+        controller.cancel(1).expect("cancel frame");
+        if runners.iter().all(|r| r.is_finished()) {
+            break;
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    for runner in runners {
+        let err = runner
+            .join()
+            .expect("runner thread")
+            .expect_err("the cancel reached this connection too");
+        assert_eq!(err.code(), Some(ErrorCode::Cancelled), "{err}");
+    }
+    assert_eq!(handle.stats().cancelled(), 2);
+    let outcome = controller.cancel(1).expect("cancel frame");
+    assert!(outcome.contains("no in-flight query 1"), "{outcome}");
+    handle.shutdown();
+}
+
 /// The deterministic half of the same fix: a prepared `Execute` counts
 /// its ranges against the morsel budget — it used to run whole and look
 /// at the token afterwards, which no budget ever trips — and the
