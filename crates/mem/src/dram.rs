@@ -537,6 +537,10 @@ mod differential_tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// `t_burst` of [`DramParams::ddr3_1333`]: the one width the machine
+    /// ever asks the bus for.
+    const BURST: u64 = 4;
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1_000))]
 
@@ -584,6 +588,78 @@ mod differential_tests {
                 prop_assert_eq!(start, with_scan_only(|| scanned.reserve(earliest, width)));
                 prop_assert_eq!(&fast.busy, &scanned.busy, "after call {}", i);
             }
+        }
+
+        // The regime the machine is in: every transfer one burst wide,
+        // ready a cycle or three past the far end (a gap no burst fits),
+        // a burst or two past it (a hole a later one back-fills), behind
+        // it by anything up to the whole window, or queued at one early
+        // point — three calls in eight are, so gap-free runs outgrow the
+        // cap. The widths above reach 1 within a few calls; here the
+        // narrowest width stays `BURST` until one to three late requests
+        // in a row, narrower or zero-width, slot in wherever they fit.
+        #[test]
+        fn a_bus_of_one_burst_width_holds_the_same_reservations_either_way(
+            calls in prop::collection::vec((0u64..8, 0u64..600, 1u64..4), 300..420),
+            odd_at in 100usize..300,
+            odd in prop::collection::vec((0u64..BURST, 0u64..600), 1..4),
+        ) {
+            let (mut fast, mut scanned) = (BusSchedule::default(), BusSchedule::default());
+            for (i, &(shape, back, gap)) in calls.iter().enumerate() {
+                let far_end = scanned.max_end;
+                let (earliest, width) = if let Some(&(width, back)) = i.checked_sub(odd_at).and_then(|k| odd.get(k)) {
+                    (far_end.saturating_sub(back), width)
+                } else {
+                    let earliest = match shape {
+                        0 | 1 => far_end + gap,
+                        2 => far_end + BURST * gap + back % BURST,
+                        3 | 4 => far_end.saturating_sub(back),
+                        _ => 150,
+                    };
+                    (earliest, BURST)
+                };
+                let start = fast.reserve(earliest, width);
+                prop_assert_eq!(start, with_scan_only(|| scanned.reserve(earliest, width)));
+                prop_assert_eq!(&fast.busy, &scanned.busy, "after call {}", i);
+            }
+        }
+
+        // The whole controller at Table II's parameters: three rows, one
+        // of them favoured, of eight banks, so row hits, conflicts, forced
+        // closes and requests colliding on one bank all occur, issued well before the last
+        // completion (overlapping, back-filling), at it, a little after
+        // it or after the bus has gone idle.
+        #[test]
+        fn dram_completes_every_access_on_the_same_cycle_either_way(
+            stream in prop::collection::vec(
+                (
+                    (prop_oneof![Just(0u64), 0u64..3], 0u64..2, 0u64..4, 0u64..256),
+                    prop_oneof![-600i64..0, Just(0i64), 0i64..60, 200i64..2_000],
+                ),
+                300..500,
+            )
+        ) {
+            let drive = || {
+                let mut dram = Dram::new(DramParams::ddr3_1333());
+                let p = dram.params().clone();
+                let mut now = 0u64;
+                let done: Vec<u64> = stream
+                    .iter()
+                    .map(|&((row, rank, bank, column), offset)| {
+                        let burst = ((row * p.ranks + rank) * p.banks + bank)
+                            * dram.bursts_per_row
+                            + column;
+                        now = now.saturating_add_signed(offset);
+                        now = dram.access(burst * p.burst_bytes, now);
+                        now
+                    })
+                    .collect();
+                (done, dram.stats())
+            };
+            let fast = drive();
+            let stats = fast.1;
+            prop_assert!(stats.row_hits > 0 && stats.row_conflicts > 0 && stats.row_misses > 0);
+            prop_assert_eq!(fast, with_scan_only(drive));
         }
     }
 
