@@ -14,6 +14,7 @@
 
 pub mod params;
 pub mod pipeline;
+mod window;
 
 pub use params::{CpuParams, FuKind};
 pub use pipeline::Pipeline;

@@ -18,6 +18,8 @@
 //! conflict) *and* to bank/bus contention — the two effects that separate
 //! unit-stride from scattered vector traffic.
 
+use crate::window::Window;
+
 /// DDR3 timing and geometry parameters (memory-clock units).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DramParams {
@@ -146,7 +148,7 @@ pub(crate) fn with_scan_only<T>(f: impl FnOnce() -> T) -> T {
 /// queue (Table II) lets it reorder requests and backfill idle bus slots,
 /// so a late-arriving request must not starve earlier-timestamped traffic:
 /// reservations claim the earliest idle gap at or after their ready time.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct BusSchedule {
     /// Busy intervals `[start, end)` sorted by start, the oldest start
     /// dropped past 128 entries whether or not it has aged out. The cap
@@ -158,15 +160,30 @@ struct BusSchedule {
     /// where the scan put it, after every earlier entry's end and before
     /// every later entry's start — so it is sorted by end as well, and
     /// the back entry is never the one the cap drops.
-    busy: std::collections::VecDeque<(u64, u64)>,
+    busy: Window<(u64, u64)>,
     /// The back entry's end (0 while empty): the largest end ever
     /// reserved. A request ready at or after it overlaps nothing.
     max_end: u64,
-    /// Start of a gap-free run of reservations that ends at `max_end`:
-    /// every cycle of `[tail_from, max_end)` is booked by entries still
-    /// in `busy`. The true run may start earlier (a backfilled gap is
-    /// not tracked); it never starts later.
+    /// The narrowest positive width ever asked for (`u64::MAX` before
+    /// the first), so never 0. The machine asks for one, `t_burst`.
+    narrowest: u64,
+    /// Start of the saturated run that ends at `max_end`: a scan that
+    /// starts at or after `tail_from` for `narrowest` cycles or more
+    /// runs off the back of `busy`. The run may hold gaps — each too
+    /// narrow for any width seen so far — and the true run may start
+    /// earlier; it never starts later.
     tail_from: u64,
+}
+
+impl Default for BusSchedule {
+    fn default() -> Self {
+        Self {
+            busy: Window::new(128),
+            max_end: 0,
+            narrowest: u64::MAX,
+            tail_from: 0,
+        }
+    }
 }
 
 impl BusSchedule {
@@ -174,16 +191,15 @@ impl BusSchedule {
     /// returns the reserved start.
     fn reserve(&mut self, earliest: u64, width: u64) -> u64 {
         let mut start = earliest;
-        // From the start of the tail run on, the scan cannot stop before
-        // the back: what lies before the run ends at or before
-        // `tail_from`, inside it each entry's end is the next one's
-        // start, so no `width > 0` cycles are free, and past `max_end`
-        // nothing is booked at all. Held by both proptests of
-        // `differential_tests` (a bus that fills faster than time
-        // advances; a saturated one whose run outgrows the cap).
-        if earliest >= self.tail_from && width > 0 && !scan_only() {
+        // From the start of the saturated run on, a scan for a width the
+        // run was learned for cannot stop before the back, and past
+        // `max_end` nothing is booked at all. Held by
+        // `differential_tests`: the schedule alone (widths of all sorts;
+        // one width with sub-burst gaps, as the machine asks) and a whole
+        // `Dram`.
+        let dropped = if earliest >= self.tail_from && width >= self.narrowest && !scan_only() {
             start = earliest.max(self.max_end);
-            self.busy.push_back((start, start + width));
+            self.busy.push_back((start, start + width))
         } else {
             let mut insert_at = self.busy.len();
             for (i, &(b, e)) in self.busy.iter().enumerate() {
@@ -195,21 +211,32 @@ impl BusSchedule {
                     start = e;
                 }
             }
-            self.busy.insert(insert_at, (start, start + width));
-        }
+            if width > 0 && width <= self.narrowest {
+                if insert_at == self.busy.len() {
+                    // Nothing from `earliest` to the back hosts the
+                    // narrowest width, so nothing there hosts a wider
+                    // one or a later one either: the run is learned.
+                    self.tail_from = earliest;
+                } else if width < self.narrowest {
+                    // What was learned held for wider transfers only;
+                    // the back entry is a run on its own.
+                    self.tail_from = self.busy[self.busy.len() - 1].0;
+                }
+                self.narrowest = width;
+            }
+            self.busy.insert(insert_at, (start, start + width))
+        };
         if start > self.max_end {
             // Appended after an idle gap: a new run starts here.
             self.tail_from = start;
         }
         self.max_end = self.max_end.max(start + width);
         // The transaction queue depth bounds how far back the controller
-        // can reorder: bound the schedule by dropping the oldest start.
-        while self.busy.len() > 128 {
-            // A dropped entry's cycles read as free again; if it was
-            // part of the run, the run now starts at its end.
-            if let Some((_, e)) = self.busy.pop_front() {
-                self.tail_from = self.tail_from.max(e);
-            }
+        // can reorder: the window drops its oldest start past 128. A
+        // dropped entry's cycles read as free again; if it was part of
+        // the run, the run now starts at its end.
+        if let Some((_, e)) = dropped {
+            self.tail_from = self.tail_from.max(e);
         }
         start
     }
@@ -557,7 +584,7 @@ mod differential_tests {
                 let earliest = (3 * i as u64).saturating_sub(back);
                 let start = fast.reserve(earliest, width);
                 prop_assert_eq!(start, with_scan_only(|| scanned.reserve(earliest, width)));
-                prop_assert_eq!(&fast.busy, &scanned.busy, "after call {}", i);
+                prop_assert_eq!(&fast.busy[..], &scanned.busy[..], "after call {}", i);
             }
         }
 
@@ -586,7 +613,7 @@ mod differential_tests {
             for (i, (earliest, width)) in lead.iter().copied().chain(queued).chain(mixed).enumerate() {
                 let start = fast.reserve(earliest, width);
                 prop_assert_eq!(start, with_scan_only(|| scanned.reserve(earliest, width)));
-                prop_assert_eq!(&fast.busy, &scanned.busy, "after call {}", i);
+                prop_assert_eq!(&fast.busy[..], &scanned.busy[..], "after call {}", i);
             }
         }
 
@@ -620,7 +647,7 @@ mod differential_tests {
                 };
                 let start = fast.reserve(earliest, width);
                 prop_assert_eq!(start, with_scan_only(|| scanned.reserve(earliest, width)));
-                prop_assert_eq!(&fast.busy, &scanned.busy, "after call {}", i);
+                prop_assert_eq!(&fast.busy[..], &scanned.busy[..], "after call {}", i);
             }
         }
 
@@ -676,7 +703,7 @@ mod differential_tests {
         }
         assert_eq!(bus.reserve(200, 4), 612);
         assert_eq!(bus.reserve(200, 4), 616);
-        assert_eq!(bus.busy.front(), Some(&(108, 112)));
+        assert_eq!(bus.busy.first(), Some(&(108, 112)));
         // In the dropped head of the run: free again. (Booked at the
         // front of a full window, each is itself dropped at once.)
         assert_eq!(bus.reserve(100, 4), 100);

@@ -18,6 +18,10 @@ pub mod dram;
 pub mod hierarchy;
 #[cfg(test)]
 mod reference;
+// The reservation lists' storage, one source file for both timing
+// crates (neither depends on the other): see its module docs.
+#[path = "../../cpu/src/window.rs"]
+mod window;
 pub mod xor;
 
 pub use cache::{Access, Cache, CacheStats};

@@ -1,15 +1,19 @@
-//! Vector memory instructions allocate nothing.
+//! Simulated instructions allocate nothing.
 //!
 //! The machine keeps the line list and the offset vector of the
 //! instruction in flight from one instruction to the next, and moves
 //! unit-stride data by page run; a kernel is tens of thousands of these
 //! instructions, so one `Vec` each was thousands of heap calls per SQL
-//! statement. A counting global allocator holds the count at zero.
+//! statement. The timing model's reservation windows — one per
+//! functional unit, one per cluster, one for the DRAM data bus — are
+//! reserved when the machine is built, at the size their caps bound
+//! them to. A counting global allocator holds the count at zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use vagg::isa::{BinOp, CmpOp, Mreg, RedOp, Vreg};
+use vagg::mem::{HierarchyParams, MemoryHierarchy};
 use vagg::sim::Machine;
 
 thread_local! {
@@ -108,4 +112,58 @@ fn vector_instructions_do_not_allocate() {
     });
     assert_eq!(allocations, 0, "over 1 000 chunks of 16 instructions");
     assert!(m.stats().mix.v_gathers >= 2_000);
+}
+
+#[test]
+fn scalar_instructions_do_not_allocate() {
+    // The scalar baseline's read-modify-write over a table eight times
+    // the L2, so most iterations miss to DRAM. Every page exists before
+    // the loop: a cell that was never written is not backed.
+    const CELLS: u32 = 512 * 1_024;
+    let mut m = Machine::paper();
+    let table_at = m.space_mut().alloc_slice_u32(&vec![1; CELLS as usize]);
+    let step = |m: &mut Machine, i: u32| {
+        let cell = table_at + 4 * u64::from(i.wrapping_mul(2_654_435_761) % CELLS);
+        let it = m.s_op(0);
+        let at = m.s_op(it);
+        let (count, ct) = m.s_load_u32(cell, at);
+        let dt = m.s_op(ct);
+        m.s_store_u32_split(cell, count + 1, at, dt);
+    };
+
+    // The warm-up fills the reorder buffer and the load, store and issue
+    // queues (deques that grow to their capacity once) and overflows
+    // every reservation window many times over: 64 entries per
+    // functional unit and per cluster, 128 on the data bus.
+    for i in 0..2_000 {
+        step(&mut m, i);
+    }
+    let warm = m.stats();
+    assert!(warm.mem.dram.requests > 1_000, "{:?}", warm.mem.dram);
+    let allocations = allocations_in(|| {
+        for i in 2_000..6_000 {
+            step(&mut m, i);
+        }
+    });
+    assert_eq!(allocations, 0, "over 4 000 iterations of five micro-ops");
+    assert!(m.stats().mem.dram.requests > warm.mem.dram.requests + 2_000);
+}
+
+#[test]
+fn a_flushed_hierarchy_books_its_bus_without_allocating() {
+    // `flush` idles the DRAM, which empties the bus window; the window
+    // that replaces it is reserved like the first one.
+    let mut h = MemoryHierarchy::new(HierarchyParams::westmere());
+    let miss = |h: &mut MemoryHierarchy, i: u64| h.scalar_access(i * 68 * 1_024, false, 10 * i);
+    for i in 0..300 {
+        miss(&mut h, i);
+    }
+    h.flush();
+    let allocations = allocations_in(|| {
+        for i in 300..900 {
+            miss(&mut h, i);
+        }
+    });
+    assert_eq!(allocations, 0, "over 600 DRAM transactions after a flush");
+    assert_eq!(h.stats().dram.requests, 900);
 }

@@ -4,7 +4,7 @@
 //! graceful shutdown that drains in-flight work.
 
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use vagg::db::{Row, SharedCatalogue, SqlOutcome, Table};
 use vagg_server::{serve, Client, ClientError, ErrorCode, Reply, ServerConfig, WireRow};
@@ -46,6 +46,31 @@ fn assert_same_rows(wire: &[WireRow], lib: &[Row], sql: &str) {
         for (a, b) in w.values.iter().zip(&l.values) {
             assert_eq!(a.to_bits(), b.to_bits(), "bit-identical values for {sql}");
         }
+    }
+}
+
+/// How long a cancel test keeps trying before it gives up: a guard
+/// against a hang, far beyond what any host needs.
+const PATIENCE: Duration = Duration::from_secs(120);
+
+/// Calls `done` until it says so, pausing between calls so the polling
+/// connection leaves the cores to the statements it is waiting on.
+///
+/// The cancel tests below race a `Cancel` frame against a running
+/// statement, and none of them depends on how fast the host simulates:
+/// nothing is timed. A statement is a hundred or more 2048-row ranges,
+/// each of which polls its token, and it is resubmitted (or the whole
+/// round is) until a frame has arrived ahead of one of those polls; the
+/// side that sends keeps sending until the side that runs has been
+/// cancelled. A frame that finds nothing in flight, or trips a token
+/// after its statement's last range, costs one more try — so a faster
+/// simulator makes a try shorter and not a success rarer, and the only
+/// clock is [`PATIENCE`].
+fn poll_until(what: &str, mut done: impl FnMut() -> bool) {
+    let started = Instant::now();
+    while !done() {
+        assert!(started.elapsed() < PATIENCE, "gave up waiting for {what}");
+        std::thread::sleep(Duration::from_micros(200));
     }
 }
 
@@ -181,12 +206,14 @@ fn an_explicit_cancel_reaches_a_query_on_another_connection() {
     let handle = serve(catalogue(200_000), ServerConfig::default()).unwrap();
     let addr = handle.addr();
 
-    // The runner submits the same query id in a loop; the controller
-    // fires Cancel at it from a separate connection until one lands
-    // mid-flight (pure explicit cancellation, no budget involved).
+    // The runner submits the same query id until one submission comes
+    // back `Cancelled`; the controller fires Cancel at it from a separate
+    // connection until it has (pure explicit cancellation, no budget
+    // involved). See `poll_until` for why no host is too fast for this.
     let runner = std::thread::spawn(move || {
         let mut client = Client::connect(addr).expect("runner connect");
-        for _ in 0..200 {
+        let started = Instant::now();
+        while started.elapsed() < PATIENCE {
             match client.run_with_id(
                 42,
                 "SELECT g, k, COUNT(*), SUM(v), MIN(v), MAX(v) FROM events GROUP BY g, k",
@@ -203,16 +230,11 @@ fn an_explicit_cancel_reaches_a_query_on_another_connection() {
     });
     let mut controller = Client::connect(addr).expect("controller connect");
     let mut landed = false;
-    for _ in 0..2_000 {
+    poll_until("the runner to end", || {
         let outcome = controller.cancel(42).expect("cancel frame");
-        if outcome.contains("cancel signalled") {
-            landed = true;
-        }
-        if runner.is_finished() {
-            break;
-        }
-        std::thread::sleep(Duration::from_micros(200));
-    }
+        landed |= outcome.contains("cancel signalled");
+        runner.is_finished()
+    });
     assert!(landed, "the controller saw the query in flight");
     assert!(
         runner.join().expect("runner thread"),
@@ -230,47 +252,53 @@ fn an_explicit_cancel_reaches_a_query_on_another_connection() {
 fn one_cancel_reaches_every_connection_running_that_query_id() {
     let handle = serve(catalogue(400_000), ServerConfig::default()).unwrap();
     let addr = handle.addr();
-    let runners: Vec<_> = (0..2)
-        .map(|_| {
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("runner connect");
-                let sql = "SELECT g, k, COUNT(*), SUM(v), MIN(v), MAX(v) FROM events GROUP BY g, k";
-                client.run_with_id(1, sql).map(|_| "a reply")
-            })
-        })
-        .collect();
-
     let mut controller = Client::connect(addr).expect("controller connect");
-    let mut both_in_flight = false;
-    for _ in 0..20_000 {
-        let metrics = controller.metrics().expect("metrics frame");
-        both_in_flight = metrics.contains("vagg_server_inflight 2\n");
-        if both_in_flight || runners.iter().any(|r| r.is_finished()) {
-            break;
-        }
-        std::thread::sleep(Duration::from_micros(200));
+
+    // One round: both connections run the statement once under id 1,
+    // and once both are in flight the controller cancels id 1. A round
+    // in which a statement ended before the frame could reach it proves
+    // nothing either way and is run again (see `poll_until`); a server
+    // that let one connection's token shadow the other's would never
+    // complete one.
+    let both_cancelled = |controller: &mut Client| {
+        let runners: Vec<_> = (0..2)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    let mut client = Client::connect(addr).expect("runner connect");
+                    let sql =
+                        "SELECT g, k, COUNT(*), SUM(v), MIN(v), MAX(v) FROM events GROUP BY g, k";
+                    client.run_with_id(1, sql).map(|_| ())
+                })
+            })
+            .collect();
+        poll_until("both queries to be admitted, or one to end", || {
+            let metrics = controller.metrics().expect("metrics frame");
+            metrics.contains("vagg_server_inflight 2\n") || runners.iter().any(|r| r.is_finished())
+        });
+        // A query registers right after it is admitted; repeating the
+        // frame covers that instant, and costs nothing once both have
+        // tripped.
+        poll_until("both runners to end", || {
+            controller.cancel(1).expect("cancel frame");
+            runners.iter().all(|r| r.is_finished())
+        });
+        let cancelled = runners
+            .into_iter()
+            .filter_map(|runner| runner.join().expect("runner thread").err())
+            .inspect(|err| assert_eq!(err.code(), Some(ErrorCode::Cancelled), "{err}"))
+            .count();
+        cancelled == 2
+    };
+    let started = Instant::now();
+    let mut cancelled_before = handle.stats().cancelled();
+    while !both_cancelled(&mut controller) {
+        assert!(
+            started.elapsed() < PATIENCE,
+            "no round in which the cancel reached both connections"
+        );
+        cancelled_before = handle.stats().cancelled();
     }
-    assert!(
-        both_in_flight,
-        "both queries were admitted before either ended"
-    );
-    // A query registers right after it is admitted; repeating the frame
-    // covers that instant, and costs nothing once both have tripped.
-    for _ in 0..20_000 {
-        controller.cancel(1).expect("cancel frame");
-        if runners.iter().all(|r| r.is_finished()) {
-            break;
-        }
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    for runner in runners {
-        let err = runner
-            .join()
-            .expect("runner thread")
-            .expect_err("the cancel reached this connection too");
-        assert_eq!(err.code(), Some(ErrorCode::Cancelled), "{err}");
-    }
-    assert_eq!(handle.stats().cancelled(), 2);
+    assert_eq!(handle.stats().cancelled(), cancelled_before + 2);
     let outcome = controller.cancel(1).expect("cancel frame");
     assert!(outcome.contains("no in-flight query 1"), "{outcome}");
     handle.shutdown();
@@ -328,7 +356,8 @@ fn an_explicit_cancel_reaches_a_prepared_execute_mid_flight() {
 
     // A fresh client numbers its queries 1, 2, …: the runner publishes
     // the id it is about to execute under, the controller fires Cancel
-    // at it from a separate connection until one lands mid-flight.
+    // at it from a separate connection until one lands mid-flight (see
+    // `poll_until`: the statement is re-executed until one does).
     let current = Arc::new(AtomicU64::new(0));
     let runner = std::thread::spawn({
         let current = Arc::clone(&current);
@@ -337,7 +366,8 @@ fn an_explicit_cancel_reaches_a_prepared_execute_mid_flight() {
             let stmt = client
                 .prepare(&sql.replace("90", "?"))
                 .expect("prepare the statement");
-            for id in 1..=200 {
+            let started = Instant::now();
+            for id in (1..).take_while(|_| started.elapsed() < PATIENCE) {
                 current.store(id, Ordering::Release);
                 match client.execute(stmt, &[90]) {
                     Ok(_) => continue,
@@ -352,14 +382,11 @@ fn an_explicit_cancel_reaches_a_prepared_execute_mid_flight() {
         }
     });
     let mut controller = Client::connect(addr).expect("controller connect");
-    for _ in 0..20_000 {
+    poll_until("the runner to end", || {
         let id = current.load(Ordering::Acquire);
         controller.cancel(id).expect("cancel frame");
-        if runner.is_finished() {
-            break;
-        }
-        std::thread::sleep(Duration::from_micros(200));
-    }
+        runner.is_finished()
+    });
     let rows = runner
         .join()
         .expect("runner thread")
