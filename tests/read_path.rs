@@ -4,9 +4,12 @@
 //! Every entry point hands its plan to the same read driver, so on a
 //! fresh database — cold simulated caches, one range (the table fits
 //! one morsel) — `run_sql`, `execute_sql`, `run_sql_cancellable`, a
-//! prepared `execute`, `run_sql_at` a snapshot-of-now and a one-shard,
-//! one-worker `ShardedDatabase` must agree on the rows **and** on
-//! `report.cycles`, and tracing must change neither. The contract:
+//! prepared statement with the literals bound as `?` parameters,
+//! `run_sql_at` a snapshot-of-now and a one-shard, one-worker
+//! `ShardedDatabase` must agree on the rows **and** on `report.cycles`,
+//! and tracing must change neither. A prepared statement keeps agreeing
+//! with `run_sql` of its bound SQL after every event that moves a
+//! cached plan. The contract:
 //! `report.cycles` is the simulated work on the staged columns (fuse,
 //! filter, cardinality scan, aggregate — its tables opened once and
 //! closed once per machine the query touched); the merge and HAVING /
@@ -27,8 +30,8 @@ use proptest::prelude::*;
 use vagg::core::{monotable, StagedInput};
 use vagg::datagen::rng::Xoshiro256StarStar;
 use vagg::db::{
-    CancelToken, CardinalityEstimation, Database, Engine, ExecutorConfig, QueryOutput, Row,
-    ShardedDatabase, SqlError, SqlOutcome, Table, DEFAULT_MORSEL_ROWS,
+    CancelToken, CardinalityEstimation, Database, Engine, ExecutorConfig, PreparedStatement,
+    QueryOutput, Row, ShardedDatabase, Snapshot, SqlError, SqlOutcome, Table, DEFAULT_MORSEL_ROWS,
 };
 use vagg::sim::Machine;
 
@@ -77,9 +80,30 @@ fn rows_of(outcome: SqlOutcome) -> QueryOutput {
     }
 }
 
-/// Every way to ask for `sql`, each on a fresh database over `t`.
+/// `sql` with its WHERE / HAVING / LIMIT literals turned into `?`
+/// placeholders, and the values they held: what a prepared path binds
+/// to ask for the same statement.
+fn template_of(sql: &str) -> (String, Vec<u64>) {
+    let (mut words, mut params) = (Vec::new(), Vec::new());
+    let mut bindable = false;
+    for word in sql.split(' ') {
+        match word.parse::<u64>() {
+            Ok(value) if bindable => {
+                params.push(value);
+                words.push("?");
+            }
+            _ => words.push(word),
+        }
+        bindable = matches!(word, ">" | "<" | "=" | ">=" | "<=" | "<>" | "LIMIT");
+    }
+    (words.join(" "), params)
+}
+
+/// Every way to ask for `sql`, each on a fresh database over `t`; the
+/// prepared paths bind its literals into a template.
 fn every_path(t: &Table, sql: &str) -> Vec<(&'static str, QueryOutput)> {
     let analyze = format!("EXPLAIN ANALYZE {sql}");
+    let (template, params) = template_of(sql);
     let mut paths = vec![
         ("run_sql", rows_of(fresh(t).run_sql(sql).unwrap())),
         ("execute_sql", fresh(t).execute_sql(sql).unwrap()),
@@ -118,29 +142,35 @@ fn every_path(t: &Table, sql: &str) -> Vec<(&'static str, QueryOutput)> {
     }
     {
         let mut db = fresh(t);
-        let mut stmt = db.prepare(sql).unwrap();
-        paths.push(("prepared execute", stmt.execute(&mut db, &[]).unwrap()));
+        let mut stmt = db.prepare(&template).unwrap();
+        let out = stmt.execute(&mut db, &params).unwrap();
+        paths.push(("prepared execute", out));
     }
     {
         let mut db = fresh(t);
-        let mut stmt = db.prepare(sql).unwrap();
+        let mut stmt = db.prepare(&template).unwrap();
         let snap = db.snapshot();
-        let out = stmt.execute_at(&mut db, &snap, &[]).unwrap();
+        let out = stmt.execute_at(&mut db, &snap, &params).unwrap();
         paths.push(("prepared execute_at", out));
     }
     {
         let mut db = fresh(t);
-        let mut stmt = db.prepare(sql).unwrap();
-        paths.push((
-            "prepared analyze",
-            stmt.analyze(&mut db, &[]).unwrap().output,
-        ));
+        let mut stmt = db.prepare(&template).unwrap();
+        let out = stmt.analyze(&mut db, &params).unwrap().output;
+        paths.push(("prepared analyze", out));
     }
     {
         let mut db = fresh_sharded(t);
-        let mut stmt = db.prepare(sql).unwrap();
-        let out = db.execute_prepared(&mut stmt, &[]).unwrap();
+        let mut stmt = db.prepare(&template).unwrap();
+        let out = db.execute_prepared(&mut stmt, &params).unwrap();
         paths.push(("sharded prepared", out.into()));
+    }
+    {
+        let mut db = fresh_sharded(t);
+        let mut stmt = db.prepare(&template).unwrap();
+        let snap = db.snapshot();
+        let out = db.execute_prepared_at(&mut stmt, &snap, &params).unwrap();
+        paths.push(("sharded prepared_at", out.into()));
     }
     {
         let mut db = fresh_sharded(t);
@@ -228,11 +258,12 @@ proptest! {
 fn the_tail_costs_no_simulated_cycles() {
     let t = table(DEFAULT_MORSEL_ROWS, 42);
     let bare = assert_one_answer(&t, "SELECT a, b, COUNT(*), SUM(v) FROM t GROUP BY a, b");
-    let tailed = assert_one_answer(
-        &t,
-        "SELECT a, b, COUNT(*), SUM(v) FROM t GROUP BY a, b \
-         HAVING COUNT(*) > 20 ORDER BY SUM(v) DESC LIMIT 5",
-    );
+    let sql = "SELECT a, b, COUNT(*), SUM(v) FROM t GROUP BY a, b \
+               HAVING COUNT(*) > 20 ORDER BY SUM(v) DESC LIMIT 5";
+    let (template, params) = template_of(sql);
+    assert!(template.ends_with("HAVING COUNT(*) > ? ORDER BY SUM(v) DESC LIMIT ?"));
+    assert_eq!(params, [20, 5], "the prepared paths bind both literals");
+    let tailed = assert_one_answer(&t, sql);
     assert_eq!(tailed.rows.len(), 5);
     assert!(bare.rows.len() > 5);
     assert_eq!(tailed.report.cycles, bare.report.cycles);
@@ -272,6 +303,116 @@ fn larger_tables_keep_rows_identical_and_each_schedule_deterministic() {
     assert_eq!(pooled.rows, whole.rows);
     let again: QueryOutput = fresh_sharded(&t).run_sql(sql).unwrap().into();
     assert_eq!(pooled.report.cycles, again.report.cycles);
+}
+
+/// The shared plan cache's `(misses, invalidations, rebases)`.
+fn cache_moves(db: &Database) -> (u64, u64, u64) {
+    let s = db.plan_cache_stats();
+    (s.misses, s.invalidations, s.rebases)
+}
+
+const SEQUENCE_TEMPLATE: &str = "SELECT a, COUNT(*), SUM(v) FROM t WHERE w > ? GROUP BY a";
+
+/// A prepared statement on `db` and, in lockstep, `run_sql` of its
+/// bound SQL on `oracle`: a second session over the same catalogue that
+/// has run every read `db` ran, so both machines are in one state.
+struct Lockstep {
+    db: Database,
+    oracle: Database,
+    stmt: PreparedStatement,
+    k: u64,
+}
+
+impl Lockstep {
+    /// Executes with the next parameter (at `at` when given): the plan
+    /// cache moves by exactly `cache` while the statement runs, and the
+    /// oracle answers the bound SQL with the same rows, cycles and
+    /// executed steps.
+    fn step(&mut self, at: Option<&Snapshot>, cache: (u64, u64, u64), event: &str) {
+        self.k += 1;
+        let (db, params) = (&mut self.db, [self.k % 8]);
+        let before = cache_moves(db);
+        let (replans, rebases) = (self.stmt.replans(), self.stmt.rebases());
+        let got = match at {
+            Some(snap) => self.stmt.execute_at(db, snap, &params),
+            None => self.stmt.execute(db, &params),
+        }
+        .unwrap();
+        let after = cache_moves(db);
+        let moved = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
+        assert_eq!(moved, cache, "{event}: (misses, invalidations, rebases)");
+        // The statement's own counters step with the cache's.
+        assert_eq!(self.stmt.replans() - replans, moved.0, "{event}: replans");
+        assert_eq!(self.stmt.rebases() - rebases, moved.2, "{event}: rebases");
+
+        let sql = SEQUENCE_TEMPLATE.replace('?', &params[0].to_string());
+        let want = rows_of(
+            match at {
+                Some(snap) => self.oracle.run_sql_at(snap, &sql),
+                None => self.oracle.run_sql(&sql),
+            }
+            .unwrap(),
+        );
+        assert_eq!(got.rows, want.rows, "{event}: rows");
+        assert_eq!(got.report.cycles, want.report.cycles, "{event}: cycles");
+        assert_eq!(
+            got.report.describe(),
+            want.report.describe(),
+            "{event}: executed steps"
+        );
+    }
+
+    /// Runs a transaction bracket on both sessions.
+    fn both(&mut self, sql: &str) {
+        self.db.run_sql(sql).unwrap();
+        self.oracle.run_sql(sql).unwrap();
+    }
+}
+
+/// A prepared statement through every event that moves a cached plan —
+/// a re-register, a sub-threshold `INSERT`, an `INSERT` that flips §V-D
+/// from mono to psm, `BEGIN READ ONLY` while another session writes,
+/// and a snapshot older than the cache entry — answers as `run_sql` of
+/// the bound SQL, and the shared plan cache counts every re-plan and
+/// rebase it makes.
+#[test]
+fn a_prepared_statement_answers_as_run_sql_across_plan_events() {
+    let t = table(600, 17);
+    let db = fresh(&t);
+    let mut writer = db.catalogue().connect();
+    let mut insert = |a: u32| {
+        let sql = format!("INSERT INTO t (a, b, v, w) VALUES ({a}, 1, 50, 6)");
+        writer.run_sql(&sql).unwrap();
+    };
+    let mut run = Lockstep {
+        oracle: db.catalogue().connect(),
+        stmt: db.prepare(SEQUENCE_TEMPLATE).unwrap(),
+        db,
+        k: 0,
+    };
+    run.step(None, (0, 0, 0), "steady");
+
+    run.db.register(t.clone());
+    run.step(None, (1, 0, 0), "re-register");
+
+    insert(3);
+    let old = run.db.snapshot();
+    run.step(None, (0, 0, 1), "sub-threshold INSERT");
+
+    insert(20_000);
+    run.step(None, (1, 1, 0), "INSERT flipping mono to psm");
+
+    run.both("BEGIN READ ONLY");
+    insert(4);
+    run.step(None, (0, 0, 0), "READ ONLY while another session writes");
+    run.both("COMMIT");
+    run.step(None, (0, 0, 1), "live after COMMIT");
+
+    run.step(
+        Some(&old),
+        (1, 0, 0),
+        "a snapshot older than the cache entry",
+    );
 }
 
 /// A table whose statements exercise the carried state: `w` is
@@ -622,17 +763,18 @@ fn every_join_path(l: &Table, r: &Table, sql: &str) -> Vec<JoinAnswer> {
         let (out, dict) = traced(db.run_sql_at(&snap, &analyze).unwrap());
         paths.push(("run_sql_at traced", out, dict));
     }
+    let (template, params) = template_of(sql);
     {
         let mut db = single();
-        let mut stmt = db.prepare_join(sql).unwrap();
-        let out = stmt.execute(&mut db, &[]).unwrap();
+        let mut stmt = db.prepare_join(&template).unwrap();
+        let out = stmt.execute(&mut db, &params).unwrap();
         paths.push(("prepared join execute", out, None));
     }
     {
         let mut db = single();
-        let mut stmt = db.prepare_join(sql).unwrap();
+        let mut stmt = db.prepare_join(&template).unwrap();
         let snap = db.snapshot();
-        let out = stmt.execute_at(&mut db, &snap, &[]).unwrap();
+        let out = stmt.execute_at(&mut db, &snap, &params).unwrap();
         paths.push(("prepared join execute_at", out, None));
     }
     {
