@@ -60,8 +60,12 @@ fn bench(c: &mut Criterion) {
         let mut db = ShardedDatabase::new(SHARDS);
         db.register(dim(build_rows));
         db.register(fact(build_rows));
-        let plan = db.explain_join_sql(SQL).expect("join plans");
-        assert_eq!(plan.strategy(), expect, "{build_rows}-row build side");
+        let plan = db.explain_sql(SQL).expect("join plans");
+        let strategy = plan
+            .join()
+            .expect("a JOIN statement plans a join")
+            .strategy();
+        assert_eq!(strategy, expect, "{build_rows}-row build side");
         g.bench_function(format!("exchange/{expect}-build-{build_rows}"), |b| {
             b.iter(|| black_box(db.run_sql(SQL).expect("sharded join").rows.len()))
         });

@@ -293,22 +293,6 @@ pub struct SharedCatalogue {
     inner: Arc<Inner>,
 }
 
-/// A non-owning catalogue identity (see [`SharedCatalogue::id`]): the
-/// `Weak` makes the comparison ABA-safe — a dropped catalogue can
-/// never be confused with a new one reusing its address — without
-/// pinning the catalogue's memory.
-#[derive(Debug, Clone)]
-pub(crate) struct CatalogueId(std::sync::Weak<Inner>);
-
-impl CatalogueId {
-    /// Whether this token identifies `catalogue`.
-    pub(crate) fn matches(&self, catalogue: &SharedCatalogue) -> bool {
-        self.0
-            .upgrade()
-            .is_some_and(|inner| Arc::ptr_eq(&inner, &catalogue.inner))
-    }
-}
-
 impl fmt::Debug for SharedCatalogue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SharedCatalogue")
@@ -375,14 +359,6 @@ impl SharedCatalogue {
     /// version alone does not identify a table snapshot.
     pub fn is_same(&self, other: &SharedCatalogue) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
-    /// A weak identity token for this catalogue — lets a
-    /// [`crate::PreparedStatement`] detect that it is executing
-    /// against a different catalogue without keeping this one (its
-    /// tables, its plan cache) alive.
-    pub(crate) fn id(&self) -> CatalogueId {
-        CatalogueId(Arc::downgrade(&self.inner))
     }
 
     /// Opens a new session over this catalogue: a [`Database`] handle
@@ -989,6 +965,17 @@ impl SharedCatalogue {
             .map(|r| (r.schema_version, r.data_version))
     }
 
+    /// The live row count of `name` ([`TableStats::rows`]), read under
+    /// the registry lock: no cut captured, nothing materialised.
+    pub(crate) fn rows(&self, name: &str) -> Option<usize> {
+        self.inner
+            .tables
+            .read()
+            .expect("catalogue lock")
+            .get(name)
+            .map(|r| r.stats.rows())
+    }
+
     /// The live, incrementally maintained statistics of `name`: row
     /// count and per-column min/max, sortedness and sampled distinct
     /// estimate.
@@ -1041,7 +1028,8 @@ impl SharedCatalogue {
     /// literal constants and the §V-D algorithm choice is re-verified
     /// (a policy flip falls back to a fresh plan — impossible while
     /// plan-time statistics are taken pre-filter, but the check keeps
-    /// rebinding honest).
+    /// rebinding honest). Such a hit is found at the table's current
+    /// versions under the registry lock and captures no snapshot.
     ///
     /// A hit whose entry predates an ingest (stale *data* version) is
     /// reconciled against the live statistics: if the drifted stats
@@ -1057,9 +1045,27 @@ impl SharedCatalogue {
     /// [`SqlError::UnknownTable`] for unregistered tables and
     /// [`SqlError::Plan`] for planning problems.
     pub fn plan_query(&self, table: &str, query: &AggregateQuery) -> Result<QueryPlan, SqlError> {
-        // The live read path is a snapshot-of-now: capture a
-        // single-table cut, plan at it, release the pin on return —
-        // the same (one and only) read path an explicit snapshot uses.
+        // A fresh hit needs no cut: looked up at the table's current
+        // versions under the registry lock, it is served as `plan_view`
+        // serves one, which never reads its view.
+        let lookup = {
+            let tables = self.inner.tables.read().expect("catalogue lock");
+            let r = tables
+                .get(table)
+                .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
+            let shape = QueryShape::of(table, r.schema_version, query);
+            let mut cache = self.inner.cache.lock().expect("cache lock");
+            cache.lookup(&shape, r.data_version)
+        };
+        if let Lookup::Fresh(cached) = lookup {
+            let rebound = cached.rebind(query);
+            if self.algorithm_holds(&rebound) {
+                return Ok(rebound);
+            }
+        }
+        // Anything else is planned at a snapshot-of-now: capture a
+        // single-table cut, plan at it, release the pin on return — the
+        // same (one and only) funnel an explicit snapshot uses.
         let snap = self.snapshot_of(table)?;
         self.plan_at_snapshot(&snap, table, query)
     }
@@ -1219,9 +1225,9 @@ impl SharedCatalogue {
     }
 
     /// Whether the adaptive policy still selects the plan's algorithm
-    /// for the plan's recorded statistics — the rebinding soundness
-    /// check shared by the plan cache and prepared statements.
-    pub(crate) fn algorithm_holds(&self, plan: &QueryPlan) -> bool {
+    /// for the plan's recorded statistics — the soundness check on
+    /// every rebound or rebased plan the cache serves.
+    fn algorithm_holds(&self, plan: &QueryPlan) -> bool {
         select_algorithm(
             &PlannerInputs {
                 presorted: plan.presorted(),

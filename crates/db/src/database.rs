@@ -37,7 +37,7 @@ use crate::catalogue::{Installed, RowSel, SharedCatalogue, WriteOp};
 use crate::delta::TableStats;
 use crate::engine::{Engine, QueryOutput};
 use crate::ingest::{CompactionPolicy, IngestError, IngestReceipt, RowBatch};
-use crate::join::{plan_derived, plan_join, plan_join_at, run_join, JoinPlan, PreparedJoin};
+use crate::join::{plan_derived, plan_join, plan_join_at, run_join, JoinPlan};
 use crate::metrics::{MetricsSnapshot, SlowQuery};
 use crate::plan::{PlanError, QueryPlan};
 use crate::prepared::PreparedStatement;
@@ -46,7 +46,7 @@ use crate::read::{self, check_cancel, ReadRequest, Schedule};
 use crate::recovery;
 use crate::session::Session;
 use crate::snapshot::{Snapshot, SnapshotStats};
-use crate::sql::{parse_statement, AsOf, ParseSqlError, SqlQuery, Statement};
+use crate::sql::{parse_statement, parse_template, AsOf, ParseSqlError, SqlQuery, Statement};
 use crate::table::Table;
 use crate::trace::{AnalyzedQuery, QueryTrace};
 use crate::wal::{self, WalError, WalRecord, WalWriter, AUTOCOMMIT};
@@ -79,16 +79,6 @@ pub enum SqlError {
     /// The write path rejected a batch: the typed reason (unknown,
     /// missing or duplicate column, ragged lengths).
     Ingest(IngestError),
-    /// A [`crate::ShardedStatement`] prepared for one shard layout was
-    /// executed on a [`crate::ShardedDatabase`] with a different shard
-    /// count — the per-shard statements cannot be paired with the
-    /// shards. Prepare the statement on the database that executes it.
-    ShardMismatch {
-        /// Shards the statement was prepared for.
-        statement: usize,
-        /// Shards the executing database has.
-        database: usize,
-    },
     /// A write (`INSERT`) was attempted through a read-only view: at an
     /// explicit [`crate::Snapshot`] ([`Database::run_sql_at`]) or
     /// inside a `BEGIN READ ONLY` transaction. Snapshots are immutable
@@ -133,12 +123,6 @@ pub enum SqlError {
     /// cross-shard state. Capture a [`crate::ShardedSnapshot`] for
     /// consistent cross-shard reads instead.
     ShardedTimeTravel,
-    /// A statement/API mismatch around two-table joins: a `JOIN`
-    /// statement was passed to a single-table API
-    /// ([`Database::explain_sql`], [`Database::prepare`]), or a
-    /// single-table statement to a join API
-    /// ([`Database::explain_join_sql`], [`Database::prepare_join`]).
-    JoinStatement,
     /// The write-ahead log could not be written or replayed (the typed
     /// [`WalError`] carries the reason — torn tail, checksum mismatch,
     /// out-of-order LSN, I/O failure).
@@ -195,14 +179,6 @@ impl fmt::Display for SqlError {
                  run_sql (or ShardedDatabase::insert_sql)"
             ),
             SqlError::Ingest(e) => write!(f, "ingest error: {e}"),
-            SqlError::ShardMismatch {
-                statement,
-                database,
-            } => write!(
-                f,
-                "statement prepared for {statement} shard(s) cannot run \
-                 on a {database}-shard database"
-            ),
             SqlError::ReadOnly => write!(
                 f,
                 "snapshots and READ ONLY transactions cannot write; run \
@@ -241,13 +217,6 @@ impl fmt::Display for SqlError {
                 "CREATE SNAPSHOT / AS OF are per-catalogue; a sharded \
                  database cannot freeze an atomic cross-shard state — \
                  capture a ShardedSnapshot for consistent reads"
-            ),
-            SqlError::JoinStatement => write!(
-                f,
-                "two-table JOIN statements go through the join APIs \
-                 (run_sql executes, explain_join_sql explains, \
-                 prepare_join prepares); single-table statements through \
-                 explain_sql / prepare"
             ),
             SqlError::Wal(e) => write!(f, "write-ahead log error: {e}"),
             SqlError::UnknownSnapshot(name) => {
@@ -695,15 +664,9 @@ impl Database {
         !matches!(self.txn, TxnState::None)
     }
 
-    /// The token of the [`Database::run_cancellable`] call in flight, if
-    /// any: every read made under it polls it range by range.
-    pub(crate) fn cancel(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
-    /// The open read-only transaction's snapshot, for the prepared
-    /// statement path to join.
-    pub(crate) fn txn_snapshot(&self) -> Option<&Snapshot> {
+    /// The open read-only transaction's snapshot, which every read
+    /// without an explicit one joins.
+    fn txn_snapshot(&self) -> Option<&Snapshot> {
         match &self.txn {
             TxnState::Read(snap) => Some(snap),
             _ => None,
@@ -817,9 +780,9 @@ impl Database {
     /// host-side build and probe first and plans the aggregation over
     /// the derived table) and hands the plan to
     /// [`Database::execute_read`]. `run_sql`, `run_sql_at`,
-    /// `run_sql_cancellable` and `execute_sql` differ only in the
-    /// [`ReadOpts`] they pass.
-    fn select(
+    /// `run_sql_cancellable`, `execute_sql` and a prepared statement's
+    /// bound query differ only in the [`ReadOpts`] they pass.
+    pub(crate) fn select(
         &mut self,
         q: &SqlQuery,
         sql: &str,
@@ -854,8 +817,8 @@ impl Database {
     }
 
     /// Executes what a read planned on this session — the one finish
-    /// step behind every `SELECT`, prepared statement and prepared
-    /// join: the read driver runs the request's ranges inline
+    /// step behind every `SELECT`, prepared or not: the read driver
+    /// runs the request's ranges inline
     /// ([`Schedule::Inline`]), and the finished query is folded into
     /// the catalogue's metrics registry (counters, cycle histogram,
     /// slow-query ring, pruned ranges).
@@ -865,9 +828,9 @@ impl Database {
         request: ReadRequest<'_>,
     ) -> Result<QueryOutput, SqlError> {
         let traced = request.trace.is_some();
-        // Whichever entry point built the request — ad hoc, prepared,
-        // a prepared join — the token of the call it was made under
-        // rides on it, and the driver polls it before every range.
+        // Whichever entry point built the request — ad hoc or
+        // prepared — the token of the call it was made under rides on
+        // it, and the driver polls it before every range.
         let request = ReadRequest {
             cancel: self.cancel.as_ref(),
             ..request
@@ -1007,9 +970,9 @@ impl Database {
         self.run_cancellable(token, |db| db.run_statement(sql))
     }
 
-    /// Runs `f` with every read it makes on this session — ad hoc,
-    /// prepared ([`PreparedStatement::execute`] and its siblings), a
-    /// prepared join — governed by `token`, exactly as
+    /// Runs `f` with every read it makes on this session — ad hoc or
+    /// prepared ([`PreparedStatement::execute`] and its siblings) —
+    /// governed by `token`, exactly as
     /// [`Database::run_sql_cancellable`] governs a statement: the token
     /// is checked before `f` starts and then before each
     /// [`crate::DEFAULT_MORSEL_ROWS`]-row range of each read, and a
@@ -1333,12 +1296,14 @@ impl Database {
         })
     }
 
-    /// Parses a `SELECT` with `?` placeholders into a reusable
-    /// [`PreparedStatement`]: the statement is planned once, and every
-    /// [`PreparedStatement::execute`] binds parameters into the cached
-    /// plan instead of re-planning — re-planning happens only when the
-    /// table is re-registered or the adaptive algorithm choice would
-    /// flip.
+    /// Parses a `SELECT` with `?` placeholders — over one table or a
+    /// two-table `JOIN` — into a reusable [`PreparedStatement`]. The
+    /// statement is planned once here, so unknown tables and columns
+    /// fail at prepare time; every [`PreparedStatement::execute`] binds
+    /// its parameters and runs the bound SQL as [`Database::run_sql`]
+    /// does, through the shared plan cache — where every bind of the
+    /// template is one entry, so steady executions rebind a cached plan
+    /// and ingest or a re-register moves it as it moves any other.
     ///
     /// ```
     /// use vagg_db::{Database, Table};
@@ -1355,17 +1320,19 @@ impl Database {
     /// let all = stmt.execute(&mut db, &[0])?;
     /// assert_eq!(big.rows.len(), 1);
     /// assert_eq!(all.rows.len(), 2);
-    /// assert_eq!(stmt.replans(), 0, "planned once, executed twice");
+    /// assert_eq!(db.plan_cache_stats().misses, 1, "planned once, executed twice");
     /// # Ok::<(), vagg_db::SqlError>(())
     /// ```
     ///
     /// # Errors
     ///
     /// As [`Database::run_sql`]: parse errors (including a rejected
-    /// `EXPLAIN`), unknown tables, and planning errors — all reported
-    /// here at prepare time, not at first execution.
+    /// `EXPLAIN` or `AS OF`), unknown tables, and planning errors — all
+    /// reported here at prepare time, not at first execution.
     pub fn prepare(&self, sql: &str) -> Result<PreparedStatement, SqlError> {
-        PreparedStatement::prepare(&self.catalogue, sql)
+        let stmt = PreparedStatement::new(parse_template(sql)?);
+        self.explain(&stmt.query(), None)?;
+        Ok(stmt)
     }
 
     /// [`Database::run_sql`] for one `SELECT`, returning the rows
@@ -1387,20 +1354,8 @@ impl Database {
     /// `SELECT`, an `EXPLAIN SELECT` or an `EXPLAIN ANALYZE SELECT`
     /// (planned only — use [`Database::run_sql`] to execute the trace).
     /// A statement with a `JOIN` clause routes through the join planner
-    /// and returns [`ExplainOutput::Join`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Database::run_sql`], plus [`SqlError::InsertStatement`] for
-    /// `INSERT` (ingest has no plan).
-    pub fn explain_sql(&self, sql: &str) -> Result<ExplainOutput, SqlError> {
-        self.explain(&select_of(parse_statement(sql)?)?, None)
-    }
-
-    /// Plans a two-table `JOIN` statement without executing it,
-    /// returning the typed [`JoinPlan`] — the adaptive build-side and
+    /// and returns [`ExplainOutput::Join`]: the adaptive build-side and
     /// strategy decision, renderable with [`JoinPlan::explain`].
-    /// Accepts either a bare `SELECT` or an `EXPLAIN SELECT`.
     ///
     /// ```
     /// use vagg_db::{Database, Table};
@@ -1416,11 +1371,12 @@ impl Database {
     ///         .with_column("order_id", vec![1, 1, 2, 3, 3, 3])
     ///         .with_column("price", vec![10, 20, 30, 40, 50, 60]),
     /// );
-    /// let plan = db.explain_join_sql(
+    /// let out = db.explain_sql(
     ///     "SELECT status, COUNT(*), SUM(price) FROM lineitem \
     ///      JOIN orders ON lineitem.order_id = orders.o_id \
     ///      GROUP BY status",
     /// )?;
+    /// let plan = out.join().expect("a JOIN statement plans a join");
     /// assert_eq!(plan.build_table(), "orders"); // the smaller side
     /// println!("{}", plan.explain());
     /// # Ok::<(), vagg_db::SqlError>(())
@@ -1428,28 +1384,10 @@ impl Database {
     ///
     /// # Errors
     ///
-    /// As [`Database::explain_sql`], plus [`SqlError::JoinStatement`]
-    /// when the statement has no `JOIN` clause.
-    pub fn explain_join_sql(&self, sql: &str) -> Result<JoinPlan, SqlError> {
-        let q = select_of(parse_statement(sql)?)?;
-        if q.join.is_none() {
-            return Err(SqlError::JoinStatement);
-        }
-        Ok(self.plan_join_read(&q, None)?.0)
-    }
-
-    /// Parses a two-table `JOIN` statement with `?` placeholders into
-    /// a reusable [`PreparedJoin`]: the join is planned eagerly (so
-    /// unknown tables and unresolvable columns fail here) and the
-    /// built+probed derived table is cached across executions while
-    /// both tables' versions stand still — see [`PreparedJoin`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Database::prepare`], plus [`SqlError::JoinStatement`] when
-    /// the statement has no `JOIN` clause.
-    pub fn prepare_join(&self, sql: &str) -> Result<PreparedJoin, SqlError> {
-        PreparedJoin::prepare(&self.catalogue, sql)
+    /// As [`Database::run_sql`], plus [`SqlError::InsertStatement`] for
+    /// `INSERT` (ingest has no plan).
+    pub fn explain_sql(&self, sql: &str) -> Result<ExplainOutput, SqlError> {
+        self.explain(&select_of(parse_statement(sql)?)?, None)
     }
 
     /// One metrics snapshot across every subsystem this database
@@ -1503,11 +1441,11 @@ impl Database {
 /// public entry points, as data. (The token of a cancellable call is
 /// the session's, not the statement's: [`Database::run_cancellable`].)
 #[derive(Clone, Copy, Default)]
-struct ReadOpts<'a> {
+pub(crate) struct ReadOpts<'a> {
     /// Read at this snapshot instead of the session's own view.
-    at: Option<&'a Snapshot>,
+    pub(crate) at: Option<&'a Snapshot>,
     /// Gather an `EXPLAIN ANALYZE` trace while executing.
-    trace: bool,
+    pub(crate) trace: bool,
 }
 
 /// The query of a read statement (`SELECT` / `EXPLAIN [ANALYZE]

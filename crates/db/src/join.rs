@@ -42,16 +42,15 @@
 //! nested-loop oracle).
 
 use crate::cancel::CancelToken;
-use crate::catalogue::{CatalogueId, SharedCatalogue};
-use crate::database::{Database, SqlError};
+use crate::database::SqlError;
 use crate::delta::TableStats;
-use crate::engine::{Engine, QueryOutput};
+use crate::engine::Engine;
 use crate::executor::{Executor, DEFAULT_MORSEL_ROWS};
 use crate::plan::{PlanError, PlanStep, QueryPlan};
 use crate::query::AggregateQuery;
-use crate::read::{check_cancel, ranges, ReadRequest};
+use crate::read::{check_cancel, ranges};
 use crate::snapshot::Snapshot;
-use crate::sql::{parse_template, JoinClause, SqlTemplate};
+use crate::sql::{join_from, JoinClause};
 use crate::table::Table;
 use crate::trace::QueryTrace;
 use std::collections::HashMap;
@@ -99,7 +98,7 @@ pub(crate) struct ColumnRef {
 /// table feeds. Produced by the join planner behind
 /// [`crate::Database::run_sql`] / [`crate::ShardedDatabase::run_sql`],
 /// rendered by [`JoinPlan::explain`], returned typed by
-/// [`crate::Database::explain_join_sql`].
+/// [`crate::Database::explain_sql`] as [`crate::ExplainOutput::Join`].
 #[derive(Debug, Clone)]
 pub struct JoinPlan {
     pub(crate) left: String,
@@ -214,14 +213,7 @@ impl JoinPlan {
 
     /// The planned statement rendered as SQL.
     pub fn sql(&self) -> String {
-        let on = self
-            .on
-            .iter()
-            .map(|(l, r)| format!("{}.{l} = {}.{r}", self.left, self.right))
-            .collect::<Vec<_>>()
-            .join(" AND ");
-        self.agg
-            .sql(&format!("{} JOIN {} ON {on}", self.left, self.right))
+        self.agg.sql(&join_from(&self.left, &self.right, &self.on))
     }
 
     /// The build side's join key columns, in ON order.
@@ -941,195 +933,6 @@ impl JoinMorsel {
             pairs,
             stolen,
         }
-    }
-}
-
-/// A two-table statement prepared once and executed many times:
-/// produced by [`crate::Database::prepare_join`]. The join (build +
-/// probe + derived-table gather) is cached keyed on both tables'
-/// schema and data versions — re-executing against unchanged tables
-/// re-plans only the (cheap) aggregation over the cached derived
-/// table; any version drift on either side rebuilds the join
-/// (counted by [`PreparedJoin::rejoins`]).
-#[derive(Debug)]
-pub struct PreparedJoin {
-    template: Arc<SqlTemplate>,
-    cached: Option<CachedJoin>,
-    executions: u64,
-    rejoins: u64,
-}
-
-/// The cached join materialisation, tagged with the catalogue identity
-/// and both tables' versions it was built against.
-#[derive(Debug)]
-struct CachedJoin {
-    catalogue: CatalogueId,
-    left: (u64, u64),
-    right: (u64, u64),
-    plan: JoinPlan,
-    derived: Table,
-}
-
-impl PreparedJoin {
-    /// Parses and eagerly plans a join template (what
-    /// [`crate::Database::prepare_join`] calls).
-    pub(crate) fn prepare(catalogue: &SharedCatalogue, sql: &str) -> Result<Self, SqlError> {
-        let template = Arc::new(parse_template(sql)?);
-        if template.join.is_none() {
-            return Err(SqlError::JoinStatement);
-        }
-        let stmt = Self {
-            template,
-            cached: None,
-            executions: 0,
-            rejoins: 0,
-        };
-        // Plan the sentinel query now: prepare-time errors (unknown
-        // tables, unresolvable columns) beat first-execution surprises.
-        stmt.plan_at(&catalogue.snapshot(), &stmt.template.query)?;
-        Ok(stmt)
-    }
-
-    /// `?` placeholders this statement declares.
-    pub fn parameter_count(&self) -> usize {
-        self.template.slots.len()
-    }
-
-    /// Successful executions so far.
-    pub fn executions(&self) -> u64 {
-        self.executions
-    }
-
-    /// Times execution had to rebuild the join (first execution, a
-    /// version drift on either table, or a catalogue change) instead
-    /// of reusing the cached derived table.
-    pub fn rejoins(&self) -> u64 {
-        self.rejoins
-    }
-
-    /// Binds `params` and executes on `db`'s session. Reads at the
-    /// open read-only transaction's snapshot when one is pinned, else
-    /// at a snapshot-of-now — the same two-table consistent cut
-    /// [`crate::Database::run_sql`] uses for joins.
-    ///
-    /// # Errors
-    ///
-    /// Bind errors ([`PlanError::BindArity`] / [`PlanError::BindType`]
-    /// wrapped in [`SqlError::Plan`]), plus the usual join planning
-    /// errors when the join must be rebuilt.
-    pub fn execute(&mut self, db: &mut Database, params: &[u64]) -> Result<QueryOutput, SqlError> {
-        let agg = crate::prepared::bind_slots(&self.template, params).map_err(SqlError::Plan)?;
-        {
-            let owned;
-            let snap = match db.txn_snapshot() {
-                Some(snap) => snap,
-                None => {
-                    owned = db.catalogue().snapshot();
-                    &owned
-                }
-            };
-            self.refresh(db.catalogue(), snap, &agg, db.cancel())?;
-        }
-        self.run_tail(db, &agg)
-    }
-
-    /// Binds `params` and executes **at a pinned snapshot**: both
-    /// tables read the snapshot's cut, so the answer reproduces the
-    /// pinned state however much ingest landed since.
-    ///
-    /// # Errors
-    ///
-    /// As [`PreparedJoin::execute`], plus [`SqlError::ForeignSnapshot`]
-    /// if the snapshot was cut from a catalogue other than `db`'s.
-    pub fn execute_at(
-        &mut self,
-        db: &mut Database,
-        snap: &Snapshot,
-        params: &[u64],
-    ) -> Result<QueryOutput, SqlError> {
-        if !snap.catalogue().is_same(db.catalogue()) {
-            return Err(SqlError::ForeignSnapshot);
-        }
-        let agg = crate::prepared::bind_slots(&self.template, params).map_err(SqlError::Plan)?;
-        self.refresh(db.catalogue(), snap, &agg, db.cancel())?;
-        self.run_tail(db, &agg)
-    }
-
-    /// Runs the (cheap) aggregation over the cached derived table.
-    fn run_tail(
-        &mut self,
-        db: &mut Database,
-        agg: &AggregateQuery,
-    ) -> Result<QueryOutput, SqlError> {
-        let cached = self.cached.as_ref().expect("refresh filled the cache");
-        let plan = plan_derived(db.catalogue().engine(), &cached.derived, agg)?;
-        let request = ReadRequest {
-            prefix: &cached.plan.steps,
-            ..ReadRequest::new(vec![plan])
-        };
-        let out = db.execute_read(&cached.plan.sql(), request)?;
-        self.executions += 1;
-        Ok(out)
-    }
-
-    /// Reuses the cached join when both tables still sit at the cached
-    /// versions under the same catalogue; otherwise re-plans and
-    /// re-materialises the join at `snap`'s cut, on the calling thread
-    /// and under `cancel`. Binding only patches comparison constants —
-    /// column references never change between binds — so a
-    /// version-stable cache stays valid across executions.
-    fn refresh(
-        &mut self,
-        catalogue: &SharedCatalogue,
-        snap: &Snapshot,
-        agg: &AggregateQuery,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), SqlError> {
-        let versions = |table: &str| -> Result<(u64, u64), SqlError> {
-            match (snap.schema_version(table), snap.data_version(table)) {
-                (Some(s), Some(d)) => Ok((s, d)),
-                _ => Err(SqlError::UnknownTable(table.to_string())),
-            }
-        };
-        let left = versions(&self.template.table)?;
-        let join = self.template.join.as_ref().expect("join template");
-        let right = versions(&join.table)?;
-        let hit = self
-            .cached
-            .as_ref()
-            .is_some_and(|c| c.catalogue.matches(catalogue) && c.left == left && c.right == right);
-        if !hit {
-            let (plan, ltab, rtab) = self.plan_at(snap, agg)?;
-            let (mut derived, _) = run_join(
-                &plan,
-                std::slice::from_ref(&ltab),
-                std::slice::from_ref(&rtab),
-                None,
-                cancel,
-            )?;
-            let derived = derived
-                .pop()
-                .expect("one derived table per probe partition");
-            self.cached = Some(CachedJoin {
-                catalogue: catalogue.id(),
-                left,
-                right,
-                plan,
-                derived,
-            });
-            self.rejoins += 1;
-        }
-        Ok(())
-    }
-
-    /// Plans the join at a snapshot cut (no execution).
-    fn plan_at(
-        &self,
-        snap: &Snapshot,
-        agg: &AggregateQuery,
-    ) -> Result<(JoinPlan, Table, Table), SqlError> {
-        let join = self.template.join.as_ref().expect("join template");
-        plan_join_at(snap, &self.template.table, join, agg)
     }
 }
 

@@ -24,8 +24,9 @@
 //!   and `?` placeholders via [`Database::prepare`];
 //! * the serving layer — a [`PlanCache`] keyed by normalized query
 //!   shape (hit/miss counters, LRU eviction, invalidation on
-//!   re-register), [`PreparedStatement`]s that plan once and bind
-//!   parameters per execution, a [`SharedCatalogue`] serving many
+//!   re-register), [`PreparedStatement`]s that parse once and bind
+//!   parameters per execution (every bind of a template is one cache
+//!   entry), a [`SharedCatalogue`] serving many
 //!   concurrent sessions, and a [`ShardedDatabase`] that partitions
 //!   rows across N shards, runs their plans as stealable morsels on a
 //!   persistent worker pool (the [`Executor`]), merges
@@ -40,8 +41,8 @@
 //!   schema version, threshold-triggered [compaction](CompactionPolicy),
 //!   and plan reconciliation: cached plans survive ingest by rebasing
 //!   onto the new columns unless the drifted statistics flip the §V-D
-//!   algorithm choice, in which case the plan cache invalidates them
-//!   and [`PreparedStatement::replans`] increments;
+//!   algorithm choice, in which case the plan cache invalidates and
+//!   re-plans them ([`CacheStats`] counts both);
 //! * the snapshot-first read path — **every** read happens at an MVCC
 //!   [`Snapshot`]: `run_sql` captures a snapshot-of-now per statement,
 //!   [`Database::snapshot`] / [`SharedCatalogue::snapshot`] /
@@ -110,7 +111,8 @@
 //! db.run_sql("INSERT INTO r (g, v) VALUES (2, 40), (3, 50)")?;
 //! let out = stmt.execute(&mut db, &[])?; // sees the appended rows
 //! assert_eq!(out.rows.len(), 3);
-//! assert_eq!(stmt.rebases() + stmt.replans(), 1); // stats refreshed
+//! let cache = db.plan_cache_stats();
+//! assert_eq!(cache.rebases + cache.invalidations, 1); // stats refreshed
 //! # Ok::<(), vagg_db::SqlError>(())
 //! ```
 //!
@@ -207,7 +209,7 @@ pub use engine::{CardinalityEstimation, Engine, ExecutionReport, QueryOutput, Ro
 pub use executor::{Executor, ExecutorConfig, ExecutorError, ExecutorStats, DEFAULT_MORSEL_ROWS};
 pub use filter::{reference_filter, vector_filter, Predicate};
 pub use ingest::{CompactionPolicy, IngestError, IngestReceipt, RowBatch};
-pub use join::{JoinPlan, JoinStrategy, PreparedJoin};
+pub use join::{JoinPlan, JoinStrategy};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, SlowQuery};
 pub use plan::{PlanError, PlanStep, QueryPlan, ScanMode};
 pub use prepared::PreparedStatement;

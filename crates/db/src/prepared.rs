@@ -1,104 +1,43 @@
-//! Prepared statements: parse and plan once, bind and execute many.
+//! Prepared statements: parse once, bind and execute many.
 //!
-//! [`crate::Database::prepare`] parses a `SELECT` whose comparison
-//! constants and LIMIT may be `?` placeholders, plans it immediately
-//! (so unknown tables/columns fail at prepare time), and returns a
-//! [`PreparedStatement`]. Each [`PreparedStatement::execute`] binds
-//! concrete parameters into the cached plan — pure constant patching,
-//! no statistics pass — and runs it on the database's session.
+//! [`crate::Database::prepare`] and [`crate::ShardedDatabase::prepare`]
+//! parse a `SELECT` — over one table or a two-table `JOIN` — whose
+//! comparison constants and LIMIT may be `?` placeholders, plan it once
+//! so unknown tables and columns fail at prepare time, and return a
+//! [`PreparedStatement`]: the parsed [`SqlTemplate`] and an execution
+//! count, nothing else.
 //!
-//! Binding cannot flip the §V-D adaptive algorithm choice, because the
-//! planner takes its cardinality statistics over the *unfiltered*
-//! table (see [`crate::Engine::plan`]); the statement still re-verifies
-//! the choice on every execution and re-plans if a future policy
-//! disagrees, and it always re-plans when the table was re-registered
-//! (its statistics changed).
-//!
-//! The write path makes the re-check live: ingest bumps the table's
-//! *data* version, and the next execution re-runs the §V-D choice
-//! against the drifted statistics. If the choice stands, the statement
-//! picks up a cheaply *rebased* plan (new column snapshots, no
-//! statistics pass — counted by [`PreparedStatement::rebases`]); if the
-//! drift crossed a policy threshold, it re-plans from scratch (counted
-//! by [`PreparedStatement::replans`]).
+//! Each execution binds the parameters into a concrete [`SqlQuery`] and
+//! hands it to the read path `run_sql` reaches, so it plans through the
+//! catalogue's one funnel ([`crate::SharedCatalogue::plan_query`]) and
+//! the shared [`crate::PlanCache`]. The cache's shape masks literals, so
+//! every bind of one template is one cache entry: served (a fresh hit
+//! needs no snapshot cut), rebased after ingest, or re-planned when
+//! drifted statistics flip the §V-D choice or the table is
+//! re-registered — exactly as the ad hoc statement would be, and counted
+//! in [`crate::CacheStats`].
 
-use crate::catalogue::{CatalogueId, SharedCatalogue};
-use crate::database::{Database, SqlError};
+use crate::database::{Database, ReadOpts, SqlError};
 use crate::engine::QueryOutput;
-use crate::plan::{PlanError, QueryPlan};
-use crate::query::AggregateQuery;
-use crate::read::ReadRequest;
+use crate::plan::PlanError;
 use crate::snapshot::Snapshot;
-use crate::sql::{parse_template, ParamSlot, SqlTemplate};
-use crate::trace::QueryTrace;
-use std::sync::Arc;
+use crate::sql::{ParamSlot, SqlQuery, SqlTemplate};
+use crate::trace::{AnalyzedQuery, QueryTrace};
 
-/// A statement planned once and executed many times with bound
-/// parameters. Produced by [`crate::Database::prepare`].
+/// A statement parsed once and executed many times with bound
+/// parameters. Produced by [`crate::Database::prepare`] and
+/// [`crate::ShardedDatabase::prepare`].
 #[derive(Debug)]
 pub struct PreparedStatement {
-    /// Shared (`Arc`) with every sibling statement of a sharded
-    /// prepare, so preparing N shards parses and stores the template
-    /// once.
-    template: Arc<SqlTemplate>,
-    cached: Option<CachedPlan>,
+    template: SqlTemplate,
     executions: u64,
-    replans: u64,
-    rebases: u64,
-}
-
-/// The plan last used, tagged with the (weak, non-owning) identity of
-/// the catalogue it was planned against and that catalogue's table
-/// versions: executing against a different catalogue, or after a
-/// re-registration bumped the schema version, forces a re-plan (the
-/// cached plan snapshots the *old* columns); an ingest-bumped data
-/// version re-runs the §V-D choice against the drifted statistics and
-/// rebases or re-plans accordingly.
-#[derive(Debug)]
-struct CachedPlan {
-    catalogue: CatalogueId,
-    schema_version: u64,
-    data_version: u64,
-    plan: QueryPlan,
 }
 
 impl PreparedStatement {
-    /// Parses and eagerly plans `sql` against `catalogue` (what
-    /// [`crate::Database::prepare`] calls).
-    pub(crate) fn prepare(catalogue: &SharedCatalogue, sql: &str) -> Result<Self, SqlError> {
-        let template = Arc::new(parse_template(sql)?);
-        if template.join.is_some() {
-            return Err(SqlError::JoinStatement);
-        }
-        let mut stmt = Self {
-            template,
-            cached: None,
-            executions: 0,
-            replans: 0,
-            rebases: 0,
-        };
-        // Plan the sentinel query now: prepare-time errors beat
-        // first-execution surprises. The plan doubles as the template
-        // every later execution rebinds.
-        let query = stmt.template.query.clone();
-        stmt.plan_bound(catalogue, None, &query)?;
-        Ok(stmt)
-    }
-
-    /// Builds a statement from an already-parsed, shared template
-    /// without planning — the sharded path, which parses the SQL once
-    /// and hands the same `Arc` to every shard's slot (prepare cost
-    /// O(1) in the shard count). No eager plan happens here because a
-    /// shard's partition may be empty (unplannable) until a re-register
-    /// populates it; validation runs against a populated shard in
-    /// [`crate::ShardedDatabase::prepare`].
-    pub(crate) fn from_template(template: Arc<SqlTemplate>) -> Self {
+    pub(crate) fn new(template: SqlTemplate) -> Self {
         Self {
             template,
-            cached: None,
             executions: 0,
-            replans: 0,
-            rebases: 0,
         }
     }
 
@@ -118,46 +57,19 @@ impl PreparedStatement {
         self.executions
     }
 
-    /// Times execution had to re-plan instead of rebinding the cached
-    /// plan: the table was re-registered (schema version bumped), the
-    /// statement moved to a different catalogue, or — the write path's
-    /// contribution — an ingest drifted the statistics far enough to
-    /// flip the §V-D algorithm choice. Zero under steady traffic — the
-    /// prepared-statement fast path.
-    pub fn replans(&self) -> u64 {
-        self.replans
-    }
-
-    /// Times an ingest bumped the table's data version *without*
-    /// flipping the §V-D choice, so execution refreshed its plan for
-    /// the new data instead of counting a [`PreparedStatement::replans`]
-    /// event. Under the default exact-scan engine this is the cheap
-    /// cache rebase (fresh column snapshots, no statistics pass); for
-    /// plans the cache cannot rebase — sampled estimation, composite
-    /// GROUP BY — a real statistics pass still ran underneath (visible
-    /// in [`crate::CacheStats::invalidations`]), and this counter only
-    /// records that the algorithm choice held.
-    pub fn rebases(&self) -> u64 {
-        self.rebases
-    }
-
-    /// The plan the statement last executed (or eagerly built at
-    /// prepare time); `None` only for the sharded path's lazily planned
-    /// per-shard statements before their first execution.
-    pub fn plan(&self) -> Option<&QueryPlan> {
-        self.cached.as_ref().map(|c| &c.plan)
-    }
-
-    /// Renders the current plan in `EXPLAIN` form (see
-    /// [`QueryPlan::explain`]) — after an ingest past a §V-D threshold,
-    /// the next execution's re-plan shows up here as a changed
-    /// `Aggregate[...]` step.
-    pub fn explain(&self) -> Option<String> {
-        self.plan().map(QueryPlan::explain)
+    /// The template as a query, its placeholders still holding the
+    /// parser's sentinel constants — what prepare plans to validate.
+    pub(crate) fn query(&self) -> SqlQuery {
+        SqlQuery {
+            table: self.template.table.clone(),
+            query: self.template.query.clone(),
+            as_of: None,
+            join: self.template.join.clone(),
+        }
     }
 
     /// Binds `params` into the statement's `?` slots, yielding the
-    /// concrete query this execution runs.
+    /// concrete statement this execution runs.
     ///
     /// # Errors
     ///
@@ -165,35 +77,68 @@ impl PreparedStatement {
     /// [`PreparedStatement::parameter_count`], and
     /// [`PlanError::BindType`] when a comparison constant does not fit
     /// `u32` (column values are 32-bit).
-    pub fn bind(&self, params: &[u64]) -> Result<AggregateQuery, PlanError> {
-        bind_slots(&self.template, params)
+    pub fn bind(&self, params: &[u64]) -> Result<SqlQuery, PlanError> {
+        let slots = &self.template.slots;
+        if params.len() != slots.len() {
+            return Err(PlanError::BindArity {
+                expected: slots.len(),
+                got: params.len(),
+            });
+        }
+        let mut bound = self.query();
+        let query = &mut bound.query;
+        for (index, (&slot, &value)) in slots.iter().zip(params).enumerate() {
+            let constant =
+                |value: u64| u32::try_from(value).map_err(|_| PlanError::BindType { index, value });
+            match slot {
+                ParamSlot::FilterConstant => {
+                    let k = constant(value)?;
+                    let (_, pred) = query.filter.as_mut().expect("template has a WHERE slot");
+                    *pred = pred.with_constant(k);
+                }
+                ParamSlot::HavingConstant => {
+                    let k = constant(value)?;
+                    let having = query.having.as_mut().expect("template has a HAVING slot");
+                    having.pred = having.pred.with_constant(k);
+                }
+                ParamSlot::Limit => {
+                    let k =
+                        usize::try_from(value).map_err(|_| PlanError::BindType { index, value })?;
+                    query
+                        .order_by
+                        .as_mut()
+                        .expect("template has a LIMIT slot")
+                        .limit = Some(k);
+                }
+            }
+        }
+        Ok(bound)
     }
 
-    /// Binds `params` and executes on `db`'s session, reusing the plan
-    /// cached at prepare time (constants are patched in; planning
-    /// statistics are not recomputed). Re-plans only when the table
-    /// was re-registered or the adaptive algorithm choice would flip.
-    /// A session inside `BEGIN READ ONLY` pins every read — prepared or
-    /// ad hoc — to the transaction's snapshot.
+    /// Counts one successful execution (the sharded path's half of
+    /// [`PreparedStatement::run`]).
+    pub(crate) fn executed(&mut self) {
+        self.executions += 1;
+    }
+
+    /// Binds `params` and executes on `db`'s session, exactly as
+    /// [`Database::run_sql`] executes the bound SQL: planned through the
+    /// shared plan cache (one entry for every bind of this template),
+    /// inside `BEGIN READ ONLY` at the transaction's snapshot.
     ///
     /// # Errors
     ///
     /// Bind errors ([`PlanError::BindArity`] / [`PlanError::BindType`],
-    /// wrapped in [`SqlError::Plan`]), plus the usual planning errors
-    /// when a re-plan is needed.
+    /// wrapped in [`SqlError::Plan`]), plus whatever `run_sql` of the
+    /// bound SQL reports.
     pub fn execute(&mut self, db: &mut Database, params: &[u64]) -> Result<QueryOutput, SqlError> {
-        Ok(self.run(db, None, params, false)?.0)
+        Ok(self.run(db, params, ReadOpts::default())?.0)
     }
 
-    /// [`PreparedStatement::execute`] **at a pinned snapshot**: the
-    /// plan's column snapshots, cardinality statistics and §V-D
-    /// algorithm choice come from the snapshot's cut — later ingest may
-    /// have flipped the live choice and compacted the table, the
-    /// execution still reproduces the pinned rows exactly. The
-    /// statement's cached plan follows whatever version it last
-    /// executed at, so alternating live/snapshot executions refresh it
-    /// each time (counted by [`PreparedStatement::rebases`] /
-    /// [`PreparedStatement::replans`] like any other version move).
+    /// [`PreparedStatement::execute`] **at a pinned snapshot**, as
+    /// [`Database::run_sql_at`] reads it: the plan's column snapshots,
+    /// statistics and §V-D algorithm choice come from the snapshot's
+    /// cut, however far ingest has moved the live table since.
     ///
     /// # Errors
     ///
@@ -206,7 +151,11 @@ impl PreparedStatement {
         snap: &Snapshot,
         params: &[u64],
     ) -> Result<QueryOutput, SqlError> {
-        Ok(self.run(db, Some(snap), params, false)?.0)
+        let opts = ReadOpts {
+            at: Some(snap),
+            ..ReadOpts::default()
+        };
+        Ok(self.run(db, params, opts)?.0)
     }
 
     /// [`PreparedStatement::execute`] with tracing on — the prepared
@@ -221,154 +170,41 @@ impl PreparedStatement {
         &mut self,
         db: &mut Database,
         params: &[u64],
-    ) -> Result<crate::AnalyzedQuery, SqlError> {
-        let (output, trace) = self.run(db, None, params, true)?;
+    ) -> Result<AnalyzedQuery, SqlError> {
+        let opts = ReadOpts {
+            trace: true,
+            ..ReadOpts::default()
+        };
+        let (output, trace) = self.run(db, params, opts)?;
         let trace = trace.expect("a traced run returns its trace");
-        Ok(crate::AnalyzedQuery { output, trace })
+        Ok(AnalyzedQuery { output, trace })
     }
 
     /// The body of `execute`, `execute_at` and `analyze`: bind, then
-    /// hand the plan to the session's one finish step
-    /// ([`Database::execute_read`]).
+    /// the session's one read path.
     fn run(
         &mut self,
         db: &mut Database,
-        at: Option<&Snapshot>,
         params: &[u64],
-        traced: bool,
+        opts: ReadOpts<'_>,
     ) -> Result<(QueryOutput, Option<QueryTrace>), SqlError> {
-        let plan = self.bound_plan_at(db.catalogue(), at.or(db.txn_snapshot()), params)?;
-        self.executions += 1;
-        let sql = plan.sql();
-        let mut trace = traced.then(|| QueryTrace::new(sql.clone()));
-        let request = ReadRequest {
-            trace: trace.as_mut(),
-            ..ReadRequest::new(vec![Some(plan)])
-        };
-        Ok((db.execute_read(&sql, request)?, trace))
+        let q = self.bind(params)?;
+        let out = db.select(&q, &q.sql(), opts)?;
+        self.executed();
+        Ok(out)
     }
-
-    /// Binds `params` and returns the executable plan without running
-    /// it, planned at an explicit snapshot when one is given (else live
-    /// — itself a snapshot-of-now inside the catalogue). The shared
-    /// half of execution here and on the sharded path.
-    pub(crate) fn bound_plan_at(
-        &mut self,
-        catalogue: &SharedCatalogue,
-        snap: Option<&Snapshot>,
-        params: &[u64],
-    ) -> Result<QueryPlan, SqlError> {
-        let bound = self.bind(params).map_err(SqlError::Plan)?;
-        self.plan_bound(catalogue, snap, &bound)
-    }
-
-    fn plan_bound(
-        &mut self,
-        catalogue: &SharedCatalogue,
-        snap: Option<&Snapshot>,
-        bound: &AggregateQuery,
-    ) -> Result<QueryPlan, SqlError> {
-        let table = &self.template.table;
-        if let Some(snap) = snap {
-            if !snap.catalogue().is_same(catalogue) {
-                return Err(SqlError::ForeignSnapshot);
-            }
-        }
-        let versions = match snap {
-            Some(snap) => snap.schema_version(table).zip(snap.data_version(table)),
-            None => catalogue.versions(table),
-        };
-        let (schema_version, data_version) =
-            versions.ok_or_else(|| SqlError::UnknownTable(table.clone()))?;
-        let mut drifted_from = None;
-        if let Some(cached) = &self.cached {
-            let same_table =
-                cached.catalogue.matches(catalogue) && cached.schema_version == schema_version;
-            if same_table && cached.data_version == data_version {
-                let rebound = cached.plan.rebind(bound);
-                if catalogue.algorithm_holds(&rebound) {
-                    return Ok(rebound);
-                }
-                // A flipped policy at unchanged statistics: re-plan.
-                self.replans += 1;
-            } else if same_table {
-                // Ingest drifted the statistics (data version moved):
-                // re-plan through the catalogue — usually a cheap cache
-                // rebase — and count below by whether the §V-D choice
-                // moved.
-                drifted_from = Some(cached.plan.algorithm());
-            } else {
-                // A different catalogue or a stale schema version:
-                // re-plan against *this* catalogue.
-                self.replans += 1;
-            }
-        }
-        let plan = match snap {
-            Some(snap) => catalogue.plan_query_at(snap, table, bound)?,
-            None => catalogue.plan_query(table, bound)?,
-        };
-        if let Some(old_algorithm) = drifted_from {
-            if plan.algorithm() == old_algorithm {
-                self.rebases += 1;
-            } else {
-                self.replans += 1;
-            }
-        }
-        self.cached = Some(CachedPlan {
-            catalogue: catalogue.id(),
-            schema_version,
-            data_version,
-            plan: plan.clone(),
-        });
-        Ok(plan)
-    }
-}
-
-/// Binds `params` into a template's `?` slots, yielding the concrete
-/// query one execution runs — the shared bind half of
-/// [`PreparedStatement`] and [`crate::join::PreparedJoin`].
-pub(crate) fn bind_slots(
-    template: &SqlTemplate,
-    params: &[u64],
-) -> Result<AggregateQuery, PlanError> {
-    if params.len() != template.slots.len() {
-        return Err(PlanError::BindArity {
-            expected: template.slots.len(),
-            got: params.len(),
-        });
-    }
-    let mut query = template.query.clone();
-    for (index, (&slot, &value)) in template.slots.iter().zip(params).enumerate() {
-        let constant =
-            |value: u64| u32::try_from(value).map_err(|_| PlanError::BindType { index, value });
-        match slot {
-            ParamSlot::FilterConstant => {
-                let k = constant(value)?;
-                let (_, pred) = query.filter.as_mut().expect("template has a WHERE slot");
-                *pred = pred.with_constant(k);
-            }
-            ParamSlot::HavingConstant => {
-                let k = constant(value)?;
-                let having = query.having.as_mut().expect("template has a HAVING slot");
-                having.pred = having.pred.with_constant(k);
-            }
-            ParamSlot::Limit => {
-                let k = usize::try_from(value).map_err(|_| PlanError::BindType { index, value })?;
-                query
-                    .order_by
-                    .as_mut()
-                    .expect("template has a LIMIT slot")
-                    .limit = Some(k);
-            }
-        }
-    }
-    Ok(query)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::table::Table;
+
+    /// The shared plan cache's `(hits, misses, invalidations, rebases)`.
+    fn cache(db: &Database) -> (u64, u64, u64, u64) {
+        let s = db.plan_cache_stats();
+        (s.hits, s.misses, s.invalidations, s.rebases)
+    }
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -402,7 +238,8 @@ mod tests {
         assert_eq!(out0.rows, fresh0.rows);
 
         assert_eq!(stmt.executions(), 2);
-        assert_eq!(stmt.replans(), 0, "binding never re-planned");
+        // Prepare planned the one entry every bind and literal shares.
+        assert_eq!(cache(&db), (4, 1, 0, 0));
     }
 
     #[test]
@@ -504,21 +341,21 @@ mod tests {
             .prepare("SELECT g, COUNT(*), SUM(v) FROM r WHERE v > ? GROUP BY g")
             .unwrap();
         stmt.execute(&mut db, &[0]).unwrap();
-        assert_eq!(stmt.replans(), 0);
+        assert_eq!(cache(&db), (1, 1, 0, 0));
         db.register(
             Table::new("r")
                 .with_column("g", vec![8, 8, 8, 8])
                 .with_column("v", vec![1, 2, 3, 4]),
         );
         let out = stmt.execute(&mut db, &[1]).unwrap();
-        assert_eq!(stmt.replans(), 1, "stale statistics re-planned");
+        assert_eq!(cache(&db), (1, 2, 1, 0), "purged, then re-planned");
         assert_eq!(out.rows.len(), 1);
         assert_eq!(out.rows[0].group, 8);
         // v > 1 over v = [1, 2, 3, 4]: three rows, SUM 9.
         assert_eq!(out.rows[0].values, vec![3.0, 9.0]);
         // Steady state again afterwards.
         stmt.execute(&mut db, &[2]).unwrap();
-        assert_eq!(stmt.replans(), 1);
+        assert_eq!(cache(&db), (2, 2, 1, 0));
     }
 
     #[test]
@@ -535,8 +372,7 @@ mod tests {
     #[test]
     fn executing_on_another_catalogue_replans_against_its_table() {
         // Same table name, same version number, different catalogue:
-        // the cached plan must not leak db1's column snapshots into
-        // db2's answer.
+        // the statement carries no plan, so db2 plans its own table.
         let mut db1 = db();
         let mut stmt = db1
             .prepare("SELECT g, COUNT(*), SUM(v) FROM r GROUP BY g")
@@ -554,12 +390,12 @@ mod tests {
         assert_eq!(from_db2.rows.len(), 1, "db2's table answered");
         assert_eq!(from_db2.rows[0].group, 5);
         assert_eq!(from_db2.rows[0].values, vec![3.0, 3.0]);
-        assert_eq!(stmt.replans(), 1, "catalogue switch re-planned");
+        assert_eq!(cache(&db2), (0, 1, 0, 0), "planned in db2's cache");
 
-        // Switching back re-plans again and serves db1's data.
+        // Switching back serves db1's data from db1's cache.
         let back = stmt.execute(&mut db1, &[]).unwrap();
         assert_eq!(back.rows, from_db1.rows);
-        assert_eq!(stmt.replans(), 2);
+        assert_eq!(cache(&db1), (2, 1, 0, 0));
     }
 
     #[test]
@@ -570,7 +406,7 @@ mod tests {
             .prepare("SELECT g, COUNT(*), SUM(v) FROM r WHERE v > ? GROUP BY g")
             .unwrap();
         stmt.execute(&mut db, &[0]).unwrap();
-        assert_eq!((stmt.replans(), stmt.rebases()), (0, 0));
+        assert_eq!(cache(&db), (1, 1, 0, 0));
 
         // A small append leaves the §V-D choice standing...
         db.append_rows(
@@ -581,14 +417,14 @@ mod tests {
         )
         .unwrap();
         let out = stmt.execute(&mut db, &[0]).unwrap();
-        assert_eq!((stmt.replans(), stmt.rebases()), (0, 1), "cheap refresh");
+        assert_eq!(cache(&db), (2, 1, 0, 1), "cheap refresh");
         // ...and the statement serves the appended rows.
         let r3 = out.rows.iter().find(|r| r.group == 3).unwrap();
         assert_eq!(r3.values, vec![4.0, 24.0], "two base rows + two appended");
 
         // Steady state again afterwards.
         stmt.execute(&mut db, &[0]).unwrap();
-        assert_eq!((stmt.replans(), stmt.rebases()), (0, 1));
+        assert_eq!(cache(&db), (3, 1, 0, 1));
     }
 
     #[test]
@@ -599,13 +435,12 @@ mod tests {
         let mut stmt = db
             .prepare("SELECT g, COUNT(*), SUM(v) FROM r GROUP BY g")
             .unwrap();
-        stmt.execute(&mut db, &[]).unwrap();
-        assert_eq!(stmt.plan().unwrap().algorithm(), Algorithm::Monotable);
-        assert!(stmt.explain().unwrap().contains("Aggregate[mono]"));
+        let out = stmt.execute(&mut db, &[]).unwrap();
+        assert_eq!(out.report.algorithm, Some(Algorithm::Monotable));
 
         // Drift the cardinality estimate across the §V-D division
-        // boundary: the re-run choice flips to PSM and the statement
-        // re-plans (not a rebase).
+        // boundary: the re-run choice flips to PSM and the cache entry
+        // is invalidated and re-planned (not rebased).
         db.append_rows(
             "r",
             RowBatch::new()
@@ -614,12 +449,8 @@ mod tests {
         )
         .unwrap();
         let out = stmt.execute(&mut db, &[]).unwrap();
-        assert_eq!((stmt.replans(), stmt.rebases()), (1, 0));
-        assert_eq!(
-            stmt.plan().unwrap().algorithm(),
-            Algorithm::PartiallySortedMonotable
-        );
-        assert!(stmt.explain().unwrap().contains("Aggregate[psm]"));
+        assert_eq!(cache(&db), (1, 2, 1, 0));
+        assert!(out.report.describe().contains("Aggregate[psm]"));
         assert_eq!(
             out.report.algorithm,
             Some(Algorithm::PartiallySortedMonotable)

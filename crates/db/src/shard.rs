@@ -50,7 +50,7 @@
 //! accessors per shard and merged.
 
 use crate::cancel::CancelToken;
-use crate::catalogue::{RowSel, SharedCatalogue, WriteOp};
+use crate::catalogue::{RowSel, WriteOp};
 use crate::database::ExplainOutput;
 use crate::database::{Database, MutationReceipt, SqlError};
 use crate::delta::TableStats;
@@ -71,7 +71,6 @@ use crate::trace::QueryTrace;
 use crate::wal::{self, WalError, WalRecord, WalWriter};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// A row-partitioned database: one coordinator over N shard catalogues
 /// and one persistent morsel [`Executor`]. See the [module docs](self).
@@ -236,37 +235,10 @@ fn resolve(config: ExecutorConfig, shards: usize) -> ExecutorConfig {
     }
 }
 
-/// A statement prepared once against every shard of a
-/// [`ShardedDatabase`] — see [`ShardedDatabase::prepare`].
-#[derive(Debug)]
-pub struct ShardedStatement {
-    stmts: Vec<PreparedStatement>,
-    executions: u64,
-}
-
-impl ShardedStatement {
-    /// `?` placeholders the statement declares.
-    pub fn parameter_count(&self) -> usize {
-        self.stmts.first().map_or(0, |s| s.parameter_count())
-    }
-
-    /// Successful sharded executions so far.
-    pub fn executions(&self) -> u64 {
-        self.executions
-    }
-
-    /// Total re-plans across every shard (see
-    /// [`PreparedStatement::replans`]).
-    pub fn replans(&self) -> u64 {
-        self.stmts.iter().map(|s| s.replans()).sum()
-    }
-
-    /// Total cheap plan refreshes across every shard (see
-    /// [`PreparedStatement::rebases`]).
-    pub fn rebases(&self) -> u64 {
-        self.stmts.iter().map(|s| s.rebases()).sum()
-    }
-}
+/// What [`ShardedDatabase::prepare`] returns: the one
+/// [`PreparedStatement`], whose bound query every shard plans through
+/// its own catalogue. The name stays for callers that spell it.
+pub type ShardedStatement = PreparedStatement;
 
 impl ShardedDatabase {
     /// An empty sharded database with `shards` partitions (minimum 1),
@@ -890,10 +862,24 @@ impl ShardedDatabase {
         }
         let mut trace = matches!(stmt, Statement::ExplainAnalyze(_))
             .then(|| QueryTrace::new(sql.trim().to_string()));
-        let q = select_of(stmt)?;
-        let mut out = if q.join.is_some() {
-            // An atomic cross-shard cut: both join sides read the same
-            // moment on every shard.
+        let mut out = self.read_query(&select_of(stmt)?, at, trace.as_mut(), cancel)?;
+        out.trace = trace.map(Box::new);
+        Ok(out)
+    }
+
+    /// Runs one parsed read — what [`ShardedDatabase::read_statement`]
+    /// parsed, or a prepared statement's bound query: a join at an
+    /// atomic cross-shard cut, else every populated shard's plan on the
+    /// pool.
+    fn read_query(
+        &mut self,
+        q: &SqlQuery,
+        at: Option<&ShardedSnapshot>,
+        trace: Option<&mut QueryTrace>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<ShardedOutput, SqlError> {
+        if q.join.is_some() {
+            // Both join sides read the same moment on every shard.
             let owned;
             let cut = match at {
                 Some(cut) => cut,
@@ -902,21 +888,15 @@ impl ShardedDatabase {
                     &owned
                 }
             };
-            self.run_join_cut(cut, &q, trace.as_mut(), cancel)?
-        } else {
-            let plans = self.plan_shards(&q.table, at, |_, catalogue, cut| match cut {
-                Some(cut) => catalogue.plan_query_at(cut, &q.table, &q.query),
-                None => catalogue.plan_query(&q.table, &q.query),
-            })?;
-            self.execute_read(ReadRequest {
-                plans,
-                prefix: &[],
-                cancel,
-                trace: trace.as_mut(),
-            })?
-        };
-        out.trace = trace.map(Box::new);
-        Ok(out)
+            return self.run_join_cut(cut, q, trace, cancel);
+        }
+        let plans = self.plan_shards(q, at)?;
+        self.execute_read(ReadRequest {
+            plans,
+            prefix: &[],
+            cancel,
+            trace,
+        })
     }
 
     /// Hands a planned read to the driver on the worker pool
@@ -928,12 +908,14 @@ impl ShardedDatabase {
         Ok(out)
     }
 
-    /// Plans `table` on every shard whose partition has rows, with
-    /// `plan(shard, catalogue, cut)` — at the shard's cut of `at` when
-    /// a snapshot is given (unknown-table and all-empty detection then
-    /// run against the cut: a table registered after the snapshot does
-    /// not exist there), else live. Planning everything up front
-    /// surfaces errors before any morsel runs.
+    /// Plans `q` on every shard whose partition of its table has rows
+    /// — at the shard's cut of `at` when a snapshot is given
+    /// (unknown-table and all-empty detection then run against the cut:
+    /// a table registered after the snapshot does not exist there),
+    /// else live. A live shard's rows are its statistics' count, read
+    /// under the registry lock: counting them captures no cut and
+    /// materialises nothing. Planning everything up front surfaces
+    /// errors before any morsel runs.
     ///
     /// # Errors
     ///
@@ -941,29 +923,30 @@ impl ShardedDatabase {
     /// [`PlanError::EmptyTable`] when it has no rows anywhere (nothing
     /// validated the query, so it must not reach the coordinator
     /// tail), the snapshot-compatibility errors of
-    /// [`ShardedDatabase::check_cut`], and whatever `plan` returns.
+    /// [`ShardedDatabase::check_cut`], and whatever planning returns.
     fn plan_shards(
         &self,
-        table: &str,
+        q: &SqlQuery,
         at: Option<&ShardedSnapshot>,
-        mut plan: impl FnMut(usize, &SharedCatalogue, Option<&Snapshot>) -> Result<QueryPlan, SqlError>,
     ) -> Result<Vec<Option<QueryPlan>>, SqlError> {
         if let Some(at) = at {
             self.check_cut(at)?;
         }
+        let table = q.table.as_str();
         let mut known = false;
         let mut plans = Vec::with_capacity(self.shards.len());
         for (i, shard) in self.shards.iter().enumerate() {
+            let catalogue = shard.catalogue();
             let cut = at.map(|at| &at.shards[i]);
             let rows = match cut {
-                Some(cut) => cut.table(table),
-                None => shard.table(table),
-            }
-            .map(|t| t.rows());
+                Some(cut) => cut.cut(table).map(|c| c.stats.rows()),
+                None => catalogue.rows(table),
+            };
             known |= rows.is_some();
-            plans.push(match rows {
-                Some(n) if n > 0 => Some(plan(i, shard.catalogue(), cut)?),
-                _ => None,
+            plans.push(match (rows, cut) {
+                (Some(0) | None, _) => None,
+                (Some(_), Some(cut)) => Some(catalogue.plan_query_at(cut, table, &q.query)?),
+                (Some(_), None) => Some(catalogue.plan_query(table, &q.query)?),
             });
         }
         if !known {
@@ -978,17 +961,23 @@ impl ShardedDatabase {
     /// Plans a statement against the first non-empty shard's partition
     /// (every shard plans the same shape; estimates are per-partition).
     /// A statement with a `JOIN` clause routes through the join planner
-    /// and returns [`ExplainOutput::Join`] — the typed [`JoinPlan`] at
-    /// an atomic cross-shard cut, as [`ShardedDatabase::explain_join_sql`]
-    /// produces.
+    /// and returns [`ExplainOutput::Join`]: the typed [`JoinPlan`] at an
+    /// atomic cross-shard cut, whose sharded exchange strategy
+    /// ([`crate::JoinStrategy::Broadcast`] or
+    /// [`crate::JoinStrategy::Partition`]) is picked from the merged
+    /// [`TableStats`] of both sides.
     ///
     /// # Errors
     ///
     /// As [`Database::explain_sql`].
     pub fn explain_sql(&self, sql: &str) -> Result<ExplainOutput, SqlError> {
-        let q = select_of(parse_statement(sql)?)?;
+        self.explain(&select_of(parse_statement(sql)?)?)
+    }
+
+    /// The body of [`ShardedDatabase::explain_sql`].
+    fn explain(&self, q: &SqlQuery) -> Result<ExplainOutput, SqlError> {
         if q.join.is_some() {
-            let plan = self.plan_join_cut(&self.snapshot(), &q)?;
+            let plan = self.plan_join_cut(&self.snapshot(), q)?;
             return Ok(ExplainOutput::Join(Box::new(plan)));
         }
         let shard = self
@@ -1001,82 +990,49 @@ impl ShardedDatabase {
         )))
     }
 
-    /// Plans a two-table `JOIN` statement against an atomic cross-shard
-    /// cut without executing it: the [`JoinPlan`] carries the §V-D
-    /// build-side choice and the sharded exchange strategy
-    /// ([`crate::JoinStrategy::Broadcast`] or
-    /// [`crate::JoinStrategy::Partition`]) picked from the merged
-    /// [`TableStats`] of both sides. Accepts a bare `SELECT` or an
-    /// `EXPLAIN SELECT`.
+    /// Prepares a statement — over one table or a two-table `JOIN` —
+    /// for [`ShardedDatabase::execute_prepared`]: parsed once, and
+    /// validated eagerly as [`ShardedDatabase::explain_sql`] plans it
+    /// where there are rows to plan against (a table with no rows
+    /// anywhere cannot plan until rows arrive, so it prepares and fails
+    /// at execution, as `run_sql` does).
     ///
     /// # Errors
     ///
-    /// As [`ShardedDatabase::explain_sql`], plus
-    /// [`SqlError::JoinStatement`] when the statement has no `JOIN`
-    /// clause.
-    pub fn explain_join_sql(&self, sql: &str) -> Result<JoinPlan, SqlError> {
-        let q = select_of(parse_statement(sql)?)?;
-        if q.join.is_none() {
-            return Err(SqlError::JoinStatement);
-        }
-        self.plan_join_cut(&self.snapshot(), &q)
-    }
-
-    /// Prepares a statement once against every shard; execute it with
-    /// [`ShardedDatabase::execute_prepared`]. The SQL is parsed once
-    /// and the template shared (`Arc`) across the per-shard statements,
-    /// so preparing stays O(1) in the shard count.
-    ///
-    /// # Errors
-    ///
-    /// As [`Database::prepare`] (validated eagerly against the first
-    /// non-empty shard).
+    /// As [`Database::prepare`].
     pub fn prepare(&self, sql: &str) -> Result<ShardedStatement, SqlError> {
-        let template = Arc::new(parse_template(sql)?);
-        if template.join.is_some() {
-            return Err(SqlError::JoinStatement);
+        let stmt = PreparedStatement::new(parse_template(sql)?);
+        match self.explain(&stmt.query()) {
+            Ok(_) | Err(SqlError::Plan(PlanError::EmptyTable)) => Ok(stmt),
+            Err(e) => Err(e),
         }
-        // Validate eagerly where there are rows to plan against (an
-        // empty shard cannot plan until a re-register populates it).
-        if let Some(i) = self.first_populated_shard(&template.table)? {
-            self.shards[i]
-                .catalogue()
-                .plan_query(&template.table, &template.query)?;
-        }
-        let stmts = self
-            .shards
-            .iter()
-            .map(|_| PreparedStatement::from_template(Arc::clone(&template)))
-            .collect();
-        Ok(ShardedStatement {
-            stmts,
-            executions: 0,
-        })
     }
 
-    /// Binds `params` on every shard's prepared statement and executes
-    /// exactly like [`ShardedDatabase::run_sql`] without the parse/plan
-    /// work.
+    /// Binds `params` and executes exactly like
+    /// [`ShardedDatabase::run_sql`] of the bound SQL, without the parse:
+    /// every shard plans the bound query through its own catalogue's
+    /// plan cache.
     ///
     /// # Errors
     ///
     /// Bind errors ([`PlanError::BindArity`] / [`PlanError::BindType`]
-    /// wrapped in [`SqlError::Plan`]), re-planning errors, and
-    /// [`SqlError::ShardMismatch`] for a statement prepared on a
-    /// database with a different shard count.
+    /// wrapped in [`SqlError::Plan`]), plus whatever `run_sql` of the
+    /// bound SQL reports.
     pub fn execute_prepared(
         &mut self,
         stmt: &mut ShardedStatement,
         params: &[u64],
     ) -> Result<ShardedOutput, SqlError> {
-        self.run_prepared(stmt, None, params)
+        let out = self.read_query(&stmt.bind(params)?, None, None, None)?;
+        stmt.executed();
+        Ok(out)
     }
 
     /// [`ShardedDatabase::execute_prepared`] **at an atomic cross-shard
-    /// snapshot**: each shard's plan is pinned (or rebased) to its
-    /// cut's statistics, so a statement prepared before heavy ingest
-    /// reproduces the pinned answer exactly — even if the live §V-D
-    /// choice has flipped on some shards since.
+    /// snapshot**, as [`ShardedDatabase::run_sql_at`] reads it: each
+    /// shard plans at its cut's statistics, so a statement prepared
+    /// before heavy ingest reproduces the pinned answer exactly — even
+    /// if the live §V-D choice has flipped on some shards since.
     ///
     /// # Errors
     ///
@@ -1090,30 +1046,8 @@ impl ShardedDatabase {
         snap: &ShardedSnapshot,
         params: &[u64],
     ) -> Result<ShardedOutput, SqlError> {
-        self.run_prepared(stmt, Some(snap), params)
-    }
-
-    /// The body of the two prepared entry points.
-    fn run_prepared(
-        &mut self,
-        stmt: &mut ShardedStatement,
-        at: Option<&ShardedSnapshot>,
-        params: &[u64],
-    ) -> Result<ShardedOutput, SqlError> {
-        if stmt.stmts.len() != self.shards.len() {
-            return Err(SqlError::ShardMismatch {
-                statement: stmt.stmts.len(),
-                database: self.shards.len(),
-            });
-        }
-        // A bad parameter list fails before any shard plans.
-        stmt.stmts[0].bind(params).map_err(SqlError::Plan)?;
-        let table = stmt.stmts[0].table().to_string();
-        let plans = self.plan_shards(&table, at, |i, catalogue, cut| {
-            stmt.stmts[i].bound_plan_at(catalogue, cut, params)
-        })?;
-        let out = self.execute_read(ReadRequest::new(plans))?;
-        stmt.executions += 1;
+        let out = self.read_query(&stmt.bind(params)?, Some(snap), None, None)?;
+        stmt.executed();
         Ok(out)
     }
 
@@ -1143,8 +1077,8 @@ impl ShardedDatabase {
     fn first_populated_shard(&self, table: &str) -> Result<Option<usize>, SqlError> {
         let mut seen = false;
         for (i, shard) in self.shards.iter().enumerate() {
-            match shard.table(table) {
-                Some(t) if t.rows() > 0 => return Ok(Some(i)),
+            match shard.catalogue().rows(table) {
+                Some(rows) if rows > 0 => return Ok(Some(i)),
                 Some(_) => seen = true,
                 None => {}
             }
@@ -1414,7 +1348,9 @@ mod tests {
     }
 
     #[test]
-    fn statements_refuse_a_database_with_a_different_shard_count() {
+    fn a_statement_runs_on_any_shard_layout() {
+        // A statement is a template, not per-shard plans: prepared on
+        // two shards, it executes on four as on its own database.
         let mut two = ShardedDatabase::new(2);
         two.register(events(100));
         let mut stmt = two
@@ -1422,21 +1358,11 @@ mod tests {
             .unwrap();
         let mut four = ShardedDatabase::new(4);
         four.register(events(100));
-        let e = four.execute_prepared(&mut stmt, &[10]).unwrap_err();
-        assert_eq!(
-            e,
-            SqlError::ShardMismatch {
-                statement: 2,
-                database: 4
-            }
-        );
-        assert!(e.to_string().contains("2 shard(s)"));
-        // On its own database the statement still works.
-        assert!(!two
-            .execute_prepared(&mut stmt, &[10])
-            .unwrap()
-            .rows
-            .is_empty());
+        let on_four = four.execute_prepared(&mut stmt, &[10]).unwrap();
+        let on_two = two.execute_prepared(&mut stmt, &[10]).unwrap();
+        assert!(!on_two.rows.is_empty());
+        assert_eq!(on_four.rows, on_two.rows);
+        assert_eq!(stmt.executions(), 2);
     }
 
     #[test]
@@ -1582,9 +1508,11 @@ mod tests {
             assert_eq!(prepared.rows, fresh.rows, "threshold {threshold}");
         }
         assert_eq!(stmt.executions(), 4);
-        assert_eq!(stmt.replans(), 0, "bound four times, planned once");
         assert_eq!(stmt.parameter_count(), 1);
-        assert_eq!(stmt.stmts.len(), 4);
+        for shard in sharded.shards() {
+            // Every shard planned the shape once; each bind was a hit.
+            assert_eq!(shard.plan_cache_stats().misses, 1);
+        }
     }
 
     #[test]
@@ -1926,7 +1854,12 @@ mod tests {
             .unwrap();
         let after = sharded.execute_prepared(&mut stmt, &[100]).unwrap();
         assert_eq!(after.report.rows_aggregated, 93, "ingest visible");
-        assert_eq!(stmt.replans(), 0, "no shard's §V-D choice flipped");
+        // The shard the batch landed on rebased its entry; no shard's
+        // §V-D choice flipped.
+        let cache = |s: &Database| s.plan_cache_stats();
+        let shards = sharded.shards();
+        assert_eq!(shards.iter().map(|s| cache(s).rebases).sum::<u64>(), 1);
+        assert!(shards.iter().all(|s| cache(s).invalidations == 0));
     }
 
     #[test]

@@ -98,6 +98,30 @@ pub struct SqlQuery {
     pub join: Option<JoinClause>,
 }
 
+impl SqlQuery {
+    /// The statement rendered as SQL, without `AS OF` — the text a
+    /// prepared execution reports to the trace and the metrics registry.
+    pub(crate) fn sql(&self) -> String {
+        match &self.join {
+            None => self.query.sql(&self.table),
+            Some(join) => self
+                .query
+                .sql(&join_from(&self.table, &join.table, &join.on)),
+        }
+    }
+}
+
+/// `left JOIN right ON left.l = right.r [AND ...]`: the `FROM` of a
+/// two-table statement, as [`SqlQuery::sql`] and
+/// [`crate::JoinPlan::sql`] render it.
+pub(crate) fn join_from(left: &str, right: &str, on: &[(String, String)]) -> String {
+    let on: Vec<String> = on
+        .iter()
+        .map(|(l, r)| format!("{left}.{l} = {right}.{r}"))
+        .collect();
+    format!("{left} JOIN {right} ON {}", on.join(" AND "))
+}
+
 /// The `JOIN ... ON` clause of an equi-join `SELECT`: the second table
 /// and the equi-key pairs, normalised to `(FROM-side column,
 /// JOIN-side column)` regardless of how the SQL ordered each equality.
@@ -227,7 +251,7 @@ pub struct SqlTemplate {
     /// statement, which is a valid zero-parameter template).
     pub slots: Vec<ParamSlot>,
     /// The equi-join clause, when the template is a two-table
-    /// statement (consumed by [`crate::Database::prepare_join`]).
+    /// statement.
     pub join: Option<JoinClause>,
 }
 
@@ -937,8 +961,8 @@ fn parse_insert(p: &mut Parser) -> Result<InsertStatement, ParseSqlError> {
 /// `?` placeholders are accepted wherever a comparison constant or a
 /// LIMIT row count may appear, and recorded as [`ParamSlot`]s in SQL
 /// order. A statement without placeholders is a valid zero-parameter
-/// template. `EXPLAIN` is rejected (prepare the bare `SELECT` and use
-/// [`crate::QueryPlan::explain`] on its plan instead).
+/// template. `EXPLAIN` is rejected (plan the bound SQL with
+/// [`crate::Database::explain_sql`] instead).
 ///
 /// ```
 /// use vagg_db::sql::{parse_template, ParamSlot};
@@ -967,8 +991,8 @@ pub fn parse_template(sql: &str) -> Result<SqlTemplate, ParseSqlError> {
     }
     let q = parse_select(&mut p)?;
     if q.as_of.is_some() {
-        // A prepared plan is rebound against the *live* table;
-        // freezing it at a historical state would defeat both.
+        // A prepared statement reads live or at the snapshot it is
+        // executed at; a frozen state in the template would defeat both.
         return Err(ParseSqlError::Expected {
             expected: "a statement without AS OF (time travel cannot be prepared)",
             found: "AS OF".into(),

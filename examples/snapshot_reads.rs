@@ -15,7 +15,7 @@
 //! ```
 
 use vagg::datagen::{DatasetSpec, Distribution};
-use vagg::db::{CompactionPolicy, Database, RowBatch, SqlOutcome, Table};
+use vagg::db::{CompactionPolicy, Database, RowBatch, Snapshot, SqlOutcome, Table};
 
 const SQL: &str = "SELECT g, COUNT(*), SUM(v) FROM events GROUP BY g";
 
@@ -42,10 +42,7 @@ fn main() {
 
     let mut stmt = db.prepare(SQL).expect("statement prepares");
     stmt.execute(&mut db, &[]).expect("executes");
-    println!(
-        "live plan before drift : {}",
-        head(&stmt.explain().unwrap())
-    );
+    println!("live plan before drift : {}", planned(&mut db, None));
 
     // A drifting source: cardinality ramps past the §V-D division
     // boundary (9,765) while the compaction threshold trips.
@@ -81,15 +78,9 @@ fn main() {
 
     // Live reads follow the drift; the snapshot does not.
     stmt.execute(&mut db, &[]).expect("executes");
-    println!(
-        "live plan after drift  : {}",
-        head(&stmt.explain().unwrap())
-    );
+    println!("live plan after drift  : {}", planned(&mut db, None));
     let at = stmt.execute_at(&mut db, &snap, &[]).expect("executes at");
-    println!(
-        "snapshot plan          : {}",
-        head(&stmt.explain().unwrap())
-    );
+    println!("snapshot plan          : {}", planned(&mut db, Some(&snap)));
 
     // Oracle: the snapshot answer equals a fresh one-shot database
     // over the snapshot's rows.
@@ -138,9 +129,18 @@ fn main() {
     println!("\nsnapshot reads never blocked the writer — and never saw it.");
 }
 
-/// The first two lines of an EXPLAIN rendering (SQL + planner facts).
-fn head(explain: &str) -> String {
-    let mut lines = explain.lines();
-    lines.next();
-    lines.next().unwrap_or_default().trim().to_string()
+/// The planner-facts line of `EXPLAIN SQL`, live or at `snap`.
+fn planned(db: &mut Database, snap: Option<&Snapshot>) -> String {
+    let explain = format!("EXPLAIN {SQL}");
+    let plan = match snap {
+        Some(snap) => db.run_sql_at(snap, &explain),
+        None => db.run_sql(&explain),
+    };
+    match plan.expect("plans") {
+        SqlOutcome::Plan(plan) => {
+            let text = plan.explain();
+            text.lines().nth(1).unwrap_or_default().trim().to_string()
+        }
+        other => unreachable!("EXPLAIN returns a plan: {other:?}"),
+    }
 }

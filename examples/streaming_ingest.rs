@@ -5,11 +5,13 @@
 //! adaptive policy picks monotable), a deterministic batch stream
 //! ([`vagg::datagen::BatchStream`]) ramps the key domain past the
 //! §V-D division boundary, and a statement prepared *once* keeps
-//! serving while the statistics drift underneath it. Sub-threshold
-//! batches refresh the cached plan in place (`rebases()`); the batch
-//! that crosses the boundary forces a real re-plan (`replans()`) and
-//! `explain()` flips from `Aggregate[mono]` to `Aggregate[psm]`. A
-//! fresh one-shot database over the merged rows is the correctness
+//! serving while the statistics drift underneath it. Every execution
+//! plans through the shared plan cache: sub-threshold batches refresh
+//! the cached plan in place (`CacheStats::rebases`); the batch that
+//! crosses the boundary invalidates it for a real re-plan
+//! (`CacheStats::invalidations`), and the executed steps flip from
+//! `Aggregate[mono]` to `Aggregate[psm]`. A fresh one-shot database
+//! over the merged rows is the correctness
 //! oracle at every step, and a round-robin-sharded database ingests
 //! the same stream to show the routed write path agrees.
 //!
@@ -18,7 +20,7 @@
 //! ```
 
 use vagg::datagen::{DatasetSpec, Distribution};
-use vagg::db::{CompactionPolicy, Database, RowBatch, ShardedDatabase, Table};
+use vagg::db::{CompactionPolicy, Database, QueryOutput, RowBatch, ShardedDatabase, Table};
 
 fn main() {
     // A drifting source: 512-row batches, cardinality ramping from 60
@@ -43,10 +45,11 @@ fn main() {
     let sql = "SELECT g, COUNT(*), SUM(v) FROM events WHERE v > ? GROUP BY g";
     let mut stmt = db.prepare(sql).expect("statement prepares");
     println!("prepared [{sql}]");
+    let mut out = stmt.execute(&mut db, &[3]).expect("prepared execution");
     println!(
         "batch 0: cardinality≈{:5} | {}\n",
         first.cardinality,
-        algorithm_of(&stmt)
+        algorithm_of(&out)
     );
 
     for batch in stream.take(7) {
@@ -58,7 +61,7 @@ fn main() {
             .expect("single-session ingest");
         sharded.append_rows("events", rows).expect("sharded ingest");
 
-        let out = stmt.execute(&mut db, &[3]).expect("prepared execution");
+        out = stmt.execute(&mut db, &[3]).expect("prepared execution");
 
         // Oracle: the same rows registered in one shot.
         let mut oracle = Database::new();
@@ -83,35 +86,29 @@ fn main() {
             if receipt.compacted { ", compacted" } else { "" },
             g.max.unwrap_or(0),
             g.distinct_estimate(),
-            algorithm_of(&stmt),
+            algorithm_of(&out),
         );
     }
 
-    println!(
-        "\nexecutions: {} | rebases: {} (stats refreshed, choice held) | \
-         replans: {} (the drift crossed the §V-D boundary)",
-        stmt.executions(),
-        stmt.rebases(),
-        stmt.replans()
-    );
     let s = db.plan_cache_stats();
     println!(
-        "plan cache: {} hit(s), {} miss(es), {} rebase(s), {} invalidation(s)",
-        s.hits, s.misses, s.rebases, s.invalidations
+        "\nexecutions: {} | plan cache: {} hit(s), {} miss(es), {} rebase(s) \
+         (stats refreshed, choice held), {} invalidation(s) (the drift \
+         crossed the §V-D boundary)",
+        stmt.executions(),
+        s.hits,
+        s.misses,
+        s.rebases,
+        s.invalidations
     );
-    assert_eq!(stmt.replans(), 1, "exactly one threshold crossing");
-    assert!(stmt.rebases() >= 1, "sub-threshold batches rebased");
+    assert_eq!(s.invalidations, 1, "exactly one threshold crossing");
+    assert!(s.rebases >= 1, "sub-threshold batches rebased");
     assert!(
-        stmt.explain().expect("planned").contains("Aggregate[psm]"),
-        "the final plan shows the flipped choice"
+        out.report.describe().contains("Aggregate[psm]"),
+        "the final execution shows the flipped choice"
     );
 }
 
-fn algorithm_of(stmt: &vagg::db::PreparedStatement) -> String {
-    let plan = stmt.plan().expect("prepared statements plan eagerly");
-    format!(
-        "cardinality≈{:5} -> {}",
-        plan.cardinality_estimate(),
-        plan.algorithm().name()
-    )
+fn algorithm_of(out: &QueryOutput) -> &'static str {
+    out.report.algorithm.map_or("none", |a| a.name())
 }

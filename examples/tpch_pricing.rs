@@ -112,7 +112,7 @@ fn main() {
                     FROM lineitem JOIN orders ON lineitem.orderkey = orders.orderkey \
                     WHERE linestatus <> 0 GROUP BY orderpriority \
                     ORDER BY SUM(extendedprice) DESC";
-    let plan = db.explain_join_sql(join_sql).expect("join plans");
+    let plan = db.explain_sql(join_sql).expect("join plans");
     println!("{}", plan.explain());
     let out = match db.run_sql(join_sql).expect("join executes") {
         vagg::db::SqlOutcome::Rows(out) => out,
@@ -130,7 +130,8 @@ fn main() {
     let mut sharded = ShardedDatabase::new(4);
     sharded.register(lineitem);
     sharded.register(orders);
-    let plan = sharded.explain_join_sql(join_sql).expect("join plans");
+    let plan = sharded.explain_sql(join_sql).expect("join plans");
+    let plan = plan.join().expect("a JOIN statement plans a join");
     println!("\n  4 shards → strategy={}", plan.strategy());
     let merged = sharded.run_sql(join_sql).expect("sharded join executes");
     assert_eq!(merged.rows, out.rows, "sharded join is bit-identical");

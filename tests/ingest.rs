@@ -27,8 +27,9 @@ fn fresh_merged(db: &Database, table: &str) -> Database {
 
 /// The acceptance scenario: a prepared statement planned with one §V-D
 /// algorithm choice; an ingest drifts the statistics past the policy
-/// threshold; the statement observably re-plans to the new choice, and
-/// its answers equal a fresh plan over the merged table.
+/// threshold; the statement's cache entry is observably invalidated and
+/// re-planned to the new choice, and its answers equal a fresh plan
+/// over the merged table.
 #[test]
 fn prepared_statement_replans_on_statistics_drift() {
     let mut db = Database::new();
@@ -38,10 +39,14 @@ fn prepared_statement_replans_on_statistics_drift() {
     let mut stmt = db.prepare(sql).unwrap();
 
     let before = stmt.execute(&mut db, &[2]).unwrap();
-    assert_eq!(stmt.plan().unwrap().algorithm(), Algorithm::Monotable);
-    assert!(stmt.explain().unwrap().contains("Aggregate[mono]"));
+    assert!(before.report.describe().contains("Aggregate[mono]"));
     assert_eq!(before.report.algorithm, Some(Algorithm::Monotable));
-    assert_eq!(stmt.replans(), 0);
+    let s = db.plan_cache_stats();
+    assert_eq!(
+        (s.misses, s.invalidations),
+        (1, 0),
+        "planned once, at prepare"
+    );
 
     // Ingest a batch whose keys cross the §V-D division boundary
     // (9,765): the table flips from low- to high-cardinality.
@@ -55,16 +60,17 @@ fn prepared_statement_replans_on_statistics_drift() {
     .unwrap();
 
     let after = stmt.execute(&mut db, &[2]).unwrap();
-    assert_eq!(stmt.replans(), 1, "the drift forced a re-plan");
+    let s = db.plan_cache_stats();
     assert_eq!(
-        stmt.plan().unwrap().algorithm(),
-        Algorithm::PartiallySortedMonotable,
-        "the §V-D choice moved with the statistics"
+        (s.misses, s.invalidations),
+        (2, 1),
+        "the drift forced a re-plan"
     );
-    assert!(stmt.explain().unwrap().contains("Aggregate[psm]"));
+    assert!(after.report.describe().contains("Aggregate[psm]"));
     assert_eq!(
         after.report.algorithm,
-        Some(Algorithm::PartiallySortedMonotable)
+        Some(Algorithm::PartiallySortedMonotable),
+        "the §V-D choice moved with the statistics"
     );
 
     // Results are exactly a fresh plan over the merged table.
@@ -72,15 +78,16 @@ fn prepared_statement_replans_on_statistics_drift() {
     let mut oracle_stmt = oracle.prepare(sql).unwrap();
     let expect = oracle_stmt.execute(&mut oracle, &[2]).unwrap();
     assert_eq!(
-        oracle_stmt.plan().unwrap().algorithm(),
-        Algorithm::PartiallySortedMonotable,
+        expect.report.algorithm,
+        Some(Algorithm::PartiallySortedMonotable),
         "oracle agrees the merged statistics demand PSM"
     );
     assert_eq!(after.rows, expect.rows);
 
     // Steady state resumes: no further re-plans without further drift.
     stmt.execute(&mut db, &[5]).unwrap();
-    assert_eq!(stmt.replans(), 1);
+    let s = db.plan_cache_stats();
+    assert_eq!((s.misses, s.invalidations), (2, 1));
 }
 
 /// The plan-cache lifecycle under ingest: hit → append → rebase (choice
@@ -196,8 +203,10 @@ fn streaming_ingest_with_cardinality_drift_replans_mid_stream() {
     );
     let sql = "SELECT g, COUNT(*), SUM(v) FROM events GROUP BY g";
     let mut stmt = db.prepare(sql).unwrap();
-    assert_eq!(stmt.plan().unwrap().algorithm(), Algorithm::Monotable);
+    let first = stmt.execute(&mut db, &[]).unwrap();
+    assert_eq!(first.report.algorithm, Some(Algorithm::Monotable));
 
+    let mut last = first;
     for batch in &first_batches[1..] {
         db.append_rows(
             "events",
@@ -206,17 +215,18 @@ fn streaming_ingest_with_cardinality_drift_replans_mid_stream() {
                 .with_column("v", batch.v.clone()),
         )
         .unwrap();
-        let out = stmt.execute(&mut db, &[]).unwrap();
+        last = stmt.execute(&mut db, &[]).unwrap();
         let expect = fresh_merged(&db, "events").execute_sql(sql).unwrap();
-        assert_eq!(out.rows, expect.rows, "batch {}", batch.index);
+        assert_eq!(last.rows, expect.rows, "batch {}", batch.index);
     }
     assert_eq!(
-        stmt.plan().unwrap().algorithm(),
-        Algorithm::PartiallySortedMonotable,
+        last.report.algorithm,
+        Some(Algorithm::PartiallySortedMonotable),
         "the drifted stream flipped the §V-D choice"
     );
-    assert_eq!(stmt.replans(), 1, "exactly one threshold crossing");
-    assert!(stmt.rebases() >= 1, "sub-threshold batches rebased");
+    let s = db.plan_cache_stats();
+    assert_eq!(s.invalidations, 1, "exactly one threshold crossing");
+    assert!(s.rebases >= 1, "sub-threshold batches rebased");
 }
 
 /// INSERT through `run_sql` reports a receipt and the write is

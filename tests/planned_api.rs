@@ -151,12 +151,13 @@ fn explain_golden_join_build_side_and_versions() {
         .unwrap();
 
     let plan = db
-        .explain_join_sql(
+        .explain_sql(
             "EXPLAIN SELECT returns.region, COUNT(*), SUM(penalty) \
              FROM returns JOIN orders ON returns.region = orders.region \
              GROUP BY returns.region",
         )
         .unwrap();
+    let plan = plan.join().expect("a JOIN statement plans a join");
     assert_eq!(plan.build_table(), "orders");
     assert_eq!(plan.probe_table(), "returns");
     assert_eq!(plan.strategy(), JoinStrategy::Local);
@@ -180,12 +181,13 @@ fn explain_golden_join_broadcast_on_shards() {
     db.register(orders());
     db.register(returns());
     let plan = db
-        .explain_join_sql(
+        .explain_sql(
             "EXPLAIN SELECT returns.region, COUNT(*), SUM(penalty) \
              FROM returns JOIN orders ON returns.region = orders.region \
              GROUP BY returns.region",
         )
         .unwrap();
+    let plan = plan.join().expect("a JOIN statement plans a join");
     assert_eq!(plan.strategy(), JoinStrategy::Broadcast);
     assert_eq!(
         plan.explain(),
@@ -209,11 +211,12 @@ fn explain_golden_join_partitions_a_large_build_side() {
     );
     db.register(Table::new("dims").with_column("k", (0..1100u32).map(|i| i % 8).collect()));
     let plan = db
-        .explain_join_sql(
+        .explain_sql(
             "EXPLAIN SELECT fact.k, COUNT(*), SUM(v) \
              FROM fact JOIN dims ON fact.k = dims.k GROUP BY fact.k",
         )
         .unwrap();
+    let plan = plan.join().expect("a JOIN statement plans a join");
     assert_eq!(plan.build_table(), "dims");
     assert_eq!(plan.strategy(), JoinStrategy::Partition);
     assert_eq!(
@@ -238,12 +241,13 @@ fn explain_golden_join_as_of_renders_the_pinned_cut() {
         .unwrap();
 
     let plan = db
-        .explain_join_sql(
+        .explain_sql(
             "EXPLAIN SELECT returns.region, COUNT(*), SUM(penalty) \
              FROM returns JOIN orders ON returns.region = orders.region \
              AS OF cut GROUP BY returns.region",
         )
         .unwrap();
+    let plan = plan.join().expect("a JOIN statement plans a join");
     // The plan pins both tables at the named cut: the insert after the
     // snapshot is invisible.
     assert_eq!(plan.as_of(), Some("cut"));
@@ -251,8 +255,8 @@ fn explain_golden_join_as_of_renders_the_pinned_cut() {
     assert_eq!(plan.left_data_version(), 1);
     assert!(plan.explain().contains(" as_of=cut"));
 
-    // explain_sql routes join statements through the join planner and
-    // returns the join plan — no more JoinStatement refusal.
+    // Without AS OF, the same statement plans live: the build side is
+    // the smaller table.
     let out = db
         .explain_sql(
             "EXPLAIN SELECT returns.region, COUNT(*), SUM(penalty) \

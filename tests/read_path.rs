@@ -22,9 +22,9 @@
 //! spilled aggregate leaves nothing behind.
 //!
 //! A join is held to the same: its build and probe are host phases in
-//! front of the driver, so every entry point — a prepared join and the
-//! one-shard pool included — agrees on rows, cycles, executed steps and
-//! the hash side's `dict_entries` / `dict_hits`.
+//! front of the driver, so every entry point — prepared, single or
+//! sharded, and the one-shard pool included — agrees on rows, cycles,
+//! executed steps and the hash side's `dict_entries` / `dict_hits`.
 
 use proptest::prelude::*;
 use vagg::core::{monotable, StagedInput};
@@ -332,7 +332,6 @@ impl Lockstep {
         self.k += 1;
         let (db, params) = (&mut self.db, [self.k % 8]);
         let before = cache_moves(db);
-        let (replans, rebases) = (self.stmt.replans(), self.stmt.rebases());
         let got = match at {
             Some(snap) => self.stmt.execute_at(db, snap, &params),
             None => self.stmt.execute(db, &params),
@@ -341,9 +340,6 @@ impl Lockstep {
         let after = cache_moves(db);
         let moved = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
         assert_eq!(moved, cache, "{event}: (misses, invalidations, rebases)");
-        // The statement's own counters step with the cache's.
-        assert_eq!(self.stmt.replans() - replans, moved.0, "{event}: replans");
-        assert_eq!(self.stmt.rebases() - rebases, moved.2, "{event}: rebases");
 
         let sql = SEQUENCE_TEMPLATE.replace('?', &params[0].to_string());
         let want = rows_of(
@@ -766,16 +762,36 @@ fn every_join_path(l: &Table, r: &Table, sql: &str) -> Vec<JoinAnswer> {
     let (template, params) = template_of(sql);
     {
         let mut db = single();
-        let mut stmt = db.prepare_join(&template).unwrap();
+        let mut stmt = db.prepare(&template).unwrap();
         let out = stmt.execute(&mut db, &params).unwrap();
-        paths.push(("prepared join execute", out, None));
+        paths.push(("prepared execute", out, None));
     }
     {
         let mut db = single();
-        let mut stmt = db.prepare_join(&template).unwrap();
+        let mut stmt = db.prepare(&template).unwrap();
         let snap = db.snapshot();
         let out = stmt.execute_at(&mut db, &snap, &params).unwrap();
-        paths.push(("prepared join execute_at", out, None));
+        paths.push(("prepared execute_at", out, None));
+    }
+    {
+        let mut db = single();
+        let mut stmt = db.prepare(&template).unwrap();
+        let a = stmt.analyze(&mut db, &params).unwrap();
+        let dict = (a.trace.dict_entries, a.trace.dict_hits);
+        paths.push(("prepared analyze", a.output, Some(dict)));
+    }
+    {
+        let mut db = sharded();
+        let mut stmt = db.prepare(&template).unwrap();
+        let out = db.execute_prepared(&mut stmt, &params).unwrap();
+        paths.push(("sharded prepared", out.into(), None));
+    }
+    {
+        let mut db = sharded();
+        let mut stmt = db.prepare(&template).unwrap();
+        let snap = db.snapshot();
+        let out = db.execute_prepared_at(&mut stmt, &snap, &params).unwrap();
+        paths.push(("sharded prepared_at", out.into(), None));
     }
     {
         let out = sharded().run_sql(&analyze).unwrap();
@@ -890,16 +906,15 @@ fn a_join_polls_its_token_per_range_of_build_probe_and_aggregation() {
     assert_eq!(out.rows, expect.rows);
     assert_eq!(counter(&db, "queries_cancelled"), 0);
 
-    // A prepared join rebuilds under the token of the call it runs in,
-    // and a cancelled rebuild caches nothing.
-    let mut stmt = db.prepare_join(sql).unwrap();
+    // A prepared join builds and probes under the token of the call it
+    // runs in, and a cancelled execution leaves nothing behind.
+    let mut stmt = db.prepare(sql).unwrap();
     let err = db
         .run_cancellable(&CancelToken::with_morsel_budget(1), |db| {
             stmt.execute(db, &[])
         })
         .unwrap_err();
     assert!(matches!(err, SqlError::Cancelled(_)), "{err}");
-    assert_eq!(stmt.rejoins(), 0);
+    assert_eq!(stmt.executions(), 0);
     assert_eq!(stmt.execute(&mut db, &[]).unwrap().rows, expect.rows);
-    assert_eq!(stmt.rejoins(), 1);
 }

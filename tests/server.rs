@@ -141,6 +141,34 @@ fn prepared_statements_bind_over_the_wire() {
     assert_eq!(err.code(), Some(ErrorCode::Bind), "{err}");
 }
 
+/// A `JOIN` template prepares over the wire like any other statement,
+/// and each bound execution answers as a `Query` of the bound SQL.
+#[test]
+fn a_join_template_prepares_and_binds_over_the_wire() {
+    let catalogue = catalogue(5_000);
+    let handle = serve(catalogue.clone(), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let template = "SELECT events.g, COUNT(*), SUM(dims.w) FROM events \
+                    JOIN dims ON events.g = dims.g WHERE v > ? GROUP BY events.g";
+    let stmt = client.prepare(template).unwrap();
+    for threshold in [10u64, 50, 90] {
+        let sql = template.replace('?', &threshold.to_string());
+        let rows = client.execute(stmt, &[threshold]).unwrap();
+        let queried = client.query(&sql).unwrap();
+        assert_eq!(rows, queried, "{sql}");
+        assert_same_rows(&rows, &library_rows(&catalogue, &sql), &sql);
+    }
+    handle.shutdown();
+}
+
+/// The value of one counter in the server's Prometheus text.
+fn counter(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("{name} in {metrics}"))
+}
+
 #[test]
 fn overload_is_a_typed_rejection_and_the_listener_stays_responsive() {
     // A gate that admits nothing: every query is an immediate,
@@ -393,6 +421,72 @@ fn an_explicit_cancel_reaches_a_prepared_execute_mid_flight() {
         .expect("the runner observed a Cancelled error");
     assert_same_rows(&rows, &expect, sql);
     assert!(handle.stats().cancelled() >= 1);
+    handle.shutdown();
+}
+
+/// A prepared `JOIN` polls its token per range of its build and probe,
+/// not only of its aggregation: a `Cancel` frame that lands while the
+/// probe streams `events` (98 ranges) through the 31-row `dims` index
+/// ends it `Cancelled` before its aggregate opens. `events.k` meets
+/// `dims.w` (the squares below 31²) on 31 of its 977 values, so the
+/// aggregation is a few ranges and nearly every landing is in the
+/// probe; the runner re-executes until one is — the execution ended
+/// with the aggregate-open counter where it started — and the next
+/// execution on the same connection is correct.
+#[test]
+fn an_explicit_cancel_reaches_a_prepared_join_during_its_probe() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    let catalogue = catalogue(200_000);
+    let sql = "SELECT events.g, COUNT(*), SUM(dims.w) FROM events \
+               JOIN dims ON events.k = dims.w WHERE v < 90 GROUP BY events.g";
+    let expect = library_rows(&catalogue, sql);
+    let handle = serve(catalogue, ServerConfig::default()).unwrap();
+    let addr = handle.addr();
+
+    // As in the test above: the runner publishes the query id it is
+    // about to execute under, the controller cancels it until the
+    // runner is done.
+    let current = Arc::new(AtomicU64::new(0));
+    let runner = std::thread::spawn({
+        let current = Arc::clone(&current);
+        move || {
+            let mut client = Client::connect(addr).expect("runner connect");
+            let stmt = client
+                .prepare(&sql.replace("90", "?"))
+                .expect("prepare the join template");
+            let opens = |c: &mut Client| counter(&c.metrics().expect("metrics"), "vagg_agg_opens");
+            let started = Instant::now();
+            for id in (1..).take_while(|_| started.elapsed() < PATIENCE) {
+                let before = opens(&mut client);
+                current.store(id, Ordering::Release);
+                match client.execute(stmt, &[90]) {
+                    Ok(_) => continue,
+                    Err(e) => {
+                        assert_eq!(e.code(), Some(ErrorCode::Cancelled), "{e}");
+                        if opens(&mut client) == before {
+                            // Cancelled in build or probe; the same
+                            // connection, the same statement.
+                            return Some(client.execute(stmt, &[90]).expect("next execute"));
+                        }
+                    }
+                }
+            }
+            None
+        }
+    });
+    let mut controller = Client::connect(addr).expect("controller connect");
+    poll_until("the runner to end", || {
+        let id = current.load(Ordering::Acquire);
+        controller.cancel(id).expect("cancel frame");
+        runner.is_finished()
+    });
+    let rows = runner
+        .join()
+        .expect("runner thread")
+        .expect("a Cancel landed during build or probe");
+    assert_same_rows(&rows, &expect, sql);
     handle.shutdown();
 }
 

@@ -50,8 +50,8 @@ fn prepared_statement_at_an_old_snapshot_survives_drift_and_compaction() {
     db.register(seed_table(600, 100));
     let sql = "SELECT g, COUNT(*), SUM(v) FROM events GROUP BY g";
     let mut stmt = db.prepare(sql).unwrap();
-    stmt.execute(&mut db, &[]).unwrap();
-    assert_eq!(stmt.plan().unwrap().algorithm(), Algorithm::Monotable);
+    let first = stmt.execute(&mut db, &[]).unwrap();
+    assert_eq!(first.report.algorithm, Some(Algorithm::Monotable));
 
     // Park rows in the delta, then pin the snapshot so its cut holds a
     // non-trivial delta prefix (the retired-store path must carry it).
@@ -69,21 +69,22 @@ fn prepared_statement_at_an_old_snapshot_survives_drift_and_compaction() {
     assert_eq!(db.snapshot_stats().deferred_gcs, 1, "pinned delta retired");
     let live = stmt.execute(&mut db, &[]).unwrap();
     assert_eq!(
-        stmt.plan().unwrap().algorithm(),
-        Algorithm::PartiallySortedMonotable,
+        live.report.algorithm,
+        Some(Algorithm::PartiallySortedMonotable),
         "the live choice flipped"
     );
     assert_eq!(live.rows.len(), 101);
 
-    // Executing at the old snapshot re-pins the plan to the snapshot's
+    // Executing at the old snapshot plans at the snapshot's
     // statistics: the choice flips *back* and the rows are exactly the
     // pinned cut's.
     let at = stmt.execute_at(&mut db, &snap, &[]).unwrap();
-    assert_eq!(stmt.plan().unwrap().algorithm(), Algorithm::Monotable);
-    assert_eq!(
-        stmt.plan().unwrap().data_version(),
-        snap.data_version("events")
-    );
+    assert_eq!(at.report.algorithm, Some(Algorithm::Monotable));
+    let pinned = match db.run_sql_at(&snap, &format!("EXPLAIN {sql}")).unwrap() {
+        SqlOutcome::Plan(plan) => plan,
+        other => panic!("EXPLAIN returns a plan: {other:?}"),
+    };
+    assert_eq!(pinned.data_version(), snap.data_version("events"));
 
     // Oracle: a fresh plan over a table registered from the snapshot's
     // rows.
@@ -93,9 +94,9 @@ fn prepared_statement_at_an_old_snapshot_survives_drift_and_compaction() {
     assert_eq!(at.rows, oracle.rows);
     let oracle_out = fresh.explain_sql(sql).unwrap();
     let oracle_plan = oracle_out.plan().unwrap();
-    assert_eq!(stmt.plan().unwrap().algorithm(), oracle_plan.algorithm());
+    assert_eq!(pinned.algorithm(), oracle_plan.algorithm());
     assert_eq!(
-        stmt.plan().unwrap().cardinality_estimate(),
+        pinned.cardinality_estimate(),
         oracle_plan.cardinality_estimate()
     );
 
@@ -107,9 +108,9 @@ fn prepared_statement_at_an_old_snapshot_survives_drift_and_compaction() {
 }
 
 /// The one-read-path check: the live `run_sql` is a snapshot-of-now
-/// wrapper — every SELECT moves the snapshot counter, pins nothing
-/// afterwards, and agrees with an explicit snapshot taken at the same
-/// moment.
+/// wrapper — a SELECT that plans moves the snapshot counter, pins
+/// nothing afterwards, and agrees with an explicit snapshot taken at
+/// the same moment; a fresh plan-cache hit needs no cut at all.
 #[test]
 fn run_sql_is_a_snapshot_of_now_wrapper() {
     let mut db = Database::new();
@@ -124,6 +125,13 @@ fn run_sql_is_a_snapshot_of_now_wrapper() {
     );
     assert_eq!(stats.live_snapshots, 0, "and released its cut on return");
     assert_eq!(stats.live_pins, 0);
+    let again = rows_of(db.run_sql(SQL).unwrap());
+    assert_eq!(again.rows, live.rows);
+    assert_eq!(
+        db.snapshot_stats().snapshots_taken,
+        taken + 1,
+        "a fresh hit is served without a cut"
+    );
 
     let snap = db.snapshot();
     let at = rows_of(db.run_sql_at(&snap, SQL).unwrap());
