@@ -11,11 +11,15 @@
 //! number of compactions — with a compaction policy tight enough that
 //! compactions land mid-sequence. The predicate shapes are those of
 //! `tests/durability.rs`, which stays the crash-recovery oracle; this
-//! file is the twin of `tests/read_path.rs`.
+//! file is the twin of `tests/read_path.rs`. A one-shard
+//! `ShardedDatabase`, in memory or durable, is the single database's
+//! case of the same committer: it must reach the same state, and read
+//! it back as the same rows at the same cycles.
 
 use proptest::prelude::*;
 use vagg::db::{
-    CompactionPolicy, Database, RowBatch, ShardedDatabase, SqlOutcome, Table, TableStats, TempDir,
+    CompactionPolicy, Database, RowBatch, ShardedDatabase, SharedCatalogue, SqlOutcome, Table,
+    TableStats, TempDir,
 };
 
 #[derive(Debug, Clone)]
@@ -71,7 +75,7 @@ fn seed_table() -> Table {
 /// already dropped).
 type State = (Vec<(String, Vec<u32>)>, u64, TableStats, usize, u64);
 
-fn state(db: &Database, carried: u64) -> State {
+fn state(db: &SharedCatalogue, carried: u64) -> State {
     let t = db.table("t").unwrap();
     let columns = t
         .column_names()
@@ -82,10 +86,31 @@ fn state(db: &Database, carried: u64) -> State {
         columns,
         db.data_version("t").unwrap(),
         db.table_stats("t").unwrap(),
-        db.catalogue().delta_rows("t").unwrap(),
-        carried + db.metrics().get("compactions").unwrap(),
+        db.delta_rows("t").unwrap(),
+        carried + compactions(db),
     )
 }
+
+fn compactions(db: &SharedCatalogue) -> u64 {
+    db.metrics().snapshot().get("compactions").unwrap()
+}
+
+/// One statement through the sharded entry points: `INSERT` routes,
+/// `DELETE` / `UPDATE` run on every shard.
+fn run_sharded(db: &mut ShardedDatabase, stmt: &Stmt) {
+    match stmt {
+        Stmt::Insert(_) => {
+            db.insert_sql(&stmt.sql()).unwrap();
+        }
+        _ => {
+            db.mutate_sql(&stmt.sql()).unwrap();
+        }
+    }
+}
+
+/// The read every database answers after every statement: the table
+/// stays under one morsel, so every schedule runs it as one range.
+const READ: &str = "SELECT g, COUNT(*), SUM(v) FROM t GROUP BY g";
 
 fn in_memory(every: usize) -> Database {
     let mut db = Database::new();
@@ -114,10 +139,16 @@ proptest! {
             let mut db = Database::open(dir.path()).unwrap();
             db.register(seed_table());
         }
+        let sharded_dir = TempDir::new("write-path-sharded");
+        let mut sharded_compactions = 0;
+        {
+            let mut db = ShardedDatabase::open(sharded_dir.path(), 1).unwrap();
+            db.register(seed_table());
+        }
         for (i, stmt) in stmts.iter().enumerate() {
             // (a) autocommit SQL — the reference.
             sql.run_sql(&stmt.sql()).unwrap();
-            let expect = state(&sql, 0);
+            let expect = state(sql.catalogue(), 0);
 
             // (b) the bulk API for inserts, SQL for mutations.
             match stmt {
@@ -131,13 +162,13 @@ proptest! {
                     bulk.run_sql(&other.sql()).unwrap();
                 }
             }
-            prop_assert_eq!(&state(&bulk, 0), &expect, "append_rows, statement {}", i);
+            prop_assert_eq!(&state(bulk.catalogue(), 0), &expect, "append_rows, statement {}", i);
 
             // (c) one transaction per statement.
             txn.run_sql("BEGIN").unwrap();
             prop_assert!(matches!(txn.run_sql(&stmt.sql()).unwrap(), SqlOutcome::Queued(1)));
             txn.run_sql("COMMIT").unwrap();
-            prop_assert_eq!(&state(&txn, 0), &expect, "BEGIN … COMMIT, statement {}", i);
+            prop_assert_eq!(&state(txn.catalogue(), 0), &expect, "BEGIN … COMMIT, statement {}", i);
 
             // (d) durable, dropped and replayed after every statement.
             {
@@ -145,25 +176,50 @@ proptest! {
                 db.catalogue().set_compaction_policy(policy);
                 db.run_sql(&stmt.sql()).unwrap();
                 prop_assert_eq!(
-                    &state(&db, durable_compactions), &expect, "durable, statement {}", i
+                    &state(db.catalogue(), durable_compactions), &expect, "durable, statement {}", i
                 );
-                durable_compactions += db.metrics().get("compactions").unwrap();
+                durable_compactions += compactions(db.catalogue());
             }
             let reopened = Database::open(dir.path()).unwrap();
             prop_assert_eq!(
-                &state(&reopened, durable_compactions), &expect, "replayed, statement {}", i
+                &state(reopened.catalogue(), durable_compactions), &expect, "replayed, statement {}", i
             );
 
-            // (e) one shard behind the sharded coordinator.
-            match stmt {
-                Stmt::Insert(_) => {
-                    sharded.insert_sql(&stmt.sql()).unwrap();
-                }
-                _ => {
-                    sharded.mutate_sql(&stmt.sql()).unwrap();
-                }
+            // (e) one shard behind the sharded coordinator...
+            run_sharded(&mut sharded, stmt);
+            prop_assert_eq!(
+                &state(sharded.shards()[0].catalogue(), 0), &expect, "sharded, statement {}", i
+            );
+            // ...which reads its state back as the reference does: the
+            // same rows at the same cycles.
+            if expect.2.rows() > 0 {
+                let single = sql.execute_sql(READ).unwrap();
+                let one_shard = sharded.run_sql(READ).unwrap();
+                prop_assert_eq!(&one_shard.rows, &single.rows, "rows, statement {}", i);
+                prop_assert_eq!(
+                    one_shard.report.cycles, single.report.cycles, "cycles, statement {}", i
+                );
             }
-            prop_assert_eq!(&state(&sharded.shards()[0], 0), &expect, "sharded, statement {}", i);
+
+            // (f) one durable shard behind the coordinator's log, dropped
+            // and replayed after every statement.
+            {
+                let mut db = ShardedDatabase::open(sharded_dir.path(), 1).unwrap();
+                db.set_compaction_policy(policy);
+                run_sharded(&mut db, stmt);
+                let shard = db.shards()[0].catalogue();
+                prop_assert_eq!(
+                    &state(shard, sharded_compactions), &expect, "durable sharded, statement {}", i
+                );
+                sharded_compactions += compactions(shard);
+            }
+            let reopened = ShardedDatabase::open(sharded_dir.path(), 1).unwrap();
+            prop_assert_eq!(
+                &state(reopened.shards()[0].catalogue(), sharded_compactions),
+                &expect,
+                "replayed sharded, statement {}",
+                i
+            );
         }
     }
 }
