@@ -43,6 +43,7 @@ use crate::metrics::MetricsRegistry;
 use crate::plan::PlanError;
 use crate::plan::{QueryPlan, ScanMode};
 use crate::query::AggregateQuery;
+use crate::shard::Shard;
 use crate::snapshot::{PinRegistry, Snapshot, SnapshotStats, TableCut};
 use crate::table::Table;
 use std::collections::{BTreeMap, BTreeSet};
@@ -365,7 +366,7 @@ impl SharedCatalogue {
     /// owning its own execution machine but sharing tables and the
     /// plan cache with every other session.
     pub fn connect(&self) -> Database {
-        Database::over(self.clone())
+        Database::over(Shard::new(self.clone()))
     }
 
     /// Registers a table under its own name, replacing any previous
@@ -435,8 +436,9 @@ impl SharedCatalogue {
     }
 
     /// Appends a batch of rows to a registered table — the one-op case
-    /// of the write path (ARCHITECTURE.md, "Write path"): the one
-    /// installer, then the compaction check.
+    /// of the write path (ARCHITECTURE.md, "Write path"): the committer
+    /// with one op, over this catalogue and no log — the one installer,
+    /// then the compaction check.
     ///
     /// The batch is validated against the table's column set, parked in
     /// the table's [`DeltaStore`] (O(batch) — no base column is
@@ -460,12 +462,7 @@ impl SharedCatalogue {
     /// [`SqlError::Ingest`] (typed [`crate::IngestError`]) for batches
     /// that do not fit the schema.
     pub fn append(&self, table: &str, batch: RowBatch) -> Result<IngestReceipt, SqlError> {
-        let op = WriteOp::Append {
-            table: table.to_string(),
-            batch,
-        };
-        let done = self.install(&mut [op])?[0];
-        Ok(done.receipt(done.rows > 0 && self.maybe_compact(table)))
+        Shard::new(self.clone()).append(table, batch)
     }
 
     /// **The** installer — every INSERT, DELETE, UPDATE, COMMIT and

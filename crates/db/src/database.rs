@@ -2,12 +2,19 @@
 //! of the mini column-store.
 //!
 //! A [`Database`] pairs one long-lived [`Session`] (execution: a
-//! simulated machine reused across queries) with a handle to a
-//! [`SharedCatalogue`] (planning: tables, the [`Engine`], and the
-//! shared plan cache). Statements are planned through the catalogue —
-//! repeated query shapes hit the [`crate::PlanCache`] — and executed
-//! on this session's machine. [`SharedCatalogue::connect`] opens more
-//! sessions over the same tables for concurrent serving.
+//! simulated machine reused across queries) with one shard — a handle
+//! to a [`SharedCatalogue`] (planning: tables, the [`Engine`], and the
+//! shared plan cache) and, when opened durable, its write-ahead log.
+//! Statements are planned through the catalogue — repeated query shapes
+//! hit the [`crate::PlanCache`] — and executed on this session's
+//! machine. [`SharedCatalogue::connect`] opens more sessions over the
+//! same tables for concurrent serving.
+//!
+//! A `Database` is the one-shard case of a [`crate::ShardedDatabase`]:
+//! both plan, join, record and commit through the one front-end of
+//! [`crate::shard`], and this module holds only what a single session
+//! adds — its machine, `BEGIN` / `COMMIT` state, `AS OF` reads of
+//! frozen versions and `CREATE SNAPSHOT`.
 //!
 //! ```
 //! use vagg_db::{Database, Table};
@@ -36,24 +43,24 @@ use crate::cancel::{CancelCause, CancelToken};
 use crate::catalogue::{Installed, RowSel, SharedCatalogue, WriteOp};
 use crate::delta::TableStats;
 use crate::engine::{Engine, QueryOutput};
-use crate::ingest::{CompactionPolicy, IngestError, IngestReceipt, RowBatch};
-use crate::join::{plan_derived, plan_join, plan_join_at, run_join, JoinPlan};
+use crate::ingest::{IngestError, IngestReceipt, RowBatch};
+use crate::join::{join_read, plan_join, JoinPlan};
 use crate::metrics::{MetricsSnapshot, SlowQuery};
 use crate::plan::{PlanError, QueryPlan};
 use crate::prepared::PreparedStatement;
-use crate::query::AggregateQuery;
-use crate::read::{self, check_cancel, ReadRequest, Schedule};
-use crate::recovery;
+use crate::read::{check_cancel, Schedule};
 use crate::session::Session;
+use crate::shard::{Commit, Front, Shard, Vouch};
 use crate::snapshot::{Snapshot, SnapshotStats};
-use crate::sql::{parse_statement, parse_template, AsOf, ParseSqlError, SqlQuery, Statement};
+use crate::sql::{parse_statement, AsOf, ParseSqlError, SqlQuery, Statement};
 use crate::table::Table;
 use crate::trace::{AnalyzedQuery, QueryTrace};
-use crate::wal::{self, WalError, WalRecord, WalWriter, AUTOCOMMIT};
+use crate::wal::{WalError, WalRecord};
 use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use std::slice;
 
 /// Why a SQL statement failed to execute.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -377,16 +384,12 @@ enum TxnState {
     Write(Vec<WriteOp>),
 }
 
-/// A durable session's write-ahead log: the open writer plus the log's
-/// path (checkpoints rewrite the file in place).
-struct Durability {
-    log: PathBuf,
-    writer: WalWriter,
-}
-
 /// One session over a [`SharedCatalogue`]: planning goes through the
 /// catalogue (tables, [`Engine`], shared plan cache), execution runs on
-/// this session's own [`Session`] machine.
+/// this session's own [`Session`] machine. It is the one-shard case of
+/// a [`crate::ShardedDatabase`]: both plan, join, record and commit
+/// through one front-end, and this type adds only the session machine,
+/// transaction state, `AS OF` and `CREATE SNAPSHOT`.
 ///
 /// Every read happens at a [`Snapshot`]. A bare [`Database::run_sql`]
 /// captures a snapshot-of-now per statement; `BEGIN READ ONLY` pins
@@ -402,10 +405,10 @@ struct Durability {
 /// through it, not through extra [`SharedCatalogue::connect`] handles,
 /// which would bypass the log.
 pub struct Database {
-    catalogue: SharedCatalogue,
+    /// The catalogue and, when durable, its write-ahead log.
+    shard: Shard,
     session: Session,
     txn: TxnState,
-    durability: Option<Durability>,
     /// The token of the [`Database::run_cancellable`] call in flight:
     /// every read made inside it carries it on its request.
     cancel: Option<CancelToken>,
@@ -417,7 +420,7 @@ impl fmt::Debug for Database {
             .field("tables", &self.table_names())
             .field("session", &self.session)
             .field("in_transaction", &self.in_transaction())
-            .field("durable", &self.durability.is_some())
+            .field("durable", &self.shard.is_durable())
             .finish_non_exhaustive()
     }
 }
@@ -440,15 +443,14 @@ impl Database {
         SharedCatalogue::with_engine(engine).connect()
     }
 
-    /// A new session over an existing catalogue (what
-    /// [`SharedCatalogue::connect`] returns).
-    pub(crate) fn over(catalogue: SharedCatalogue) -> Self {
-        let session = Session::with_config(catalogue.engine().config().clone());
+    /// A new session over a shard: an existing catalogue (what
+    /// [`SharedCatalogue::connect`] returns) or a durable one.
+    pub(crate) fn over(shard: Shard) -> Self {
+        let session = Session::with_config(shard.catalogue.engine().config().clone());
         Self {
-            catalogue,
+            shard,
             session,
             txn: TxnState::None,
-            durability: None,
             cancel: None,
         }
     }
@@ -475,51 +477,20 @@ impl Database {
     /// # Ok::<(), vagg_db::SqlError>(())
     /// ```
     pub fn open(path: impl AsRef<Path>) -> Result<Self, SqlError> {
-        Self::open_with(path.as_ref(), &BTreeSet::new())
-    }
-
-    /// [`Database::open`] with extra transaction ids to treat as
-    /// committed during replay — the sharded coordinator's cross-shard
-    /// commit set, which lives in a separate log.
-    pub(crate) fn open_with(dir: &Path, extra_committed: &BTreeSet<u64>) -> Result<Self, SqlError> {
-        std::fs::create_dir_all(dir).map_err(|e| WalError::Io(e.to_string()))?;
-        let log = dir.join("wal.log");
-        let mut db = Database::new();
-        let writer = if log.exists() {
-            let contents = wal::read_log(&log)?;
-            if let Some(valid_len) = contents.torn {
-                wal::truncate(&log, valid_len)?;
-            }
-            // Compaction stays off during replay: every compaction that
-            // happened live rewrote the log into image records, so no
-            // surviving record should re-trip one.
-            db.catalogue
-                .set_compaction_policy(CompactionPolicy::never());
-            recovery::replay(&db.catalogue, &contents.records, extra_committed)?;
-            db.catalogue
-                .metrics()
-                .record_replay(contents.records.len() as u64);
-            db.catalogue
-                .set_compaction_policy(CompactionPolicy::default());
-            WalWriter::append_to(&log, contents.next_lsn)?
-        } else {
-            WalWriter::create(&log)?
-        };
-        db.durability = Some(Durability { log, writer });
-        Ok(db)
+        Ok(Self::over(Shard::open(path.as_ref(), &BTreeSet::new())?))
     }
 
     /// Whether this session owns a write-ahead log (was opened with
     /// [`Database::open`]).
     pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
+        self.shard.is_durable()
     }
 
     /// The catalogue this session plans through. Clone the handle to
     /// open further concurrent sessions over the same tables:
     /// `db.catalogue().connect()`.
     pub fn catalogue(&self) -> &SharedCatalogue {
-        &self.catalogue
+        &self.shard.catalogue
     }
 
     /// Registers a table under its own name, replacing any previous table
@@ -533,42 +504,23 @@ impl Database {
     /// a WAL error, so a log-write failure here panics — losing a
     /// registration silently would corrupt every later replay.
     pub fn register(&mut self, table: Table) -> Option<Table> {
-        let old = self.register_buffered(table, AUTOCOMMIT);
-        self.flush_wal()
+        let mut commit = Commit::begin(slice::from_mut(&mut self.shard), Vouch::Autocommit);
+        let old = commit.register(0, table);
+        commit
+            .finish(&[])
             .expect("write-ahead log append failed during register");
-        old
-    }
-
-    /// Registers and buffers the log record under `txn` without
-    /// flushing — the sharded coordinator tags all shards' records with
-    /// one global transaction id and commits them together.
-    pub(crate) fn register_buffered(&mut self, table: Table, txn: u64) -> Option<Table> {
-        let name = table.name().to_string();
-        let old = self.catalogue.register(table);
-        if self.durability.is_some() {
-            let (schema_version, data_version) =
-                self.catalogue.versions(&name).expect("just registered");
-            let content = self.catalogue.table(&name).expect("just registered");
-            self.log_record(&WalRecord::Register {
-                txn,
-                table: name,
-                schema_version,
-                data_version,
-                columns: columns_of(&content),
-            });
-        }
         old
     }
 
     /// Looks up a registered table (a cheap clone: column data is
     /// `Arc`-shared).
     pub fn table(&self, name: &str) -> Option<Table> {
-        self.catalogue.table(name)
+        self.shard.catalogue.table(name)
     }
 
     /// Registered table names, sorted.
     pub fn table_names(&self) -> Vec<String> {
-        self.catalogue.table_names()
+        self.shard.catalogue.table_names()
     }
 
     /// The execution session (for cumulative cost accounting).
@@ -579,7 +531,7 @@ impl Database {
     /// The shared plan cache's counters — hits, misses, evictions and
     /// invalidations across every session of this catalogue.
     pub fn plan_cache_stats(&self) -> CacheStats {
-        self.catalogue.cache_stats()
+        self.shard.catalogue.cache_stats()
     }
 
     /// Appends a columnar batch of rows to a registered table — the
@@ -610,22 +562,20 @@ impl Database {
     /// the one-op case of the committer every write goes through
     /// (ARCHITECTURE.md, "Write path").
     pub fn append_rows(&mut self, table: &str, batch: RowBatch) -> Result<IngestReceipt, SqlError> {
-        let table = table.to_string();
-        let (done, compacted) = self.commit(&mut [WriteOp::Append { table, batch }], false)?;
-        Ok(done[0].receipt(compacted))
+        self.shard.append(table, batch)
     }
 
     /// The live, incrementally maintained statistics of a registered
     /// table (row count, per-column min/max/sortedness and the sampled
     /// distinct estimate).
     pub fn table_stats(&self, name: &str) -> Option<TableStats> {
-        self.catalogue.table_stats(name)
+        self.shard.catalogue.table_stats(name)
     }
 
     /// The data version of a registered table — bumped by every
     /// appended batch, reset by (re-)registration.
     pub fn data_version(&self, name: &str) -> Option<u64> {
-        self.catalogue.data_version(name)
+        self.shard.catalogue.data_version(name)
     }
 
     /// Captures an immutable point-in-time view of every registered
@@ -648,14 +598,14 @@ impl Database {
     /// # Ok::<(), vagg_db::SqlError>(())
     /// ```
     pub fn snapshot(&self) -> Snapshot {
-        self.catalogue.snapshot()
+        self.shard.catalogue.snapshot()
     }
 
     /// The snapshot subsystem's observability counters — live pins,
     /// oldest pinned data version, deferred/reclaimed GCs (see
     /// [`SharedCatalogue::snapshot_stats`]).
     pub fn snapshot_stats(&self) -> SnapshotStats {
-        self.catalogue.snapshot_stats()
+        self.shard.catalogue.snapshot_stats()
     }
 
     /// Whether a transaction (`BEGIN` or `BEGIN READ ONLY`) is open on
@@ -664,195 +614,48 @@ impl Database {
         !matches!(self.txn, TxnState::None)
     }
 
-    /// The open read-only transaction's snapshot, which every read
-    /// without an explicit one joins.
-    fn txn_snapshot(&self) -> Option<&Snapshot> {
-        match &self.txn {
-            TxnState::Read(snap) => Some(snap),
-            _ => None,
-        }
-    }
-
-    /// Plans a time-travel read: a named version or an explicit data
-    /// version, bypassing the shared plan cache (frozen states must
-    /// never serve live queries from the cache, or vice versa).
-    fn plan_as_of(
-        &self,
-        table: &str,
-        as_of: &AsOf,
-        query: &AggregateQuery,
-    ) -> Result<QueryPlan, SqlError> {
-        match as_of {
-            AsOf::DataVersion(n) => {
-                let frozen = self.catalogue.table_at_version(table, *n)?;
-                self.catalogue
-                    .plan_frozen(&frozen, query, *n, format!("data_version@{n}"))
-            }
-            AsOf::Name(name) => {
-                let (version, frozen) = self.catalogue.named_table(name, table)?;
-                self.catalogue
-                    .plan_frozen(&frozen, query, version, format!("{name}@{version}"))
-            }
-        }
-    }
-
-    /// Plans one single-table read. `AS OF` names an explicit frozen
-    /// state and wins outright; otherwise the read happens at `at` when
-    /// the caller holds a snapshot, else at the open read-only
-    /// transaction's snapshot if one is pinned, else at a
-    /// snapshot-of-now (a write transaction's own buffered statements
-    /// are not visible to it before `COMMIT`).
-    fn plan_read(&self, q: &SqlQuery, at: Option<&Snapshot>) -> Result<QueryPlan, SqlError> {
-        if let Some(as_of) = &q.as_of {
-            return self.plan_as_of(&q.table, as_of, &q.query);
-        }
-        match at.or(self.txn_snapshot()) {
-            Some(snap) => self.catalogue.plan_query_at(snap, &q.table, &q.query),
-            // `plan_query` captures (and releases) a snapshot-of-now
-            // internally — the same path, same pins, same cache.
-            None => self.catalogue.plan_query(&q.table, &q.query),
-        }
-    }
-
-    /// Plans a two-table join — the join twin of
-    /// [`Database::plan_read`], with the same precedence. Whichever
-    /// state is read, both tables' content, statistics and data
-    /// versions come from **one** cut, so the join never mixes a
-    /// pre-ingest left with a post-ingest right.
-    fn plan_join_read(
-        &self,
-        q: &SqlQuery,
-        at: Option<&Snapshot>,
-    ) -> Result<(JoinPlan, Table, Table), SqlError> {
-        let join = q.join.as_ref().expect("caller verified a join clause");
-        if let Some(as_of) = &q.as_of {
-            let (lt, lv, rt, rv, label) = match as_of {
-                AsOf::DataVersion(n) => {
-                    let lt = self.catalogue.table_at_version(&q.table, *n)?;
-                    let rt = self.catalogue.table_at_version(&join.table, *n)?;
-                    (lt, *n, rt, *n, format!("data_version@{n}"))
-                }
-                AsOf::Name(name) => {
-                    let (lv, lt) = self.catalogue.named_table(name, &q.table)?;
-                    let (rv, rt) = self.catalogue.named_table(name, &join.table)?;
-                    (lt, lv, rt, rv, name.clone())
-                }
-            };
-            let (ls, rs) = (TableStats::seed(&lt), TableStats::seed(&rt));
-            let plan = plan_join(
-                &q.query,
-                join,
-                &q.table,
-                &lt,
-                &ls,
-                lv,
-                &rt,
-                &rs,
-                rv,
-                1,
-                Some(label),
-            )?;
-            return Ok((plan, lt, rt));
-        }
-        if at.is_some_and(|snap| !snap.catalogue().is_same(&self.catalogue)) {
-            return Err(SqlError::ForeignSnapshot);
-        }
-        let owned;
-        let snap = match at.or(self.txn_snapshot()) {
-            Some(snap) => snap,
-            None => {
-                owned = self.catalogue.snapshot();
-                &owned
-            }
-        };
-        plan_join_at(snap, &q.table, join, &q.query)
-    }
-
     /// Plans a read without executing it.
     fn explain(&self, q: &SqlQuery, at: Option<&Snapshot>) -> Result<ExplainOutput, SqlError> {
-        Ok(match q.join {
-            Some(_) => ExplainOutput::Join(Box::new(self.plan_join_read(q, at)?.0)),
-            None => ExplainOutput::Plan(Box::new(self.plan_read(q, at)?)),
-        })
+        match &q.as_of {
+            Some(as_of) => Ok(plan_as_of(self.catalogue(), q, as_of)?.0),
+            None => front(&self.shard, &self.txn, at).explain(q),
+        }
     }
 
-    /// **The** read path of this session: plans `q` (a join runs its
-    /// host-side build and probe first and plans the aggregation over
-    /// the derived table) and hands the plan to
-    /// [`Database::execute_read`]. `run_sql`, `run_sql_at`,
-    /// `run_sql_cancellable`, `execute_sql` and a prepared statement's
-    /// bound query differ only in the [`ReadOpts`] they pass.
+    /// **The** read path of this session: the front-end every database
+    /// reads through, on this session's machine ([`Schedule::Inline`])
+    /// — or, for `AS OF`, a plan of the frozen version finished the
+    /// same way. `run_sql`, `run_sql_at`, `run_sql_cancellable`,
+    /// `execute_sql` and a prepared statement's bound query differ only
+    /// in the snapshot they read `at` and whether they `trace`; the
+    /// token of the call they are made under
+    /// ([`Database::run_cancellable`]) rides on every one.
     pub(crate) fn select(
         &mut self,
         q: &SqlQuery,
         sql: &str,
-        opts: ReadOpts<'_>,
+        at: Option<&Snapshot>,
+        trace: bool,
     ) -> Result<(QueryOutput, Option<QueryTrace>), SqlError> {
-        let mut trace = opts.trace.then(|| QueryTrace::new(sql.trim().to_string()));
-        let (plan, prefix) = match q.join {
-            None => (Some(self.plan_read(q, opts.at)?), Vec::new()),
-            Some(_) => {
-                let (join, lt, rt) = self.plan_join_read(q, opts.at)?;
-                let (derived, obs) = run_join(
-                    &join,
-                    std::slice::from_ref(&lt),
-                    std::slice::from_ref(&rt),
-                    None,
-                    self.cancel.as_ref(),
-                )?;
-                if let Some(t) = &mut trace {
-                    obs.record(t, &join);
-                }
-                let plan = plan_derived(self.catalogue.engine(), &derived[0], join.query())?;
-                (plan, join.steps)
+        let front = front(&self.shard, &self.txn, at);
+        let schedule = Schedule::Inline(&mut self.session);
+        let cancel = self.cancel.as_ref();
+        let mut out = match &q.as_of {
+            None => front.select(q, sql, trace, schedule, cancel)?,
+            Some(as_of) => {
+                let mut trace = trace.then(|| QueryTrace::new(sql.trim().to_string()));
+                let planned = match plan_as_of(&self.shard.catalogue, q, as_of)? {
+                    (ExplainOutput::Plan(plan), _) => (vec![Some(*plan)], Vec::new()),
+                    (ExplainOutput::Join(plan), sides) => {
+                        let (engine, (l, r)) = (self.shard.catalogue.engine(), sides.split_at(1));
+                        join_read(engine, *plan, l, r, &schedule, cancel, trace.as_mut())?
+                    }
+                };
+                front.finish(sql, planned, trace, schedule, cancel)?
             }
         };
-        let request = ReadRequest {
-            prefix: &prefix,
-            trace: trace.as_mut(),
-            ..ReadRequest::new(vec![plan])
-        };
-        let output = self.execute_read(sql, request)?;
-        Ok((output, trace))
-    }
-
-    /// Executes what a read planned on this session — the one finish
-    /// step behind every `SELECT`, prepared or not: the read driver
-    /// runs the request's ranges inline
-    /// ([`Schedule::Inline`]), and the finished query is folded into
-    /// the catalogue's metrics registry (counters, cycle histogram,
-    /// slow-query ring, pruned ranges).
-    pub(crate) fn execute_read(
-        &mut self,
-        sql: &str,
-        request: ReadRequest<'_>,
-    ) -> Result<QueryOutput, SqlError> {
-        let traced = request.trace.is_some();
-        // Whichever entry point built the request — ad hoc or
-        // prepared — the token of the call it was made under rides on
-        // it, and the driver polls it before every range.
-        let request = ReadRequest {
-            cancel: self.cancel.as_ref(),
-            ..request
-        };
-        let out = read::drive(request, Schedule::Inline(&mut self.session));
-        let metrics = self.catalogue.metrics();
-        // Cancelled or not: an abandoned aggregate was opened too.
-        metrics.record_aggregate(self.session.take_agg_counts());
-        let out = out?;
-        if out.pruned.0 > 0 {
-            metrics.record_pruned(out.pruned.0, out.pruned.1);
-        }
-        metrics.record_query(
-            sql.trim(),
-            out.report.cycles,
-            out.rows.len() as u64,
-            out.report.steps.len(),
-        );
-        if traced {
-            metrics.record_traced_query();
-        }
-        Ok(out.into())
+        let trace = out.trace.take().map(|trace| *trace);
+        Ok((out.into(), trace))
     }
 
     /// Runs one parsed read statement: `EXPLAIN` plans, `SELECT`
@@ -872,7 +675,7 @@ impl Database {
                 ExplainOutput::Join(plan) => SqlOutcome::JoinPlan(plan),
             });
         }
-        let (output, trace) = self.select(&q, sql, ReadOpts { at, trace })?;
+        let (output, trace) = self.select(&q, sql, at, trace)?;
         Ok(match trace {
             Some(trace) => SqlOutcome::Analyzed(Box::new(AnalyzedQuery { output, trace })),
             None => SqlOutcome::Rows(output),
@@ -1010,7 +813,7 @@ impl Database {
             out
         });
         if matches!(out, Err(SqlError::Cancelled(_))) {
-            self.catalogue.metrics().record_cancelled();
+            self.shard.catalogue.metrics().record_cancelled();
         }
         out
     }
@@ -1045,9 +848,9 @@ impl Database {
                 // the *committed* state — consistent with its reads.
                 TxnState::Read(_) => Err(SqlError::ReadOnly),
                 _ => {
-                    self.catalogue.create_named(&name)?;
-                    self.log_record(&WalRecord::CreateSnapshot { name });
-                    self.flush_wal()?;
+                    self.shard.catalogue.create_named(&name)?;
+                    self.shard.log(&WalRecord::CreateSnapshot { name });
+                    self.shard.flush_wal()?;
                     Ok(SqlOutcome::SnapshotCreated)
                 }
             },
@@ -1056,7 +859,7 @@ impl Database {
                     return Err(SqlError::NestedTransaction);
                 }
                 self.txn = if read_only {
-                    TxnState::Read(self.catalogue.snapshot())
+                    TxnState::Read(self.shard.catalogue.snapshot())
                 } else {
                     TxnState::Write(Vec::new())
                 };
@@ -1070,7 +873,7 @@ impl Database {
                 // re-registered schema, say) means it rolled back —
                 // nothing was applied or logged.
                 TxnState::Write(mut ops) => self
-                    .commit(&mut ops, true)
+                    .commit(&mut ops, Vouch::Own)
                     .map(|_| SqlOutcome::TransactionCommitted),
             },
             Statement::Rollback => match std::mem::replace(&mut self.txn, TxnState::None) {
@@ -1094,6 +897,7 @@ impl Database {
                 // A missing table or an ill-fitting batch is a typed
                 // error at the statement, not at COMMIT.
                 let schema = self
+                    .shard
                     .catalogue
                     .schema(op.table())
                     .ok_or_else(|| SqlError::UnknownTable(op.table().to_string()))?;
@@ -1106,7 +910,7 @@ impl Database {
             }
             TxnState::None => {
                 let mut ops = [op];
-                let (done, compacted) = self.commit(&mut ops, false)?;
+                let (done, compacted) = self.commit(&mut ops, Vouch::Autocommit)?;
                 let receipt = MutationReceipt {
                     rows: done[0].rows,
                     data_version: done[0].data_version,
@@ -1120,92 +924,27 @@ impl Database {
         }
     }
 
-    /// **The** committer (ARCHITECTURE.md, "Write path"): `append_rows`,
-    /// every autocommit `INSERT` / `DELETE` / `UPDATE` and every
-    /// `COMMIT` are this function called with one op or many. Install
-    /// all ops under one catalogue write lock, buffer their records —
-    /// tagged, when `atomic`, with a fresh transaction id and closed by
-    /// a commit mark, so a crash replays all of the list or none — then
-    /// the one flush, and only then the compaction check per touched
-    /// table. The transaction id is the LSN of the run's first record:
-    /// unique, monotonic, and it survives restarts for free.
+    /// This database's case of **the** committer ([`Commit`],
+    /// ARCHITECTURE.md, "Write path"): every autocommit `INSERT` /
+    /// `DELETE` / `UPDATE` and every `COMMIT` is one call with one op or
+    /// many. All ops install under one catalogue write lock; vouched
+    /// for by [`Vouch::Own`] (a `COMMIT`), their records are tagged
+    /// with a fresh transaction id and closed by a commit record on this
+    /// database's own log, so a crash replays all of the list or none.
     ///
     /// Returns what each op did and whether a compaction was installed.
     /// A list that changed nothing writes nothing.
     fn commit(
         &mut self,
         ops: &mut [WriteOp],
-        atomic: bool,
+        vouch: Vouch<'_>,
     ) -> Result<(Vec<Installed>, bool), SqlError> {
-        let txn = match &self.durability {
-            Some(d) if atomic => d.writer.next_lsn(),
-            _ => AUTOCOMMIT,
-        };
-        let done = self.install_buffered(ops, txn)?;
-        let mut compacted = false;
-        if done.iter().any(|d| d.rows > 0) {
-            if txn != AUTOCOMMIT {
-                self.log_record(&WalRecord::Commit { txn });
-            }
-            self.flush_wal()?;
-            let mut touched: Vec<&str> = ops.iter().map(WriteOp::table).collect();
-            touched.sort_unstable();
-            touched.dedup();
-            for table in touched {
-                compacted |= self.after_write(table)?;
-            }
-        }
-        Ok((done, compacted))
-    }
-
-    /// Phase 1 of a commit: install `ops` and buffer their log records
-    /// under `txn`, without flushing. The phases are separately
-    /// callable for the sharded coordinator, which runs this on every
-    /// shard under one global transaction id, flushes them all, and
-    /// only then writes its own commit record — shard records without a
-    /// vouching coordinator commit are ignored on replay, which makes
-    /// cross-shard writes atomic across a crash.
-    pub(crate) fn install_buffered(
-        &mut self,
-        ops: &mut [WriteOp],
-        txn: u64,
-    ) -> Result<Vec<Installed>, SqlError> {
-        let done = self.catalogue.install(ops)?;
-        if self.durability.is_some() && done.iter().any(|d| d.rows > 0) {
-            for op in ops.iter() {
-                self.log_record(&record_of(op, txn));
-            }
-        }
-        Ok(done)
-    }
-
-    /// Buffers one record on the log without flushing.
-    fn log_record(&mut self, record: &WalRecord) {
-        if let Some(d) = self.durability.as_mut() {
-            d.writer.append(record);
-        }
-    }
-
-    /// Phase 2 of a commit — **the** durability point: every buffered
-    /// record reaches the file here and nowhere else. A no-op on
-    /// non-durable databases.
-    pub(crate) fn flush_wal(&mut self) -> Result<(), SqlError> {
-        if let Some(d) = self.durability.as_mut() {
-            d.writer.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Phase 3 of a commit, after the flush: a threshold compaction if
-    /// the table's delta (batches plus tombstones) crossed the policy
-    /// line, and — since compaction rewrites history the log's records
-    /// describe — a checkpoint when it ran. Returns whether it ran.
-    pub(crate) fn after_write(&mut self, table: &str) -> Result<bool, SqlError> {
-        let compacted = self.catalogue.maybe_compact(table);
-        if compacted {
-            self.write_checkpoint()?;
-        }
-        Ok(compacted)
+        let mut commit = Commit::begin(slice::from_mut(&mut self.shard), vouch);
+        let done = commit.install(0, ops)?;
+        let mut touched: Vec<&str> = ops.iter().map(WriteOp::table).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        Ok((done, commit.finish(&touched)? > 0))
     }
 
     /// Rewrites the write-ahead log as a checkpoint: one register image
@@ -1218,38 +957,7 @@ impl Database {
     /// Compactions checkpoint automatically; call this to bound the
     /// log's size (and replay time) on demand.
     pub fn checkpoint(&mut self) -> Result<(), SqlError> {
-        self.write_checkpoint()
-    }
-
-    fn write_checkpoint(&mut self) -> Result<(), SqlError> {
-        let Some(d) = self.durability.as_mut() else {
-            return Ok(());
-        };
-        let mut records = Vec::new();
-        for (name, schema_version, data_version, table) in self.catalogue.checkpoint_images() {
-            records.push(WalRecord::Register {
-                txn: AUTOCOMMIT,
-                table: name,
-                schema_version,
-                data_version,
-                columns: columns_of(&table),
-            });
-        }
-        for (name, tables) in self.catalogue.named_images() {
-            let tables = tables
-                .iter()
-                .map(|(t, (v, content))| (t.clone(), *v, columns_of(content)))
-                .collect();
-            records.push(WalRecord::SnapshotImage { name, tables });
-        }
-        let first_lsn = d.writer.next_lsn();
-        let prior = d.writer.stats();
-        d.writer = wal::rewrite(&d.log, &records, first_lsn)?;
-        // Keep `metrics()`'s wal_* counters cumulative across the
-        // checkpoint: the replacement writer starts at zero, but the
-        // session's append activity didn't.
-        d.writer.carry_stats(prior);
-        Ok(())
+        self.shard.checkpoint()
     }
 
     /// [`Database::run_sql`] for reads **at an explicit snapshot**: the
@@ -1298,12 +1006,17 @@ impl Database {
 
     /// Parses a `SELECT` with `?` placeholders — over one table or a
     /// two-table `JOIN` — into a reusable [`PreparedStatement`]. The
-    /// statement is planned once here, so unknown tables and columns
-    /// fail at prepare time; every [`PreparedStatement::execute`] binds
-    /// its parameters and runs the bound SQL as [`Database::run_sql`]
-    /// does, through the shared plan cache — where every bind of the
-    /// template is one entry, so steady executions rebind a cached plan
-    /// and ingest or a re-register moves it as it moves any other.
+    /// statement is planned once here where there are rows to plan
+    /// against, so unknown tables and columns fail at prepare time; a
+    /// table with no rows cannot plan until rows arrive, so its
+    /// statement prepares and fails at execution with
+    /// [`PlanError::EmptyTable`], as `run_sql` does — the rule
+    /// [`crate::ShardedDatabase::prepare`] follows. Every
+    /// [`PreparedStatement::execute`] binds its parameters and runs the
+    /// bound SQL as [`Database::run_sql`] does, through the shared plan
+    /// cache — where every bind of the template is one entry, so steady
+    /// executions rebind a cached plan and ingest or a re-register moves
+    /// it as it moves any other.
     ///
     /// ```
     /// use vagg_db::{Database, Table};
@@ -1330,9 +1043,7 @@ impl Database {
     /// `EXPLAIN` or `AS OF`), unknown tables, and planning errors — all
     /// reported here at prepare time, not at first execution.
     pub fn prepare(&self, sql: &str) -> Result<PreparedStatement, SqlError> {
-        let stmt = PreparedStatement::new(parse_template(sql)?);
-        self.explain(&stmt.query(), None)?;
-        Ok(stmt)
+        front(&self.shard, &self.txn, None).prepare(sql)
     }
 
     /// [`Database::run_sql`] for one `SELECT`, returning the rows
@@ -1346,7 +1057,7 @@ impl Database {
     pub fn execute_sql(&mut self, sql: &str) -> Result<QueryOutput, SqlError> {
         match parse_statement(sql)? {
             Statement::Explain(_) | Statement::ExplainAnalyze(_) => Err(SqlError::ExplainStatement),
-            stmt => Ok(self.select(&select_of(stmt)?, sql, ReadOpts::default())?.0),
+            stmt => Ok(self.select(&select_of(stmt)?, sql, None, false)?.0),
         }
     }
 
@@ -1410,48 +1121,28 @@ impl Database {
     /// # Ok::<(), vagg_db::SqlError>(())
     /// ```
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.catalogue.metrics().snapshot();
-        self.plan_cache_stats().export_into(&mut snap);
-        self.snapshot_stats().export_into(&mut snap);
-        if let Some(d) = &self.durability {
-            let stats = d.writer.stats();
-            snap.add("wal_appends", stats.appends);
-            snap.add("wal_flushes", stats.flushes);
-            snap.add("wal_bytes", stats.bytes);
-        }
-        snap
+        self.shard.metrics()
     }
 
     /// The worst queries on record, sorted worst-first — a bounded ring
     /// shared by every session of this catalogue (see
     /// [`Database::set_slow_query_threshold`]).
     pub fn slow_queries(&self) -> Vec<SlowQuery> {
-        self.catalogue.metrics().slow_queries()
+        self.shard.catalogue.metrics().slow_queries()
     }
 
     /// Only queries costing at least `cycles` simulated cycles enter
     /// the slow-query ring. The default threshold of 0 records every
     /// query (the ring keeps the worst regardless).
     pub fn set_slow_query_threshold(&self, cycles: u64) {
-        self.catalogue.metrics().set_slow_query_threshold(cycles);
+        self.catalogue().metrics().set_slow_query_threshold(cycles);
     }
-}
-
-/// How one read was asked for: the `_at` / traced variants of the
-/// public entry points, as data. (The token of a cancellable call is
-/// the session's, not the statement's: [`Database::run_cancellable`].)
-#[derive(Clone, Copy, Default)]
-pub(crate) struct ReadOpts<'a> {
-    /// Read at this snapshot instead of the session's own view.
-    pub(crate) at: Option<&'a Snapshot>,
-    /// Gather an `EXPLAIN ANALYZE` trace while executing.
-    pub(crate) trace: bool,
 }
 
 /// The query of a read statement (`SELECT` / `EXPLAIN [ANALYZE]
 /// SELECT`), or the typed reason a row- or plan-returning API cannot
 /// take the statement.
-fn select_of(stmt: Statement) -> Result<SqlQuery, SqlError> {
+pub(crate) fn select_of(stmt: Statement) -> Result<SqlQuery, SqlError> {
     match stmt {
         Statement::Select(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q) => Ok(q),
         Statement::Insert(_) => Err(SqlError::InsertStatement),
@@ -1464,50 +1155,61 @@ fn select_of(stmt: Statement) -> Result<SqlQuery, SqlError> {
     }
 }
 
-/// The WAL record describing one installed (hence resolved) op, tagged
-/// with the owning transaction id.
-fn record_of(op: &WriteOp, txn: u64) -> WalRecord {
-    match op {
-        WriteOp::Append { table, batch } => WalRecord::Batch {
-            txn,
-            table: table.clone(),
-            columns: batch
-                .columns()
-                .map(|(n, v)| (n.to_string(), v.to_vec()))
-                .collect(),
-        },
-        WriteOp::Delete { table, rows } => WalRecord::Delete {
-            txn,
-            table: table.clone(),
-            rows: rows.ids().to_vec(),
-        },
-        WriteOp::Update { table, rows, sets } => WalRecord::Update {
-            txn,
-            table: table.clone(),
-            rows: rows.ids().to_vec(),
-            sets: sets.clone(),
-        },
+/// The front-end view of a read on this session: its one shard, at
+/// `at` when the caller holds a snapshot, else at the open read-only
+/// transaction's, else live (a write transaction's own buffered
+/// statements are not visible to it before `COMMIT`).
+fn front<'a>(shard: &'a Shard, txn: &'a TxnState, at: Option<&'a Snapshot>) -> Front<'a> {
+    let pinned = match txn {
+        TxnState::Read(snap) => Some(snap),
+        _ => None,
+    };
+    Front {
+        shards: slice::from_ref(shard),
+        cut: at.or(pinned).map(slice::from_ref),
     }
 }
 
-/// A table's full column content, owned — the payload of a register or
-/// snapshot image record.
-fn columns_of(table: &Table) -> Vec<(String, Vec<u32>)> {
-    table
-        .column_names()
-        .iter()
-        .map(|n| {
-            (
-                n.to_string(),
-                table.column(n).expect("listed column exists").to_vec(),
-            )
-        })
-        .collect()
+/// Plans a time-travel read — `AS OF` a named version or an explicit
+/// data version — against the frozen tables, bypassing the shared plan
+/// cache (frozen states must never serve live queries from the cache,
+/// or vice versa). A join plans over its two frozen sides, returned for
+/// its build and probe; both come from the one named or numbered state.
+fn plan_as_of(
+    catalogue: &SharedCatalogue,
+    q: &SqlQuery,
+    as_of: &AsOf,
+) -> Result<(ExplainOutput, Vec<Table>), SqlError> {
+    let frozen = |table: &str| match as_of {
+        AsOf::DataVersion(n) => Ok((*n, catalogue.table_at_version(table, *n)?)),
+        AsOf::Name(name) => catalogue.named_table(name, table),
+    };
+    let (version, left) = frozen(&q.table)?;
+    let label = match as_of {
+        AsOf::DataVersion(n) => format!("data_version@{n}"),
+        AsOf::Name(name) if q.join.is_some() => name.clone(),
+        AsOf::Name(name) => format!("{name}@{version}"),
+    };
+    let Some(join) = &q.join else {
+        let plan = catalogue.plan_frozen(&left, &q.query, version, label)?;
+        return Ok((ExplainOutput::Plan(Box::new(plan)), Vec::new()));
+    };
+    let (right_version, right) = frozen(&join.table)?;
+    let (ls, rs) = (TableStats::seed(&left), TableStats::seed(&right));
+    let plan = plan_join(
+        q,
+        (&left, &ls, version),
+        (&right, &rs, right_version),
+        1,
+        Some(label),
+    )?;
+    Ok((ExplainOutput::Join(Box::new(plan)), vec![left, right]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::CompactionPolicy;
     use crate::plan::PlanStep;
 
     fn db() -> Database {

@@ -48,9 +48,8 @@ use crate::engine::Engine;
 use crate::executor::{Executor, DEFAULT_MORSEL_ROWS};
 use crate::plan::{PlanError, PlanStep, QueryPlan};
 use crate::query::AggregateQuery;
-use crate::read::{check_cancel, ranges};
-use crate::snapshot::Snapshot;
-use crate::sql::{join_from, JoinClause};
+use crate::read::{check_cancel, ranges, Schedule};
+use crate::sql::{join_from, SqlQuery};
 use crate::table::Table;
 use crate::trace::QueryTrace;
 use std::collections::HashMap;
@@ -289,24 +288,24 @@ impl JoinPlan {
 /// broadcast (one global index) rather than partitioned.
 const BROADCAST_ROWS: usize = 1024;
 
-/// Plans an equi-join: validates the ON columns, resolves every column
-/// the query references against the joined pair, picks the build side
-/// and the sharded exchange strategy from the two tables' live
-/// statistics. `shards <= 1` plans [`JoinStrategy::Local`].
-#[allow(clippy::too_many_arguments)]
+/// One side of a join as the planner sees it: a schema, statistics
+/// and a data version.
+pub(crate) type JoinSide<'a> = (&'a Table, &'a TableStats, u64);
+
+/// Plans the equi-join of `q` (which has a join clause): validates the
+/// ON columns, resolves every column the query references against the
+/// joined pair, picks the build side and the sharded exchange strategy
+/// from the two sides' statistics. `shards <= 1` plans
+/// [`JoinStrategy::Local`].
 pub(crate) fn plan_join(
-    agg: &AggregateQuery,
-    join: &JoinClause,
-    left_name: &str,
-    left_schema: &Table,
-    left_stats: &TableStats,
-    left_version: u64,
-    right_schema: &Table,
-    right_stats: &TableStats,
-    right_version: u64,
+    q: &SqlQuery,
+    (left_schema, left_stats, left_version): JoinSide<'_>,
+    (right_schema, right_stats, right_version): JoinSide<'_>,
     shards: usize,
     as_of: Option<String>,
 ) -> Result<JoinPlan, PlanError> {
+    let (agg, left_name) = (&q.query, q.table.as_str());
+    let join = q.join.as_ref().expect("a join query");
     let right_name = join.table.as_str();
     if left_stats.rows() == 0 || right_stats.rows() == 0 {
         return Err(PlanError::EmptyTable);
@@ -444,41 +443,33 @@ pub(crate) fn plan_join(
     })
 }
 
-/// Plans a single-session join at one snapshot cut: both sides'
-/// content, statistics and data versions come from the same consistent
-/// view, returned alongside the plan for the build and probe to read.
-pub(crate) fn plan_join_at(
-    snap: &Snapshot,
-    left: &str,
-    join: &JoinClause,
-    agg: &AggregateQuery,
-) -> Result<(JoinPlan, Table, Table), SqlError> {
-    let fetch = |name: &str| match (
-        snap.table(name),
-        snap.table_stats(name),
-        snap.data_version(name),
-    ) {
-        (Some(t), Some(s), Some(v)) => Ok((t, s, v)),
-        _ => Err(SqlError::UnknownTable(name.to_string())),
-    };
-    let (lt, ls, lv) = fetch(left)?;
-    let (rt, rs, rv) = fetch(&join.table)?;
-    let plan = plan_join(agg, join, left, &lt, &ls, lv, &rt, &rs, rv, 1, None)?;
-    Ok((plan, lt, rt))
-}
-
-/// Plans the aggregation over a join's derived table — `None` for an
-/// empty one (no key matched), which the single-table planner would
-/// reject and the read driver answers with zero rows.
-pub(crate) fn plan_derived(
+/// A join read up to the read driver: the join `plan` run over its
+/// sides' partitions ([`run_join`], its ranges on the read's pool when
+/// its `schedule` has one), and the aggregation planned over each
+/// derived table — `None` for an empty one (no key matched), which the
+/// single-table planner would reject and the driver answers with zero
+/// rows. Returns the plans and the join's host steps, which the driver
+/// reports in front of them.
+pub(crate) fn join_read(
     engine: &Engine,
-    derived: &Table,
-    agg: &AggregateQuery,
-) -> Result<Option<QueryPlan>, PlanError> {
-    if derived.rows() == 0 {
-        return Ok(None);
+    plan: JoinPlan,
+    left: &[Table],
+    right: &[Table],
+    schedule: &Schedule<'_>,
+    cancel: Option<&CancelToken>,
+    trace: Option<&mut QueryTrace>,
+) -> Result<(Vec<Option<QueryPlan>>, Vec<PlanStep>), SqlError> {
+    let pool = match schedule {
+        Schedule::Inline(_) => None,
+        Schedule::Pool(pool) => Some(*pool),
+    };
+    let (derived, obs) = run_join(&plan, left, right, pool, cancel)?;
+    if let Some(t) = trace {
+        obs.record(t, &plan);
     }
-    engine.plan(derived, agg).map(Some)
+    let aggregate = |d: &Table| (d.rows() > 0).then(|| engine.plan(d, plan.query()));
+    let plans = derived.iter().map(aggregate).map(Option::transpose);
+    Ok((plans.collect::<Result<_, _>>()?, plan.steps))
 }
 
 /// Routes a key tuple to one of `parts` hash partitions (FNV-1a).
@@ -942,6 +933,16 @@ mod tests {
     use crate::query::AggregateQuery;
     use crate::sql::JoinClause;
 
+    /// `SELECT … FROM l JOIN …` as the planner takes it.
+    fn query(agg: AggregateQuery, join: JoinClause) -> SqlQuery {
+        SqlQuery {
+            table: "l".into(),
+            query: agg,
+            as_of: None,
+            join: Some(join),
+        }
+    }
+
     fn tables() -> (Table, Table) {
         let l = Table::new("l")
             .with_column("k", vec![1, 2, 3, 1, 9])
@@ -958,20 +959,8 @@ mod tests {
             table: "r".into(),
             on: vec![("k".into(), "k".into())],
         };
-        plan_join(
-            &agg,
-            &join,
-            "l",
-            l,
-            &TableStats::seed(l),
-            1,
-            r,
-            &TableStats::seed(r),
-            1,
-            shards,
-            None,
-        )
-        .unwrap()
+        let (ls, rs) = (TableStats::seed(l), TableStats::seed(r));
+        plan_join(&query(agg, join), (l, &ls, 1), (r, &rs, 1), shards, None).unwrap()
     }
 
     #[test]
@@ -1132,7 +1121,8 @@ mod tests {
             };
             let (ls, rs) = (TableStats::seed(&l), TableStats::seed(&r));
             let agg = AggregateQuery::paper("l.k0", "r.k0");
-            let p = plan_join(&agg, &clause, "l", &l, &ls, 1, &r, &rs, 1, 1, None).unwrap();
+            let q = query(agg, clause);
+            let p = plan_join(&q, (&l, &ls, 1), (&r, &rs, 1), 1, None).unwrap();
             let built = if p.build_right() { &build } else { &probe };
             let distinct: std::collections::BTreeSet<Vec<u32>> =
                 (0..built[0].len()).map(|b| tuple(built, b)).collect();
@@ -1152,21 +1142,10 @@ mod tests {
             table: "r".into(),
             on: vec![("k".into(), "k".into())],
         };
+        let (ls, rs) = (TableStats::seed(&l), TableStats::seed(&r));
         let err = |agg: AggregateQuery| {
-            plan_join(
-                &agg,
-                &join,
-                "l",
-                &l,
-                &TableStats::seed(&l),
-                1,
-                &r,
-                &TableStats::seed(&r),
-                1,
-                1,
-                None,
-            )
-            .unwrap_err()
+            let q = query(agg, join.clone());
+            plan_join(&q, (&l, &ls, 1), (&r, &rs, 1), 1, None).unwrap_err()
         };
         assert_eq!(
             err(AggregateQuery::paper("k", "v")),

@@ -3,9 +3,10 @@
 //! [`crate::Database::prepare`] and [`crate::ShardedDatabase::prepare`]
 //! parse a `SELECT` — over one table or a two-table `JOIN` — whose
 //! comparison constants and LIMIT may be `?` placeholders, plan it once
-//! so unknown tables and columns fail at prepare time, and return a
-//! [`PreparedStatement`]: the parsed [`SqlTemplate`] and an execution
-//! count, nothing else.
+//! so unknown tables and columns fail at prepare time (a table with no
+//! rows cannot plan yet: it prepares, and execution reports
+//! `EmptyTable` as `run_sql` does), and return a [`PreparedStatement`]:
+//! the parsed [`SqlTemplate`] and an execution count, nothing else.
 //!
 //! Each execution binds the parameters into a concrete [`SqlQuery`] and
 //! hands it to the read path `run_sql` reaches, so it plans through the
@@ -17,12 +18,12 @@
 //! re-registered — exactly as the ad hoc statement would be, and counted
 //! in [`crate::CacheStats`].
 
-use crate::database::{Database, ReadOpts, SqlError};
+use crate::database::{Database, SqlError};
 use crate::engine::QueryOutput;
 use crate::plan::PlanError;
 use crate::snapshot::Snapshot;
 use crate::sql::{ParamSlot, SqlQuery, SqlTemplate};
-use crate::trace::{AnalyzedQuery, QueryTrace};
+use crate::trace::AnalyzedQuery;
 
 /// A statement parsed once and executed many times with bound
 /// parameters. Produced by [`crate::Database::prepare`] and
@@ -115,10 +116,16 @@ impl PreparedStatement {
         Ok(bound)
     }
 
-    /// Counts one successful execution (the sharded path's half of
-    /// [`PreparedStatement::run`]).
-    pub(crate) fn executed(&mut self) {
+    /// Binds `params`, runs the bound query with `read` and counts the
+    /// execution if it succeeded — every execution on either database.
+    pub(crate) fn execute_with<T>(
+        &mut self,
+        params: &[u64],
+        read: impl FnOnce(&SqlQuery) -> Result<T, SqlError>,
+    ) -> Result<T, SqlError> {
+        let out = read(&self.bind(params)?)?;
         self.executions += 1;
+        Ok(out)
     }
 
     /// Binds `params` and executes on `db`'s session, exactly as
@@ -132,7 +139,8 @@ impl PreparedStatement {
     /// wrapped in [`SqlError::Plan`]), plus whatever `run_sql` of the
     /// bound SQL reports.
     pub fn execute(&mut self, db: &mut Database, params: &[u64]) -> Result<QueryOutput, SqlError> {
-        Ok(self.run(db, params, ReadOpts::default())?.0)
+        let (output, _) = self.execute_with(params, |q| db.select(q, &q.sql(), None, false))?;
+        Ok(output)
     }
 
     /// [`PreparedStatement::execute`] **at a pinned snapshot**, as
@@ -151,11 +159,9 @@ impl PreparedStatement {
         snap: &Snapshot,
         params: &[u64],
     ) -> Result<QueryOutput, SqlError> {
-        let opts = ReadOpts {
-            at: Some(snap),
-            ..ReadOpts::default()
-        };
-        Ok(self.run(db, params, opts)?.0)
+        let at = Some(snap);
+        let (output, _) = self.execute_with(params, |q| db.select(q, &q.sql(), at, false))?;
+        Ok(output)
     }
 
     /// [`PreparedStatement::execute`] with tracing on — the prepared
@@ -171,27 +177,9 @@ impl PreparedStatement {
         db: &mut Database,
         params: &[u64],
     ) -> Result<AnalyzedQuery, SqlError> {
-        let opts = ReadOpts {
-            trace: true,
-            ..ReadOpts::default()
-        };
-        let (output, trace) = self.run(db, params, opts)?;
+        let (output, trace) = self.execute_with(params, |q| db.select(q, &q.sql(), None, true))?;
         let trace = trace.expect("a traced run returns its trace");
         Ok(AnalyzedQuery { output, trace })
-    }
-
-    /// The body of `execute`, `execute_at` and `analyze`: bind, then
-    /// the session's one read path.
-    fn run(
-        &mut self,
-        db: &mut Database,
-        params: &[u64],
-        opts: ReadOpts<'_>,
-    ) -> Result<(QueryOutput, Option<QueryTrace>), SqlError> {
-        let q = self.bind(params)?;
-        let out = db.select(&q, &q.sql(), opts)?;
-        self.executed();
-        Ok(out)
     }
 }
 

@@ -22,6 +22,7 @@ use crate::cancel::CancelToken;
 use crate::database::SqlError;
 use crate::engine::{ExecutionReport, Row};
 use crate::executor::{virtual_schedule, Executor, Morsel, DEFAULT_MORSEL_ROWS};
+use crate::metrics::MetricsRegistry;
 use crate::plan::{PlanError, PlanStep, QueryPlan};
 use crate::query::{AggFn, Having, OrderBy, OrderKey};
 use crate::session::{assemble_rows, Session};
@@ -43,6 +44,25 @@ pub(crate) enum Schedule<'a> {
     Pool(&'a Executor),
 }
 
+impl Schedule<'_> {
+    /// [`drive`] on this schedule, an inline session's aggregate opens /
+    /// closes / spills then folded into `metrics` (the read's lead
+    /// registry) — cancelled or not: an abandoned aggregate was opened
+    /// too. The pool's sessions count theirs in the pool's counters.
+    pub(crate) fn drive(
+        self,
+        request: ReadRequest<'_>,
+        metrics: &MetricsRegistry,
+    ) -> Result<ShardedOutput, SqlError> {
+        let Schedule::Inline(session) = self else {
+            return drive(request, self);
+        };
+        let out = drive(request, Schedule::Inline(&mut *session));
+        metrics.record_aggregate(session.take_agg_counts());
+        out
+    }
+}
+
 /// One read, however it was asked for.
 pub(crate) struct ReadRequest<'a> {
     /// One plan per shard, all of the same query (its tail runs once,
@@ -53,18 +73,6 @@ pub(crate) struct ReadRequest<'a> {
     pub(crate) prefix: &'a [PlanStep],
     pub(crate) cancel: Option<&'a CancelToken>,
     pub(crate) trace: Option<&'a mut QueryTrace>,
-}
-
-impl<'a> ReadRequest<'a> {
-    /// A plain request: no join prefix, no token, no trace.
-    pub(crate) fn new(plans: Vec<Option<QueryPlan>>) -> Self {
-        Self {
-            plans,
-            prefix: &[],
-            cancel: None,
-            trace: None,
-        }
-    }
 }
 
 /// Surfaces a tripped [`CancelToken`] as the typed
@@ -203,6 +211,9 @@ pub(crate) fn drive(
         Schedule::Pool(pool) => {
             let (outcomes, closed) = pool.execute(morsels, cancel);
             check_cancel(cancel)?;
+            // Pruned ranges never reach the deques: the pool cannot
+            // count them itself.
+            pool.note_pruned(morsels_pruned, rows_pruned);
             (outcomes, closed, pool.worker_count(), pool.config().steal)
         }
     };

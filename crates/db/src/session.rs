@@ -342,7 +342,12 @@ impl Session {
     /// Execution is infallible: every error condition is typed and
     /// rejected at plan time by [`crate::Engine::plan`].
     pub fn run(&mut self, plan: &QueryPlan) -> QueryOutput {
-        let request = ReadRequest::new(vec![Some(plan.clone())]);
+        let request = ReadRequest {
+            plans: vec![Some(plan.clone())],
+            prefix: &[],
+            cancel: None,
+            trace: None,
+        };
         read::drive(request, Schedule::Inline(self))
             .expect("no token to trip; the plan vetted its own key domains")
             .into()

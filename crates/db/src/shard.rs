@@ -1,15 +1,38 @@
-//! Sharded execution: partition rows across N shards, run their plans
-//! as stealable morsels on a persistent worker pool, merge partial
-//! aggregates.
+//! Sharded execution — and the one front-end every database reads and
+//! writes through.
 //!
-//! A [`ShardedDatabase`] fronts N independent [`Database`] shards
-//! (shared-nothing: each owns the catalogue and session for its row
-//! partition) plus one [`Executor`] — a fixed pool of persistent
-//! workers, each with its own long-lived session/machine.
-//! [`ShardedDatabase::register`] splits a table into N contiguous row
-//! chunks — contiguity preserves per-chunk sortedness metadata, so
-//! presorted plans still kick in per shard — and a query is the one
-//! read driver (ARCHITECTURE.md, "Read path") on the pool schedule:
+//! A shard is a catalogue and, when durable, its write-ahead log —
+//! nothing else: no machine, no transaction state. Everything above the
+//! read driver takes a slice of shards, so a [`crate::Database`] is the
+//! one-shard case of a [`ShardedDatabase`], as one core is the
+//! one-partition case of the paper's §VI-A multicore strategy:
+//!
+//! * a read goes through one front-end — the shards and an optional
+//!   cut, one [`Snapshot`] per shard — which plans every populated shard
+//!   (a join: plans it at one cut over merged statistics and runs its
+//!   build and probe first), hands the plans to the read driver on the
+//!   caller's schedule (a session's machine, or the worker pool), and
+//!   records the finished read once, in the lead shard's metrics
+//!   registry; it also explains a statement and validates a prepared
+//!   template;
+//! * a write goes through one committer: install and buffer on every
+//!   touched shard under one transaction id, flush every shard, write
+//!   the commit record on the vouching log — the shard's own for a
+//!   `Database` `COMMIT`, the coordinator's for a cross-shard write —
+//!   then the compaction check.
+//!
+//! What only one type has stays with it: `AS OF`, `BEGIN` / `COMMIT`
+//! state and `CREATE SNAPSHOT` with [`crate::Database`]; routing, the
+//! worker pool and the coordinator's log with [`ShardedDatabase`].
+//!
+//! A [`ShardedDatabase`] is N shards over row partitions
+//! (shared-nothing), one [`Executor`] — a fixed pool of persistent
+//! workers, each with its own long-lived session/machine — and, when
+//! durable, the coordinator's commit log. [`ShardedDatabase::register`]
+//! splits a table into N contiguous row chunks — contiguity preserves
+//! per-chunk sortedness metadata, so presorted plans still kick in per
+//! shard — and a query is the one read driver (ARCHITECTURE.md, "Read
+//! path") on the pool schedule:
 //!
 //! 1. **plan** the query on every non-empty shard (each shard's plan
 //!    cache and adaptive §V-D choice apply to *its* partition);
@@ -50,25 +73,24 @@
 //! accessors per shard and merged.
 
 use crate::cancel::CancelToken;
-use crate::catalogue::{RowSel, WriteOp};
-use crate::database::ExplainOutput;
-use crate::database::{Database, MutationReceipt, SqlError};
+use crate::catalogue::{Installed, RowSel, SharedCatalogue, WriteOp};
+use crate::database::{select_of, ExplainOutput, MutationReceipt, SqlError};
 use crate::delta::TableStats;
 use crate::engine::{Engine, ExecutionReport, QueryOutput, Row};
 use crate::executor::{Executor, ExecutorConfig, ExecutorStats};
 use crate::filter::Predicate;
-use crate::ingest::{CompactionPolicy, RowBatch};
-use crate::join::{plan_derived, plan_join, run_join, JoinPlan};
+use crate::ingest::{CompactionPolicy, IngestReceipt, RowBatch};
+use crate::join::{join_read, plan_join, JoinPlan};
 use crate::metrics::{MetricsSnapshot, SlowQuery};
-use crate::plan::{PlanError, QueryPlan};
+use crate::plan::{PlanError, PlanStep, QueryPlan};
 use crate::prepared::PreparedStatement;
-use crate::read::{self, ReadRequest, Schedule};
+use crate::read::{ReadRequest, Schedule};
 use crate::recovery;
 use crate::snapshot::{Snapshot, SnapshotStats};
 use crate::sql::{parse_statement, parse_template, ParseSqlError, SqlQuery, Statement};
 use crate::table::Table;
 use crate::trace::QueryTrace;
-use crate::wal::{self, WalError, WalRecord, WalWriter};
+use crate::wal::{self, WalError, WalRecord, WalWriter, AUTOCOMMIT};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -76,43 +98,18 @@ use std::path::{Path, PathBuf};
 /// and one persistent morsel [`Executor`]. See the [module docs](self).
 #[derive(Debug)]
 pub struct ShardedDatabase {
-    shards: Vec<Database>,
+    shards: Vec<Shard>,
     /// Ingest tie-break cursor: among equally small shards, the next
     /// batch lands on the first one at or after this index.
     next_shard: usize,
     /// The persistent worker pool running every query's morsels.
     executor: Executor,
-    /// The cross-shard commit log ([`ShardedDatabase::open`] only).
-    coordinator: Option<Coordinator>,
-}
-
-/// The coordinator's own write-ahead log: nothing but
-/// [`WalRecord::Commit`] records, one per multi-shard operation. A
-/// shard-log record tagged with a global transaction id is ignored on
-/// replay unless this log committed the id — which makes cross-shard
-/// writes atomic across a crash (see [`ShardedDatabase::open`]).
-#[derive(Debug)]
-struct Coordinator {
-    log: PathBuf,
-    writer: WalWriter,
-}
-
-impl Coordinator {
-    /// A fresh, unique, nonzero global transaction id. The commit
-    /// record's prospective LSN serves: every commit consumes exactly
-    /// one LSN, so ids never repeat — even across restarts.
-    fn next_gtid(&self) -> u64 {
-        self.writer.next_lsn()
-    }
-
-    /// Durably commits `gtid` — the single point that makes a
-    /// multi-shard operation's records (already flushed on every
-    /// touched shard) count during recovery.
-    fn commit(&mut self, gtid: u64) -> Result<(), SqlError> {
-        self.writer.append(&WalRecord::Commit { txn: gtid });
-        self.writer.flush()?;
-        Ok(())
-    }
+    /// The coordinator's commit log ([`ShardedDatabase::open`] only):
+    /// nothing but commit records, one per multi-shard operation. A
+    /// shard-log record tagged with a global transaction id is ignored
+    /// on replay unless this log committed the id — which makes
+    /// cross-shard writes atomic across a crash.
+    coordinator: Option<Wal>,
 }
 
 /// What one sharded append did (see [`ShardedDatabase::append_rows`]).
@@ -202,24 +199,30 @@ impl ShardedSnapshot {
     /// The merged pinned data version of `table` — see
     /// [`ShardedDatabase::data_version`] for the definition.
     pub fn data_version(&self, table: &str) -> Option<u64> {
-        merged_data_version(self.data_versions(table)?)
+        merged_data_version(self.shards.iter().map(|s| s.data_version(table)))
     }
 
     /// The pinned statistics of `table` merged across shards (see
     /// [`TableStats::merged`]).
     pub fn table_stats(&self, table: &str) -> Option<TableStats> {
-        let parts: Option<Vec<TableStats>> =
-            self.shards.iter().map(|s| s.table_stats(table)).collect();
-        TableStats::merged(&parts?)
+        cut_stats(&self.shards, table)
     }
+}
+
+/// `table`'s statistics at a cross-shard cut, merged (see
+/// [`TableStats::merged`]).
+fn cut_stats(cut: &[Snapshot], table: &str) -> Option<TableStats> {
+    let parts: Option<Vec<TableStats>> = cut.iter().map(|s| s.table_stats(table)).collect();
+    TableStats::merged(&parts?)
 }
 
 /// One merged data version for a row-partitioned table: `1` for a
 /// freshly registered table, `+1` for every shard-level delta bump —
 /// the total ingest activity the partitions have absorbed, so drift
 /// between a plan and the sharded table is observable as one number.
-fn merged_data_version(per_shard: Vec<u64>) -> Option<u64> {
-    Some(1 + per_shard.iter().map(|v| v - 1).sum::<u64>())
+/// `None` if any shard lacks the table.
+fn merged_data_version(mut per_shard: impl Iterator<Item = Option<u64>>) -> Option<u64> {
+    per_shard.try_fold(1, |merged, version| Some(merged + version? - 1))
 }
 
 /// `workers == 0` in an [`ExecutorConfig`] means "one worker per
@@ -261,7 +264,7 @@ impl ShardedDatabase {
         let shards = shards.max(1);
         Self {
             shards: (0..shards)
-                .map(|_| Database::with_engine(engine.clone()))
+                .map(|_| Shard::new(SharedCatalogue::with_engine(engine.clone())))
                 .collect(),
             next_shard: 0,
             executor: Executor::new(resolve(config, shards), engine.config().clone()),
@@ -302,29 +305,19 @@ impl ShardedDatabase {
                 shards.max(1)
             }
         };
-        let log = dir.join("coordinator.log");
-        let (committed, writer) = if log.exists() {
-            let contents = wal::read_log(&log)?;
-            if let Some(valid_len) = contents.torn {
-                // A torn commit record is an uncommitted cross-shard
-                // operation: truncating it rolls the operation back on
-                // every shard.
-                wal::truncate(&log, valid_len)?;
-            }
-            let committed = recovery::committed_set(&contents.records, &BTreeSet::new());
-            (committed, WalWriter::append_to(&log, contents.next_lsn)?)
-        } else {
-            (BTreeSet::new(), WalWriter::create(&log)?)
-        };
-        let shard_dbs = (0..shards)
-            .map(|i| Database::open_with(&dir.join(format!("shard-{i}")), &committed))
+        // A torn commit record is an uncommitted cross-shard operation:
+        // truncating it rolls the operation back on every shard.
+        let (coordinator, records) = Wal::open(dir.join("coordinator.log"))?;
+        let committed = recovery::committed_set(&records, &BTreeSet::new());
+        let shard_logs = (0..shards)
+            .map(|i| Shard::open(&dir.join(format!("shard-{i}")), &committed))
             .collect::<Result<Vec<_>, _>>()?;
-        let sim = shard_dbs[0].catalogue().engine().config().clone();
+        let sim = shard_logs[0].catalogue.engine().config().clone();
         Ok(Self {
-            shards: shard_dbs,
+            shards: shard_logs,
             next_shard: 0,
             executor: Executor::new(resolve(ExecutorConfig::default(), shards), sim),
-            coordinator: Some(Coordinator { log, writer }),
+            coordinator: Some(coordinator),
         })
     }
 
@@ -334,20 +327,19 @@ impl ShardedDatabase {
         self.coordinator.is_some()
     }
 
-    /// Checkpoints every shard's log (see [`Database::checkpoint`]) and
-    /// then truncates the coordinator's commit log — the shard images
-    /// are all autocommit records now, so no global transaction id
-    /// needs vouching for. A no-op on non-durable databases.
+    /// Checkpoints every shard's log (see
+    /// [`crate::Database::checkpoint`]) and then truncates the
+    /// coordinator's commit log — the shard images are all autocommit
+    /// records now, so no global transaction id needs vouching for. A
+    /// no-op on non-durable databases.
     pub fn checkpoint(&mut self) -> Result<(), SqlError> {
-        if self.coordinator.is_none() {
+        let Some(coordinator) = &mut self.coordinator else {
             return Ok(());
-        }
+        };
         for shard in &mut self.shards {
             shard.checkpoint()?;
         }
-        let coord = self.coordinator.as_mut().expect("checked above");
-        coord.writer = wal::rewrite(&coord.log, &[], coord.writer.next_lsn())?;
-        Ok(())
+        coordinator.rewrite(&[])
     }
 
     /// The executor's resolved configuration.
@@ -362,7 +354,8 @@ impl ShardedDatabase {
     }
 
     /// One metrics snapshot for the whole sharded database: every
-    /// shard's [`Database::metrics`] summed (counters and the query
+    /// shard's metrics (as [`crate::Database::metrics`] reports them)
+    /// summed (counters and the query
     /// cycle histogram; the worst slow queries kept), plus the shared
     /// worker pool's counters as `executor_queries` / `executor_morsels`
     /// / `executor_steals` and, under the names a single database
@@ -390,40 +383,39 @@ impl ShardedDatabase {
         snap
     }
 
-    /// The worst coordinator queries on record, sorted worst-first (the
-    /// coordinator records into shard 0's registry; see
-    /// [`Database::slow_queries`]).
+    /// The worst queries on record, sorted worst-first (every read
+    /// records into the lead shard's registry; see
+    /// [`crate::Database::slow_queries`]).
     pub fn slow_queries(&self) -> Vec<SlowQuery> {
-        self.shards
-            .first()
-            .map(Database::slow_queries)
-            .unwrap_or_default()
+        self.shards[0].catalogue.metrics().slow_queries()
     }
 
-    /// Only coordinator queries costing at least `cycles` enter the
-    /// slow-query ring (see [`Database::set_slow_query_threshold`]).
+    /// Only queries costing at least `cycles` enter the slow-query ring
+    /// (see [`crate::Database::set_slow_query_threshold`]).
     pub fn set_slow_query_threshold(&self, cycles: u64) {
-        if let Some(shard) = self.shards.first() {
-            shard.set_slow_query_threshold(cycles);
-        }
+        self.shards[0]
+            .catalogue
+            .metrics()
+            .set_slow_query_threshold(cycles);
     }
 
     /// Sets every shard's delta-compaction policy (each shard compacts
     /// its own partition independently).
     pub fn set_compaction_policy(&mut self, policy: CompactionPolicy) {
         for shard in &self.shards {
-            shard.catalogue().set_compaction_policy(policy);
+            shard.catalogue.set_compaction_policy(policy);
         }
     }
 
-    /// Number of shard sessions.
+    /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
-    /// The shard sessions (for per-shard accounting).
-    pub fn shards(&self) -> &[Database] {
-        &self.shards
+    /// Each shard's catalogue, in shard order (for per-shard
+    /// accounting: tables, statistics, plan caches, metrics).
+    pub fn shards(&self) -> Vec<&SharedCatalogue> {
+        self.shards.iter().map(|shard| &shard.catalogue).collect()
     }
 
     /// Captures an atomic cross-shard point-in-time cut: every shard's
@@ -434,54 +426,41 @@ impl ShardedDatabase {
     /// shards' cuts. Reads at the cut are a consistent database-wide
     /// view, however much ingest streams in afterwards.
     pub fn snapshot(&self) -> ShardedSnapshot {
-        // Phase 1: lock all shards. Always in shard order, and this is
-        // the only multi-catalogue lock acquirer, so no cycle exists.
-        let guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|shard| shard.catalogue().registry_read())
-            .collect();
-        // Phase 2: cut each shard while every lock is still held.
         ShardedSnapshot {
-            shards: self
-                .shards
-                .iter()
-                .zip(&guards)
-                .map(|(shard, guard)| shard.catalogue().capture_under(guard))
-                .collect(),
+            shards: cut_now(&self.shards),
         }
     }
 
     /// Each shard's live data version of `table`, in shard order —
-    /// the per-shard drift view ([`Database::data_version`] per
-    /// partition). `None` if any shard lacks the table.
+    /// the per-shard drift view ([`crate::Database::data_version`]
+    /// per partition). `None` if any shard lacks the table.
     pub fn data_versions(&self, table: &str) -> Option<Vec<u64>> {
         self.shards
             .iter()
-            .map(|shard| shard.data_version(table))
+            .map(|shard| shard.catalogue.data_version(table))
             .collect()
     }
 
     /// The merged live data version of `table`: `1` for a freshly
     /// registered table, `+1` for every shard-level delta bump — total
     /// ingest activity across the partitions, the sharded counterpart
-    /// of [`Database::data_version`].
+    /// of [`crate::Database::data_version`].
     pub fn data_version(&self, table: &str) -> Option<u64> {
-        merged_data_version(self.data_versions(table)?)
+        merged_data_version(self.shards.iter().map(|s| s.catalogue.data_version(table)))
     }
 
     /// Each shard's live statistics of `table`, in shard order.
     pub fn table_stats_per_shard(&self, table: &str) -> Option<Vec<TableStats>> {
         self.shards
             .iter()
-            .map(|shard| shard.table_stats(table))
+            .map(|shard| shard.catalogue.table_stats(table))
             .collect()
     }
 
     /// The live statistics of `table` merged across every shard (row
     /// counts add, min/max combine, KMV sketches union; `sorted` means
     /// sorted within every partition — see [`TableStats::merged`]):
-    /// the sharded counterpart of [`Database::table_stats`].
+    /// the sharded counterpart of [`crate::Database::table_stats`].
     pub fn table_stats(&self, table: &str) -> Option<TableStats> {
         TableStats::merged(&self.table_stats_per_shard(table)?)
     }
@@ -492,7 +471,7 @@ impl ShardedDatabase {
     pub fn snapshot_stats(&self) -> SnapshotStats {
         let mut out = SnapshotStats::default();
         for shard in &self.shards {
-            out.absorb(&shard.catalogue().snapshot_stats());
+            out.absorb(&shard.catalogue.snapshot_stats());
         }
         out
     }
@@ -552,30 +531,31 @@ impl ShardedDatabase {
         self.register_parts(parts);
     }
 
-    /// The shared tail of both register paths: install one partition
-    /// per shard, all records tagged with one global transaction id,
-    /// flushed everywhere before the coordinator commits. WAL failures
-    /// panic — the register signatures predate durability and cannot
-    /// carry the error, and losing a registration silently would
-    /// corrupt every later replay.
+    /// The shared tail of both register paths: one commit registering
+    /// one partition per shard, vouched for by the coordinator (see
+    /// [`ShardedDatabase::commit`]). WAL failures panic — the register
+    /// signatures predate durability and cannot carry the error, and
+    /// losing a registration silently would corrupt every later replay.
     fn register_parts(&mut self, parts: Vec<Table>) {
-        let gtid = self
+        let mut commit = self.commit();
+        for (shard, part) in parts.into_iter().enumerate() {
+            commit.register(shard, part);
+        }
+        commit
+            .finish(&[])
+            .expect("write-ahead log append failed during register");
+    }
+
+    /// A write across every shard, vouched for by the coordinator's log
+    /// when durable: every shard's records carry one global transaction
+    /// id, and only the coordinator's commit record, written after every
+    /// shard flushed, makes them count on replay.
+    fn commit(&mut self) -> Commit<'_> {
+        let vouch = self
             .coordinator
-            .as_ref()
-            .map_or(crate::wal::AUTOCOMMIT, Coordinator::next_gtid);
-        for (shard, part) in self.shards.iter_mut().zip(parts) {
-            shard.register_buffered(part, gtid);
-        }
-        for shard in &mut self.shards {
-            shard
-                .flush_wal()
-                .expect("write-ahead log append failed during register");
-        }
-        if let Some(coord) = self.coordinator.as_mut() {
-            coord
-                .commit(gtid)
-                .expect("coordinator commit failed during register");
-        }
+            .as_mut()
+            .map_or(Vouch::Autocommit, Vouch::Log);
+        Commit::begin(&mut self.shards, vouch)
     }
 
     /// Appends a batch of rows, routing the whole batch to the shard
@@ -590,8 +570,8 @@ impl ShardedDatabase {
     ///
     /// # Errors
     ///
-    /// As [`Database::append_rows`]; the batch is validated before any
-    /// shard is touched, so a rejected batch mutates nothing.
+    /// As [`crate::Database::append_rows`]; the batch is validated
+    /// before any shard is touched, so a rejected batch mutates nothing.
     pub fn append_rows(
         &mut self,
         table: &str,
@@ -603,7 +583,7 @@ impl ShardedDatabase {
         // batch up front rather than leave earlier shards mutated.
         for shard in &self.shards {
             let schema = shard
-                .catalogue()
+                .catalogue
                 .schema(table)
                 .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
             let names: Vec<&str> = schema.iter().map(String::as_str).collect();
@@ -618,7 +598,7 @@ impl ShardedDatabase {
         let sizes: Vec<usize> = self
             .shards
             .iter()
-            .map(|s| s.table_stats(table).map_or(0, |stats| stats.rows()))
+            .map(|s| s.catalogue.rows(table).unwrap_or(0))
             .collect();
         let smallest = *sizes.iter().min().expect("at least one shard");
         let chosen = (0..shard_count)
@@ -628,12 +608,12 @@ impl ShardedDatabase {
         let mut per_shard = vec![0usize; shard_count];
         let mut compactions = 0;
         if n > 0 {
-            // Through the shard's `Database` write path, not its bare
-            // catalogue: a durable shard logs the batch (or checkpoints
-            // on compaction) before reporting the receipt. A routed
-            // append touches one shard only, so its own autocommit
-            // record is already atomic — no coordinator involvement.
-            let receipt = self.shards[chosen].append_rows(table, batch)?;
+            // Through the committer, not the bare catalogue: a durable
+            // shard logs the batch (or checkpoints on compaction) before
+            // reporting the receipt. A routed append touches one shard
+            // only, so its own autocommit record is already atomic — no
+            // coordinator involvement.
+            let receipt = self.shards[chosen].append(table, batch)?;
             per_shard[chosen] = n;
             if receipt.compacted {
                 compactions += 1;
@@ -662,7 +642,7 @@ impl ShardedDatabase {
                     RowBatch::from_rows(&ins.columns, &ins.rows).map_err(SqlError::Ingest)?;
                 self.append_rows(&ins.table, batch)
             }
-            other => Err(rejection(&other, "INSERT")),
+            other => Err(rejection(other, "INSERT")),
         }
     }
 
@@ -689,7 +669,7 @@ impl ShardedDatabase {
             Statement::Update(upd) => {
                 self.mutate_shards(&upd.table, Some(&upd.sets), upd.filter.as_ref())
             }
-            other => Err(rejection(&other, "DELETE or UPDATE")),
+            other => Err(rejection(other, "DELETE or UPDATE")),
         }
     }
 
@@ -697,10 +677,9 @@ impl ShardedDatabase {
     /// [`ShardedDatabase::mutate_sql`]: `sets == None` deletes,
     /// `Some(sets)` updates. Names are validated on every shard before
     /// any shard is mutated, so errors leave nothing half-applied; then
-    /// the three phases of the single-session committer
-    /// (ARCHITECTURE.md, "Write path") run across the shards — install
-    /// and buffer everywhere under one gtid, flush everywhere, the
-    /// coordinator's commit, then the compaction check everywhere —
+    /// one commit across the shards ([`ShardedDatabase::commit`]) —
+    /// install and buffer everywhere under one gtid, flush everywhere,
+    /// the coordinator's commit, then the compaction check everywhere —
     /// under the coordinator's `&mut self` (no reader can interleave a
     /// write).
     fn mutate_shards(
@@ -711,7 +690,7 @@ impl ShardedDatabase {
     ) -> Result<MutationReceipt, SqlError> {
         for shard in &self.shards {
             let schema = shard
-                .catalogue()
+                .catalogue
                 .schema(table)
                 .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
             let set_columns = sets.into_iter().flatten().map(|(c, _)| c);
@@ -720,12 +699,10 @@ impl ShardedDatabase {
                 return Err(SqlError::Plan(PlanError::UnknownColumn(column.clone())));
             }
         }
-        let gtid = self
-            .coordinator
-            .as_ref()
-            .map_or(crate::wal::AUTOCOMMIT, Coordinator::next_gtid);
+        let shards = self.shards.len();
+        let mut commit = self.commit();
         let mut total = 0usize;
-        for shard in &mut self.shards {
+        for shard in 0..shards {
             let (table, rows) = (table.to_string(), RowSel::Where(filter.cloned()));
             let mut op = match sets {
                 None => WriteOp::Delete { table, rows },
@@ -735,19 +712,9 @@ impl ShardedDatabase {
                     sets: sets.clone(),
                 },
             };
-            total += shard.install_buffered(std::slice::from_mut(&mut op), gtid)?[0].rows;
+            total += commit.install(shard, std::slice::from_mut(&mut op))?[0].rows;
         }
-        if total > 0 {
-            for shard in &mut self.shards {
-                shard.flush_wal()?;
-            }
-            if let Some(coord) = self.coordinator.as_mut() {
-                coord.commit(gtid)?;
-            }
-            for shard in &mut self.shards {
-                shard.after_write(table)?;
-            }
-        }
+        commit.finish(&[table])?;
         let data_version = self
             .data_version(table)
             .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
@@ -770,14 +737,14 @@ impl ShardedDatabase {
     ///
     /// # Errors
     ///
-    /// As [`Database::run_sql`], plus [`SqlError::ExplainStatement`]
-    /// for `EXPLAIN`, [`SqlError::InsertStatement`] /
-    /// [`SqlError::MutationStatement`] for writes and
-    /// [`SqlError::ShardedTimeTravel`] for `AS OF`. Composite
-    /// `GROUP BY` shards like any other query; only a *global* fused-key
-    /// domain exceeding the 32-bit key space is rejected, with the same
-    /// typed [`PlanError::CompositeKeyOverflow`] a single session
-    /// reports.
+    /// As [`crate::Database::run_sql`], plus
+    /// [`SqlError::ExplainStatement`] for `EXPLAIN`,
+    /// [`SqlError::InsertStatement`] / [`SqlError::MutationStatement`]
+    /// for writes and [`SqlError::ShardedTimeTravel`] for `AS OF`.
+    /// Composite `GROUP BY` shards like any other query; only a
+    /// *global* fused-key domain exceeding the 32-bit key space is
+    /// rejected, with the same typed [`PlanError::CompositeKeyOverflow`]
+    /// a single session reports.
     pub fn run_sql(&mut self, sql: &str) -> Result<ShardedOutput, SqlError> {
         self.read_sql(sql, None, None)
     }
@@ -793,7 +760,11 @@ impl ShardedDatabase {
         sql: &str,
         token: &CancelToken,
     ) -> Result<ShardedOutput, SqlError> {
-        self.read_sql(sql, None, Some(token))
+        let out = self.read_sql(sql, None, Some(token));
+        if matches!(out, Err(SqlError::Cancelled(_))) {
+            self.shards[0].catalogue.metrics().record_cancelled();
+        }
+        out
     }
 
     /// [`ShardedDatabase::run_sql`] **at an atomic cross-shard
@@ -821,37 +792,9 @@ impl ShardedDatabase {
         })
     }
 
-    /// The body of the three SQL read entry points; metrics go to the
-    /// coordinator's registry (shard 0's catalogue owns it; see
-    /// [`ShardedDatabase::metrics`]).
+    /// The body of the three SQL read entry points.
     fn read_sql(
-        &mut self,
-        sql: &str,
-        at: Option<&ShardedSnapshot>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<ShardedOutput, SqlError> {
-        let out = self.read_statement(sql, at, cancel);
-        let metrics = self.shards[0].catalogue().metrics();
-        match &out {
-            Ok(out) => {
-                metrics.record_query(
-                    sql.trim(),
-                    out.report.cycles,
-                    out.rows.len() as u64,
-                    out.report.steps.len(),
-                );
-                if out.trace.is_some() {
-                    metrics.record_traced_query();
-                }
-            }
-            Err(SqlError::Cancelled(_)) => metrics.record_cancelled(),
-            Err(_) => {}
-        }
-        out
-    }
-
-    fn read_statement(
-        &mut self,
+        &self,
         sql: &str,
         at: Option<&ShardedSnapshot>,
         cancel: Option<&CancelToken>,
@@ -860,158 +803,63 @@ impl ShardedDatabase {
         if matches!(stmt, Statement::Explain(_)) {
             return Err(SqlError::ExplainStatement);
         }
-        let mut trace = matches!(stmt, Statement::ExplainAnalyze(_))
-            .then(|| QueryTrace::new(sql.trim().to_string()));
-        let mut out = self.read_query(&select_of(stmt)?, at, trace.as_mut(), cancel)?;
-        out.trace = trace.map(Box::new);
-        Ok(out)
+        let trace = matches!(stmt, Statement::ExplainAnalyze(_));
+        self.front(at)
+            .select(&select_of(stmt)?, sql, trace, self.schedule(), cancel)
     }
 
-    /// Runs one parsed read — what [`ShardedDatabase::read_statement`]
-    /// parsed, or a prepared statement's bound query: a join at an
-    /// atomic cross-shard cut, else every populated shard's plan on the
-    /// pool.
-    fn read_query(
-        &mut self,
-        q: &SqlQuery,
-        at: Option<&ShardedSnapshot>,
-        trace: Option<&mut QueryTrace>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<ShardedOutput, SqlError> {
-        if q.join.is_some() {
-            // Both join sides read the same moment on every shard.
-            let owned;
-            let cut = match at {
-                Some(cut) => cut,
-                None => {
-                    owned = self.snapshot();
-                    &owned
-                }
-            };
-            return self.run_join_cut(cut, q, trace, cancel);
-        }
-        let plans = self.plan_shards(q, at)?;
-        self.execute_read(ReadRequest {
-            plans,
-            prefix: &[],
-            cancel,
-            trace,
-        })
+    /// Where every read's ranges run: the worker pool.
+    fn schedule(&self) -> Schedule<'_> {
+        Schedule::Pool(&self.executor)
     }
 
-    /// Hands a planned read to the driver on the worker pool
-    /// ([`Schedule::Pool`]) — the one finish step behind every sharded
-    /// `SELECT`, prepared statement and join.
-    fn execute_read(&mut self, request: ReadRequest<'_>) -> Result<ShardedOutput, SqlError> {
-        let out = read::drive(request, Schedule::Pool(&self.executor))?;
-        self.executor.note_pruned(out.pruned.0, out.pruned.1);
-        Ok(out)
-    }
-
-    /// Plans `q` on every shard whose partition of its table has rows
-    /// — at the shard's cut of `at` when a snapshot is given
-    /// (unknown-table and all-empty detection then run against the cut:
-    /// a table registered after the snapshot does not exist there),
-    /// else live. A live shard's rows are its statistics' count, read
-    /// under the registry lock: counting them captures no cut and
-    /// materialises nothing. Planning everything up front surfaces
-    /// errors before any morsel runs.
-    ///
-    /// # Errors
-    ///
-    /// [`SqlError::UnknownTable`] when no shard knows the table,
-    /// [`PlanError::EmptyTable`] when it has no rows anywhere (nothing
-    /// validated the query, so it must not reach the coordinator
-    /// tail), the snapshot-compatibility errors of
-    /// [`ShardedDatabase::check_cut`], and whatever planning returns.
-    fn plan_shards(
-        &self,
-        q: &SqlQuery,
-        at: Option<&ShardedSnapshot>,
-    ) -> Result<Vec<Option<QueryPlan>>, SqlError> {
-        if let Some(at) = at {
-            self.check_cut(at)?;
+    /// The front-end view of a read: every shard, at `at`'s per-shard
+    /// cuts or live.
+    fn front<'a>(&'a self, at: Option<&'a ShardedSnapshot>) -> Front<'a> {
+        Front {
+            shards: &self.shards,
+            cut: at.map(|snap| &snap.shards[..]),
         }
-        let table = q.table.as_str();
-        let mut known = false;
-        let mut plans = Vec::with_capacity(self.shards.len());
-        for (i, shard) in self.shards.iter().enumerate() {
-            let catalogue = shard.catalogue();
-            let cut = at.map(|at| &at.shards[i]);
-            let rows = match cut {
-                Some(cut) => cut.cut(table).map(|c| c.stats.rows()),
-                None => catalogue.rows(table),
-            };
-            known |= rows.is_some();
-            plans.push(match (rows, cut) {
-                (Some(0) | None, _) => None,
-                (Some(_), Some(cut)) => Some(catalogue.plan_query_at(cut, table, &q.query)?),
-                (Some(_), None) => Some(catalogue.plan_query(table, &q.query)?),
-            });
-        }
-        if !known {
-            return Err(SqlError::UnknownTable(table.to_string()));
-        }
-        if plans.iter().all(Option::is_none) {
-            return Err(SqlError::Plan(PlanError::EmptyTable));
-        }
-        Ok(plans)
     }
 
     /// Plans a statement against the first non-empty shard's partition
     /// (every shard plans the same shape; estimates are per-partition).
     /// A statement with a `JOIN` clause routes through the join planner
-    /// and returns [`ExplainOutput::Join`]: the typed [`JoinPlan`] at an
-    /// atomic cross-shard cut, whose sharded exchange strategy
-    /// ([`crate::JoinStrategy::Broadcast`] or
+    /// and returns [`ExplainOutput::Join`]: the typed
+    /// [`crate::JoinPlan`] at an atomic cross-shard cut, whose sharded
+    /// exchange strategy ([`crate::JoinStrategy::Broadcast`] or
     /// [`crate::JoinStrategy::Partition`]) is picked from the merged
     /// [`TableStats`] of both sides.
     ///
     /// # Errors
     ///
-    /// As [`Database::explain_sql`].
+    /// As [`crate::Database::explain_sql`].
     pub fn explain_sql(&self, sql: &str) -> Result<ExplainOutput, SqlError> {
-        self.explain(&select_of(parse_statement(sql)?)?)
-    }
-
-    /// The body of [`ShardedDatabase::explain_sql`].
-    fn explain(&self, q: &SqlQuery) -> Result<ExplainOutput, SqlError> {
-        if q.join.is_some() {
-            let plan = self.plan_join_cut(&self.snapshot(), q)?;
-            return Ok(ExplainOutput::Join(Box::new(plan)));
-        }
-        let shard = self
-            .first_populated_shard(&q.table)?
-            .ok_or(SqlError::Plan(PlanError::EmptyTable))?;
-        Ok(ExplainOutput::Plan(Box::new(
-            self.shards[shard]
-                .catalogue()
-                .plan_query(&q.table, &q.query)?,
-        )))
+        self.front(None).explain(&select_of(parse_statement(sql)?)?)
     }
 
     /// Prepares a statement — over one table or a two-table `JOIN` —
     /// for [`ShardedDatabase::execute_prepared`]: parsed once, and
     /// validated eagerly as [`ShardedDatabase::explain_sql`] plans it
-    /// where there are rows to plan against (a table with no rows
-    /// anywhere cannot plan until rows arrive, so it prepares and fails
-    /// at execution, as `run_sql` does).
+    /// where there are rows to plan against. A table with no rows
+    /// anywhere cannot plan until rows arrive, so its statement
+    /// prepares and fails at execution with [`PlanError::EmptyTable`],
+    /// as `run_sql` does — the rule [`crate::Database::prepare`]
+    /// follows.
     ///
     /// # Errors
     ///
-    /// As [`Database::prepare`].
+    /// As [`crate::Database::prepare`].
     pub fn prepare(&self, sql: &str) -> Result<ShardedStatement, SqlError> {
-        let stmt = PreparedStatement::new(parse_template(sql)?);
-        match self.explain(&stmt.query()) {
-            Ok(_) | Err(SqlError::Plan(PlanError::EmptyTable)) => Ok(stmt),
-            Err(e) => Err(e),
-        }
+        self.front(None).prepare(sql)
     }
 
     /// Binds `params` and executes exactly like
     /// [`ShardedDatabase::run_sql`] of the bound SQL, without the parse:
     /// every shard plans the bound query through its own catalogue's
-    /// plan cache.
+    /// plan cache, and the execution is recorded in
+    /// [`ShardedDatabase::metrics`] and the slow-query ring under the
+    /// bound SQL.
     ///
     /// # Errors
     ///
@@ -1023,9 +871,10 @@ impl ShardedDatabase {
         stmt: &mut ShardedStatement,
         params: &[u64],
     ) -> Result<ShardedOutput, SqlError> {
-        let out = self.read_query(&stmt.bind(params)?, None, None, None)?;
-        stmt.executed();
-        Ok(out)
+        let front = self.front(None);
+        stmt.execute_with(params, |q| {
+            front.select(q, &q.sql(), false, self.schedule(), None)
+        })
     }
 
     /// [`ShardedDatabase::execute_prepared`] **at an atomic cross-shard
@@ -1046,161 +895,24 @@ impl ShardedDatabase {
         snap: &ShardedSnapshot,
         params: &[u64],
     ) -> Result<ShardedOutput, SqlError> {
-        let out = self.read_query(&stmt.bind(params)?, Some(snap), None, None)?;
-        stmt.executed();
-        Ok(out)
-    }
-
-    /// Whether `snap` can serve reads here: one cut per shard, each cut
-    /// from that shard's own catalogue.
-    fn check_cut(&self, snap: &ShardedSnapshot) -> Result<(), SqlError> {
-        if snap.shards.len() != self.shards.len() {
-            return Err(SqlError::SnapshotShardMismatch {
-                snapshot: snap.shards.len(),
-                database: self.shards.len(),
-            });
-        }
-        for (shard, cut) in self.shards.iter().zip(&snap.shards) {
-            if !cut.catalogue().is_same(shard.catalogue()) {
-                return Err(SqlError::ForeignSnapshot);
-            }
-        }
-        Ok(())
-    }
-
-    /// The index of the first shard whose partition of `table` has
-    /// rows, or `None` when the table is entirely empty.
-    ///
-    /// # Errors
-    ///
-    /// [`SqlError::UnknownTable`] when the table is unregistered.
-    fn first_populated_shard(&self, table: &str) -> Result<Option<usize>, SqlError> {
-        let mut seen = false;
-        for (i, shard) in self.shards.iter().enumerate() {
-            match shard.catalogue().rows(table) {
-                Some(rows) if rows > 0 => return Ok(Some(i)),
-                Some(_) => seen = true,
-                None => {}
-            }
-        }
-        if seen {
-            Ok(None)
-        } else {
-            Err(SqlError::UnknownTable(table.to_string()))
-        }
-    }
-
-    /// Plans a two-table join at a cross-shard cut: schemas from any
-    /// shard's partition (all shards share the schema), statistics and
-    /// data versions **merged** across the cut — so the §V-D build-side
-    /// choice and the broadcast/partition decision see the whole
-    /// table, not one partition.
-    fn plan_join_cut(&self, cut: &ShardedSnapshot, q: &SqlQuery) -> Result<JoinPlan, SqlError> {
-        let join = q.join.as_ref().expect("caller verified a join clause");
-        let fetch = |name: &str| -> Result<(Table, TableStats, u64), SqlError> {
-            let missing = || SqlError::UnknownTable(name.to_string());
-            let schema = cut
-                .shards
-                .iter()
-                .find_map(|s| s.table(name))
-                .ok_or_else(missing)?;
-            let stats = cut.table_stats(name).ok_or_else(missing)?;
-            let version = cut.data_version(name).ok_or_else(missing)?;
-            Ok((schema, stats, version))
-        };
-        let (lt, ls, lv) = fetch(&q.table)?;
-        let (rt, rs, rv) = fetch(&join.table)?;
-        Ok(plan_join(
-            &q.query,
-            join,
-            &q.table,
-            &lt,
-            &ls,
-            lv,
-            &rt,
-            &rs,
-            rv,
-            self.shards.len(),
-            None,
-        )?)
-    }
-
-    /// Executes a two-table join at a cross-shard cut: the one join path
-    /// ([`crate::join::run_join`]) over every shard's partition of both
-    /// sides, its ranges morsels on the worker pool, then the read
-    /// driver over the per-shard derived tables like over any other
-    /// per-shard plans.
-    fn run_join_cut(
-        &mut self,
-        cut: &ShardedSnapshot,
-        q: &SqlQuery,
-        mut trace: Option<&mut QueryTrace>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<ShardedOutput, SqlError> {
-        self.check_cut(cut)?;
-        let plan = self.plan_join_cut(cut, q)?;
-        let parts = |name: &str| -> Result<Vec<Table>, SqlError> {
-            cut.shards
-                .iter()
-                .map(|s| {
-                    s.table(name)
-                        .ok_or_else(|| SqlError::UnknownTable(name.to_string()))
-                })
-                .collect()
-        };
-        let (lparts, rparts) = (parts(plan.left_table())?, parts(plan.right_table())?);
-        let (derived, obs) = run_join(&plan, &lparts, &rparts, Some(&self.executor), cancel)?;
-        if let Some(t) = trace.as_deref_mut() {
-            obs.record(t, &plan);
-        }
-        // A shard no key matched on has nothing to plan.
-        let engine = self.shards[0].catalogue().engine();
-        let plans = derived
-            .iter()
-            .map(|derived| plan_derived(engine, derived, plan.query()))
-            .collect::<Result<_, PlanError>>()?;
-        self.execute_read(ReadRequest {
-            plans,
-            prefix: plan.steps(),
-            cancel,
-            trace,
+        let front = self.front(Some(snap));
+        stmt.execute_with(params, |q| {
+            front.select(q, &q.sql(), false, self.schedule(), None)
         })
     }
 }
 
-/// The typed reason a sharded entry point cannot take `stmt`;
+/// The typed reason a sharded write entry point cannot take `stmt`;
 /// `expected` names what it wanted where the statement is a read.
-fn rejection(stmt: &Statement, expected: &'static str) -> SqlError {
+fn rejection(stmt: Statement, expected: &'static str) -> SqlError {
     let found = match stmt {
         Statement::Select(_) => "SELECT",
         Statement::Explain(_) | Statement::ExplainAnalyze(_) => "EXPLAIN",
-        Statement::Insert(_) => return SqlError::InsertStatement,
-        Statement::Delete(_) | Statement::Update(_) => return SqlError::MutationStatement,
         Statement::CreateSnapshot(_) => return SqlError::ShardedTimeTravel,
-        Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
-            return SqlError::TransactionStatement
-        }
+        other => return select_of(other).expect_err("not a read"),
     };
-    SqlError::Parse(ParseSqlError::Expected {
-        expected,
-        found: found.into(),
-    })
-}
-
-/// The query of a read statement (`SELECT` / `EXPLAIN [ANALYZE]
-/// SELECT`), or the typed reason the sharded read and plan entry points
-/// cannot take the statement — `AS OF` included: named versions are
-/// per-catalogue.
-fn select_of(stmt: Statement) -> Result<SqlQuery, SqlError> {
-    match stmt {
-        Statement::Select(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q) => {
-            if q.as_of.is_some() {
-                return Err(SqlError::ShardedTimeTravel);
-            }
-            Ok(q)
-        }
-        other => Err(rejection(&other, "SELECT")),
-    }
+    let found = found.into();
+    SqlError::Parse(ParseSqlError::Expected { expected, found })
 }
 
 /// Convenience: the merged output in [`QueryOutput`] form.
@@ -1213,10 +925,552 @@ impl From<ShardedOutput> for QueryOutput {
     }
 }
 
+/// An open write-ahead log: the writer and the file it appends to (a
+/// checkpoint rewrites the file in place).
+#[derive(Debug)]
+pub(crate) struct Wal {
+    path: PathBuf,
+    writer: WalWriter,
+}
+
+impl Wal {
+    /// Opens the log at `path`, or creates it. A torn tail — the
+    /// signature of a crash mid-append — is truncated to the last valid
+    /// record; real corruption (a mid-log checksum failure, out-of-order
+    /// LSNs) is a typed [`SqlError::Wal`]. Returns the log, positioned
+    /// to append, and the records it holds.
+    pub(crate) fn open(path: PathBuf) -> Result<(Self, Vec<(u64, WalRecord)>), SqlError> {
+        if !path.exists() {
+            let writer = WalWriter::create(&path)?;
+            return Ok((Self { path, writer }, Vec::new()));
+        }
+        let contents = wal::read_log(&path)?;
+        if let Some(valid_len) = contents.torn {
+            wal::truncate(&path, valid_len)?;
+        }
+        let writer = WalWriter::append_to(&path, contents.next_lsn)?;
+        Ok((Self { path, writer }, contents.records))
+    }
+
+    /// Rewrites the log as `records` alone. The LSN chain continues
+    /// where it left off, and the writer's counters stay cumulative:
+    /// the replacement writer starts at zero, the log's activity did
+    /// not.
+    pub(crate) fn rewrite(&mut self, records: &[WalRecord]) -> Result<(), SqlError> {
+        let prior = self.writer.stats();
+        self.writer = wal::rewrite(&self.path, records, self.writer.next_lsn())?;
+        self.writer.carry_stats(prior);
+        Ok(())
+    }
+}
+
+/// One partition of a database: its catalogue and, when durable, its
+/// write-ahead log.
+#[derive(Debug)]
+pub(crate) struct Shard {
+    pub(crate) catalogue: SharedCatalogue,
+    wal: Option<Wal>,
+}
+
+impl Shard {
+    /// An in-memory shard over `catalogue`.
+    pub(crate) fn new(catalogue: SharedCatalogue) -> Self {
+        Self {
+            catalogue,
+            wal: None,
+        }
+    }
+
+    /// Opens (or creates) a durable shard in `dir`: its log is replayed
+    /// into a fresh catalogue, records of transactions it does not
+    /// commit skipped — unless `extra_committed` vouches for them (the
+    /// sharded coordinator's commit set, which lives in a log of its
+    /// own).
+    pub(crate) fn open(dir: &Path, extra_committed: &BTreeSet<u64>) -> Result<Self, SqlError> {
+        std::fs::create_dir_all(dir).map_err(|e| WalError::Io(e.to_string()))?;
+        let (wal, records) = Wal::open(dir.join("wal.log"))?;
+        let mut shard = Self::new(SharedCatalogue::new());
+        let catalogue = &shard.catalogue;
+        // Compaction stays off during replay: every compaction that
+        // happened live rewrote the log into image records, so no
+        // surviving record should re-trip one.
+        catalogue.set_compaction_policy(CompactionPolicy::never());
+        recovery::replay(catalogue, &records, extra_committed)?;
+        catalogue.metrics().record_replay(records.len() as u64);
+        catalogue.set_compaction_policy(CompactionPolicy::default());
+        shard.wal = Some(wal);
+        Ok(shard)
+    }
+
+    /// Whether the shard owns a write-ahead log.
+    pub(crate) fn is_durable(&self) -> bool {
+        self.wal.is_some()
+    }
+
+    /// Buffers one record on the log without flushing (nothing on an
+    /// in-memory shard).
+    pub(crate) fn log(&mut self, record: &WalRecord) {
+        if let Some(wal) = &mut self.wal {
+            wal.writer.append(record);
+        }
+    }
+
+    /// **The** durability point: every buffered record reaches the file
+    /// here and nowhere else.
+    pub(crate) fn flush_wal(&mut self) -> Result<(), SqlError> {
+        if let Some(wal) = &mut self.wal {
+            wal.writer.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Rewrites the log as a checkpoint: one register image per table
+    /// (delta folded in, exact version counters) plus one image per
+    /// named snapshot. Replaying it reconstructs the current committed
+    /// state directly. A no-op on an in-memory shard.
+    pub(crate) fn checkpoint(&mut self) -> Result<(), SqlError> {
+        let Some(wal) = &mut self.wal else {
+            return Ok(());
+        };
+        let mut records = Vec::new();
+        for (name, schema_version, data_version, table) in self.catalogue.checkpoint_images() {
+            records.push(WalRecord::Register {
+                txn: AUTOCOMMIT,
+                table: name,
+                schema_version,
+                data_version,
+                columns: columns_of(&table),
+            });
+        }
+        for (name, tables) in self.catalogue.named_images() {
+            let tables = tables
+                .iter()
+                .map(|(t, (v, content))| (t.clone(), *v, columns_of(content)))
+                .collect();
+            records.push(WalRecord::SnapshotImage { name, tables });
+        }
+        wal.rewrite(&records)
+    }
+
+    /// Appends a batch: the committer with one op, autocommit.
+    pub(crate) fn append(
+        &mut self,
+        table: &str,
+        batch: RowBatch,
+    ) -> Result<IngestReceipt, SqlError> {
+        let mut commit = Commit::begin(std::slice::from_mut(self), Vouch::Autocommit);
+        let op = WriteOp::Append {
+            table: table.to_string(),
+            batch,
+        };
+        let done = commit.install(0, &mut [op])?[0];
+        Ok(done.receipt(commit.finish(&[table])? > 0))
+    }
+
+    /// The shard's metrics: its registry's counters plus the plan
+    /// cache's, the snapshot subsystem's and, when durable, the log
+    /// writer's.
+    pub(crate) fn metrics(&self) -> MetricsSnapshot {
+        let mut snap = self.catalogue.metrics().snapshot();
+        self.catalogue.cache_stats().export_into(&mut snap);
+        self.catalogue.snapshot_stats().export_into(&mut snap);
+        if let Some(wal) = &self.wal {
+            let stats = wal.writer.stats();
+            snap.add("wal_appends", stats.appends);
+            snap.add("wal_flushes", stats.flushes);
+            snap.add("wal_bytes", stats.bytes);
+        }
+        snap
+    }
+}
+
+/// Which log's commit record makes a write's records count on replay.
+pub(crate) enum Vouch<'a> {
+    /// None: every record is its own autocommit — one statement on one
+    /// shard.
+    Autocommit,
+    /// The one shard's own log, whose flush carries the commit record
+    /// with the records it closes (a `Database` `COMMIT`).
+    Own,
+    /// A log of its own, written after every shard flushed (the
+    /// coordinator's, for a cross-shard write): a shard's records
+    /// without it are skipped on replay, so the write is atomic across
+    /// a crash.
+    Log(&'a mut Wal),
+}
+
+/// **The** committer (ARCHITECTURE.md, "Write path"): every
+/// registration, append, autocommit statement, `COMMIT` and cross-shard
+/// write is one of these, over one shard or many. [`Commit::register`] /
+/// [`Commit::install`] change a shard's catalogue and buffer the
+/// records under the commit's one transaction id; [`Commit::finish`]
+/// flushes every shard, writes the commit record on the vouching log,
+/// and only then runs the compaction check. The transaction id is the
+/// LSN the vouching log's commit record will take: unique, monotonic,
+/// and it survives restarts for free.
+pub(crate) struct Commit<'a> {
+    shards: &'a mut [Shard],
+    vouch: Vouch<'a>,
+    txn: u64,
+    changed: bool,
+}
+
+impl<'a> Commit<'a> {
+    /// Opens a write across `shards`, vouched for by `vouch`.
+    pub(crate) fn begin(shards: &'a mut [Shard], vouch: Vouch<'a>) -> Self {
+        let log = match &vouch {
+            Vouch::Autocommit => None,
+            Vouch::Own => shards[0].wal.as_ref(),
+            Vouch::Log(wal) => Some(&**wal),
+        };
+        let txn = log.map_or(AUTOCOMMIT, |wal| wal.writer.next_lsn());
+        Self {
+            shards,
+            vouch,
+            txn,
+            changed: false,
+        }
+    }
+
+    /// Registers `table` on shard `shard` (replacing any table of that
+    /// name, which is returned) and buffers its image record.
+    pub(crate) fn register(&mut self, shard: usize, table: Table) -> Option<Table> {
+        self.changed = true;
+        let shard = &mut self.shards[shard];
+        let name = table.name().to_string();
+        let old = shard.catalogue.register(table);
+        if shard.is_durable() {
+            let (schema_version, data_version) =
+                shard.catalogue.versions(&name).expect("just registered");
+            let content = shard.catalogue.table(&name).expect("just registered");
+            shard.log(&WalRecord::Register {
+                txn: self.txn,
+                table: name,
+                schema_version,
+                data_version,
+                columns: columns_of(&content),
+            });
+        }
+        old
+    }
+
+    /// Installs `ops` on shard `shard` under one catalogue lock and
+    /// buffers their records. Returns what each op did; a list that
+    /// changed nothing buffers nothing.
+    pub(crate) fn install(
+        &mut self,
+        shard: usize,
+        ops: &mut [WriteOp],
+    ) -> Result<Vec<Installed>, SqlError> {
+        let shard = &mut self.shards[shard];
+        let done = shard.catalogue.install(ops)?;
+        if done.iter().any(|d| d.rows > 0) {
+            self.changed = true;
+            if let Some(wal) = &mut shard.wal {
+                for op in ops.iter() {
+                    wal.writer.append(&record_of(op, self.txn));
+                }
+            }
+        }
+        Ok(done)
+    }
+
+    /// Ends the write, if it changed anything: the commit record, every
+    /// shard's flush, then the compaction check of every table the write
+    /// touched (`tables`, once each) on every shard. Returns how many
+    /// compactions that installed.
+    pub(crate) fn finish(self, tables: &[&str]) -> Result<usize, SqlError> {
+        if !self.changed {
+            return Ok(0);
+        }
+        let commit = WalRecord::Commit { txn: self.txn };
+        let vouched = self.txn != AUTOCOMMIT;
+        if let (true, Vouch::Own) = (vouched, &self.vouch) {
+            self.shards[0].log(&commit);
+        }
+        for shard in self.shards.iter_mut() {
+            shard.flush_wal()?;
+        }
+        if let (true, Vouch::Log(wal)) = (vouched, self.vouch) {
+            wal.writer.append(&commit);
+            wal.writer.flush()?;
+        }
+        let mut compactions = 0;
+        for shard in self.shards.iter_mut() {
+            for table in tables {
+                // A compaction rewrites history the log's records
+                // describe: it checkpoints the log.
+                if shard.catalogue.maybe_compact(table) {
+                    shard.checkpoint()?;
+                    compactions += 1;
+                }
+            }
+        }
+        Ok(compactions)
+    }
+}
+
+/// What a read reads: a database's shards, live or at a cut — one
+/// [`Snapshot`] per shard. A `Database` is its one shard at its
+/// `run_sql_at` snapshot or its read-only transaction's; a
+/// `ShardedDatabase` is its shards at a `ShardedSnapshot`'s cuts.
+pub(crate) struct Front<'a> {
+    pub(crate) shards: &'a [Shard],
+    pub(crate) cut: Option<&'a [Snapshot]>,
+}
+
+/// What a read has planned: the per-shard plans the read driver runs,
+/// and the host steps that ran before them (a join's build and probe).
+pub(crate) type Planned = (Vec<Option<QueryPlan>>, Vec<PlanStep>);
+
+impl Front<'_> {
+    /// **The** read above the driver: plans `q` on every populated
+    /// shard — a join plans at one cut and runs its build and probe
+    /// first, on the schedule's pool when it has one — and finishes it
+    /// ([`Front::finish`]). `trace` gathers an `EXPLAIN ANALYZE` trace,
+    /// returned in [`ShardedOutput::trace`].
+    ///
+    /// # Errors
+    ///
+    /// [`SqlError::ShardedTimeTravel`] for `AS OF` (a front-end reads
+    /// live or at a cut; a frozen version is the catalogue's own), plus
+    /// whatever planning, the join and the driver report.
+    pub(crate) fn select(
+        &self,
+        q: &SqlQuery,
+        sql: &str,
+        trace: bool,
+        schedule: Schedule<'_>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<ShardedOutput, SqlError> {
+        let mut trace = trace.then(|| QueryTrace::new(sql.trim().to_string()));
+        let planned = match q.join {
+            None => (self.plan(q)?, Vec::new()),
+            Some(_) => self.with_cut(|cut| {
+                let (plan, l, r) = self.plan_join(cut, q)?;
+                let engine = self.shards[0].catalogue.engine();
+                join_read(engine, plan, &l, &r, &schedule, cancel, trace.as_mut())
+            })?,
+        };
+        self.finish(sql, planned, trace, schedule, cancel)
+    }
+
+    /// Drives what a read planned on `schedule`, and records the
+    /// finished read once, in the lead shard's metrics registry — the
+    /// query, its pruned ranges, whether it was traced: the one finish
+    /// step behind every `SELECT`, ad hoc or prepared, table or join, on
+    /// either database.
+    pub(crate) fn finish(
+        &self,
+        sql: &str,
+        (plans, prefix): Planned,
+        mut trace: Option<QueryTrace>,
+        schedule: Schedule<'_>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<ShardedOutput, SqlError> {
+        let metrics = self.shards[0].catalogue.metrics();
+        let request = ReadRequest {
+            plans,
+            prefix: &prefix,
+            cancel,
+            trace: trace.as_mut(),
+        };
+        let mut out = schedule.drive(request, metrics)?;
+        metrics.record_pruned(out.pruned.0, out.pruned.1);
+        let (cycles, rows, steps) = (out.report.cycles, out.rows.len(), out.report.steps.len());
+        metrics.record_query(sql.trim(), cycles, rows as u64, steps);
+        if trace.is_some() {
+            metrics.record_traced_query();
+        }
+        out.trace = trace.map(Box::new);
+        Ok(out)
+    }
+
+    /// Plans a statement without executing it: a table's plan on the
+    /// first populated shard (every shard plans the same shape;
+    /// estimates are per partition), or a join's at one cut, whose
+    /// sharded exchange strategy is picked from the merged statistics
+    /// of both sides.
+    pub(crate) fn explain(&self, q: &SqlQuery) -> Result<ExplainOutput, SqlError> {
+        if q.join.is_some() {
+            let (plan, ..) = self.with_cut(|cut| self.plan_join(cut, q))?;
+            return Ok(ExplainOutput::Join(Box::new(plan)));
+        }
+        let first = self.plan(q)?.into_iter().flatten().next();
+        let plan = first.expect("a populated shard planned");
+        Ok(ExplainOutput::Plan(Box::new(plan)))
+    }
+
+    /// Parses a `SELECT` template and validates it as
+    /// [`Front::explain`] plans it, where there are rows to plan
+    /// against: a table with no rows anywhere cannot plan until rows
+    /// arrive, so its statement prepares, and fails at execution with
+    /// [`PlanError::EmptyTable`] as `run_sql` does.
+    pub(crate) fn prepare(&self, sql: &str) -> Result<PreparedStatement, SqlError> {
+        let stmt = PreparedStatement::new(parse_template(sql)?);
+        match self.explain(&stmt.query()) {
+            Ok(_) | Err(SqlError::Plan(PlanError::EmptyTable)) => Ok(stmt),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Whether the read can be served here: live, or at a cut of one
+    /// snapshot per shard, each from that shard's own catalogue.
+    fn check(&self, q: &SqlQuery) -> Result<(), SqlError> {
+        if q.as_of.is_some() {
+            return Err(SqlError::ShardedTimeTravel);
+        }
+        let Some(cut) = self.cut else {
+            return Ok(());
+        };
+        if cut.len() != self.shards.len() {
+            return Err(SqlError::SnapshotShardMismatch {
+                snapshot: cut.len(),
+                database: self.shards.len(),
+            });
+        }
+        let foreign = |(s, c): (&Shard, &Snapshot)| !c.catalogue().is_same(&s.catalogue);
+        if self.shards.iter().zip(cut).any(foreign) {
+            return Err(SqlError::ForeignSnapshot);
+        }
+        Ok(())
+    }
+
+    /// Runs `f` at the read's cut, or — reading live — at a fresh
+    /// atomic cut of every shard, so a join's two sides are read at one
+    /// moment everywhere.
+    fn with_cut<R>(&self, f: impl FnOnce(&[Snapshot]) -> R) -> R {
+        match self.cut {
+            Some(cut) => f(cut),
+            None => f(&cut_now(self.shards)),
+        }
+    }
+
+    /// Plans `q` on every shard whose partition of its table has rows —
+    /// at the shard's cut when reading at one (a table registered after
+    /// the cut does not exist there), else live. A live shard's rows are
+    /// its statistics' count, read under the registry lock: counting
+    /// them captures no cut and materialises nothing. Planning
+    /// everything up front surfaces errors before any range runs.
+    ///
+    /// # Errors
+    ///
+    /// [`SqlError::UnknownTable`] when no shard knows the table,
+    /// [`PlanError::EmptyTable`] when it has no rows anywhere (nothing
+    /// validated the query, so it must not reach the host tail),
+    /// [`Front::check`]'s errors, and whatever planning returns.
+    fn plan(&self, q: &SqlQuery) -> Result<Vec<Option<QueryPlan>>, SqlError> {
+        self.check(q)?;
+        let table = q.table.as_str();
+        let mut known = false;
+        let mut plans = Vec::with_capacity(self.shards.len());
+        for (i, shard) in self.shards.iter().enumerate() {
+            let catalogue = &shard.catalogue;
+            let cut = self.cut.map(|cut| &cut[i]);
+            let rows = match cut {
+                Some(cut) => cut.cut(table).map(|c| c.stats.rows()),
+                None => catalogue.rows(table),
+            };
+            known |= rows.is_some();
+            plans.push(match (rows, cut) {
+                (Some(0) | None, _) => None,
+                (Some(_), Some(cut)) => Some(catalogue.plan_query_at(cut, table, &q.query)?),
+                (Some(_), None) => Some(catalogue.plan_query(table, &q.query)?),
+            });
+        }
+        if !known {
+            return Err(SqlError::UnknownTable(table.to_string()));
+        }
+        if plans.iter().all(Option::is_none) {
+            return Err(SqlError::Plan(PlanError::EmptyTable));
+        }
+        Ok(plans)
+    }
+
+    /// Plans a two-table join at `cut`, returned with both sides'
+    /// partitions for the build and probe: the statistics and data
+    /// version of each side are merged across the cut, so the §V-D
+    /// build-side choice and the exchange strategy see the whole table,
+    /// not one partition.
+    fn plan_join(
+        &self,
+        cut: &[Snapshot],
+        q: &SqlQuery,
+    ) -> Result<(JoinPlan, Vec<Table>, Vec<Table>), SqlError> {
+        self.check(q)?;
+        let side = |name: &str| {
+            let parts: Option<Vec<Table>> = cut.iter().map(|s| s.table(name)).collect();
+            let version = merged_data_version(cut.iter().map(|s| s.data_version(name)));
+            match (parts, cut_stats(cut, name), version) {
+                (Some(parts), Some(stats), Some(version)) => Ok((parts, stats, version)),
+                _ => Err(SqlError::UnknownTable(name.to_string())),
+            }
+        };
+        let Some(join) = &q.join else {
+            unreachable!("caller verified a join clause")
+        };
+        let ((lt, ls, lv), (rt, rs, rv)) = (side(&q.table)?, side(&join.table)?);
+        let shards = self.shards.len();
+        let plan = plan_join(q, (&lt[0], &ls, lv), (&rt[0], &rs, rv), shards, None)?;
+        Ok((plan, lt, rt))
+    }
+}
+
+/// An atomic cut of every shard: every registry read lock is taken
+/// first, in shard order — the only multi-catalogue lock acquirer, so
+/// no cycle exists — then each shard is cut under the held locks, so no
+/// write through any handle can land between two shards' cuts.
+fn cut_now(shards: &[Shard]) -> Vec<Snapshot> {
+    let guards: Vec<_> = shards.iter().map(|s| s.catalogue.registry_read()).collect();
+    let cut = |(s, guard): (&Shard, _)| s.catalogue.capture_under(guard);
+    shards.iter().zip(&guards).map(cut).collect()
+}
+
+/// The WAL record describing one installed (hence resolved) op, tagged
+/// with the owning transaction id.
+fn record_of(op: &WriteOp, txn: u64) -> WalRecord {
+    match op {
+        WriteOp::Append { table, batch } => WalRecord::Batch {
+            txn,
+            table: table.clone(),
+            columns: batch
+                .columns()
+                .map(|(n, v)| (n.to_string(), v.to_vec()))
+                .collect(),
+        },
+        WriteOp::Delete { table, rows } => WalRecord::Delete {
+            txn,
+            table: table.clone(),
+            rows: rows.ids().to_vec(),
+        },
+        WriteOp::Update { table, rows, sets } => WalRecord::Update {
+            txn,
+            table: table.clone(),
+            rows: rows.ids().to_vec(),
+            sets: sets.clone(),
+        },
+    }
+}
+
+/// A table's full column content, owned — the payload of a register or
+/// snapshot image record.
+fn columns_of(table: &Table) -> Vec<(String, Vec<u32>)> {
+    table
+        .column_names()
+        .iter()
+        .map(|n| {
+            (
+                n.to_string(),
+                table.column(n).expect("listed column exists").to_vec(),
+            )
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SqlOutcome;
+    use crate::{Database, SqlOutcome};
 
     fn events(n: usize) -> Table {
         Table::new("events")
@@ -1511,7 +1765,7 @@ mod tests {
         assert_eq!(stmt.parameter_count(), 1);
         for shard in sharded.shards() {
             // Every shard planned the shape once; each bind was a hit.
-            assert_eq!(shard.plan_cache_stats().misses, 1);
+            assert_eq!(shard.cache_stats().misses, 1);
         }
     }
 
@@ -1835,7 +2089,7 @@ mod tests {
             assert_eq!(receipt.compactions, 1);
         }
         for shard in sharded.shards() {
-            assert_eq!(shard.catalogue().delta_rows("events"), Some(0));
+            assert_eq!(shard.delta_rows("events"), Some(0));
             assert_eq!(shard.table("events").unwrap().rows(), 4);
         }
     }
@@ -1856,7 +2110,7 @@ mod tests {
         assert_eq!(after.report.rows_aggregated, 93, "ingest visible");
         // The shard the batch landed on rebased its entry; no shard's
         // §V-D choice flipped.
-        let cache = |s: &Database| s.plan_cache_stats();
+        let cache = |s: &&SharedCatalogue| s.cache_stats();
         let shards = sharded.shards();
         assert_eq!(shards.iter().map(|s| cache(s).rebases).sum::<u64>(), 1);
         assert!(shards.iter().all(|s| cache(s).invalidations == 0));
@@ -1866,36 +2120,78 @@ mod tests {
     fn empty_table_fails_prepared_execution_like_run_sql() {
         // With zero rows everywhere, no shard ever validated the query
         // at plan time — execution must fail with the same typed error
-        // run_sql gives, never reach the coordinator tail.
-        let mut sharded = ShardedDatabase::new(2);
-        sharded.register(
-            Table::new("r")
-                .with_column("g", Vec::new())
-                .with_column("v", Vec::new()),
-        );
+        // run_sql gives, never reach the coordinator tail. One rule for
+        // both databases: a single database is the one-shard case.
+        let empty = Table::new("r")
+            .with_column("g", Vec::new())
+            .with_column("v", Vec::new());
+        let full = Table::new("r")
+            .with_column("g", vec![1, 2])
+            .with_column("v", vec![3, 4]);
         let sql = "SELECT g, SUM(v), AVG(v) FROM r GROUP BY g HAVING AVG(v) > ?";
+        let empty_table = SqlError::Plan(PlanError::EmptyTable);
+        let bad_having = SqlError::Plan(PlanError::UnsupportedAvgPredicate { clause: "HAVING" });
+
+        let mut sharded = ShardedDatabase::new(2);
+        sharded.register(empty.clone());
         // Prepare succeeds (nothing to plan against yet)...
         let mut stmt = sharded.prepare(sql).unwrap();
         // ...and execution reports EmptyTable, exactly like run_sql.
         let e = sharded.execute_prepared(&mut stmt, &[1]).unwrap_err();
-        assert_eq!(e, SqlError::Plan(PlanError::EmptyTable));
+        assert_eq!(e, empty_table);
         let e = sharded
             .run_sql("SELECT g, SUM(v) FROM r GROUP BY g")
             .unwrap_err();
-        assert_eq!(e, SqlError::Plan(PlanError::EmptyTable));
-
+        assert_eq!(e, empty_table);
         // Once rows arrive, the invalid HAVING AVG is caught by the
         // shard planner as a typed error, not a panic.
-        sharded.register(
-            Table::new("r")
-                .with_column("g", vec![1, 2])
-                .with_column("v", vec![3, 4]),
-        );
+        sharded.register(full.clone());
         let e = sharded.execute_prepared(&mut stmt, &[1]).unwrap_err();
-        assert_eq!(
-            e,
-            SqlError::Plan(PlanError::UnsupportedAvgPredicate { clause: "HAVING" })
-        );
+        assert_eq!(e, bad_having);
+
+        let mut single = Database::new();
+        single.register(empty);
+        let mut stmt = single.prepare(sql).unwrap();
+        assert_eq!(stmt.execute(&mut single, &[1]).unwrap_err(), empty_table);
+        let e = single
+            .execute_sql("SELECT g, SUM(v) FROM r GROUP BY g")
+            .unwrap_err();
+        assert_eq!(e, empty_table);
+        single.register(full);
+        assert_eq!(stmt.execute(&mut single, &[1]).unwrap_err(), bad_having);
+        // A table with rows validates at prepare time, as before.
+        assert_eq!(single.prepare(sql).unwrap_err(), bad_having);
+        assert_eq!(sharded.prepare(sql).unwrap_err(), bad_having);
+    }
+
+    #[test]
+    fn prepared_executions_are_recorded_like_run_sql() {
+        // Every execution is one finished read in the lead shard's
+        // registry: counted, bucketed and in the slow-query ring under
+        // its bound SQL.
+        let mut sharded = ShardedDatabase::new(3);
+        sharded.register(events(600));
+        let mut stmt = sharded
+            .prepare("SELECT g, COUNT(*), SUM(v) FROM events WHERE v < ? GROUP BY g")
+            .unwrap();
+        let before = sharded.metrics();
+        let mut costliest = (0, String::new());
+        for threshold in [5u64, 90, 30, 60] {
+            let out = sharded.execute_prepared(&mut stmt, &[threshold]).unwrap();
+            if out.report.cycles > costliest.0 {
+                let sql = format!(
+                    "SELECT g, COUNT(*), SUM(v) FROM events WHERE v < {threshold} GROUP BY g"
+                );
+                costliest = (out.report.cycles, sql);
+            }
+        }
+        let after = sharded.metrics();
+        let queries = |m: &MetricsSnapshot| m.get("queries").unwrap();
+        assert_eq!(queries(&after) - queries(&before), 4);
+        let histogram = |m: &MetricsSnapshot| m.cycle_histogram().iter().sum::<u64>();
+        assert_eq!(histogram(&after) - histogram(&before), 4);
+        let worst = &sharded.slow_queries()[0];
+        assert_eq!((worst.cycles, &worst.sql), (costliest.0, &costliest.1));
     }
 
     #[test]

@@ -2006,4 +2006,90 @@ mod tests {
         let e = parse_template("INSERT INTO r (g) VALUES (1)").unwrap_err();
         assert!(matches!(e, ParseSqlError::Expected { .. }));
     }
+
+    /// The front door's property: whatever a socket peer sends, both
+    /// parsers return a value or a typed [`ParseSqlError`] — never a
+    /// panic. The input is in the failure message.
+    fn parses_or_fails_typed(sql: &str) {
+        let outcome = std::panic::catch_unwind(|| {
+            let _ = parse_statement(sql);
+            let _ = parse_template(sql);
+        });
+        assert!(outcome.is_ok(), "a parser panicked on {sql:?}");
+    }
+
+    /// Every token the grammar knows, and a few it does not: keywords,
+    /// identifiers (non-ASCII letters among them), `?`, numbers up to
+    /// and past `u64::MAX`, every operator the lexer takes or rejects.
+    const SOUP: &str = "SELECT FROM WHERE GROUP BY HAVING ORDER LIMIT DESC ASC JOIN ON AND AS OF \
+        data_version EXPLAIN ANALYZE INSERT INTO VALUES DELETE UPDATE SET CREATE SNAPSHOT BEGIN \
+        READ ONLY COMMIT ROLLBACK COUNT SUM MIN MAX AVG g v r t _x événement 日本 ǅ Ω 0 1 7 \
+        1_000 4294967295 4294967296 18446744073709551615 18446744073709551616 \
+        99999999999999999999999 ? , . ( ) * <> != < > = <= >= ! ; - ' \" \\";
+
+    /// Token soup: up to 40 tokens of `SOUP`, with or without the
+    /// spaces between them (so neighbours also lex as one token).
+    #[test]
+    fn token_soup_never_panics_a_parser() {
+        for case in 0..3_000u64 {
+            let mut rng = crate::delta::Xorshift::new(case);
+            let glue = if rng.below(4) == 0 { "" } else { " " };
+            let soup: Vec<&str> = SOUP.split_whitespace().collect();
+            let tokens: Vec<&str> = (0..rng.below(41))
+                .map(|_| soup[rng.below(soup.len() as u64) as usize])
+                .collect();
+            parses_or_fails_typed(&tokens.join(glue));
+        }
+    }
+
+    /// Near misses: a well-formed statement with one token dropped,
+    /// doubled or replaced by soup — the inputs that reach deepest.
+    #[test]
+    fn mutated_statements_never_panic_a_parser() {
+        let statements = [
+            "SELECT g, COUNT(*), SUM(v) FROM r WHERE v > ? GROUP BY g HAVING SUM(v) > ? \
+             ORDER BY SUM(v) DESC LIMIT ?",
+            "SELECT a, b, MIN(v), MAX(v), AVG(v) FROM t GROUP BY a, b ORDER BY g LIMIT 3",
+            "EXPLAIN ANALYZE SELECT l.g, COUNT(*) FROM l JOIN r ON l.k = r.k AND l.j = r.j \
+             WHERE r.v <> ? GROUP BY l.g",
+            "SELECT g, COUNT(*) FROM r AS OF data_version 3 GROUP BY g",
+            "INSERT INTO r (g, v) VALUES (1, 2), (3, 4);",
+            "UPDATE r SET v = 5, w = 6 WHERE g < 7",
+            "DELETE FROM r WHERE g != 2",
+            "CREATE SNAPSHOT s1",
+            "BEGIN READ ONLY",
+        ];
+        let soup: Vec<&str> = SOUP.split_whitespace().collect();
+        for case in 0..3_000u64 {
+            let mut rng = crate::delta::Xorshift::new(case);
+            let sql = statements[rng.below(statements.len() as u64) as usize];
+            let mut tokens: Vec<&str> = sql.split(' ').collect();
+            let at = rng.below(tokens.len() as u64) as usize;
+            match rng.below(3) {
+                0 => {
+                    tokens.remove(at);
+                }
+                1 => tokens.insert(at, tokens[at]),
+                _ => tokens[at] = soup[rng.below(soup.len() as u64) as usize],
+            }
+            parses_or_fails_typed(&tokens.join(" "));
+        }
+    }
+
+    /// Arbitrary strings: printable ASCII, control characters and any
+    /// Unicode scalar value, up to 60 of them.
+    #[test]
+    fn arbitrary_strings_never_panic_a_parser() {
+        for case in 0..3_000u64 {
+            let mut rng = crate::delta::Xorshift::new(case);
+            let sql: String = (0..rng.below(61))
+                .filter_map(|_| match rng.below(3) {
+                    0 => char::from_u32(32 + rng.below(95) as u32),
+                    1 => char::from_u32(rng.below(32) as u32),
+                    _ => char::from_u32(rng.below(0x11_0000) as u32),
+                })
+                .collect();
+            parses_or_fails_typed(&sql);
+        }
+    }
 }

@@ -2,16 +2,18 @@
 //! database.
 //!
 //! The serving-layer demo: an events table is partitioned across four
-//! shard sessions ([`vagg::db::ShardedDatabase`]), a parameterised
-//! statement is prepared once (`WHERE v < ?` — parsed once), and then
-//! executed for a sweep of thresholds. Every execution binds the
-//! parameter and each shard serves the bound query from its plan cache
-//! (every bind of the template is one entry), runs the distributive
-//! COUNT/SUM/MIN/MAX slice on all four shard machines in parallel
-//! threads, and merges the partial aggregates on the coordinator. A
-//! single-session database runs the same SQL as the correctness oracle,
-//! and the plan-cache counters show that the statistics pass ran once
-//! per shard.
+//! shards ([`vagg::db::ShardedDatabase`]; a shard is a catalogue over
+//! its row partition), a parameterised statement is prepared once
+//! (`WHERE v < ?` — parsed once), and then executed for a sweep of
+//! thresholds. Every execution binds the parameter and each shard
+//! serves the bound query from its plan cache (every bind of the
+//! template is one entry), the distributive COUNT/SUM/MIN/MAX slice
+//! runs as morsels on the worker pool's machines in parallel threads,
+//! and the partial aggregates merge on the coordinator. A
+//! single-session database runs the same SQL as the correctness oracle.
+//! Each shard's catalogue (`ShardedDatabase::shards`) shows that the
+//! statistics pass ran once per shard, and the metrics that every
+//! execution was recorded as a query.
 //!
 //! ```text
 //! cargo run --release --example prepared_pipeline
@@ -28,7 +30,7 @@ fn main() {
     let v: Vec<u32> = (0..n).map(|_| rng.next_below(500) as u32).collect();
     let events = Table::new("events").with_column("g", g).with_column("v", v);
 
-    // Four shard sessions over contiguous row partitions.
+    // Four shards over contiguous row partitions.
     let mut sharded = ShardedDatabase::new(4);
     sharded.register(events.clone());
 
@@ -36,7 +38,7 @@ fn main() {
     let mut single = Database::new();
     single.register(events);
 
-    // Prepare once: parsed one time, validated against one shard.
+    // Prepare once: parsed one time, planned on every shard to validate.
     let sql = "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v) FROM events \
                WHERE v < ? GROUP BY g";
     let mut stmt = sharded.prepare(sql).expect("statement prepares");
@@ -76,7 +78,7 @@ fn main() {
     let shard_misses: Vec<u64> = sharded
         .shards()
         .iter()
-        .map(|s| s.plan_cache_stats().misses)
+        .map(|s| s.cache_stats().misses)
         .collect();
     println!(
         "\nexecutions: {} | plan-cache misses per shard: {shard_misses:?} \
@@ -89,6 +91,9 @@ fn main() {
          literal shares one cached shape",
         stats.hits, stats.misses
     );
+    let queries = sharded.metrics().get("queries").unwrap_or(0);
+    println!("sharded queries recorded: {queries} (one per execution)");
     assert!(shard_misses.iter().all(|&m| m == 1));
     assert_eq!(stats.misses, 1);
+    assert_eq!(queries, stmt.executions());
 }

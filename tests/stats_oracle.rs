@@ -285,7 +285,7 @@ fn check_sharded(
 ) -> Result<(), TestCaseError> {
     let mut tables = Vec::new();
     for (i, shard) in db.shards().iter().enumerate() {
-        check_stats(shard, &format!("{what}, shard {i}"))?;
+        check_stats(&shard.connect(), &format!("{what}, shard {i}"))?;
         tables.push(shard.table("t").unwrap());
     }
     if tables.iter().any(|t| t.rows() > 0) {

@@ -188,17 +188,21 @@ proptest! {
             // (e) one shard behind the sharded coordinator...
             run_sharded(&mut sharded, stmt);
             prop_assert_eq!(
-                &state(sharded.shards()[0].catalogue(), 0), &expect, "sharded, statement {}", i
+                &state(sharded.shards()[0], 0), &expect, "sharded, statement {}", i
             );
             // ...which reads its state back as the reference does: the
-            // same rows at the same cycles.
-            if expect.2.rows() > 0 {
-                let single = sql.execute_sql(READ).unwrap();
-                let one_shard = sharded.run_sql(READ).unwrap();
-                prop_assert_eq!(&one_shard.rows, &single.rows, "rows, statement {}", i);
-                prop_assert_eq!(
-                    one_shard.report.cycles, single.report.cycles, "cycles, statement {}", i
-                );
+            // same rows at the same cycles, or — once every row is
+            // deleted — the same typed error.
+            match (sql.execute_sql(READ), sharded.run_sql(READ)) {
+                (Ok(single), Ok(one_shard)) => {
+                    prop_assert_eq!(&one_shard.rows, &single.rows, "rows, statement {}", i);
+                    prop_assert_eq!(
+                        one_shard.report.cycles, single.report.cycles, "cycles, statement {}", i
+                    );
+                }
+                (single, one_shard) => {
+                    prop_assert_eq!(one_shard.err(), single.err(), "error, statement {}", i);
+                }
             }
 
             // (f) one durable shard behind the coordinator's log, dropped
@@ -207,7 +211,7 @@ proptest! {
                 let mut db = ShardedDatabase::open(sharded_dir.path(), 1).unwrap();
                 db.set_compaction_policy(policy);
                 run_sharded(&mut db, stmt);
-                let shard = db.shards()[0].catalogue();
+                let shard = db.shards()[0];
                 prop_assert_eq!(
                     &state(shard, sharded_compactions), &expect, "durable sharded, statement {}", i
                 );
@@ -215,7 +219,7 @@ proptest! {
             }
             let reopened = ShardedDatabase::open(sharded_dir.path(), 1).unwrap();
             prop_assert_eq!(
-                &state(reopened.shards()[0].catalogue(), sharded_compactions),
+                &state(reopened.shards()[0], sharded_compactions),
                 &expect,
                 "replayed sharded, statement {}",
                 i
