@@ -33,7 +33,7 @@ use std::time::Instant;
 use vagg_bench::{GridRunner, Series};
 use vagg_core::{AdaptiveMode, Algorithm};
 use vagg_cpu::CpuParams;
-use vagg_datagen::{Distribution, Division};
+use vagg_datagen::{Distribution, Division, CARDINALITIES};
 use vagg_isa::Instruction;
 use vagg_mem::DramParams;
 
@@ -71,111 +71,93 @@ fn parse_args() -> (String, Opts) {
             other => usage(&format!("unknown option {other}")),
         }
     }
+    if opts.rows == 0 {
+        usage("--rows must be at least 1");
+    }
+    // Below the smallest cardinality the sweep is empty and every
+    // average over it is NaN.
+    if opts.cards_max < CARDINALITIES[0] {
+        usage(&format!(
+            "--cards-max must be at least {}",
+            CARDINALITIES[0]
+        ));
+    }
     (cmd, opts)
 }
 
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
+    let names: Vec<&str> = COMMANDS.iter().map(|&(name, _)| name).collect();
     eprintln!(
-        "usage: repro <config|fig4|fig6|fig9|fig12|fig16|fig17|table9|related|ablate|mix|\
-         extdist|multicore|all> [--rows N] [--out DIR] [--cards-max C]"
+        "usage: repro <{}|all> [--rows N] [--out DIR] [--cards-max C]",
+        names.join("|")
     );
     std::process::exit(2);
 }
 
-fn main() {
-    let (cmd, opts) = parse_args();
-    fs::create_dir_all(&opts.out).expect("create output dir");
-    let runner = GridRunner::new(opts.rows).clamp_cards(opts.cards_max);
-    match cmd.as_str() {
-        "config" => config(),
-        "fig4" => figure(&runner, &opts, Algorithm::Scalar, "fig4", None),
-        "fig6" => figure(
-            &runner,
-            &opts,
+/// One `repro` command, given the swept grid and the options.
+type Command = fn(&GridRunner, &Opts);
+
+/// Every command, in the order `all` runs them: the figures write the
+/// series caches that `table9` reads.
+const COMMANDS: [(&str, Command); 13] = [
+    ("config", |_, _| config()),
+    ("fig4", |r, o| figure(r, o, Algorithm::Scalar, "fig4", None)),
+    ("fig6", |r, o| {
+        figure(
+            r,
+            o,
             Algorithm::StandardSortedReduce,
             "fig6",
             Some("Table IV"),
-        ),
-        "fig9" => figure(
-            &runner,
-            &opts,
-            Algorithm::Polytable,
-            "fig9",
-            Some("Table V"),
-        ),
-        "fig12" => figure(
-            &runner,
-            &opts,
+        )
+    }),
+    ("fig9", |r, o| {
+        figure(r, o, Algorithm::Polytable, "fig9", Some("Table V"))
+    }),
+    ("fig12", |r, o| {
+        figure(
+            r,
+            o,
             Algorithm::AdvancedSortedReduce,
             "fig12",
             Some("Table VI"),
-        ),
-        "fig16" => figure(
-            &runner,
-            &opts,
-            Algorithm::Monotable,
-            "fig16",
-            Some("Table VII"),
-        ),
-        "fig17" => figure(
-            &runner,
-            &opts,
+        )
+    }),
+    ("fig16", |r, o| {
+        figure(r, o, Algorithm::Monotable, "fig16", Some("Table VII"))
+    }),
+    ("fig17", |r, o| {
+        figure(
+            r,
+            o,
             Algorithm::PartiallySortedMonotable,
             "fig17",
             Some("Table VIII"),
-        ),
-        "table9" => table9(&runner, &opts),
-        "related" => related(&runner, &opts),
-        "ablate" => ablate(&opts),
-        "mix" => mix(&opts),
-        "extdist" => extdist(&runner, &opts),
-        "multicore" => multicore(&opts),
-        "all" => {
-            figure(&runner, &opts, Algorithm::Scalar, "fig4", None);
-            figure(
-                &runner,
-                &opts,
-                Algorithm::StandardSortedReduce,
-                "fig6",
-                Some("Table IV"),
-            );
-            figure(
-                &runner,
-                &opts,
-                Algorithm::Polytable,
-                "fig9",
-                Some("Table V"),
-            );
-            figure(
-                &runner,
-                &opts,
-                Algorithm::AdvancedSortedReduce,
-                "fig12",
-                Some("Table VI"),
-            );
-            figure(
-                &runner,
-                &opts,
-                Algorithm::Monotable,
-                "fig16",
-                Some("Table VII"),
-            );
-            figure(
-                &runner,
-                &opts,
-                Algorithm::PartiallySortedMonotable,
-                "fig17",
-                Some("Table VIII"),
-            );
-            table9(&runner, &opts);
-            related(&runner, &opts);
-            ablate(&opts);
-            mix(&opts);
-            extdist(&runner, &opts);
-            multicore(&opts);
-        }
-        other => usage(&format!("unknown command {other}")),
+        )
+    }),
+    ("table9", table9),
+    ("related", related),
+    ("ablate", |_, o| ablate(o)),
+    ("mix", |_, o| mix(o)),
+    ("extdist", extdist),
+    ("multicore", |_, o| multicore(o)),
+];
+
+fn main() {
+    let (cmd, opts) = parse_args();
+    let selected: Vec<Command> = COMMANDS
+        .iter()
+        .filter(|&&(name, _)| cmd == "all" || cmd == name)
+        .map(|&(_, run)| run)
+        .collect();
+    if selected.is_empty() {
+        usage(&format!("unknown command {cmd}"));
+    }
+    fs::create_dir_all(&opts.out).expect("create output dir");
+    let runner = GridRunner::new(opts.rows).clamp_cards(opts.cards_max);
+    for run in selected {
+        run(&runner, &opts);
     }
 }
 
