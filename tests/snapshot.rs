@@ -35,6 +35,81 @@ fn rows_of(outcome: SqlOutcome) -> QueryOutput {
 
 const SQL: &str = "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v) FROM events GROUP BY g";
 
+/// One step of the snapshot oracle's stream.
+#[derive(Debug, Clone)]
+enum Step {
+    /// An autocommit INSERT, DELETE or UPDATE.
+    Write(String),
+    /// Replace the table with a fresh one of this many rows.
+    Reregister(usize),
+    /// Capture a snapshot and record the answers it must keep giving.
+    Capture,
+    /// Drop the live snapshot at this index (modulo their count).
+    Drop(usize),
+}
+
+fn arb_where() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0u32..13).prop_map(|k| format!("g > {k}")),
+        (0u32..13).prop_map(|k| format!("g <> {k}")),
+        (0u32..100).prop_map(|k| format!("v < {k}")),
+        (0u32..100).prop_map(|k| format!("v > {k}")),
+    ]
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        proptest::collection::vec((0u32..13, 0u32..100), 1..6).prop_map(|rows| {
+            let values: Vec<String> = rows.iter().map(|(g, v)| format!("({g}, {v})")).collect();
+            Step::Write(format!(
+                "INSERT INTO events (g, v) VALUES {}",
+                values.join(", ")
+            ))
+        }),
+        arb_where().prop_map(|w| Step::Write(format!("DELETE FROM events WHERE {w}"))),
+        (prop_oneof![Just("g"), Just("v")], 0u32..13, arb_where())
+            .prop_map(|(c, x, w)| Step::Write(format!("UPDATE events SET {c} = {x} WHERE {w}"))),
+        (1usize..30).prop_map(Step::Reregister),
+        Just(Step::Capture),
+        Just(Step::Capture),
+        (0usize..8).prop_map(Step::Drop),
+    ]
+}
+
+/// A live snapshot and what it answered at capture.
+struct Captured {
+    snap: vagg::db::Snapshot,
+    version: u64,
+    answer: Answer,
+    table: Vec<(String, Vec<u32>)>,
+    /// Whether `AS OF data_version {version}` still names this cut.
+    as_of: bool,
+}
+
+/// A SELECT's rows, or its error (a table deleted down to no rows has
+/// nothing to plan over).
+type Answer = Result<Vec<vagg::db::Row>, String>;
+
+fn answer(outcome: Result<SqlOutcome, vagg::db::SqlError>) -> Answer {
+    outcome.map(|o| rows_of(o).rows).map_err(|e| e.to_string())
+}
+
+fn columns(table: &Table) -> Vec<(String, Vec<u32>)> {
+    table
+        .column_names()
+        .iter()
+        .map(|c| (c.to_string(), table.column(c).unwrap().to_vec()))
+        .collect()
+}
+
+fn compactions(db: &Database) -> u64 {
+    db.catalogue()
+        .metrics()
+        .snapshot()
+        .get("compactions")
+        .unwrap()
+}
+
 /// The acceptance scenario: a prepared statement executed at an old
 /// snapshot returns results identical to a fresh plan over a table
 /// registered from that snapshot's rows — even after subsequent ingest
@@ -286,6 +361,78 @@ proptest! {
         let live = sharded.run_sql(SQL).unwrap();
         let appended: usize = appends.iter().map(Vec::len).sum();
         prop_assert_eq!(live.report.rows_aggregated, 50 + appended);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The snapshot oracle over every kind of write: a seeded stream of
+    /// INSERT, DELETE, UPDATE and re-registration under a random
+    /// compaction threshold, with snapshots captured at random points
+    /// and dropped in random order. After every step each live
+    /// snapshot's `run_sql_at` and `table()` equal what was recorded at
+    /// its capture, and so does `AS OF data_version N` while N is still
+    /// in the version index (no re-registration since, and every
+    /// compaction since landed at version N).
+    #[test]
+    fn snapshots_equal_their_capture_over_every_kind_of_write(
+        base_rows in 1usize..40,
+        steps in proptest::collection::vec(arb_step(), 1..24),
+        threshold in 1usize..16,
+    ) {
+        let mut db = Database::new();
+        db.catalogue().set_compaction_policy(CompactionPolicy::every(threshold));
+        db.register(seed_table(base_rows, 13));
+        let mut live: Vec<Captured> = Vec::new();
+        for step in &steps {
+            let before = compactions(&db);
+            match step {
+                Step::Write(sql) => {
+                    db.run_sql(sql).unwrap();
+                }
+                Step::Reregister(rows) => {
+                    db.register(seed_table(*rows, 7));
+                    for c in &mut live {
+                        c.as_of = false;
+                    }
+                }
+                Step::Capture => {
+                    let snap = db.snapshot();
+                    let version = snap.data_version("events").unwrap();
+                    let answer = answer(db.run_sql(SQL));
+                    let table = columns(&db.table("events").unwrap());
+                    live.push(Captured { snap, version, answer, table, as_of: true });
+                }
+                Step::Drop(i) => {
+                    if !live.is_empty() {
+                        let i = i % live.len();
+                        drop(live.remove(i));
+                    }
+                }
+            }
+            if compactions(&db) != before {
+                let now = db.data_version("events").unwrap();
+                for c in &mut live {
+                    c.as_of &= c.version == now;
+                }
+            }
+            for c in &live {
+                let at = answer(db.run_sql_at(&c.snap, SQL));
+                prop_assert_eq!(&at, &c.answer, "run_sql_at after {:?}", step);
+                let table = columns(&c.snap.table("events").unwrap());
+                prop_assert_eq!(&table, &c.table, "snap.table() after {:?}", step);
+                if c.as_of {
+                    let sql = SQL.replacen(
+                        " GROUP BY",
+                        &format!(" AS OF data_version {} GROUP BY", c.version),
+                        1,
+                    );
+                    let back = answer(db.run_sql(&sql));
+                    prop_assert_eq!(&back, &c.answer, "AS OF after {:?}", step);
+                }
+            }
+        }
     }
 }
 
