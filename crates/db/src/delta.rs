@@ -10,12 +10,12 @@
 //! lazily once per data version; a threshold-triggered compaction
 //! (see [`crate::ingest::CompactionPolicy`]) merges the delta into a
 //! new base and re-chunks the zone maps over it (the column statistics
-//! describe the rows, not their layout, and carry over). Because the
-//! delta is append-only between compactions, a [`crate::Snapshot`] pins
-//! a point-in-time view as `(epoch, prefix row count)` — no delta data
-//! is copied at capture time, and compaction *retires* a still-pinned
-//! delta to a frozen side store instead of freeing it (deferred GC,
-//! reclaimed when the last pin drops).
+//! describe the rows, not their layout, and carry over). The catalogue
+//! holds each delta behind an `Arc`: a [`crate::Snapshot`] captures one
+//! by cloning that handle — no delta data is copied at capture time — a
+//! write copies the store only while a snapshot still holds it, and
+//! compaction installs a fresh store, leaving any held one to its
+//! holders.
 //!
 //! [`TableStats`] is the live-statistics half: per-column row count,
 //! min/max, sortedness and a sampled (KMV sketch) distinct estimate,
@@ -34,8 +34,8 @@ use std::collections::BTreeMap;
 ///
 /// All three logs are append-only between compactions, so a captured
 /// triple stays a valid **prefix view** however many later mutations
-/// land — the generalisation of the single "prefix row count" pins
-/// used before DELETE/UPDATE existed.
+/// land — what the version index behind `AS OF data_version N` keeps
+/// per data version.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct DeltaCut {
     /// Appended delta rows visible at the cut.
@@ -44,14 +44,6 @@ pub(crate) struct DeltaCut {
     pub tombstones: usize,
     /// Overwrite (UPDATE) entries visible at the cut.
     pub overwrites: usize,
-}
-
-impl DeltaCut {
-    /// True when the cut pins nothing from the delta — the base table
-    /// alone reproduces the view.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.rows == 0 && self.tombstones == 0 && self.overwrites == 0
-    }
 }
 
 /// One UPDATE cell parked in the delta: `column[row] = value`, where
@@ -77,17 +69,14 @@ pub(crate) struct Overwrite {
 ///
 /// Because every log only ever *grows* between compactions, any
 /// `DeltaCut` observed at a mutation boundary is a stable **prefix
-/// view**: a [`crate::Snapshot`] pins `(epoch, cut)` and later reads
-/// exactly that state back, however many mutations have landed since.
-/// The `epoch` bumps whenever the logs are discarded (compaction,
-/// re-registration), so a pinned prefix can always tell the store it
-/// captured from its successor.
+/// view** of the store. A store is never emptied in place: compaction
+/// and re-registration replace it, so a snapshot holding the old one
+/// keeps reading exactly the state it captured.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaStore {
     columns: BTreeMap<String, Vec<u32>>,
     batches: usize,
     rows: usize,
-    epoch: u64,
     tombstones: Vec<u32>,
     overwrites: Vec<Overwrite>,
 }
@@ -103,7 +92,6 @@ impl DeltaStore {
                 .collect(),
             batches: 0,
             rows: 0,
-            epoch: 0,
             tombstones: Vec::new(),
             overwrites: Vec::new(),
         }
@@ -144,59 +132,33 @@ impl DeltaStore {
         self.batches
     }
 
-    /// The delta's epoch: bumped every time the parked rows are
-    /// discarded (compaction folding them into the base, or the table
-    /// being replaced), so a prefix view pinned at one epoch is never
-    /// confused with the rows of a later delta generation.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// One delta column's data (empty slice until rows arrive).
     pub(crate) fn column(&self, name: &str) -> &[u32] {
         self.columns.get(name).map_or(&[], |c| &c[..])
     }
 
-    /// The first `rows` values of one column — a pinned snapshot's
-    /// prefix view (batch boundaries make any captured row count a
-    /// stable prefix of the append-only delta).
+    /// The first `rows` values of one column — a version's prefix view
+    /// (batch boundaries make any captured row count a stable prefix of
+    /// the append-only delta).
     ///
     /// # Panics
     ///
-    /// Panics if `rows` exceeds the column's length — a pin/epoch
+    /// Panics if `rows` exceeds the column's length — a version-index
     /// bookkeeping bug, never reachable through the public API.
     pub(crate) fn prefix_column(&self, name: &str, rows: usize) -> &[u32] {
         &self.column(name)[..rows]
     }
 
-    /// The first `n` tombstoned physical row ids — a pinned cut's view
-    /// of the append-only tombstone log.
+    /// The first `n` tombstoned physical row ids — a cut's view of the
+    /// append-only tombstone log.
     pub(crate) fn tombstone_prefix(&self, n: usize) -> &[u32] {
         &self.tombstones[..n]
     }
 
-    /// The first `n` overwrite entries — a pinned cut's view of the
+    /// The first `n` overwrite entries — a cut's view of the
     /// append-only overwrite log.
     pub(crate) fn overwrite_prefix(&self, n: usize) -> &[Overwrite] {
         &self.overwrites[..n]
-    }
-
-    /// A frozen copy of the delta state visible at `cut` (same epoch) —
-    /// the bounded extract a pinned reader takes under the registry
-    /// lock, so the O(base) view merge can run outside every lock.
-    pub(crate) fn clone_prefix(&self, cut: DeltaCut) -> DeltaStore {
-        DeltaStore {
-            columns: self
-                .columns
-                .keys()
-                .map(|n| (n.clone(), self.prefix_column(n, cut.rows).to_vec()))
-                .collect(),
-            batches: self.batches,
-            rows: cut.rows,
-            epoch: self.epoch,
-            tombstones: self.tombstone_prefix(cut.tombstones).to_vec(),
-            overwrites: self.overwrite_prefix(cut.overwrites).to_vec(),
-        }
     }
 
     /// Appends one validated batch (the catalogue checks the batch
@@ -227,52 +189,16 @@ impl DeltaStore {
             value,
         });
     }
-
-    /// Empties the delta (after compaction merged it into the base),
-    /// opening the next epoch.
-    pub(crate) fn clear(&mut self) {
-        for col in self.columns.values_mut() {
-            col.clear();
-        }
-        self.batches = 0;
-        self.rows = 0;
-        self.epoch += 1;
-        self.tombstones.clear();
-        self.overwrites.clear();
-    }
-
-    /// Moves the parked state out into a frozen store (same contents,
-    /// same epoch) and opens the next epoch in place — the deferred-GC
-    /// half of compaction: live snapshots still pinning this epoch's
-    /// cut keep reading the frozen store until the last pin drops.
-    pub(crate) fn retire(&mut self) -> DeltaStore {
-        let retired = DeltaStore {
-            columns: std::mem::take(&mut self.columns),
-            batches: self.batches,
-            rows: self.rows,
-            epoch: self.epoch,
-            tombstones: std::mem::take(&mut self.tombstones),
-            overwrites: std::mem::take(&mut self.overwrites),
-        };
-        self.columns = retired
-            .columns
-            .keys()
-            .map(|n| (n.clone(), Vec::new()))
-            .collect();
-        self.batches = 0;
-        self.rows = 0;
-        self.epoch += 1;
-        retired
-    }
 }
 
-/// Materialises the view a [`DeltaCut`] pins: base rows ++ the delta's
+/// Materialises the view a [`DeltaCut`] names: base rows ++ the delta's
 /// first `cut.rows` appended rows, with the first `cut.overwrites`
 /// UPDATE cells applied and the first `cut.tombstones` DELETEd rows
 /// filtered out. This is the one merge routine every reader shares —
-/// the live merged view (`cut == delta.cut()`), pinned snapshot views,
-/// and compaction (which installs the result as the new base, dropping
-/// tombstones and overwrites physically).
+/// the live merged view and snapshot views (`cut == delta.cut()`),
+/// `AS OF data_version N` reads of an earlier prefix, and compaction
+/// (which installs the result as the new base, dropping tombstones and
+/// overwrites physically).
 ///
 /// Column sortedness is re-detected by [`Table::with_column`], so a
 /// delete or overwrite that restores (or breaks) sorted order is
@@ -886,31 +812,6 @@ mod tests {
         assert_eq!((d.rows(), d.batches()), (3, 2));
         assert_eq!(d.column("g"), &[5, 7, 8]);
         assert_eq!(d.column("v"), &[6, 9, 10]);
-        d.clear();
-        assert_eq!((d.rows(), d.batches()), (0, 0));
-        assert!(d.column("g").is_empty());
-    }
-
-    #[test]
-    fn clear_and_retire_advance_the_epoch() {
-        let base = Table::new("r")
-            .with_column("g", vec![1])
-            .with_column("v", vec![2]);
-        let mut d = DeltaStore::for_table(&base);
-        assert_eq!(d.epoch(), 0);
-        d.append(&batch(vec![5, 6], vec![7, 8]));
-        d.clear();
-        assert_eq!(d.epoch(), 1, "clear opens a new epoch");
-
-        d.append(&batch(vec![1, 2, 3], vec![4, 5, 6]));
-        let frozen = d.retire();
-        assert_eq!(frozen.epoch(), 1, "the frozen store keeps its epoch");
-        assert_eq!(frozen.rows(), 3);
-        assert_eq!(frozen.prefix_column("g", 2), &[1, 2]);
-        assert_eq!((d.epoch(), d.rows(), d.batches()), (2, 0, 0));
-        // The live store keeps accepting appends after retirement.
-        d.append(&batch(vec![9], vec![9]));
-        assert_eq!(d.column("g"), &[9]);
     }
 
     #[test]
@@ -962,16 +863,17 @@ mod tests {
                 overwrites: 0
             }
         );
-        assert!(!cut.is_empty());
-        // Later mutations leave the pinned view untouched.
+        // A copy taken at the cut — what a write leaves a snapshot that
+        // holds the store — reads the whole of it.
+        let frozen = d.clone();
+        // Later mutations leave the prefix view untouched.
         d.overwrite("v", 1, 99);
         d.tombstone_rows(&[2]);
         let at_cut = materialise(&base, &d, cut);
         assert_eq!(at_cut.column("g"), Some(&[8u32, 9][..]));
         assert_eq!(at_cut.column("v"), Some(&[2u32, 3][..]));
-        // The frozen clone reproduces the cut bit for bit.
-        let frozen = d.clone_prefix(cut);
-        let from_frozen = materialise(&base, &frozen, cut);
+        // The frozen copy reproduces the cut bit for bit.
+        let from_frozen = materialise(&base, &frozen, frozen.cut());
         assert_eq!(from_frozen.column("g"), at_cut.column("g"));
         assert_eq!(from_frozen.column("v"), at_cut.column("v"));
         // The live head sees everything.

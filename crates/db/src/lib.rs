@@ -50,9 +50,9 @@
 //!   served by [`Database::run_sql_at`] and
 //!   [`PreparedStatement::execute_at`] (plans pinned to the snapshot's
 //!   statistics), SQL `BEGIN READ ONLY` / `COMMIT` bracket a session
-//!   onto one snapshot, and compaction defers delta retirement while
-//!   pins are live (epoch/refcount GC, observable via
-//!   [`SnapshotStats`]);
+//!   onto one snapshot, and a snapshot keeps what it reads alive by
+//!   holding `Arc`s to it, so compaction never waits for readers
+//!   (counted by [`SnapshotStats`]);
 //! * durability — [`Database::open`] / [`ShardedDatabase::open`] put
 //!   the engine on disk behind a checksummed, LSN-stamped write-ahead
 //!   log ([`wal`]) replayed on reopen to the exact committed state;
@@ -90,7 +90,7 @@
 //!     other => unreachable!("SELECT returns rows: {other:?}"),
 //! };
 //! assert_eq!(at, 2, "the snapshot never sees the insert");
-//! drop(snap); // releases the pins
+//! drop(snap); // releases what it held
 //! assert_eq!(db.snapshot_stats().live_snapshots, 0);
 //! # Ok::<(), vagg_db::SqlError>(())
 //! ```

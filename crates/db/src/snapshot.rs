@@ -3,12 +3,11 @@
 //! Every read in vagg-db happens **at a snapshot**. A [`Snapshot`] is a
 //! consistent cut of a [`crate::SharedCatalogue`] captured under one
 //! registry read-lock: for every table it records the schema and data
-//! versions, an `Arc`-cheap handle to the immutable base columns, the
-//! length of the append-only delta at capture time (a stable *prefix
-//! view* — see [`crate::DeltaStore`]), and a clone of the live
+//! versions, `Arc`-cheap handles to the immutable base columns and to
+//! either the merged view or the delta store, and a clone of the live
 //! [`TableStats`]. Nothing blocks the write path: appends, compactions
 //! and re-registrations proceed freely while snapshots are alive, and
-//! the snapshot keeps answering from the rows it pinned.
+//! the snapshot keeps answering from the rows it captured.
 //!
 //! * [`crate::Database::run_sql`] / [`crate::Database::execute_sql`]
 //!   are *snapshot-of-now* wrappers: each statement captures a
@@ -22,18 +21,16 @@
 //! * SQL `BEGIN READ ONLY` / `COMMIT` map a session onto one snapshot
 //!   for the duration of the transaction.
 //!
-//! ## Pins and deferred GC
+//! ## What keeps a snapshot's rows alive
 //!
-//! Each table cut registers a **pin** `(table, schema version, delta
-//! epoch, data version, prefix)` in the catalogue's pin registry;
-//! [`Drop`] releases it. A compaction (or re-registration) that would
-//! discard delta rows some pin still reads *retires* the delta to a
-//! frozen side store instead — a deferred GC, counted in
-//! [`SnapshotStats::deferred_gcs`] — and the store is reclaimed when
-//! the last pin on that epoch drops
-//! ([`SnapshotStats::reclaimed_gcs`]). The immutable base needs no such
-//! machinery: the snapshot's own `Arc` handles keep the old base
-//! columns alive for exactly as long as they are readable.
+//! A cut holds `Arc`s to everything it reads: the immutable base's
+//! columns, the registry's merged view when it was clean at capture
+//! time, and otherwise the table's [`crate::DeltaStore`] itself. The catalogue never
+//! writes to a store a snapshot holds — a write copies it first
+//! (`Arc::make_mut`), compaction and re-registration install a fresh
+//! one — so the held store *is* the cut, and dropping the last holder
+//! frees it. No registry tracks readers; the write path never looks at
+//! them.
 //!
 //! ```
 //! use vagg_db::{Database, Table};
@@ -53,174 +50,36 @@
 //! ```
 
 use crate::catalogue::SharedCatalogue;
-use crate::delta::{DeltaCut, DeltaStore, TableStats};
+use crate::delta::{materialise, DeltaStore, TableStats};
 use crate::table::Table;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// One table's slice of a snapshot: everything needed to rebuild the
-/// merged view and to re-plan at the pinned statistics, captured under
-/// a single registry read-lock.
+/// merged view and to re-plan at the captured statistics, captured
+/// under a single registry read-lock.
 #[derive(Debug, Clone)]
 pub(crate) struct TableCut {
     /// The registration (schema) version the cut belongs to.
     pub(crate) schema_version: u64,
-    /// The data version pinned by this cut.
+    /// The data version captured by this cut.
     pub(crate) data_version: u64,
-    /// The delta generation the prefix indexes into.
-    pub(crate) epoch: u64,
     /// The immutable base at capture time (`Arc`-shared columns — this
     /// handle is what keeps a replaced base readable).
     pub(crate) base: Table,
-    /// Delta state visible to this cut (a stable prefix of the
-    /// append-only row/tombstone/overwrite logs at `epoch`).
-    pub(crate) delta_cut: DeltaCut,
+    /// The delta store at capture time, held only when the registry's
+    /// merged view was dirty and the delta not empty: nothing writes to
+    /// a held store, so it stays exactly the captured state.
+    pub(crate) delta: Option<Arc<DeltaStore>>,
+    /// Rows parked in the delta at capture time.
+    pub(crate) delta_rows: usize,
     /// The live statistics at capture time — what plans made at this
     /// snapshot feed the §V-D policy.
     pub(crate) stats: TableStats,
     /// The registry's already-materialised merged view, when it was
     /// clean at capture time (reads at this cut are then free).
     pub(crate) clean_view: Option<Table>,
-}
-
-impl TableCut {
-    /// Delta state this cut will actually read from the shared store:
-    /// empty when the cut carries its own materialised clean view (the
-    /// snapshot then never touches the delta, so compaction needs no
-    /// deferral on its account), else the pinned cut.
-    fn pin_cut(&self) -> DeltaCut {
-        if self.clean_view.is_some() {
-            DeltaCut::default()
-        } else {
-            self.delta_cut
-        }
-    }
-}
-
-/// The pin a [`TableCut`] registers; the registry key is
-/// `(table, schema_version, epoch)` and the slot key the data version.
-#[derive(Debug, Clone, Copy)]
-struct PinSlot {
-    count: usize,
-    cut: DeltaCut,
-}
-
-/// The catalogue-side pin registry: which delta epochs live snapshots
-/// still read, plus the retired (deferred-GC) delta stores and the
-/// observability counters behind [`SnapshotStats`].
-#[derive(Debug, Default)]
-pub(crate) struct PinRegistry {
-    /// `(table, schema_version, epoch)` → data version → pin slot.
-    pins: BTreeMap<(String, u64, u64), BTreeMap<u64, PinSlot>>,
-    /// Deltas whose rows were discarded by compaction/re-registration
-    /// while still pinned: frozen here until the last pin drops.
-    retired: BTreeMap<(String, u64, u64), DeltaStore>,
-    live_snapshots: u64,
-    snapshots_taken: u64,
-    deferred_gcs: u64,
-    reclaimed_gcs: u64,
-}
-
-impl PinRegistry {
-    /// Registers one snapshot's cuts (the snapshot itself is counted
-    /// once, each table cut holds one pin).
-    pub(crate) fn register(&mut self, cuts: &BTreeMap<String, TableCut>) {
-        self.snapshots_taken += 1;
-        self.live_snapshots += 1;
-        for (table, cut) in cuts {
-            let slot = self
-                .pins
-                .entry((table.clone(), cut.schema_version, cut.epoch))
-                .or_default()
-                .entry(cut.data_version)
-                .or_insert(PinSlot {
-                    count: 0,
-                    cut: cut.pin_cut(),
-                });
-            slot.count += 1;
-            // Cuts at one data version always agree on the logs, but a
-            // clean-view cut pins an empty cut (it never reads the
-            // delta) while a view-less one pins the real prefixes —
-            // keep the stronger requirement for the shared slot.
-            let pin = cut.pin_cut();
-            slot.cut = DeltaCut {
-                rows: slot.cut.rows.max(pin.rows),
-                tombstones: slot.cut.tombstones.max(pin.tombstones),
-                overwrites: slot.cut.overwrites.max(pin.overwrites),
-            };
-        }
-    }
-
-    /// Releases one snapshot's pins, reclaiming retired deltas whose
-    /// last prefix pin just dropped.
-    pub(crate) fn release(&mut self, cuts: &BTreeMap<String, TableCut>) {
-        self.live_snapshots = self.live_snapshots.saturating_sub(1);
-        for (table, cut) in cuts {
-            let key = (table.clone(), cut.schema_version, cut.epoch);
-            let Some(slots) = self.pins.get_mut(&key) else {
-                debug_assert!(false, "released a pin that was never registered");
-                continue;
-            };
-            if let Some(slot) = slots.get_mut(&cut.data_version) {
-                slot.count -= 1;
-                if slot.count == 0 {
-                    slots.remove(&cut.data_version);
-                }
-            }
-            if slots.is_empty() {
-                self.pins.remove(&key);
-            }
-            if !self.needs_delta(&key) && self.retired.remove(&key).is_some() {
-                self.reclaimed_gcs += 1;
-            }
-        }
-    }
-
-    /// Whether any live pin still reads delta rows of this generation —
-    /// the compaction/re-registration check that decides between
-    /// freeing the delta and retiring it.
-    pub(crate) fn needs_delta(&self, key: &(String, u64, u64)) -> bool {
-        self.pins
-            .get(key)
-            .is_some_and(|slots| slots.values().any(|s| !s.cut.is_empty()))
-    }
-
-    /// Parks a discarded-but-pinned delta in the side store (a deferred
-    /// GC).
-    pub(crate) fn retire(&mut self, key: (String, u64, u64), delta: DeltaStore) {
-        self.deferred_gcs += 1;
-        self.retired.insert(key, delta);
-    }
-
-    /// The retired delta a pinned cut reads after its live store moved
-    /// on.
-    pub(crate) fn retired(&self, key: &(String, u64, u64)) -> Option<&DeltaStore> {
-        self.retired.get(key)
-    }
-
-    /// The current observability counters.
-    pub(crate) fn stats(&self) -> SnapshotStats {
-        SnapshotStats {
-            live_snapshots: self.live_snapshots,
-            live_pins: self
-                .pins
-                .values()
-                .flat_map(|slots| slots.values())
-                .map(|s| s.count as u64)
-                .sum(),
-            snapshots_taken: self.snapshots_taken,
-            oldest_pinned_version: self
-                .pins
-                .values()
-                .flat_map(|slots| slots.keys())
-                .min()
-                .copied(),
-            deferred_gcs: self.deferred_gcs,
-            reclaimed_gcs: self.reclaimed_gcs,
-            retired_deltas: self.retired.len(),
-        }
-    }
 }
 
 /// Observability counters for the snapshot subsystem of one catalogue
@@ -230,62 +89,33 @@ impl PinRegistry {
 pub struct SnapshotStats {
     /// Snapshots currently alive (captured, not yet dropped).
     pub live_snapshots: u64,
-    /// Table pins currently held (one per table per live snapshot).
-    pub live_pins: u64,
     /// Snapshots captured so far — including the snapshot-of-now cuts
     /// every [`crate::Database::run_sql`] read takes, so this counter
     /// is also the proof that the live path runs through the one
     /// snapshot read path.
     pub snapshots_taken: u64,
-    /// The smallest data version any live pin holds (`None` when no
-    /// snapshot is alive) — how far back the oldest reader still looks.
-    pub oldest_pinned_version: Option<u64>,
-    /// Delta stores whose reclamation was deferred: compaction or
-    /// re-registration discarded rows a live snapshot still reads, so
-    /// the delta was retired to the side store instead of freed.
-    pub deferred_gcs: u64,
-    /// Retired delta stores reclaimed after their last pin dropped.
-    pub reclaimed_gcs: u64,
-    /// Retired delta stores currently parked (deferred, not yet
-    /// reclaimed).
-    pub retired_deltas: usize,
 }
 
 impl SnapshotStats {
-    /// Folds these counters into a [`crate::MetricsSnapshot`] under
-    /// `snapshot_*` names — the MVCC subsystem's contribution to the
-    /// unified registry view. The `oldest_pinned_version` gauge is
-    /// omitted: it is not a sum-mergeable counter.
+    /// Folds these counters into a [`crate::MetricsSnapshot`] — the
+    /// MVCC subsystem's contribution to the unified registry view.
     pub(crate) fn export_into(&self, snap: &mut crate::metrics::MetricsSnapshot) {
         snap.add("snapshots_live", self.live_snapshots);
-        snap.add("snapshot_pins_live", self.live_pins);
         snap.add("snapshots_taken", self.snapshots_taken);
-        snap.add("snapshot_deferred_gcs", self.deferred_gcs);
-        snap.add("snapshot_reclaimed_gcs", self.reclaimed_gcs);
-        snap.add("snapshot_retired_deltas", self.retired_deltas as u64);
     }
 
     /// Folds another catalogue's counters into this one (the sharded
     /// observability view: one registry per shard).
     pub(crate) fn absorb(&mut self, other: &SnapshotStats) {
         self.live_snapshots += other.live_snapshots;
-        self.live_pins += other.live_pins;
         self.snapshots_taken += other.snapshots_taken;
-        self.oldest_pinned_version = match (self.oldest_pinned_version, other.oldest_pinned_version)
-        {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.deferred_gcs += other.deferred_gcs;
-        self.reclaimed_gcs += other.reclaimed_gcs;
-        self.retired_deltas += other.retired_deltas;
     }
 }
 
 /// An immutable, consistent point-in-time view of a catalogue — see
 /// the [module docs](self). Captured by
 /// [`crate::SharedCatalogue::snapshot`] /
-/// [`crate::Database::snapshot`]; dropping it releases its pins.
+/// [`crate::Database::snapshot`]; dropping it releases what it holds.
 pub struct Snapshot {
     catalogue: SharedCatalogue,
     cuts: BTreeMap<String, TableCut>,
@@ -339,10 +169,10 @@ impl Snapshot {
         self.cuts.get(table).map(|c| c.schema_version)
     }
 
-    /// Delta rows pinned by this snapshot (rows that were parked in the
-    /// table's delta store at capture time).
+    /// Rows that were parked in the table's delta store at capture
+    /// time.
     pub fn delta_rows(&self, table: &str) -> Option<usize> {
-        self.cuts.get(table).map(|c| c.delta_cut.rows)
+        self.cuts.get(table).map(|c| c.delta_rows)
     }
 
     /// The table statistics at capture time — the numbers plans made at
@@ -351,18 +181,23 @@ impl Snapshot {
         self.cuts.get(table).map(|c| c.stats.clone())
     }
 
-    /// The pinned content of `table`: base ++ delta-prefix, merged at
-    /// the captured versions (materialised on first read, cached for
-    /// the snapshot's lifetime; column data is `Arc`-shared).
+    /// The captured content of `table`: base ++ delta, merged at the
+    /// captured versions (materialised on first read from the cut's own
+    /// `Arc`s, under no catalogue lock, and cached for the snapshot's
+    /// lifetime; column data is `Arc`-shared).
     pub fn table(&self, table: &str) -> Option<Table> {
         let cut = self.cuts.get(table)?;
         if let Some(view) = self.views.lock().expect("snapshot view lock").get(table) {
             return Some(view.clone());
         }
-        let view = match &cut.clean_view {
-            Some(v) => v.clone(),
-            None if cut.delta_cut.is_empty() => cut.base.clone(),
-            None => self.catalogue.materialise_cut(table, cut),
+        let view = match (&cut.clean_view, &cut.delta) {
+            (Some(v), _) => v.clone(),
+            (None, Some(delta)) => {
+                let view = materialise(&cut.base, delta, delta.cut());
+                self.catalogue.offer_view(table, cut, &view);
+                view
+            }
+            (None, None) => cut.base.clone(),
         };
         self.views
             .lock()
@@ -379,6 +214,6 @@ impl Snapshot {
 
 impl Drop for Snapshot {
     fn drop(&mut self) {
-        self.catalogue.release_snapshot(&self.cuts);
+        self.catalogue.release_snapshot();
     }
 }

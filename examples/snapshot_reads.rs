@@ -1,13 +1,13 @@
 //! Snapshot reads: point-in-time views that never block the writer.
 //!
-//! The MVCC demo: a reporting session pins a consistent snapshot of an
+//! The MVCC demo: a reporting session takes a consistent snapshot of an
 //! events table (and later a whole `BEGIN READ ONLY` transaction)
 //! while a writer streams batches in, drifts the §V-D statistics past
 //! the division boundary and trips threshold compactions. Every read
-//! at the snapshot keeps answering the pinned cut — same rows, same
+//! at the snapshot keeps answering its captured cut — same rows, same
 //! algorithm choice — while live reads follow the drift; a fresh
 //! database registered from the snapshot's rows is the correctness
-//! oracle. The pin/deferred-GC lifecycle is printed from
+//! oracle. Live and captured snapshot counts are printed from
 //! [`vagg::db::SnapshotStats`] along the way.
 //!
 //! ```text
@@ -54,13 +54,13 @@ fn main() {
         db.append_rows("events", rows).expect("appends")
     };
 
-    // One batch lands in the delta, then the report pins its view of
-    // the world: the snapshot's cut holds base + a delta prefix.
+    // One batch lands in the delta, then the report captures its view
+    // of the world: the snapshot's cut holds the base and the delta.
     let first = stream.next().expect("the stream is infinite");
     append(&mut db, first.g, first.v);
     let snap = db.snapshot();
     println!(
-        "snapshot pinned        : data_version={} rows={} (delta prefix={})",
+        "snapshot taken         : data_version={} rows={} (delta rows={})",
         snap.data_version("events").unwrap(),
         snap.table_stats("events").unwrap().rows(),
         snap.delta_rows("events").unwrap()
@@ -93,24 +93,23 @@ fn main() {
         at.rows.len()
     );
 
-    // The pinned delta generation was retired, not freed — observable
-    // in the stats — and reclaims when the snapshot drops.
+    // The snapshot holds the delta store compaction replaced, by
+    // `Arc`; dropping it frees the store.
     let stats = db.snapshot_stats();
     println!(
-        "pins                   : live={} oldest_version={:?} deferred_gcs={} retired={}",
-        stats.live_pins, stats.oldest_pinned_version, stats.deferred_gcs, stats.retired_deltas
+        "snapshots              : live={} taken={}",
+        stats.live_snapshots, stats.snapshots_taken
     );
     drop(snap);
     let stats = db.snapshot_stats();
-    assert_eq!(stats.live_pins, 0);
-    assert_eq!(stats.retired_deltas, 0, "deferred GC reclaimed on drop");
+    assert_eq!(stats.live_snapshots, 0, "released on drop");
     println!(
-        "after drop             : live={} reclaimed_gcs={} retired={}",
-        stats.live_pins, stats.reclaimed_gcs, stats.retired_deltas
+        "after drop             : live={} taken={}",
+        stats.live_snapshots, stats.snapshots_taken
     );
 
-    // The same machinery through SQL: BEGIN READ ONLY pins the
-    // session, concurrent ingest stays invisible until COMMIT.
+    // The same machinery through SQL: BEGIN READ ONLY holds one
+    // snapshot for the session, concurrent ingest stays invisible until COMMIT.
     let mut writer = db.catalogue().connect();
     db.run_sql("BEGIN READ ONLY").expect("begins");
     let in_txn_before = rows(&mut db, SQL);

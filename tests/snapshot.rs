@@ -1,7 +1,7 @@
 //! Integration tests for the snapshot-first read path: MVCC isolation
 //! under ingest and compaction, the prepared-statement acceptance
-//! scenario, read-only transactions, and the pin/deferred-GC
-//! lifecycle under concurrent traffic.
+//! scenario, read-only transactions, the snapshot oracle over every
+//! kind of write, and snapshot lifetimes under concurrent traffic.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -128,20 +128,19 @@ fn prepared_statement_at_an_old_snapshot_survives_drift_and_compaction() {
     let first = stmt.execute(&mut db, &[]).unwrap();
     assert_eq!(first.report.algorithm, Some(Algorithm::Monotable));
 
-    // Park rows in the delta, then pin the snapshot so its cut holds a
-    // non-trivial delta prefix (the retired-store path must carry it).
+    // Park rows in the delta, then take the snapshot so its cut holds a
+    // non-empty delta (the store compaction replaces must carry it).
     db.append_rows("events", batch(vec![7, 8], vec![1, 2]))
         .unwrap();
     let snap = db.snapshot();
     assert_eq!(snap.delta_rows("events"), Some(2));
 
     // Drift the live table across the §V-D division boundary AND trip
-    // compaction: the pinned delta generation is retired.
+    // compaction: the snapshot keeps the delta store it holds.
     let receipt = db
         .append_rows("events", batch(vec![20_000, 3], vec![1, 1]))
         .unwrap();
     assert!(receipt.compacted, "threshold compaction ran");
-    assert_eq!(db.snapshot_stats().deferred_gcs, 1, "pinned delta retired");
     let live = stmt.execute(&mut db, &[]).unwrap();
     assert_eq!(
         live.report.algorithm,
@@ -175,11 +174,9 @@ fn prepared_statement_at_an_old_snapshot_survives_drift_and_compaction() {
         oracle_plan.cardinality_estimate()
     );
 
-    // And the pinned state is released on drop.
+    // And the snapshot is released on drop.
     drop(snap);
-    let stats = db.snapshot_stats();
-    assert_eq!(stats.live_pins, 0);
-    assert_eq!(stats.retired_deltas, 0, "deferred GC reclaimed");
+    assert_eq!(db.snapshot_stats().live_snapshots, 0);
 }
 
 /// The one-read-path check: the live `run_sql` is a snapshot-of-now
@@ -199,7 +196,6 @@ fn run_sql_is_a_snapshot_of_now_wrapper() {
         "the SELECT ran through the snapshot read path"
     );
     assert_eq!(stats.live_snapshots, 0, "and released its cut on return");
-    assert_eq!(stats.live_pins, 0);
     let again = rows_of(db.run_sql(SQL).unwrap());
     assert_eq!(again.rows, live.rows);
     assert_eq!(
@@ -437,8 +433,8 @@ proptest! {
 }
 
 /// Stress: concurrent appends + aggressive threshold compaction +
-/// long-lived snapshot readers. No torn reads, pins released on drop,
-/// deferred GC eventually reclaims every retired delta.
+/// long-lived snapshot readers. No torn reads, and every snapshot is
+/// released on drop.
 #[test]
 fn concurrent_ingest_compaction_and_snapshot_readers() {
     let catalogue = SharedCatalogue::new();
@@ -482,13 +478,9 @@ fn concurrent_ingest_compaction_and_snapshot_readers() {
         writer.join().unwrap();
     });
 
-    // Every pin released; every deferred GC reclaimed; the final
-    // content equals the full stream loaded in one shot.
-    let stats = catalogue.snapshot_stats();
-    assert_eq!(stats.live_snapshots, 0);
-    assert_eq!(stats.live_pins, 0);
-    assert_eq!(stats.retired_deltas, 0, "deferred GCs all reclaimed");
-    assert_eq!(stats.reclaimed_gcs, stats.deferred_gcs);
+    // Every snapshot released; the final content equals the full
+    // stream loaded in one shot.
+    assert_eq!(catalogue.snapshot_stats().live_snapshots, 0);
     assert_eq!(
         catalogue.table("events").unwrap().rows(),
         256 + WRITER_BATCHES * BATCH_ROWS
