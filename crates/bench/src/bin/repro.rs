@@ -32,7 +32,6 @@ use std::path::PathBuf;
 use std::time::Instant;
 use vagg_bench::{GridRunner, Series};
 use vagg_core::{AdaptiveMode, Algorithm};
-use vagg_cpu::CpuParams;
 use vagg_datagen::{Distribution, Division, CARDINALITIES};
 use vagg_isa::Instruction;
 use vagg_mem::DramParams;
@@ -162,7 +161,9 @@ fn main() {
 }
 
 fn config() {
-    let cpu = CpuParams::westmere();
+    use vagg_sim::SimConfig;
+    let paper = SimConfig::paper();
+    let cpu = &paper.cpu;
     println!("== Table I: microarchitecture parameters ==");
     println!("fetch width          {}", cpu.fetch_width);
     println!("fetch queue          {}", cpu.fetch_queue);
@@ -176,8 +177,8 @@ fn config() {
     println!("issue queue/cluster  {}", cpu.issue_queue_per_cluster);
     println!("load queue           {}", cpu.load_queue);
     println!("store queue          {}", cpu.store_queue);
-    println!("vector lanes         {}", cpu.lanes);
-    println!("CAM ports            {}", cpu.cam_ports);
+    println!("vector lanes         {}", paper.lanes);
+    println!("CAM ports            {}", paper.cam_ports);
 
     let d = DramParams::ddr3_1333();
     println!("\n== Table II: memory system parameters ==");

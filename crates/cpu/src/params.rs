@@ -28,10 +28,6 @@ pub struct CpuParams {
     pub load_queue: usize,
     /// Store queue entries; at least 1 (`Pipeline::new` refuses 0).
     pub store_queue: usize,
-    /// Lockstepped vector lanes.
-    pub lanes: usize,
-    /// CAM ports for the irregular-DLP instructions (defaults to `lanes`).
-    pub cam_ports: usize,
 }
 
 impl Default for CpuParams {
@@ -41,8 +37,8 @@ impl Default for CpuParams {
 }
 
 impl CpuParams {
-    /// The Table I configuration, with the paper's vector setup
-    /// (`lanes = 4`).
+    /// The Table I configuration. The vector setup (lanes, CAM ports)
+    /// lives on `vagg_sim::SimConfig`.
     pub fn westmere() -> Self {
         Self {
             fetch_width: 4,
@@ -57,8 +53,6 @@ impl CpuParams {
             issue_queue_per_cluster: 8,
             load_queue: 48,
             store_queue: 32,
-            lanes: 4,
-            cam_ports: 4,
         }
     }
 }

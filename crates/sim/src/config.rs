@@ -8,9 +8,9 @@ use vagg_mem::HierarchyParams;
 pub struct SimConfig {
     /// Maximum vector length (elements per vector register).
     pub mvl: usize,
-    /// Lockstepped vector lanes.
+    /// Lockstepped vector lanes (a power of two).
     pub lanes: usize,
-    /// CAM ports for VPI/VLU/VGAx.
+    /// CAM ports for VPI/VLU/VGAx (the paper's equal `lanes`).
     pub cam_ports: usize,
     /// Core parameters (Table I).
     pub cpu: CpuParams,
@@ -28,12 +28,11 @@ impl SimConfig {
     /// The paper's evaluation configuration: `MVL = 64`, `lanes = 4`,
     /// Westmere-like core, DDR3-1333 memory (§III-A).
     pub fn paper() -> Self {
-        let cpu = CpuParams::westmere();
         Self {
             mvl: 64,
-            lanes: cpu.lanes,
-            cam_ports: cpu.cam_ports,
-            cpu,
+            lanes: 4,
+            cam_ports: 4,
+            cpu: CpuParams::westmere(),
             mem: HierarchyParams::westmere(),
         }
     }
@@ -49,7 +48,6 @@ impl SimConfig {
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         assert!(lanes > 0 && lanes.is_power_of_two());
         self.lanes = lanes;
-        self.cpu.lanes = lanes;
         self
     }
 
@@ -57,7 +55,6 @@ impl SimConfig {
     pub fn with_cam_ports(mut self, ports: usize) -> Self {
         assert!(ports > 0);
         self.cam_ports = ports;
-        self.cpu.cam_ports = ports;
         self
     }
 }
@@ -83,7 +80,6 @@ mod tests {
             .with_cam_ports(2);
         assert_eq!(c.mvl, 128);
         assert_eq!(c.lanes, 8);
-        assert_eq!(c.cpu.lanes, 8);
         assert_eq!(c.cam_ports, 2);
     }
 
