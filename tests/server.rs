@@ -635,3 +635,179 @@ fn graceful_shutdown_drains_and_joins() {
         Ok(_) => panic!("connected to a shut-down server"),
     }
 }
+
+/// The frame decoder's no-panic half: whatever bytes arrive,
+/// `Request::decode` and `Response::decode` return a message or a typed
+/// `FrameError`, and every message round-trips through its encoding.
+mod decoder_fuzz {
+    use proptest::prelude::*;
+    use proptest::sample::select;
+    use vagg_server::{ErrorCode, FrameError, Request, Response, WireRow};
+
+    /// Request and response opcodes, so that arbitrary bodies mostly
+    /// reach a variant's decoder instead of the unknown-opcode arm.
+    const OPCODES: [u8; 17] = [
+        0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0A, 0x81, 0x82, 0x83, 0x84, 0x85,
+        0x86, 0x87,
+    ];
+
+    /// Strings over one- to four-byte UTF-8 characters and NUL.
+    fn arb_text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(
+            select(vec!['a', 'Z', ' ', '?', '\0', 'é', '→', '😀']),
+            0..24,
+        )
+        .prop_map(|chars| chars.into_iter().collect())
+    }
+
+    /// Any `f64` but NaN, which no `PartialEq` round trip can show.
+    fn arb_value() -> impl Strategy<Value = f64> {
+        any::<u64>().prop_map(|bits| {
+            let x = f64::from_bits(bits);
+            if x.is_nan() {
+                f64::NEG_INFINITY
+            } else {
+                x
+            }
+        })
+    }
+
+    fn arb_request() -> impl Strategy<Value = Request> {
+        prop_oneof![
+            any::<u32>().prop_map(|version| Request::Hello { version }),
+            (any::<u64>(), arb_text()).prop_map(|(query_id, sql)| Request::Query { query_id, sql }),
+            arb_text().prop_map(|sql| Request::Prepare { sql }),
+            (
+                any::<u64>(),
+                any::<u32>(),
+                proptest::collection::vec(any::<u64>(), 0..8)
+            )
+                .prop_map(|(query_id, statement, params)| Request::Execute {
+                    query_id,
+                    statement,
+                    params,
+                }),
+            any::<bool>().prop_map(|read_only| Request::Begin { read_only }),
+            Just(Request::Commit),
+            Just(Request::Rollback),
+            any::<u64>().prop_map(|query_id| Request::Cancel { query_id }),
+            Just(Request::Metrics),
+            Just(Request::Goodbye),
+        ]
+    }
+
+    fn arb_response() -> impl Strategy<Value = Response> {
+        let row = (
+            any::<u32>(),
+            proptest::collection::vec(any::<u32>(), 0..4),
+            proptest::collection::vec(arb_value(), 0..4),
+        )
+            .prop_map(|(group, group_parts, values)| WireRow {
+                group,
+                group_parts,
+                values,
+            });
+        let code = select(vec![
+            ErrorCode::Protocol,
+            ErrorCode::Parse,
+            ErrorCode::Plan,
+            ErrorCode::Bind,
+            ErrorCode::UnknownTable,
+            ErrorCode::Overloaded,
+            ErrorCode::Cancelled,
+            ErrorCode::Transaction,
+            ErrorCode::Unsupported,
+        ]);
+        prop_oneof![
+            (any::<u32>(), arb_text())
+                .prop_map(|(version, server)| Response::HelloOk { version, server }),
+            proptest::collection::vec(row, 0..6).prop_map(Response::Rows),
+            arb_text().prop_map(Response::Outcome),
+            any::<u32>().prop_map(|statement| Response::Prepared { statement }),
+            arb_text().prop_map(Response::Metrics),
+            (code, arb_text()).prop_map(|(code, message)| Response::Error { code, message }),
+            Just(Response::Bye),
+        ]
+    }
+
+    /// Decodes `bytes` both ways; a panic fails the property. A decoded
+    /// message must encode to bytes that decode again: the decoder
+    /// accepts nothing the encoder cannot say.
+    fn decode_both(bytes: &[u8]) {
+        let req: Result<Request, FrameError> = Request::decode(bytes);
+        if let Ok(req) = req {
+            assert!(Request::decode(&req.encode()).is_ok(), "{req:?}");
+        }
+        let resp: Result<Response, FrameError> = Response::decode(bytes);
+        if let Ok(resp) = resp {
+            assert!(Response::decode(&resp.encode()).is_ok(), "{resp:?}");
+        }
+    }
+
+    /// Flips bytes of `bytes` and truncates it.
+    fn damage(mut bytes: Vec<u8>, flips: &[(usize, u8)], keep: usize) -> Vec<u8> {
+        if !bytes.is_empty() {
+            for &(at, mask) in flips {
+                let at = at % bytes.len();
+                bytes[at] ^= mask;
+            }
+        }
+        bytes.truncate(keep % (bytes.len() + 1));
+        bytes
+    }
+
+    /// The inputs `protocol::tests::garbage_is_a_typed_frame_error`
+    /// names, through the same decoders: an empty payload, an unknown
+    /// opcode, a truncated string length, a string length past the
+    /// body, trailing bytes after a complete message, and non-UTF-8
+    /// SQL.
+    #[test]
+    fn named_garbage_is_a_typed_frame_error() {
+        let cases: [&[u8]; 6] = [
+            &[],
+            &[0xFF, 1, 2, 3],
+            &[0x03, 0xFF, 0xFF, 0xFF],
+            &[0x03, 100, 0, 0, 0, b'x'],
+            &[0x06, 0],
+            &[0x03, 2, 0, 0, 0, 0xC3, 0x28],
+        ];
+        for bytes in cases {
+            assert!(Request::decode(bytes).is_err(), "{bytes:?}");
+            decode_both(bytes);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn arbitrary_bytes_decode_to_a_message_or_a_frame_error(
+            op in select(OPCODES.to_vec()),
+            body in proptest::collection::vec(any::<u8>(), 0..48),
+            raw in any::<bool>(),
+        ) {
+            let mut bytes = body;
+            if !raw {
+                bytes.insert(0, op);
+            }
+            decode_both(&bytes);
+        }
+
+        #[test]
+        fn damaged_encodings_decode_to_a_message_or_a_frame_error(
+            req in arb_request(),
+            resp in arb_response(),
+            flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+            keep in any::<usize>(),
+        ) {
+            decode_both(&damage(req.encode(), &flips, keep));
+            decode_both(&damage(resp.encode(), &flips, keep));
+        }
+
+        #[test]
+        fn every_message_round_trips(req in arb_request(), resp in arb_response()) {
+            prop_assert_eq!(Request::decode(&req.encode()), Ok(req));
+            prop_assert_eq!(Response::decode(&resp.encode()), Ok(resp));
+        }
+    }
+}
