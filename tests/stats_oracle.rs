@@ -14,7 +14,9 @@
 //!   table) the whole `TableStats` `{:?}`, zone maps included, equals
 //!   the fresh registration's;
 //! * a filtered aggregate — pruned over the *current* zones — returns
-//!   the rows a host-side scan of the table computes.
+//!   the rows a host-side scan of the table computes;
+//! * every aggregate table that read opened was closed once: the
+//!   planner's key space bounds every key, whatever the writes did.
 //!
 //! Op lists mix appends (empty, 1-row, 64-row, with a sorted key column
 //! and not), `DELETE` / `UPDATE` whose predicate matches no, some or
@@ -28,8 +30,8 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use vagg::db::{
-    CompactionPolicy, Database, Engine, ExecutorConfig, Row, RowBatch, ShardedDatabase, SqlOutcome,
-    Table, TableStats, TempDir,
+    CompactionPolicy, Database, Engine, ExecutorConfig, MetricsSnapshot, Row, RowBatch,
+    ShardedDatabase, SqlOutcome, Table, TableStats, TempDir,
 };
 
 const COLUMNS: [&str; 3] = ["g", "k", "v"];
@@ -261,6 +263,18 @@ fn range_sql(threshold: u32) -> String {
     format!("SELECT g, COUNT(*), SUM(v) FROM t WHERE v > {threshold} GROUP BY g")
 }
 
+/// Every open of a read's aggregate tables met its close: no range
+/// outgrew the tables the plan's key space sized.
+fn check_bounded(snap: &MetricsSnapshot, what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        snap.get("agg_opens"),
+        snap.get("agg_closes"),
+        "{}: tables opened ≠ closed",
+        what
+    );
+    Ok(())
+}
+
 /// Both halves of the oracle on one single-store database.
 fn check(db: &mut Database, threshold: u32, what: &str) -> Result<(), TestCaseError> {
     check_stats(db, what)?;
@@ -275,7 +289,7 @@ fn check(db: &mut Database, threshold: u32, what: &str) -> Result<(), TestCaseEr
             what
         );
     }
-    Ok(())
+    check_bounded(&db.metrics(), what)
 }
 
 fn check_sharded(
@@ -297,7 +311,7 @@ fn check_sharded(
             what
         );
     }
-    Ok(())
+    check_bounded(&db.metrics(), what)
 }
 
 fn open(dir: &TempDir, policy: CompactionPolicy) -> Database {
