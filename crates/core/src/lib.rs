@@ -45,7 +45,6 @@ pub mod prefix;
 pub mod psm;
 pub mod related_work;
 pub mod result;
-pub mod sampling;
 pub mod scalar;
 pub mod sorted_reduce;
 

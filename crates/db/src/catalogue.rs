@@ -1140,18 +1140,13 @@ impl SharedCatalogue {
     /// Rebases a cached plan onto a view at another data version using
     /// that view's statistics — the cheap refresh of the write path,
     /// and of snapshot reads whose version the cache has moved past.
-    /// `None` when the shortcut does not apply (composite GROUP BY,
-    /// sampled estimation): those plans need a real statistics pass.
+    /// `None` when the shortcut does not apply (composite GROUP BY):
+    /// those plans need a real statistics pass.
     fn rebase_plan(&self, cached: &QueryPlan, view: &ViewRef<'_>) -> Option<QueryPlan> {
         let query = cached.query();
         let col = view.stats.column(&query.group_by)?;
         let presorted = col.sorted && query.group_by_rest.is_empty();
-        let scan_mode = ScanMode::of(presorted, self.inner.engine.estimation());
-        if matches!(scan_mode, ScanMode::Sampled { .. }) {
-            // The sampled estimate is defined by the windowed scan; the
-            // maintained maximum would disagree with a fresh plan.
-            return None;
-        }
+        let scan_mode = ScanMode::of(presorted);
         // For a sorted column max = last element, so `max + 1` is
         // exactly what either scan mode would measure.
         let mut plan = cached.rebase_onto(view.table, presorted, scan_mode, col.cardinality())?;
@@ -1705,29 +1700,5 @@ mod tests {
         cat.register(Table::new("late").with_column("g", vec![1]));
         assert!(snap.table("late").is_none());
         assert!(cat.table("late").is_some());
-    }
-
-    #[test]
-    fn sampled_estimation_replans_instead_of_rebasing() {
-        // The sampled estimate is defined by the windowed scan; the
-        // incremental maximum cannot reproduce it, so stale entries
-        // under a sampling engine re-plan (counted as invalidations).
-        let cat = SharedCatalogue::with_engine(
-            Engine::new()
-                .with_estimation(crate::engine::CardinalityEstimation::Sampled { stride: 2 }),
-        );
-        let n = 256;
-        cat.register(
-            Table::new("r")
-                .with_column("g", (0..n).map(|i| (i * 37 % 50) as u32).collect())
-                .with_column("v", vec![1; n]),
-        );
-        let q = AggregateQuery::paper("g", "v");
-        cat.plan_query("r", &q).unwrap();
-        cat.append("r", batch(vec![3], vec![1])).unwrap();
-        let plan = cat.plan_query("r", &q).unwrap();
-        assert_eq!(plan.rows(), n + 1);
-        let s = cat.cache_stats();
-        assert_eq!((s.rebases, s.invalidations, s.misses), (0, 1, 2));
     }
 }

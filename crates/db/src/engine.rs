@@ -6,7 +6,6 @@ use crate::plan::{PlanError, PlanStep, QueryPlan, ScanMode};
 use crate::query::{AggFn, AggregateQuery, OrderKey};
 use crate::table::Table;
 use std::sync::Arc;
-use vagg_core::sampling::SampledEstimate;
 use vagg_core::{select_algorithm, AdaptiveMode, Algorithm, PlannerInputs};
 use vagg_sim::SimConfig;
 
@@ -59,61 +58,26 @@ impl ExecutionReport {
     }
 }
 
-/// How the planner estimates cardinality (§III-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CardinalityEstimation {
-    /// The exact vectorised max-key scan of the whole column (the
-    /// paper's default).
-    #[default]
-    ExactScan,
-    /// The sampled scan the paper sketches ("could be replaced with
-    /// sampling and some additional checks"): read one chunk in every
-    /// `stride`, inflate the estimate by the planner margin.
-    Sampled {
-        /// Read one MVL-wide chunk out of every `stride` chunks.
-        stride: usize,
-    },
-}
-
-/// The planner: owns the machine configuration and planner options.
+/// The planner: owns the machine configuration it plans for.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
     cfg: SimConfig,
-    estimation: CardinalityEstimation,
 }
 
 impl Engine {
     /// An engine with the paper's machine configuration.
     pub fn new() -> Self {
-        Self {
-            cfg: SimConfig::paper(),
-            estimation: CardinalityEstimation::ExactScan,
-        }
+        Self::with_config(SimConfig::paper())
     }
 
     /// An engine with a custom configuration.
     pub fn with_config(cfg: SimConfig) -> Self {
-        Self {
-            cfg,
-            estimation: CardinalityEstimation::ExactScan,
-        }
-    }
-
-    /// Selects how the planner estimates cardinality.
-    pub fn with_estimation(mut self, estimation: CardinalityEstimation) -> Self {
-        self.estimation = estimation;
-        self
+        Self { cfg }
     }
 
     /// The machine configuration this engine plans for.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
-    }
-
-    /// How this engine estimates cardinality (see
-    /// [`Engine::with_estimation`]).
-    pub fn estimation(&self) -> CardinalityEstimation {
-        self.estimation
     }
 
     /// Plans a query against a table: resolves columns, validates the
@@ -220,17 +184,16 @@ impl Engine {
         }
 
         // Cardinality estimate over the effective (fused) group column,
-        // host-side and pre-filter (table statistics). The session's
-        // scan at execution time charges the §III-A metadata cost but
-        // runs over the post-WHERE input, so it may see different data;
-        // the algorithm choice is fixed here, from this estimate.
-        let scan_mode = ScanMode::of(presorted, self.estimation);
+        // host-side and pre-filter (table statistics): the exact
+        // `max + 1`, so it bounds every key of every range of the table.
+        // The session's scan at execution time charges the §III-A
+        // metadata cost but runs over the post-WHERE input, so it may
+        // see different data; the algorithm choice is fixed here, from
+        // this estimate.
+        let scan_mode = ScanMode::of(presorted);
         let cardinality = match scan_mode {
             ScanMode::Presorted => group[n - 1] as u64 + 1,
             ScanMode::Exact => (0..n).map(key_at).max().expect("non-empty table") as u64 + 1,
-            ScanMode::Sampled { stride } => {
-                host_sampled_estimate(n, self.cfg.mvl, stride, key_at).planning_cardinality()
-            }
         };
         steps.push(PlanStep::CardinalityScan {
             mode: scan_mode,
@@ -295,30 +258,6 @@ impl Engine {
             zones: None,
             zone_maps: 0,
         })
-    }
-}
-
-/// Host-side mirror of [`vagg_core::sampling::sampled_max_scan`]: reads
-/// the same [`vagg_core::sampling::sampled_windows`] chunks (the shared
-/// sampling rule), producing the same estimate without a machine.
-fn host_sampled_estimate(
-    n: usize,
-    mvl: usize,
-    stride: usize,
-    key_at: impl Fn(usize) -> u32,
-) -> SampledEstimate {
-    let mut sampled_max = 0u32;
-    let mut rows_sampled = 0usize;
-    for (start, vl) in vagg_core::sampling::sampled_windows(n, mvl, stride) {
-        for i in start..start + vl {
-            sampled_max = sampled_max.max(key_at(i));
-        }
-        rows_sampled += vl;
-    }
-    SampledEstimate {
-        sampled_max,
-        rows_sampled,
-        stride,
     }
 }
 
@@ -654,77 +593,6 @@ mod tests {
             .steps
             .contains(&crate::plan::PlanStep::AggregateSkipped));
         assert!(out.report.describe().contains("AggregateSkipped"));
-    }
-
-    #[test]
-    fn sampled_estimation_plans_cheaper_and_answers_identically() {
-        let n = 64 * 400;
-        let g: Vec<u32> = (0..n)
-            .map(|i| ((i as u64 * 2654435761) % 500) as u32)
-            .collect();
-        let v: Vec<u32> = (0..n).map(|i| (i % 10) as u32).collect();
-        let t = Table::new("r").with_column("g", g).with_column("v", v);
-        let q = AggregateQuery::paper("g", "v");
-
-        // The whole plan as one traced range: (partial, scan step
-        // cycles, total cycles).
-        let run = |engine: Engine| {
-            let plan = engine.plan(&t, &q).unwrap();
-            let opts = crate::session::RangeOpts {
-                trace: true,
-                ..Default::default()
-            };
-            let run = Session::with_config(engine.config().clone()).run_range(&plan, 0, n, opts);
-            let scan = run
-                .steps
-                .iter()
-                .find(|s| matches!(s.step, PlanStep::CardinalityScan { .. }))
-                .expect("the scan step ran")
-                .cycles;
-            (plan.algorithm(), run.partial, scan, run.cycles)
-        };
-        let exact = run(Engine::new());
-        let sampled =
-            run(Engine::new().with_estimation(CardinalityEstimation::Sampled { stride: 8 }));
-        assert_eq!(exact.1, sampled.1);
-        assert_eq!(exact.0, sampled.0);
-        // Both stage the same columns; the sampled scan reads an eighth
-        // of what the exact one does.
-        assert!(
-            sampled.2 < exact.2,
-            "sampled planning ({}) should cost less than exact ({})",
-            sampled.2,
-            exact.2
-        );
-        // A sample bounds no key, so the kernel still scans exactly to
-        // guard its tables — the scan an exact plan runs once, for both.
-        assert!(sampled.3 > exact.3, "{} vs {}", sampled.3, exact.3);
-    }
-
-    #[test]
-    fn plan_matches_machine_estimate_under_sampling() {
-        // The plan-time host mirror of the sampled scan must agree with
-        // the machine's own sampled estimate on unfiltered input.
-        let n = 64 * 37 + 13;
-        let g: Vec<u32> = (0..n).map(|i| ((i as u64 * 48271) % 997) as u32).collect();
-        let v = vec![0u32; n];
-        let t = Table::new("r")
-            .with_column("g", g.clone())
-            .with_column("v", v.clone());
-        for stride in [1usize, 2, 8, 64] {
-            let plan = Engine::new()
-                .with_estimation(CardinalityEstimation::Sampled { stride })
-                .plan(&t, &AggregateQuery::paper("g", "v"))
-                .unwrap();
-            let mut m = vagg_sim::Machine::paper();
-            let staged = vagg_core::StagedInput::stage_raw(&mut m, &g, &v, false);
-            let (est, _) = vagg_core::sampling::sampled_max_scan(&mut m, &staged, stride);
-            assert_eq!(
-                plan.cardinality_estimate(),
-                est.planning_cardinality(),
-                "stride {stride}"
-            );
-        }
     }
 
     #[test]

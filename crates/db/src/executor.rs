@@ -152,16 +152,11 @@ pub struct ExecutorStats {
     /// stickiness).
     pub affinity_moves: u64,
     /// Aggregate tables the workers opened (allocated and cleared): one
-    /// per worker that ran a morsel of a table-based plan, plus one per
-    /// spill.
+    /// per query per worker that ran a morsel of a table-based plan.
     pub agg_opens: u64,
     /// Aggregate tables the workers closed at the end of a query — at
     /// most one per query per worker that ran one of its morsels.
     pub agg_closes: u64,
-    /// Morsels whose keys outgrew their worker's open tables (closed
-    /// into a partial and reopened larger); zero while the planner's
-    /// key space is exact.
-    pub agg_spills: u64,
     /// Tasks seeded on the deques but not yet claimed, at sampling
     /// time.
     queued: u64,
@@ -435,7 +430,6 @@ struct Shared {
     /// it is done with a job.
     agg_opens: AtomicU64,
     agg_closes: AtomicU64,
-    agg_spills: AtomicU64,
 }
 
 /// A persistent pool of morsel workers (see the [module docs](self)).
@@ -503,7 +497,6 @@ impl Executor {
             affinity_moves: AtomicU64::new(0),
             agg_opens: AtomicU64::new(0),
             agg_closes: AtomicU64::new(0),
-            agg_spills: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|id| {
@@ -546,7 +539,6 @@ impl Executor {
         stats.affinity_moves = self.shared.affinity_moves.load(Ordering::Relaxed);
         stats.agg_opens = self.shared.agg_opens.load(Ordering::Relaxed);
         stats.agg_closes = self.shared.agg_closes.load(Ordering::Relaxed);
-        stats.agg_spills = self.shared.agg_spills.load(Ordering::Relaxed);
         stats
     }
 
@@ -856,9 +848,6 @@ fn worker_loop(id: usize, shared: &Shared, sim: SimConfig) {
             shared
                 .agg_closes
                 .fetch_add(counts.closes, Ordering::Relaxed);
-            shared
-                .agg_spills
-                .fetch_add(counts.spills, Ordering::Relaxed);
             finish_task(&job, shared);
         }
     }
@@ -920,7 +909,7 @@ mod tests {
     fn whole(plan: &QueryPlan) -> PartialAggregate {
         Session::new()
             .run_range(plan, 0, plan.rows(), RangeOpts::default())
-            .partial
+            .0
     }
 
     #[test]
@@ -972,7 +961,6 @@ mod tests {
         assert_eq!(stats.morsels, 24, "closes are not morsels");
         assert!((3..=9).contains(&stats.agg_closes), "{stats:?}");
         assert_eq!(stats.agg_opens, stats.agg_closes);
-        assert_eq!(stats.agg_spills, 0);
     }
 
     #[test]

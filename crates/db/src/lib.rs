@@ -205,7 +205,7 @@ pub use cancel::{CancelCause, CancelToken};
 pub use catalogue::SharedCatalogue;
 pub use database::{Database, ExplainOutput, MutationReceipt, SqlError, SqlOutcome};
 pub use delta::{ColumnStats, DeltaStore, TableStats};
-pub use engine::{CardinalityEstimation, Engine, ExecutionReport, QueryOutput, Row};
+pub use engine::{Engine, ExecutionReport, QueryOutput, Row};
 pub use executor::{Executor, ExecutorConfig, ExecutorError, ExecutorStats, DEFAULT_MORSEL_ROWS};
 pub use filter::{reference_filter, vector_filter, Predicate};
 pub use ingest::{CompactionPolicy, IngestError, IngestReceipt, RowBatch};
@@ -214,7 +214,7 @@ pub use metrics::{MetricsRegistry, MetricsSnapshot, SlowQuery};
 pub use plan::{PlanError, PlanStep, QueryPlan, ScanMode};
 pub use prepared::PreparedStatement;
 pub use query::{AggFn, AggregateQuery, Having, OrderBy, OrderKey};
-pub use session::{PartialRun, RangeOpts, Session};
+pub use session::Session;
 pub use shard::{
     ShardedDatabase, ShardedIngestReceipt, ShardedOutput, ShardedSnapshot, ShardedStatement,
 };

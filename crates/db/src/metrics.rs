@@ -79,7 +79,6 @@ pub struct MetricsRegistry {
     stats_reseeds: AtomicU64,
     agg_opens: AtomicU64,
     agg_closes: AtomicU64,
-    agg_spills: AtomicU64,
     wal_replayed_records: AtomicU64,
     morsels_pruned: AtomicU64,
     rows_pruned: AtomicU64,
@@ -155,14 +154,12 @@ impl MetricsRegistry {
     }
 
     /// Records what a read did to its session's aggregate tables: how
-    /// often it opened (allocated and cleared) them, closed (compacted
-    /// and read back) them at its end, and had a range outgrow them. A
-    /// completed read closes once however many ranges it ran; only a
-    /// sampled key-space estimate that under-bounds spills.
+    /// often it opened (allocated and cleared) them and closed
+    /// (compacted and read back) them at its end. A completed read opens
+    /// and closes once however many ranges it ran.
     pub(crate) fn record_aggregate(&self, counts: crate::session::AggCounts) {
         self.agg_opens.fetch_add(counts.opens, Relaxed);
         self.agg_closes.fetch_add(counts.closes, Relaxed);
-        self.agg_spills.fetch_add(counts.spills, Relaxed);
     }
 
     /// Records morsels (and the rows they covered) a query skipped
@@ -217,7 +214,6 @@ impl MetricsRegistry {
         snap.add("stats_reseeds", self.stats_reseeds.load(Relaxed));
         snap.add("agg_opens", self.agg_opens.load(Relaxed));
         snap.add("agg_closes", self.agg_closes.load(Relaxed));
-        snap.add("agg_spills", self.agg_spills.load(Relaxed));
         snap.add("morsels_pruned", self.morsels_pruned.load(Relaxed));
         snap.add("rows_pruned", self.rows_pruned.load(Relaxed));
         snap.add(

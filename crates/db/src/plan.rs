@@ -14,7 +14,6 @@
 //! exactly as the paper charges the metadata step to the query).
 
 use crate::delta::ZoneRange;
-use crate::engine::CardinalityEstimation;
 use crate::filter::Predicate;
 use crate::query::{AggFn, AggregateQuery, OrderKey};
 use crate::table::Table;
@@ -112,22 +111,14 @@ pub enum ScanMode {
     Presorted,
     /// The exact vectorised max-key scan of the whole column.
     Exact,
-    /// The sampled scan: one MVL-wide chunk in every `stride`.
-    Sampled {
-        /// Chunk stride of the sample.
-        stride: usize,
-    },
 }
 
 impl ScanMode {
-    pub(crate) fn of(presorted: bool, estimation: CardinalityEstimation) -> Self {
+    pub(crate) fn of(presorted: bool) -> Self {
         if presorted {
             ScanMode::Presorted
         } else {
-            match estimation {
-                CardinalityEstimation::ExactScan => ScanMode::Exact,
-                CardinalityEstimation::Sampled { stride } => ScanMode::Sampled { stride },
-            }
+            ScanMode::Exact
         }
     }
 }
@@ -137,7 +128,6 @@ impl fmt::Display for ScanMode {
         match self {
             ScanMode::Presorted => write!(f, "presorted"),
             ScanMode::Exact => write!(f, "exact"),
-            ScanMode::Sampled { stride } => write!(f, "sampled/{stride}"),
         }
     }
 }
@@ -428,8 +418,7 @@ impl QueryPlan {
     }
 
     /// The key space a session opens this plan's aggregate tables with:
-    /// every (fused) group key of the plan lies below it unless the
-    /// estimate was sampled. `domains` are the composite key domains the
+    /// every (fused) group key of the plan lies below it. `domains` are the composite key domains the
     /// ranges fuse with — the driver's maxima across shard plans, whose
     /// product bounds every fused key; single-column grouping takes the
     /// planner's `max + 1`.
@@ -674,11 +663,11 @@ mod tests {
         );
         assert_eq!(
             PlanStep::CardinalityScan {
-                mode: ScanMode::Sampled { stride: 8 },
+                mode: ScanMode::Exact,
                 estimate: 625
             }
             .to_string(),
-            "CardinalityScan[sampled/8](cardinality≈625)"
+            "CardinalityScan[exact](cardinality≈625)"
         );
         assert_eq!(
             PlanStep::Aggregate(Algorithm::Monotable).to_string(),

@@ -46,7 +46,7 @@ pub(crate) enum Schedule<'a> {
 
 impl Schedule<'_> {
     /// [`drive`] on this schedule, an inline session's aggregate opens /
-    /// closes / spills then folded into `metrics` (the read's lead
+    /// closes then folded into `metrics` (the read's lead
     /// registry) — cancelled or not: an abandoned aggregate was opened
     /// too. The pool's sessions count theirs in the pool's counters.
     pub(crate) fn drive(

@@ -14,11 +14,10 @@
 //! at the bottom of the simulated address space, every range is staged
 //! above them and updates them in place, and one close compacts and
 //! reads them back when the query is done on this machine
-//! (`Session::{update, close, abandon}`; [`Session::run_range`] is one
-//! update and the close). Cutting ranges, merging the closed partials
-//! and the host-side tail belong to the one read driver every entry
-//! point shares (see the "Read path" section of ARCHITECTURE.md);
-//! [`Session::run`] is that driver with one range.
+//! (`Session::{update, close, abandon}`). Cutting ranges, merging the
+//! closed partials and the host-side tail belong to the one read driver
+//! every entry point shares (see the "Read path" section of
+//! ARCHITECTURE.md); [`Session::run`] is that driver with one range.
 
 use crate::engine::{QueryOutput, Row};
 use crate::filter::vector_filter;
@@ -27,13 +26,12 @@ use crate::query::{AggFn, AggregateQuery};
 use crate::read::{self, ReadRequest, Schedule};
 use crate::trace::StepTrace;
 use vagg_core::input::{presorted_max, vector_max_scan};
-use vagg_core::sampling::sampled_max_scan;
 use vagg_core::{minmax, monotable, Algorithm, PartialAggregate, StagedInput};
 use vagg_sim::{Machine, SimConfig};
 
-/// Per-range options of [`Session::run_range`].
+/// Per-range options of [`Session::update`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RangeOpts<'a> {
+pub(crate) struct RangeOpts<'a> {
     /// Composite `GROUP BY` key domains to fuse with (primary first)
     /// instead of the plan's own. `None` uses the plan's exact
     /// plan-time domains; the sharded coordinator passes the
@@ -42,41 +40,34 @@ pub struct RangeOpts<'a> {
     /// merge directly (fusion is positional:
     /// `key = ((g₀·d₁ + g₁)·d₂ + g₂)…` for any consistent dᵢ that bound
     /// every value). Ignored for single-column grouping.
-    pub forced: Option<&'a [u64]>,
+    pub(crate) forced: Option<&'a [u64]>,
     /// Record a [`StepTrace`] per executed step. Recording only reads
     /// the cycle counter and host-side lengths — it issues no machine
     /// work — so a traced range is bit-identical to an untraced one.
-    pub trace: bool,
+    pub(crate) trace: bool,
 }
 
-/// What [`Session::run_range`] produced: the mergeable partial
-/// aggregate of one row range's *distributive* slice (WHERE +
-/// aggregation, no HAVING/ORDER BY/LIMIT) and what it cost. Partials of
-/// disjoint ranges fold into the whole answer with
-/// [`PartialAggregate::merge`].
-///
-/// Inside a query the read driver runs its ranges as updates of one
-/// open aggregate: there `partial` is empty (the groups come out of the
-/// session's one close) and `cycles` are the range's own — stage, fuse,
+/// What one [`Session::update`] cost: a row range of the plan's
+/// *distributive* slice (WHERE + aggregation, no HAVING/ORDER BY/LIMIT)
+/// run into the session's open aggregate. The groups come out of the
+/// session's one close; `cycles` are the range's own — stage, fuse,
 /// filter, scan, the kernel's loop — with the open and the close
 /// reported by the close, beside them.
 #[derive(Debug, Clone)]
-pub struct PartialRun {
-    /// The mergeable COUNT/SUM (+ optional MIN/MAX) columns.
-    pub partial: PartialAggregate,
+pub(crate) struct PartialRun {
     /// Rows of the range surviving the WHERE clause.
-    pub rows_aggregated: usize,
+    pub(crate) rows_aggregated: usize,
     /// Simulated cycles the range cost (cycle-counter delta), so range
     /// costs and the close add up to the whole-plan cost.
-    pub cycles: u64,
+    pub(crate) cycles: u64,
     /// Whether an aggregation kernel ran; `false` when the range was
     /// empty or the WHERE clause removed every row.
-    pub aggregated: bool,
+    pub(crate) aggregated: bool,
     /// Per-step actuals in execution order, when
     /// [`RangeOpts::trace`] was set (their cycles sum to `cycles`;
     /// staging is billed to the filter when one runs, to the
     /// cardinality scan otherwise).
-    pub steps: Vec<StepTrace>,
+    pub(crate) steps: Vec<StepTrace>,
 }
 
 /// A long-lived query-execution context: one simulated machine serving
@@ -107,17 +98,15 @@ pub struct Session {
     counts: AggCounts,
 }
 
-/// How often this session opened, closed and outgrew aggregate tables
-/// since whoever drives it last took the counts
+/// How often this session opened and closed aggregate tables since
+/// whoever drives it last took the counts
 /// ([`Session::take_agg_counts`]) to fold them into its metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct AggCounts {
-    /// Tables allocated and cleared (a spill re-opens).
+    /// Tables allocated and cleared.
     pub(crate) opens: u64,
     /// Tables compacted and read back at the end of a query.
     pub(crate) closes: u64,
-    /// Ranges whose keys outgrew the open tables.
-    pub(crate) spills: u64,
 }
 
 // The live tables of the two table-based kernels, behind one interface.
@@ -174,11 +163,11 @@ impl Tables {
 }
 
 // Aggregate state that outlives a range. Invariant: everything below
-// `mark` belongs to the query (the live tables; after a spill also what
-// the spilling range had staged), everything at or above it to the range
-// in flight — so releasing to `mark` before each range hands every range
-// the same staging addresses and never touches a table
-// (`tests/read_path.rs` is the oracle: carried rows ≡ whole-plan rows).
+// `mark` belongs to the query (the live tables), everything at or above
+// it to the range in flight — so releasing to `mark` before each range
+// hands every range the same staging addresses and never touches a
+// table (`tests/read_path.rs` is the oracle: carried rows ≡ whole-plan
+// rows).
 #[derive(Debug)]
 struct OpenAggregate {
     // Live on the machine from the first range of a table-based plan on.
@@ -186,25 +175,15 @@ struct OpenAggregate {
     // Rows the live tables took: none means nothing to compact.
     table_rows: usize,
     mark: u64,
-    // Host side: tables a spill closed, and what the kernels that keep no
-    // tables (sorted reduce, polytable, PSM, scalar) produced per range.
+    // Host side: what the kernels that keep no tables (sorted reduce,
+    // polytable, PSM, scalar) produced per range.
     pending: Option<PartialAggregate>,
-    // Cycles of the opens and spills so far; the close reports them with
-    // its own.
+    // Cycles of the open; the close reports them with its own.
     cycles: u64,
     minmax: bool,
 }
 
 impl OpenAggregate {
-    fn open(&mut self, m: &mut Machine, cells: usize, counts: &mut AggCounts) {
-        let t0 = m.cycles();
-        self.tables = Some(Tables::open(m, self.minmax, cells));
-        self.table_rows = 0;
-        self.mark = m.space().mark();
-        self.cycles += m.cycles() - t0;
-        counts.opens += 1;
-    }
-
     // Compacts and reads back the live tables (if they took any row) into
     // `pending`.
     fn close_tables(&mut self, m: &mut Machine) -> Option<PlanStep> {
@@ -226,11 +205,11 @@ impl OpenAggregate {
 }
 
 /// What [`Session::close`] produced: the query's groups on this machine
-/// and what opening, spilling and closing its tables cost.
+/// and what opening and closing its tables cost.
 #[derive(Debug)]
 pub(crate) struct ClosedAggregate {
     pub(crate) partial: PartialAggregate,
-    /// Simulated cycles of every open, spill and the close — the part
+    /// Simulated cycles of the open and the close — the part
     /// of the query no range's [`PartialRun::cycles`] holds.
     pub(crate) cycles: u64,
     /// The kernel step those cycles are billed to, when tables were
@@ -285,7 +264,6 @@ impl Tracer<'_> {
             });
         }
         PartialRun {
-            partial: PartialAggregate::empty(self.plan.query.needs_minmax()),
             rows_aggregated: 0,
             cycles,
             aggregated: false,
@@ -353,56 +331,6 @@ impl Session {
             .into()
     }
 
-    /// Executes the *distributive* slice of a plan — fuse, WHERE,
-    /// cardinality scan, aggregate — over the row range `lo..hi` of its
-    /// staged columns, and returns the mergeable partial instead of
-    /// assembled rows: `merge(run_range(0..k), run_range(k..n))` is the
-    /// whole plan's partial for every split point `k`. It is one update
-    /// of a freshly opened aggregate and its close — the same calls, in
-    /// the same order, the read driver makes for a whole query (which
-    /// opens once, updates per range and closes once; the driver decides
-    /// the ranges: one per plan, morsels under a [`crate::CancelToken`],
-    /// stealable morsels on the [`crate::Executor`]).
-    ///
-    /// # Panics
-    ///
-    /// If `lo..hi` is not a sub-range of `0..plan.rows()`, or
-    /// [`RangeOpts::forced`] does not match the plan's grouping column
-    /// count.
-    pub fn run_range(
-        &mut self,
-        plan: &QueryPlan,
-        lo: usize,
-        hi: usize,
-        opts: RangeOpts<'_>,
-    ) -> PartialRun {
-        debug_assert!(self.agg.is_none(), "a query is in flight on this session");
-        let cells = plan.table_cells(opts.forced.unwrap_or(plan.key_domains()));
-        let mut run = self.update(plan, lo, hi, opts, cells);
-        if let Some(closed) = self.close() {
-            run.partial = closed.partial;
-            run.cycles += closed.cycles;
-            if let (true, Some(step)) = (opts.trace, closed.step) {
-                let groups = run.partial.len() as u64;
-                match run.steps.iter_mut().find(|s| s.step == step) {
-                    Some(s) => {
-                        s.cycles += closed.cycles;
-                        s.rows_out = groups;
-                    }
-                    // The WHERE clause emptied the range after its
-                    // tables were cleared.
-                    None => run.steps.push(StepTrace {
-                        step,
-                        rows_in: 0,
-                        rows_out: groups,
-                        cycles: closed.cycles,
-                    }),
-                }
-            }
-        }
-        run
-    }
-
     /// Runs the range `lo..hi` of `plan` into the session's open
     /// aggregate, opening it first when this is the query's first range
     /// here. `cells` is the query's key space (see
@@ -410,11 +338,11 @@ impl Session {
     /// plan are opened with, once, before anything is staged, so that
     /// they sit at the bottom of the address space and every range is
     /// staged at the same addresses above them. The range's exact
-    /// §III-A scan is the guard: a range whose keys outgrow the open
-    /// tables *spills* them — closes them into a host-side partial and
-    /// reopens larger — and never writes past a table. A plan whose
-    /// algorithm keeps no tables runs its whole kernel on the range and
-    /// folds the partial in host-side.
+    /// §III-A scan is the guard: `cells` bounds every key of every
+    /// range, so a range whose maximum reaches it is a planner bug, and
+    /// the assertion stops it before anything is written past a table.
+    /// A plan whose algorithm keeps no tables runs its whole kernel on
+    /// the range and folds the partial in host-side.
     ///
     /// The returned run carries no groups (they come out of
     /// [`Session::close`]), and its `cycles` and `steps` hold the
@@ -468,7 +396,11 @@ impl Session {
         });
         m.space_mut().release_to(agg.mark);
         if carried && agg.tables.is_none() {
-            agg.open(m, cells.max(1), counts);
+            let t0 = m.cycles();
+            agg.tables = Some(Tables::open(m, minmax, cells.max(1)));
+            agg.mark = m.space().mark();
+            agg.cycles += m.cycles() - t0;
+            counts.opens += 1;
         }
         let start = m.cycles();
 
@@ -540,17 +472,12 @@ impl Session {
         // the metadata step the paper bills to the query, and a
         // table-based kernel takes its exact maximum as the guard of the
         // open tables instead of scanning again. A kernel that keeps no
-        // tables is run whole and scans for itself, so only a *sampled*
-        // plan — whose scan the kernel's exact one does not repeat —
-        // scans here. The algorithm choice itself was fixed at plan time.
-        let exact = match plan.scan_mode {
-            ScanMode::Presorted if carried => Some(presorted_max(m, &input).0),
-            ScanMode::Exact if carried => Some(vector_max_scan(m, &input).0),
-            ScanMode::Presorted | ScanMode::Exact => None,
-            ScanMode::Sampled { stride } => {
-                let _ = sampled_max_scan(m, &input, stride);
-                None
-            }
+        // tables is run whole and scans for itself, so nothing scans
+        // here. The algorithm choice itself was fixed at plan time.
+        let maxg = match plan.scan_mode {
+            _ if !carried => None,
+            ScanMode::Presorted => Some(presorted_max(m, &input).0),
+            ScanMode::Exact => Some(vector_max_scan(m, &input).0),
         };
         let agg0 = m.cycles();
         trace.step(
@@ -560,24 +487,13 @@ impl Session {
             agg0 - scan0,
         );
 
-        // What the range spends on the aggregate's tables rather than
-        // on itself: reported by the close.
-        let mut spilled = 0;
-        let groups = if carried {
-            // A sample bounds nothing: the kernel's own exact scan, as
-            // before, billed to the kernel.
-            let maxg = exact.unwrap_or_else(|| vector_max_scan(m, &input).0);
-            let need = maxg as usize + 1;
-            if agg.tables.is_some_and(|t| need > t.cells()) {
-                let before = agg.cycles;
-                agg.close_tables(m);
-                // Twice what this range needs, so that a run of slightly
-                // growing ranges spills a logarithmic number of times.
-                agg.open(m, (2 * need).min(1 << 32), counts);
-                counts.spills += 1;
-                spilled = agg.cycles - before;
-            }
+        let groups = if let Some(maxg) = maxg {
             let tables = agg.tables.expect("opened before the range was staged");
+            assert!(
+                (maxg as usize) < tables.cells(),
+                "key {maxg} outgrows the {} cells of the plan's key space",
+                tables.cells()
+            );
             tables.update(m, &input);
             agg.table_rows += rows_aggregated;
             0
@@ -591,13 +507,12 @@ impl Session {
             |s| matches!(s, PlanStep::Aggregate(_) | PlanStep::MinMaxKernel),
             rows_aggregated,
             groups,
-            m.cycles() - agg0 - spilled,
+            m.cycles() - agg0,
         );
 
         PartialRun {
-            partial: PartialAggregate::empty(minmax),
             rows_aggregated,
-            cycles: m.cycles() - start - spilled,
+            cycles: m.cycles() - start,
             aggregated: true,
             steps: trace.steps.unwrap_or_default(),
         }
@@ -605,7 +520,7 @@ impl Session {
 
     /// Ends the query on this machine: compacts and reads back the open
     /// tables (once — unless no range put a row in them), folds in what
-    /// spills and table-less kernels left host-side, and reports the
+    /// table-less kernels left host-side, and reports the
     /// cycles no range was charged. `None` when no range of the query
     /// ran here.
     pub(crate) fn close(&mut self) -> Option<ClosedAggregate> {
@@ -630,7 +545,7 @@ impl Session {
         self.machine.space_mut().reset();
     }
 
-    /// The open / close / spill counts since the last call, which this
+    /// The open / close counts since the last call, which this
     /// one resets.
     pub(crate) fn take_agg_counts(&mut self) -> AggCounts {
         std::mem::take(&mut self.counts)
@@ -729,6 +644,51 @@ mod tests {
     use crate::engine::Engine;
     use crate::table::Table;
 
+    impl Session {
+        /// Executes the *distributive* slice of a plan — fuse, WHERE,
+        /// cardinality scan, aggregate — over the row range `lo..hi` of
+        /// its staged columns, and returns the mergeable partial beside
+        /// what the range and its close cost:
+        /// `merge(run_range(0..k), run_range(k..n))` is the whole plan's
+        /// partial for every split point `k`. It is one update of a
+        /// freshly opened aggregate and its close — the same calls, in
+        /// the same order, the read driver makes for a whole query
+        /// (which opens once, updates per range and closes once).
+        pub(crate) fn run_range(
+            &mut self,
+            plan: &QueryPlan,
+            lo: usize,
+            hi: usize,
+            opts: RangeOpts<'_>,
+        ) -> (PartialAggregate, PartialRun) {
+            debug_assert!(self.agg.is_none(), "a query is in flight on this session");
+            let cells = plan.table_cells(opts.forced.unwrap_or(plan.key_domains()));
+            let mut run = self.update(plan, lo, hi, opts, cells);
+            let Some(closed) = self.close() else {
+                return (PartialAggregate::empty(plan.query.needs_minmax()), run);
+            };
+            run.cycles += closed.cycles;
+            if let (true, Some(step)) = (opts.trace, closed.step) {
+                let groups = closed.partial.len() as u64;
+                match run.steps.iter_mut().find(|s| s.step == step) {
+                    Some(s) => {
+                        s.cycles += closed.cycles;
+                        s.rows_out = groups;
+                    }
+                    // The WHERE clause emptied the range after its
+                    // tables were cleared.
+                    None => run.steps.push(StepTrace {
+                        step,
+                        rows_in: 0,
+                        rows_out: groups,
+                        cycles: closed.cycles,
+                    }),
+                }
+            }
+            (closed.partial, run)
+        }
+    }
+
     fn people() -> Table {
         Table::new("r")
             .with_column("g", vec![1, 3, 3, 0, 0, 5, 2, 4])
@@ -798,8 +758,7 @@ mod tests {
 
         let mut first = 0;
         for r in 0..RANGES {
-            let run = session.update(&plan, 64 * r, 64 * (r + 1), RangeOpts::default(), cells);
-            assert!(run.partial.is_empty(), "the groups come out of the close");
+            session.update(&plan, 64 * r, 64 * (r + 1), RangeOpts::default(), cells);
             if r == 0 {
                 first = resident(&session);
                 assert!(first > 0);
@@ -808,8 +767,8 @@ mod tests {
         }
         let closed = session.close().expect("a query was in flight");
         let counts = session.take_agg_counts();
-        assert_eq!((counts.opens, counts.closes, counts.spills), (1, 1, 0));
-        assert_eq!(closed.partial, one_range(&mut session, &plan).partial);
+        assert_eq!((counts.opens, counts.closes), (1, 1));
+        assert_eq!(closed.partial, one_range(&mut session, &plan));
         assert!(session.close().is_none(), "closed once");
 
         // Abandoned instead: nothing stays resident, and nothing closed.
@@ -840,9 +799,11 @@ mod tests {
         assert_eq!(groups, vec![0, 3]);
     }
 
-    // The whole plan as one range.
-    fn one_range(session: &mut Session, plan: &QueryPlan) -> PartialRun {
-        session.run_range(plan, 0, plan.rows(), RangeOpts::default())
+    // The whole plan's partial, as one range.
+    fn one_range(session: &mut Session, plan: &QueryPlan) -> PartialAggregate {
+        session
+            .run_range(plan, 0, plan.rows(), RangeOpts::default())
+            .0
     }
 
     #[test]
@@ -853,7 +814,7 @@ mod tests {
             .with_limit(2);
         let plan = Engine::new().plan(&t, &q).unwrap();
         let mut session = Session::new();
-        let pr = session.run_range(
+        let (partial, pr) = session.run_range(
             &plan,
             0,
             plan.rows(),
@@ -863,7 +824,7 @@ mod tests {
             },
         );
         // Pre-HAVING: all six groups are present in the partial.
-        assert_eq!(pr.partial.len(), 6);
+        assert_eq!(partial.len(), 6);
         assert!(pr.aggregated);
         assert!(matches!(
             pr.steps.last().map(|s| &s.step),
@@ -903,7 +864,7 @@ mod tests {
             let t = Table::new("r")
                 .with_column("g", g[lo..hi].to_vec())
                 .with_column("v", v[lo..hi].to_vec());
-            one_range(&mut Session::new(), &engine.plan(&t, &q).unwrap()).partial
+            one_range(&mut Session::new(), &engine.plan(&t, &q).unwrap())
         };
         let merged = half(0, 4).merge(half(4, 8));
         assert_eq!(merged.len(), whole.rows.len());
@@ -924,17 +885,13 @@ mod tests {
         let mut session = Session::new();
         let expect = one_range(&mut session, &plan);
         for split in 0..=plan.rows() {
-            let left = session.run_range(&plan, 0, split, RangeOpts::default());
-            let right = session.run_range(&plan, split, plan.rows(), RangeOpts::default());
-            assert_eq!(
-                left.partial.merge(right.partial),
-                expect.partial,
-                "split at {split}"
-            );
+            let (left, _) = session.run_range(&plan, 0, split, RangeOpts::default());
+            let (right, _) = session.run_range(&plan, split, plan.rows(), RangeOpts::default());
+            assert_eq!(left.merge(right), expect, "split at {split}");
         }
         // A range is charged its own work, on the shared machine.
         let before = session.total_cycles();
-        let half = session.run_range(&plan, 0, 4, RangeOpts::default());
+        let (_, half) = session.run_range(&plan, 0, 4, RangeOpts::default());
         assert!(half.cycles > 0);
         assert_eq!(session.total_cycles() - before, half.cycles);
     }

@@ -359,7 +359,7 @@ impl ShardedDatabase {
     /// cycle histogram; the worst slow queries kept), plus the shared
     /// worker pool's counters as `executor_queries` / `executor_morsels`
     /// / `executor_steals` and, under the names a single database
-    /// reports them by, `agg_opens` / `agg_closes` / `agg_spills`.
+    /// reports them by, `agg_opens` / `agg_closes`.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         for shard in &self.shards {
@@ -377,7 +377,6 @@ impl ShardedDatabase {
         // the database's.
         snap.add("agg_opens", stats.agg_opens);
         snap.add("agg_closes", stats.agg_closes);
-        snap.add("agg_spills", stats.agg_spills);
         snap.add("executor_queued", stats.queued());
         snap.add("executor_inflight", stats.inflight());
         snap

@@ -219,8 +219,8 @@ impl QueryTrace {
     }
 
     /// Folds one session's close in: the groups it read back leave the
-    /// kernel `step` its tables belong to, and the cycles of opening,
-    /// spilling and closing them are billed there — beside the ranges
+    /// kernel `step` its tables belong to, and the cycles of opening and
+    /// closing them are billed there — beside the ranges
     /// that updated them, which `morsels` goes on counting alone.
     pub(crate) fn record_close(&mut self, step: &PlanStep, groups: u64, cycles: u64) {
         let r = self.rollup_mut(step.to_string());

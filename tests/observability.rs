@@ -408,12 +408,11 @@ fn stats_reseeds_count_registrations_and_mutations_never_compactions() {
     assert!(snap.to_json().contains("\"stats_reseeds\": 5"));
 }
 
-/// `agg_opens` / `agg_closes` / `agg_spills` count what reads do to their
-/// sessions' aggregate tables, and how often is structure, not timing: a
+/// `agg_opens` / `agg_closes` count what reads do to their sessions'
+/// aggregate tables, and how often is structure, not timing: a
 /// statement opens and closes once per session that ran one of its
 /// ranges — once inline, however many ranges a token cuts it into; at
-/// most once per pool worker — and never spills while the planner's key
-/// space is exact.
+/// most once per pool worker.
 #[test]
 fn aggregates_open_and_close_once_per_session_a_statement_touched() {
     let table = || {
@@ -430,12 +429,12 @@ fn aggregates_open_and_close_once_per_session_a_statement_touched() {
         "SELECT g, COUNT(*) FROM t WHERE v > 100 GROUP BY g",
     ];
     let count = |snap: &vagg::db::MetricsSnapshot| {
-        ["agg_opens", "agg_closes", "agg_spills"].map(|name| snap.get(name).unwrap())
+        ["agg_opens", "agg_closes"].map(|name| snap.get(name).unwrap())
     };
 
     let mut db = Database::new();
     db.register(table());
-    assert_eq!(count(&db.metrics()), [0, 0, 0]);
+    assert_eq!(count(&db.metrics()), [0, 0]);
     let mut expect = 0;
     for sql in statements {
         // Whole plan, then five 2048-row ranges under a token.
@@ -448,11 +447,11 @@ fn aggregates_open_and_close_once_per_session_a_statement_touched() {
             assert_eq!(token.morsels(), 5, "{sql}");
             expect += 2;
         }
-        assert_eq!(count(&db.metrics()), [expect, expect, 0], "{sql}");
+        assert_eq!(count(&db.metrics()), [expect, expect], "{sql}");
     }
     let snap = db.metrics();
     assert!(snap.to_text().contains("vagg_agg_closes 6\n"));
-    assert!(snap.to_json().contains("\"agg_spills\": 0"));
+    assert!(snap.to_json().contains("\"agg_closes\": 6"));
 
     // The pool: 4 shards on 2 workers; each statement closes once per
     // worker that ran one of its morsels.
@@ -463,7 +462,7 @@ fn aggregates_open_and_close_once_per_session_a_statement_touched() {
     let mut sharded = ShardedDatabase::with_executor(vagg::db::Engine::new(), 4, config);
     sharded.register(table());
     let mut before = count(&sharded.metrics());
-    assert_eq!(before, [0, 0, 0]);
+    assert_eq!(before, [0, 0]);
     for sql in statements {
         let traced = sharded.run_sql(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
         let trace = traced.trace.as_deref().unwrap();
@@ -473,7 +472,6 @@ fn aggregates_open_and_close_once_per_session_a_statement_touched() {
         let after = count(&sharded.metrics());
         assert_eq!(after[1] - before[1], ran.len() as u64, "{sql}");
         assert_eq!(after[0], after[1], "every open was closed: {sql}");
-        assert_eq!(after[2], 0, "{sql}");
         assert_eq!(sharded.executor_stats().agg_closes, after[1]);
         before = after;
     }

@@ -18,8 +18,9 @@
 //! The aggregate's tables outlive a range, so the oracle follows the
 //! state: however a statement is cut into ranges and wherever they run
 //! — whole plan, 2048-row ranges under a token, pool morsels of any
-//! size, stolen or not — the rows are the whole plan's; a cancelled or
-//! spilled aggregate leaves nothing behind.
+//! size, stolen or not — the rows are the whole plan's, every session
+//! that opened tables closes them once, and a cancelled aggregate leaves
+//! nothing behind.
 //!
 //! A join is held to the same: its build and probe are host phases in
 //! front of the driver, so every entry point — prepared, single or
@@ -30,8 +31,8 @@ use proptest::prelude::*;
 use vagg::core::{monotable, StagedInput};
 use vagg::datagen::rng::Xoshiro256StarStar;
 use vagg::db::{
-    CancelToken, CardinalityEstimation, Database, Engine, ExecutorConfig, PreparedStatement,
-    QueryOutput, Row, ShardedDatabase, Snapshot, SqlError, SqlOutcome, Table, DEFAULT_MORSEL_ROWS,
+    CancelToken, Database, Engine, ExecutorConfig, PreparedStatement, QueryOutput, Row,
+    ShardedDatabase, Snapshot, SqlError, SqlOutcome, Table, DEFAULT_MORSEL_ROWS,
 };
 use vagg::sim::Machine;
 
@@ -414,10 +415,10 @@ fn a_prepared_statement_answers_as_run_sql_across_plan_events() {
 /// A table whose statements exercise the carried state: `w` is
 /// clustered (constant over 256 rows), so a `w > k` filter empties
 /// whole ranges; `spike` plants a run of key 40 in the second vector
-/// chunk only, where no sampled scan of stride ≥ 2 looks — a sampled
-/// key-space estimate under-bounds it, and the range that meets it
-/// spills; `wide` plants one key past the §V-D threshold, so the
-/// planner picks a kernel that keeps no tables.
+/// chunk only, so one range's maximum key is far above the others' and
+/// only the plan's key space bounds them all; `wide` plants one key
+/// past the §V-D threshold, so the planner picks a kernel that keeps no
+/// tables.
 fn carried_table(n: usize, seed: u64, spike: bool, wide: bool) -> Table {
     let mut rng =
         Xoshiro256StarStar::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(11));
@@ -497,15 +498,11 @@ proptest! {
         // `w` is below 8: the top of this range empties every range,
         // everything below it some of them.
         filter in proptest::option::of(0u32..9),
-        stride in proptest::option::of(2usize..9),
         // Bit 0: the spike; bit 1: the wide key.
         plant in 0u8..4,
     ) {
         let t = carried_table(n, seed, plant & 1 != 0 && n > 256, plant & 2 != 0);
-        let engine = match stride {
-            Some(stride) => Engine::new().with_estimation(CardinalityEstimation::Sampled { stride }),
-            None => Engine::new(),
-        };
+        let engine = Engine::new();
         let keys = if composite { "a, b" } else { "a" };
         let mut sql = format!("SELECT {keys}, COUNT(*), SUM(v)");
         if minmax {
@@ -535,13 +532,10 @@ proptest! {
         prop_assert_eq!(&ranged.rows, &whole.rows, "inline + token: {}", &sql);
         prop_assert_eq!(ranged.report.rows_aggregated, whole.report.rows_aggregated);
         for db in [&whole_db, &ranged_db] {
-            // A table-based statement that reached its first range closes
-            // once; only an under-bounding sampled estimate spills.
+            // A table-based statement that reached its first range opens
+            // and closes once.
             prop_assert!(counter(db, "agg_closes") <= 1);
-            prop_assert_eq!(counter(db, "agg_opens"), counter(db, "agg_closes") + counter(db, "agg_spills"));
-            if stride.is_none() {
-                prop_assert_eq!(counter(db, "agg_spills"), 0, "exact estimates bound every key");
-            }
+            prop_assert_eq!(counter(db, "agg_opens"), counter(db, "agg_closes"));
         }
         if n <= DEFAULT_MORSEL_ROWS {
             prop_assert_eq!(ranged.report.cycles, whole.report.cycles, "one range: {}", &sql);
@@ -556,52 +550,12 @@ proptest! {
             prop_assert_eq!(&out.rows, &whole.rows, "{}×{} pool, {}-row morsels: {}", shards, workers, rows, &sql);
             let stats = db.executor_stats();
             prop_assert!(stats.agg_closes <= workers as u64, "{:?}", stats);
-            prop_assert_eq!(stats.agg_opens, stats.agg_closes + stats.agg_spills, "{:?}", stats);
+            prop_assert_eq!(stats.agg_opens, stats.agg_closes, "{:?}", stats);
             // Again on the same pool: nothing of the first is left over.
             let again = db.run_sql(&sql).unwrap();
             prop_assert_eq!(&again.rows, &whole.rows, "second run on the pool: {}", &sql);
         }
     }
-}
-
-/// The spill, held still: the planted keys are invisible to a stride-8
-/// sample, so the estimate under-bounds them; the first range spills —
-/// its (still empty) tables are dropped, larger ones opened — and the
-/// rows are the exact plan's.
-#[test]
-fn a_range_that_outgrows_the_tables_spills_and_never_writes_past_them() {
-    let t = carried_table(3 * DEFAULT_MORSEL_ROWS, 5, true, false);
-    let sampled = Engine::new().with_estimation(CardinalityEstimation::Sampled { stride: 8 });
-    let sql = "SELECT a, COUNT(*), SUM(v), MIN(v) FROM t GROUP BY a";
-    let exact = rows_of(database(&Engine::new(), &t).run_sql(sql).unwrap());
-    assert!(exact.rows.iter().any(|r| r.group == 40), "the planted run");
-
-    let mut db = database(&sampled, &t);
-    let out = rows_of(db.run_sql_cancellable(sql, &CancelToken::new()).unwrap());
-    assert_eq!(out.rows, exact.rows);
-    assert_eq!(counter(&db, "agg_spills"), 1);
-    assert_eq!(counter(&db, "agg_opens"), 2);
-    assert_eq!(counter(&db, "agg_closes"), 1);
-
-    // Spilled tables that had taken rows are merged, not dropped: plant
-    // the run where only the *second* range meets it.
-    let mut late = t.column("a").unwrap().to_vec();
-    late.copy_within(64..128, DEFAULT_MORSEL_ROWS + 64);
-    for key in &mut late[64..128] {
-        *key = 3;
-    }
-    let late = Table::new("t")
-        .with_column("a", late)
-        .with_column("v", t.column("v").unwrap().to_vec());
-    let exact = rows_of(database(&Engine::new(), &late).run_sql(sql).unwrap());
-    let mut db = database(&sampled, &late);
-    let out = rows_of(db.run_sql_cancellable(sql, &CancelToken::new()).unwrap());
-    assert_eq!(out.rows, exact.rows);
-    assert_eq!(counter(&db, "agg_spills"), 1);
-    let pooled = pool(&sampled, &late, 1, 1, DEFAULT_MORSEL_ROWS)
-        .run_sql(sql)
-        .unwrap();
-    assert_eq!(pooled.rows, exact.rows);
 }
 
 /// One §III-A scan per range, and it is used: on a fresh session a
