@@ -19,7 +19,8 @@ use crate::protocol::{
 pub enum ClientError {
     /// The socket failed.
     Io(io::Error),
-    /// The server sent a frame this client cannot parse.
+    /// The server sent a frame this client cannot parse, or a request
+    /// does not fit a frame (nothing was sent).
     Frame(FrameError),
     /// The server answered with a typed error.
     Server {
@@ -159,7 +160,18 @@ impl Client {
     }
 
     /// Binds and runs a prepared statement.
+    ///
+    /// More parameters than an `Execute` frame can count (`u16::MAX`)
+    /// are a [`ClientError::Frame`], returned before anything is sent:
+    /// the connection and its session stay as they were.
     pub fn execute(&mut self, statement: u32, params: &[u64]) -> Result<Vec<WireRow>, ClientError> {
+        if u16::try_from(params.len()).is_err() {
+            return Err(ClientError::Frame(FrameError(format!(
+                "{} parameters exceed the {} an Execute frame counts",
+                params.len(),
+                u16::MAX
+            ))));
+        }
         let query_id = self.fresh_query_id();
         match self.call(&Request::Execute {
             query_id,

@@ -308,6 +308,10 @@ fn put_string(buf: &mut Vec<u8>, s: &str) {
 
 impl Request {
     /// Serialises the request into a frame payload.
+    ///
+    /// An `Execute` counts its parameters in a `u16`: a caller with more
+    /// than `u16::MAX` of them must refuse before encoding, as
+    /// [`crate::Client::execute`] does.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         match self {
@@ -397,6 +401,10 @@ impl Request {
 
 impl Response {
     /// Serialises the response into a frame payload.
+    ///
+    /// A row counts its group parts and its values in a `u16` each:
+    /// they are the query's grouping columns and aggregates, which no
+    /// statement has anywhere near `u16::MAX` of.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         match self {

@@ -141,6 +141,31 @@ fn prepared_statements_bind_over_the_wire() {
     assert_eq!(err.code(), Some(ErrorCode::Bind), "{err}");
 }
 
+/// An `Execute` counts its parameters in a `u16`: 65 536 of them fail
+/// typed on the client before a byte is sent, and the connection, its
+/// session and the statement go on serving.
+#[test]
+fn too_many_parameters_fail_typed_and_the_session_survives() {
+    let catalogue = catalogue(1_000);
+    let handle = serve(catalogue.clone(), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let sql = "SELECT g, COUNT(*) FROM events WHERE v > ? GROUP BY g";
+    let stmt = client.prepare(sql).unwrap();
+
+    let err = client.execute(stmt, &vec![1; 65_536]).unwrap_err();
+    assert!(matches!(err, ClientError::Frame(_)), "{err}");
+
+    let rows = client
+        .query("SELECT g, COUNT(*) FROM events GROUP BY g")
+        .unwrap();
+    let expected = library_rows(&catalogue, "SELECT g, COUNT(*) FROM events GROUP BY g");
+    assert_same_rows(&rows, &expected, "the next query");
+    let rows = client.execute(stmt, &[50]).unwrap();
+    let expected = library_rows(&catalogue, &sql.replace('?', "50"));
+    assert_same_rows(&rows, &expected, "the statement, bound again");
+    handle.shutdown();
+}
+
 /// A `JOIN` template prepares over the wire like any other statement,
 /// and each bound execution answers as a `Query` of the bound SQL.
 #[test]
