@@ -8,6 +8,11 @@
 //! functional unit, one per cluster, one for the DRAM data bus — are
 //! reserved when the machine is built, at the size their caps bound
 //! them to. A counting global allocator holds the count at zero.
+//!
+//! The same allocator bounds the wire decoders: whatever a frame's
+//! counts and lengths claim, no single allocation `Request::decode` or
+//! `Response::decode` makes exceeds `MAX_FRAME_BYTES`, the most a frame
+//! can carry.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,23 +20,39 @@ use std::cell::Cell;
 use vagg::isa::{BinOp, CmpOp, Mreg, RedOp, Vreg};
 use vagg::mem::{HierarchyParams, MemoryHierarchy};
 use vagg::sim::Machine;
+use vagg_server::protocol::MAX_FRAME_BYTES;
+use vagg_server::{Request, Response};
 
 thread_local! {
     /// Allocations made by this thread while it is counting; `None`
     /// while it is not (the test harness's own threads never are).
     static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+    /// The largest single request, in bytes, this thread made while
+    /// counting.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+// Counts one request of `size` bytes, if this thread is counting.
+// `try_with`: a thread being torn down may allocate after its
+// thread-locals are gone.
+fn record(size: usize) {
+    let _ = ALLOCATIONS.try_with(|n| {
+        if let Some(count) = n.get() {
+            n.set(Some(count + 1));
+            let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+        }
+    });
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to the system allocator;
-// the thread-local is a `Cell` of a `Copy` value with a const
-// initialiser, so touching it neither allocates nor runs a destructor.
+// the thread-locals are `Cell`s of `Copy` values with const
+// initialisers, so touching them neither allocates nor runs a
+// destructor.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with`: a thread being torn down may allocate after its
-        // thread-locals are gone.
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+        record(layout.size());
         System.alloc(layout)
     }
 
@@ -40,7 +61,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+        record(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -55,6 +76,14 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(|n| n.replace(None)).expect("was counting")
 }
 
+/// The largest single allocation (or reallocation), in bytes, `f`
+/// makes on this thread; 0 when it makes none.
+fn largest_allocation_in(f: impl FnOnce()) -> usize {
+    LARGEST.with(|l| l.set(0));
+    allocations_in(f);
+    LARGEST.with(|l| l.get())
+}
+
 #[test]
 fn the_counter_counts() {
     assert_eq!(
@@ -62,6 +91,14 @@ fn the_counter_counts() {
         1
     );
     assert_eq!(allocations_in(|| ()), 0);
+    assert_eq!(
+        largest_allocation_in(|| {
+            drop(std::hint::black_box(vec![1u8; 64]));
+            drop(std::hint::black_box(vec![1u8; 4_096]));
+        }),
+        4_096
+    );
+    assert_eq!(largest_allocation_in(|| ()), 0);
 }
 
 #[test]
@@ -166,4 +203,89 @@ fn a_flushed_hierarchy_books_its_bus_without_allocating() {
     });
     assert_eq!(allocations, 0, "over 600 DRAM transactions after a flush");
     assert_eq!(h.stats().dram.requests, 900);
+}
+
+/// Decodes `bytes` both ways and returns the largest single allocation
+/// either decoder made.
+fn largest_decode_allocation(bytes: &[u8]) -> usize {
+    largest_allocation_in(|| {
+        drop(std::hint::black_box(Request::decode(bytes)));
+        drop(std::hint::black_box(Response::decode(bytes)));
+    })
+}
+
+/// Frames whose counts and lengths claim far more than they carry.
+#[test]
+fn decoders_do_not_trust_a_frame_s_counts() {
+    let query_id = [7u8; 8];
+    let statement = [3u8; 4];
+    let cases: [(&str, Vec<u8>); 6] = [
+        (
+            "Rows claiming u32::MAX rows",
+            vec![0x82, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2],
+        ),
+        (
+            "a row claiming u16::MAX group parts",
+            vec![0x82, 1, 0, 0, 0, 9, 9, 9, 9, 0xFF, 0xFF, 1],
+        ),
+        (
+            "a Query string of u32::MAX bytes",
+            [&[0x02][..], &query_id, &[0xFF, 0xFF, 0xFF, 0xFF], b"x"].concat(),
+        ),
+        (
+            "an Outcome string of u32::MAX bytes",
+            vec![0x85, 0xFF, 0xFF, 0xFF, 0xFF, b'x'],
+        ),
+        (
+            "an Execute claiming 65 535 parameters",
+            [
+                &[0x04][..],
+                &query_id,
+                &statement,
+                &[0xFF, 0xFF],
+                &[1, 2, 3],
+            ]
+            .concat(),
+        ),
+        (
+            "an Error with an unknown code",
+            vec![0x83, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF],
+        ),
+    ];
+    for (what, bytes) in cases {
+        assert!(Request::decode(&bytes).is_err() && Response::decode(&bytes).is_err());
+        let largest = largest_decode_allocation(&bytes);
+        assert!(largest <= MAX_FRAME_BYTES, "{what}: {largest} bytes");
+    }
+}
+
+/// Request and response opcodes, so that arbitrary bodies mostly reach
+/// a variant's decoder instead of the unknown-opcode arm.
+const OPCODES: [u8; 17] = [
+    0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0A, 0x81, 0x82, 0x83, 0x84, 0x85, 0x86,
+    0x87,
+];
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+    /// Arbitrary bodies behind a real opcode, some of their bytes
+    /// saturated so that counts and lengths claim the most they can.
+    #[test]
+    fn no_decode_allocation_exceeds_a_frame(
+        op in proptest::sample::select(OPCODES.to_vec()),
+        body in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48),
+        saturated in proptest::collection::vec(proptest::prelude::any::<usize>(), 0..6),
+    ) {
+        let mut bytes = body;
+        for at in saturated {
+            if !bytes.is_empty() {
+                let at = at % bytes.len();
+                bytes[at] = 0xFF;
+            }
+        }
+        bytes.insert(0, op);
+        let largest = largest_decode_allocation(&bytes);
+        proptest::prop_assert!(largest <= MAX_FRAME_BYTES, "{:?}: {} bytes", bytes, largest);
+    }
 }
