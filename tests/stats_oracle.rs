@@ -16,7 +16,11 @@
 //! * a filtered aggregate — pruned over the *current* zones — returns
 //!   the rows a host-side scan of the table computes;
 //! * every aggregate table that read opened was closed once: the
-//!   planner's key space bounds every key, whatever the writes did.
+//!   planner's key space bounds every key, whatever the writes did;
+//! * the plan the live database serves for that aggregate from its
+//!   warm plan cache equals the plan a fresh registration makes cold —
+//!   its `explain()` text (but for the data version and zone count,
+//!   which describe the table's history), its rows and its cycles.
 //!
 //! Op lists mix appends (empty, 1-row, 64-row, with a sorted key column
 //! and not), `DELETE` / `UPDATE` whose predicate matches no, some or
@@ -30,8 +34,8 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use vagg::db::{
-    CompactionPolicy, Database, Engine, ExecutorConfig, MetricsSnapshot, Row, RowBatch,
-    ShardedDatabase, SqlOutcome, Table, TableStats, TempDir,
+    CompactionPolicy, Database, Engine, ExecutorConfig, MetricsSnapshot, QueryPlan, Row, RowBatch,
+    Session, ShardedDatabase, SqlOutcome, Table, TableStats, TempDir,
 };
 
 const COLUMNS: [&str; 3] = ["g", "k", "v"];
@@ -275,12 +279,52 @@ fn check_bounded(snap: &MetricsSnapshot, what: &str) -> Result<(), TestCaseError
     Ok(())
 }
 
-/// Both halves of the oracle on one single-store database.
+/// A plan's `explain()` without the words that describe the table's
+/// history rather than its rows: the data version, and the zone count
+/// (after an append the live statistics keep the batch's own zone, a
+/// fresh registration re-seeds one).
+fn rows_explain(plan: &QueryPlan) -> String {
+    plan.explain()
+        .split(' ')
+        .filter(|w| !w.starts_with("data_version=") && !w.starts_with("zone_maps="))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// The plan the live database serves for the range statement — from
+/// its warm plan cache — is the plan a fresh registration of the same
+/// rows makes cold: the same text, rows and cycles.
+fn check_served_plan(db: &Database, threshold: u32, what: &str) -> Result<(), TestCaseError> {
+    let sql = range_sql(threshold);
+    let served = db.explain_sql(&sql).unwrap();
+    let mut fresh = Database::new();
+    fresh.register(db.table("t").expect("t is registered"));
+    let cold = fresh.explain_sql(&sql).unwrap();
+    let (served, cold) = (served.plan().unwrap(), cold.plan().unwrap());
+    prop_assert_eq!(
+        rows_explain(served),
+        rows_explain(cold),
+        "{}: served plan",
+        what
+    );
+    let (a, b) = (Session::new().run(served), Session::new().run(cold));
+    prop_assert_eq!(flat(&a.rows), flat(&b.rows), "{}: served plan rows", what);
+    prop_assert_eq!(
+        a.report.cycles,
+        b.report.cycles,
+        "{}: served plan cycles",
+        what
+    );
+    Ok(())
+}
+
+/// Every part of the oracle on one single-store database.
 fn check(db: &mut Database, threshold: u32, what: &str) -> Result<(), TestCaseError> {
     check_stats(db, what)?;
     let table = db.table("t").unwrap();
     // A table a DELETE emptied plans to a typed `EmptyTable` error.
     if table.rows() > 0 {
+        check_served_plan(db, threshold, what)?;
         let got = db.execute_sql(&range_sql(threshold)).unwrap();
         prop_assert_eq!(
             flat(&got.rows),
