@@ -11,18 +11,16 @@
 //! which is sound because plan-time statistics are taken over the
 //! unfiltered table and no literal feeds the §V-D algorithm choice.
 //!
-//! The cache is LRU-evicting and counts hits, misses, evictions,
-//! invalidations and rebases. Two kinds of staleness exist:
+//! The cache is LRU-evicting and counts hits, misses, evictions and
+//! invalidations. An entry serves exactly the data version it was
+//! planned at:
 //!
 //! * **schema change** (re-registration) bumps the version inside the
 //!   shape key and purges the table's entries outright;
-//! * **data change** (ingest through the write path) bumps the entry's
-//!   *data version* tag. A stale-data entry is not dropped blindly: the
-//!   catalogue tries to [rebase](PlanCache::rebase) it onto the new
-//!   column snapshots using the incrementally maintained statistics —
-//!   only *stats-sensitive* entries (the §V-D algorithm choice flipped,
-//!   or the plan cannot be cheaply refreshed) are invalidated and
-//!   re-planned from scratch.
+//! * **data change** (any write) bumps the table's *data version*. A
+//!   lookup at any version other than the entry's is a miss; the
+//!   catalogue plans afresh, and a plan made at the table's current
+//!   versions replaces the entry.
 
 use crate::plan::QueryPlan;
 use crate::query::{AggregateQuery, OrderKey};
@@ -100,22 +98,17 @@ fn masked(pred_sql: String) -> String {
 /// Hit/miss accounting for a [`PlanCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups served from the cache (after rebinding constants),
-    /// including stale-data entries served after a successful rebase.
+    /// Lookups served from the cache (after rebinding constants): an
+    /// entry planned at the caller's data version.
     pub hits: u64,
     /// Lookups that had to plan from scratch.
     pub misses: u64,
     /// Entries dropped to make room (LRU order).
     pub evictions: u64,
-    /// Entries purged as unusable: the table was re-registered, or an
-    /// ingest drifted the statistics past the §V-D decision threshold
-    /// (a *stats-sensitive* entry — see [`PlanCache::drop_stale`]).
+    /// Entries purged because their table was re-registered (see
+    /// [`PlanCache::invalidate_table`]). A write only moves the data
+    /// version: the next lookup misses and its plan replaces the entry.
     pub invalidations: u64,
-    /// Stale-data entries refreshed in place: the data version moved
-    /// but the statistics left the algorithm choice standing, so the
-    /// plan was rebased onto the new column snapshots instead of being
-    /// re-planned (see [`PlanCache::rebase`]).
-    pub rebases: u64,
 }
 
 impl CacheStats {
@@ -127,23 +120,7 @@ impl CacheStats {
         snap.add("plan_cache_misses", self.misses);
         snap.add("plan_cache_evictions", self.evictions);
         snap.add("plan_cache_invalidations", self.invalidations);
-        snap.add("plan_cache_rebases", self.rebases);
     }
-}
-
-/// What [`PlanCache::lookup`] found for a shape at a data version.
-#[derive(Debug, Clone)]
-pub enum Lookup {
-    /// An entry planned against the current data version: a plain hit
-    /// (already counted), ready to rebind and serve.
-    Fresh(QueryPlan),
-    /// An entry from an older data version. Nothing is counted yet:
-    /// the caller decides between [`PlanCache::rebase`] (refresh in
-    /// place) and [`PlanCache::drop_stale`] (stats-sensitive
-    /// invalidation followed by a fresh plan).
-    Stale(QueryPlan),
-    /// No entry (the miss is counted by [`PlanCache::insert`]).
-    Miss,
 }
 
 struct Entry {
@@ -156,8 +133,8 @@ struct Entry {
 /// An LRU cache of [`QueryPlan`]s keyed by [`QueryShape`].
 ///
 /// The cache itself is a passive map — [`crate::SharedCatalogue`] wires
-/// it into planning (shape computation, rebinding, the algorithm
-/// re-check) and invalidation (on table re-registration).
+/// it into planning (shape computation, rebinding) and invalidation
+/// (on table re-registration).
 pub struct PlanCache {
     capacity: usize,
     tick: u64,
@@ -205,67 +182,26 @@ impl PlanCache {
         self.stats
     }
 
-    /// Looks up a shape at the table's current `data_version`. A
-    /// current-version entry is a counted hit ([`Lookup::Fresh`],
-    /// recency refreshed); an older-version entry comes back as
-    /// [`Lookup::Stale`] with nothing counted — the caller resolves it
-    /// with [`PlanCache::rebase`] or [`PlanCache::drop_stale`].
-    /// Counting the miss is [`PlanCache::insert`]'s job, so a lookup
-    /// that the caller resolves by planning is charged exactly once.
-    pub fn lookup(&mut self, shape: &QueryShape, data_version: u64) -> Lookup {
+    /// Looks up a shape at the caller's `data_version`: an entry
+    /// planned at exactly that version is a counted hit (recency
+    /// refreshed); anything else is `None`, with nothing counted.
+    /// Counting the miss is [`PlanCache::insert`]'s (or
+    /// [`PlanCache::note_miss`]'s) job, so a lookup that the caller
+    /// resolves by planning is charged exactly once.
+    pub fn lookup(&mut self, shape: &QueryShape, data_version: u64) -> Option<QueryPlan> {
         self.tick += 1;
-        let tick = self.tick;
-        match self.entries.get_mut(shape) {
-            Some(e) if e.data_version == data_version => {
-                e.last_used = tick;
-                self.stats.hits += 1;
-                Lookup::Fresh(e.plan.clone())
-            }
-            Some(e) => Lookup::Stale(e.plan.clone()),
-            None => Lookup::Miss,
-        }
-    }
-
-    /// Replaces a stale entry's plan with one rebased onto the current
-    /// data version, counting a hit plus a rebase. Skipped (returning
-    /// `false`, nothing counted) if the entry vanished or was already
-    /// refreshed past `data_version` by a concurrent caller.
-    pub fn rebase(&mut self, shape: &QueryShape, plan: QueryPlan, data_version: u64) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.entries.get_mut(shape) {
-            Some(e) if e.data_version <= data_version => {
-                e.plan = plan;
-                e.data_version = data_version;
-                e.last_used = tick;
-                self.stats.hits += 1;
-                self.stats.rebases += 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Drops a stale entry whose plan could not be rebased — the
-    /// *stats-sensitive* invalidation of the write path (the drifted
-    /// statistics flipped the §V-D choice, or the plan needs a real
-    /// statistics pass). Counted as an invalidation. Entries already
-    /// at (or past) the caller's `data_version` are left alone: a
-    /// reader holding an older snapshot must not tear down an entry a
-    /// concurrent planner just refreshed.
-    pub fn drop_stale(&mut self, shape: &QueryShape, data_version: u64) {
-        if self
+        let e = self
             .entries
-            .get(shape)
-            .is_some_and(|e| e.data_version < data_version)
-        {
-            self.entries.remove(shape);
-            self.stats.invalidations += 1;
-        }
+            .get_mut(shape)
+            .filter(|e| e.data_version == data_version)?;
+        e.last_used = self.tick;
+        self.stats.hits += 1;
+        Some(e.plan.clone())
     }
 
     /// Inserts a freshly planned shape at `data_version`, counting the
-    /// miss that caused it and evicting the least-recently-used entry
+    /// miss that caused it. The plan replaces the shape's entry at any
+    /// other version; a new shape evicts the least-recently-used entry
     /// when full.
     pub fn insert(&mut self, shape: QueryShape, plan: QueryPlan, data_version: u64) {
         self.stats.misses += 1;
@@ -299,14 +235,6 @@ impl PlanCache {
     /// keeping hit + miss == lookups exact.
     pub fn note_miss(&mut self) {
         self.stats.misses += 1;
-    }
-
-    /// Counts a lookup served from a cached entry *without* touching
-    /// the entry — a reader at an old [`crate::Snapshot`] rebasing a
-    /// newer entry locally ([`PlanCache::rebase`] refuses to regress
-    /// the entry itself), keeping hit + miss == lookups exact.
-    pub fn note_hit(&mut self) {
-        self.stats.hits += 1;
     }
 
     /// Purges every plan of `table` (on re-registration / statistics
@@ -383,77 +311,31 @@ mod tests {
         let mut cache = PlanCache::new(4);
         let q = AggregateQuery::paper("g", "v");
         let shape = QueryShape::of("r", 0, &q);
-        assert!(matches!(cache.lookup(&shape, 1), Lookup::Miss));
+        assert!(cache.lookup(&shape, 1).is_none());
         cache.insert(shape.clone(), plan_for(&q), 1);
-        assert!(matches!(cache.lookup(&shape, 1), Lookup::Fresh(_)));
-        assert!(matches!(cache.lookup(&shape, 1), Lookup::Fresh(_)));
+        assert!(cache.lookup(&shape, 1).is_some());
+        assert!(cache.lookup(&shape, 1).is_some());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (2, 1));
     }
 
     #[test]
-    fn stale_data_versions_come_back_uncounted() {
-        let mut cache = PlanCache::new(4);
+    fn another_data_version_misses_and_the_fresh_plan_replaces_the_entry() {
+        let mut cache = PlanCache::new(1);
         let q = AggregateQuery::paper("g", "v");
         let shape = QueryShape::of("r", 0, &q);
-        cache.insert(shape.clone(), plan_for(&q), 1);
-        // An append bumped the data version: the entry is stale, and
-        // the lookup alone charges nothing.
-        assert!(matches!(cache.lookup(&shape, 2), Lookup::Stale(_)));
-        assert_eq!(cache.stats().hits, 0);
-
-        // Rebasing refreshes it in place: hit + rebase, and the next
-        // lookup at the new version is fresh.
-        assert!(cache.rebase(&shape, plan_for(&q), 2));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.rebases, s.invalidations), (1, 1, 0));
-        assert!(matches!(cache.lookup(&shape, 2), Lookup::Fresh(_)));
-    }
-
-    #[test]
-    fn drop_stale_counts_a_stats_sensitive_invalidation() {
-        let mut cache = PlanCache::new(4);
-        let q = AggregateQuery::paper("g", "v");
-        let shape = QueryShape::of("r", 0, &q);
-        cache.insert(shape.clone(), plan_for(&q), 1);
-        assert!(matches!(cache.lookup(&shape, 2), Lookup::Stale(_)));
-        cache.drop_stale(&shape, 2);
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.stats().invalidations, 1);
-        // Dropping twice is a no-op.
-        cache.drop_stale(&shape, 2);
-        assert_eq!(cache.stats().invalidations, 1);
-    }
-
-    #[test]
-    fn drop_stale_never_tears_down_a_current_or_newer_entry() {
-        let mut cache = PlanCache::new(4);
-        let q = AggregateQuery::paper("g", "v");
-        let shape = QueryShape::of("r", 0, &q);
-        // A concurrent planner refreshed the entry to data version 2;
-        // a racer still holding the version-1 snapshot must not remove
-        // it (same version: guarded; older caller: guarded).
         cache.insert(shape.clone(), plan_for(&q), 2);
-        cache.drop_stale(&shape, 2);
-        cache.drop_stale(&shape, 1);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().invalidations, 0);
-        assert!(matches!(cache.lookup(&shape, 2), Lookup::Fresh(_)));
-    }
-
-    #[test]
-    fn rebase_never_regresses_a_newer_entry() {
-        let mut cache = PlanCache::new(4);
-        let q = AggregateQuery::paper("g", "v");
-        let shape = QueryShape::of("r", 0, &q);
-        cache.insert(shape.clone(), plan_for(&q), 5);
-        // A racer holding an older snapshot must not roll the entry
-        // back to data version 3.
-        assert!(!cache.rebase(&shape, plan_for(&q), 3));
-        assert!(matches!(cache.lookup(&shape, 5), Lookup::Fresh(_)));
-        // ...and rebasing a vanished entry is a counted no-op.
-        assert!(!cache.rebase(&QueryShape::of("x", 0, &q), plan_for(&q), 1));
-        assert_eq!(cache.stats().rebases, 0);
+        // An older and a newer data version both miss, uncounted.
+        assert!(cache.lookup(&shape, 1).is_none());
+        assert!(cache.lookup(&shape, 3).is_none());
+        assert_eq!(cache.stats().hits, 0);
+        // The plan made at version 3 takes the entry's place in a full
+        // cache: no eviction, and version 2 no longer hits.
+        cache.insert(shape.clone(), plan_for(&q), 3);
+        let s = cache.stats();
+        assert_eq!((cache.len(), s.misses, s.evictions), (1, 2, 0));
+        assert!(cache.lookup(&shape, 3).is_some());
+        assert!(cache.lookup(&shape, 2).is_none());
     }
 
     #[test]
@@ -468,16 +350,13 @@ mod tests {
         cache.insert(shapes[0].clone(), plan_for(&queries[0]), 1);
         cache.insert(shapes[1].clone(), plan_for(&queries[1]), 1);
         // Touch shape 0 so shape 1 is the LRU victim.
-        assert!(matches!(cache.lookup(&shapes[0], 1), Lookup::Fresh(_)));
+        assert!(cache.lookup(&shapes[0], 1).is_some());
         cache.insert(shapes[2].clone(), plan_for(&queries[2]), 1);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
-        assert!(matches!(cache.lookup(&shapes[0], 1), Lookup::Fresh(_)));
-        assert!(
-            matches!(cache.lookup(&shapes[1], 1), Lookup::Miss),
-            "evicted"
-        );
-        assert!(matches!(cache.lookup(&shapes[2], 1), Lookup::Fresh(_)));
+        assert!(cache.lookup(&shapes[0], 1).is_some());
+        assert!(cache.lookup(&shapes[1], 1).is_none(), "evicted");
+        assert!(cache.lookup(&shapes[2], 1).is_some());
     }
 
     #[test]
@@ -491,9 +370,6 @@ mod tests {
         assert_eq!(cache.invalidate_table("r"), 1);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().invalidations, 1);
-        assert!(matches!(
-            cache.lookup(&QueryShape::of("s", 0, &q), 1),
-            Lookup::Fresh(_)
-        ));
+        assert!(cache.lookup(&QueryShape::of("s", 0, &q), 1).is_some());
     }
 }

@@ -33,7 +33,7 @@
 //! # Ok::<(), vagg_db::SqlError>(())
 //! ```
 
-use crate::cache::{CacheStats, Lookup, PlanCache, QueryShape};
+use crate::cache::{CacheStats, PlanCache, QueryShape};
 use crate::database::{Database, SqlError};
 use crate::delta::{materialise, DeltaCut, DeltaStore, TableStats, ZoneMaps};
 use crate::engine::Engine;
@@ -41,7 +41,7 @@ use crate::filter::Predicate;
 use crate::ingest::{CompactionPolicy, IngestReceipt, RowBatch};
 use crate::metrics::MetricsRegistry;
 use crate::plan::PlanError;
-use crate::plan::{QueryPlan, ScanMode};
+use crate::plan::QueryPlan;
 use crate::query::AggregateQuery;
 use crate::shard::Shard;
 use crate::snapshot::{Snapshot, SnapshotStats, TableCut};
@@ -50,7 +50,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use vagg_core::{select_algorithm, AdaptiveMode, PlannerInputs};
 
 /// One registered table: the immutable base, the append-only delta
 /// layered on top, live statistics, and two version counters.
@@ -58,10 +57,9 @@ use vagg_core::{select_algorithm, AdaptiveMode, PlannerInputs};
 /// * The **schema version** bumps on (re-)registration and is part of
 ///   every plan-cache key, so replacing a table makes all of its cached
 ///   plans unreachable *and* purges them.
-/// * The **data version** bumps on every appended batch. Cached plans
-///   are tagged with it; a stale-data plan is rebased onto the new
-///   columns when the drifted statistics leave its §V-D choice standing
-///   and invalidated (re-planned) when they do not.
+/// * The **data version** bumps on every write. Cached plans are tagged
+///   with it and serve only that version: the first read after a write
+///   misses, and its fresh plan replaces the entry.
 struct Registered {
     schema_version: u64,
     data_version: u64,
@@ -444,10 +442,9 @@ impl SharedCatalogue {
     /// receipt then reports `compacted: false` and the next append
     /// re-evaluates the threshold over the larger delta).
     ///
-    /// Cached plans are reconciled lazily at the next lookup: entries
-    /// whose §V-D algorithm choice survives the drifted statistics are
-    /// rebased onto the new columns, stats-sensitive entries are
-    /// invalidated and re-planned (see [`SharedCatalogue::plan_query`]).
+    /// Cached plans of the table go stale with the data version: the
+    /// next lookup of each shape misses and re-plans (see
+    /// [`SharedCatalogue::plan_query`]).
     ///
     /// # Errors
     ///
@@ -856,6 +853,17 @@ impl SharedCatalogue {
         Ok(plan)
     }
 
+    /// `f` of `name`'s registration, read under the registry lock, or
+    /// `None` if `name` is unregistered.
+    fn registered<T>(&self, name: &str, f: impl FnOnce(&Registered) -> T) -> Option<T> {
+        self.inner
+            .tables
+            .read()
+            .expect("catalogue lock")
+            .get(name)
+            .map(f)
+    }
+
     /// Registered table names, sorted (a [`BTreeMap`]-backed registry:
     /// the listing order is deterministic regardless of registration
     /// order).
@@ -872,84 +880,49 @@ impl SharedCatalogue {
     /// The schema (registration) version of `name` — bumped on every
     /// re-register, *not* by ingest — or `None` if unregistered.
     pub fn version(&self, name: &str) -> Option<u64> {
-        self.inner
-            .tables
-            .read()
-            .expect("catalogue lock")
-            .get(name)
-            .map(|r| r.schema_version)
+        self.registered(name, |r| r.schema_version)
     }
 
-    /// The data version of `name` — bumped on every appended batch,
-    /// reset to 1 by (re-)registration — or `None` if unregistered.
+    /// The data version of `name` — bumped by every write, reset to 1
+    /// by (re-)registration — or `None` if unregistered.
     pub fn data_version(&self, name: &str) -> Option<u64> {
-        self.inner
-            .tables
-            .read()
-            .expect("catalogue lock")
-            .get(name)
-            .map(|r| r.data_version)
+        self.registered(name, |r| r.data_version)
     }
 
     /// Both versions of `name` at once: `(schema, data)`.
     pub(crate) fn versions(&self, name: &str) -> Option<(u64, u64)> {
-        self.inner
-            .tables
-            .read()
-            .expect("catalogue lock")
-            .get(name)
-            .map(|r| (r.schema_version, r.data_version))
+        self.registered(name, |r| (r.schema_version, r.data_version))
     }
 
     /// The live row count of `name` ([`TableStats::rows`]), read under
     /// the registry lock: no cut captured, nothing materialised.
     pub(crate) fn rows(&self, name: &str) -> Option<usize> {
-        self.inner
-            .tables
-            .read()
-            .expect("catalogue lock")
-            .get(name)
-            .map(|r| r.stats.rows())
+        self.registered(name, |r| r.stats.rows())
     }
 
     /// The live, incrementally maintained statistics of `name`: row
     /// count and per-column min/max, sortedness and sampled distinct
     /// estimate.
     pub fn table_stats(&self, name: &str) -> Option<TableStats> {
-        self.inner
-            .tables
-            .read()
-            .expect("catalogue lock")
-            .get(name)
-            .map(|r| r.stats.clone())
+        self.registered(name, |r| r.stats.clone())
     }
 
     /// The column set of `name`'s schema (sorted), without
     /// materialising the merged view.
     pub(crate) fn schema(&self, name: &str) -> Option<Vec<String>> {
-        self.inner
-            .tables
-            .read()
-            .expect("catalogue lock")
-            .get(name)
-            .map(|r| {
-                r.base
-                    .column_names()
-                    .into_iter()
-                    .map(str::to_string)
-                    .collect()
-            })
+        self.registered(name, |r| {
+            r.base
+                .column_names()
+                .into_iter()
+                .map(str::to_string)
+                .collect()
+        })
     }
 
     /// Rows currently parked in `name`'s delta store (0 right after
     /// registration or compaction).
     pub fn delta_rows(&self, name: &str) -> Option<usize> {
-        self.inner
-            .tables
-            .read()
-            .expect("catalogue lock")
-            .get(name)
-            .map(|r| r.delta.rows())
+        self.registered(name, |r| r.delta.rows())
     }
 
     /// The shared plan cache's hit/miss/eviction/invalidation counters.
@@ -960,21 +933,15 @@ impl SharedCatalogue {
     /// Plans `query` against the registered `table`, serving repeated
     /// query *shapes* from the shared [`PlanCache`].
     ///
-    /// On a current-data hit the cached plan is rebound to this query's
-    /// literal constants and the §V-D algorithm choice is re-verified
-    /// (a policy flip falls back to a fresh plan — impossible while
-    /// plan-time statistics are taken pre-filter, but the check keeps
-    /// rebinding honest). Such a hit is found at the table's current
-    /// versions under the registry lock and captures no snapshot.
+    /// A hit is an entry planned at the table's current data version:
+    /// the cached plan is rebound to this query's literal constants —
+    /// sound because no literal is an input of the §V-D choice. Such a
+    /// hit is found at the table's current versions under the registry
+    /// lock and captures no snapshot.
     ///
-    /// A hit whose entry predates an ingest (stale *data* version) is
-    /// reconciled against the live statistics: if the drifted stats
-    /// leave the algorithm choice standing, the plan is rebased onto
-    /// the new column snapshots — no column is re-scanned, the
-    /// incrementally maintained maximum supplies the cardinality — and
-    /// the entry is refreshed in place. If the choice flipped (the
-    /// entry is *stats-sensitive*), the entry is invalidated and the
-    /// query re-planned from scratch.
+    /// Anything else — no entry, or one planned before a write — is a
+    /// miss: the query is planned from scratch at a snapshot of now,
+    /// and the plan replaces the entry.
     ///
     /// # Errors
     ///
@@ -984,20 +951,15 @@ impl SharedCatalogue {
         // A fresh hit needs no cut: looked up at the table's current
         // versions under the registry lock, it is served as `plan_view`
         // serves one, which never reads its view.
-        let lookup = {
-            let tables = self.inner.tables.read().expect("catalogue lock");
-            let r = tables
-                .get(table)
-                .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-            let shape = QueryShape::of(table, r.schema_version, query);
-            let mut cache = self.inner.cache.lock().expect("cache lock");
-            cache.lookup(&shape, r.data_version)
-        };
-        if let Lookup::Fresh(cached) = lookup {
-            let rebound = cached.rebind(query);
-            if self.algorithm_holds(&rebound) {
-                return Ok(rebound);
-            }
+        let cached = self
+            .registered(table, |r| {
+                let shape = QueryShape::of(table, r.schema_version, query);
+                let mut cache = self.inner.cache.lock().expect("cache lock");
+                cache.lookup(&shape, r.data_version)
+            })
+            .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
+        if let Some(cached) = cached {
+            return Ok(cached.rebind(query));
         }
         // Anything else is planned at a snapshot-of-now: capture a
         // single-table cut, plan at it, release the pin on return — the
@@ -1013,10 +975,10 @@ impl SharedCatalogue {
     /// live statistics have drifted since.
     ///
     /// Shares the [`PlanCache`] with the live path: an entry tagged
-    /// with the snapshot's data version is a plain hit, a stale entry
-    /// is rebased onto the snapshot's cut when the algorithm choice
-    /// holds (see [`SharedCatalogue::plan_query`]), and entries are
-    /// never regressed to an older version by a snapshot reader.
+    /// with the snapshot's data version is a hit, anything else plans
+    /// afresh (see [`SharedCatalogue::plan_query`]), and a plan made
+    /// at a cut the table has moved past is not cached — a snapshot
+    /// reader never replaces a newer entry.
     ///
     /// # Errors
     ///
@@ -1067,8 +1029,8 @@ impl SharedCatalogue {
     }
 
     /// The single planning funnel every read goes through, live or
-    /// pinned: serve the shared cache, rebase stale entries when the
-    /// §V-D choice survives the view's statistics, re-plan otherwise.
+    /// pinned: serve the shared cache's entry at the view's data
+    /// version, plan afresh otherwise.
     fn plan_view(
         &self,
         table: &str,
@@ -1076,46 +1038,14 @@ impl SharedCatalogue {
         query: &AggregateQuery,
     ) -> Result<QueryPlan, SqlError> {
         let shape = QueryShape::of(table, view.schema_version, query);
-        let lookup = self
+        let cached = self
             .inner
             .cache
             .lock()
             .expect("cache lock")
             .lookup(&shape, view.data_version);
-        match lookup {
-            Lookup::Fresh(cached) => {
-                let rebound = cached.rebind(query);
-                if self.algorithm_holds(&rebound) {
-                    return Ok(rebound);
-                }
-                // Policy flip without a data change: fall through to a
-                // fresh plan (the insert below overwrites the entry).
-            }
-            Lookup::Stale(cached) => {
-                if let Some(rebased) = self.rebase_plan(&cached, view) {
-                    if self.algorithm_holds(&rebased) {
-                        let rebound = rebased.rebind(query);
-                        let mut cache = self.inner.cache.lock().expect("cache lock");
-                        if !cache.rebase(&shape, rebased, view.data_version) {
-                            // A snapshot older than the entry was
-                            // served by rebasing *locally*: the newer
-                            // entry stays put, but the serve is still
-                            // a hit.
-                            cache.note_hit();
-                        }
-                        return Ok(rebound);
-                    }
-                }
-                // Stats-sensitive: the view's statistics flip the §V-D
-                // choice (or the plan needs a real statistics pass) —
-                // invalidate (if older than this view) and re-plan.
-                self.inner
-                    .cache
-                    .lock()
-                    .expect("cache lock")
-                    .drop_stale(&shape, view.data_version);
-            }
-            Lookup::Miss => {}
+        if let Some(cached) = cached {
+            return Ok(cached.rebind(query));
         }
         let mut plan = self.inner.engine.plan(view.table, query)?;
         plan.data_version = Some(view.data_version);
@@ -1136,45 +1066,11 @@ impl SharedCatalogue {
         }
         Ok(plan)
     }
-
-    /// Rebases a cached plan onto a view at another data version using
-    /// that view's statistics — the cheap refresh of the write path,
-    /// and of snapshot reads whose version the cache has moved past.
-    /// `None` when the shortcut does not apply (composite GROUP BY):
-    /// those plans need a real statistics pass.
-    fn rebase_plan(&self, cached: &QueryPlan, view: &ViewRef<'_>) -> Option<QueryPlan> {
-        let query = cached.query();
-        let col = view.stats.column(&query.group_by)?;
-        let presorted = col.sorted && query.group_by_rest.is_empty();
-        let scan_mode = ScanMode::of(presorted);
-        // For a sorted column max = last element, so `max + 1` is
-        // exactly what either scan mode would measure.
-        let mut plan = cached.rebase_onto(view.table, presorted, scan_mode, col.cardinality())?;
-        plan.data_version = Some(view.data_version);
-        stamp_zones(&mut plan, view.stats);
-        Some(plan)
-    }
-
-    /// Whether the adaptive policy still selects the plan's algorithm
-    /// for the plan's recorded statistics — the soundness check on
-    /// every rebound or rebased plan the cache serves.
-    fn algorithm_holds(&self, plan: &QueryPlan) -> bool {
-        select_algorithm(
-            &PlannerInputs {
-                presorted: plan.presorted(),
-                cardinality: plan.cardinality_estimate(),
-                rows: plan.rows(),
-                mvl: self.inner.engine.config().mvl,
-            },
-            None,
-            AdaptiveMode::Realistic,
-        ) == plan.algorithm()
-    }
 }
 
-/// Stamps a freshly planned (or rebased) query with the view's zone
-/// maps: the zone count for `EXPLAIN`, and the WHERE column's
-/// `(lo, hi, min, max)` ranges for morsel pruning. Zones are positions
+/// Stamps a freshly planned query with the view's zone maps: the zone
+/// count for `EXPLAIN`, and the WHERE column's `(lo, hi, min, max)`
+/// ranges for morsel pruning. Zones are positions
 /// in the statistics' view; a plan whose row count disagrees (frozen
 /// content drifted past the stats — defensive, should not happen on
 /// catalogue paths) gets none, which only disables pruning.
@@ -1372,36 +1268,36 @@ mod tests {
     }
 
     #[test]
-    fn stale_cache_entries_rebase_when_the_choice_holds() {
+    fn a_write_makes_the_next_lookup_miss_and_replan() {
         let cat = catalogue();
         let q = AggregateQuery::paper("g", "v");
         let p1 = cat.plan_query("r", &q).unwrap();
         assert_eq!(p1.rows(), 8);
-        // A small append: cardinality stays deep inside the Monotable
-        // division, so the §V-D choice holds.
+        // A small append: the entry was planned at data version 1, so
+        // the lookup at version 2 misses and plans the merged view.
         cat.append("r", batch(vec![3, 1], vec![9, 9])).unwrap();
         let p2 = cat.plan_query("r", &q).unwrap();
-        assert_eq!(p2.rows(), 10, "rebased onto the merged view");
+        assert_eq!(p2.rows(), 10, "planned on the merged view");
         assert_eq!(p2.algorithm(), p1.algorithm());
         let s = cat.cache_stats();
         assert_eq!(
-            (s.hits, s.misses, s.rebases, s.invalidations),
-            (1, 1, 1, 0),
-            "stale entry refreshed in place, not re-planned"
+            (s.hits, s.misses, s.invalidations),
+            (0, 2, 0),
+            "stale entry re-planned and replaced, nothing purged"
         );
-        // And the rebased entry keeps serving as a plain hit.
+        // And the replacement serves as a plain hit.
         cat.plan_query("r", &q).unwrap();
-        assert_eq!(cat.cache_stats().hits, 2);
+        assert_eq!(cat.cache_stats().hits, 1);
     }
 
     #[test]
-    fn rebased_plans_match_a_fresh_plan_on_the_merged_table() {
+    fn plans_after_an_append_match_a_fresh_registration() {
         let cat = catalogue();
         let q = AggregateQuery::paper("g", "v");
         cat.plan_query("r", &q).unwrap();
         cat.append("r", batch(vec![6, 0, 2], vec![1, 2, 3]))
             .unwrap();
-        let rebased = cat.plan_query("r", &q).unwrap();
+        let replanned = cat.plan_query("r", &q).unwrap();
 
         let fresh_cat = SharedCatalogue::new();
         fresh_cat.register(cat.table("r").unwrap());
@@ -1410,15 +1306,15 @@ mod tests {
         // recorded provenance — data version 2 after the append vs 1
         // on the fresh registration, and zone granularity (the append
         // kept its own zone, the fresh registration re-seeded one).
-        assert_eq!(rebased.steps(), fresh.steps());
-        assert_eq!(rebased.algorithm(), fresh.algorithm());
+        assert_eq!(replanned.steps(), fresh.steps());
+        assert_eq!(replanned.algorithm(), fresh.algorithm());
         assert_eq!(
-            (rebased.data_version(), fresh.data_version()),
+            (replanned.data_version(), fresh.data_version()),
             (Some(2), Some(1))
         );
-        assert_eq!((rebased.zone_maps(), fresh.zone_maps()), (2, 1));
+        assert_eq!((replanned.zone_maps(), fresh.zone_maps()), (2, 1));
         assert_eq!(
-            rebased
+            replanned
                 .explain()
                 .replace(" data_version=2", "")
                 .replace(" zone_maps=2", ""),
@@ -1427,9 +1323,12 @@ mod tests {
                 .replace(" data_version=1", "")
                 .replace(" zone_maps=1", "")
         );
-        assert_eq!(rebased.cardinality_estimate(), fresh.cardinality_estimate());
-        // The rebased plan executes over the merged rows.
-        let out = crate::Session::new().run(&rebased);
+        assert_eq!(
+            replanned.cardinality_estimate(),
+            fresh.cardinality_estimate()
+        );
+        // The plan executes over the merged rows.
+        let out = crate::Session::new().run(&replanned);
         let expect = crate::Session::new().run(&fresh);
         assert_eq!(out.rows, expect.rows);
     }
@@ -1443,16 +1342,16 @@ mod tests {
         assert_eq!(before.algorithm(), Algorithm::Monotable);
         // Push the cardinality estimate across the §V-D division
         // boundary (9,765 → PartiallySortedMonotable for unsorted
-        // input): the cached plan's choice no longer holds.
+        // input): the re-plan at the new data version flips the choice.
         cat.append("r", batch(vec![20_000], vec![1])).unwrap();
         let after = cat.plan_query("r", &q).unwrap();
         assert_eq!(after.algorithm(), Algorithm::PartiallySortedMonotable);
         assert_eq!(after.cardinality_estimate(), 20_001);
         let s = cat.cache_stats();
         assert_eq!(
-            (s.hits, s.misses, s.rebases, s.invalidations),
-            (0, 2, 0, 1),
-            "stats-sensitive entry was invalidated and re-planned"
+            (s.hits, s.misses, s.invalidations),
+            (0, 2, 0),
+            "the stale entry missed and was replaced, not purged"
         );
     }
 
@@ -1663,18 +1562,18 @@ mod tests {
         cat.append("r", batch(vec![3], vec![9])).unwrap();
         // Live plan caches an entry at data version 2.
         cat.plan_query("r", &q).unwrap();
-        // The old snapshot rebases that entry locally; the entry stays
-        // at version 2 and the serve counts as a hit.
+        // The old snapshot misses that entry and plans its own cut,
+        // which is not cached: the entry stays at version 2.
         let at = cat.plan_query_at(&snap, "r", &q).unwrap();
         assert_eq!(at.rows(), 8);
         assert_eq!(at.data_version(), Some(1));
         let s = cat.cache_stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
+        assert_eq!((s.hits, s.misses), (0, 2));
         // The live entry was not regressed: the next live lookup is a
         // plain hit at version 2.
         let live = cat.plan_query("r", &q).unwrap();
         assert_eq!(live.rows(), 9);
-        assert_eq!(cat.cache_stats().hits, 2);
+        assert_eq!(cat.cache_stats().hits, 1);
     }
 
     #[test]

@@ -39,10 +39,9 @@
 //!   [`TableStats`] maintained incrementally (min/max, sortedness,
 //!   sampled distinct estimate), a *data* version distinct from the
 //!   schema version, threshold-triggered [compaction](CompactionPolicy),
-//!   and plan reconciliation: cached plans survive ingest by rebasing
-//!   onto the new columns unless the drifted statistics flip the §V-D
-//!   algorithm choice, in which case the plan cache invalidates and
-//!   re-plans them ([`CacheStats`] counts both);
+//!   and plan reconciliation: a cached plan serves only the data version
+//!   it was planned at, so the first read after a write re-plans against
+//!   the drifted statistics ([`CacheStats`] counts the miss);
 //! * the snapshot-first read path — **every** read happens at an MVCC
 //!   [`Snapshot`]: `run_sql` captures a snapshot-of-now per statement,
 //!   [`Database::snapshot`] / [`SharedCatalogue::snapshot`] /
@@ -112,7 +111,7 @@
 //! let out = stmt.execute(&mut db, &[])?; // sees the appended rows
 //! assert_eq!(out.rows.len(), 3);
 //! let cache = db.plan_cache_stats();
-//! assert_eq!(cache.rebases + cache.invalidations, 1); // stats refreshed
+//! assert_eq!((cache.hits, cache.misses), (1, 2)); // re-planned after the write
 //! # Ok::<(), vagg_db::SqlError>(())
 //! ```
 //!

@@ -16,7 +16,6 @@
 use crate::delta::ZoneRange;
 use crate::filter::Predicate;
 use crate::query::{AggFn, AggregateQuery, OrderKey};
-use crate::table::Table;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -477,9 +476,8 @@ impl QueryPlan {
     /// Sound because plan-time statistics are taken over the
     /// *unfiltered* table (classic optimizer shape, see
     /// [`crate::Engine::plan`]): no literal constant feeds the adaptive
-    /// decision. The plan cache and prepared statements still re-verify
-    /// the algorithm choice after rebinding and fall back to a full
-    /// re-plan if a future policy ever disagrees.
+    /// decision, so the rebound plan is the plan a cold
+    /// [`crate::Engine::plan`] of `query` makes.
     pub(crate) fn rebind(&self, query: &AggregateQuery) -> QueryPlan {
         let mut plan = self.clone();
         for step in &mut plan.steps {
@@ -504,52 +502,6 @@ impl QueryPlan {
         }
         plan.query = query.clone();
         plan
-    }
-
-    /// Rebases this plan onto a newer snapshot of its table — the
-    /// write path's cheap plan refresh. The column snapshots, row
-    /// count, sortedness and cardinality estimate are replaced with the
-    /// ingested view's (the estimate comes from the incrementally
-    /// maintained statistics, so no column is re-scanned), while the
-    /// query, the step structure and the §V-D algorithm choice are kept
-    /// — the caller re-verifies the choice against the new statistics
-    /// and falls back to a full re-plan when it flipped.
-    ///
-    /// Returns `None` for plans this shortcut cannot refresh: composite
-    /// `GROUP BY` (the fused-key domain needs a real statistics pass)
-    /// and vanished columns (impossible short of a re-registration).
-    pub(crate) fn rebase_onto(
-        &self,
-        view: &Table,
-        presorted: bool,
-        scan_mode: ScanMode,
-        cardinality: u64,
-    ) -> Option<QueryPlan> {
-        if !self.query.group_by_rest.is_empty() {
-            return None;
-        }
-        let mut plan = self.clone();
-        plan.group = view.column_shared(&self.query.group_by)?;
-        plan.value = view.column_shared(&self.query.value)?;
-        plan.filter_col = match &self.query.filter {
-            Some((col, _)) => Some(view.column_shared(col)?),
-            None => None,
-        };
-        plan.rows = view.rows();
-        plan.presorted = presorted;
-        plan.scan_mode = scan_mode;
-        plan.cardinality = cardinality;
-        // The old view's zone ranges say nothing about the new view;
-        // the catalogue restamps them from the live statistics.
-        plan.zones = None;
-        plan.zone_maps = 0;
-        for step in &mut plan.steps {
-            if let PlanStep::CardinalityScan { mode, estimate } = step {
-                *mode = scan_mode;
-                *estimate = cardinality;
-            }
-        }
-        Some(plan)
     }
 
     /// Renders the plan in `EXPLAIN` form: the SQL, one header line of

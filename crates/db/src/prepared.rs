@@ -12,11 +12,10 @@
 //! hands it to the read path `run_sql` reaches, so it plans through the
 //! catalogue's one funnel ([`crate::SharedCatalogue::plan_query`]) and
 //! the shared [`crate::PlanCache`]. The cache's shape masks literals, so
-//! every bind of one template is one cache entry: served (a fresh hit
-//! needs no snapshot cut), rebased after ingest, or re-planned when
-//! drifted statistics flip the §V-D choice or the table is
-//! re-registered — exactly as the ad hoc statement would be, and counted
-//! in [`crate::CacheStats`].
+//! every bind of one template is one cache entry: served at the data
+//! version it was planned at (a hit needs no snapshot cut), re-planned
+//! after any write or re-registration — exactly as the ad hoc statement
+//! would be, and counted in [`crate::CacheStats`].
 
 use crate::database::{Database, SqlError};
 use crate::engine::QueryOutput;
@@ -188,10 +187,10 @@ mod tests {
     use super::*;
     use crate::table::Table;
 
-    /// The shared plan cache's `(hits, misses, invalidations, rebases)`.
-    fn cache(db: &Database) -> (u64, u64, u64, u64) {
+    /// The shared plan cache's `(hits, misses, invalidations)`.
+    fn cache(db: &Database) -> (u64, u64, u64) {
         let s = db.plan_cache_stats();
-        (s.hits, s.misses, s.invalidations, s.rebases)
+        (s.hits, s.misses, s.invalidations)
     }
 
     fn db() -> Database {
@@ -227,7 +226,7 @@ mod tests {
 
         assert_eq!(stmt.executions(), 2);
         // Prepare planned the one entry every bind and literal shares.
-        assert_eq!(cache(&db), (4, 1, 0, 0));
+        assert_eq!(cache(&db), (4, 1, 0));
     }
 
     #[test]
@@ -329,21 +328,21 @@ mod tests {
             .prepare("SELECT g, COUNT(*), SUM(v) FROM r WHERE v > ? GROUP BY g")
             .unwrap();
         stmt.execute(&mut db, &[0]).unwrap();
-        assert_eq!(cache(&db), (1, 1, 0, 0));
+        assert_eq!(cache(&db), (1, 1, 0));
         db.register(
             Table::new("r")
                 .with_column("g", vec![8, 8, 8, 8])
                 .with_column("v", vec![1, 2, 3, 4]),
         );
         let out = stmt.execute(&mut db, &[1]).unwrap();
-        assert_eq!(cache(&db), (1, 2, 1, 0), "purged, then re-planned");
+        assert_eq!(cache(&db), (1, 2, 1), "purged, then re-planned");
         assert_eq!(out.rows.len(), 1);
         assert_eq!(out.rows[0].group, 8);
         // v > 1 over v = [1, 2, 3, 4]: three rows, SUM 9.
         assert_eq!(out.rows[0].values, vec![3.0, 9.0]);
         // Steady state again afterwards.
         stmt.execute(&mut db, &[2]).unwrap();
-        assert_eq!(cache(&db), (2, 2, 1, 0));
+        assert_eq!(cache(&db), (2, 2, 1));
     }
 
     #[test]
@@ -378,25 +377,25 @@ mod tests {
         assert_eq!(from_db2.rows.len(), 1, "db2's table answered");
         assert_eq!(from_db2.rows[0].group, 5);
         assert_eq!(from_db2.rows[0].values, vec![3.0, 3.0]);
-        assert_eq!(cache(&db2), (0, 1, 0, 0), "planned in db2's cache");
+        assert_eq!(cache(&db2), (0, 1, 0), "planned in db2's cache");
 
         // Switching back serves db1's data from db1's cache.
         let back = stmt.execute(&mut db1, &[]).unwrap();
         assert_eq!(back.rows, from_db1.rows);
-        assert_eq!(cache(&db1), (2, 1, 0, 0));
+        assert_eq!(cache(&db1), (2, 1, 0));
     }
 
     #[test]
-    fn ingest_without_drift_rebases_instead_of_replanning() {
+    fn an_append_replans_once_then_hits_again() {
         use crate::ingest::RowBatch;
         let mut db = db();
         let mut stmt = db
             .prepare("SELECT g, COUNT(*), SUM(v) FROM r WHERE v > ? GROUP BY g")
             .unwrap();
         stmt.execute(&mut db, &[0]).unwrap();
-        assert_eq!(cache(&db), (1, 1, 0, 0));
+        assert_eq!(cache(&db), (1, 1, 0));
 
-        // A small append leaves the §V-D choice standing...
+        // An append moves the data version past the entry's...
         db.append_rows(
             "r",
             RowBatch::new()
@@ -405,14 +404,14 @@ mod tests {
         )
         .unwrap();
         let out = stmt.execute(&mut db, &[0]).unwrap();
-        assert_eq!(cache(&db), (2, 1, 0, 1), "cheap refresh");
+        assert_eq!(cache(&db), (1, 2, 0), "re-planned, nothing purged");
         // ...and the statement serves the appended rows.
         let r3 = out.rows.iter().find(|r| r.group == 3).unwrap();
         assert_eq!(r3.values, vec![4.0, 24.0], "two base rows + two appended");
 
         // Steady state again afterwards.
         stmt.execute(&mut db, &[0]).unwrap();
-        assert_eq!(cache(&db), (3, 1, 0, 1));
+        assert_eq!(cache(&db), (2, 2, 0));
     }
 
     #[test]
@@ -427,8 +426,8 @@ mod tests {
         assert_eq!(out.report.algorithm, Some(Algorithm::Monotable));
 
         // Drift the cardinality estimate across the §V-D division
-        // boundary: the re-run choice flips to PSM and the cache entry
-        // is invalidated and re-planned (not rebased).
+        // boundary: the re-plan at the new data version flips the
+        // choice to PSM.
         db.append_rows(
             "r",
             RowBatch::new()
@@ -437,7 +436,7 @@ mod tests {
         )
         .unwrap();
         let out = stmt.execute(&mut db, &[]).unwrap();
-        assert_eq!(cache(&db), (1, 2, 1, 0));
+        assert_eq!(cache(&db), (1, 2, 0));
         assert!(out.report.describe().contains("Aggregate[psm]"));
         assert_eq!(
             out.report.algorithm,

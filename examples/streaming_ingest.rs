@@ -6,14 +6,14 @@
 //! ([`vagg::datagen::BatchStream`]) ramps the key domain past the
 //! §V-D division boundary, and a statement prepared *once* keeps
 //! serving while the statistics drift underneath it. Every execution
-//! plans through the shared plan cache: sub-threshold batches refresh
-//! the cached plan in place (`CacheStats::rebases`); the batch that
-//! crosses the boundary invalidates it for a real re-plan
-//! (`CacheStats::invalidations`), and the executed steps flip from
-//! `Aggregate[mono]` to `Aggregate[psm]`. A fresh one-shot database
-//! over the merged rows is the correctness
-//! oracle at every step, and a round-robin-sharded database ingests
-//! the same stream to show the routed write path agrees.
+//! plans through the shared plan cache, whose entries serve only the
+//! data version they were planned at: the first execution after each
+//! batch re-plans against the new statistics (`CacheStats::misses`),
+//! and once the batches cross the boundary the executed steps flip
+//! from `Aggregate[mono]` to `Aggregate[psm]`. A fresh one-shot
+//! database over the merged rows is the correctness oracle at every
+//! step, and a round-robin-sharded database ingests the same stream to
+//! show the routed write path agrees.
 //!
 //! ```text
 //! cargo run --release --example streaming_ingest
@@ -46,6 +46,11 @@ fn main() {
     let mut stmt = db.prepare(sql).expect("statement prepares");
     println!("prepared [{sql}]");
     let mut out = stmt.execute(&mut db, &[3]).expect("prepared execution");
+    assert!(
+        out.report.describe().contains("Aggregate[mono]"),
+        "the low-cardinality seed runs monotable"
+    );
+    let mut flips = 0;
     println!(
         "batch 0: cardinality≈{:5} | {}\n",
         first.cardinality,
@@ -61,7 +66,9 @@ fn main() {
             .expect("single-session ingest");
         sharded.append_rows("events", rows).expect("sharded ingest");
 
+        let before = algorithm_of(&out);
         out = stmt.execute(&mut db, &[3]).expect("prepared execution");
+        flips += usize::from(algorithm_of(&out) != before);
 
         // Oracle: the same rows registered in one shot.
         let mut oracle = Database::new();
@@ -92,17 +99,15 @@ fn main() {
 
     let s = db.plan_cache_stats();
     println!(
-        "\nexecutions: {} | plan cache: {} hit(s), {} miss(es), {} rebase(s) \
-         (stats refreshed, choice held), {} invalidation(s) (the drift \
-         crossed the §V-D boundary)",
+        "\nexecutions: {} | plan cache: {} hit(s), {} miss(es) (prepare, \
+         then one re-plan per batch) | {} §V-D flip(s) in the executed steps",
         stmt.executions(),
         s.hits,
         s.misses,
-        s.rebases,
-        s.invalidations
+        flips
     );
-    assert_eq!(s.invalidations, 1, "exactly one threshold crossing");
-    assert!(s.rebases >= 1, "sub-threshold batches rebased");
+    assert_eq!(s.misses, 1 + 7, "planned at prepare and after every batch");
+    assert_eq!(flips, 1, "exactly one threshold crossing");
     assert!(
         out.report.describe().contains("Aggregate[psm]"),
         "the final execution shows the flipped choice"

@@ -78,3 +78,8 @@ pub use vagg_isa as isa;
 pub use vagg_mem as mem;
 pub use vagg_sim as sim;
 pub use vagg_sort as sort;
+
+/// The README's Rust blocks, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

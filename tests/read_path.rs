@@ -306,10 +306,10 @@ fn larger_tables_keep_rows_identical_and_each_schedule_deterministic() {
     assert_eq!(pooled.report.cycles, again.report.cycles);
 }
 
-/// The shared plan cache's `(misses, invalidations, rebases)`.
-fn cache_moves(db: &Database) -> (u64, u64, u64) {
+/// The shared plan cache's `(misses, invalidations)`.
+fn cache_moves(db: &Database) -> (u64, u64) {
     let s = db.plan_cache_stats();
-    (s.misses, s.invalidations, s.rebases)
+    (s.misses, s.invalidations)
 }
 
 const SEQUENCE_TEMPLATE: &str = "SELECT a, COUNT(*), SUM(v) FROM t WHERE w > ? GROUP BY a";
@@ -329,7 +329,7 @@ impl Lockstep {
     /// cache moves by exactly `cache` while the statement runs, and the
     /// oracle answers the bound SQL with the same rows, cycles and
     /// executed steps.
-    fn step(&mut self, at: Option<&Snapshot>, cache: (u64, u64, u64), event: &str) {
+    fn step(&mut self, at: Option<&Snapshot>, cache: (u64, u64), event: &str) {
         self.k += 1;
         let (db, params) = (&mut self.db, [self.k % 8]);
         let before = cache_moves(db);
@@ -339,8 +339,8 @@ impl Lockstep {
         }
         .unwrap();
         let after = cache_moves(db);
-        let moved = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
-        assert_eq!(moved, cache, "{event}: (misses, invalidations, rebases)");
+        let moved = (after.0 - before.0, after.1 - before.1);
+        assert_eq!(moved, cache, "{event}: (misses, invalidations)");
 
         let sql = SEQUENCE_TEMPLATE.replace('?', &params[0].to_string());
         let want = rows_of(
@@ -370,8 +370,8 @@ impl Lockstep {
 /// a re-register, a sub-threshold `INSERT`, an `INSERT` that flips §V-D
 /// from mono to psm, `BEGIN READ ONLY` while another session writes,
 /// and a snapshot older than the cache entry — answers as `run_sql` of
-/// the bound SQL, and the shared plan cache counts every re-plan and
-/// rebase it makes.
+/// the bound SQL, and the shared plan cache counts every re-plan it
+/// makes.
 #[test]
 fn a_prepared_statement_answers_as_run_sql_across_plan_events() {
     let t = table(600, 17);
@@ -387,29 +387,25 @@ fn a_prepared_statement_answers_as_run_sql_across_plan_events() {
         db,
         k: 0,
     };
-    run.step(None, (0, 0, 0), "steady");
+    run.step(None, (0, 0), "steady");
 
     run.db.register(t.clone());
-    run.step(None, (1, 0, 0), "re-register");
+    run.step(None, (1, 0), "re-register");
 
     insert(3);
     let old = run.db.snapshot();
-    run.step(None, (0, 0, 1), "sub-threshold INSERT");
+    run.step(None, (1, 0), "sub-threshold INSERT");
 
     insert(20_000);
-    run.step(None, (1, 1, 0), "INSERT flipping mono to psm");
+    run.step(None, (1, 0), "INSERT flipping mono to psm");
 
     run.both("BEGIN READ ONLY");
     insert(4);
-    run.step(None, (0, 0, 0), "READ ONLY while another session writes");
+    run.step(None, (0, 0), "READ ONLY while another session writes");
     run.both("COMMIT");
-    run.step(None, (0, 0, 1), "live after COMMIT");
+    run.step(None, (1, 0), "live after COMMIT");
 
-    run.step(
-        Some(&old),
-        (1, 0, 0),
-        "a snapshot older than the cache entry",
-    );
+    run.step(Some(&old), (1, 0), "a snapshot older than the cache entry");
 }
 
 /// A table whose statements exercise the carried state: `w` is
