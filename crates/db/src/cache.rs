@@ -12,15 +12,14 @@
 //! unfiltered table and no literal feeds the §V-D algorithm choice.
 //!
 //! The cache is LRU-evicting and counts hits, misses, evictions and
-//! invalidations. An entry serves exactly the data version it was
-//! planned at:
+//! invalidations. Two kinds of staleness exist:
 //!
 //! * **schema change** (re-registration) bumps the version inside the
 //!   shape key and purges the table's entries outright;
-//! * **data change** (any write) bumps the table's *data version*. A
-//!   lookup at any version other than the entry's is a miss; the
-//!   catalogue plans afresh, and a plan made at the table's current
-//!   versions replaces the entry.
+//! * **data change** (any write) bumps the table's *data version*. An
+//!   entry serves exactly the data version it was planned at: a lookup
+//!   at any other version is a miss, the catalogue plans afresh, and a
+//!   plan made at the table's current versions replaces the entry.
 
 use crate::plan::QueryPlan;
 use crate::query::{AggregateQuery, OrderKey};
@@ -237,8 +236,8 @@ impl PlanCache {
         self.stats.misses += 1;
     }
 
-    /// Purges every plan of `table` (on re-registration / statistics
-    /// change), returning how many entries were dropped.
+    /// Purges every plan of `table` (on re-registration), returning how
+    /// many entries were dropped.
     pub fn invalidate_table(&mut self, table: &str) -> usize {
         let before = self.entries.len();
         self.entries.retain(|_, e| e.table != table);
