@@ -13,7 +13,7 @@
 //!
 //! and pastes the printed rows over [`GOLDEN`] and [`HAND_GOLDEN`].
 
-use vagg::core::{Algorithm, StagedInput};
+use vagg::core::{minmax_aggregate, Algorithm, StagedInput};
 use vagg::datagen::rng::Xoshiro256StarStar;
 use vagg::datagen::{DatasetSpec, Distribution};
 use vagg::db::{Database, SqlOutcome, Table};
@@ -232,6 +232,40 @@ fn scatter_add_runs() -> Vec<(String, Fingerprint)> {
         .collect()
 }
 
+/// The four-table chain (`vagg_core::minmax`): four `vga` and a `vlu`
+/// on one key vector, then a gather → combine → scatter per table.
+/// Sorted keys repeat one key vector across many passes. On `line32`
+/// the 64-aligned tables lie a whole number of lines apart; on
+/// `line128` not always.
+fn minmax_runs() -> Vec<(String, Fingerprint)> {
+    let run = |config: SimConfig, distribution: Distribution, cardinality: u64| {
+        let ds = DatasetSpec::paper(distribution, cardinality)
+            .with_rows(ROWS)
+            .with_seed(SEED)
+            .generate();
+        let mut m = Machine::new(config);
+        let input = StagedInput::stage(&mut m, &ds);
+        minmax_aggregate(&mut m, &input);
+        fingerprint(&m.stats())
+    };
+    let mut out = Vec::new();
+    for distribution in DISTRIBUTIONS {
+        for cardinality in CARDINALITIES {
+            out.push((
+                format!("minmax/{}/{cardinality}", distribution.name()),
+                run(SimConfig::paper(), distribution, cardinality),
+            ));
+        }
+    }
+    for (config_name, line_bytes) in [("line32", 32), ("line128", 128)] {
+        out.push((
+            format!("{config_name}/minmax/uniform/1220"),
+            run(with_line_bytes(line_bytes), Distribution::Uniform, 1_220),
+        ));
+    }
+    out
+}
+
 /// A [`Fingerprint`] and, behind it, the vector accesses that found
 /// their line in the scalar L1 (`vector_l1_evictions`).
 type WideFingerprint = [u64; 10];
@@ -364,6 +398,7 @@ fn every_run() -> Vec<(String, Fingerprint)> {
     runs.extend(sql_runs());
     runs.extend(config_runs());
     runs.extend(scatter_add_runs());
+    runs.extend(minmax_runs());
     runs
 }
 
@@ -524,6 +559,17 @@ const GOLDEN: &[(&str, Fingerprint)] = &[
     ("line128/asr/39062", [58150, 30022, 10474, 330, 9460, 520, 454, 0, 61]),
     ("sam/uniform/76", [5281, 405, 0, 0, 778, 281, 244, 0, 34]),
     ("sam/uniform/39062", [184782, 13635, 0, 0, 17584, 9407, 12004, 125, 1680]),
+    ("minmax/uniform/76", [8338, 1174, 142, 10, 1428, 291, 253, 0, 35]),
+    ("minmax/uniform/1220", [20585, 3484, 1840, 154, 11713, 753, 656, 0, 92]),
+    ("minmax/uniform/39062", [501552, 20682, 1242, 2752, 20706, 21971, 30896, 1834, 3975]),
+    ("minmax/zipf/76", [8730, 1174, 142, 10, 1428, 291, 253, 0, 35]),
+    ("minmax/zipf/1220", [17129, 2544, 902, 152, 7333, 672, 586, 0, 82]),
+    ("minmax/zipf/39062", [409266, 16824, 590, 1516, 16426, 17449, 24985, 1021, 3266]),
+    ("minmax/sorted/76", [13510, 1075, 142, 11, 309, 291, 253, 0, 35]),
+    ("minmax/sorted/1220", [20739, 3387, 1842, 155, 1255, 753, 656, 0, 92]),
+    ("minmax/sorted/39062", [523780, 20451, 1204, 2791, 14143, 23350, 33413, 964, 4492]),
+    ("line32/minmax/uniform/1220", [30463, 3484, 1688, 306, 14581, 1499, 1310, 0, 184]),
+    ("line128/minmax/uniform/1220", [15404, 3484, 1917, 77, 8437, 378, 328, 0, 45]),
 ];
 
 #[rustfmt::skip]
