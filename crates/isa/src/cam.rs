@@ -36,13 +36,20 @@ pub struct Cam {
     /// Open-addressed key → entry lookup: a slot holds the entry's
     /// position in `entries` plus one, zero while empty. Sized (at least
     /// 4 slots per element, so probes stay short) and cleared by every
-    /// pass.
+    /// pass that matches keys (not by a replay).
     index: Vec<u16>,
     /// The keys of the slice being formed (timing only).
     slice: Vec<u64>,
     ports: usize,
     /// Cycles consumed by operations since construction or [`Cam::reset`].
     cycles: u64,
+    /// Per element of the last pass that matched keys, its entry: that
+    /// pass's keys are `entries[replay[i]].key`, and element `i` was its
+    /// key's first instance iff no earlier element named that entry
+    /// (entries are in first-occurrence order).
+    replay: Vec<usize>,
+    /// Whether `replay` describes that pass: no [`Cam::reset`] since.
+    replayable: bool,
 }
 
 pub(crate) const HASH_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -87,6 +94,8 @@ impl Cam {
             slice: Vec::with_capacity(ports),
             ports,
             cycles: 0,
+            replay: Vec::with_capacity(mvl),
+            replayable: false,
         }
     }
 
@@ -105,6 +114,7 @@ impl Cam {
     pub fn reset(&mut self) {
         self.entries.clear();
         self.cycles = 0;
+        self.replayable = false;
     }
 
     /// Where `key`'s entry is in `entries`, or else the index slot that
@@ -128,13 +138,37 @@ impl Cam {
     /// Runs one instruction pass over `keys[..vl]`: `update` is given the
     /// accumulator of the element's entry (`None` = first instance) and
     /// the element number, and returns the new accumulator.
+    ///
+    /// The entry list, `last_idx`, `occupancy()` and `cycles()` depend
+    /// on the keys alone. So a pass over the keys of the last one, with
+    /// no [`Cam::reset`] between (the Figure 15 loop runs every `vga`
+    /// and the `vlu` on one key register), replays that pass's element →
+    /// entry map instead of matching again
+    /// (`differential_tests::replayed_pass_equals_the_scan`).
     pub(crate) fn pass<F>(&mut self, keys: &[u64], vl: usize, mut update: F)
     where
         F: FnMut(Option<u64>, usize) -> u64,
     {
-        self.reset();
         let keys = &keys[..vl];
+        if self.replayable
+            && self.replay.len() == vl
+            && keys
+                .iter()
+                .zip(&self.replay)
+                .all(|(&k, &e)| self.entries[e].key == k)
+        {
+            let mut seen = 0;
+            for (i, &e) in self.replay.iter().enumerate() {
+                let first = e == seen;
+                seen += usize::from(first);
+                let e = &mut self.entries[e];
+                e.acc = update((!first).then_some(e.acc), i);
+            }
+            return;
+        }
+        self.reset();
         self.cycles = slice_cycles(keys, self.ports, &mut self.slice);
+        self.replay.clear();
 
         // Entry numbers 1..=vl must fit a slot; a longer vector (no
         // machine configures one) gets no index and is scanned.
@@ -148,11 +182,13 @@ impl Cam {
         for (i, &k) in keys.iter().enumerate() {
             match self.find(k) {
                 Ok(e) => {
+                    self.replay.push(e);
                     let e = &mut self.entries[e];
                     e.acc = update(Some(e.acc), i);
                     e.last_idx = i;
                 }
                 Err(slot) => {
+                    self.replay.push(self.entries.len());
                     self.entries.push(Entry {
                         key: k,
                         last_idx: i,
@@ -164,6 +200,7 @@ impl Cam {
                 }
             }
         }
+        self.replayable = true;
     }
 
     /// Runs one instruction pass over `keys[..vl]`, applying `update` to the
@@ -428,6 +465,89 @@ mod differential_tests {
             // `run`, the allocating form of the same pass.
             prop_assert_eq!(cam.run(&keys, vl, count), reference.run_scan(&keys, vl, count));
             prop_assert_eq!(state(&cam), state(&reference));
+        }
+    }
+
+    /// How the next instruction's keys differ from the last one's.
+    #[derive(Debug, Clone)]
+    enum Next {
+        Same,
+        /// One lane holds another key.
+        OneLane(usize, u64),
+        /// Another vector length over the same register.
+        Vl(usize),
+        Other(Vec<u64>),
+        /// The same keys after a [`Cam::reset`].
+        AfterReset,
+    }
+
+    fn nexts() -> impl Strategy<Value = Next> {
+        prop_oneof![
+            Just(Next::Same),
+            Just(Next::Same),
+            (0usize..LEN, 0u64..8).prop_map(|(lane, key)| Next::OneLane(lane, key)),
+            prop::sample::select(vec![0usize, 1, 5, LEN - 1, LEN]).prop_map(Next::Vl),
+            keyvecs().prop_map(Next::Other),
+            Just(Next::AfterReset),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+        /// A pass replayed over the last pass's keys ≡ the scan, through
+        /// instruction sequences that repeat, change and reset the keys.
+        #[test]
+        fn replayed_pass_equals_the_scan(
+            first in keyvecs(),
+            steps in prop::collection::vec((nexts(), 0usize..5), 1..16),
+            mut values in prop::collection::vec(any::<u64>(), LEN..LEN + 1),
+            ports in prop::sample::select(vec![1usize, 4, 8]),
+        ) {
+            let mut cam = Cam::new(LEN, ports);
+            let mut reference = Cam::new(LEN, ports);
+            let (mut keys, mut vl) = (first, LEN);
+            let count = |prev: Option<u64>, _| {
+                let n = prev.map_or(0, |c| c + 1);
+                (n, n)
+            };
+            let mut out = vec![7u64; LEN];
+            let mut mask = vec![true; LEN];
+            for (next, instruction) in steps {
+                match next {
+                    Next::Same => {}
+                    Next::OneLane(lane, key) => keys[lane] = key,
+                    Next::Vl(new_vl) => vl = new_vl,
+                    Next::Other(other) => keys = other,
+                    Next::AfterReset => {
+                        cam.reset();
+                        prop_assert_eq!(state(&cam), (0, 0, vec![false; LEN]));
+                    }
+                }
+                match instruction {
+                    0 => {
+                        vpi_on(&mut cam, &keys, vl, &mut out);
+                        prop_assert_eq!(&out, &reference.run_scan(&keys, vl, count));
+                    }
+                    1 => {
+                        vlu_on(&mut cam, &keys, vl, &mut mask);
+                        reference.run_scan(&keys, vl, count);
+                        prop_assert_eq!(&mask, &reference.last_unique_mask(LEN));
+                    }
+                    _ => {
+                        let op = [RedOp::Sum, RedOp::Min, RedOp::Max][instruction - 2];
+                        vga_on(&mut cam, op, &keys, &values, vl, &mut out);
+                        let expect = reference.run_scan(&keys, vl, |prev, i| {
+                            let combined = prev.map_or(values[i], |acc| op.fold(acc, values[i]));
+                            (combined, combined)
+                        });
+                        prop_assert_eq!(&out, &expect, "{:?}", op);
+                    }
+                }
+                prop_assert_eq!(state(&cam), state(&reference));
+                // Each instruction its own value operand.
+                values.rotate_left(instruction + 1);
+            }
         }
     }
 

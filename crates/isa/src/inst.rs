@@ -309,7 +309,8 @@ impl MemPattern {
     /// The byte address of element `i`. Strided and indexed addresses
     /// wrap around the top of the address space (an index register may
     /// hold anything, in masked-off lanes too, and every `u64` is an
-    /// address), in every build profile.
+    /// address), in every build profile, and so do an element's bytes:
+    /// one at `u64::MAX - 1` touches the top line and line 0.
     pub fn address(&self, i: usize) -> u64 {
         match self {
             MemPattern::UnitStride { base, elem_bytes } => base + i as u64 * elem_bytes,
@@ -410,7 +411,9 @@ impl MemPattern {
 const INDEX_SLOTS: usize = 256;
 
 /// Fills the empty `lines` with the lines of the `vl` elements at `addrs`,
-/// `eb` bytes each, in first-touch order, each line once.
+/// `eb` bytes each, in first-touch order, each line once. An element's
+/// bytes wrap around the top of the address space like its address: one
+/// that crosses it touches the top line, then line 0 on.
 ///
 /// First-touch order decides the order the memory hierarchy sees the
 /// lines in (LRU and DRAM bank state follow from it), so the list is
@@ -434,29 +437,44 @@ fn first_touches(
     let mut index = [0u8; INDEX_SLOTS];
     let indexed = vl <= INDEX_SLOTS / 4 && eb <= line;
     for a in addrs {
-        // An element may straddle a line boundary.
-        for l in a / line..=(a + eb - 1) / line {
-            if lines.last() == Some(&l) {
-                continue;
+        // An element may straddle a line boundary, or the top.
+        let last = a.wrapping_add(eb - 1);
+        let wraps = last < a;
+        let top = if wraps { u64::MAX } else { last };
+        for l in a / line..=top / line {
+            touch(l, lines, &mut index, indexed);
+        }
+        if wraps {
+            for l in 0..=last / line {
+                touch(l, lines, &mut index, indexed);
             }
-            if !indexed {
-                if !lines.contains(&l) {
-                    lines.push(l);
-                }
-                continue;
+        }
+    }
+}
+
+/// Appends line `l` to `lines` unless it is listed: [`first_touches`]'
+/// body, inlined into both of its loops.
+#[inline(always)]
+fn touch(l: u64, lines: &mut Vec<u64>, index: &mut [u8; INDEX_SLOTS], indexed: bool) {
+    if lines.last() == Some(&l) {
+        return;
+    }
+    if !indexed {
+        if !lines.contains(&l) {
+            lines.push(l);
+        }
+        return;
+    }
+    let mut slot = first_slot(l, INDEX_SLOTS);
+    loop {
+        match index[slot] {
+            0 => {
+                lines.push(l);
+                index[slot] = lines.len() as u8;
+                return;
             }
-            let mut slot = first_slot(l, INDEX_SLOTS);
-            loop {
-                match index[slot] {
-                    0 => {
-                        lines.push(l);
-                        index[slot] = lines.len() as u8;
-                        break;
-                    }
-                    n if lines[usize::from(n) - 1] == l => break,
-                    _ => slot = (slot + 1) % INDEX_SLOTS,
-                }
-            }
+            n if lines[usize::from(n) - 1] == l => return,
+            _ => slot = (slot + 1) % INDEX_SLOTS,
         }
     }
 }
@@ -581,6 +599,38 @@ mod tests {
         assert_eq!(p.agen_cycles(64, 4, 64), 16);
         // Even if all offsets hit one line, agen still costs VL/lanes.
         assert_eq!(p.lines_touched(64, 64).len(), 1);
+    }
+
+    #[test]
+    fn element_crossing_the_top_touches_the_top_line_and_line_0() {
+        // Index 2^62 - 1 from base 2 sits `eb` bytes below the base: a
+        // 4-byte element's bytes are u64::MAX - 1, u64::MAX, 0 and 1.
+        for (line, eb) in [(64u64, 4u64), (48, 4), (32, 8), (4, 8)] {
+            let p = MemPattern::Indexed {
+                base: 2,
+                offsets: vec![((1u64 << 62) - 1).wrapping_mul(eb), 0],
+                elem_bytes: eb,
+            };
+            let top = u64::MAX / line;
+            let mut expect: Vec<u64> = (p.address(0) / line..=top).collect();
+            // The last byte is 1.
+            expect.extend(0..=1 / line);
+            assert_eq!(
+                p.lines_touched(1, line),
+                expect,
+                "{line}-byte lines, {eb}-byte elements"
+            );
+            if line >= 16 {
+                // Element 1 (bytes 2 to 9, line 0) adds nothing new.
+                assert_eq!(p.lines_touched(2, line), expect);
+            }
+        }
+        let strided = MemPattern::Strided {
+            base: 2,
+            stride: -4,
+            elem_bytes: 4,
+        };
+        assert_eq!(strided.lines_touched(2, 64), vec![0, u64::MAX / 64]);
     }
 
     #[test]

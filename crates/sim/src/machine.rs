@@ -148,7 +148,7 @@ pub struct Machine {
     /// [`dst_and_srcs`]); MVL elements each, reused by every instruction.
     alias_v: Vec<u64>,
     alias_m: Vec<bool>,
-    /// The one CAM behind `vpi` / `vlu` / `vga*` (cleared by each).
+    /// The one CAM behind `vpi` / `vlu` / `vga*`.
     cam: Cam,
     /// The line list of the vector memory instruction in flight
     /// ([`Machine::agen`]) and the offset vector of an indexed one
@@ -156,6 +156,97 @@ pub struct Machine {
     /// instruction, so none of them allocates (`tests/no_alloc.rs`).
     lines: Vec<u64>,
     offsets: Vec<u64>,
+    /// The last indexed line list `agen` built, for the next indexed
+    /// instruction over the same index vector.
+    indexed_lines: IndexedLines,
+}
+
+/// The line list of the last indexed pattern, and what it depends on.
+///
+/// [`MemPattern::lines_into`] ignores the mask, so an indexed pattern's
+/// line list is a function of its base, element width and offsets (and
+/// the line size, fixed per machine). The Figure 15 loop lists one index
+/// vector over and over: a scatter lists the lines its gather just
+/// listed, and the next table's gather lists them a whole number of
+/// lines further on. The first is the same list; the second is the same
+/// list with every line moved by that number — a bijection on lines, so
+/// first-touch order and dedupe carry over — provided no element's
+/// bytes wrap past `u64::MAX` at either base. Anything else is built
+/// afresh (`differential_tests::indexed_lines_as_built_afresh`).
+#[derive(Debug)]
+struct IndexedLines {
+    line: u64,
+    /// Whether `offsets`, `elem_bytes`, `base` and `lines` describe a
+    /// built list.
+    valid: bool,
+    offsets: Vec<u64>,
+    elem_bytes: u64,
+    base: u64,
+    /// The largest `offset + elem_bytes - 1`, if no sum overflows: the
+    /// list may move to a base `b` if `b + reach` does not overflow.
+    reach: Option<u64>,
+    lines: Vec<u64>,
+}
+
+impl IndexedLines {
+    /// Buffers for vectors of up to `mvl` elements over `line`-byte lines.
+    fn new(mvl: usize, line: u64) -> Self {
+        Self {
+            line,
+            valid: false,
+            offsets: Vec::with_capacity(mvl),
+            elem_bytes: 0,
+            base: 0,
+            reach: None,
+            // An element no wider than a line touches at most two.
+            lines: Vec::with_capacity(2 * mvl),
+        }
+    }
+
+    /// The line list of the elements at `base + offsets[i]`,
+    /// `elem_bytes` wide, into `out`: what [`MemPattern::lines_into`]
+    /// builds for that pattern.
+    fn lines_into(&mut self, pattern: &MemPattern, vl: usize, out: &mut Vec<u64>) {
+        let MemPattern::Indexed {
+            base,
+            offsets,
+            elem_bytes,
+        } = pattern
+        else {
+            unreachable!("an indexed pattern");
+        };
+        let (base, offsets, elem_bytes) = (*base, &offsets[..vl], *elem_bytes);
+        if !(self.valid && self.elem_bytes == elem_bytes && self.offsets[..] == *offsets) {
+            pattern.lines_into(vl, self.line, &mut self.lines);
+            self.offsets.clear();
+            self.offsets.extend_from_slice(offsets);
+            self.elem_bytes = elem_bytes;
+            self.base = base;
+            self.reach = offsets.iter().try_fold(0, |reach: u64, &o| {
+                Some(reach.max(o.checked_add(elem_bytes.max(1) - 1)?))
+            });
+            self.valid = true;
+        } else if base != self.base {
+            let fits = |b: u64| {
+                self.reach
+                    .is_some_and(|reach| b.checked_add(reach).is_some())
+            };
+            let delta = base.abs_diff(self.base);
+            if delta % self.line == 0 && fits(base) && fits(self.base) {
+                let lines = delta / self.line;
+                if base > self.base {
+                    self.lines.iter_mut().for_each(|l| *l += lines);
+                } else {
+                    self.lines.iter_mut().for_each(|l| *l -= lines);
+                }
+            } else {
+                pattern.lines_into(vl, self.line, &mut self.lines);
+            }
+            self.base = base;
+        }
+        out.clear();
+        out.extend_from_slice(&self.lines);
+    }
 }
 
 /// One register of either bank, as its elements.
@@ -263,6 +354,7 @@ impl Machine {
             cam: Cam::new(cfg.mvl, cfg.cam_ports),
             lines: Vec::new(),
             offsets: Vec::with_capacity(cfg.mvl),
+            indexed_lines: IndexedLines::new(cfg.mvl, cfg.mem.line_bytes),
             cfg,
         }
     }
@@ -420,9 +512,15 @@ impl Machine {
     // Builds the line list of a vector memory instruction — its distinct
     // cache lines, in first touch order — and returns its
     // address-generation occupancy. Built once per instruction: the
-    // memory phase(s) and the trace event read the same list.
+    // memory phase(s) and the trace event read the same list. An indexed
+    // list is built once per index vector (`IndexedLines`).
     fn agen(&mut self, pattern: &MemPattern, vl: usize) -> u64 {
-        pattern.lines_into(vl, self.hier.line_bytes(), &mut self.lines);
+        match pattern {
+            MemPattern::Indexed { .. } => {
+                self.indexed_lines.lines_into(pattern, vl, &mut self.lines)
+            }
+            _ => pattern.lines_into(vl, self.hier.line_bytes(), &mut self.lines),
+        }
         pattern.agen_cycles_for_lines(vl, self.cfg.lanes, self.lines.len())
     }
 
@@ -900,13 +998,24 @@ impl Machine {
         }
 
         let mask = m.map(|m| self.vf.mask(m).as_slice());
-        let src = self.vf.vreg(vs).as_slice();
-        for (i, &add) in src[..vl].iter().enumerate() {
-            if mask.is_none_or(|mk| mk[i]) {
-                let addr = pattern.address(i);
-                let old = self.space.read_elem(addr, elem_bytes);
-                self.space
-                    .write_elem(addr, elem_bytes, old.wrapping_add(add));
+        let src = &self.vf.vreg(vs).as_slice()[..vl];
+        match &pattern {
+            MemPattern::Indexed {
+                base,
+                offsets,
+                elem_bytes: 4,
+            } => self.space.scatter_u32(*base, offsets, mask, |i, old| {
+                old.wrapping_add(src[i] as u32)
+            }),
+            _ => {
+                for (i, &add) in src.iter().enumerate() {
+                    if mask.is_none_or(|mk| mk[i]) {
+                        let addr = pattern.address(i);
+                        let old = self.space.read_elem(addr, elem_bytes);
+                        self.space
+                            .write_elem(addr, elem_bytes, old.wrapping_add(add));
+                    }
+                }
             }
         }
         self.recycle_offsets(pattern);
@@ -1006,6 +1115,15 @@ impl Machine {
             (&MemPattern::UnitStride { base, elem_bytes }, None) => {
                 self.space.read_run(base, elem_bytes, dst);
             }
+            // One page lookup per element, the word copied in place.
+            (
+                MemPattern::Indexed {
+                    base,
+                    offsets,
+                    elem_bytes: 4,
+                },
+                _,
+            ) => self.space.gather_u32(*base, offsets, mask, dst),
             _ => {
                 for (i, d) in dst.iter_mut().enumerate() {
                     if mask.is_none_or(|mk| mk[i]) {
@@ -1188,6 +1306,18 @@ impl Machine {
             (&MemPattern::UnitStride { base, elem_bytes }, None) => {
                 self.space.write_run(base, elem_bytes, src);
             }
+            // As in `vload_pattern`; in element order, so the last
+            // writer wins.
+            (
+                MemPattern::Indexed {
+                    base,
+                    offsets,
+                    elem_bytes: 4,
+                },
+                _,
+            ) => self
+                .space
+                .scatter_u32(*base, offsets, mask, |i, _| src[i] as u32),
             _ => {
                 for (i, &v) in src.iter().enumerate() {
                     if mask.is_none_or(|mk| mk[i]) {
@@ -1575,6 +1705,46 @@ mod tests {
     }
 
     #[test]
+    fn an_element_crossing_the_top_wraps_its_bytes() {
+        // Index 2^62 - 1 of 4-byte words from base 2 is address
+        // u64::MAX - 1: the element's bytes are the top two of the
+        // address space and addresses 0 and 1, on the top line and line
+        // 0. Each instruction lists both lines and moves all four bytes.
+        const TOP: u64 = u64::MAX - 1;
+        let mut m = machine();
+        m.set_vl(1);
+        m.vset_elem(V1, 0, (1 << 62) - 1, 0);
+        let l2_accesses = |m: &Machine| m.stats().mem.l2.accesses;
+
+        let before = l2_accesses(&m);
+        m.vset(V2, 0xAABB_CCDD, None);
+        m.vscatter(V2, 2, V1, 4, None, 0);
+        assert_eq!(l2_accesses(&m) - before, 2, "the top line and line 0");
+        assert_eq!(
+            [TOP, u64::MAX, 0, 1].map(|a| m.space().read_u8(a)),
+            [0xDD, 0xCC, 0xBB, 0xAA]
+        );
+
+        let before = l2_accesses(&m);
+        m.vgather(V0, 2, V1, 4, None, 0);
+        assert_eq!(m.vreg_snapshot(V0), vec![0xAABB_CCDD]);
+        assert_eq!(l2_accesses(&m) - before, 2);
+
+        let before = l2_accesses(&m);
+        m.vset(V2, 0x0101_0101, None);
+        m.vscatter_add(V2, 2, V1, 4, None, 0);
+        assert_eq!(m.space().read_u32(TOP), 0xABBC_CDDE);
+        assert_eq!(l2_accesses(&m) - before, 4, "a read and a write phase");
+
+        // A negative stride carries element 1 from base 2 to the top.
+        m.set_vl(2);
+        let before = l2_accesses(&m);
+        m.vload_strided(V0, 2, -4, 4, 0);
+        assert_eq!(m.vreg_snapshot(V0), vec![0, 0xABBC_CDDE]);
+        assert_eq!(l2_accesses(&m) - before, 2);
+    }
+
+    #[test]
     fn stats_expose_memory_behaviour() {
         let mut m = machine();
         let base = m.space_mut().alloc(4096, 64);
@@ -1591,7 +1761,7 @@ mod tests {
 /// A unit-stride transfer by page run ≡ the element-by-element loop it
 /// used to be, which every other pattern still runs: a strided access
 /// whose stride is the element size is the same elements through that
-/// loop.
+/// loop. An indexed line list reused or moved ≡ one built afresh.
 #[cfg(test)]
 mod differential_tests {
     use super::*;
@@ -1640,6 +1810,108 @@ mod differential_tests {
             m.space().resident_pages(),
             stats,
         )
+    }
+
+    /// Where the next indexed pattern's base goes.
+    #[derive(Debug, Clone)]
+    enum Move {
+        Stay,
+        /// By a whole number of lines, either way.
+        Lines(i64),
+        /// By any number of bytes (mostly not whole lines).
+        Bytes(i64),
+        /// This far below the top of the address space.
+        Top(u64),
+        /// By whole lines, to within this many lines of the top.
+        LinesToTop(u64),
+        Anywhere(u64),
+    }
+
+    fn moves() -> impl Strategy<Value = Move> {
+        prop_oneof![
+            Just(Move::Stay),
+            (-8i64..9).prop_map(Move::Lines),
+            (-8i64..9).prop_map(Move::Lines),
+            (-300i64..300).prop_map(Move::Bytes),
+            (0u64..5_000).prop_map(Move::Top),
+            (0u64..16).prop_map(Move::LinesToTop),
+            (0u64..1 << 22).prop_map(Move::Anywhere),
+        ]
+    }
+
+    // Byte offsets that revisit lines, far ones, and ones that wrap
+    // below the base.
+    fn offset_vectors() -> impl Strategy<Value = Vec<u64>> {
+        prop::collection::vec(
+            prop_oneof![
+                0u64..512,
+                0u64..100_000,
+                (0u64..4, 0u64..200).prop_map(|(hi, lo)| (hi << 62) + lo),
+                (1u64..5_000).prop_map(|below| below.wrapping_neg()),
+            ],
+            64..65,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// `IndexedLines` ≡ `MemPattern::lines_into` built afresh, over a
+        /// sequence of indexed patterns that keep or replace their
+        /// offsets, width and vector length and move their base.
+        #[test]
+        fn indexed_lines_as_built_afresh(
+            line in prop::sample::select(vec![32u64, 48, 64, 128]),
+            steps in prop::collection::vec(
+                (
+                    any::<bool>(),
+                    offset_vectors(),
+                    // Mostly the width and vector length of the step
+                    // before (zero keeps them).
+                    prop::sample::select(vec![0u64, 0, 0, 1, 4, 8]),
+                    prop_oneof![Just(0usize), Just(0usize), 0usize..65],
+                    moves(),
+                ),
+                1..12,
+            ),
+        ) {
+            let mut vl = 64;
+            let mut memo = IndexedLines::new(64, line);
+            let (mut out, mut fresh) = (vec![7; 3], Vec::new());
+            let mut pattern = MemPattern::Indexed {
+                base: 1 << 21,
+                offsets: vec![0; 64],
+                elem_bytes: 4,
+            };
+            for (new_offsets, offsets, width, new_vl, step) in steps {
+                let MemPattern::Indexed { base, offsets: current, elem_bytes } = &mut pattern else {
+                    unreachable!()
+                };
+                if new_offsets {
+                    *current = offsets;
+                }
+                if width != 0 {
+                    *elem_bytes = width;
+                }
+                if new_vl != 0 {
+                    vl = new_vl;
+                }
+                *base = match step {
+                    Move::Stay => *base,
+                    Move::Lines(n) => base.wrapping_add_signed(n * line as i64),
+                    Move::Bytes(n) => base.wrapping_add_signed(n),
+                    Move::Top(below) => u64::MAX - below,
+                    Move::LinesToTop(below) => {
+                        let room = (u64::MAX - *base) / line;
+                        *base + line * room.saturating_sub(below)
+                    }
+                    Move::Anywhere(at) => at,
+                };
+                memo.lines_into(&pattern, vl, &mut out);
+                pattern.lines_into(vl, line, &mut fresh);
+                prop_assert_eq!(&out, &fresh, "{:?} at vl {}", pattern, vl);
+            }
+        }
     }
 
     proptest! {

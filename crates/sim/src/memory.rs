@@ -268,7 +268,8 @@ impl AddressSpace {
         page[off..off + bytes.len()].copy_from_slice(bytes);
     }
 
-    /// Reads `N` bytes at `addr` (may straddle pages).
+    /// Reads `N` bytes at `addr` (may straddle pages, and wrap from the
+    /// top of the address space to address 0).
     #[inline]
     fn read_bytes<const N: usize>(&self, addr: u64) -> [u8; N] {
         let off = (addr as usize) & (PAGE_BYTES - 1);
@@ -279,13 +280,13 @@ impl AddressSpace {
             }
         } else {
             for (i, x) in b.iter_mut().enumerate() {
-                *x = self.read_u8(addr + i as u64);
+                *x = self.read_u8(addr.wrapping_add(i as u64));
             }
         }
         b
     }
 
-    /// Writes `N` bytes at `addr` (may straddle pages).
+    /// Writes `N` bytes at `addr` (may straddle pages, and wrap).
     #[inline]
     fn write_bytes<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) {
         let off = (addr as usize) & (PAGE_BYTES - 1);
@@ -293,7 +294,7 @@ impl AddressSpace {
             self.write_in_page(addr, &bytes);
         } else {
             for (i, b) in bytes.into_iter().enumerate() {
-                self.write_in_page(addr + i as u64, &[b]);
+                self.write_in_page(addr.wrapping_add(i as u64), &[b]);
             }
         }
     }
@@ -426,6 +427,80 @@ impl AddressSpace {
             for (i, o) in out.iter_mut().enumerate() {
                 *o = self.read_elem(base + i as u64 * width, width);
             }
+        }
+    }
+
+    /// The 32-bit words at `base + offsets[i]` (wrapping) into `out[i]`,
+    /// for every element `mask` leaves active (all without a mask); the
+    /// others keep their contents — a 32-bit gather. One page lookup
+    /// per element, the word copied in place; a word that straddles
+    /// pages goes through [`AddressSpace::read_u32`]. The same as
+    /// [`AddressSpace::read_elem`] per active element
+    /// (`differential_tests::indexed_words_as_element_by_element`).
+    pub(crate) fn gather_u32(
+        &self,
+        base: u64,
+        offsets: &[u64],
+        mask: Option<&[bool]>,
+        out: &mut [u64],
+    ) {
+        for (i, (&offset, o)) in offsets.iter().zip(out).enumerate() {
+            if !mask.is_none_or(|mk| mk[i]) {
+                continue;
+            }
+            let addr = base.wrapping_add(offset);
+            let off = (addr as usize) & (PAGE_BYTES - 1);
+            *o = if off <= PAGE_BYTES - 4 {
+                self.page(addr).map_or(0, |p| {
+                    u32::from_le_bytes(p[off..off + 4].try_into().expect("4 bytes"))
+                })
+            } else {
+                self.read_u32(addr)
+            }
+            .into();
+        }
+    }
+
+    /// For every active element in element order, the 32-bit word at
+    /// `base + offsets[i]` (wrapping) becomes `word(i, old)` — a 32-bit
+    /// scatter (`word` ignores `old`) or scatter-add. A later element
+    /// reads what an earlier one wrote, so the last writer wins; a zero
+    /// onto an absent page materialises nothing. One page lookup per
+    /// element; a straddling word goes through
+    /// [`AddressSpace::read_u32`] / [`AddressSpace::write_u32`]. The same
+    /// as [`AddressSpace::read_elem`] then [`AddressSpace::write_elem`]
+    /// per active element
+    /// (`differential_tests::indexed_words_as_element_by_element`).
+    pub(crate) fn scatter_u32(
+        &mut self,
+        base: u64,
+        offsets: &[u64],
+        mask: Option<&[bool]>,
+        mut word: impl FnMut(usize, u32) -> u32,
+    ) {
+        for (i, &offset) in offsets.iter().enumerate() {
+            if !mask.is_none_or(|mk| mk[i]) {
+                continue;
+            }
+            let addr = base.wrapping_add(offset);
+            let off = (addr as usize) & (PAGE_BYTES - 1);
+            if off > PAGE_BYTES - 4 {
+                let new = word(i, self.read_u32(addr));
+                self.write_u32(addr, new);
+                continue;
+            }
+            let page = match self.slot(addr) {
+                Some(slot) => &mut self.slab[slot],
+                None => match word(i, 0) {
+                    0 => continue,
+                    new => {
+                        self.materialise(addr)[off..off + 4].copy_from_slice(&new.to_le_bytes());
+                        continue;
+                    }
+                },
+            };
+            let cell: &mut [u8; 4] = (&mut page[off..off + 4]).try_into().expect("4 bytes");
+            *cell = word(i, u32::from_le_bytes(*cell)).to_le_bytes();
         }
     }
 
@@ -760,6 +835,120 @@ mod differential_tests {
                     }
                 }
                 prop_assert_eq!(space.resident_pages(), oracle.resident.len(), "after {:?}", op);
+            }
+        }
+    }
+
+    /// One indexed 32-bit transfer: a base, and per element an offset,
+    /// a mask bit and a value.
+    #[derive(Debug, Clone)]
+    enum Indexed {
+        Gather(u64, Vec<u64>, Option<Vec<bool>>),
+        Scatter(u64, Vec<u64>, Option<Vec<bool>>, Vec<u64>),
+        ScatterAdd(u64, Vec<u64>, Option<Vec<bool>>, Vec<u64>),
+    }
+
+    fn indexed_ops() -> impl Strategy<Value = Indexed> {
+        // Bases at every alignment near a page edge, the directory bound
+        // and the top (where an element's bytes wrap to address 0).
+        let base = || {
+            prop_oneof![
+                0u64..1_024,
+                BOUND - 300..BOUND + 300,
+                u64::MAX - 600..=u64::MAX,
+            ]
+        };
+        // Few distinct cells, so indices repeat; any alignment, so words
+        // straddle pages; and some far below the base, wrapping.
+        let offsets = || {
+            prop::collection::vec(
+                prop_oneof![
+                    (0u64..24).prop_map(|w| 4 * w),
+                    0u64..600,
+                    (1u64..700).prop_map(|below| below.wrapping_neg()),
+                ],
+                0..65,
+            )
+        };
+        let mask = || prop::option::of(prop::collection::vec(any::<bool>(), 64..65));
+        // Zeros, and values whose low word alone is zero.
+        let vals = || {
+            prop::collection::vec(
+                prop_oneof![
+                    Just(0u64),
+                    any::<u64>(),
+                    (1u64..1_000).prop_map(|high| high << 32)
+                ],
+                64..65,
+            )
+        };
+        prop_oneof![
+            (base(), offsets(), mask()).prop_map(|(b, o, m)| Indexed::Gather(b, o, m)),
+            (base(), offsets(), mask(), vals())
+                .prop_map(|(b, o, m, v)| Indexed::Scatter(b, o, m, v)),
+            (base(), offsets(), mask(), vals())
+                .prop_map(|(b, o, m, v)| Indexed::Scatter(b, o, m, v)),
+            (base(), offsets(), mask(), vals())
+                .prop_map(|(b, o, m, v)| Indexed::ScatterAdd(b, o, m, v)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// `gather_u32` / `scatter_u32` ≡ `read_elem` / `write_elem` per
+        /// active element, in element order: the same register contents,
+        /// bytes and resident pages.
+        #[test]
+        fn indexed_words_as_element_by_element(ops in prop::collection::vec(indexed_ops(), 1..40)) {
+            let mut space = AddressSpace::new();
+            let mut reference = AddressSpace::new();
+            let mut touched = BTreeSet::new();
+            let active = |mask: &Option<Vec<bool>>, i: usize| mask.as_ref().is_none_or(|m| m[i]);
+            for op in &ops {
+                match op {
+                    Indexed::Gather(base, offsets, mask) => {
+                        // Over stale register contents, which masked-off
+                        // elements keep.
+                        let mut got = vec![u64::MAX; offsets.len()];
+                        space.gather_u32(*base, offsets, mask.as_deref(), &mut got);
+                        let expect: Vec<u64> = offsets
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &o)| {
+                                if active(mask, i) {
+                                    reference.read_elem(base.wrapping_add(o), 4)
+                                } else {
+                                    u64::MAX
+                                }
+                            })
+                            .collect();
+                        prop_assert_eq!(got, expect, "{:?}", op);
+                    }
+                    Indexed::Scatter(base, offsets, mask, vals)
+                    | Indexed::ScatterAdd(base, offsets, mask, vals) => {
+                        let add = matches!(op, Indexed::ScatterAdd(..));
+                        space.scatter_u32(*base, offsets, mask.as_deref(), |i, old| {
+                            if add {
+                                old.wrapping_add(vals[i] as u32)
+                            } else {
+                                vals[i] as u32
+                            }
+                        });
+                        for (i, &o) in offsets.iter().enumerate() {
+                            if active(mask, i) {
+                                let addr = base.wrapping_add(o);
+                                let old = if add { reference.read_elem(addr, 4) } else { 0 };
+                                reference.write_elem(addr, 4, old.wrapping_add(vals[i]));
+                                touched.extend((0..4).map(|b| addr.wrapping_add(b)));
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(space.resident_pages(), reference.resident_pages(), "after {:?}", op);
+            }
+            for &addr in &touched {
+                prop_assert_eq!(space.read_u8(addr), reference.read_u8(addr), "{:#x}", addr);
             }
         }
     }

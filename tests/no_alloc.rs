@@ -1,8 +1,9 @@
 //! Simulated instructions allocate nothing.
 //!
 //! The machine keeps the line list and the offset vector of the
-//! instruction in flight from one instruction to the next, and moves
-//! unit-stride data by page run; a kernel is tens of thousands of these
+//! instruction in flight from one instruction to the next, and the last
+//! indexed line list and CAM pass for the next instruction over the same
+//! index vector, and moves unit-stride data by page run; a kernel is tens of thousands of these
 //! instructions, so one `Vec` each was thousands of heap calls per SQL
 //! statement. The timing model's reservation windows — one per
 //! functional unit, one per cluster, one for the DRAM data bus — are
@@ -149,6 +150,53 @@ fn vector_instructions_do_not_allocate() {
     });
     assert_eq!(allocations, 0, "over 1 000 chunks of 16 instructions");
     assert!(m.stats().mix.v_gathers >= 2_000);
+}
+
+#[test]
+fn the_four_table_chain_does_not_allocate() {
+    // `vagg_core::minmax`'s chunk: four `vga` and a `vlu` on one key
+    // vector (the CAM replays the last three `vga` and the `vlu`), then a
+    // gather and a scatter per table (each scatter reuses its gather's
+    // line list, each next gather moves it to the next table).
+    const ROWS: u32 = 4_096;
+    const CELLS: u64 = 1_220;
+    let mut m = Machine::paper();
+    let mvl = m.mvl();
+    let keys: Vec<u32> = (0..ROWS)
+        .map(|i| i.wrapping_mul(2_654_435_761) % CELLS as u32)
+        .collect();
+    let keys_at = m.space_mut().alloc_slice_u32(&keys);
+    let tables = [(); 4].map(|()| m.space_mut().alloc(4 * CELLS, 64));
+    let (vk, vv, vt) = (Vreg(0), Vreg(1), Vreg(2));
+    let sums = [Vreg(3), Vreg(4), Vreg(5), Vreg(6)];
+    let ops = [RedOp::Sum, RedOp::Sum, RedOp::Min, RedOp::Max];
+    let mask = Mreg(0);
+    let chunk = |m: &mut Machine, i: u64| {
+        let at = 4 * (i * mvl as u64 % u64::from(ROWS));
+        m.vload_unit(vk, keys_at + at, 4, 0);
+        m.vload_unit(vv, keys_at + at, 4, 0);
+        for (&op, &sum) in ops.iter().zip(&sums) {
+            m.vga(op, sum, vk, vv);
+        }
+        m.vlu(mask, vk);
+        for (&table, &sum) in tables.iter().zip(&sums) {
+            m.vgather(vt, table, vk, 4, Some(mask), 0);
+            m.vbinop_vv(BinOp::Add, vt, vt, sum, Some(mask));
+            m.vscatter(vt, table, vk, 4, Some(mask), 0);
+        }
+    };
+
+    m.set_vl(mvl);
+    for i in 0..u64::from(ROWS) / mvl as u64 {
+        chunk(&mut m, i);
+    }
+    let allocations = allocations_in(|| {
+        for i in 0..1_000 {
+            chunk(&mut m, i);
+        }
+    });
+    assert_eq!(allocations, 0, "over 1 000 chunks of 20 instructions");
+    assert!(m.stats().mix.v_scatters >= 4_000);
 }
 
 #[test]
