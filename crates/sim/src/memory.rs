@@ -209,8 +209,10 @@ impl AddressSpace {
     }
 
     /// Where in `slab` the page holding `addr` is, if it was ever
-    /// materialised: two dependent loads.
-    #[inline]
+    /// materialised: two dependent loads. Inlined into every caller (a
+    /// gather or scatter calls it once per element); the hashed lookup
+    /// past the directory, which no kernel reaches, is not.
+    #[inline(always)]
     fn slot(&self, addr: u64) -> Option<usize> {
         let page_no = addr >> PAGE_SHIFT;
         let region = page_no >> TABLE_SHIFT;
@@ -220,9 +222,16 @@ impl AddressSpace {
                 _ => 0,
             }
         } else {
-            self.far.get(&page_no).copied().unwrap_or(0)
+            self.far_link(page_no)
         };
         (link as usize).checked_sub(1)
+    }
+
+    /// [`AddressSpace::slot`]'s link for a page past the directory.
+    #[cold]
+    #[inline(never)]
+    fn far_link(&self, page_no: u64) -> u32 {
+        self.far.get(&page_no).copied().unwrap_or(0)
     }
 
     #[inline]
