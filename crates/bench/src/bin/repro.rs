@@ -24,7 +24,9 @@
 //! ```
 //!
 //! `--rows` defaults to 1,000,000 (the paper uses 10,000,000; CPT is
-//! row-normalised — see EXPERIMENTS.md for the scaling discussion).
+//! row-normalised). The reduced grid whose tables tier-1 pins is
+//! described in `crates/bench/tests/repro_tables.rs`'s module doc; at
+//! which row count CPT has converged is ROADMAP.md's item 15.
 
 use std::collections::BTreeMap;
 use std::fs;

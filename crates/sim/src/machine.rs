@@ -1702,14 +1702,12 @@ mod tests {
         m.set_vl(2);
         m.vload_strided(V0, base, i64::MAX, 4, 0);
         assert_eq!(m.vreg_snapshot(V0)[0], 14);
-    }
 
-    #[test]
-    fn an_element_crossing_the_top_wraps_its_bytes() {
-        // Index 2^62 - 1 of 4-byte words from base 2 is address
-        // u64::MAX - 1: the element's bytes are the top two of the
-        // address space and addresses 0 and 1, on the top line and line
-        // 0. Each instruction lists both lines and moves all four bytes.
+        // An element's bytes wrap like its address. Index 2^62 - 1 of
+        // 4-byte words from base 2 is address u64::MAX - 1: the bytes
+        // are the top two of the address space and addresses 0 and 1,
+        // on the top line and line 0. Each instruction lists both lines
+        // and moves all four bytes.
         const TOP: u64 = u64::MAX - 1;
         let mut m = machine();
         m.set_vl(1);
