@@ -13,6 +13,8 @@
 //!
 //! and pastes the printed rows over [`GOLDEN`] and [`HAND_GOLDEN`].
 
+use std::fs;
+use std::path::{Path, PathBuf};
 use vagg::core::{minmax_aggregate, Algorithm, StagedInput};
 use vagg::datagen::rng::Xoshiro256StarStar;
 use vagg::datagen::{DatasetSpec, Distribution};
@@ -430,6 +432,92 @@ fn hand_written_kernels_match_the_golden_table() {
     assert_golden(&runs, HAND_GOLDEN);
     // The coherence path is behind a literal, not just reachable.
     assert!(runs.iter().any(|(_, f)| f[9] > 0));
+}
+
+/// The column names of a golden file: the run, then its counters.
+const HEADER: [&str; 11] = [
+    "run",
+    "cycles",
+    "uops",
+    "l1_hits",
+    "l1_misses",
+    "l2_hits",
+    "l2_misses",
+    "dram_row_hits",
+    "dram_row_conflicts",
+    "dram_forced_closes",
+    "vector_l1_evictions",
+];
+
+fn render<const N: usize>(runs: &[(String, [u64; N])]) -> String {
+    let mut text = HEADER[..=N].join(",");
+    text.push('\n');
+    for (name, f) in runs {
+        text.push_str(name);
+        for v in f {
+            text.push_str(&format!(",{v}"));
+        }
+        text.push('\n');
+    }
+    text
+}
+
+fn golden_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
+#[test]
+#[ignore = "rewrites tests/golden/ after a deliberate model change"]
+fn write_golden() {
+    let dir = golden_dir();
+    fs::create_dir_all(&dir).expect("create tests/golden");
+    let write = |file: &str, text: String| {
+        fs::write(dir.join(file), text).expect("write a golden file");
+    };
+    write("kernels.csv", render(&kernel_runs()));
+    write("configs.csv", render(&config_runs()));
+    write("sorts.csv", render(&sort_runs()));
+    write("sql.csv", render(&sql_runs()));
+    write("scatter_add.csv", render(&scatter_add_runs()));
+    write("minmax.csv", render(&minmax_runs()));
+    write("hand.csv", render(&hand_runs()));
+}
+
+/// The files hold the literals, cell for cell, in `every_run`'s order.
+#[test]
+fn golden_files_equal_the_literals() {
+    let rows = |file: &str| -> Vec<(String, Vec<u64>)> {
+        let text = fs::read_to_string(golden_dir().join(file)).expect("read a golden file");
+        text.lines()
+            .skip(1)
+            .map(|line| {
+                let mut cells = line.split(',');
+                let name = cells.next().expect("a run name").to_string();
+                (name, cells.map(|c| c.parse().expect("a counter")).collect())
+            })
+            .collect()
+    };
+    let literal = |table: &[(&str, &[u64])]| -> Vec<(String, Vec<u64>)> {
+        table
+            .iter()
+            .map(|(name, f)| (name.to_string(), f.to_vec()))
+            .collect()
+    };
+    let files: Vec<_> = [
+        "kernels.csv",
+        "sorts.csv",
+        "sql.csv",
+        "configs.csv",
+        "scatter_add.csv",
+        "minmax.csv",
+    ]
+    .into_iter()
+    .flat_map(rows)
+    .collect();
+    let golden: Vec<(&str, &[u64])> = GOLDEN.iter().map(|(n, f)| (*n, &f[..])).collect();
+    assert_eq!(files, literal(&golden));
+    let hand: Vec<(&str, &[u64])> = HAND_GOLDEN.iter().map(|(n, f)| (*n, &f[..])).collect();
+    assert_eq!(rows("hand.csv"), literal(&hand));
 }
 
 #[test]
