@@ -1,18 +1,24 @@
 //! Golden cycle fingerprint: the simulated machine's counters for a
-//! fixed set of runs, held to literals.
+//! fixed set of runs, held to the files under `tests/golden/`.
 //!
 //! Every other timing test in the suite is relational (`big < small`);
 //! none would notice a one-cycle drift. This one does: a change meant
 //! only to make the *simulator* faster on the host must leave every
-//! number below untouched. A change that moves the model on purpose
-//! regenerates the table with
+//! pinned counter untouched. Each file is one group of runs: a header
+//! naming the counters, then one row per run. A mismatch names the
+//! file, the run and the counter that moved. A change that moves the
+//! model on purpose rewrites the files with
 //!
 //! ```text
-//! cargo test --release --test cycle_golden -- --ignored --nocapture print_golden
+//! cargo test --release --test cycle_golden -- --ignored write_golden
 //! ```
 //!
-//! and pastes the printed rows over [`GOLDEN`] and [`HAND_GOLDEN`].
+//! and the moved counters show in review as a diff of those files.
+//! Rewriting them is a deliberate act, never a way to make the test
+//! pass.
 
+use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::fs;
 use std::path::{Path, PathBuf};
 use vagg::core::{minmax_aggregate, Algorithm, StagedInput};
@@ -34,21 +40,22 @@ const DISTRIBUTIONS: [Distribution; 3] = [
 ];
 const CARDINALITIES: [u64; 3] = [76, 1_220, 39_062];
 
-/// What one run is held to: cycles, micro-ops, L1 (hits, misses), L2
-/// (hits, misses), DRAM (row hits, row conflicts, forced closes).
-type Fingerprint = [u64; 9];
+/// What one run is held to, as (column, value) pairs: cycles,
+/// micro-ops, L1 (hits, misses), L2 (hits, misses), DRAM (row hits,
+/// row conflicts, forced closes).
+type Fingerprint = Vec<(&'static str, u64)>;
 
 fn fingerprint(s: &SimStats) -> Fingerprint {
-    [
-        s.cycles,
-        s.ops,
-        s.mem.l1.hits,
-        s.mem.l1.misses,
-        s.mem.l2.hits,
-        s.mem.l2.misses,
-        s.mem.dram.row_hits,
-        s.mem.dram.row_conflicts,
-        s.mem.dram.forced_closes,
+    vec![
+        ("cycles", s.cycles),
+        ("uops", s.ops),
+        ("l1_hits", s.mem.l1.hits),
+        ("l1_misses", s.mem.l1.misses),
+        ("l2_hits", s.mem.l2.hits),
+        ("l2_misses", s.mem.l2.misses),
+        ("dram_row_hits", s.mem.dram.row_hits),
+        ("dram_row_conflicts", s.mem.dram.row_conflicts),
+        ("dram_forced_closes", s.mem.dram.forced_closes),
     ]
 }
 
@@ -270,12 +277,9 @@ fn minmax_runs() -> Vec<(String, Fingerprint)> {
 
 /// A [`Fingerprint`] and, behind it, the vector accesses that found
 /// their line in the scalar L1 (`vector_l1_evictions`).
-type WideFingerprint = [u64; 10];
-
-fn wide_fingerprint(s: &SimStats) -> WideFingerprint {
-    let mut wide = [0; 10];
-    wide[..9].copy_from_slice(&fingerprint(s));
-    wide[9] = s.mem.vector_l1_evictions;
+fn wide_fingerprint(s: &SimStats) -> Fingerprint {
+    let mut wide = fingerprint(s);
+    wide.push(("vector_l1_evictions", s.mem.vector_l1_evictions));
     wide
 }
 
@@ -361,7 +365,7 @@ fn interleaved_kernel(m: &mut Machine) {
     }
 }
 
-fn hand_runs() -> Vec<(String, WideFingerprint)> {
+fn hand_runs() -> Vec<(String, Fingerprint)> {
     let mut cached_vectors = SimConfig::paper();
     cached_vectors.mem.l1_bypass_vector = false;
     type Kernel = fn(&mut Machine);
@@ -394,76 +398,149 @@ fn hand_runs() -> Vec<(String, WideFingerprint)> {
         .collect()
 }
 
-fn every_run() -> Vec<(String, Fingerprint)> {
-    let mut runs = kernel_runs();
-    runs.extend(sort_runs());
-    runs.extend(sql_runs());
-    runs.extend(config_runs());
-    runs.extend(scatter_add_runs());
-    runs.extend(minmax_runs());
-    runs
-}
+type Runs = fn() -> Vec<(String, Fingerprint)>;
 
-fn assert_golden<const N: usize>(runs: &[(String, [u64; N])], table: &[(&str, [u64; N])]) {
-    assert_eq!(runs.len(), table.len(), "run list and table differ");
-    let mut drifted = Vec::new();
-    for ((name, got), (golden_name, golden)) in runs.iter().zip(table) {
-        assert_eq!(name, golden_name, "run order and table order differ");
-        if got != golden {
-            drifted.push(format!("{name}: {got:?}, golden {golden:?}"));
-        }
-    }
-    assert!(
-        drifted.is_empty(),
-        "simulated counters moved (cycles, ops, l1 hit/miss, l2 hit/miss, \
-         dram row-hit/conflict/forced-close[, vector l1 evictions]):\n{}",
-        drifted.join("\n")
-    );
-}
-
-#[test]
-fn simulated_counters_match_the_golden_table() {
-    assert_golden(&every_run(), GOLDEN);
-}
-
-#[test]
-fn hand_written_kernels_match_the_golden_table() {
-    let runs = hand_runs();
-    assert_golden(&runs, HAND_GOLDEN);
-    // The coherence path is behind a literal, not just reachable.
-    assert!(runs.iter().any(|(_, f)| f[9] > 0));
-}
-
-/// The column names of a golden file: the run, then its counters.
-const HEADER: [&str; 11] = [
-    "run",
-    "cycles",
-    "uops",
-    "l1_hits",
-    "l1_misses",
-    "l2_hits",
-    "l2_misses",
-    "dram_row_hits",
-    "dram_row_conflicts",
-    "dram_forced_closes",
-    "vector_l1_evictions",
+/// The run groups, one file each under `tests/golden/`.
+const GROUPS: [(&str, Runs); 6] = [
+    ("kernels.csv", kernel_runs),
+    ("configs.csv", config_runs),
+    ("sorts.csv", sort_runs),
+    ("sql.csv", sql_runs),
+    ("scatter_add.csv", scatter_add_runs),
+    ("minmax.csv", minmax_runs),
 ];
 
-fn render<const N: usize>(runs: &[(String, [u64; N])]) -> String {
-    let mut text = HEADER[..=N].join(",");
+/// The hand-written kernels' group: its rows hold a tenth counter.
+const HAND: (&str, Runs) = ("hand.csv", hand_runs);
+
+fn golden_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
+/// A group's file: a header naming the counters, then one row per run.
+fn render(runs: &[(String, Fingerprint)]) -> String {
+    let mut text = String::from("run");
+    for (counter, _) in runs.first().map_or(&[][..], |(_, f)| f) {
+        write!(text, ",{counter}").unwrap();
+    }
     text.push('\n');
     for (name, f) in runs {
         text.push_str(name);
-        for v in f {
-            text.push_str(&format!(",{v}"));
+        for (_, value) in f {
+            write!(text, ",{value}").unwrap();
         }
         text.push('\n');
     }
     text
 }
 
-fn golden_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+/// A file's counter names (its header past `run`) and its rows, each a
+/// run name and its cells.
+type Parsed<'a> = (Vec<&'a str>, Vec<(&'a str, Vec<&'a str>)>);
+
+fn parse(text: &str) -> Parsed<'_> {
+    let mut lines = text.lines();
+    let header = lines.next().unwrap_or_default();
+    let rows = lines
+        .map(|line| {
+            let mut cells = line.split(',');
+            (cells.next().unwrap_or_default(), cells.collect())
+        })
+        .collect();
+    (header.split(',').skip(1).collect(), rows)
+}
+
+/// Every way the rendered text `got` differs from the `pinned` text of
+/// `file`, one line each: a moved counter as `<file>: <run>: <counter>
+/// <got> (pinned <want>)`, a run on one side only, and runs in another
+/// order.
+fn differences(file: &str, got: &str, pinned: &str) -> Vec<String> {
+    if got == pinned {
+        return Vec::new();
+    }
+    let ((counters, got_rows), (pinned_counters, pinned_rows)) = (parse(got), parse(pinned));
+    if counters != pinned_counters {
+        return vec![format!(
+            "{file}: counters {} (pinned {})",
+            counters.join(","),
+            pinned_counters.join(",")
+        )];
+    }
+    let got_by_run: BTreeMap<_, _> = got_rows.iter().cloned().collect();
+    let pinned_by_run: BTreeMap<_, _> = pinned_rows.iter().cloned().collect();
+    let mut out = Vec::new();
+    for (run, cells) in &got_rows {
+        let Some(want) = pinned_by_run.get(run) else {
+            out.push(format!("{file}: {run}: run, but not pinned"));
+            continue;
+        };
+        for (i, (counter, g)) in counters.iter().zip(cells).enumerate() {
+            let w = want.get(i).copied().unwrap_or("<none>");
+            if *g != w {
+                out.push(format!("{file}: {run}: {counter} {g} (pinned {w})"));
+            }
+        }
+    }
+    for (run, _) in &pinned_rows {
+        if !got_by_run.contains_key(run) {
+            out.push(format!("{file}: {run}: pinned, but not run"));
+        }
+    }
+    // The runs both sides hold, each side in its own order.
+    let got_order = got_rows.iter().map(|(run, _)| *run);
+    let pinned_order = pinned_rows.iter().map(|(run, _)| *run);
+    if let Some((g, w)) = got_order
+        .filter(|run| pinned_by_run.contains_key(run))
+        .zip(pinned_order.filter(|run| got_by_run.contains_key(run)))
+        .find(|(g, w)| g != w)
+    {
+        out.push(format!(
+            "{file}: rows reordered: {g} runs where {w} is pinned"
+        ));
+    }
+    if out.is_empty() {
+        out.push(format!(
+            "{file}: every counter matches, but not as write_golden writes them"
+        ));
+    }
+    out
+}
+
+/// Holds `runs` to `tests/golden/<file>`: every difference, one line each.
+fn check(file: &str, runs: &[(String, Fingerprint)]) -> Vec<String> {
+    let path = golden_dir().join(file);
+    let pinned =
+        fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    differences(file, &render(runs), &pinned)
+}
+
+fn assert_none_moved(moved: &[String]) {
+    assert!(
+        moved.is_empty(),
+        "simulated counters moved from tests/golden/:\n{}",
+        moved.join("\n")
+    );
+}
+
+#[test]
+fn simulated_counters_match_the_golden_table() {
+    let moved: Vec<String> = GROUPS
+        .iter()
+        .flat_map(|(file, runs)| check(file, &runs()))
+        .collect();
+    assert_none_moved(&moved);
+}
+
+#[test]
+fn hand_written_kernels_match_the_golden_table() {
+    let (file, runs) = HAND;
+    let runs = runs();
+    assert_none_moved(&check(file, &runs));
+    // The coherence path is behind a pinned counter, not just reachable.
+    assert!(runs
+        .iter()
+        .flat_map(|(_, f)| f)
+        .any(|&(counter, value)| counter == "vector_l1_evictions" && value > 0));
 }
 
 #[test]
@@ -471,201 +548,63 @@ fn golden_dir() -> PathBuf {
 fn write_golden() {
     let dir = golden_dir();
     fs::create_dir_all(&dir).expect("create tests/golden");
-    let write = |file: &str, text: String| {
-        fs::write(dir.join(file), text).expect("write a golden file");
-    };
-    write("kernels.csv", render(&kernel_runs()));
-    write("configs.csv", render(&config_runs()));
-    write("sorts.csv", render(&sort_runs()));
-    write("sql.csv", render(&sql_runs()));
-    write("scatter_add.csv", render(&scatter_add_runs()));
-    write("minmax.csv", render(&minmax_runs()));
-    write("hand.csv", render(&hand_runs()));
-}
-
-/// The files hold the literals, cell for cell, in `every_run`'s order.
-#[test]
-fn golden_files_equal_the_literals() {
-    let rows = |file: &str| -> Vec<(String, Vec<u64>)> {
-        let text = fs::read_to_string(golden_dir().join(file)).expect("read a golden file");
-        text.lines()
-            .skip(1)
-            .map(|line| {
-                let mut cells = line.split(',');
-                let name = cells.next().expect("a run name").to_string();
-                (name, cells.map(|c| c.parse().expect("a counter")).collect())
-            })
-            .collect()
-    };
-    let literal = |table: &[(&str, &[u64])]| -> Vec<(String, Vec<u64>)> {
-        table
-            .iter()
-            .map(|(name, f)| (name.to_string(), f.to_vec()))
-            .collect()
-    };
-    let files: Vec<_> = [
-        "kernels.csv",
-        "sorts.csv",
-        "sql.csv",
-        "configs.csv",
-        "scatter_add.csv",
-        "minmax.csv",
-    ]
-    .into_iter()
-    .flat_map(rows)
-    .collect();
-    let golden: Vec<(&str, &[u64])> = GOLDEN.iter().map(|(n, f)| (*n, &f[..])).collect();
-    assert_eq!(files, literal(&golden));
-    let hand: Vec<(&str, &[u64])> = HAND_GOLDEN.iter().map(|(n, f)| (*n, &f[..])).collect();
-    assert_eq!(rows("hand.csv"), literal(&hand));
-}
-
-#[test]
-#[ignore = "regenerates the table after a deliberate model change"]
-fn print_golden() {
-    for (name, f) in every_run() {
-        println!("    ({name:?}, {f:?}),");
-    }
-    println!("-- HAND_GOLDEN");
-    for (name, f) in hand_runs() {
-        println!("    ({name:?}, {f:?}),");
+    for (file, runs) in GROUPS.into_iter().chain([HAND]) {
+        fs::write(dir.join(file), render(&runs())).expect("write a golden file");
     }
 }
 
-#[rustfmt::skip]
-const GOLDEN: &[(&str, Fingerprint)] = &[
-    ("scalar/uniform/76", [21358, 31860, 14587, 281, 0, 281, 244, 0, 34]),
-    ("scalar/uniform/1220", [38128, 47451, 21382, 599, 0, 599, 522, 0, 73]),
-    ("scalar/uniform/39062", [336901, 357147, 126368, 13124, 14458, 7581, 9239, 108, 1292]),
-    ("scalar/zipf/76", [21358, 31860, 14587, 281, 0, 281, 244, 0, 34]),
-    ("scalar/zipf/1220", [32956, 44145, 19586, 509, 0, 509, 444, 0, 61]),
-    ("scalar/zipf/39062", [302219, 350243, 125189, 10416, 10364, 6965, 8383, 51, 1175]),
-    ("scalar/sorted/76", [25923, 25717, 12540, 281, 0, 281, 244, 0, 34]),
-    ("scalar/sorted/1220", [42752, 41315, 19339, 599, 0, 599, 522, 0, 73]),
-    ("scalar/sorted/39062", [353077, 350964, 125290, 12140, 12103, 8039, 10118, 110, 1418]),
-    ("ssr/uniform/76", [55227, 21950, 9709, 400, 17869, 840, 734, 0, 101]),
-    ("ssr/uniform/1220", [185407, 82521, 36970, 1424, 32790, 1790, 1565, 0, 217]),
-    ("ssr/uniform/39062", [280698, 133705, 60073, 2265, 40683, 2036, 1780, 0, 248]),
-    ("ssr/zipf/76", [54906, 21952, 9733, 376, 16089, 840, 734, 0, 101]),
-    ("ssr/zipf/1220", [175130, 76410, 34781, 1263, 30875, 1669, 1459, 0, 203]),
-    ("ssr/zipf/39062", [259209, 121430, 55616, 2002, 36237, 1800, 1573, 0, 219]),
-    ("ssr/sorted/76", [10343, 1374, 285, 96, 461, 280, 244, 0, 33]),
-    ("ssr/sorted/1220", [32617, 13360, 4611, 380, 1371, 510, 444, 0, 62]),
-    ("ssr/sorted/39062", [54970, 26347, 9357, 629, 2375, 756, 660, 0, 92]),
-    ("poly/uniform/76", [15082, 1577, 142, 10, 8224, 889, 776, 0, 108]),
-    ("poly/uniform/1220", [364085, 16760, 2284, 154, 6943, 21821, 29101, 884, 3964]),
-    ("poly/zipf/76", [15082, 1577, 142, 10, 6500, 889, 776, 0, 108]),
-    ("poly/zipf/1220", [363609, 16734, 2280, 154, 6702, 20835, 27498, 650, 3752]),
-    ("poly/sorted/76", [13922, 1478, 142, 11, 1433, 889, 776, 0, 108]),
-    ("poly/sorted/1220", [353921, 16661, 2284, 155, 3441, 21297, 28147, 558, 3880]),
-    ("asr/uniform/76", [13936, 2745, 432, 101, 4263, 541, 472, 0, 66]),
-    ("asr/uniform/1220", [41471, 16425, 5111, 397, 7973, 783, 684, 0, 95]),
-    ("asr/uniform/39062", [63874, 30022, 10149, 655, 12831, 1038, 907, 0, 126]),
-    ("asr/zipf/76", [13704, 2747, 456, 77, 3224, 541, 472, 0, 66]),
-    ("asr/zipf/1220", [32815, 10314, 2922, 236, 6481, 662, 578, 0, 81]),
-    ("asr/zipf/39062", [43729, 17747, 5692, 392, 9372, 802, 700, 0, 98]),
-    ("asr/sorted/76", [10343, 1374, 285, 96, 461, 280, 244, 0, 33]),
-    ("asr/sorted/1220", [32617, 13360, 4611, 380, 1371, 510, 444, 0, 62]),
-    ("asr/sorted/39062", [54970, 26347, 9357, 629, 2375, 756, 660, 0, 92]),
-    ("mono/uniform/76", [5478, 629, 0, 0, 778, 281, 244, 0, 34]),
-    ("mono/uniform/1220", [8749, 1025, 0, 0, 5967, 599, 522, 0, 73]),
-    ("mono/uniform/39062", [206570, 13859, 0, 0, 17584, 9407, 12004, 125, 1680]),
-    ("mono/zipf/76", [5582, 629, 0, 0, 778, 281, 244, 0, 34]),
-    ("mono/zipf/1220", [8233, 1025, 0, 0, 3817, 518, 451, 0, 63]),
-    ("mono/zipf/39062", [180137, 11893, 0, 0, 13255, 8418, 10660, 62, 1499]),
-    ("mono/sorted/76", [8159, 530, 0, 1, 155, 281, 244, 0, 34]),
-    ("mono/sorted/1220", [8405, 926, 0, 1, 673, 599, 522, 0, 73]),
-    ("mono/sorted/39062", [216025, 13628, 0, 1, 14213, 9984, 13111, 129, 1836]),
-    ("psm/uniform/76", [5478, 629, 0, 0, 778, 281, 244, 0, 34]),
-    ("psm/uniform/1220", [8749, 1025, 0, 0, 5967, 599, 522, 0, 73]),
-    ("psm/uniform/39062", [228950, 15440, 296, 10, 18974, 10563, 13874, 132, 1946]),
-    ("psm/zipf/76", [5582, 629, 0, 0, 778, 281, 244, 0, 34]),
-    ("psm/zipf/1220", [8233, 1025, 0, 0, 3817, 518, 451, 0, 63]),
-    ("psm/zipf/39062", [193447, 13474, 296, 10, 14082, 8941, 11483, 64, 1618]),
-    ("psm/sorted/76", [8159, 530, 0, 1, 155, 281, 244, 0, 34]),
-    ("psm/sorted/1220", [8405, 926, 0, 1, 673, 599, 522, 0, 73]),
-    ("psm/sorted/39062", [216025, 13628, 0, 1, 14213, 9984, 13111, 129, 1836]),
-    ("radix_sort/4096", [306000, 135560, 63488, 2048, 75013, 2048, 1791, 0, 248]),
-    ("vsr_sort/4096", [28387, 5908, 992, 32, 22998, 1056, 923, 0, 128]),
-    ("sql/full_scan", [21482, 2753, 0, 0, 23156, 1409, 1231, 0, 171]),
-    ("sql/filtered", [60779, 9516, 2208, 154, 48617, 2736, 2392, 0, 331]),
-    ("mvl16-lanes2-ports2/scalar/76", [21358, 31860, 14587, 281, 0, 281, 244, 0, 34]),
-    ("mvl16-lanes2-ports2/scalar/39062", [336901, 357147, 126368, 13124, 14458, 7581, 9239, 108, 1292]),
-    ("mvl16-lanes2-ports2/mono/76", [7294, 2423, 0, 0, 2622, 281, 244, 0, 34]),
-    ("mvl16-lanes2-ports2/mono/39062", [177231, 43234, 0, 0, 17627, 7629, 9328, 110, 1303]),
-    ("mvl16-lanes2-ports2/psm/76", [7294, 2423, 0, 0, 2622, 281, 244, 0, 34]),
-    ("mvl16-lanes2-ports2/psm/39062", [211242, 47709, 296, 10, 23162, 8624, 10929, 116, 1531]),
-    ("mvl16-lanes2-ports2/asr/76", [19487, 7146, 432, 101, 7144, 538, 470, 0, 65]),
-    ("mvl16-lanes2-ports2/asr/39062", [72591, 37260, 10149, 655, 20408, 1038, 907, 0, 126]),
-    ("mvl128-lanes8-ports8/scalar/76", [21358, 31860, 14587, 281, 0, 281, 244, 0, 34]),
-    ("mvl128-lanes8-ports8/scalar/39062", [336901, 357147, 126368, 13124, 14458, 7581, 9239, 108, 1292]),
-    ("mvl128-lanes8-ports8/mono/76", [5334, 319, 0, 0, 458, 281, 244, 0, 34]),
-    ("mvl128-lanes8-ports8/mono/39062", [158428, 7029, 0, 0, 16781, 9528, 12167, 127, 1708]),
-    ("mvl128-lanes8-ports8/psm/76", [5334, 319, 0, 0, 458, 281, 244, 0, 34]),
-    ("mvl128-lanes8-ports8/psm/39062", [161716, 8128, 296, 10, 16943, 10632, 13955, 130, 1956]),
-    ("mvl128-lanes8-ports8/asr/76", [11890, 2022, 432, 101, 3157, 545, 476, 0, 66]),
-    ("mvl128-lanes8-ports8/asr/39062", [61296, 28816, 10149, 655, 9891, 1038, 907, 0, 126]),
-    ("l1-vectors/scalar/76", [21358, 31860, 14587, 281, 0, 281, 244, 0, 34]),
-    ("l1-vectors/scalar/39062", [336901, 357147, 126368, 13124, 14458, 7581, 9239, 108, 1292]),
-    ("l1-vectors/mono/76", [5460, 629, 778, 281, 0, 281, 244, 0, 34]),
-    ("l1-vectors/mono/39062", [205454, 13859, 12834, 14157, 13732, 9355, 11901, 122, 1666]),
-    ("l1-vectors/psm/76", [5460, 629, 778, 281, 0, 281, 244, 0, 34]),
-    ("l1-vectors/psm/39062", [226558, 15440, 16198, 13625, 11393, 10471, 13697, 133, 1920]),
-    ("l1-vectors/asr/76", [13521, 2745, 4690, 541, 0, 541, 472, 0, 66]),
-    ("l1-vectors/asr/39062", [51889, 30022, 22609, 1325, 997, 1038, 907, 0, 126]),
-    ("plain-l2/scalar/76", [21358, 31860, 14587, 281, 0, 281, 244, 0, 34]),
-    ("plain-l2/scalar/39062", [338633, 357147, 126368, 13124, 14397, 7642, 9278, 122, 1296]),
-    ("plain-l2/mono/76", [5478, 629, 0, 0, 778, 281, 244, 0, 34]),
-    ("plain-l2/mono/39062", [205434, 13859, 0, 0, 17639, 9352, 11893, 131, 1667]),
-    ("plain-l2/psm/76", [5478, 629, 0, 0, 778, 281, 244, 0, 34]),
-    ("plain-l2/psm/39062", [229386, 15440, 296, 10, 18966, 10571, 13861, 150, 1946]),
-    ("plain-l2/asr/76", [13936, 2745, 432, 101, 4263, 541, 472, 0, 66]),
-    ("plain-l2/asr/39062", [63874, 30022, 10149, 655, 12831, 1038, 907, 0, 126]),
-    ("iq2-rob32/scalar/76", [33722, 31860, 14587, 281, 0, 281, 244, 0, 34]),
-    ("iq2-rob32/scalar/39062", [416508, 357147, 126368, 13124, 14458, 7581, 9239, 108, 1292]),
-    ("iq2-rob32/mono/76", [9400, 629, 0, 0, 778, 281, 244, 0, 34]),
-    ("iq2-rob32/mono/39062", [214170, 13859, 0, 0, 17584, 9407, 12004, 125, 1680]),
-    ("iq2-rob32/psm/76", [9400, 629, 0, 0, 778, 281, 244, 0, 34]),
-    ("iq2-rob32/psm/39062", [245375, 15440, 296, 10, 18974, 10563, 13874, 132, 1946]),
-    ("iq2-rob32/asr/76", [15157, 2745, 432, 101, 4263, 541, 472, 0, 66]),
-    ("iq2-rob32/asr/39062", [65662, 30022, 10149, 655, 12831, 1038, 907, 0, 126]),
-    ("line32/scalar/76", [23182, 31860, 14306, 562, 0, 562, 491, 0, 68]),
-    ("line32/scalar/39062", [399977, 357147, 118005, 21487, 21353, 14272, 17048, 254, 2382]),
-    ("line32/mono/76", [10530, 629, 0, 0, 1548, 562, 491, 0, 68]),
-    ("line32/mono/39062", [291003, 13859, 0, 0, 25013, 19170, 24257, 284, 3401]),
-    ("line32/psm/76", [10530, 629, 0, 0, 1548, 562, 491, 0, 68]),
-    ("line32/psm/39062", [297679, 15440, 286, 20, 29071, 20400, 26182, 285, 3679]),
-    ("line32/asr/76", [21790, 2745, 407, 126, 5486, 1081, 945, 0, 133]),
-    ("line32/asr/39062", [75437, 30022, 9495, 1309, 17073, 2076, 1816, 0, 255]),
-    ("line128/scalar/76", [20962, 31860, 14727, 141, 0, 141, 122, 0, 16]),
-    ("line128/scalar/39062", [294509, 357147, 130805, 8687, 10504, 4466, 5735, 63, 797]),
-    ("line128/mono/76", [3815, 629, 0, 0, 459, 141, 122, 0, 16]),
-    ("line128/mono/39062", [117554, 13859, 0, 0, 14659, 4874, 6376, 60, 891]),
-    ("line128/psm/76", [3815, 629, 0, 0, 459, 141, 122, 0, 16]),
-    ("line128/psm/39062", [160262, 15440, 301, 5, 12927, 6313, 8690, 45, 1223]),
-    ("line128/asr/76", [10619, 2745, 456, 77, 3439, 271, 236, 0, 32]),
-    ("line128/asr/39062", [58150, 30022, 10474, 330, 9460, 520, 454, 0, 61]),
-    ("sam/uniform/76", [5281, 405, 0, 0, 778, 281, 244, 0, 34]),
-    ("sam/uniform/39062", [184782, 13635, 0, 0, 17584, 9407, 12004, 125, 1680]),
-    ("minmax/uniform/76", [8338, 1174, 142, 10, 1428, 291, 253, 0, 35]),
-    ("minmax/uniform/1220", [20585, 3484, 1840, 154, 11713, 753, 656, 0, 92]),
-    ("minmax/uniform/39062", [501552, 20682, 1242, 2752, 20706, 21971, 30896, 1834, 3975]),
-    ("minmax/zipf/76", [8730, 1174, 142, 10, 1428, 291, 253, 0, 35]),
-    ("minmax/zipf/1220", [17129, 2544, 902, 152, 7333, 672, 586, 0, 82]),
-    ("minmax/zipf/39062", [409266, 16824, 590, 1516, 16426, 17449, 24985, 1021, 3266]),
-    ("minmax/sorted/76", [13510, 1075, 142, 11, 309, 291, 253, 0, 35]),
-    ("minmax/sorted/1220", [20739, 3387, 1842, 155, 1255, 753, 656, 0, 92]),
-    ("minmax/sorted/39062", [523780, 20451, 1204, 2791, 14143, 23350, 33413, 964, 4492]),
-    ("line32/minmax/uniform/1220", [30463, 3484, 1688, 306, 14581, 1499, 1310, 0, 184]),
-    ("line128/minmax/uniform/1220", [15404, 3484, 1917, 77, 8437, 378, 328, 0, 45]),
-];
+/// A two-counter table rendered by the writer, for the comparator's
+/// own tests: no simulator runs.
+fn table(rows: &[(&str, u64, u64)]) -> String {
+    let runs: Vec<(String, Fingerprint)> = rows
+        .iter()
+        .map(|&(run, cycles, uops)| (run.to_string(), vec![("cycles", cycles), ("uops", uops)]))
+        .collect();
+    render(&runs)
+}
 
-#[rustfmt::skip]
-const HAND_GOLDEN: &[(&str, WideFingerprint)] = &[
-    ("prefetching/paper", [22047, 1282, 0, 0, 29732, 1152, 1007, 0, 140, 0]),
-    ("prefetching/line32", [31881, 1282, 0, 0, 31722, 2304, 2016, 0, 283, 0]),
-    ("interleaved/paper", [152877, 5056, 1024, 1152, 40180, 5399, 5755, 0, 807, 1152]),
-    ("interleaved/line32", [176949, 5056, 1024, 1152, 38951, 7191, 6535, 0, 917, 1152]),
-    ("interleaved/line128", [138369, 5056, 1025, 1151, 41030, 4129, 5290, 0, 742, 1151]),
-    ("interleaved/l1-vectors", [152768, 5056, 37204, 8375, 10356, 5395, 5683, 0, 799, 0]),
-];
+#[test]
+fn a_moved_counter_is_named_by_file_run_and_counter() {
+    let pinned = table(&[("a", 10, 20), ("b", 30, 40)]);
+    assert_eq!(differences("t.csv", &pinned, &pinned), Vec::<String>::new());
+    assert_eq!(
+        differences("t.csv", &table(&[("a", 10, 20), ("b", 30, 41)]), &pinned),
+        ["t.csv: b: uops 41 (pinned 40)"]
+    );
+    assert_eq!(
+        differences("t.csv", &table(&[("a", 11, 21), ("b", 30, 40)]), &pinned),
+        [
+            "t.csv: a: cycles 11 (pinned 10)",
+            "t.csv: a: uops 21 (pinned 20)"
+        ]
+    );
+}
+
+#[test]
+fn missing_extra_and_reordered_rows_are_named() {
+    let pinned = table(&[("a", 1, 2), ("b", 3, 4)]);
+    assert_eq!(
+        differences("t.csv", &table(&[("a", 1, 2)]), &pinned),
+        ["t.csv: b: pinned, but not run"]
+    );
+    assert_eq!(
+        differences(
+            "t.csv",
+            &table(&[("a", 1, 2), ("b", 3, 4), ("c", 5, 6)]),
+            &pinned
+        ),
+        ["t.csv: c: run, but not pinned"]
+    );
+    assert_eq!(
+        differences("t.csv", &table(&[("b", 3, 4), ("a", 1, 2)]), &pinned),
+        ["t.csv: rows reordered: b runs where a is pinned"]
+    );
+    assert_eq!(
+        differences("t.csv", &pinned, &pinned.replace("uops", "ops")),
+        ["t.csv: counters cycles,uops (pinned cycles,ops)"]
+    );
+    assert_eq!(
+        differences("t.csv", &pinned, &pinned.replace('\n', "\r\n")),
+        ["t.csv: every counter matches, but not as write_golden writes them"]
+    );
+}
