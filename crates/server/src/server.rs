@@ -60,7 +60,8 @@ pub struct ServerConfig {
     /// port; read the real one off [`ServerHandle::addr`]).
     pub addr: String,
     /// Queries allowed to execute concurrently. Admission beyond this
-    /// waits in the queue.
+    /// waits in the queue. Zero admits nothing: every query is
+    /// rejected with [`ErrorCode::Overloaded`], whatever `max_queue`.
     pub max_inflight: usize,
     /// Queries allowed to *wait* for admission. When the queue is
     /// full, further queries are rejected with
@@ -118,14 +119,15 @@ impl Gate {
     }
 
     /// Admits the caller, waiting in the bounded queue if the server
-    /// is at capacity. `Err(())` means the queue was full — overload.
+    /// is at capacity. `Err(())` means the queue was full — overload —
+    /// or the gate has no permits, so that no release could end a wait.
     fn admit(&self) -> Result<GatePermit<'_>, ()> {
         let mut s = self.state.lock().unwrap();
         if s.0 < self.max_inflight {
             s.0 += 1;
             return Ok(GatePermit { gate: self });
         }
-        if s.1 >= self.max_queue {
+        if self.max_inflight == 0 || s.1 >= self.max_queue {
             return Err(());
         }
         s.1 += 1;

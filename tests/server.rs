@@ -3,7 +3,8 @@
 //! rejection, observable cancellation, protocol-error hygiene, and
 //! graceful shutdown that drains in-flight work.
 
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use vagg::db::{Row, SharedCatalogue, SqlOutcome, Table};
@@ -196,33 +197,54 @@ fn counter(metrics: &str, name: &str) -> u64 {
 
 #[test]
 fn overload_is_a_typed_rejection_and_the_listener_stays_responsive() {
-    // A gate that admits nothing: every query is an immediate,
-    // typed Overloaded — the pathological extreme of a full queue.
-    let config = ServerConfig {
-        max_inflight: 0,
-        max_queue: 0,
-        ..ServerConfig::default()
-    };
-    let handle = serve(catalogue(1_000), config).unwrap();
+    // Gates that admit nothing: every query is an immediate, typed
+    // Overloaded — the pathological extreme of a full queue. With no
+    // permit to wait for, a queue changes nothing.
+    for (max_inflight, max_queue) in [(0, 0), (0, 4)] {
+        let config = ServerConfig {
+            max_inflight,
+            max_queue,
+            ..ServerConfig::default()
+        };
+        let handle = serve(catalogue(1_000), config).unwrap();
+        let gate = format!("max_inflight {max_inflight}, max_queue {max_queue}");
+        let (Some((mut client, first)), Some((_, second))) =
+            (query_within(handle.addr()), query_within(handle.addr()))
+        else {
+            // Dropping the handle would join the connection still waiting.
+            std::mem::forget(handle);
+            panic!("{gate}: no reply within {REPLY_PATIENCE:?}");
+        };
+        // The rejections did not wedge anything: a second connection was
+        // accepted, and the first one still serves metrics.
+        for err in [first, second] {
+            let err = err.unwrap_err();
+            assert_eq!(err.code(), Some(ErrorCode::Overloaded), "{gate}: {err}");
+        }
+        let metrics = client.metrics().unwrap();
+        assert!(
+            metrics.contains("vagg_server_rejected_total 2"),
+            "{gate}: {metrics}"
+        );
+        assert_eq!(handle.stats().rejected(), 2, "{gate}");
+        handle.shutdown();
+    }
+}
 
-    let mut client = Client::connect(handle.addr()).unwrap();
-    let err = client
-        .query("SELECT g, COUNT(*) FROM events GROUP BY g")
-        .unwrap_err();
-    assert_eq!(err.code(), Some(ErrorCode::Overloaded), "{err}");
+/// How long a query that the gate rejects may take to come back: a
+/// guard against a hang, far beyond what any host needs.
+const REPLY_PATIENCE: Duration = Duration::from_secs(10);
 
-    // The rejection did not wedge anything: the same connection still
-    // serves metrics, and new connections are still accepted.
-    let metrics = client.metrics().unwrap();
-    assert!(
-        metrics.contains("vagg_server_rejected_total 1"),
-        "{metrics}"
-    );
-    let mut second = Client::connect(handle.addr()).unwrap();
-    let err = second.query("SELECT g, COUNT(*) FROM events GROUP BY g");
-    assert_eq!(err.unwrap_err().code(), Some(ErrorCode::Overloaded));
-    assert_eq!(handle.stats().rejected(), 2);
-    handle.shutdown();
+/// Connects to `addr` and runs one aggregate on a thread of its own;
+/// `None` if no reply came within [`REPLY_PATIENCE`].
+fn query_within(addr: SocketAddr) -> Option<(Client, Result<Vec<WireRow>, ClientError>)> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        let reply = client.query("SELECT g, COUNT(*) FROM events GROUP BY g");
+        let _ = tx.send((client, reply));
+    });
+    rx.recv_timeout(REPLY_PATIENCE).ok()
 }
 
 #[test]
