@@ -4,7 +4,7 @@
 //! graceful shutdown that drains in-flight work.
 
 use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use vagg::db::{Row, SharedCatalogue, SqlOutcome, Table};
@@ -239,12 +239,19 @@ const REPLY_PATIENCE: Duration = Duration::from_secs(10);
 /// `None` if no reply came within [`REPLY_PATIENCE`].
 fn query_within(addr: SocketAddr) -> Option<(Client, Result<Vec<WireRow>, ClientError>)> {
     let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
+    let thread = std::thread::spawn(move || {
         let mut client = Client::connect(addr).expect("connect");
         let reply = client.query("SELECT g, COUNT(*) FROM events GROUP BY g");
         let _ = tx.send((client, reply));
     });
-    rx.recv_timeout(REPLY_PATIENCE).ok()
+    match rx.recv_timeout(REPLY_PATIENCE) {
+        // The thread is still waiting for its reply: it cannot be joined.
+        Err(RecvTimeoutError::Timeout) => None,
+        reply => {
+            thread.join().expect("the query thread panicked");
+            Some(reply.expect("a thread that returned sent its reply"))
+        }
+    }
 }
 
 #[test]
