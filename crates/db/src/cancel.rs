@@ -78,9 +78,9 @@ struct Inner {
     morsels: AtomicU64,
 }
 
-/// A shared cancellation flag for one query (see the [module
-/// docs](self)). Clones observe the same flag; all methods are safe to
-/// call from any thread.
+/// A shared cancellation flag for one query (see
+/// [`crate::Database::run_sql_cancellable`]). Clones observe the same
+/// flag; all methods are safe to call from any thread.
 #[derive(Debug, Clone)]
 pub struct CancelToken {
     inner: Arc<Inner>,

@@ -290,7 +290,7 @@ pub(crate) struct RegistryReadGuard<'a>(
 );
 
 /// A cheaply clonable handle to one shared table registry, planner and
-/// plan cache. See the [module docs](self).
+/// plan cache.
 #[derive(Clone)]
 pub struct SharedCatalogue {
     inner: Arc<Inner>,
@@ -642,7 +642,7 @@ impl SharedCatalogue {
     /// exactly this cut while appends, compactions and
     /// re-registrations proceed — the write path never blocks on
     /// readers, and dropping the snapshot drops what it holds (see
-    /// [`crate::snapshot`]).
+    /// [`Snapshot`]).
     pub fn snapshot(&self) -> Snapshot {
         self.capture(None)
             .expect("a full-catalogue cut cannot name a missing table")
@@ -901,8 +901,7 @@ impl SharedCatalogue {
     }
 
     /// The live, incrementally maintained statistics of `name`: row
-    /// count and per-column min/max, sortedness and sampled distinct
-    /// estimate.
+    /// count, zone maps and per-column sampled distinct estimate.
     pub fn table_stats(&self, name: &str) -> Option<TableStats> {
         self.registered(name, |r| r.stats.clone())
     }
@@ -1192,11 +1191,14 @@ mod tests {
         assert_eq!(t.rows(), 10);
         assert_eq!(&t.column("g").unwrap()[8..], &[7, 7]);
 
-        // Live statistics absorbed the batch.
+        // Live statistics absorbed the batch; the view's metadata, which
+        // the planner reads, covers it.
         let stats = cat.table_stats("r").unwrap();
         assert_eq!(stats.rows(), 10);
-        assert_eq!(stats.column("g").unwrap().max, Some(7));
-        assert_eq!(stats.column("g").unwrap().cardinality(), 8);
+        assert_eq!(t.meta("g").unwrap().max, Some(7));
+        let query = crate::query::AggregateQuery::paper("g", "v");
+        let plan = cat.plan_query("r", &query).unwrap();
+        assert_eq!(plan.cardinality_estimate(), 8);
     }
 
     #[test]
@@ -1372,7 +1374,7 @@ mod tests {
         assert_eq!(t.rows(), 11);
         let stats = cat.table_stats("r").unwrap();
         assert_eq!(stats.rows(), 11);
-        assert_eq!(stats.column("g").unwrap().max, Some(9));
+        assert_eq!(t.meta("g").unwrap().max, Some(9));
         // Further appends start filling a fresh delta over the new base.
         let r3 = cat.append("r", batch(vec![2], vec![2])).unwrap();
         assert_eq!(r3.delta_rows, 1);

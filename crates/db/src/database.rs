@@ -400,10 +400,10 @@ enum TxnState {
 /// A database opened with [`Database::open`] is additionally
 /// **durable**: every write is recorded in a write-ahead log in the
 /// database directory before the call returns, and reopening the path
-/// replays the log back to exactly the committed pre-crash state (see
-/// [`crate::wal`]). Durability is owned by the opening session — write
-/// through it, not through extra [`SharedCatalogue::connect`] handles,
-/// which would bypass the log.
+/// replays the log back to exactly the committed pre-crash state (a
+/// damaged log is a typed [`crate::WalError`]). Durability is owned by
+/// the opening session — write through it, not through extra
+/// [`SharedCatalogue::connect`] handles, which would bypass the log.
 pub struct Database {
     /// The catalogue and, when durable, its write-ahead log.
     shard: Shard,
@@ -566,8 +566,9 @@ impl Database {
     }
 
     /// The live, incrementally maintained statistics of a registered
-    /// table (row count, per-column min/max/sortedness and the sampled
-    /// distinct estimate).
+    /// table (row count, zone maps and the per-column sampled distinct
+    /// estimate). Sortedness and maximum are the view's
+    /// ([`Database::table`], [`crate::ColumnMeta`]).
     pub fn table_stats(&self, name: &str) -> Option<TableStats> {
         self.shard.catalogue.table_stats(name)
     }
@@ -756,8 +757,7 @@ impl Database {
         self.run_statement(sql)
     }
 
-    /// [`Database::run_sql`] under a [`CancelToken`] (see
-    /// [`crate::cancel`]): a `SELECT` runs in
+    /// [`Database::run_sql`] under a [`CancelToken`]: a `SELECT` runs in
     /// [`crate::DEFAULT_MORSEL_ROWS`]-row ranges with the token checked
     /// before each one (a join polls per range of its host-side build
     /// and probe, then per range of the aggregation), so a tripped token
@@ -1198,8 +1198,8 @@ fn plan_as_of(
     let (ls, rs) = (TableStats::seed(&left), TableStats::seed(&right));
     let plan = plan_join(
         q,
-        (&left, &ls, version),
-        (&right, &rs, right_version),
+        (std::slice::from_ref(&left), &ls, version),
+        (std::slice::from_ref(&right), &rs, right_version),
         1,
         Some(label),
     )?;

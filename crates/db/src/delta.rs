@@ -9,7 +9,7 @@
 //! see base ++ delta through the catalogue's merged view, materialised
 //! lazily once per data version; a threshold-triggered compaction
 //! (see [`crate::ingest::CompactionPolicy`]) merges the delta into a
-//! new base and re-chunks the zone maps over it (the column statistics
+//! new base and re-chunks the zone maps over it (the distinct sketches
 //! describe the rows, not their layout, and carry over). The catalogue
 //! holds each delta behind an `Arc`: a [`crate::Snapshot`] captures one
 //! by cloning that handle — no delta data is copied at capture time — a
@@ -17,13 +17,12 @@
 //! compaction installs a fresh store, leaving any held one to its
 //! holders.
 //!
-//! [`TableStats`] is the live-statistics half: per-column row count,
-//! min/max, sortedness and a sampled (KMV sketch) distinct estimate,
-//! maintained *incrementally* on every append. Because the §V-D policy
-//! plans from `max + 1` cardinality — exactly what the exact scan
-//! measures — the maintained maximum lets the catalogue re-run the
-//! algorithm choice against drifted statistics without re-scanning a
-//! single column (see [`crate::SharedCatalogue`]).
+//! [`TableStats`] is the live-statistics half: the row count, per-range
+//! zone maps and a per-column sampled (KMV sketch) distinct estimate,
+//! maintained *incrementally* on every append. What the §V-D policy
+//! plans from — sortedness and the `max + 1` cardinality — is metadata
+//! of the view a plan reads ([`crate::ColumnMeta`]), computed in the
+//! pass that builds it, so the statistics keep no copy of it.
 
 use crate::ingest::RowBatch;
 use crate::table::Table;
@@ -200,9 +199,10 @@ impl DeltaStore {
 /// (which installs the result as the new base, dropping tombstones and
 /// overwrites physically).
 ///
-/// Column sortedness is re-detected by [`Table::with_column`], so a
-/// delete or overwrite that restores (or breaks) sorted order is
-/// reflected in the merged table's metadata.
+/// Column metadata (sortedness, maximum) is computed by
+/// [`Table::with_column`], so a delete or overwrite that restores (or
+/// breaks) sorted order, or moves the maximum, is reflected in the
+/// merged table's metadata.
 pub(crate) fn materialise(base: &Table, delta: &DeltaStore, cut: DeltaCut) -> Table {
     let total = base.rows() + cut.rows;
     // Overwrites first (they address physical rows), tombstones second.
@@ -231,50 +231,23 @@ pub(crate) fn materialise(base: &Table, delta: &DeltaStore, cut: DeltaCut) -> Ta
     out
 }
 
-/// Incrementally maintained statistics for one column.
+/// Incrementally maintained statistics for one column: a sampled
+/// distinct-count sketch, the one column fact a view does not carry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnStats {
-    /// Smallest value seen (`None` while the column is empty).
-    pub min: Option<u32>,
-    /// Largest value seen (`None` while the column is empty). The
-    /// planner's cardinality estimate is `max + 1` — the same quantity
-    /// the exact §III-A scan measures.
-    pub max: Option<u32>,
-    /// Whether the column (base ++ delta, in append order) is still
-    /// sorted ascending — the DBMS metadata the §V-D policy consults.
-    pub sorted: bool,
-    /// Last value in append order (drives incremental `sorted`).
-    last: Option<u32>,
-    /// Sampled distinct-count sketch.
     sketch: DistinctSketch,
 }
 
 impl ColumnStats {
     fn empty() -> Self {
         Self {
-            min: None,
-            max: None,
-            sorted: true,
-            last: None,
             sketch: DistinctSketch::new(),
         }
     }
 
-    /// Folds appended values in, one pass per statistic: each loop is
-    /// a branch-free fold or exits early, where one loop doing all
-    /// four serialises on the sketch. Equal to a re-scan of everything
-    /// seen so far (`incremental_stats_match_a_full_rescan`).
+    /// Folds appended values in. Equal to a re-scan of everything seen
+    /// so far (`incremental_stats_match_a_full_rescan`).
     fn observe(&mut self, values: &[u32]) {
-        let (Some(&first), Some(&last)) = (values.first(), values.last()) else {
-            return;
-        };
-        let (lo, hi) = minmax(values);
-        self.min = Some(self.min.map_or(lo, |m| m.min(lo)));
-        self.max = Some(self.max.map_or(hi, |m| m.max(hi)));
-        self.sorted = self.sorted
-            && self.last.is_none_or(|l| l <= first)
-            && values.windows(2).all(|w| w[0] <= w[1]);
-        self.last = Some(last);
         for &x in values {
             self.sketch.insert(x);
         }
@@ -283,24 +256,7 @@ impl ColumnStats {
     /// Folds another partition's statistics of the same column into
     /// this one (see [`TableStats::merged`]).
     fn absorb(&mut self, other: &ColumnStats) {
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        self.sorted = self.sorted && other.sorted;
-        // The merged view is not an ingest accumulator: partitions
-        // append independently, so there is no meaningful "last value".
-        self.last = None;
         self.sketch.merge(&other.sketch);
-    }
-
-    /// The §V-D cardinality this column would plan with: `max + 1`.
-    pub fn cardinality(&self) -> u64 {
-        self.max.map_or(0, |m| m as u64 + 1)
     }
 
     /// The sampled distinct-count estimate (a KMV sketch: exact below
@@ -482,13 +438,12 @@ impl TableStats {
 
     /// Installs the zones of a compaction's merged table — the same
     /// rows as the view these statistics describe, laid out as one
-    /// base. Nothing else moves: min/max and the distinct sketch are
-    /// functions of the *set* of values seen, `sorted` / `last` of their
-    /// order, and a compaction changes neither; with
-    /// `zones = ZoneMaps::seed(merged)` the result is
-    /// `TableStats::seed(merged)`, which `tests/stats_oracle.rs` holds
-    /// after every statement and the catalogue `debug_assert`s at every
-    /// compaction.
+    /// base. Nothing else moves: the row count and the distinct sketch
+    /// are functions of the *set* of values seen, which a compaction
+    /// does not change; with `zones = ZoneMaps::seed(merged)` the
+    /// result is `TableStats::seed(merged)`, which
+    /// `tests/stats_oracle.rs` holds after every statement and the
+    /// catalogue `debug_assert`s at every compaction.
     pub(crate) fn relay(&mut self, zones: ZoneMaps) {
         self.zones = zones;
     }
@@ -515,11 +470,9 @@ impl TableStats {
 
     /// Merges per-partition statistics into one observability view —
     /// what [`crate::ShardedDatabase::table_stats`] reports for a
-    /// row-partitioned table. Row counts add, min/max combine, the KMV
-    /// sketches union (keeping the K smallest hashes, so the merged
-    /// distinct estimate is as good as a single-store sketch of the
-    /// same rows), and `sorted` means *sorted within every partition*
-    /// (the partitions are separate stores; no global order exists).
+    /// row-partitioned table. Row counts add and the KMV sketches union
+    /// (keeping the K smallest hashes, so the merged distinct estimate
+    /// is as good as a single-store sketch of the same rows).
     ///
     /// `None` when `parts` is empty or the column sets disagree.
     pub fn merged(parts: &[TableStats]) -> Option<TableStats> {
@@ -896,28 +849,11 @@ mod tests {
         let merged = TableStats::merged(&parts).unwrap();
         assert_eq!(merged.rows(), whole.rows());
         let (m, w) = (merged.column("g").unwrap(), whole.column("g").unwrap());
-        assert_eq!(m.min, w.min);
-        assert_eq!(m.max, w.max);
-        assert_eq!(
-            m.distinct_estimate(),
-            w.distinct_estimate(),
-            "KMV sketches union losslessly"
-        );
-    }
-
-    #[test]
-    fn merged_stats_sorted_means_sorted_within_every_part() {
-        let sorted = TableStats::seed(&Table::new("r").with_column("g", vec![1, 2, 3]));
-        let also_sorted = TableStats::seed(&Table::new("r").with_column("g", vec![0, 1]));
-        let unsorted = TableStats::seed(&Table::new("r").with_column("g", vec![5, 1]));
-        let m = TableStats::merged(&[sorted.clone(), also_sorted]).unwrap();
-        assert!(m.column("g").unwrap().sorted, "both parts sorted");
-        let m = TableStats::merged(&[sorted.clone(), unsorted]).unwrap();
-        assert!(!m.column("g").unwrap().sorted, "one part unsorted");
+        assert_eq!(m, w, "KMV sketches union losslessly");
         // Degenerate and mismatched inputs.
         assert!(TableStats::merged(&[]).is_none());
         let other = TableStats::seed(&Table::new("r").with_column("h", vec![1]));
-        assert!(TableStats::merged(&[sorted, other]).is_none());
+        assert!(TableStats::merged(&[whole, other]).is_none());
     }
 
     /// `seed(base)` + k × `observe(batch)` must equal
@@ -965,38 +901,26 @@ mod tests {
             // Zones differ by design (one per batch against one per
             // 2048 rows); every column statistic is equal.
             assert_eq!(stats.columns, fresh.columns, "case {case}");
-            for name in ["g", "v"] {
-                // Sortedness agrees with the Table's own detection.
-                let sorted = fresh.column(name).unwrap().sorted;
-                assert_eq!(sorted, merged.meta(name).unwrap().sorted, "case {case}");
-            }
         }
     }
 
+    /// The view's sortedness follows the rows in append order: kept by
+    /// in-order appends, lost to a break, never regained by appending.
     #[test]
     fn sorted_tracking_survives_in_order_appends_and_catches_breaks() {
         let base = Table::new("r").with_column("g", vec![1, 2, 3]);
-        let mut stats = TableStats::seed(&base);
-        assert!(stats.column("g").unwrap().sorted);
-        stats.observe(&RowBatch::new().with_column("g", vec![3, 4, 9]));
-        assert!(stats.column("g").unwrap().sorted, "in-order append");
-        stats.observe(&RowBatch::new().with_column("g", vec![0]));
-        assert!(!stats.column("g").unwrap().sorted, "break detected");
-        // Sortedness never comes back without a re-seed.
-        stats.observe(&RowBatch::new().with_column("g", vec![100]));
-        assert!(!stats.column("g").unwrap().sorted);
-    }
-
-    #[test]
-    fn cardinality_is_max_plus_one() {
-        let t = Table::new("r").with_column("g", vec![4, 17, 3]);
-        let stats = TableStats::seed(&t);
-        assert_eq!(stats.column("g").unwrap().cardinality(), 18);
-        let empty = Table::new("r").with_column("g", vec![]);
-        assert_eq!(
-            TableStats::seed(&empty).column("g").unwrap().cardinality(),
-            0
-        );
+        let mut d = DeltaStore::for_table(&base);
+        let sorted = |d: &DeltaStore| materialise(&base, d, d.cut()).meta("g").unwrap().sorted;
+        assert!(sorted(&d));
+        d.append(&RowBatch::new().with_column("g", vec![3, 4, 9]));
+        assert!(sorted(&d), "in-order append");
+        d.append(&RowBatch::new().with_column("g", vec![0]));
+        assert!(!sorted(&d), "break detected");
+        d.append(&RowBatch::new().with_column("g", vec![100]));
+        assert!(!sorted(&d));
+        // Deleting the row that broke the order restores it.
+        d.tombstone_rows(&[6]);
+        assert!(sorted(&d), "the break deleted");
     }
 
     #[test]
@@ -1025,9 +949,8 @@ mod tests {
     fn empty_column_stats_are_well_defined() {
         let t = Table::new("r").with_column("g", vec![]);
         let stats = TableStats::seed(&t);
-        let c = stats.column("g").unwrap();
-        assert_eq!((c.min, c.max), (None, None));
-        assert!(c.sorted);
-        assert_eq!(c.distinct_estimate(), 0);
+        assert_eq!(stats.rows(), 0);
+        assert_eq!(stats.zone_maps().zones(), 0);
+        assert_eq!(stats.column("g").unwrap().distinct_estimate(), 0);
     }
 }

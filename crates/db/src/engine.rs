@@ -81,8 +81,9 @@ impl Engine {
     }
 
     /// Plans a query against a table: resolves columns, validates the
-    /// predicates, estimates cardinality from host-visible statistics,
-    /// and fixes the §V-D algorithm choice into a typed [`QueryPlan`].
+    /// predicates, estimates cardinality from the table's column
+    /// metadata ([`crate::ColumnMeta`]), and fixes the §V-D algorithm
+    /// choice into a typed [`QueryPlan`].
     ///
     /// Planning never runs the machine. The estimate here is taken over
     /// the *unfiltered* column, as a real optimizer plans from table
@@ -130,27 +131,23 @@ impl Engine {
         };
 
         let n = table.rows();
+        let meta = |name: &str| table.meta(name).expect("column resolved above");
         // Fused composite keys have no sortedness guarantee even when
         // the primary column does.
-        let presorted = table
-            .meta(&query.group_by)
-            .map(|m| m.sorted)
-            .unwrap_or(false)
-            && query.group_by_rest.is_empty();
+        let presorted = meta(&query.group_by).sorted && query.group_by_rest.is_empty();
+        // A column's key domain is `max + 1`, from the view's metadata.
+        let domain = |name: &str| meta(name).max.expect("non-empty table") as u64 + 1;
 
         let mut steps = Vec::new();
 
         // Composite GROUP BY: check the fused key domain fits the 32-bit
-        // key space, from host-side per-column maxima (the session
-        // replays the charged machine scans at execution time).
-        // `domains` is empty for single-column queries.
+        // key space, from the per-column maxima (the session replays the
+        // charged machine scans at execution time). `domains` is empty
+        // for single-column queries.
         let domains: Vec<u64> = if rest.is_empty() {
             Vec::new()
         } else {
-            let domains: Vec<u64> = std::iter::once(&group)
-                .chain(rest.iter())
-                .map(|col| *col.iter().max().expect("non-empty table") as u64 + 1)
-                .collect();
+            let domains: Vec<u64> = query.group_columns().into_iter().map(domain).collect();
             let total: u128 = domains.iter().map(|&d| d as u128).product();
             if total > u32::MAX as u128 + 1 {
                 return Err(PlanError::CompositeKeyOverflow {
@@ -166,15 +163,6 @@ impl Engine {
             });
             domains
         };
-        // The effective group key of row `i` (the fused key for
-        // composite queries).
-        let key_at = |i: usize| -> u32 {
-            let mut k = group[i] as u64;
-            for (col, &d) in rest.iter().zip(domains.iter().skip(1)) {
-                k = k * d + col[i] as u64;
-            }
-            k as u32
-        };
 
         if let Some((col, pred)) = &query.filter {
             steps.push(PlanStep::VectorFilter {
@@ -184,16 +172,25 @@ impl Engine {
         }
 
         // Cardinality estimate over the effective (fused) group column,
-        // host-side and pre-filter (table statistics): the exact
-        // `max + 1`, so it bounds every key of every range of the table.
-        // The session's scan at execution time charges the §III-A
-        // metadata cost but runs over the post-WHERE input, so it may
-        // see different data; the algorithm choice is fixed here, from
-        // this estimate.
+        // pre-filter: the exact `max + 1`, so it bounds every key of
+        // every range of the table. A single column's maximum is the
+        // view's metadata; a fused key's is a fact of no column, so it
+        // is scanned here. The session's scan at execution time
+        // charges the §III-A metadata cost but runs over the post-WHERE
+        // input, so it may see different data; the algorithm choice is
+        // fixed here, from this estimate.
         let scan_mode = ScanMode::of(presorted);
-        let cardinality = match scan_mode {
-            ScanMode::Presorted => group[n - 1] as u64 + 1,
-            ScanMode::Exact => (0..n).map(key_at).max().expect("non-empty table") as u64 + 1,
+        let cardinality = if rest.is_empty() {
+            domain(&query.group_by)
+        } else {
+            let key_at = |i: usize| -> u64 {
+                let mut k = group[i] as u64;
+                for (col, &d) in rest.iter().zip(&domains[1..]) {
+                    k = k * d + col[i] as u64;
+                }
+                k
+            };
+            (0..n).map(key_at).max().expect("non-empty table") + 1
         };
         steps.push(PlanStep::CardinalityScan {
             mode: scan_mode,
@@ -275,6 +272,25 @@ mod tests {
     ) -> Result<QueryOutput, PlanError> {
         let plan = engine.plan(table, query)?;
         Ok(Session::with_config(engine.config().clone()).run(&plan))
+    }
+
+    #[test]
+    fn cardinality_is_max_plus_one() {
+        let engine = Engine::new();
+        let q = AggregateQuery::paper("g", "v");
+        // Unsorted and presorted columns plan the same `max + 1`.
+        for (g, presorted) in [(vec![4, 17, 3], false), (vec![3, 4, 17], true)] {
+            let t = Table::new("r")
+                .with_column("g", g)
+                .with_column("v", vec![1, 2, 3]);
+            let plan = engine.plan(&t, &q).unwrap();
+            assert_eq!(plan.cardinality_estimate(), 18);
+            assert_eq!(plan.presorted(), presorted);
+        }
+        let empty = Table::new("r")
+            .with_column("g", vec![])
+            .with_column("v", vec![]);
+        assert_eq!(engine.plan(&empty, &q).unwrap_err(), PlanError::EmptyTable);
     }
 
     #[test]

@@ -432,7 +432,7 @@ struct Shared {
     agg_closes: AtomicU64,
 }
 
-/// A persistent pool of morsel workers (see the [module docs](self)).
+/// A persistent pool of morsel workers.
 /// Owned by [`crate::ShardedDatabase`]; the pool is created once and
 /// reused by every query until the database drops.
 pub struct Executor {

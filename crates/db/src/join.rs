@@ -7,8 +7,9 @@
 //!
 //! 1. **Build.** The planner picks a *build side* from live
 //!    [`TableStats`] — fewer rows wins, ties broken by the smaller KMV
-//!    distinct estimate of the join key, then by key sortedness — and
-//!    its rows are grouped by key tuple into one hash map per
+//!    distinct estimate of the join key, then by key sortedness, read
+//!    off the sides' views (every partition's, on the sharded path) —
+//!    and its rows are grouped by key tuple into one hash map per
 //!    partition (`JoinBuildSink`): each build range groups its rows
 //!    locally, then merges them in under one lock. On the sharded path
 //!    the ranges are morsels on the persistent [`crate::Executor`], so
@@ -288,19 +289,20 @@ impl JoinPlan {
 /// broadcast (one global index) rather than partitioned.
 const BROADCAST_ROWS: usize = 1024;
 
-/// One side of a join as the planner sees it: a schema, statistics
+/// One side of a join as the planner sees it: its partitions' views
+/// (one for a single store, one per shard), their statistics merged,
 /// and a data version.
-pub(crate) type JoinSide<'a> = (&'a Table, &'a TableStats, u64);
+pub(crate) type JoinSide<'a> = (&'a [Table], &'a TableStats, u64);
 
 /// Plans the equi-join of `q` (which has a join clause): validates the
 /// ON columns, resolves every column the query references against the
 /// joined pair, picks the build side and the sharded exchange strategy
-/// from the two sides' statistics. `shards <= 1` plans
+/// from the two sides' statistics and views. `shards <= 1` plans
 /// [`JoinStrategy::Local`].
 pub(crate) fn plan_join(
     q: &SqlQuery,
-    (left_schema, left_stats, left_version): JoinSide<'_>,
-    (right_schema, right_stats, right_version): JoinSide<'_>,
+    (left_parts, left_stats, left_version): JoinSide<'_>,
+    (right_parts, right_stats, right_version): JoinSide<'_>,
     shards: usize,
     as_of: Option<String>,
 ) -> Result<JoinPlan, PlanError> {
@@ -310,6 +312,8 @@ pub(crate) fn plan_join(
     if left_stats.rows() == 0 || right_stats.rows() == 0 {
         return Err(PlanError::EmptyTable);
     }
+    // Every partition of a side shares its schema.
+    let (left_schema, right_schema) = (&left_parts[0], &right_parts[0]);
     for (lc, rc) in &join.on {
         if left_schema.column(lc).is_none() {
             return Err(PlanError::UnknownColumn(format!("{left_name}.{lc}")));
@@ -360,24 +364,25 @@ pub(crate) fn plan_join(
             column: column.to_string(),
         });
     }
-    // §V-D-style build-side choice from live statistics.
-    let key_facts = |stats: &TableStats, keys: &[&String]| {
+    // §V-D-style build-side choice: the distinct estimate from the
+    // statistics, sortedness from the views — a partitioned side is
+    // sorted only if every partition is (no global order exists).
+    let key_facts = |parts: &[Table], stats: &TableStats, keys: &[&String]| {
         let mut distinct: u64 = 1;
-        let mut sorted = true;
         for key in keys {
             if let Some(col) = stats.column(key) {
                 distinct = distinct.saturating_mul(col.distinct_estimate().max(1));
-                sorted &= col.sorted;
-            } else {
-                sorted = false;
             }
         }
+        let sorted = keys
+            .iter()
+            .all(|key| parts.iter().all(|t| t.meta(key).is_some_and(|m| m.sorted)));
         (distinct.min(stats.rows() as u64), sorted)
     };
     let lkeys: Vec<&String> = join.on.iter().map(|(l, _)| l).collect();
     let rkeys: Vec<&String> = join.on.iter().map(|(_, r)| r).collect();
-    let (ldistinct, lsorted) = key_facts(left_stats, &lkeys);
-    let (rdistinct, rsorted) = key_facts(right_stats, &rkeys);
+    let (ldistinct, lsorted) = key_facts(left_parts, left_stats, &lkeys);
+    let (rdistinct, rsorted) = key_facts(right_parts, right_stats, &rkeys);
     let (lrows, rrows) = (left_stats.rows(), right_stats.rows());
     let build_right = if rrows != lrows {
         rrows < lrows
@@ -960,6 +965,7 @@ mod tests {
             on: vec![("k".into(), "k".into())],
         };
         let (ls, rs) = (TableStats::seed(l), TableStats::seed(r));
+        let (l, r) = (std::slice::from_ref(l), std::slice::from_ref(r));
         plan_join(&query(agg, join), (l, &ls, 1), (r, &rs, 1), shards, None).unwrap()
     }
 
@@ -1122,7 +1128,8 @@ mod tests {
             let (ls, rs) = (TableStats::seed(&l), TableStats::seed(&r));
             let agg = AggregateQuery::paper("l.k0", "r.k0");
             let q = query(agg, clause);
-            let p = plan_join(&q, (&l, &ls, 1), (&r, &rs, 1), 1, None).unwrap();
+            let (lp, rp) = (std::slice::from_ref(&l), std::slice::from_ref(&r));
+            let p = plan_join(&q, (lp, &ls, 1), (rp, &rs, 1), 1, None).unwrap();
             let built = if p.build_right() { &build } else { &probe };
             let distinct: std::collections::BTreeSet<Vec<u32>> =
                 (0..built[0].len()).map(|b| tuple(built, b)).collect();
@@ -1145,7 +1152,8 @@ mod tests {
         let (ls, rs) = (TableStats::seed(&l), TableStats::seed(&r));
         let err = |agg: AggregateQuery| {
             let q = query(agg, join.clone());
-            plan_join(&q, (&l, &ls, 1), (&r, &rs, 1), 1, None).unwrap_err()
+            let (lp, rp) = (std::slice::from_ref(&l), std::slice::from_ref(&r));
+            plan_join(&q, (lp, &ls, 1), (rp, &rs, 1), 1, None).unwrap_err()
         };
         assert_eq!(
             err(AggregateQuery::paper("k", "v")),

@@ -6,7 +6,8 @@
 //! the plan/execute split every real column-store uses:
 //!
 //! * [`Table`] — named `u32` columns stored contiguously (`Arc`-shared),
-//!   with the sortedness metadata real systems track;
+//!   with the per-column metadata real systems track (sortedness,
+//!   maximum);
 //! * [`AggregateQuery`] — `SELECT g, COUNT/SUM/MIN/MAX/AVG(v) FROM t
 //!   [WHERE ...] GROUP BY g[, h, ...]` (composite keys are fused on the
 //!   machine and decomposed on readback);
@@ -17,11 +18,11 @@
 //! * [`Session`] — a long-lived execution context owning one
 //!   [`vagg_sim::Machine`]: `session.run(&plan)` executes plans
 //!   back-to-back on the same machine, reporting per-query cycle deltas;
-//! * [`filter`] — vectorised selection using Table III's comparison +
-//!   compress + popcount instructions;
-//! * [`sql`] / [`Database`] — a SQL front end (catalogue + session) for
-//!   exactly the Figure 2 query family, including `EXPLAIN SELECT ...`
-//!   and `?` placeholders via [`Database::prepare`];
+//! * [`vector_filter`] — vectorised selection using Table III's
+//!   comparison + compress + popcount instructions;
+//! * [`parse_statement`] / [`Database`] — a SQL front end (catalogue +
+//!   session) for exactly the Figure 2 query family, including
+//!   `EXPLAIN SELECT ...` and `?` placeholders via [`Database::prepare`];
 //! * the serving layer — a [`PlanCache`] keyed by normalized query
 //!   shape (hit/miss counters, LRU eviction, invalidation on
 //!   re-register), [`PreparedStatement`]s that parse once and bind
@@ -36,12 +37,13 @@
 //! * the write path — `INSERT INTO ... VALUES` and the bulk
 //!   [`Database::append_rows`] API feed per-table [`DeltaStore`]s
 //!   (append-only batches over the immutable base columns), live
-//!   [`TableStats`] maintained incrementally (min/max, sortedness,
+//!   [`TableStats`] maintained incrementally (row count, zone maps,
 //!   sampled distinct estimate), a *data* version distinct from the
 //!   schema version, threshold-triggered [compaction](CompactionPolicy),
 //!   and plan reconciliation: a cached plan serves only the data version
 //!   it was planned at, so the first read after a write re-plans against
-//!   the drifted statistics ([`CacheStats`] counts the miss);
+//!   the view the write drifted, whose [`ColumnMeta`] (sortedness,
+//!   maximum) the planner reads ([`CacheStats`] counts the miss);
 //! * the snapshot-first read path — **every** read happens at an MVCC
 //!   [`Snapshot`]: `run_sql` captures a snapshot-of-now per statement,
 //!   [`Database::snapshot`] / [`SharedCatalogue::snapshot`] /
@@ -54,7 +56,7 @@
 //!   (counted by [`SnapshotStats`]);
 //! * durability — [`Database::open`] / [`ShardedDatabase::open`] put
 //!   the engine on disk behind a checksummed, LSN-stamped write-ahead
-//!   log ([`wal`]) replayed on reopen to the exact committed state;
+//!   log replayed on reopen to the exact committed state;
 //!   write transactions (`BEGIN` … `COMMIT`/`ROLLBACK`) become durable
 //!   atomically under one commit record, `DELETE`/`UPDATE` tombstone
 //!   and overwrite rows in the delta (physically dropped at
@@ -174,42 +176,42 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod cancel;
-pub mod catalogue;
-pub mod database;
-pub mod delta;
-pub mod engine;
-pub mod executor;
-pub mod filter;
-pub mod ingest;
-pub mod join;
-pub mod metrics;
-pub mod plan;
-pub mod prepared;
-pub mod query;
+mod cache;
+mod cancel;
+mod catalogue;
+mod database;
+mod delta;
+mod engine;
+mod executor;
+mod filter;
+mod ingest;
+mod join;
+mod metrics;
+mod plan;
+mod prepared;
+mod query;
 mod read;
 mod recovery;
-pub mod session;
-pub mod shard;
-pub mod snapshot;
-pub mod sql;
-pub mod table;
-pub mod tempdir;
-pub mod trace;
-pub mod wal;
+mod session;
+mod shard;
+mod snapshot;
+mod sql;
+mod table;
+mod tempdir;
+mod trace;
+mod wal;
 
 pub use cache::{CacheStats, PlanCache, QueryShape};
 pub use cancel::{CancelCause, CancelToken};
 pub use catalogue::SharedCatalogue;
 pub use database::{Database, ExplainOutput, MutationReceipt, SqlError, SqlOutcome};
-pub use delta::{ColumnStats, DeltaStore, TableStats};
+pub use delta::{ColumnStats, DeltaStore, TableStats, ZoneMaps};
 pub use engine::{Engine, ExecutionReport, QueryOutput, Row};
 pub use executor::{Executor, ExecutorConfig, ExecutorError, ExecutorStats, DEFAULT_MORSEL_ROWS};
 pub use filter::{reference_filter, vector_filter, Predicate};
 pub use ingest::{CompactionPolicy, IngestError, IngestReceipt, RowBatch};
 pub use join::{JoinPlan, JoinStrategy};
-pub use metrics::{MetricsRegistry, MetricsSnapshot, SlowQuery};
+pub use metrics::{MetricsRegistry, MetricsSnapshot, SlowQuery, CYCLE_HISTOGRAM_BUCKETS};
 pub use plan::{PlanError, PlanStep, QueryPlan, ScanMode};
 pub use prepared::PreparedStatement;
 pub use query::{AggFn, AggregateQuery, Having, OrderBy, OrderKey};

@@ -2,7 +2,7 @@
 //!
 //! [`crate::Engine::plan`] turns an [`AggregateQuery`] plus a
 //! [`crate::Table`]'s
-//! DBMS metadata (sortedness, host-visible statistics) into a
+//! DBMS metadata (sortedness, maximum) into a
 //! [`QueryPlan`]: an ordered list of [`PlanStep`]s with the §V-D adaptive
 //! algorithm decision resolved up front. The plan is a self-contained,
 //! inspectable artifact — render it with [`QueryPlan::explain`], or hand

@@ -95,7 +95,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// A row-partitioned database: one coordinator over N shard catalogues
-/// and one persistent morsel [`Executor`]. See the [module docs](self).
+/// and one persistent morsel [`Executor`].
 #[derive(Debug)]
 pub struct ShardedDatabase {
     shards: Vec<Shard>,
@@ -457,8 +457,7 @@ impl ShardedDatabase {
     }
 
     /// The live statistics of `table` merged across every shard (row
-    /// counts add, min/max combine, KMV sketches union; `sorted` means
-    /// sorted within every partition — see [`TableStats::merged`]):
+    /// counts add, KMV sketches union — see [`TableStats::merged`]):
     /// the sharded counterpart of [`crate::Database::table_stats`].
     pub fn table_stats(&self, table: &str) -> Option<TableStats> {
         TableStats::merged(&self.table_stats_per_shard(table)?)
@@ -1410,7 +1409,7 @@ impl Front<'_> {
         };
         let ((lt, ls, lv), (rt, rs, rv)) = (side(&q.table)?, side(&join.table)?);
         let shards = self.shards.len();
-        let plan = plan_join(q, (&lt[0], &ls, lv), (&rt[0], &rs, rv), shards, None)?;
+        let plan = plan_join(q, (&lt, &ls, lv), (&rt, &rs, rv), shards, None)?;
         Ok((plan, lt, rt))
     }
 }
@@ -1899,11 +1898,19 @@ mod tests {
         assert_eq!(versions.iter().filter(|&&v| v == 2).count(), 1);
         assert_eq!(sharded.data_version("events"), Some(2));
 
-        // Merged statistics cover every partition.
+        // Merged statistics cover every partition, and so do the
+        // partitions' views.
         let stats = sharded.table_stats("events").unwrap();
         assert_eq!(stats.rows(), 103);
-        assert_eq!(stats.column("g").unwrap().max, Some(50));
-        assert_eq!(stats.column("v").unwrap().max, Some(200));
+        let max = |column: &str| {
+            let parts = sharded
+                .shards()
+                .into_iter()
+                .map(|s| s.table("events").unwrap());
+            parts.filter_map(|t| t.meta(column).unwrap().max).max()
+        };
+        assert_eq!(max("g"), Some(50));
+        assert_eq!(max("v"), Some(200));
         let per_shard = sharded.table_stats_per_shard("events").unwrap();
         assert_eq!(per_shard.len(), 4);
         assert_eq!(per_shard.iter().map(TableStats::rows).sum::<usize>(), 103);

@@ -112,9 +112,8 @@ impl SnapshotStats {
     }
 }
 
-/// An immutable, consistent point-in-time view of a catalogue — see
-/// the [module docs](self). Captured by
-/// [`crate::SharedCatalogue::snapshot`] /
+/// An immutable, consistent point-in-time view of a catalogue. Captured
+/// by [`crate::SharedCatalogue::snapshot`] /
 /// [`crate::Database::snapshot`]; dropping it releases what it holds.
 pub struct Snapshot {
     catalogue: SharedCatalogue,

@@ -66,12 +66,12 @@
 //! ```
 //!
 //! ```
-//! use vagg_db::sql::parse;
+//! use vagg_db::parse;
 //!
 //! let q = parse("SELECT g, COUNT(*), SUM(v) FROM r GROUP BY g")?;
 //! assert_eq!(q.table, "r");
 //! assert_eq!(q.query.sql("r"), "SELECT g, COUNT(*), SUM(v) FROM r GROUP BY g");
-//! # Ok::<(), vagg_db::sql::ParseSqlError>(())
+//! # Ok::<(), vagg_db::ParseSqlError>(())
 //! ```
 
 use crate::filter::Predicate;
@@ -160,7 +160,7 @@ pub enum Statement {
     /// Append rows through the write path
     /// (see [`crate::SharedCatalogue::append`]).
     Insert(InsertStatement),
-    /// Tombstone matching rows (see [`crate::delta`]).
+    /// Tombstone matching rows (see [`crate::DeltaStore`]).
     Delete(DeleteStatement),
     /// Overwrite columns of matching rows.
     Update(UpdateStatement),
@@ -965,13 +965,13 @@ fn parse_insert(p: &mut Parser) -> Result<InsertStatement, ParseSqlError> {
 /// [`crate::Database::explain_sql`] instead).
 ///
 /// ```
-/// use vagg_db::sql::{parse_template, ParamSlot};
+/// use vagg_db::{parse_template, ParamSlot};
 ///
 /// let t = parse_template(
 ///     "SELECT g, SUM(v) FROM r WHERE w > ? GROUP BY g LIMIT ?",
 /// )?;
 /// assert_eq!(t.slots, vec![ParamSlot::FilterConstant, ParamSlot::Limit]);
-/// # Ok::<(), vagg_db::sql::ParseSqlError>(())
+/// # Ok::<(), vagg_db::ParseSqlError>(())
 /// ```
 ///
 /// # Errors

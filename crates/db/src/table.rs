@@ -3,8 +3,11 @@
 //! The paper "emulate\[s\] the behaviour of a column-oriented database
 //! management system in which columns are stored contiguously as arrays in
 //! memory" (§III-A). [`Table`] is that model: named `u32` columns of equal
-//! length, with the per-column `sorted` metadata flag a real DBMS keeps
-//! and the paper's algorithms consult to skip sorting.
+//! length, with the per-column metadata a real DBMS keeps and the §V-D
+//! policy plans from: the `sorted` flag the paper's algorithms consult
+//! to skip sorting, and the maximum whose `max + 1` is the cardinality
+//! estimate. Both are computed when a column is added, so every view a
+//! plan reads carries them and nothing else keeps a copy.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -16,6 +19,10 @@ pub struct ColumnMeta {
     pub name: String,
     /// DBMS metadata: the column is known to be sorted ascending.
     pub sorted: bool,
+    /// The largest value (`None` for an empty column). The planner's
+    /// cardinality estimate is `max + 1` — what the §III-A scan
+    /// measures.
+    pub max: Option<u32>,
 }
 
 /// An in-memory column-store table.
@@ -72,8 +79,18 @@ impl Table {
             assert_eq!(data.len(), self.rows, "column {name:?} length mismatch");
         }
         let sorted = data.windows(2).all(|w| w[0] <= w[1]);
-        self.columns
-            .insert(name.clone(), (ColumnMeta { name, sorted }, Arc::from(data)));
+        // A sorted column's maximum is its last element.
+        let max = match data.last() {
+            Some(&last) if sorted => Some(last),
+            Some(_) => Some(data.iter().fold(0, |m, &x| m.max(x))),
+            None => None,
+        };
+        let meta = ColumnMeta {
+            name: name.clone(),
+            sorted,
+            max,
+        };
+        self.columns.insert(name, (meta, Arc::from(data)));
         self
     }
 
@@ -100,8 +117,9 @@ impl Table {
 
     /// Loads a table from CSV text: a header row of column names
     /// followed by rows of unsigned 32-bit integers. Empty lines are
-    /// skipped; surrounding whitespace in cells is ignored. Sortedness
-    /// metadata is detected per column, as in [`Table::with_column`].
+    /// skipped; surrounding whitespace in cells is ignored. Column
+    /// metadata (sortedness, maximum) is computed per column, as in
+    /// [`Table::with_column`].
     ///
     /// ```
     /// use vagg_db::Table;
@@ -219,6 +237,8 @@ mod tests {
         assert_eq!(t.width(), 2);
         assert!(!t.meta("g").unwrap().sorted);
         assert!(t.meta("v").unwrap().sorted);
+        assert_eq!(t.meta("g").unwrap().max, Some(5));
+        assert_eq!(t.meta("v").unwrap().max, Some(3));
         assert_eq!(t.column("g"), Some(&[5u32, 1, 3][..]));
         assert!(t.column("nope").is_none());
     }
@@ -288,6 +308,9 @@ mod tests {
         let t = Table::from_csv("r", "a,b").unwrap();
         assert_eq!(t.rows(), 0);
         assert_eq!(t.width(), 2);
+        let meta = t.meta("a").unwrap();
+        assert!(meta.sorted);
+        assert_eq!(meta.max, None);
     }
 
     #[test]

@@ -83,6 +83,8 @@ fn main() {
             .expect("sharded execution");
         assert_eq!(merged.rows, expect.rows, "routed ingest ≡ one-shot load");
 
+        let view = db.table("events").expect("registered");
+        let max = view.meta("g").expect("g column").max;
         let stats = db.table_stats("events").expect("live statistics");
         let g = stats.column("g").expect("g column");
         println!(
@@ -91,7 +93,7 @@ fn main() {
             receipt.rows,
             receipt.delta_rows,
             if receipt.compacted { ", compacted" } else { "" },
-            g.max.unwrap_or(0),
+            max.unwrap_or(0),
             g.distinct_estimate(),
             algorithm_of(&out),
         );

@@ -231,6 +231,38 @@ fn explain_golden_join_partitions_a_large_build_side() {
     );
 }
 
+/// A sharded side is sorted only if its key column is sorted in every
+/// partition (registration cuts contiguous row ranges): a key sorted
+/// over all rows reads `build_sorted=true`, one sorted in the first
+/// partition only reads `false`, and both agree with the single
+/// database.
+#[test]
+fn sharded_join_build_sortedness_agrees_with_the_single_database() {
+    let ascending: Vec<u32> = (0..40).map(|i| i / 5).collect();
+    let mut first_part_only = ascending.clone();
+    first_part_only[10..].reverse();
+    for (keys, sorted) in [(ascending, true), (first_part_only, false)] {
+        let fact = Table::new("fact")
+            .with_column("k", (0..48u32).map(|i| i % 8).collect())
+            .with_column("v", (0..48u32).collect());
+        let dims = Table::new("dims").with_column("k", keys);
+        let sql = "EXPLAIN SELECT fact.k, COUNT(*), SUM(v) \
+                   FROM fact JOIN dims ON fact.k = dims.k GROUP BY fact.k";
+        let mut single = Database::new();
+        single.register(fact.clone());
+        single.register(dims.clone());
+        let mut sharded = ShardedDatabase::new(4);
+        sharded.register(fact);
+        sharded.register(dims);
+        for out in [single.explain_sql(sql), sharded.explain_sql(sql)] {
+            let out = out.unwrap();
+            let plan = out.join().expect("a JOIN statement plans a join");
+            assert_eq!(plan.build_table(), "dims");
+            assert_eq!(plan.build_sorted(), sorted, "{}", plan.explain());
+        }
+    }
+}
+
 #[test]
 fn explain_golden_join_as_of_renders_the_pinned_cut() {
     let mut db = Database::new();

@@ -1,14 +1,16 @@
 //! Live statistics are what a fresh registration of the same rows
-//! would compute — at every data version, however the rows got there.
+//! would compute — at every data version, however the rows got there —
+//! and every plan's facts are what a scan of the view it planned reads.
 //!
-//! The §V-D policy plans from `TableStats` (cardinality, sortedness),
-//! and morsel pruning trusts its zone maps, so the write path may
-//! maintain them any way it likes as long as, **after every
-//! statement**:
+//! The §V-D policy plans from the planned view's column metadata
+//! (sortedness, `max + 1` cardinality), the join's build-side choice
+//! from the live distinct sketch, and morsel pruning trusts the zone
+//! maps, so the write path may maintain them any way it likes as long
+//! as, **after every statement**:
 //!
-//! * each column's `ColumnStats` — `min`, `max`, `sorted`,
-//!   `distinct_estimate`, `cardinality`, and its `{:?}` — equals that of
-//!   `Database::register(db.table(t))` on a fresh database;
+//! * each column's `ColumnStats` — `distinct_estimate` and its `{:?}` —
+//!   equals that of `Database::register(db.table(t))` on a fresh
+//!   database;
 //! * whenever the delta holds no appended rows (right after a
 //!   registration, a compaction, or a DELETE / UPDATE on a compacted
 //!   table) the whole `TableStats` `{:?}`, zone maps included, equals
@@ -20,7 +22,14 @@
 //! * the plan the live database serves for that aggregate from its
 //!   warm plan cache equals the plan a fresh registration makes cold —
 //!   its `explain()` text (but for the data version and zone count,
-//!   which describe the table's history), its rows and its cycles.
+//!   which describe the table's history), its rows and its cycles;
+//! * on every planning path — the live read, a snapshot pinned one
+//!   statement earlier, `AS OF data_version`, named snapshots, each
+//!   shard of a 4-shard cut, and the aggregate over a join's output —
+//!   a plan's presorted flag (its `CardinalityScan` mode) and its
+//!   cardinality estimate are those a host scan of the planned rows
+//!   gives (`scan_facts`), and a 4-shard join's build side is sorted
+//!   exactly when its key column is sorted in every partition.
 //!
 //! Op lists mix appends (empty, 1-row, 64-row, with a sorted key column
 //! and not), `DELETE` / `UPDATE` whose predicate matches no, some or
@@ -34,8 +43,9 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use vagg::db::{
-    CompactionPolicy, Database, Engine, ExecutorConfig, MetricsSnapshot, QueryPlan, Row, RowBatch,
-    Session, ShardedDatabase, SqlOutcome, Table, TableStats, TempDir,
+    parse, CompactionPolicy, Database, Engine, ExecutorConfig, MetricsSnapshot, PlanStep,
+    QueryPlan, Row, RowBatch, ScanMode, Session, ShardedDatabase, Snapshot, SqlError, SqlOutcome,
+    Table, TableStats, TempDir,
 };
 
 const COLUMNS: [&str; 3] = ["g", "k", "v"];
@@ -203,16 +213,6 @@ fn check_stats(db: &Database, what: &str) -> Result<(), TestCaseError> {
     );
     for name in COLUMNS {
         let (a, b) = (live.column(name).unwrap(), fresh.column(name).unwrap());
-        prop_assert_eq!(a.min, b.min, "{}: {} min", what, name);
-        prop_assert_eq!(a.max, b.max, "{}: {} max", what, name);
-        prop_assert_eq!(a.sorted, b.sorted, "{}: {} sorted", what, name);
-        prop_assert_eq!(
-            a.cardinality(),
-            b.cardinality(),
-            "{}: {} cardinality",
-            what,
-            name
-        );
         prop_assert_eq!(
             a.distinct_estimate(),
             b.distinct_estimate(),
@@ -318,9 +318,179 @@ fn check_served_plan(db: &Database, threshold: u32, what: &str) -> Result<(), Te
     Ok(())
 }
 
+/// The second table of the join checks: never written, its join key
+/// `g` sorted in the first and last of four partitions only.
+fn join_table() -> Table {
+    Table::new("u")
+        .with_column("g", vec![0, 1, 3, 2, 5, 4, 6, 6])
+        .with_column("w", (1..=8).collect())
+}
+
+/// The join whose output the aggregate plans over; grouping by `t.k`
+/// carries `t`'s sorted run (or its breaks) into the output.
+const JOIN_SQL: &str = "SELECT t.k, COUNT(*), SUM(w) FROM t JOIN u ON t.g = u.g GROUP BY t.k";
+
+/// The unfiltered aggregate grouped by `column`, `AS OF` `as_of` when
+/// given: the statement the planning paths are checked with. `k` is
+/// sorted until a write breaks its run, `g` almost never is.
+fn group_sql(column: &str, as_of: Option<&str>) -> String {
+    let as_of = as_of.map_or(String::new(), |a| format!(" AS OF {a}"));
+    format!("SELECT {column}, COUNT(*), SUM(v) FROM t{as_of} GROUP BY {column}")
+}
+
+/// The facts a host scan of a group column gives the §V-D policy:
+/// whether it is sorted ascending, and its cardinality `max + 1`.
+fn scan_facts(column: &[u32]) -> (bool, u64) {
+    let sorted = column.windows(2).all(|w| w[0] <= w[1]);
+    let cardinality = column.iter().max().map_or(0, |&m| u64::from(m) + 1);
+    (sorted, cardinality)
+}
+
+/// The facts a plan's `CardinalityScan` step states: `(presorted,
+/// estimate)`, `None` when the plan has no such step.
+fn step_facts(steps: &[PlanStep]) -> Option<(bool, u64)> {
+    steps.iter().find_map(|step| match step {
+        PlanStep::CardinalityScan { mode, estimate } => {
+            Some((*mode == ScanMode::Presorted, *estimate))
+        }
+        _ => None,
+    })
+}
+
+/// A plan's facts equal a scan of `view`'s `column`: its presorted
+/// flag, its cardinality estimate and its `CardinalityScan` step.
+fn check_facts(
+    plan: &QueryPlan,
+    view: &Table,
+    column: &str,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    let expect = scan_facts(view.column(column).unwrap());
+    let facts = (plan.presorted(), plan.cardinality_estimate());
+    prop_assert_eq!(facts, expect, "{}: {} plan facts", what, column);
+    prop_assert_eq!(
+        step_facts(plan.steps()),
+        Some(expect),
+        "{}: {} CardinalityScan",
+        what,
+        column
+    );
+    Ok(())
+}
+
+fn explained(db: &Database, sql: &str) -> Result<QueryPlan, SqlError> {
+    Ok(db.explain_sql(sql)?.plan().expect("no join").clone())
+}
+
+/// What a database's earlier statements left for the planning paths
+/// that read the past: a snapshot pinned at the previous check with
+/// the table it captured, the table at every data version seen, and
+/// the named snapshots made so far with theirs.
+#[derive(Default)]
+struct History {
+    pinned: Option<(Snapshot, Table)>,
+    versions: BTreeMap<u64, Table>,
+    named: Vec<(String, Table)>,
+}
+
+/// `t.k` of the join's output, in the order the join builds it: probe
+/// rows in order, each followed by its matching build rows in order.
+fn joined_keys(t: &Table, u: &Table, t_builds: bool) -> Vec<u32> {
+    let (tg, tk, ug) = (
+        t.column("g").unwrap(),
+        t.column("k").unwrap(),
+        u.column("g").unwrap(),
+    );
+    let mut out = Vec::new();
+    if t_builds {
+        for &g in ug {
+            out.extend(tg.iter().zip(tk).filter(|&(&x, _)| x == g).map(|(_, &k)| k));
+        }
+    } else {
+        for (&g, &k) in tg.iter().zip(tk) {
+            out.extend(ug.iter().filter(|&&y| y == g).map(|_| k));
+        }
+    }
+    out
+}
+
+/// Plan facts ≡ a scan of the planned view on every single-store
+/// planning path.
+fn check_plan_facts(
+    db: &mut Database,
+    history: &mut History,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    let table = db.table("t").unwrap();
+    let version = db.data_version("t").unwrap();
+    history.versions.insert(version, table.clone());
+    // A CREATE SNAPSHOT per check; the first and the newest are read.
+    let name = format!("s{}", history.named.len());
+    db.run_sql(&format!("CREATE SNAPSHOT {name}")).unwrap();
+    history.named.push((name, table.clone()));
+    let mut pasts: Vec<(String, Table)> = Vec::new();
+    // `AS OF data_version` for this version and the one before it,
+    // while the version index still holds them.
+    for (&v, past) in history.versions.range(..=version).rev().take(2) {
+        pasts.push((format!("data_version {v}"), past.clone()));
+    }
+    for named in [history.named.first(), history.named.last()]
+        .into_iter()
+        .flatten()
+    {
+        pasts.push(named.clone());
+    }
+    for column in ["g", "k"] {
+        if table.rows() > 0 {
+            let live = explained(db, &group_sql(column, None)).unwrap();
+            check_facts(&live, &table, column, &format!("{what}, live"))?;
+        }
+        if let Some((snap, pinned)) = history.pinned.as_ref().filter(|(_, t)| t.rows() > 0) {
+            match db.run_sql_at(snap, &format!("EXPLAIN {}", group_sql(column, None))) {
+                Ok(SqlOutcome::Plan(plan)) => {
+                    check_facts(&plan, pinned, column, &format!("{what}, pinned"))?
+                }
+                other => prop_assert!(false, "{}: pinned plan {:?}", what, other),
+            }
+        }
+        for (as_of, past) in pasts.iter().filter(|(_, t)| t.rows() > 0) {
+            match explained(db, &group_sql(column, Some(as_of))) {
+                Ok(plan) => check_facts(&plan, past, column, &format!("{what}, AS OF {as_of}"))?,
+                Err(SqlError::VersionUnavailable { .. }) => {}
+                Err(e) => prop_assert!(false, "{}: AS OF {}: {}", what, as_of, e),
+            }
+        }
+    }
+    history.pinned = Some((db.snapshot(), table.clone()));
+
+    // The aggregate over the join's output plans from the derived
+    // table's view: execute, and read the facts off the steps.
+    if table.rows() > 0 {
+        let u = db.table("u").unwrap();
+        let join = db.explain_sql(JOIN_SQL).unwrap();
+        let t_builds = join.join().expect("a join").build_table() == "t";
+        let keys = joined_keys(&table, &u, t_builds);
+        let out = db.execute_sql(JOIN_SQL).unwrap();
+        let expect = (!keys.is_empty()).then(|| scan_facts(&keys));
+        prop_assert_eq!(
+            step_facts(&out.report.steps),
+            expect,
+            "{}: join output plan facts",
+            what
+        );
+    }
+    Ok(())
+}
+
 /// Every part of the oracle on one single-store database.
-fn check(db: &mut Database, threshold: u32, what: &str) -> Result<(), TestCaseError> {
+fn check(
+    db: &mut Database,
+    history: &mut History,
+    threshold: u32,
+    what: &str,
+) -> Result<(), TestCaseError> {
     check_stats(db, what)?;
+    check_plan_facts(db, history, what)?;
     let table = db.table("t").unwrap();
     // A table a DELETE emptied plans to a typed `EmptyTable` error.
     if table.rows() > 0 {
@@ -358,6 +528,37 @@ fn check_sharded(
     check_bounded(&db.metrics(), what)
 }
 
+/// Plan facts on a 4-shard database: every shard's plan at one cut ≡ a
+/// scan of that shard's view, and the join's build side is sorted
+/// exactly when its key column is sorted in every partition.
+fn check_quad(db: &ShardedDatabase, what: &str) -> Result<(), TestCaseError> {
+    let cut = db.snapshot();
+    let mut rows = 0;
+    for (i, (shard, snap)) in db.shards().into_iter().zip(cut.shards()).enumerate() {
+        let view = snap.table("t").unwrap();
+        rows += view.rows();
+        if view.rows() == 0 {
+            continue;
+        }
+        for column in ["g", "k"] {
+            let query = parse(&group_sql(column, None)).unwrap().query;
+            let plan = shard.plan_query_at(snap, "t", &query).unwrap();
+            check_facts(&plan, &view, column, &format!("{what}, shard {i}"))?;
+        }
+    }
+    if rows > 0 {
+        let join = db.explain_sql(JOIN_SQL).unwrap();
+        let join = join.join().expect("a join");
+        let build = join.build_table();
+        let sorted = db.shards().into_iter().all(|shard| {
+            let part = shard.table(build).unwrap();
+            scan_facts(part.column("g").unwrap()).0
+        });
+        prop_assert_eq!(join.build_sorted(), sorted, "{}: join build_sorted", what);
+    }
+    Ok(())
+}
+
 fn open(dir: &TempDir, policy: CompactionPolicy) -> Database {
     let db = Database::open(dir.path()).unwrap();
     db.catalogue().set_compaction_policy(policy);
@@ -378,6 +579,7 @@ proptest! {
             let mut db = Database::new();
             db.catalogue().set_compaction_policy(policy);
             db.register(seed_table());
+            db.register(join_table());
             db
         };
         let (mut sql, mut bulk) = (in_memory(), in_memory());
@@ -390,12 +592,20 @@ proptest! {
         );
         sharded.set_compaction_policy(policy);
         sharded.register(seed_table());
+        let mut quad = ShardedDatabase::new(4);
+        quad.set_compaction_policy(policy);
+        quad.register(seed_table());
+        quad.register(join_table());
         let dir = TempDir::new("stats-oracle");
         let mut durable = open(&dir, policy);
         durable.register(seed_table());
+        durable.register(join_table());
+        let (mut sql_past, mut bulk_past, mut durable_past) =
+            (History::default(), History::default(), History::default());
 
-        check(&mut sql, threshold, "registered")?;
+        check(&mut sql, &mut sql_past, threshold, "registered")?;
         check_sharded(&mut sharded, threshold, "registered, sharded")?;
+        check_quad(&quad, "registered, 4 shards")?;
 
         let mut next_key = SEED_ROWS as u32;
         for (i, step) in steps.iter().enumerate() {
@@ -421,7 +631,10 @@ proptest! {
 
             // (a) autocommit SQL / BEGIN … COMMIT, and (d) the same on a
             // durable database.
-            for (db, what) in [(&mut sql, "sql"), (&mut durable, "durable")] {
+            for (db, past, what) in [
+                (&mut sql, &mut sql_past, "sql"),
+                (&mut durable, &mut durable_past, "durable"),
+            ] {
                 if in_txn {
                     db.run_sql("BEGIN").unwrap();
                 }
@@ -438,17 +651,20 @@ proptest! {
                         _ => {}
                     }
                     if !in_txn {
-                        check(db, threshold, &format!("{what}, step {i}"))?;
+                        check(db, past, threshold, &format!("{what}, step {i}"))?;
                     }
                 }
                 if in_txn {
                     db.run_sql("COMMIT").unwrap();
-                    check(db, threshold, &format!("{what}, step {i} committed"))?;
+                    check(db, past, threshold, &format!("{what}, step {i} committed"))?;
                 }
             }
             drop(durable);
             durable = open(&dir, policy);
-            check(&mut durable, threshold, &format!("replayed, step {i}"))?;
+            // A snapshot of the dropped instance is foreign to the
+            // reopened one.
+            durable_past.pinned = None;
+            check(&mut durable, &mut durable_past, threshold, &format!("replayed, step {i}"))?;
 
             // (b) the bulk API for appends, and (c) three shards; both
             // take a list one op at a time.
@@ -457,15 +673,18 @@ proptest! {
                     (Some(batch), _) => {
                         bulk.append_rows("t", batch.clone()).unwrap();
                         sharded.append_rows("t", batch.clone()).unwrap();
+                        quad.append_rows("t", batch.clone()).unwrap();
                     }
                     (None, Some(text)) => {
                         bulk.run_sql(text).unwrap();
                         sharded.mutate_sql(text).unwrap();
+                        quad.mutate_sql(text).unwrap();
                     }
                     (None, None) => unreachable!("a rendered op is text or a batch"),
                 }
-                check(&mut bulk, threshold, &format!("append_rows, step {i}"))?;
+                check(&mut bulk, &mut bulk_past, threshold, &format!("append_rows, step {i}"))?;
                 check_sharded(&mut sharded, threshold, &format!("sharded, step {i}"))?;
+                check_quad(&quad, &format!("4 shards, step {i}"))?;
             }
         }
     }
